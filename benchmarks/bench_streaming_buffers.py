@@ -112,13 +112,15 @@ def _finisher(driver, n, reps, toggle_kwarg=True):
         if toggle_kwarg:
             out = driver(g, seeds=seeds, tail_threshold=threshold)
         else:
-            # c-sequential rides batched_sequential's module default
+            # c-sequential rides batched_sequential's module default; the
+            # numpy provider keeps it on lock-step (a compiled one would
+            # run every repetition in one compiled loop either way)
             import repro.core.batched as batched_mod
 
             saved = batched_mod._TAIL_THRESHOLD
             batched_mod._TAIL_THRESHOLD = threshold
             try:
-                out = driver(g, seeds=seeds)
+                out = driver(g, seeds=seeds, kernels="numpy")
             finally:
                 batched_mod._TAIL_THRESHOLD = saved
         return time.perf_counter() - t0, out

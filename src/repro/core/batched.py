@@ -113,6 +113,7 @@ __all__ = [
     "batched_parallel_idla",
     "batched_sequential_idla",
     "buffer_doubles",
+    "sequential_loop_kernels",
     "stream_block",
 ]
 
@@ -228,6 +229,25 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")
     return spawn_generators(seed, reps)
+
+
+def sequential_loop_kernels(g, *, kernels=None, backend=None, record=False, rule=None):
+    """The compiled provider that can run whole Sequential-IDLA walks on
+    ``g``, or ``None``.
+
+    The compiled ``finish_sequential`` loop needs a compiled provider, an
+    exact-bitstream backend, host CSR arrays (:func:`csr_arrays`), no
+    recording and the default settling rule.  The driver gates its
+    compiled tail finisher on this, and the runner's auto dispatch
+    consults it too, so the two cannot drift apart.
+    """
+    kern = get_kernels(kernels)
+    bk = backend_of(g, backend)  # resolved even when kern is not compiled
+    if not (kern.compiled and bk.exact_bitstream):
+        return None
+    if record or not (rule is None or rule is standard_rule):
+        return None
+    return kern if csr_arrays(g) is not None else None
 
 
 def _resolve_tail_threshold(tail_threshold) -> int:
@@ -1036,20 +1056,26 @@ def batched_sequential_idla(
     repetition's generator finishes at the serial stream position (the
     Poissonised driver keeps drawing from it).
 
-    ``tail_threshold`` (``0`` disables, ``None`` = module default) is the
-    live-repetition count at which the scalar tail finisher hands each
-    straggler to the serial micro-loop — a performance knob only, results
-    are bit-identical either way.  ``record=True`` keeps full
-    trajectories through the chunked
+    ``tail_threshold`` (``0`` disables) is the live-repetition count at
+    which the scalar tail finisher hands each straggler to the serial
+    micro-loop — a performance knob only, results are bit-identical
+    either way.  ``None`` means every repetition when the compiled loop
+    can run (see below), else the module default.  ``record=True`` keeps
+    full trajectories through the chunked
     :class:`~repro.core.trajectory.TrajectoryStore` (one vectorised
     append per tick; the finisher continues each straggler's recorded
     prefix), list-identical to the serial driver's.
 
     Note on throughput: with one particle per repetition the batch width
-    equals the number of *live* repetitions, so the crossover against the
-    serial driver's tuned scalar loop sits near ``reps ≈ 64`` (the
-    runner's auto dispatch accounts for this); the parallel driver, whose
-    batch width is repetitions × active particles, wins much earlier.
+    equals the number of *live* repetitions, and it shrinks with every
+    repetition that finishes.  So whenever :func:`sequential_loop_kernels`
+    finds a compiled loop and ``tail_threshold`` is left at ``None``, no
+    lock-step tick runs at all: every repetition enters the tail handoff
+    at tick 0 and walks to completion in one compiled call, in turn.  An
+    explicit ``tail_threshold`` keeps the lock-step body.  Without a compiled loop, lock-step beats the serial
+    driver's scalar loop only from ``reps ≈ 64`` (the runner's auto
+    dispatch accounts for both); the parallel driver, whose batch width
+    is repetitions × active particles, wins much earlier.
     """
     n = g.n
     m = n if num_particles is None else check_integer("num_particles", num_particles)
@@ -1090,7 +1116,15 @@ def batched_sequential_idla(
         return out
     use_default_rule = rule is None or rule is standard_rule
     budget = float("inf") if max_total_steps is None else float(max_total_steps)
+    limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     process = "sequential-lazy" if lazy else "sequential"
+    fin_kern = sequential_loop_kernels(
+        g, kernels=kern, backend=bk, record=record, rule=rule
+    )
+    if fin_kern is not None and tail_threshold is None:
+        # one walker per repetition: every repetition enters the compiled
+        # tail handoff at tick 0 and no lock-step tick runs
+        tail_total = R
 
     starts2d = xp.empty((R, m), dtype=np.int64)
     for r, gen in enumerate(gens):
@@ -1117,26 +1151,20 @@ def batched_sequential_idla(
 
     streams = _sequential_streams(gens, plan.stream_budget_doubles, backend=bk)
     block = streams.block
-    streams.fill(live_list)
     buf_flat = streams.flat
     # every live repetition consumes exactly one uniform per tick, so a
-    # single shared cursor serves all buffers
-    cursor = 0
+    # single shared cursor serves all buffers; the first tick fills them,
+    # so a handoff at tick 0 fetches nothing ahead of the finisher
+    cursor = block
     base = live * block
     vert_off = live * n
     pstep = xp.zeros(live.size, dtype=np.int64)  # current particle's step count
     adj = None  # built lazily when the finisher engages
     kernel = neighbor_kernel(g)
     degrees_g = g.degrees
-    compiled = kern.compiled and bk.exact_bitstream
-    fused = kern.stepper(g) if compiled else None
-    csr = csr_arrays(g) if compiled else None
+    fused = kern.stepper(g) if kern.compiled and bk.exact_bitstream else None
+    csr = csr_arrays(g) if fin_kern is not None else None
     minw = kern.min_width  # narrow ticks keep the numpy expressions
-    fin_kern = (
-        kern
-        if compiled and csr is not None and use_default_rule and store is None
-        else None
-    )
     ticks = 0
 
     while live.size:
@@ -1166,10 +1194,7 @@ def batched_sequential_idla(
                         total=ticks,
                         lazy=lazy,
                         budget=budget,
-                        limit_msg=(
-                            "sequential IDLA exceeded "
-                            f"max_total_steps={max_total_steps}"
-                        ),
+                        limit_msg=limit_msg,
                         steps_row=steps2d[r],
                         settled_row=settled2d[r],
                     )
@@ -1204,9 +1229,7 @@ def batched_sequential_idla(
         ticks += 1
         pstep += 1
         if ticks > budget:
-            raise RuntimeError(
-                f"sequential IDLA exceeded max_total_steps={max_total_steps}"
-            )
+            raise RuntimeError(limit_msg)
         if lazy:
             move = u >= 0.5
             ustep = 2.0 * (u - 0.5)

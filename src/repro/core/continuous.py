@@ -35,6 +35,7 @@ from repro.core.sequential import sequential_idla
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
+from repro.utils.validation import check_integer
 from repro.walks.continuous import poissonise_steps
 
 __all__ = ["ctu_idla", "continuous_sequential_idla"]
@@ -65,7 +66,7 @@ def ctu_idla(
     True
     """
     n = g.n
-    m = n if num_particles is None else int(num_particles)
+    m = n if num_particles is None else check_integer("num_particles", num_particles)
     if not 1 <= m <= n:
         raise ValueError(
             f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"

@@ -35,6 +35,7 @@ from repro.core.settlement import select_settlers, settle_vacant_starts
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_integer
 from repro.walks.engine import WalkEngine
 
 __all__ = ["parallel_idla"]
@@ -88,7 +89,7 @@ def parallel_idla(
     True
     """
     n = g.n
-    m = n if num_particles is None else int(num_particles)
+    m = n if num_particles is None else check_integer("num_particles", num_particles)
     if m < 1:
         raise ValueError(f"num_particles must be >= 1, got {m}")
     if tie_break not in ("index", "random"):

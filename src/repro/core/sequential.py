@@ -27,6 +27,7 @@ from repro.core.settlement import instant_settle_chain
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_integer
 
 __all__ = ["sequential_idla"]
 
@@ -90,7 +91,7 @@ def sequential_idla(
     4
     """
     n = g.n
-    m = n if num_particles is None else int(num_particles)
+    m = n if num_particles is None else check_integer("num_particles", num_particles)
     if not 1 <= m <= n:
         raise ValueError(
             f"sequential IDLA needs 1 <= num_particles <= n, got {m} (n={n})"

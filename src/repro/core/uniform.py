@@ -45,6 +45,7 @@ from repro.core.results import DispersionResult
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
+from repro.utils.validation import check_integer
 
 __all__ = ["uniform_idla", "sample_schedule"]
 
@@ -91,7 +92,7 @@ def uniform_idla(
     True
     """
     n = g.n
-    m = n if num_particles is None else int(num_particles)
+    m = n if num_particles is None else check_integer("num_particles", num_particles)
     if not 1 <= m <= n:
         raise ValueError(
             f"uniform IDLA needs 1 <= num_particles <= n, got {m} (n={n})"

@@ -37,7 +37,11 @@ from typing import Callable
 import numpy as np
 
 from repro.core.anytime import AdaptiveInfo, Precision, TauAccumulator
-from repro.core.batched import batched_parallel_idla, batched_sequential_idla
+from repro.core.batched import (
+    batched_parallel_idla,
+    batched_sequential_idla,
+    sequential_loop_kernels,
+)
 from repro.core.batched_continuous import (
     batched_continuous_sequential_idla,
     batched_ctu_idla,
@@ -51,6 +55,7 @@ from repro.core.stopping_rules import DelayedRule, HairRule, StoppingRule
 from repro.core.uniform import uniform_idla
 from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
+from repro.kernels import KernelsUnavailableError
 from repro.utils.rng import as_seed_sequence, stable_seed
 from repro.utils.validation import check_integer
 
@@ -213,10 +218,14 @@ def _validate_driver_kwargs(process: str, kwargs: dict) -> None:
         )
 
 #: Below these repetition counts the serial drivers' tuned scalar loops
-#: win; at or above them lock-step batching amortises enough dispatch
-#: overhead to pay off.  The tick-scheduled processes (uniform, ctu,
-#: c-sequential) batch one walking particle per repetition, so their
+#: win; at or above them numpy lock-step batching amortises enough
+#: dispatch overhead to pay off.  The tick-scheduled processes (uniform,
+#: ctu, c-sequential) batch one walking particle per repetition, so their
 #: crossovers sit far above parallel's repetitions × particles width.
+#: Sequential and c-sequential skip this threshold whenever their batched
+#: driver can run each repetition in one compiled loop (see
+#: ``_sequential_loop_route``); 64 is then only the crossover of their
+#: numpy lock-step body.
 _BATCHED_MIN_REPS = {
     "parallel": 4,
     "sequential": 64,
@@ -269,12 +278,41 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
     # path before this is consulted; here it only means "not in-process".
     if n_jobs != 1 or not set(kwargs) <= _BATCHED_KWARGS[process]:
         return False
-    if reps < _BATCHED_MIN_REPS[process]:
-        return False
     rule = kwargs.get("rule")
     if rule is not None and type(rule) not in _PURE_RULE_TYPES:
         return False
-    return True
+    return reps >= _BATCHED_MIN_REPS[process] or _sequential_loop_route(
+        process, g, kwargs
+    )
+
+
+def _sequential_loop_route(process: str, g: Graph, kwargs) -> bool:
+    """Whether the batched driver runs each repetition in one compiled loop.
+
+    Sequential-IDLA has one walker per repetition; that route was
+    measured faster than the serial oracle at 1 to 256 repetitions and
+    than lock-step at 64 and 256 (see ``docs/kernels.md``).  The gates are the driver's
+    own (``sequential_loop_kernels``), plus the default
+    ``tail_threshold``: an explicit one pins the lock-step body.  An
+    unknown ``kernels``/``backend`` name raises here, as the batched
+    driver would; a known but unavailable provider falls back to the
+    serial oracle, which never needed it.
+    """
+    if process not in ("sequential", "c-sequential"):
+        return False
+    if kwargs.get("tail_threshold") is not None:
+        return False
+    try:
+        kern = sequential_loop_kernels(
+            g,
+            kernels=kwargs.get("kernels"),
+            backend=kwargs.get("backend"),
+            record=kwargs.get("record", False),
+            rule=kwargs.get("rule"),
+        )
+    except KernelsUnavailableError:
+        return False
+    return kern is not None
 
 
 def run_process(

@@ -29,6 +29,7 @@ from repro.core import (
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.experiments import estimate_dispersion
 from repro.graphs import complete_graph, cycle_graph, grid_graph
+from repro.kernels import available_kernels, get_kernels
 from repro.utils.rng import spawn_seed_sequences
 
 REPS = 5
@@ -313,15 +314,68 @@ def test_runner_batched_rejects_unsupported_kwargs():
 
 
 def test_runner_auto_dispatch_thresholds():
+    """Auto dispatch per kernel provider available here: a compiled one
+    moves the sequential crossovers, numpy keeps them."""
+    providers = [name for name, ok in sorted(available_kernels().items()) if ok]
+    assert "numpy" in providers
+    for kernels in providers:
+        _check_auto_dispatch_thresholds(kernels)
+
+
+def _check_auto_dispatch_thresholds(kernels):
+    from repro.core.stopping_rules import DelayedRule
     from repro.experiments.runner import _use_batched
 
     g = cycle_graph(64)
+    kw = {"kernels": kernels}
     for process in ("uniform", "ctu"):
-        assert _use_batched(process, g, 16, 1, {}, "auto")
-        assert not _use_batched(process, g, 15, 1, {}, "auto")
+        assert _use_batched(process, g, 16, 1, kw, "auto")
+        assert not _use_batched(process, g, 15, 1, kw, "auto")
         # huge repetition counts batch too: the streaming buffers bound
         # their allocation, so there is no memory decline any more
-        assert _use_batched(process, g, 50000, 1, {}, "auto")
-    assert _use_batched("c-sequential", g, 64, 1, {}, "auto")
-    assert not _use_batched("c-sequential", g, 63, 1, {}, "auto")
-    assert not _use_batched("uniform", g, 16, 2, {}, "auto")  # process pool
+        assert _use_batched(process, g, 50000, 1, kw, "auto")
+    assert not _use_batched("uniform", g, 16, 2, kw, "auto")  # process pool
+
+    compiled = get_kernels(kernels).compiled
+    for process in ("sequential", "c-sequential"):
+        assert _use_batched(process, g, 64, 1, kw, "auto")
+        # a compiled provider runs each repetition in one compiled loop,
+        # which wins at any repetition count; numpy keeps the crossover
+        for reps in (1, 63):
+            assert _use_batched(process, g, reps, 1, kw, "auto") == compiled
+        # no compiled loop for these: numpy lock-step crossover at 64
+        for graph, extra in (
+            (g, {"kernels": "numpy"}),
+            (g, dict(kw, record=True)),
+            (cycle_graph(64, implicit=True), kw),
+        ):
+            assert _use_batched(process, graph, 64, 1, extra, "auto")
+            assert not _use_batched(process, graph, 63, 1, extra, "auto")
+    for extra in (
+        dict(kw, rule=DelayedRule(2)),  # pure, but not the default rule
+        dict(kw, tail_threshold=16),  # an explicit threshold pins lock-step
+    ):
+        assert _use_batched("sequential", g, 64, 1, extra, "auto")
+        assert not _use_batched("sequential", g, 63, 1, extra, "auto")
+    # a rule auto dispatch cannot vouch for stays on the serial oracle
+    impure = dict(kw, rule=lambda t, v, vacant: vacant)
+    for reps in (1, 63, 64):
+        assert not _use_batched("sequential", g, reps, 1, impure, "auto")
+
+
+@pytest.mark.parametrize("process", ["sequential", "c-sequential"])
+def test_auto_dispatch_rejects_unknown_names_at_any_reps(process):
+    """Auto dispatch resolves ``kernels``/``backend`` for sequential and
+    c-sequential at every repetition count, so an unknown name fails
+    below the 64-repetition crossover too, as it does above it; a known
+    provider that is not installed still runs the serial oracle."""
+    g = cycle_graph(16)
+    for bad in ({"kernels": "no-such-provider"}, {"backend": "no-such-backend"}):
+        for reps in (1, 64):
+            with pytest.raises(ValueError, match="no-such"):
+                estimate_dispersion(g, process, reps=reps, seed=0, **bad)
+    missing = [name for name, ok in available_kernels().items() if not ok]
+    for name in missing:
+        est = estimate_dispersion(g, process, reps=2, seed=0, kernels=name)
+        ref = estimate_dispersion(g, process, reps=2, seed=0, batched=False)
+        assert np.array_equal(est.samples, ref.samples)

@@ -365,7 +365,11 @@ def test_kernels_through_runner(case, kernels):
 @pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)
 def test_kernels_deep_tail_and_budget(kernels):
     """Compiled finishers against a genuine mid-run handoff (reps above
-    the tail threshold) and compiled lock-step under budget cohorts."""
+    the tail threshold) and compiled lock-step under budget cohorts.
+
+    The threshold is passed explicitly: left at ``None``, a compiled
+    sequential run skips lock-step altogether (see
+    ``test_sequential_per_rep_route_matches_serial_oracle``)."""
     g = cycle_graph(32)
     reps = 24
     for process in ("sequential", "parallel"):
@@ -374,7 +378,11 @@ def test_kernels_deep_tail_and_budget(kernels):
             for s in spawn_seed_sequences(11, reps)
         ]
         batch = BATCHED_DRIVERS[process](
-            g, 0, seeds=spawn_seed_sequences(11, reps), kernels=kernels
+            g,
+            0,
+            seeds=spawn_seed_sequences(11, reps),
+            kernels=kernels,
+            tail_threshold=16,
         )
         for s, b in zip(serial, batch):
             assert_result_identical(s, b)
@@ -383,10 +391,112 @@ def test_kernels_deep_tail_and_budget(kernels):
             0,
             seeds=spawn_seed_sequences(11, reps),
             kernels=kernels,
+            tail_threshold=16,
             state_budget=StateBudget(particles=32 * 9),
         )
         for s, b in zip(serial, budgeted):
             assert_result_identical(s, b)
+
+
+#: Compiled providers only: the per-repetition route needs one.
+COMPILED_PROVIDERS = [p for p in KERNEL_PROVIDERS if p.values[0] != "numpy"]
+
+#: Driver variants of the per-repetition route; c-sequential has no lazy
+#: walk and no ``num_particles`` knob.
+PER_REP_VARIANTS = {
+    "sequential": {
+        "plain": {},
+        "lazy": {"lazy": True},
+        "m<n": {"num_particles": 10},
+        "uniform-origin": {"origin": "uniform"},
+    },
+    "c-sequential": {
+        "plain": {},
+        "uniform-origin": {"origin": "uniform"},
+    },
+}
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """Count the compiled loop, the fused step and the numpy step."""
+    import repro.core.batched as batched
+    from repro.kernels import CompiledKernels
+
+    calls = {"finish_sequential": 0, "csr_step": 0, "neighbor_step": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(CompiledKernels, "finish_sequential")
+    counted(CompiledKernels, "csr_step")
+    counted(batched, "neighbor_step")
+    return calls
+
+
+@pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
+@pytest.mark.parametrize("reps", [1, 16, 63, 64])
+@pytest.mark.parametrize(
+    "process,variant",
+    [(p, v) for p, variants in PER_REP_VARIANTS.items() for v in variants],
+)
+def test_sequential_per_rep_route_matches_serial_oracle(
+    process, variant, reps, kernels, route_calls
+):
+    """Auto dispatch with a compiled provider runs each repetition in one
+    compiled loop, at any repetition count, bit-identical to the serial
+    oracle: τ, total steps, per-particle steps and settlement, and the
+    c-sequential Gamma durations (which read the generator after the walk,
+    so they also pin where the route leaves each stream)."""
+    kwargs = dict(PER_REP_VARIANTS[process][variant])
+    origin = kwargs.pop("origin", 0)
+    serial = estimate_dispersion(
+        GRAPH, process, origin=origin, reps=reps, seed=PARENT_SEED,
+        batched=False, **kwargs,
+    )
+    est = estimate_dispersion(
+        GRAPH, process, origin=origin, reps=reps, seed=PARENT_SEED,
+        kernels=kernels, **kwargs,
+    )
+    assert np.array_equal(est.samples, serial.samples)
+    assert np.array_equal(est.total_samples, serial.total_samples)
+    # the route: no lock-step tick at all, one compiled call per repetition
+    assert route_calls == {
+        "finish_sequential": reps,
+        "csr_step": 0,
+        "neighbor_step": 0,
+    }
+
+    seeds = spawn_seed_sequences(PARENT_SEED, reps)
+    oracle = [
+        PROCESS_DRIVERS[process](GRAPH, origin, seed=s, **kwargs) for s in seeds
+    ]
+    batch = BATCHED_DRIVERS[process](
+        GRAPH, origin, seeds=spawn_seed_sequences(PARENT_SEED, reps),
+        kernels=kernels, **kwargs,
+    )
+    for s, b in zip(oracle, batch):
+        assert_result_identical(s, b, EXTRAS.get(process, ()))
+
+    if process == "sequential":
+        # the step limit fails with the serial oracle's exact error
+        messages = []
+        for mode in ({"batched": False}, {"kernels": kernels}):
+            with pytest.raises(RuntimeError) as err:
+                estimate_dispersion(
+                    GRAPH, process, origin=origin, reps=reps, seed=PARENT_SEED,
+                    max_total_steps=50, **kwargs, **mode,
+                )
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "sequential IDLA exceeded max_total_steps=50"
+        )
 
 
 @pytest.mark.parametrize("build", ["csr", "implicit"])

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import ctu_idla, parallel_idla, sequential_idla, uniform_idla
+from repro.experiments import estimate_dispersion
+from repro.graphs import cycle_graph
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_fraction,
@@ -62,6 +65,35 @@ class TestCheckIndex:
     def test_non_integer(self):
         with pytest.raises(ValueError):
             check_index("v", 1.5, 10)
+
+
+class TestSerialDriversRejectFractionalParticles:
+    """``num_particles=3.5`` used to run m=3 on the serial oracles while
+    the batched drivers raised; every driver now rejects it alike."""
+
+    @pytest.mark.parametrize(
+        "driver", [sequential_idla, parallel_idla, uniform_idla, ctu_idla]
+    )
+    def test_rejects_non_integral(self, driver):
+        with pytest.raises(ValueError, match="num_particles must be an integer"):
+            driver(cycle_graph(8), seed=0, num_particles=3.5)
+        with pytest.raises(ValueError, match="num_particles must be an integer"):
+            driver(cycle_graph(8), seed=0, num_particles=True)
+
+    @pytest.mark.parametrize(
+        "driver", [sequential_idla, parallel_idla, uniform_idla, ctu_idla]
+    )
+    def test_accepts_integral_float(self, driver):
+        res = driver(cycle_graph(8), seed=0, num_particles=3.0)
+        assert res.steps.shape == (3,)
+
+    @pytest.mark.parametrize("batched", [False, True, "auto"])
+    def test_every_dispatch_mode_raises(self, batched):
+        with pytest.raises(ValueError, match="num_particles must be an integer"):
+            estimate_dispersion(
+                cycle_graph(8), "sequential", reps=4, batched=batched,
+                num_particles=3.5,
+            )
 
 
 class TestCheckProbabilityVector:
