@@ -23,10 +23,10 @@ Both workloads assert the byte-identity anchor: the full result set
 (``steps``, ``settled_at``, ``settle_order``, ``dispersion_time``) of
 the compiled provider equals the pure-numpy run byte for byte.
 
-The compiled provider is whichever of ``numba``/``cffi`` resolves here
-(auto-detection order); the bench skips when neither toolchain is
-available.  Set ``BENCH_KERNELS_*`` environment variables to shrink the
-workloads (CI smoke); the speedup assertions only arm at full size.
+The compiled provider is ``cffi``; the bench skips when cffi or a C
+compiler is not available here.  Set ``BENCH_KERNELS_*`` environment
+variables to shrink the workloads (CI smoke); the speedup assertions
+only arm at full size.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ SEQ_FLOOR = 3.0
 PAR_FLOOR = 0.9
 FULL_SIZE = (SEQ_N, SEQ_REPS, PAR_N, PAR_REPS) == (384, 6, 256, 32)
 
-COMPILED = next(
-    (name for name in ("numba", "cffi") if available_kernels().get(name)), None
-)
+COMPILED = "cffi" if available_kernels()["cffi"] else None
 
 
 def _timed(fn):
@@ -110,7 +108,7 @@ def _experiment():
 
 def bench_compiled_kernels(benchmark, capsys):
     if COMPILED is None:
-        pytest.skip("no compiled kernel provider available (numba or cffi)")
+        pytest.skip("compiled kernel provider 'cffi' unavailable")
     workloads = run_once(benchmark, _experiment)
     rows = [
         [

@@ -34,6 +34,23 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _build_graph(fam, n: int, seed):
+    """``fam.build(n)``, or ``None`` after a one-line message on a bad size."""
+    try:
+        return fam.build(n, seed=seed)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Deferred import (numpy-heavy) — the registry is the single source of
     # truth for --process choices, so adding a driver updates the CLI too.
@@ -49,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("constants", help="print the paper's constants")
 
     t1 = sub.add_parser("table1", help="reproduce Table 1 at one size per family")
-    t1.add_argument("--reps", type=int, default=8)
+    t1.add_argument("--reps", type=_positive_int, default=8)
     t1.add_argument("--seed", type=int, default=0)
 
     def add_precision_flags(sp):
@@ -79,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--max-reps",
-            type=int,
+            type=_positive_int,
             default=4096,
             help="adaptive repetition budget (default 4096)",
         )
@@ -88,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("family")
     run.add_argument("n", type=int)
     run.add_argument("--process", default="sequential", choices=sorted(PROCESS_DRIVERS))
-    run.add_argument("--reps", type=int, default=8)
+    run.add_argument("--reps", type=_positive_int, default=8)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--lazy", action="store_true")
     add_precision_flags(run)
@@ -117,33 +134,25 @@ def build_parser() -> argparse.ArgumentParser:
         "without changing any sample",
     )
     run.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="array backend for the lock-step drivers (registered name, "
-        "e.g. numpy_strict); unset, the REPRO_BACKEND environment "
-        "variable then the numpy default apply",
-    )
-    run.add_argument(
         "--kernels",
         default=None,
         metavar="NAME",
         help="compiled inner-loop kernel provider for the lock-step "
-        "drivers (numba, cffi, numpy); unset, the REPRO_KERNELS "
+        "drivers (cffi, numpy); unset, the REPRO_KERNELS "
         "environment variable then auto-detection apply",
     )
 
     sw = sub.add_parser("sweep", help="sweep sizes and fit scaling laws")
     sw.add_argument("family")
     sw.add_argument("sizes", type=int, nargs="+")
-    sw.add_argument("--reps", type=int, default=8)
+    sw.add_argument("--reps", type=_positive_int, default=8)
     sw.add_argument("--seed", type=int, default=0)
     add_precision_flags(sw)
 
     bd = sub.add_parser("bounds", help="theorem bounds vs a measured mean")
     bd.add_argument("family")
     bd.add_argument("n", type=int)
-    bd.add_argument("--reps", type=int, default=20)
+    bd.add_argument("--reps", type=_positive_int, default=20)
     bd.add_argument("--seed", type=int, default=0)
     return p
 
@@ -237,14 +246,6 @@ def _cmd_run(args, out) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    if args.backend is not None:
-        from repro.backends import get_backend
-
-        try:
-            kwargs["backend"] = get_backend(args.backend)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     if args.kernels is not None:
         from repro.kernels import get_kernels
 
@@ -256,7 +257,9 @@ def _cmd_run(args, out) -> int:
             print(str(exc), file=sys.stderr)
             return 2
     fam = get_family(args.family)
-    g = fam.build(args.n, seed=args.seed)
+    g = _build_graph(fam, args.n, args.seed)
+    if g is None:
+        return 2
     est = estimate_dispersion(
         g,
         args.process,
@@ -327,7 +330,9 @@ def _cmd_bounds(args, out) -> int:
     from repro.theory import get_family
 
     fam = get_family(args.family)
-    g = fam.build(args.n, seed=args.seed)
+    g = _build_graph(fam, args.n, args.seed)
+    if g is None:
+        return 2
     est = estimate_dispersion(
         g, "sequential", origin=fam.worst_origin(g), reps=args.reps, seed=args.seed
     )

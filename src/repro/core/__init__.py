@@ -37,9 +37,12 @@ from repro.core.algorithms import (
 )
 from repro.core.anytime import (
     AdaptiveInfo,
+    AnytimeKS,
+    KSVerdict,
     Precision,
     TauAccumulator,
     anytime_halfwidth,
+    ks_statistic,
 )
 from repro.core.batched import batched_parallel_idla, batched_sequential_idla
 from repro.core.batched_continuous import (
@@ -101,6 +104,9 @@ __all__ = [
     "TauAccumulator",
     "AdaptiveInfo",
     "anytime_halfwidth",
+    "AnytimeKS",
+    "KSVerdict",
+    "ks_statistic",
     "sample_schedule",
     "aggregate_after",
     "euclidean_shape_stats",

@@ -21,6 +21,10 @@ runner needs to stop *legitimately*:
 :class:`AdaptiveInfo` the provenance record the resulting estimate
 carries (rounds consumed, achieved width, what stopped the run).
 
+:class:`AnytimeKS` applies the same anytime idea to whole
+distributions: a two-sample KS gate that may be checked after every
+batch of τ samples without inflating its false-rejection rate.
+
 The confidence sequence is the Robbins normal-mixture boundary in its
 asymptotic (estimated-variance) form — see Howard, Ramdas, McAuliffe &
 Sekhon, "Time-uniform, nonparametric, nonasymptotic confidence
@@ -43,11 +47,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.validation import check_integer
+
 __all__ = [
     "Precision",
     "TauAccumulator",
     "AdaptiveInfo",
     "anytime_halfwidth",
+    "AnytimeKS",
+    "KSVerdict",
+    "ks_statistic",
 ]
 
 #: Nominal sample size the default boundary is tuned to be tightest
@@ -154,22 +163,25 @@ class Precision:
     def __post_init__(self):
         if self.ci_rel is None and self.ci_abs is None:
             raise ValueError("Precision needs at least one of ci_rel= or ci_abs=")
-        if self.ci_rel is not None and self.ci_rel <= 0.0:
-            raise ValueError(f"ci_rel must be > 0, got {self.ci_rel}")
-        if self.ci_abs is not None and self.ci_abs <= 0.0:
-            raise ValueError(f"ci_abs must be > 0, got {self.ci_abs}")
+        for name in ("ci_rel", "ci_abs"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0,1), got {self.level}")
+        # frozen: store the validated counts as plain ints
+        object.__setattr__(self, "initial", check_integer("initial", self.initial))
+        object.__setattr__(self, "max_reps", check_integer("max_reps", self.max_reps))
         if self.initial < 1:
             raise ValueError(f"initial must be >= 1, got {self.initial}")
         if self.max_reps < self.initial:
             raise ValueError(
                 f"max_reps ({self.max_reps}) must be >= initial ({self.initial})"
             )
-        if self.max_seconds is not None and self.max_seconds < 0.0:
+        if self.max_seconds is not None and not self.max_seconds >= 0.0:
             raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
-        if self.growth <= 1.0:
-            raise ValueError(f"growth must be > 1, got {self.growth}")
+        if not (math.isfinite(self.growth) and self.growth > 1.0):
+            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
 
     def target_halfwidth(self, mean: float) -> float:
         """Binding target half-width given the current running mean."""
@@ -323,3 +335,127 @@ class AdaptiveInfo:
             f"-> ±{self.halfwidth:.3g} (target ±{self.target_halfwidth:.3g}, "
             f"{'met' if self.met else 'not met'}, stopped by {self.stopped_by})"
         )
+
+
+# ----------------------------------------------------------------------
+# anytime-valid two-sample KS gate
+# ----------------------------------------------------------------------
+# A distribution-level equivalence check for τ samples: a driver that
+# cannot replay the serial oracle's bitstream (or an exact Markov oracle
+# compared against simulation) is gated on its samples being
+# statistically indistinguishable from the reference instead.  The test
+# is a two-sample Kolmogorov–Smirnov statistic against a time-uniform
+# Dvoretzky–Kiefer–Wolfowitz envelope, with the error budget union-
+# bounded over checkpoints (check ``k`` spends ``alpha / (k (k+1))``,
+# which sums to ``alpha``): under equal distributions both empirical CDFs
+# stay inside their envelopes, so the caller may check after every batch
+# and stop whenever it likes.  Conservative, but assumption-free and safe
+# under optional stopping.  Feeding it visibly different distributions
+# doubles as a power check.
+
+
+def ks_statistic(x, y) -> float:
+    """Two-sample KS statistic ``sup_t |F_x(t) - F_y(t)|``.
+
+    Both samples may contain ties/duplicates (tau samples are integers
+    for the discrete processes); the statistic is evaluated over the
+    pooled support, which is exact for step CDFs.
+    """
+    x = np.sort(np.asarray(x, dtype=np.float64))
+    y = np.sort(np.asarray(y, dtype=np.float64))
+    if x.size == 0 or y.size == 0:
+        raise ValueError("ks_statistic needs non-empty samples on both sides")
+    support = np.concatenate([x, y])
+    fx = np.searchsorted(x, support, side="right") / x.size
+    fy = np.searchsorted(y, support, side="right") / y.size
+    return float(np.max(np.abs(fx - fy)))
+
+
+@dataclass(frozen=True)
+class KSVerdict:
+    """Outcome of one anytime-KS checkpoint."""
+
+    statistic: float  #: two-sample KS distance at this checkpoint
+    threshold: float  #: time-uniform rejection envelope at this checkpoint
+    n_x: int  #: backend-lane sample count so far
+    n_y: int  #: oracle-lane sample count so far
+    checks: int  #: checkpoints consumed so far (1-based)
+    reject: bool  #: True → the distributions are provably different
+
+    @property
+    def margin(self) -> float:
+        """``threshold - statistic``; negative exactly when rejecting."""
+        return self.threshold - self.statistic
+
+
+class AnytimeKS:
+    """Streaming anytime-valid two-sample KS gate.
+
+    Parameters
+    ----------
+    alpha:
+        Total false-rejection budget over the *entire* (unbounded)
+        sequence of checkpoints.  A truthful backend survives all
+        checks with probability at least ``1 - alpha``.
+    """
+
+    def __init__(self, alpha: float = 0.01):
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        self.alpha = float(alpha)
+        self._x: list[np.ndarray] = []
+        self._y: list[np.ndarray] = []
+        self._checks = 0
+        self._rejected: KSVerdict | None = None
+
+    @property
+    def n_x(self) -> int:
+        return sum(a.size for a in self._x)
+
+    @property
+    def n_y(self) -> int:
+        return sum(a.size for a in self._y)
+
+    def _envelope(self, n: int, alpha_k: float) -> float:
+        # Two-sided DKW with half the checkpoint budget per lane:
+        # sup |F_hat - F| <= sqrt(ln(4 / alpha_k) / (2 n)).
+        return math.sqrt(math.log(4.0 / alpha_k) / (2.0 * n))
+
+    def update(self, backend_taus, oracle_taus) -> KSVerdict:
+        """Absorb one batch per lane and run a checkpoint.
+
+        Either batch may be empty (the lanes need not stay in lock
+        step), but both lanes must be non-empty overall before the
+        first checkpoint.  A rejection is sticky: once the gate
+        rejects, every later verdict repeats the rejection.
+        """
+        if self._rejected is not None:
+            return self._rejected
+        bx = np.asarray(backend_taus, dtype=np.float64).ravel()
+        by = np.asarray(oracle_taus, dtype=np.float64).ravel()
+        if bx.size:
+            self._x.append(bx)
+        if by.size:
+            self._y.append(by)
+        n_x, n_y = self.n_x, self.n_y
+        if n_x == 0 or n_y == 0:
+            raise ValueError(
+                "AnytimeKS.update: both lanes need at least one sample "
+                "before the first checkpoint"
+            )
+        self._checks += 1
+        k = self._checks
+        alpha_k = self.alpha / (k * (k + 1))
+        stat = ks_statistic(np.concatenate(self._x), np.concatenate(self._y))
+        thr = self._envelope(n_x, alpha_k) + self._envelope(n_y, alpha_k)
+        verdict = KSVerdict(
+            statistic=stat,
+            threshold=thr,
+            n_x=n_x,
+            n_y=n_y,
+            checks=k,
+            reject=stat > thr,
+        )
+        if verdict.reject:
+            self._rejected = verdict
+        return verdict

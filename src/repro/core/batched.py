@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import backend_of
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
@@ -134,20 +133,17 @@ _BLOCK: int | None = None
 _TAIL_THRESHOLD = 16
 
 
-def _parallel_streams(
-    gens, m: int, budget_doubles=None, backend=None
-) -> UniformStreams:
+def _parallel_streams(gens, m: int, budget_doubles=None) -> UniformStreams:
     """Streams for the parallel driver: one round consumes <= 2·m + 2."""
     return UniformStreams(
         gens,
         per_rep_min=2 * m + 2,
         block=_BLOCK,
         budget_doubles=budget_doubles,
-        backend=backend,
     )
 
 
-def _sequential_streams(gens, budget_doubles=None, backend=None) -> UniformStreams:
+def _sequential_streams(gens, budget_doubles=None) -> UniformStreams:
     """Streams for the sequential driver, aligned to the serial fetch grid."""
     return UniformStreams(
         gens,
@@ -155,7 +151,6 @@ def _sequential_streams(gens, budget_doubles=None, backend=None) -> UniformStrea
         align=_SERIAL_SEQ_BLOCK,
         block=_BLOCK,
         budget_doubles=budget_doubles,
-        backend=backend,
     )
 
 
@@ -231,21 +226,18 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
     return spawn_generators(seed, reps)
 
 
-def sequential_loop_kernels(g, *, kernels=None, backend=None, record=False, rule=None):
+def sequential_loop_kernels(g, *, kernels=None, record=False, rule=None):
     """The compiled provider that can run whole Sequential-IDLA walks on
     ``g``, or ``None``.
 
-    The compiled ``finish_sequential`` loop needs a compiled provider, an
-    exact-bitstream backend, host CSR arrays (:func:`csr_arrays`), no
-    recording and the default settling rule.  The driver gates its
+    The compiled ``finish_sequential`` loop needs a compiled provider,
+    host CSR arrays (:func:`csr_arrays`), no recording and the default
+    settling rule.  The driver gates its
     compiled tail finisher on this, and the runner's auto dispatch
     consults it too, so the two cannot drift apart.
     """
     kern = get_kernels(kernels)
-    bk = backend_of(g, backend)  # resolved even when kern is not compiled
-    if not (kern.compiled and bk.exact_bitstream):
-        return None
-    if record or not (rule is None or rule is standard_rule):
+    if not kern.compiled or record or not (rule is None or rule is standard_rule):
         return None
     return kern if csr_arrays(g) is not None else None
 
@@ -300,7 +292,7 @@ def _finish_parallel_rep(
     ``kern``/``csr`` (a compiled :class:`repro.kernels.KernelSet` and the
     graph's host CSR arrays) delegate the dominant single-straggler loop
     to the compiled twin; the caller passes them only when the run's
-    gates hold (default rule, no recording, exact-bitstream backend).
+    gates hold (default rule, no recording).
     Multi-particle rounds write occupancy through a ``uint8`` view of the
     boolean row, so the compiled loop and the Python contest see the same
     cells.
@@ -453,7 +445,6 @@ def batched_parallel_idla(
     max_rounds: float | None = None,
     tail_threshold: int | None = None,
     state_budget=None,
-    backend=None,
     kernels=None,
 ) -> list[DispersionResult]:
     """Run ``R`` independent Parallel-IDLA realisations in lock-step.
@@ -488,21 +479,13 @@ def batched_parallel_idla(
         results (each repetition still consumes its own stream in serial
         order).  ``record=True`` trajectory storage grows with total
         steps and is deliberately outside the cap.
-    backend:
-        :class:`repro.backends.ArrayBackend` (or registered name) the
-        round bodies run on.  Defaults to the graph's backend, then the
-        ``REPRO_BACKEND`` environment selection.  Exact-bitstream
-        backends (``numpy``, ``numpy_strict``) leave every sample
-        bit-identical; non-bitstream backends are gated on the
-        statistical contract instead (``repro.backends.contract``).
     kernels:
         :class:`repro.kernels.KernelSet` (or provider name) for the
         compiled inner-loop layer.  Defaults to the ``REPRO_KERNELS``
         environment selection, then auto-detection.  Compiled kernels
-        engage only on exact-bitstream backends with a materialised host
-        CSR, and are a performance knob only — every sample stays
-        bit-identical to the serial oracle (the differential harness pins
-        this per provider).
+        engage only with a materialised host CSR, and are a performance
+        knob only — every sample stays bit-identical to the serial oracle
+        (the differential harness pins this per provider).
 
     Returns
     -------
@@ -525,8 +508,6 @@ def batched_parallel_idla(
         raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
     scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
     tail_total = _resolve_tail_threshold(tail_threshold)
-    bk = backend_of(g, backend)
-    xp = bk.xp
     kern = get_kernels(kernels)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
@@ -554,7 +535,6 @@ def batched_parallel_idla(
                     max_rounds=max_rounds,
                     tail_threshold=tail_threshold,
                     state_budget=state_budget,
-                    backend=bk,
                     kernels=kern,
                 )
             )
@@ -567,9 +547,9 @@ def batched_parallel_idla(
     # ---- per-repetition initial draws, in the serial driver's order.
     # With the default "index" tie-break the priority of particle p is p
     # itself, so `pid` doubles as the priority vector and prio2d stays None.
-    arange_m = xp.arange(m, dtype=np.int64)
-    starts2d = xp.empty((R, m), dtype=np.int64)
-    prio2d = None if tie_break == "index" else xp.empty((R, m), dtype=np.int64)
+    arange_m = np.arange(m, dtype=np.int64)
+    starts2d = np.empty((R, m), dtype=np.int64)
+    prio2d = None if tie_break == "index" else np.empty((R, m), dtype=np.int64)
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
         if prio2d is not None:
@@ -577,12 +557,12 @@ def batched_parallel_idla(
             prio2d[r, 0] = 0
             prio2d[r, 1:] = 1 + gen.permutation(m - 1)
 
-    store = TrajectoryStore(starts2d, n, backend=bk) if record else None
-    occ = xp.zeros(R * n, dtype=bool)
-    free = xp.full(R, n, dtype=np.int64)
-    steps2d = xp.zeros((R, m), dtype=np.int64)
-    settled2d = xp.full((R, m), -1, dtype=np.int64)
-    round2d = xp.full((R, m), -1, dtype=np.int64)
+    store = TrajectoryStore(starts2d, n) if record else None
+    occ = np.zeros(R * n, dtype=bool)
+    free = np.full(R, n, dtype=np.int64)
+    steps2d = np.zeros((R, m), dtype=np.int64)
+    settled2d = np.full((R, m), -1, dtype=np.int64)
+    round2d = np.full((R, m), -1, dtype=np.int64)
     steps2d_flat = steps2d.reshape(-1)
     settled2d_flat = settled2d.reshape(-1)
     round2d_flat = round2d.reshape(-1)
@@ -591,7 +571,7 @@ def batched_parallel_idla(
     for r in range(R):
         occ_r = occ[r * n : (r + 1) * n]
         prio_r = arange_m if prio2d is None else prio2d[r]
-        winners = settle_vacant_starts(occ_r, starts2d[r], prio_r, backend=bk)
+        winners = settle_vacant_starts(occ_r, starts2d[r], prio_r)
         if winners.size:
             occ_r[starts2d[r, winners]] = True
             free[r] -= winners.size
@@ -600,19 +580,19 @@ def batched_parallel_idla(
 
     # ---- flat lock-step state: all repetitions' unsettled particles,
     # grouped by repetition, ascending particle index within each group
-    rep_ids, pid = xp.nonzero(settled2d < 0)
-    if xp.any(free[rep_ids] == 0):
+    rep_ids, pid = np.nonzero(settled2d < 0)
+    if np.any(free[rep_ids] == 0):
         # a repetition already complete at round 0 (m > n with covering
         # starts): its surplus particles performed 0 steps — drop them
         alive = free[rep_ids] > 0
         rep_ids, pid = rep_ids[alive], pid[alive]
     pos = starts2d[rep_ids, pid].copy()
 
-    streams = _parallel_streams(gens, m, plan.stream_budget_doubles, backend=bk)
+    streams = _parallel_streams(gens, m, plan.stream_budget_doubles)
     block = streams.block
     streams.fill(range(R))
     buf_flat = streams.flat
-    bptr = xp.zeros(R, dtype=np.int64)
+    bptr = np.zeros(R, dtype=np.int64)
 
     # per-round flat metadata, recomputed whenever particles leave
     k = counts = counts_exp = rep_off = prio_flat = bidx = None
@@ -622,19 +602,19 @@ def batched_parallel_idla(
     def buffered_rounds() -> int:
         """Rounds the repetition buffers can serve before the next refill."""
         live = counts > 0
-        if not xp.any(live):
+        if not np.any(live):
             return 1
-        return int(xp.min((block - bptr[live]) // counts[live]))
+        return int(np.min((block - bptr[live]) // counts[live]))
 
     def rebuild():
         nonlocal k, counts, counts_exp, rep_off, prio_flat, bidx
         nonlocal k_exp, wide_exp, rounds_buffered
-        k = bk.bincount(rep_ids, minlength=R)
+        k = np.bincount(rep_ids, minlength=R)
         if lazy:
             # the serial driver's wide phase (active > threshold) consumes
             # 2 uniforms per particle per round, the scalar tail only 1
             wide = k > scalar_threshold
-            counts = xp.where(wide, 2 * k, k)
+            counts = np.where(wide, 2 * k, k)
             k_exp = k[rep_ids]
             wide_exp = wide[rep_ids]
         else:
@@ -642,8 +622,8 @@ def batched_parallel_idla(
         counts_exp = counts[rep_ids]
         rep_off = rep_ids * n
         prio_flat = pid if prio2d is None else prio2d[rep_ids, pid]
-        group_start = (bk.cumsum(k) - k)[rep_ids]
-        within = xp.arange(rep_ids.size, dtype=np.int64) - group_start
+        group_start = (np.cumsum(k) - k)[rep_ids]
+        within = np.arange(rep_ids.size, dtype=np.int64) - group_start
         bidx = rep_ids * block + bptr[rep_ids] + within
         rounds_buffered = buffered_rounds()
 
@@ -665,7 +645,7 @@ def batched_parallel_idla(
         prio_flat = pid if prio2d is None else prio_flat[keep]
         if lazy:
             k_exp, wide_exp = k_exp[keep], wide_exp[keep]
-        group_start = bk.cumsum(k) - k
+        group_start = np.cumsum(k) - k
         for r in affected:
             kr = int(k[r])
             if lazy:
@@ -673,7 +653,7 @@ def batched_parallel_idla(
                 counts[r] = 2 * kr if wide_r else kr
             sl = slice(int(group_start[r]), int(group_start[r]) + kr)
             counts_exp[sl] = counts[r]
-            bidx[sl] = r * block + bptr[r] + xp.arange(kr, dtype=np.int64)
+            bidx[sl] = r * block + bptr[r] + np.arange(kr, dtype=np.int64)
             if lazy:
                 k_exp[sl] = kr
                 wide_exp[sl] = wide_r
@@ -681,7 +661,7 @@ def batched_parallel_idla(
 
     def refill():
         nonlocal rounds_buffered
-        for r in bk.flatnonzero(bptr + counts > block):
+        for r in np.flatnonzero(bptr + counts > block):
             bidx[rep_ids == r] -= bptr[r]
             streams.refill_tail(int(r), int(bptr[r]))
             bptr[r] = 0
@@ -701,19 +681,18 @@ def batched_parallel_idla(
         if tail_total <= 0 or rep_ids.size == 0:
             return False
         return (
-            int(xp.count_nonzero(k)) <= tail_total
+            int(np.count_nonzero(k)) <= tail_total
             and int(k.max()) <= scalar_threshold
         )
 
     rebuild()
     kernel = neighbor_kernel(g)
     degrees_g = g.degrees
-    # compiled inner-loop layer: engages only under the bit-identity
-    # contract (exact-bitstream backend) and, for the step/finisher, a
-    # materialised host CSR.  The settlement kernel needs no CSR, so it
-    # serves implicit families too.
-    compiled = kern.compiled and bk.exact_bitstream
-    fused = kern.stepper(g) if compiled else None
+    # compiled inner-loop layer: the step/finisher need a materialised
+    # host CSR; the settlement kernel needs none, so it serves implicit
+    # families too.
+    compiled = kern.compiled
+    fused = kern.stepper(g)
     csr = csr_arrays(g) if compiled else None
     settle_scratch = kern.make_settle_scratch(n) if compiled else None
     # narrow rounds (the settlement tail) keep the numpy expressions: the
@@ -758,7 +737,7 @@ def batched_parallel_idla(
                 and not (lazy and scalar_threshold < 1)
                 else g.adjacency_lists()
             )
-            for r in xp.unique(rep_ids).tolist():
+            for r in np.unique(rep_ids).tolist():
                 mask = rep_ids == r
                 prio_row = prio2d[r] if prio2d is not None else None
                 _finish_parallel_rep(
@@ -805,40 +784,38 @@ def batched_parallel_idla(
                 if lazy:
                     we = wide_exp[sl]
                     u = buf_flat[bidx[sl]]
-                    u2 = buf_flat[bidx[sl] + xp.where(we, k_exp[sl], 0)]
+                    u2 = buf_flat[bidx[sl] + np.where(we, k_exp[sl], 0)]
                     move = u >= 0.5
-                    ustep = xp.where(we, u2, 2.0 * (u - 0.5))
+                    ustep = np.where(we, u2, 2.0 * (u - 0.5))
                     if wide_enough:
                         new = fused(pos[sl], ustep)
                     else:
-                        new = neighbor_step(
-                            kernel, degrees_g, pos[sl], ustep, xp=xp
-                        )
-                    pos[sl] = xp.where(move, new, pos[sl])
+                        new = neighbor_step(kernel, degrees_g, pos[sl], ustep)
+                    pos[sl] = np.where(move, new, pos[sl])
                 elif wide_enough:
                     pos[sl] = fused(pos[sl], buf_flat[bidx[sl]])
                 elif regular:
                     u = buf_flat[bidx[sl]]
                     offsets = (u * c_float).astype(np.int64)
-                    xp.minimum(offsets, c_int - 1, out=offsets)
+                    np.minimum(offsets, c_int - 1, out=offsets)
                     pos[sl] = kernel(pos[sl], offsets)
                 else:
                     u = buf_flat[bidx[sl]]
                     deg = degf[pos[sl]]
                     offsets = (u * deg).astype(np.int64)
-                    xp.minimum(offsets, degm1[pos[sl]], out=offsets)
+                    np.minimum(offsets, degm1[pos[sl]], out=offsets)
                     pos[sl] = kernel(pos[sl], offsets)
         elif lazy:
             u = buf_flat[bidx]
-            u2 = buf_flat[bidx + xp.where(wide_exp, k_exp, 0)]
+            u2 = buf_flat[bidx + np.where(wide_exp, k_exp, 0)]
             move = u >= 0.5
             # wide phase: independent step uniform; scalar tail: upper half
-            ustep = xp.where(wide_exp, u2, 2.0 * (u - 0.5))
+            ustep = np.where(wide_exp, u2, 2.0 * (u - 0.5))
             if fused is not None and pos.size >= minw:
                 new = fused(pos, ustep)
             else:
-                new = neighbor_step(kernel, degrees_g, pos, ustep, xp=xp)
-            pos = xp.where(move, new, pos)
+                new = neighbor_step(kernel, degrees_g, pos, ustep)
+            pos = np.where(move, new, pos)
         elif fused is not None and pos.size >= minw:
             # one C pass fuses the degree gather, offset truncation and
             # slot gather — no walker-sized transients
@@ -849,7 +826,7 @@ def batched_parallel_idla(
             # on implicit families)
             u = buf_flat[bidx]
             offsets = (u * c_float).astype(np.int64)
-            xp.minimum(offsets, c_int - 1, out=offsets)
+            np.minimum(offsets, c_int - 1, out=offsets)
             pos = kernel(pos, offsets)
         else:
             # neighbor_step inlined with precomputed float degrees /
@@ -858,7 +835,7 @@ def batched_parallel_idla(
             u = buf_flat[bidx]
             deg = degf[pos]
             offsets = (u * deg).astype(np.int64)
-            xp.minimum(offsets, degm1[pos], out=offsets)
+            np.minimum(offsets, degm1[pos], out=offsets)
             pos = kernel(pos, offsets)
         if store is not None:
             # one vertex per active particle per round, holds included —
@@ -882,9 +859,7 @@ def batched_parallel_idla(
             if winners.size == 0:
                 continue
         else:
-            cand = chunked_vacancies(
-                occ, rep_off, pos, step_chunk, backend=bk, kernels=kern
-            )
+            cand = chunked_vacancies(occ, rep_off, pos, step_chunk, kernels=kern)
             if cand.size == 0:
                 continue
             if not use_default_rule:
@@ -896,29 +871,27 @@ def batched_parallel_idla(
                 cand = cand[allowed]
                 if cand.size == 0:
                     continue
-            winners = cand[
-                select_settlers(rep_off[cand] + pos[cand], prio_flat[cand], xp=xp)
-            ]
+            winners = cand[select_settlers(rep_off[cand] + pos[cand], prio_flat[cand])]
         w_rep, w_pid, w_vert = rep_ids[winners], pid[winners], pos[winners]
         occ[rep_off[winners] + w_vert] = True
         w_cell = w_rep * m + w_pid
         steps2d_flat[w_cell] = t
         settled2d_flat[w_cell] = w_vert
         round2d_flat[w_cell] = t
-        w_counts = bk.bincount(w_rep, minlength=R)
+        w_counts = np.bincount(w_rep, minlength=R)
         free -= w_counts
         k -= w_counts  # aliases `counts` in the non-lazy case
-        keep = xp.ones(rep_ids.size, dtype=bool)
+        keep = np.ones(rep_ids.size, dtype=bool)
         keep[winners] = False
-        if m > n and xp.any(free[w_rep] == 0):
+        if m > n and np.any(free[w_rep] == 0):
             # repetition complete: surplus particles (m > n) walked until
             # the last vertex filled — they stop now with t steps each
             stopped = keep & (free[rep_ids] == 0)
-            if xp.any(stopped):
+            if np.any(stopped):
                 steps2d_flat[rep_ids[stopped] * m + pid[stopped]] = t
                 keep[stopped] = False
-                k -= bk.bincount(rep_ids[stopped], minlength=R)
-        compact(keep, xp.unique(w_rep))
+                k -= np.bincount(rep_ids[stopped], minlength=R)
+        compact(keep, np.unique(w_rep))
         handoff = tail_ready()
 
     # ---- per-repetition result assembly
@@ -930,9 +903,9 @@ def batched_parallel_idla(
         traj_all = store.finalize()
     results = []
     for r in range(R):
-        settled = bk.flatnonzero(settled2d[r] >= 0)
+        settled = np.flatnonzero(settled2d[r] >= 0)
         prio_vals = settled if prio2d is None else prio2d[r, settled]
-        order = xp.lexsort((prio_vals, round2d[r, settled]))
+        order = np.lexsort((prio_vals, round2d[r, settled]))
         steps_r = steps2d[r].copy()
         dispersion = int(steps_r[settled].max()) if settled.size else 0
         results.append(
@@ -1042,7 +1015,6 @@ def batched_sequential_idla(
     max_total_steps: float | None = None,
     tail_threshold: int | None = None,
     state_budget=None,
-    backend=None,
     kernels=None,
 ) -> list[DispersionResult]:
     """Run ``R`` independent Sequential-IDLA realisations in lock-step.
@@ -1084,8 +1056,6 @@ def batched_sequential_idla(
             f"sequential IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
     tail_total = _resolve_tail_threshold(tail_threshold)
-    bk = backend_of(g, backend)
-    xp = bk.xp
     kern = get_kernels(kernels)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
@@ -1109,7 +1079,6 @@ def batched_sequential_idla(
                     max_total_steps=max_total_steps,
                     tail_threshold=tail_threshold,
                     state_budget=state_budget,
-                    backend=bk,
                     kernels=kern,
                 )
             )
@@ -1118,23 +1087,21 @@ def batched_sequential_idla(
     budget = float("inf") if max_total_steps is None else float(max_total_steps)
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     process = "sequential-lazy" if lazy else "sequential"
-    fin_kern = sequential_loop_kernels(
-        g, kernels=kern, backend=bk, record=record, rule=rule
-    )
+    fin_kern = sequential_loop_kernels(g, kernels=kern, record=record, rule=rule)
     if fin_kern is not None and tail_threshold is None:
         # one walker per repetition: every repetition enters the compiled
         # tail handoff at tick 0 and no lock-step tick runs
         tail_total = R
 
-    starts2d = xp.empty((R, m), dtype=np.int64)
+    starts2d = np.empty((R, m), dtype=np.int64)
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
 
-    store = TrajectoryStore(starts2d, n, backend=bk) if record else None
-    occ = xp.zeros(R * n, dtype=bool)
-    steps2d = xp.zeros((R, m), dtype=np.int64)
-    settled2d = xp.full((R, m), -1, dtype=np.int64)
-    current = xp.zeros(R, dtype=np.int64)  # walking particle per repetition
+    store = TrajectoryStore(starts2d, n) if record else None
+    occ = np.zeros(R * n, dtype=bool)
+    steps2d = np.zeros((R, m), dtype=np.int64)
+    settled2d = np.full((R, m), -1, dtype=np.int64)
+    current = np.zeros(R, dtype=np.int64)  # walking particle per repetition
 
     # release chain from particle 0: instantly settle vacant starts
     live_list, pos_list = [], []
@@ -1146,10 +1113,10 @@ def batched_sequential_idla(
             current[r] = walker
             live_list.append(r)
             pos_list.append(starts2d[r, walker])
-    live = bk.asarray(live_list, dtype=np.int64)
-    pos = bk.asarray(pos_list, dtype=np.int64)
+    live = np.asarray(live_list, dtype=np.int64)
+    pos = np.asarray(pos_list, dtype=np.int64)
 
-    streams = _sequential_streams(gens, plan.stream_budget_doubles, backend=bk)
+    streams = _sequential_streams(gens, plan.stream_budget_doubles)
     block = streams.block
     buf_flat = streams.flat
     # every live repetition consumes exactly one uniform per tick, so a
@@ -1158,11 +1125,11 @@ def batched_sequential_idla(
     cursor = block
     base = live * block
     vert_off = live * n
-    pstep = xp.zeros(live.size, dtype=np.int64)  # current particle's step count
+    pstep = np.zeros(live.size, dtype=np.int64)  # current particle's step count
     adj = None  # built lazily when the finisher engages
     kernel = neighbor_kernel(g)
     degrees_g = g.degrees
-    fused = kern.stepper(g) if kern.compiled and bk.exact_bitstream else None
+    fused = kern.stepper(g)
     csr = csr_arrays(g) if fin_kern is not None else None
     minw = kern.min_width  # narrow ticks keep the numpy expressions
     ticks = 0
@@ -1236,14 +1203,14 @@ def batched_sequential_idla(
             if fused is not None and pos.size >= minw:
                 new = fused(pos, ustep)
             else:
-                new = neighbor_step(kernel, degrees_g, pos, ustep, xp=xp)
-            pos = xp.where(move, new, pos)
+                new = neighbor_step(kernel, degrees_g, pos, ustep)
+            pos = np.where(move, new, pos)
             settling = move & ~occ[vert_off + pos]
         else:
             if fused is not None and pos.size >= minw:
                 pos = fused(pos, u)
             else:
-                pos = neighbor_step(kernel, degrees_g, pos, u, xp=xp)
+                pos = neighbor_step(kernel, degrees_g, pos, u)
             settling = ~occ[vert_off + pos]
         if store is not None:
             # each live repetition's walker appends its post-tick position
@@ -1251,7 +1218,7 @@ def batched_sequential_idla(
             store.append(live, current[live], pos)
         if not settling.any():
             continue
-        idx = bk.flatnonzero(settling)
+        idx = np.flatnonzero(settling)
         if not use_default_rule:
             idx = idx[
                 [bool(rule(int(pstep[i]), int(pos[i]), True)) for i in idx]
@@ -1277,7 +1244,7 @@ def batched_sequential_idla(
                 pos[i] = starts2d[r, walker]
                 pstep[i] = 0
         if finished:
-            keep = xp.ones(live.size, dtype=bool)
+            keep = np.ones(live.size, dtype=bool)
             keep[finished] = False
             live, pos, pstep = live[keep], pos[keep], pstep[keep]
             base = live * block
@@ -1302,7 +1269,7 @@ def batched_sequential_idla(
                 total_steps=int(steps_r.sum()),
                 steps=steps_r,
                 settled_at=settled2d[r].copy(),
-                settle_order=xp.arange(m, dtype=np.int64),
+                settle_order=np.arange(m, dtype=np.int64),
                 trajectories=None if traj_all is None else traj_all[r],
                 num_particles=None if m == n else m,
             )

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import backend_of
 from repro.core.batched import _resolve_generators
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.origins import resolve_origins
@@ -85,14 +84,13 @@ __all__ = [
 _BLOCK: int | None = None
 
 
-def _lane_streams(gens, budget_doubles=None, backend=None) -> UniformStreams:
+def _lane_streams(gens, budget_doubles=None) -> UniformStreams:
     """Streams for the tick-scheduled drivers: <= 3 doubles per tick."""
     return UniformStreams(
         gens,
         per_rep_min=3,
         block=_BLOCK,
         budget_doubles=budget_doubles,
-        backend=backend,
     )
 
 
@@ -137,20 +135,20 @@ def _init_lanes(R, n, m, starts2d, occ, settledflat, unsflat, orders):
     return lanes_list, k_list
 
 
-def _make_stepper(g: Graph, xp=np, kernels=None):
+def _make_stepper(g: Graph, kernels):
     """One-walk-step kernel ``(positions, u) -> new positions``.
 
     The inlined :func:`repro.walks.engine.neighbor_step` with precomputed
     degree arrays, resolving slots through the graph's ``neighbor_slots``
     kernel (CSR gather or implicit arithmetic); regular graphs (most of
     Table 1) reduce the degree gathers to scalar arithmetic and allocate
-    no O(n) helpers.  Callers that resolved a compiled kernel provider on
-    an ``exact_bitstream`` backend pass it via ``kernels``; the fused
-    offset+gather (bit-identical by construction) then replaces both
-    closures whenever the graph exposes CSR arrays and the call is at
-    least ``kernels.min_width`` lanes wide — the tick-scheduled drivers
-    step one lane-sized batch at a time, so narrow runs (few repetitions)
-    stay on the numpy path where they are faster.
+    no O(n) helpers.  ``kernels`` is the caller's resolved provider; for
+    a compiled one the fused offset+gather (bit-identical by
+    construction) replaces both closures whenever the graph exposes CSR
+    arrays and the call is at least ``kernels.min_width`` lanes wide —
+    the tick-scheduled drivers step one lane-sized batch at a time, so
+    narrow runs (few repetitions) stay on the numpy path where they are
+    faster.
     """
     kernel = neighbor_kernel(g)
     degrees = g.degrees
@@ -160,7 +158,7 @@ def _make_stepper(g: Graph, xp=np, kernels=None):
 
         def step(pos, u):
             off = (u * c_float).astype(np.int64)
-            xp.minimum(off, c_int - 1, out=off)
+            np.minimum(off, c_int - 1, out=off)
             return kernel(pos, off)
 
     else:
@@ -169,19 +167,18 @@ def _make_stepper(g: Graph, xp=np, kernels=None):
 
         def step(pos, u):
             off = (u * degf[pos]).astype(np.int64)
-            xp.minimum(off, degm1[pos], out=off)
+            np.minimum(off, degm1[pos], out=off)
             return kernel(pos, off)
 
-    if kernels is not None:
-        fused = kernels.stepper(g)
-        if fused is not None:
-            minw = kernels.min_width
-            numpy_step = step
+    fused = kernels.stepper(g)
+    if fused is not None:
+        minw = kernels.min_width
+        numpy_step = step
 
-            def step(pos, u):
-                if pos.shape[0] >= minw:
-                    return fused(pos, u)
-                return numpy_step(pos, u)
+        def step(pos, u):
+            if pos.shape[0] >= minw:
+                return fused(pos, u)
+            return numpy_step(pos, u)
 
     return step
 
@@ -200,7 +197,6 @@ def batched_ctu_idla(
     record: bool | str = False,
     num_particles: int | None = None,
     state_budget=None,
-    backend=None,
     kernels=None,
 ) -> list[DispersionResult]:
     """Run ``R`` independent CTU-IDLA realisations in lock-step.
@@ -217,15 +213,11 @@ def batched_ctu_idla(
         keeps full trajectories via the chunked
         :class:`~repro.core.trajectory.TrajectoryStore`, list-identical
         to the serial driver's.
-    backend:
-        Array-backend name/instance (see :mod:`repro.backends`);
-        resolution order is this kwarg, then the graph's bound backend,
-        then ``REPRO_BACKEND``, then numpy.
     kernels:
         Kernel-provider name/:class:`~repro.kernels.KernelSet` (see
         :mod:`repro.kernels`); resolution order is this kwarg, then
-        ``REPRO_KERNELS``, then auto-detect.  Compiled providers engage
-        only on ``exact_bitstream`` backends and stay bit-identical.
+        ``REPRO_KERNELS``, then auto-detect.  Compiled providers stay
+        bit-identical.
 
     Returns
     -------
@@ -253,8 +245,6 @@ def batched_ctu_idla(
     R = len(gens)
     if R == 0:
         return []
-    bk = backend_of(g, backend)
-    xp = bk.xp
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "ctu", n, m)
     if plan.cohort_reps < R:
@@ -271,47 +261,44 @@ def batched_ctu_idla(
                     record=record,
                     num_particles=num_particles,
                     state_budget=state_budget,
-                    backend=bk,
                     kernels=kern,
                 )
             )
         return out
 
-    starts2d = xp.empty((R, m), dtype=np.int64)
+    starts2d = np.empty((R, m), dtype=np.int64)
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
 
-    store = TrajectoryStore(starts2d, n, backend=bk) if record else None
-    occ = xp.zeros(R * n, dtype=bool)
+    store = TrajectoryStore(starts2d, n) if record else None
+    occ = np.zeros(R * n, dtype=bool)
     posflat = starts2d.reshape(-1).copy()
-    stepsflat = xp.zeros(R * m, dtype=np.int64)
-    settledflat = xp.full(R * m, -1, dtype=np.int64)
-    settle_clock = xp.zeros(R * m, dtype=np.float64)
+    stepsflat = np.zeros(R * m, dtype=np.int64)
+    settledflat = np.full(R * m, -1, dtype=np.int64)
+    settle_clock = np.zeros(R * m, dtype=np.float64)
     orders: list[list[int]] = [[] for _ in range(R)]
-    final_clock = xp.zeros(R, dtype=np.float64)
-    unsflat = xp.empty(R * m, dtype=np.int64)
+    final_clock = np.zeros(R, dtype=np.float64)
+    unsflat = np.empty(R * m, dtype=np.int64)
 
     lanes_list, k_list = _init_lanes(
         R, n, m, starts2d, occ, settledflat, unsflat, orders
     )
 
     # ---- per-lane compact state (one lane per live repetition)
-    lanes = bk.asarray(lanes_list, dtype=np.int64)
-    kL = bk.asarray(k_list, dtype=np.int64)
+    lanes = np.asarray(lanes_list, dtype=np.int64)
+    kL = np.asarray(k_list, dtype=np.int64)
     kfL = kL.astype(np.float64)
     km1L = kL - 1
     denomL = kfL * rate
-    clockL = xp.zeros(lanes.size, dtype=np.float64)
+    clockL = np.zeros(lanes.size, dtype=np.float64)
     laneM = lanes * m
     laneN = lanes * n
 
-    streams = _lane_streams(gens, plan.stream_budget_doubles, backend=bk)
+    streams = _lane_streams(gens, plan.stream_budget_doubles)
     block = streams.block
     buf = streams.buf
     cursor = block  # forces the initial fill
-    step = _make_stepper(
-        g, xp=xp, kernels=kern if (kern.compiled and bk.exact_bitstream) else None
-    )
+    step = _make_stepper(g, kern)
 
     # Every live lane consumes exactly 3 doubles per tick and all lanes
     # join at tick 0, so one shared cursor serves every buffer row; the
@@ -325,13 +312,13 @@ def batched_ctu_idla(
         u3 = buf[lanes, cursor : cursor + 3]
         cursor += 3
         # exponential clock by inversion: clock += -log1p(-u) / (k·rate)
-        dt = xp.log1p(-u3[:, 0])
-        xp.negative(dt, out=dt)
+        dt = np.log1p(-u3[:, 0])
+        np.negative(dt, out=dt)
         dt /= denomL
         clockL += dt
         # ringer: uniform slot of the unsettled pool
         i = (u3[:, 1] * kfL).astype(np.int64)
-        xp.minimum(i, km1L, out=i)
+        np.minimum(i, km1L, out=i)
         p = unsflat[laneM + i]
         cell = laneM + p
         vnew = step(posflat[cell], u3[:, 2])
@@ -343,7 +330,7 @@ def batched_ctu_idla(
         if occv.all():
             continue
         finished = False
-        for li in bk.flatnonzero(~occv).tolist():
+        for li in np.flatnonzero(~occv).tolist():
             r = int(lanes[li])
             pp = int(p[li])
             occ[r * n + int(vnew[li])] = True
@@ -388,7 +375,7 @@ def batched_ctu_idla(
             total_steps=int(steps_r.sum()),
             steps=steps_r,
             settled_at=settledflat[row].copy(),
-            settle_order=bk.asarray(orders[r], dtype=np.int64),
+            settle_order=np.asarray(orders[r], dtype=np.int64),
             ticks=float(final_clock[r]),
             trajectories=None if traj_all is None else traj_all[r],
             num_particles=None if m == n else m,
@@ -498,7 +485,6 @@ def batched_uniform_idla(
     num_particles: int | None = None,
     max_ticks: float | None = None,
     state_budget=None,
-    backend=None,
     kernels=None,
 ) -> list[DispersionResult]:
     """Run ``R`` independent Uniform-IDLA realisations in lock-step.
@@ -528,8 +514,6 @@ def batched_uniform_idla(
     R = len(gens)
     if R == 0:
         return []
-    bk = backend_of(g, backend)
-    xp = bk.xp
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "uniform", n, m)
     if plan.cohort_reps < R:
@@ -547,7 +531,6 @@ def batched_uniform_idla(
                     num_particles=num_particles,
                     max_ticks=max_ticks,
                     state_budget=state_budget,
-                    backend=bk,
                     kernels=kern,
                 )
             )
@@ -555,18 +538,18 @@ def batched_uniform_idla(
     budget = float("inf") if max_ticks is None else float(max_ticks)
     check_budget = max_ticks is not None
 
-    starts2d = xp.empty((R, m), dtype=np.int64)
+    starts2d = np.empty((R, m), dtype=np.int64)
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
 
-    store = TrajectoryStore(starts2d, n, backend=bk) if record else None
-    occ = xp.zeros(R * n, dtype=bool)
+    store = TrajectoryStore(starts2d, n) if record else None
+    occ = np.zeros(R * n, dtype=bool)
     posflat = starts2d.reshape(-1).copy()
-    stepsflat = xp.zeros(R * m, dtype=np.int64)
-    settledflat = xp.full(R * m, -1, dtype=np.int64)
+    stepsflat = np.zeros(R * m, dtype=np.int64)
+    settledflat = np.full(R * m, -1, dtype=np.int64)
     orders: list[list[int]] = [[] for _ in range(R)]
-    final_ticks = xp.zeros(R, dtype=np.int64)
-    unsflat = xp.empty(R * m, dtype=np.int64)
+    final_ticks = np.zeros(R, dtype=np.int64)
+    unsflat = np.empty(R * m, dtype=np.int64)
 
     lanes_list, k_list = _init_lanes(
         R, n, m, starts2d, occ, settledflat, unsflat, orders
@@ -581,25 +564,23 @@ def batched_uniform_idla(
             return float(np.log1p(-(k / pool_size)))
         return float("-inf")
 
-    lanes = bk.asarray(lanes_list, dtype=np.int64)
-    kL = bk.asarray(k_list, dtype=np.int64)
+    lanes = np.asarray(lanes_list, dtype=np.int64)
+    kL = np.asarray(k_list, dtype=np.int64)
     kfL = kL.astype(np.float64)
     km1L = kL - 1
-    logqL = bk.asarray([logq_for(int(k)) for k in kL], dtype=np.float64)
-    ticksL = xp.zeros(lanes.size, dtype=np.int64)
+    logqL = np.asarray([logq_for(int(k)) for k in kL], dtype=np.float64)
+    ticksL = np.zeros(lanes.size, dtype=np.int64)
     laneM = lanes * m
     laneN = lanes * n
 
-    streams = _lane_streams(gens, plan.stream_budget_doubles, backend=bk)
+    streams = _lane_streams(gens, plan.stream_budget_doubles)
     block = streams.block
     laneB = lanes * block
     streams.fill(lanes_list)
     bufflat = streams.flat
-    bptrL = xp.zeros(lanes.size, dtype=np.int64)
+    bptrL = np.zeros(lanes.size, dtype=np.int64)
     refill_countdown = block // 3
-    step = _make_stepper(
-        g, xp=xp, kernels=kern if (kern.compiled and bk.exact_bitstream) else None
-    )
+    step = _make_stepper(g, kern)
 
     schedules: list[np.ndarray] | None = None
     if faithful_r:
@@ -608,7 +589,7 @@ def batched_uniform_idla(
         # whether or not the tick is wasted; only non-wasted ticks draw
         # the walk-step double.  The unsettled pool is never consulted —
         # exactly the serial driver's ``faithful_r`` branch.
-        schedule_store = ScheduleStore(R, backend=bk)
+        schedule_store = ScheduleStore(R)
         pickf = float(m - 1)
         pick_cap = m - 2
         refill_countdown = block // 2
@@ -642,7 +623,7 @@ def batched_uniform_idla(
                 lanes = lanes[:0]  # run complete; skip the default-mode loop
                 break
             if refill_countdown <= 0:
-                for li in bk.flatnonzero(bptrL + 2 > block).tolist():
+                for li in np.flatnonzero(bptrL + 2 > block).tolist():
                     streams.refill_tail(int(lanes[li]), int(bptrL[li]))
                     bptrL[li] = 0
                 # conservative: assumes every lane consumes 2 per tick
@@ -650,14 +631,14 @@ def batched_uniform_idla(
             refill_countdown -= 1
             base = laneB + bptrL
             s = (bufflat[base] * pickf).astype(np.int64)
-            xp.minimum(s, pick_cap, out=s)
+            np.minimum(s, pick_cap, out=s)
             p = s + 1
             schedule_store.append(lanes, p)
             ticksL += 1
             if check_budget and (ticksL > budget).any():
                 raise RuntimeError(f"uniform IDLA exceeded max_ticks={max_ticks}")
             bptrL += 1
-            act = bk.flatnonzero(settledflat[laneM + p] < 0)
+            act = np.flatnonzero(settledflat[laneM + p] < 0)
             if act.size == 0:
                 continue  # every live lane wasted this tick
             cell = laneM[act] + p[act]
@@ -671,7 +652,7 @@ def batched_uniform_idla(
             if occv.all():
                 continue
             finished = False
-            for j in bk.flatnonzero(~occv).tolist():
+            for j in np.flatnonzero(~occv).tolist():
                 li = int(act[j])
                 r = int(lanes[li])
                 pp = int(p[li])
@@ -692,7 +673,7 @@ def batched_uniform_idla(
 
     while lanes.size:
         if refill_countdown <= 0:
-            for li in bk.flatnonzero(bptrL + 3 > block).tolist():
+            for li in np.flatnonzero(bptrL + 3 > block).tolist():
                 streams.refill_tail(int(lanes[li]), int(bptrL[li]))
                 bptrL[li] = 0
             # conservative: assumes every lane consumes 3 per tick, and
@@ -702,7 +683,7 @@ def batched_uniform_idla(
         base = laneB + bptrL
         # geometric skip draw, consumed only by lanes with k < pool_size
         skip = (kL < pool_size).astype(np.int64)
-        lv = xp.log1p(-bufflat[base])
+        lv = np.log1p(-bufflat[base])
         extra = (lv / logqL).astype(np.int64)
         extra *= skip
         ticksL += 1
@@ -714,7 +695,7 @@ def batched_uniform_idla(
         # scheduler pick + walk step
         sidx = base + skip
         i = (bufflat[sidx] * kfL).astype(np.int64)
-        xp.minimum(i, km1L, out=i)
+        np.minimum(i, km1L, out=i)
         p = unsflat[laneM + i]
         cell = laneM + p
         vnew = step(posflat[cell], bufflat[sidx + 1])
@@ -728,7 +709,7 @@ def batched_uniform_idla(
         if occv.all():
             continue
         finished = False
-        for li in bk.flatnonzero(~occv).tolist():
+        for li in np.flatnonzero(~occv).tolist():
             r = int(lanes[li])
             pp = int(p[li])
             occ[r * n + int(vnew[li])] = True
@@ -769,7 +750,7 @@ def batched_uniform_idla(
             total_steps=int(steps_r.sum()),
             steps=steps_r,
             settled_at=settledflat[row].copy(),
-            settle_order=bk.asarray(orders[r], dtype=np.int64),
+            settle_order=np.asarray(orders[r], dtype=np.int64),
             ticks=float(final_ticks[r]),
             trajectories=None if traj_all is None else traj_all[r],
             num_particles=None if m == n else m,
@@ -794,7 +775,6 @@ def batched_continuous_sequential_idla(
     rate: float = 1.0,
     record: bool | str = False,
     state_budget=None,
-    backend=None,
     kernels=None,
 ) -> list[DispersionResult]:
     """Run ``R`` independent Poissonised Sequential-IDLA realisations.
@@ -817,7 +797,7 @@ def batched_continuous_sequential_idla(
         return []
     walks = batched_sequential_idla(
         g, origin, seeds=gens, record=record, state_budget=state_budget,
-        backend=backend, kernels=kernels,
+        kernels=kernels,
     )
     results = []
     for r, res in enumerate(walks):

@@ -44,7 +44,7 @@ class Block:
         vertices, first entry is the origin).  Rows are copied; both the
         serial drivers' ``list[list[int]]`` shape and the array shapes
         (:class:`repro.core.trajectory.TrajectoryArrays`, or any iterable
-        of integer arrays from any registered backend) are accepted —
+        of integer arrays) are accepted —
         array rows are converted to plain-int lists, so Cut & Paste
         always mutates Python lists.
 
@@ -59,7 +59,6 @@ class Block:
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         self.rows: list[list[int]] = [
-            # duck-typed: ndarray and every backend's array expose tolist()
             r.tolist() if hasattr(r, "tolist") else list(r)
             for r in rows
         ]

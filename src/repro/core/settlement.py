@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-def select_settlers(keys: np.ndarray, priority: np.ndarray, xp=np) -> np.ndarray:
+def select_settlers(keys: np.ndarray, priority: np.ndarray) -> np.ndarray:
     """Pick, per key, the candidate with the smallest priority.
 
     Parameters
@@ -53,15 +53,15 @@ def select_settlers(keys: np.ndarray, priority: np.ndarray, xp=np) -> np.ndarray
     >>> select_settlers(np.array([4, 2, 4]), np.array([1, 0, 0])).tolist()
     [1, 2]
     """
-    order = xp.lexsort((priority, keys))
+    order = np.lexsort((priority, keys))
     sorted_keys = keys[order]
-    first = xp.ones(order.size, dtype=bool)
+    first = np.ones(order.size, dtype=bool)
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
     return order[first]
 
 
 def settle_vacant_starts(
-    occupied: np.ndarray, starts: np.ndarray, priority: np.ndarray, backend=None
+    occupied: np.ndarray, starts: np.ndarray, priority: np.ndarray
 ) -> np.ndarray:
     """Round-0 pass: per vacant start vertex, the best-priority particle wins.
 
@@ -71,15 +71,10 @@ def settle_vacant_starts(
     Returns the winning particle indices (empty when every start is
     already occupied).
     """
-    from repro.backends import get_backend
-
-    bk = get_backend(backend)
-    candidates = bk.flatnonzero(~occupied[starts])
+    candidates = np.flatnonzero(~occupied[starts])
     if candidates.size == 0:
         return candidates
-    winners = select_settlers(
-        starts[candidates], priority[candidates], xp=bk.xp
-    )
+    winners = select_settlers(starts[candidates], priority[candidates])
     return candidates[winners]
 
 
@@ -88,7 +83,6 @@ def chunked_vacancies(
     rep_off: np.ndarray,
     pos: np.ndarray,
     chunk: int | None = None,
-    backend=None,
     kernels=None,
 ) -> np.ndarray:
     """Indices of particles standing on vacant cells, probing in chunks.
@@ -107,28 +101,20 @@ def chunked_vacancies(
     that path with a single-pass probe (no walker-sized transients) whose
     candidate order is identical by construction.
     """
-    from repro.backends import get_backend
-
-    bk = get_backend(backend)
     if chunk is None or chunk >= pos.size:
-        if (
-            kernels is not None
-            and kernels.compiled
-            and pos.size >= kernels.min_width
-            and bk.exact_bitstream
-        ):
+        if kernels is not None and kernels.compiled and pos.size >= kernels.min_width:
             return kernels.vacant_candidates(occupied, rep_off, pos)
-        return bk.flatnonzero(occupied[rep_off + pos] == 0)
+        return np.flatnonzero(occupied[rep_off + pos] == 0)
     parts = []
     for a in range(0, pos.size, chunk):
         sl = slice(a, min(a + chunk, pos.size))
-        hit = bk.flatnonzero(occupied[rep_off[sl] + pos[sl]] == 0)
+        hit = np.flatnonzero(occupied[rep_off[sl] + pos[sl]] == 0)
         if hit.size:
             hit += a
             parts.append(hit)
     if not parts:
-        return bk.xp.empty(0, dtype=np.intp)
-    return bk.xp.concatenate(parts)
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate(parts)
 
 
 def settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order) -> list:

@@ -81,17 +81,14 @@ class _ChunkedLog:
     per event are the constant that matters.
     """
 
-    __slots__ = ("_dtypes", "_chunk", "_full", "_cur", "_fill", "_cache", "_bk")
+    __slots__ = ("_dtypes", "_chunk", "_full", "_cur", "_fill", "_cache")
 
-    def __init__(self, dtypes, chunk: int = _CHUNK, backend=None):
-        from repro.backends import get_backend
-
-        self._bk = get_backend(backend)
+    def __init__(self, dtypes, chunk: int = _CHUNK):
         self._dtypes = tuple(dtypes)
         self._chunk = chunk
         # per-column lists of exhausted chunks + the open chunk
         self._full: list[list[np.ndarray]] = [[] for _ in self._dtypes]
-        self._cur = [self._bk.empty(chunk, dtype=d) for d in self._dtypes]
+        self._cur = [np.empty(chunk, dtype=d) for d in self._dtypes]
         self._fill = 0
         self._cache: tuple[int, tuple[np.ndarray, ...]] | None = None
 
@@ -109,7 +106,7 @@ class _ChunkedLog:
             if room == 0:
                 for c, dtype in enumerate(self._dtypes):
                     self._full[c].append(self._cur[c])
-                    self._cur[c] = self._bk.empty(self._chunk, dtype=dtype)
+                    self._cur[c] = np.empty(self._chunk, dtype=dtype)
                 self._fill = 0
                 room = self._chunk
             take = min(room, k - start)
@@ -136,9 +133,8 @@ class _ChunkedLog:
         if self._cache is not None and self._cache[0] == size:
             return self._cache[1]
         ncols = len(self._dtypes)
-        xp = self._bk.xp
         out = tuple(
-            xp.concatenate([*self._full[c], self._cur[c][: self._fill]])
+            np.concatenate([*self._full[c], self._cur[c][: self._fill]])
             if self._full[c]
             else self._cur[c][: self._fill]
             for c in range(ncols)
@@ -255,25 +251,21 @@ class TrajectoryStore:
         without ever producing an event).
     """
 
-    __slots__ = ("_starts", "_log", "_counter", "_handoff", "_groups", "_bk")
+    __slots__ = ("_starts", "_log", "_counter", "_handoff", "_groups")
 
-    def __init__(self, starts2d: np.ndarray, n: int | None = None, backend=None):
-        from repro.backends import get_backend
-
-        self._bk = get_backend(backend)
-        self._starts = self._bk.asarray(starts2d)
+    def __init__(self, starts2d: np.ndarray, n: int | None = None):
+        self._starts = np.asarray(starts2d)
         R, m = self._starts.shape
         if R * m - 1 > np.iinfo(np.int32).max:
             raise ValueError(
                 f"trajectory recording supports at most 2^31 (repetition, "
                 f"particle) cells, got {R} x {m}"
             )
-        self._counter = self._bk.zeros(R * m, dtype=np.int64)
+        self._counter = np.zeros(R * m, dtype=np.int64)
         vert_max = int(n) - 1 if n is not None else np.iinfo(np.int32).max
         # cell id, rank within cell, vertex — each as narrow as it can be
         self._log = _ChunkedLog(
-            (_narrow_dtype(R * m - 1), np.int32, _narrow_dtype(vert_max)),
-            backend=self._bk,
+            (_narrow_dtype(R * m - 1), np.int32, _narrow_dtype(vert_max))
         )
         self._handoff: dict[int, list[list[int]]] = {}
         self._groups: tuple[int, tuple] | None = None
@@ -289,7 +281,7 @@ class TrajectoryStore:
         """
         if len(rep_ids) == 0:
             return
-        keys = self._bk.asarray(rep_ids) * self._starts.shape[1] + pids
+        keys = np.asarray(rep_ids) * self._starts.shape[1] + pids
         rank = self._counter[keys]
         self._counter[keys] = rank + 1
         self._log.append(keys, rank, verts)
@@ -305,17 +297,16 @@ class TrajectoryStore:
         size = len(self._log)
         if self._groups is not None and self._groups[0] == size:
             return self._groups[1]
-        xp = self._bk.xp
-        cell_start = xp.concatenate(([0], self._bk.cumsum(self._counter)))
-        grouped_verts = self._bk.empty(size, dtype=self._log._dtypes[2])
+        cell_start = np.concatenate(([0], np.cumsum(self._counter)))
+        grouped_verts = np.empty(size, dtype=self._log._dtypes[2])
         # stream the log chunk by chunk: the per-chunk dest temps stay
         # cache-resident and the multi-gigabyte log is never copied whole
         for keys, rank, vert in self._log.chunks():
             dest = cell_start[keys]
             dest += rank
             grouped_verts[dest] = vert
-        cells = self._bk.flatnonzero(self._counter)
-        bounds = xp.concatenate(([0], self._bk.cumsum(self._counter[cells])))
+        cells = np.flatnonzero(self._counter)
+        bounds = np.concatenate(([0], np.cumsum(self._counter[cells])))
         grouped = (cells, bounds, grouped_verts)
         self._groups = (size, grouped)
         return grouped
@@ -332,8 +323,8 @@ class TrajectoryStore:
         if len(self._log):
             m = self._starts.shape[1]
             cells, bounds, verts = self._grouped()
-            lo = int(self._bk.searchsorted(cells, r * m))
-            hi = int(self._bk.searchsorted(cells, (r + 1) * m))
+            lo = int(np.searchsorted(cells, r * m))
+            hi = int(np.searchsorted(cells, (r + 1) * m))
             with _gc_paused():
                 for i in range(lo, hi):
                     p = int(cells[i]) - r * m
@@ -354,17 +345,16 @@ class TrajectoryStore:
         """
         R, m = self._starts.shape
         # +1: every particle's sequence is seeded with its start vertex
-        xp = self._bk.xp
         lens = self._counter + 1
-        offsets_all = xp.concatenate(([0], self._bk.cumsum(lens)))
-        flat = self._bk.empty(int(offsets_all[-1]), dtype=self._log._dtypes[2])
+        offsets_all = np.concatenate(([0], np.cumsum(lens)))
+        flat = np.empty(int(offsets_all[-1]), dtype=self._log._dtypes[2])
         seq_start = offsets_all[:-1]
         flat[seq_start] = self._starts.reshape(-1)
         if len(self._log):
             # the grouped pass orders events by cell then rank — exactly
             # the order of the non-start positions of `flat`
             _, _, grouped_verts = self._grouped()
-            mask = xp.ones(flat.size, dtype=bool)
+            mask = np.ones(flat.size, dtype=bool)
             mask[seq_start] = False
             flat[mask] = grouped_verts
         out = []
@@ -419,19 +409,13 @@ class ScheduleStore:
     ``result.schedule``).
     """
 
-    __slots__ = ("_reps", "_counter", "_log", "_bk")
+    __slots__ = ("_reps", "_counter", "_log")
 
-    def __init__(self, reps: int, backend=None):
-        from repro.backends import get_backend
-
-        self._bk = get_backend(backend)
+    def __init__(self, reps: int):
         self._reps = reps
-        self._counter = self._bk.zeros(reps, dtype=np.int64)
+        self._counter = np.zeros(reps, dtype=np.int64)
         # repetition, rank within it, pick
-        self._log = _ChunkedLog(
-            (_narrow_dtype(max(reps - 1, 0)), np.int32, np.int32),
-            backend=self._bk,
-        )
+        self._log = _ChunkedLog((_narrow_dtype(max(reps - 1, 0)), np.int32, np.int32))
 
     def append(self, rep_ids, picks) -> None:
         if len(rep_ids) == 0:
@@ -456,21 +440,20 @@ class ScheduleStore:
         start = int(self._counter[r])
         self._counter[r] = start + count
         self._log.append(
-            self._bk.full(count, r, dtype=np.int64),
-            self._bk.arange(start, start + count, dtype=np.int64),
+            np.full(count, r, dtype=np.int64),
+            np.arange(start, start + count, dtype=np.int64),
             picks,
         )
 
     def finalize(self) -> list[np.ndarray]:
-        xp = self._bk.xp
-        out = [self._bk.empty(0, dtype=np.int64)] * self._reps
+        out = [np.empty(0, dtype=np.int64)] * self._reps
         if not len(self._log):
             return out
         rep, rank, pick = self._log.gathered()
-        rep_start = xp.concatenate(([0], self._bk.cumsum(self._counter)))
-        grouped = self._bk.empty(len(self._log), dtype=np.int64)
+        rep_start = np.concatenate(([0], np.cumsum(self._counter)))
+        grouped = np.empty(len(self._log), dtype=np.int64)
         grouped[rep_start[rep] + rank] = pick
-        for r in self._bk.flatnonzero(self._counter).tolist():
+        for r in np.flatnonzero(self._counter).tolist():
             # copy: a view would pin the whole all-repetitions array (and
             # the serial driver hands out independent arrays)
             out[r] = grouped[rep_start[r] : rep_start[r + 1]].copy()

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import backend_of
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
@@ -100,14 +99,10 @@ def uniform_idla(
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     adj = g.adjacency_lists()
-    # scalar oracle: the walk loop is host Python by design, but result
-    # arrays still come from the resolved backend so a strict/env-selected
-    # backend observes the serial path too
-    bk = backend_of(g)
 
     occupied = [False] * n
     steps = [0] * m
-    settled_at = bk.full(m, -1, dtype=np.int64)
+    settled_at = np.full(m, -1, dtype=np.int64)
     settle_order: list[int] = []
     pos = [int(v) for v in starts]
     trajectories: list[list[int]] | None = None
@@ -185,7 +180,7 @@ def uniform_idla(
         from repro.core.trajectory import TrajectoryArrays
 
         trajectories = TrajectoryArrays.from_lists(trajectories)
-    steps_arr = bk.asarray(steps, dtype=np.int64)
+    steps_arr = np.asarray(steps, dtype=np.int64)
     result = DispersionResult(
         process="uniform",
         graph_name=g.name,
@@ -195,7 +190,7 @@ def uniform_idla(
         total_steps=int(steps_arr.sum()),
         steps=steps_arr,
         settled_at=settled_at,
-        settle_order=bk.asarray(settle_order, dtype=np.int64),
+        settle_order=np.asarray(settle_order, dtype=np.int64),
         ticks=float(ticks),
         trajectories=trajectories,
         num_particles=None if m == n else m,
@@ -203,7 +198,5 @@ def uniform_idla(
     if faithful_r:
         # DispersionResult is frozen; attach via object.__setattr__ like
         # dataclasses do internally.  Documented extra attribute.
-        object.__setattr__(
-            result, "schedule", bk.asarray(schedule, dtype=np.int64)
-        )
+        object.__setattr__(result, "schedule", np.asarray(schedule, dtype=np.int64))
     return result

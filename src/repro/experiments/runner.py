@@ -55,7 +55,7 @@ from repro.core.stopping_rules import DelayedRule, HairRule, StoppingRule
 from repro.core.uniform import uniform_idla
 from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
-from repro.kernels import KernelsUnavailableError
+from repro.kernels import KernelsUnavailableError, check_kernels
 from repro.utils.rng import as_seed_sequence, stable_seed
 from repro.utils.validation import check_integer
 
@@ -108,7 +108,6 @@ _BATCHED_KWARGS = {
         "max_rounds",
         "tail_threshold",
         "state_budget",
-        "backend",
         "kernels",
     },
     "sequential": {
@@ -119,7 +118,6 @@ _BATCHED_KWARGS = {
         "max_total_steps",
         "tail_threshold",
         "state_budget",
-        "backend",
         "kernels",
     },
     "uniform": {
@@ -128,11 +126,10 @@ _BATCHED_KWARGS = {
         "num_particles",
         "max_ticks",
         "state_budget",
-        "backend",
         "kernels",
     },
-    "ctu": {"rate", "record", "num_particles", "state_budget", "backend", "kernels"},
-    "c-sequential": {"rate", "record", "state_budget", "backend", "kernels"},
+    "ctu": {"rate", "record", "num_particles", "state_budget", "kernels"},
+    "c-sequential": {"rate", "record", "state_budget", "kernels"},
 }
 
 #: Batched-only performance knobs: understood by (some of) the lock-step
@@ -141,16 +138,10 @@ _BATCHED_KWARGS = {
 #: of crashing the fallback.  Pure performance knobs — stripping never
 #: changes a sample.  ``state_budget`` qualifies because the serial
 #: drivers are inherently one-repetition-resident: running them *is* the
-#: tightest cohort a budget could ask for.  ``backend`` qualifies because
-#: the serial drivers are the host-numpy reference oracles: every
-#: registered exact-bitstream backend replays their streams double for
-#: double, so the serial path *is* the backend-independent answer.
-#: ``kernels`` qualifies for the same reason ``backend`` does: the
-#: compiled providers are pinned bit-identical to the serial loops, so
-#: the serial path already is the kernel-independent answer.
-_BATCHED_ONLY_KWARGS = frozenset(
-    {"tail_threshold", "state_budget", "backend", "kernels"}
-)
+#: tightest cohort a budget could ask for.  ``kernels`` qualifies
+#: because the compiled providers are pinned bit-identical to the serial
+#: loops, so the serial path already is the kernel-independent answer.
+_BATCHED_ONLY_KWARGS = frozenset({"tail_threshold", "state_budget", "kernels"})
 
 
 def serial_kwargs(process: str, kwargs: dict) -> dict:
@@ -294,7 +285,7 @@ def _sequential_loop_route(process: str, g: Graph, kwargs) -> bool:
     than lock-step at 64 and 256 (see ``docs/kernels.md``).  The gates are the driver's
     own (``sequential_loop_kernels``), plus the default
     ``tail_threshold``: an explicit one pins the lock-step body.  An
-    unknown ``kernels``/``backend`` name raises here, as the batched
+    unknown ``kernels`` name raises here, as the batched
     driver would; a known but unavailable provider falls back to the
     serial oracle, which never needed it.
     """
@@ -306,7 +297,6 @@ def _sequential_loop_route(process: str, g: Graph, kwargs) -> bool:
         kern = sequential_loop_kernels(
             g,
             kernels=kwargs.get("kernels"),
-            backend=kwargs.get("backend"),
             record=kwargs.get("record", False),
             rule=kwargs.get("rule"),
         )
@@ -632,16 +622,12 @@ def estimate_dispersion(
         applies per worker and shards align to whole cohorts.  Budgets
         never change a sample — every cohort shape replays the serial
         streams bit for bit.
-        ``backend=`` (a registered name like ``"numpy_strict"`` or an
-        :class:`repro.backends.ArrayBackend` instance) selects the array
-        backend the lock-step drivers execute on; unset, the
-        ``REPRO_BACKEND`` environment variable and then the ``numpy``
-        default apply.  Backends pickle by registry name, so the kwarg
-        fans out to shard workers unchanged.  Serial paths strip it
-        (they are the host-numpy reference oracles); exact-bitstream
-        backends never change a sample, and non-bitstream backends are
-        instead held to the statistical contract of
-        :mod:`repro.backends.contract`.
+        ``kernels=`` (a provider name or
+        :class:`repro.kernels.KernelSet`) selects the compiled
+        inner-loop layer; unset, ``REPRO_KERNELS`` and then
+        auto-detection apply.  An unknown provider name raises
+        ``ValueError`` before any repetition runs.  Providers never
+        change a sample.
 
     Examples
     --------
@@ -660,6 +646,7 @@ def estimate_dispersion(
             f"unknown process {process!r}; available: {sorted(PROCESS_DRIVERS)}"
         )
     _validate_driver_kwargs(process, kwargs)
+    check_kernels(kwargs.get("kernels"))
     n_jobs = check_integer("n_jobs", n_jobs)
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")

@@ -93,7 +93,6 @@ class Graph:
         "indptr",
         "indices",
         "name",
-        "backend",
         "_degrees",
         "_num_edges",
         "_slot_base",
@@ -106,27 +105,21 @@ class Graph:
         *,
         name: str = "graph",
         validate: bool = True,
-        backend=None,
     ):
-        from repro.backends import get_backend
-
-        self.backend = get_backend(backend)
-        indptr = self.backend.ascontiguousarray(indptr, dtype=np.int64)
-        indices = self.backend.ascontiguousarray(indices, dtype=np.int64)
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
         if validate:
             self._validate(indptr, indices)
         self.indptr = indptr
         self.indices = indices
         self.name = name
-        self._degrees = self.backend.xp.diff(indptr)
+        self._degrees = np.diff(indptr)
         self._num_edges: int | None = None
         self._slot_base: int | None = None  # lazy: constant degree, or -1
         # Freeze the arrays: Graph instances are shared between processes
         # and cached; accidental mutation would corrupt every consumer.
-        # (Host-array concept: device backends without setflags skip it.)
         for arr in (self.indptr, self.indices, self._degrees):
-            if hasattr(arr, "setflags"):
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     # ------------------------------------------------------------------
     # construction
@@ -327,8 +320,10 @@ class Graph:
         if base >= 0:
             flat = positions * base + offsets
         else:
-            flat = self.backend.take(self.indptr, positions) + offsets
-        return self.backend.take(self.indices, flat, out=out)
+            flat = self.indptr[positions] + offsets
+        if out is None:
+            return self.indices[flat]
+        return np.take(self.indices, flat, out=out)
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if at least one ``{u, v}`` edge exists."""

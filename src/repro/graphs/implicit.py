@@ -135,17 +135,11 @@ class ImplicitGraph:
 
     family = "implicit"
 
-    def __init__(
-        self, n: int, name: str, const_degree: int | None, backend=None
-    ):
-        from repro.backends import get_backend
-
+    def __init__(self, n: int, name: str, const_degree: int | None):
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         self._n = int(n)
         self.name = name
-        self.backend = get_backend(backend)
-        self._xp = self.backend.xp
         self._const_degree = const_degree
         self._degrees_cache: np.ndarray | None = None
 
@@ -165,12 +159,12 @@ class ImplicitGraph:
         ``out``, so ``out=positions`` aliasing is safe (the drivers rely on
         in-place stepping).
         """
-        positions = self.backend.asarray(positions, dtype=np.int64)
-        offsets = self.backend.asarray(offsets, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
         result = self._slots(positions, offsets)
         if out is None:
             return result
-        self._xp.copyto(out, result)
+        np.copyto(out, result)
         return out
 
     def _slots(self, positions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -205,13 +199,12 @@ class ImplicitGraph:
         """
         if self._degrees_cache is None:
             if self._const_degree is not None:
-                self._degrees_cache = self._xp.broadcast_to(
+                self._degrees_cache = np.broadcast_to(
                     np.int64(self._const_degree), (self._n,)
                 )
             else:
                 d = self._degree_array()
-                if hasattr(d, "setflags"):
-                    d.setflags(write=False)
+                d.setflags(write=False)
                 self._degrees_cache = d
         return self._degrees_cache
 
@@ -257,12 +250,9 @@ class ImplicitGraph:
         """Neighbour array of ``v`` in slot order (freshly computed)."""
         v = int(v)
         d = self.degree(v)  # also range-checks v
-        xp = self._xp
         if d == 0:
-            return xp.empty(0, dtype=np.int64)
-        return self._slots(
-            xp.full(d, v, dtype=np.int64), xp.arange(d, dtype=np.int64)
-        )
+            return np.empty(0, dtype=np.int64)
+        return self._slots(np.full(d, v, dtype=np.int64), np.arange(d, dtype=np.int64))
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if at least one ``{u, v}`` edge exists."""
@@ -331,7 +321,7 @@ class ImplicitCycle(ImplicitGraph):
 
     def _slots(self, positions, offsets):
         n = self._n
-        return self._xp.where(offsets == 0, positions + 1, positions - 1) % n
+        return np.where(offsets == 0, positions + 1, positions - 1) % n
 
     @property
     def num_edges(self) -> int:
@@ -361,12 +351,11 @@ class ImplicitPath(ImplicitGraph):
         super().__init__(n, f"path-{n}", const_degree=const)
 
     def _slots(self, positions, offsets):
-        xp = self._xp
-        fwd = xp.where(positions == self._n - 1, positions - 1, positions + 1)
-        return xp.where(offsets == 0, fwd, positions - 1)
+        fwd = np.where(positions == self._n - 1, positions - 1, positions + 1)
+        return np.where(offsets == 0, fwd, positions - 1)
 
     def _degree_array(self):
-        d = self._xp.full(self._n, 2, dtype=np.int64)
+        d = np.full(self._n, 2, dtype=np.int64)
         d[0] = d[-1] = 1
         return d
 
@@ -454,7 +443,7 @@ class ImplicitGrid(ImplicitGraph):
         self._axis_strides = _strides(sides)
 
     def _slots(self, positions, offsets):
-        result = self._xp.empty_like(positions)
+        result = np.empty_like(positions)
         remaining = offsets.copy()  # claimed walkers go negative for good
         for direction in (+1, -1):
             for stride, s in zip(self._axis_strides, self.sides):
@@ -467,9 +456,8 @@ class ImplicitGrid(ImplicitGraph):
         return result
 
     def _degree_array(self):
-        xp = self._xp
-        d = xp.zeros(self._n, dtype=np.int64)
-        ids = xp.arange(self._n, dtype=np.int64)
+        d = np.zeros(self._n, dtype=np.int64)
+        ids = np.arange(self._n, dtype=np.int64)
         for stride, s in zip(self._axis_strides, self.sides):
             coord = (ids // stride) % s
             d += coord < s - 1
@@ -518,8 +506,7 @@ class ImplicitTorus(ImplicitGraph):
         self._active = active
 
     def _slots(self, positions, offsets):
-        xp = self._xp
-        result = xp.empty_like(positions)
+        result = np.empty_like(positions)
         a = len(self._active)
         for j, (stride, s) in enumerate(self._active):
             for direction, slot in ((+1, j), (-1, a + j)):
@@ -528,9 +515,9 @@ class ImplicitTorus(ImplicitGraph):
                     p = positions[hit]
                     coord = (p // stride) % s
                     if direction > 0:
-                        delta = xp.where(coord == s - 1, 1 - s, 1)
+                        delta = np.where(coord == s - 1, 1 - s, 1)
                     else:
-                        delta = xp.where(coord == 0, s - 1, -1)
+                        delta = np.where(coord == 0, s - 1, -1)
                     result[hit] = p + delta * stride
         return result
 
@@ -570,10 +557,10 @@ class ImplicitHypercube(ImplicitGraph):
         v = int(v)
         self.degree(v)  # range-checks v
         clear = (v & self._bits) == 0
-        return self._xp.concatenate((v ^ self._bits[clear], v ^ self._bits[~clear]))
+        return np.concatenate((v ^ self._bits[clear], v ^ self._bits[~clear]))
 
     def _slots(self, positions, offsets):
-        result = self._xp.empty_like(positions)
+        result = np.empty_like(positions)
         remaining = offsets.copy()
         # Pass 1: clear bits ascending (edges v -> v | bit from from_edges'
         # forward arcs); pass 2: set bits ascending (the reverse arcs).
@@ -619,11 +606,11 @@ class ImplicitBinaryTree(ImplicitGraph):
         half = (self._n - 1) // 2  # vertices below this id have children
         child = (positions < half) & (offsets < 2)
         result = (positions - 1) >> 1  # parent slot (the final slot)
-        return self._xp.where(child, 2 * positions + 1 + offsets, result)
+        return np.where(child, 2 * positions + 1 + offsets, result)
 
     def _degree_array(self):
         n = self._n
-        d = self._xp.ones(n, dtype=np.int64)  # leaves
+        d = np.ones(n, dtype=np.int64)  # leaves
         d[: (n - 1) // 2] = 3  # internal: two children + parent
         d[0] = 2  # root has no parent (n >= 3 whenever non-const)
         return d

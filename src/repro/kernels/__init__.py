@@ -5,13 +5,13 @@ vectorisation: per-round numpy dispatch (a fixed number of ufunc calls
 whose overhead dominates once the live-walker count is small) and the
 scalar tail finisher's plain-Python micro-loops.  This package provides
 optional compiled replacements — the pattern scikit-learn applies with
-its Cython layer — behind a registry that resolves exactly like
-:mod:`repro.backends`:
+its Cython layer — behind a registry resolved in this order:
 
 1. an explicit ``kernels=`` argument (name or :class:`KernelSet`),
 2. the ``REPRO_KERNELS`` environment variable,
-3. auto-detection: ``numba`` if importable, else the ``cffi`` provider
-   (the C twins compiled with the system toolchain), else ``numpy``.
+3. auto-detection: the ``cffi`` provider (the C kernels compiled with
+   the system toolchain) when cffi and a compiler are present, else
+   ``numpy``.
 
 Providers
 ---------
@@ -19,27 +19,26 @@ Providers
     The existing vectorised/scalar code paths — no compiled code, always
     available.  ``compiled=False`` makes every driver keep its current
     body, so forcing ``REPRO_KERNELS=numpy`` is the honest fallback mode.
-``numba``
-    ``@njit`` kernels (:mod:`repro.kernels.numba_impl`); selected only
-    when numba imports, compiled and self-checked at selection time.
 ``cffi``
-    The same kernels as C (:mod:`repro.kernels._csource`), built once
-    with the system compiler and opened in cffi ABI mode.
+    The kernels as C (:mod:`repro.kernels._csource`), built once with
+    the system compiler (``$CC``, default ``cc``) and opened in cffi ABI
+    mode.
 
 Bit-identity contract
 ---------------------
-Compiled kernels activate only on ``exact_bitstream=True`` numpy-family
-backends and only for materialised-CSR graphs (:func:`csr_arrays`); the
-differential harness in ``tests/test_differential_drivers.py`` pins every
-swapped kernel against the serial oracles, double for double.  Each
-provider passes a load-time self-check (:func:`_self_check`) exercising
-all seven entry points before it can be selected, so a miscompiled or
-mis-installed provider fails at resolution, not mid-run.
+Compiled kernels activate only for materialised-CSR graphs
+(:func:`csr_arrays`); the differential harness in
+``tests/test_differential_drivers.py`` pins every swapped kernel against
+the serial oracles, double for double.  A provider passes a load-time
+self-check (:func:`_self_check`) exercising all seven entry points before
+it can be selected, so a miscompiled or mis-installed provider fails at
+resolution, not mid-run.
 """
 
 from __future__ import annotations
 
 import os
+import shlex
 import warnings
 from importlib.util import find_spec
 
@@ -52,6 +51,7 @@ __all__ = [
     "KernelsUnavailableError",
     "NumpyKernels",
     "available_kernels",
+    "check_kernels",
     "csr_arrays",
     "get_kernels",
 ]
@@ -59,7 +59,7 @@ __all__ = [
 ENV_VAR = "REPRO_KERNELS"
 
 #: Auto-detection preference; ``numpy`` is the implicit final fallback.
-_AUTO_ORDER = ("numba", "cffi")
+_AUTO_ORDER = ("cffi",)
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
@@ -75,9 +75,9 @@ def csr_arrays(g) -> tuple[np.ndarray, np.ndarray] | None:
 
     Implicit families expose no ``indptr``/``indices`` (their slot kernel
     is arithmetic, and materialising would defeat their O(1)-in-n
-    footprint), and device-backend graphs hold non-host arrays; both keep
-    the numpy path.  :class:`repro.graphs.csr.Graph` stores both arrays
-    C-contiguous ``int64``, which is exactly what the kernels consume.
+    footprint), so they keep the numpy path.
+    :class:`repro.graphs.csr.Graph` stores both arrays C-contiguous
+    ``int64``, which is exactly what the kernels consume.
     """
     indptr = getattr(g, "indptr", None)
     indices = getattr(g, "indices", None)
@@ -186,7 +186,7 @@ class NumpyKernels(KernelSet):
 
 
 class CompiledKernels(KernelSet):
-    """Wrapper over a low-level provider (numba module or cffi namespace).
+    """Wrapper over the low-level provider namespace (:mod:`cffi_impl`).
 
     The loop kernels speak a shared buffer protocol: they consume
     uniforms from the array they were handed and return ``0`` when it
@@ -357,10 +357,8 @@ class _BlockFeeder:
 def _self_check(ks: CompiledKernels) -> None:
     """Exercise every kernel on the path graph P3 and assert the answers.
 
-    Forces numba to compile all kernels at selection time (a broken
-    install fails here, loudly) and catches toolchain miscompiles for the
-    cffi provider.  Inputs cross a buffer-refill boundary so the resume
-    protocol is checked too.
+    Catches toolchain miscompiles at selection time, loudly.  Inputs
+    cross a buffer-refill boundary so the resume protocol is checked too.
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
@@ -433,14 +431,13 @@ _FAILED: dict[str, str] = {}
 
 
 def _dep_present(name: str) -> bool:
-    if name == "numba":
-        return find_spec("numba") is not None
     if name == "cffi":
         if find_spec("cffi") is None:
             return False
         from shutil import which
 
-        return which(os.environ.get("CC") or "cc") is not None
+        cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
+        return which(cc[0]) is not None
     return True
 
 
@@ -453,27 +450,17 @@ def _load(name: str) -> KernelSet:
         )
     if name == "numpy":
         ks: KernelSet = NumpyKernels()
-    elif name in _AUTO_ORDER:
+    else:
         try:
-            if name == "numba":
-                from repro.kernels import numba_impl
+            from repro.kernels import cffi_impl
 
-                ks = CompiledKernels("numba", numba_impl)
-            else:
-                from repro.kernels import cffi_impl
-
-                ks = CompiledKernels("cffi", cffi_impl.load())
+            ks = CompiledKernels(name, cffi_impl.load())
             _self_check(ks)
         except Exception as exc:
             _FAILED[name] = f"{type(exc).__name__}: {exc}"
             raise KernelsUnavailableError(
                 f"kernel provider {name!r} unavailable: {_FAILED[name]}"
             ) from exc
-    else:
-        raise ValueError(
-            f"unknown kernel provider {name!r}; available: "
-            f"{', '.join(('numpy', *_AUTO_ORDER))} (or 'auto')"
-        )
     _CACHE[name] = ks
     return ks
 
@@ -495,6 +482,36 @@ def available_kernels() -> dict[str, bool]:
     return out
 
 
+def _provider_name(spec: str | None) -> str:
+    """The provider name ``spec`` selects (``None``: ``REPRO_KERNELS``),
+    or ``"auto"``; raises for anything that names no provider."""
+    if spec is None:
+        spec = os.environ.get(ENV_VAR) or "auto"
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"kernels must be a provider name or a KernelSet instance, "
+            f"got {type(spec).__name__}"
+        )
+    if spec not in ("auto", "numpy", *_AUTO_ORDER):
+        raise ValueError(
+            f"unknown kernel provider {spec!r}; available: "
+            f"{', '.join(('numpy', *_AUTO_ORDER))} (or 'auto')"
+        )
+    return spec
+
+
+def check_kernels(spec: str | KernelSet | None = None) -> None:
+    """Raise now if ``spec`` names no provider, without resolving it.
+
+    Callers that may never need the provider (a serial estimate) use
+    this to reject a misspelt ``kernels=`` or ``REPRO_KERNELS`` up front;
+    whether a known provider initialises here is left to
+    :func:`get_kernels`.
+    """
+    if not isinstance(spec, KernelSet):
+        _provider_name(spec)
+
+
 def get_kernels(spec: str | KernelSet | None = None) -> KernelSet:
     """Resolve ``spec`` to a :class:`KernelSet`.
 
@@ -503,18 +520,12 @@ def get_kernels(spec: str | KernelSet | None = None) -> KernelSet:
     :class:`KernelSet` instance passes through unchanged.  An explicitly
     requested provider that cannot initialise raises
     :class:`KernelsUnavailableError` (a ``ValueError``); under
-    auto-detection a *present but broken* provider warns and the next one
-    is tried — numba simply being absent stays silent.
+    auto-detection a *present but broken* provider warns and ``numpy``
+    is used — cffi or a compiler simply being absent stays silent.
     """
     if isinstance(spec, KernelSet):
         return spec
-    if spec is None:
-        spec = os.environ.get(ENV_VAR) or "auto"
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"kernels must be a provider name or a KernelSet instance, "
-            f"got {type(spec).__name__}"
-        )
+    spec = _provider_name(spec)
     if spec == "auto":
         for name in _AUTO_ORDER:
             if not _dep_present(name):

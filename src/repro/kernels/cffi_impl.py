@@ -1,7 +1,7 @@
 """cffi kernel provider: the C kernels compiled with the system toolchain.
 
 The provider that makes the compiled layer available wherever a C
-compiler is — no numba wheel required.  ``load()`` compiles
+compiler is.  ``load()`` compiles
 :data:`repro.kernels._csource.C_SOURCE` once into a shared object cached
 under a source-hash-keyed path (``$REPRO_KERNELS_CACHE``, defaulting to a
 per-user directory below the system temp dir) and opens it in cffi ABI
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shlex
 import subprocess
 import tempfile
 from types import SimpleNamespace
@@ -40,20 +41,21 @@ def _ensure_built() -> str:
     if os.path.exists(so_path):
         return so_path
     os.makedirs(cache, exist_ok=True)
-    cc = os.environ.get("CC") or "cc"
+    # CC may carry flags ("cc -std=c99"), as in make
+    cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
     fd, c_path = tempfile.mkstemp(dir=cache, suffix=".c")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(C_SOURCE)
         tmp_so = c_path[:-2] + ".so"
         proc = subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
+            [*cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
             capture_output=True,
             text=True,
         )
         if proc.returncode != 0:
             raise RuntimeError(
-                f"{cc} failed to build the kernel library "
+                f"{shlex.join(cc)} failed to build the kernel library "
                 f"(exit {proc.returncode}): {proc.stderr.strip()[-500:]}"
             )
         # atomic within the cache dir: concurrent builders race benignly
@@ -67,9 +69,9 @@ def _ensure_built() -> str:
 def load() -> SimpleNamespace:
     """Build/open the library and return the low-level impl namespace.
 
-    The returned callables follow the provider protocol shared with
-    :mod:`repro.kernels.numba_impl`: numpy arrays in, scalar status codes
-    out.  Arrays must be C-contiguous with the protocol dtypes (``int64``
+    The returned callables follow the provider protocol the
+    ``CompiledKernels`` wrapper speaks: numpy arrays in, scalar status
+    codes out.  Arrays must be C-contiguous with the protocol dtypes (``int64``
     walkers/CSR, ``float64`` uniforms, ``uint8`` occupancy) — the
     ``KernelSet`` wrappers in the package root guarantee that.
     """

@@ -360,7 +360,7 @@ class UniformStreams:
     True
     """
 
-    __slots__ = ("gens", "block", "buf", "flat", "fetched", "_align", "backend")
+    __slots__ = ("gens", "block", "buf", "flat", "fetched", "_align")
 
     def __init__(
         self,
@@ -370,11 +370,7 @@ class UniformStreams:
         align: int | None = None,
         block: int | None = None,
         budget_doubles: int | None = None,
-        backend=None,
     ):
-        from repro.backends import get_backend
-
-        self.backend = get_backend(backend)
         self.gens = list(gens)
         self.block = resolve_stream_block(
             len(self.gens),
@@ -383,16 +379,15 @@ class UniformStreams:
             block=block,
             budget_doubles=budget_doubles,
         )
-        self.buf = self.backend.empty((len(self.gens), self.block), dtype=np.float64)
+        self.buf = np.empty((len(self.gens), self.block), dtype=np.float64)
         self.flat = self.buf.reshape(-1)
-        self.fetched = self.backend.zeros(len(self.gens), dtype=np.int64)
+        self.fetched = np.zeros(len(self.gens), dtype=np.int64)
         self._align = align
 
     def fill(self, rows) -> None:
         """Fetch a whole fresh chunk for each repetition in ``rows``."""
-        fill_uniform = self.backend.fill_uniform
         for r in rows:
-            fill_uniform(self.gens[r], self.buf[r])
+            self.gens[r].random(out=self.buf[r])
             self.fetched[r] += self.block
 
     def refill_tail(self, r: int, ptr: int) -> None:
@@ -407,7 +402,7 @@ class UniformStreams:
         if rem:
             self.buf[r, :rem] = self.buf[r, ptr:]
         if ptr:
-            self.backend.fill_uniform(self.gens[r], self.buf[r, rem:])
+            self.gens[r].random(out=self.buf[r, rem:])
             self.fetched[r] += ptr
 
     def tail(self, r: int, ptr: int) -> UniformStream:

@@ -16,14 +16,12 @@ Parallel-IDLA inner loop, where all unsettled particles advance together.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.utils.rng import as_generator
 
-__all__ = ["WalkEngine", "csr_step", "neighbor_step"]
+__all__ = ["WalkEngine", "neighbor_step"]
 
 
 def neighbor_step(
@@ -32,7 +30,6 @@ def neighbor_step(
     positions: np.ndarray,
     u: np.ndarray,
     out: np.ndarray | None = None,
-    xp=np,
 ) -> np.ndarray:
     """One simple-random-walk step through a graph-provided slot kernel.
 
@@ -41,51 +38,13 @@ def neighbor_step(
     kernel-less objects); ``u`` and ``positions`` must share a 1-D shape.
     Shared by :class:`WalkEngine` and the batched cross-repetition drivers
     in :mod:`repro.core.batched`, which assemble ``u`` from per-repetition
-    streams.  ``xp`` is the array namespace of the active
-    :class:`repro.backends.ArrayBackend` (numpy by default); callers on a
-    non-default backend pass ``backend.xp`` so the offset arithmetic stays
-    on the backend's arrays.
+    streams.
     """
     deg = degrees[positions]
     offsets = (u * deg).astype(np.int64)
     # floating-point guard: u < 1 ensures offsets < deg, but be explicit
-    xp.minimum(offsets, deg - 1, out=offsets)
+    np.minimum(offsets, deg - 1, out=offsets)
     return kernel(positions, offsets, out)
-
-
-def csr_step(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    degrees: np.ndarray,
-    positions: np.ndarray,
-    u: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Deprecated raw-CSR-array step; use :func:`neighbor_step` instead.
-
-    The raw-array surface predates the neighbour-kernel seam and only
-    works for materialised CSR graphs; every in-repo caller now binds a
-    kernel (``repro.graphs.csr.neighbor_kernel(g)`` or a closure over
-    bare arrays) and calls :func:`neighbor_step`, which serves the
-    implicit families too.  This shim forwards there — same offsets,
-    same gather, bit-identical output — and will be removed once
-    external callers have migrated.
-    """
-    warnings.warn(
-        "csr_step is deprecated; bind a slot kernel (e.g. "
-        "repro.graphs.csr.neighbor_kernel(g)) and call neighbor_step instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    def kernel(pos, offsets, out=None):
-        flat = indptr[pos] + offsets
-        if out is None:
-            return indices[flat]
-        np.take(indices, flat, out=out)
-        return out
-
-    return neighbor_step(kernel, degrees, positions, u, out)
 
 
 class WalkEngine:
@@ -108,29 +67,19 @@ class WalkEngine:
     True
     """
 
-    __slots__ = (
-        "graph", "rng", "backend", "kernels", "_kernel", "_degrees",
-        "_xp", "_fused",
-    )
+    __slots__ = ("graph", "rng", "kernels", "_kernel", "_degrees", "_fused")
 
-    def __init__(self, g: Graph, seed=None, backend=None, kernels=None):
-        from repro.backends import backend_of
+    def __init__(self, g: Graph, seed=None, kernels=None):
         from repro.kernels import get_kernels
 
         self.graph = g
         self.rng = as_generator(seed)
-        self.backend = backend_of(g, backend)
         self.kernels = get_kernels(kernels)
-        self._xp = self.backend.xp
         self._kernel = neighbor_kernel(g)
         self._degrees = g.degrees
-        # compiled fused step only on exact-bitstream host backends, and
-        # only for materialised-CSR graphs (stepper() returns None else)
-        self._fused = (
-            self.kernels.stepper(g)
-            if self.kernels.compiled and self.backend.exact_bitstream
-            else None
-        )
+        # compiled fused step; None for the numpy provider and for
+        # graphs without materialised CSR arrays
+        self._fused = self.kernels.stepper(g)
 
     # ------------------------------------------------------------------
     def step(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -142,9 +91,7 @@ class WalkEngine:
         u = self.rng.random(positions.shape[0])
         if self._fused is not None:
             return self._fused(positions, u, out)
-        return neighbor_step(
-            self._kernel, self._degrees, positions, u, out, xp=self._xp
-        )
+        return neighbor_step(self._kernel, self._degrees, positions, u, out)
 
     def step_batch(
         self,
@@ -202,13 +149,12 @@ class WalkEngine:
                 raise ValueError("out must be C-contiguous")
             flat_out = out.reshape(-1)
         flat_pos = positions.reshape(-1)
-        flat_u = self.backend.ascontiguousarray(u).reshape(-1)
+        flat_u = np.ascontiguousarray(u).reshape(-1)
         if self._fused is not None:
             result = self._fused(flat_pos, flat_u, flat_out)
         else:
             result = neighbor_step(
-                self._kernel, self._degrees, flat_pos, flat_u, flat_out,
-                xp=self._xp,
+                self._kernel, self._degrees, flat_pos, flat_u, flat_out
             )
         return out if out is not None else result.reshape(positions.shape)
 
@@ -233,7 +179,7 @@ class WalkEngine:
         self, positions: np.ndarray, active: np.ndarray
     ) -> None:
         """In-place step only the walkers flagged in boolean mask ``active``."""
-        idx = self.backend.flatnonzero(active)
+        idx = np.flatnonzero(active)
         if idx.size == 0:
             return
         positions[idx] = self.step(positions[idx])
@@ -256,8 +202,8 @@ class WalkEngine:
         self, start: int, steps: int, walkers: int
     ) -> np.ndarray:
         """Empirical law of ``X_steps`` from ``walkers`` i.i.d. walks."""
-        pos = self.backend.full(walkers, start, dtype=np.int64)
+        pos = np.full(walkers, start, dtype=np.int64)
         for _ in range(steps):
             self.step(pos, out=pos)
-        counts = self.backend.bincount(pos, minlength=self.graph.n)
+        counts = np.bincount(pos, minlength=self.graph.n)
         return counts / walkers

@@ -10,11 +10,14 @@ bit-identical to a fixed ``reps=N`` run, across serial, batched and
 import numpy as np
 import pytest
 
+import repro.core as core_mod
 from repro.core.anytime import (
     AdaptiveInfo,
+    AnytimeKS,
     Precision,
     TauAccumulator,
     anytime_halfwidth,
+    ks_statistic,
 )
 from repro.experiments import estimate_dispersion, sweep_dispersion
 from repro.experiments.fanout import plan_shards
@@ -204,11 +207,28 @@ def test_sweep_accepts_precision():
         {"ci_rel": 0.1, "initial": 32, "max_reps": 16},
         {"ci_rel": 0.1, "max_seconds": -1.0},
         {"ci_rel": 0.1, "growth": 1.0},
+        # non-finite targets used to be accepted and run to max_reps
+        {"ci_rel": float("nan")},
+        {"ci_abs": float("nan")},
+        {"ci_rel": float("inf")},
+        {"ci_rel": 0.1, "growth": float("nan")},
+        {"ci_rel": 0.1, "growth": float("inf")},
+        {"ci_rel": 0.1, "max_seconds": float("nan")},
+        # non-integral counts used to fail later with a bare TypeError
+        {"ci_rel": 0.1, "initial": 2.5},
+        {"ci_rel": 0.1, "max_reps": 100.5},
+        {"ci_rel": 0.1, "initial": True},
     ],
 )
 def test_precision_validation(kwargs):
     with pytest.raises(ValueError):
         Precision(**kwargs)
+
+
+def test_precision_counts_are_plain_ints():
+    p = Precision(ci_rel=0.1, initial=np.int64(4), max_reps=8.0)
+    assert (p.initial, p.max_reps) == (4, 8)
+    assert type(p.initial) is int and type(p.max_reps) is int
 
 
 def test_precision_target_halfwidth_takes_the_tighter_bound():
@@ -343,3 +363,64 @@ def test_plan_shards_max_shard_validation():
 def test_plan_shards_max_shard_one_rep_shards():
     shards = plan_shards(5, 2, max_shard=1)
     assert shards == [(i, i + 1) for i in range(5)]
+
+
+# ----------------------------------------------------------------------
+# the anytime-valid two-sample KS gate
+# ----------------------------------------------------------------------
+class TestAnytimeKS:
+    def test_ks_statistic_matches_definition(self):
+        x = [1.0, 2.0, 3.0]
+        y = [1.0, 2.0, 3.0]
+        assert ks_statistic(x, y) == 0.0
+        assert ks_statistic([0.0] * 4, [1.0] * 4) == 1.0
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_statistic([], [1.0])
+
+    def test_truthful_backend_survives_many_checkpoints(self):
+        rng = np.random.default_rng(1)
+        gate = AnytimeKS(alpha=0.05)
+        for _ in range(50):
+            v = gate.update(rng.exponential(5.0, 40), rng.exponential(5.0, 40))
+            assert not v.reject, (v.statistic, v.threshold)
+        assert v.checks == 50 and v.margin > 0
+
+    def test_shifted_distribution_is_eventually_rejected(self):
+        rng = np.random.default_rng(2)
+        gate = AnytimeKS(alpha=0.05)
+        for _ in range(60):
+            v = gate.update(rng.exponential(5.0, 200), rng.exponential(9.0, 200))
+            if v.reject:
+                break
+        assert v.reject and v.margin < 0
+
+    def test_rejection_is_sticky(self):
+        gate = AnytimeKS(alpha=0.2)
+        first = None
+        for _ in range(40):
+            first = gate.update(np.zeros(50), np.ones(50))
+            if first.reject:
+                break
+        assert first is not None and first.reject
+        again = gate.update(np.zeros(5), np.zeros(5))
+        assert again is first  # the rejecting verdict is frozen
+
+    def test_lanes_may_progress_unevenly(self):
+        rng = np.random.default_rng(3)
+        gate = AnytimeKS()
+        gate.update(rng.normal(size=30), rng.normal(size=5))
+        v = gate.update([], rng.normal(size=25))
+        assert v.n_x == 30 and v.n_y == 30
+
+    def test_first_checkpoint_requires_both_lanes(self):
+        gate = AnytimeKS()
+        with pytest.raises(ValueError, match="both lanes"):
+            gate.update([1.0, 2.0], [])
+
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError, match="alpha"):
+            AnytimeKS(alpha=0.0)
+
+    def test_module_reference_is_exported(self):
+        # docs and third-party gates import these from the package root
+        assert core_mod.AnytimeKS is AnytimeKS

@@ -76,6 +76,41 @@ class TestRun:
         code, _ = run_cli("run", "cycle", "16", "--jobs", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "cycle", "16", "--reps", "0"),
+            ("run", "cycle", "16", "--reps", "-3"),
+            ("run", "cycle", "16", "--ci-rel", "0.1", "--max-reps", "0"),
+            ("sweep", "cycle", "16", "32", "--reps", "0"),
+            ("table1", "--reps", "0"),
+            ("bounds", "cycle", "16", "--reps", "0"),
+        ],
+    )
+    def test_rejects_non_positive_reps_before_building_graph(
+        self, argv, monkeypatch, capsys
+    ):
+        from repro.theory import families
+
+        def _fail_build(self, n, seed=None):
+            raise AssertionError("graph must not be built for invalid flags")
+
+        monkeypatch.setattr(families.Family, "build", _fail_build)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "must be >= 1, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "cycle", "1"), ("run", "cycle", "0"), ("bounds", "cycle", "0")],
+    )
+    def test_bad_size_exits_2_with_one_line(self, argv, capsys):
+        code, _ = run_cli(*argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cycle needs n >= 3" in err
+
     def test_run_jobs_and_batched_flags(self):
         code, text = run_cli(
             "run", "complete", "16", "--reps", "4", "--jobs", "2", "--batched", "false"

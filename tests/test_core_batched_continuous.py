@@ -14,6 +14,8 @@ runner's auto dispatch must be invisible.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.core import (
 )
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.experiments import estimate_dispersion
+from repro.experiments.runner import BATCHED_DRIVERS, PROCESS_DRIVERS
 from repro.graphs import complete_graph, cycle_graph, grid_graph
 from repro.kernels import available_kernels, get_kernels
 from repro.utils.rng import spawn_seed_sequences
@@ -365,17 +368,46 @@ def _check_auto_dispatch_thresholds(kernels):
 
 @pytest.mark.parametrize("process", ["sequential", "c-sequential"])
 def test_auto_dispatch_rejects_unknown_names_at_any_reps(process):
-    """Auto dispatch resolves ``kernels``/``backend`` for sequential and
-    c-sequential at every repetition count, so an unknown name fails
-    below the 64-repetition crossover too, as it does above it; a known
-    provider that is not installed still runs the serial oracle."""
+    """Auto dispatch resolves ``kernels`` for sequential and c-sequential
+    at every repetition count, so an unknown name fails below the
+    64-repetition crossover too, as it does above it; a known provider
+    that is not installed still runs the serial oracle."""
     g = cycle_graph(16)
-    for bad in ({"kernels": "no-such-provider"}, {"backend": "no-such-backend"}):
-        for reps in (1, 64):
-            with pytest.raises(ValueError, match="no-such"):
-                estimate_dispersion(g, process, reps=reps, seed=0, **bad)
+    for reps in (1, 64):
+        with pytest.raises(ValueError, match="no-such"):
+            estimate_dispersion(
+                g, process, reps=reps, seed=0, kernels="no-such-provider"
+            )
     missing = [name for name, ok in available_kernels().items() if not ok]
     for name in missing:
         est = estimate_dispersion(g, process, reps=2, seed=0, kernels=name)
         ref = estimate_dispersion(g, process, reps=2, seed=0, batched=False)
         assert np.array_equal(est.samples, ref.samples)
+
+
+def _fail(name):
+    def driver(*args, **kwargs):
+        raise AssertionError(f"{name} driver ran")
+
+    return driver
+
+
+@pytest.mark.parametrize("process", sorted(PROCESS_DRIVERS))
+def test_removed_options_fail_before_any_repetition(process, monkeypatch):
+    """``backend=`` is no driver option (``TypeError``) and ``numba`` is
+    no kernel provider (``ValueError``, as keyword or ``REPRO_KERNELS``);
+    both fail before any driver runs, at any repetition count."""
+    for registry in (PROCESS_DRIVERS, BATCHED_DRIVERS):
+        for name, fn in list(registry.items()):
+            # wraps keeps the signature the runner reads its options from
+            monkeypatch.setitem(registry, name, functools.wraps(fn)(_fail(name)))
+    g = cycle_graph(16)
+    for reps in (1, 64):
+        with pytest.raises(TypeError, match="backend"):
+            estimate_dispersion(g, process, reps=reps, seed=0, backend="numpy")
+        with pytest.raises(ValueError, match="numba"):
+            estimate_dispersion(g, process, reps=reps, seed=0, kernels="numba")
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_KERNELS", "numba")
+            with pytest.raises(ValueError, match="numba"):
+                estimate_dispersion(g, process, reps=reps, seed=0)

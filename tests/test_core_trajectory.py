@@ -118,8 +118,6 @@ def test_store_is_chunk_size_invariant(monkeypatch, chunk):
     ref = run()
     monkeypatch.setattr(traj_mod, "_CHUNK", chunk)
     # _ChunkedLog reads the default at construction time via TrajectoryStore
-    # (defaults tuple covers the trailing (chunk, backend) parameters)
-    monkeypatch.setattr(
-        traj_mod._ChunkedLog.__init__, "__defaults__", (chunk, None)
-    )
+    # (defaults tuple covers the trailing chunk parameter)
+    monkeypatch.setattr(traj_mod._ChunkedLog.__init__, "__defaults__", (chunk,))
     assert run() == ref

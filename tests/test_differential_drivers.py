@@ -31,11 +31,6 @@ each implicit case pins cross-build bit-identity through every driver —
 including the descriptor round-trip across the ``n_jobs=2`` shard
 boundary, where the implicit graph ships as ``(family, params)`` instead
 of a shared-memory segment.
-
-Since the array-backend seam landed, the matrix additionally runs with
-``backend`` set to every registered exact-bitstream backend
-(``numpy``, ``numpy_strict``): the seam, like dispatch, must be purely
-a performance decision.
 """
 
 from __future__ import annotations
@@ -245,43 +240,9 @@ def test_budgeted_estimates_match_serial_oracle(case):
         assert est.trajectories == trajectories, mode
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numpy_strict"])
-@pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_backend_axis_matches_serial_oracle(case, backend):
-    """Every registered exact-bitstream backend replays the serial oracle.
-
-    The ``backend=`` axis of the lock-step drivers and the runner: the
-    default ``numpy`` backend must be bit-identical by the dispatch
-    contract, and ``numpy_strict`` additionally asserts every primitive
-    call on the hot path stays on protocol dtypes — a call site that
-    drifts off the seam fails loudly here rather than silently pinning
-    the code to host numpy."""
-    process, kwargs = case
-    extras = EXTRAS.get(process, ())
-    if kwargs.get("faithful_r"):
-        extras = (*extras, "schedule")
-    serial = serial_oracle(process, kwargs, False)
-    batch = BATCHED_DRIVERS[process](
-        GRAPH,
-        0,
-        seeds=spawn_seed_sequences(PARENT_SEED, REPS),
-        backend=backend,
-        **kwargs,
-    )
-    assert len(batch) == REPS
-    for s, b in zip(serial, batch):
-        assert_result_identical(s, b, extras)
-    est = estimate_dispersion(
-        GRAPH, process, reps=REPS, seed=PARENT_SEED, backend=backend, **kwargs
-    )
-    tau = np.asarray([float(r.dispersion_time) for r in serial])
-    assert np.array_equal(est.samples, tau)
-
-
 #: Kernel providers forced through the drivers: ``numpy`` is the always-
-#: available reference fallback; compiled providers are skipped (not
-#: silently passed) when their toolchain is absent on this host — CI runs
-#: dedicated legs with each one installed.
+#: available reference fallback; the ``cffi`` provider is skipped (not
+#: silently passed) when cffi or a C compiler is absent on this host.
 KERNEL_PROVIDERS = [
     pytest.param(
         name,
@@ -298,7 +259,7 @@ KERNEL_PROVIDERS = [
 def test_kernels_axis_matches_serial_oracle(case, kernels, monkeypatch):
     """Every kernel provider replays the serial oracle bit for bit.
 
-    The compiled seam, like dispatch and the array backend, must be a
+    The compiled seam, like dispatch, must be a
     pure performance decision: the fused offset+gather step, the
     counting-scatter settlement round, the vectorised vacancy probe and
     both scalar tail finishers all engage here (``record=True`` keeps the

@@ -7,7 +7,9 @@ layer's own contracts:
 * registry resolution precedence (explicit argument > ``REPRO_KERNELS``
   > auto-detection) and its failure modes — an explicitly requested
   provider that cannot initialise raises, auto-detection falls through
-  silently, the numpy fallback is always available;
+  silently, the numpy fallback is always available; the registry is
+  exactly ``{numpy, cffi}``, and ``$CC`` may carry flags after the
+  compiler;
 * pickling resolved providers by name (the fan-out runner's kwargs
   path);
 * kernel-by-kernel parity of each compiled provider against the
@@ -22,16 +24,19 @@ layer's own contracts:
 from __future__ import annotations
 
 import pickle
+import shutil
 
 import numpy as np
 import pytest
 
+import repro.kernels as kernels_mod
 from repro.graphs import complete_binary_tree, cycle_graph, star_graph
 from repro.kernels import (
     KernelSet,
     KernelsUnavailableError,
     NumpyKernels,
     available_kernels,
+    check_kernels,
     csr_arrays,
     get_kernels,
 )
@@ -98,12 +103,78 @@ def test_auto_never_raises():
     assert isinstance(get_kernels("auto"), KernelSet)
 
 
+@pytest.fixture
+def fresh_registry(monkeypatch, tmp_path):
+    """Empty provider cache/failure memo and a private build cache, so a
+    test sees provider resolution (and the C build) from scratch."""
+    pytest.importorskip("cffi")
+    monkeypatch.setattr(kernels_mod, "_CACHE", {})
+    monkeypatch.setattr(kernels_mod, "_FAILED", {})
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    return monkeypatch
+
+
+def test_explicitly_requesting_missing_provider_raises(fresh_registry):
+    fresh_registry.setenv("CC", "no-such-compiler-for-repro-tests")
+    # auto-detection skips a provider whose compiler is absent, silently
+    assert get_kernels("auto").name == "numpy"
+    with pytest.raises(KernelsUnavailableError, match="cffi"):
+        get_kernels("cffi")
+
+
+def test_cc_with_flags_keeps_the_compiled_provider(fresh_registry):
+    # CC may carry flags, as in make; the compiler is its first word
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    fresh_registry.setenv("CC", f"{cc} -std=c99")
+    assert available_kernels()["cffi"] is True
+    assert get_kernels("auto").name == "cffi"
+    assert get_kernels("cffi").compiled
+
+
+def test_registry_names_numpy_and_cffi_only():
+    assert set(AVAILABLE) == {"numpy", "cffi"}
+
+
+@pytest.mark.parametrize("name", ["numba", "NUMPY", "cffi "])
+def test_retired_and_misspelt_provider_names_raise(name, monkeypatch):
+    for resolve in (get_kernels, check_kernels):
+        with pytest.raises(ValueError, match="unknown kernel provider"):
+            resolve(name)
+    monkeypatch.setenv("REPRO_KERNELS", name)
+    with pytest.raises(ValueError, match="unknown kernel provider"):
+        get_kernels()
+
+
 @pytest.mark.parametrize(
-    "name", [n for n, ok in sorted(AVAILABLE.items()) if not ok]
+    "template", ["{cc}", "{cc} -std=c99", "  {cc}\t-O2  -g ", "'{cc}' -w"]
 )
-def test_explicitly_requesting_missing_provider_raises(name):
-    with pytest.raises(KernelsUnavailableError, match=name):
-        get_kernels(name)
+def test_compiler_probe_reads_the_first_word_of_cc(template, monkeypatch):
+    pytest.importorskip("cffi")
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("CC", template.format(cc=cc))
+    assert kernels_mod._dep_present("cffi") is True
+
+
+def test_compiler_probe_rejects_a_missing_compiler_with_flags(monkeypatch):
+    monkeypatch.setenv("CC", "no-such-compiler-for-repro-tests -std=c99")
+    assert kernels_mod._dep_present("cffi") is False
+
+
+def test_failed_build_reports_the_whole_cc_command(fresh_registry):
+    from repro.kernels import cffi_impl
+
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    fresh_registry.setenv("CC", f"{cc} -fno-such-flag-for-repro-tests")
+    with pytest.raises(RuntimeError, match="failed to build") as exc:
+        cffi_impl._ensure_built()
+    assert "-fno-such-flag-for-repro-tests" in str(exc.value).split("failed")[0]
 
 
 @pytest.mark.parametrize("name", [n for n, ok in sorted(AVAILABLE.items()) if ok])

@@ -126,31 +126,3 @@ class TestSingleWalker:
     def test_walk_until_hit_empty_set(self, c8):
         with pytest.raises(ValueError):
             walk_until_hit(c8, 0, [])
-
-
-class TestCsrStepDeprecation:
-    def test_csr_step_warns_and_matches_neighbor_step(self):
-        from repro.graphs import cycle_graph
-        from repro.graphs.csr import neighbor_kernel
-        from repro.walks.engine import csr_step, neighbor_step
-
-        g = cycle_graph(12)
-        rng = np.random.default_rng(5)
-        pos = rng.integers(0, g.n, size=64)
-        u = rng.random(64)
-        with pytest.warns(DeprecationWarning, match="neighbor_step"):
-            legacy = csr_step(g.indptr, g.indices, g.degrees, pos, u)
-        modern = neighbor_step(neighbor_kernel(g), g.degrees, pos, u)
-        assert np.array_equal(legacy, modern)
-
-    def test_csr_step_out_param_still_works(self):
-        from repro.graphs import cycle_graph
-        from repro.walks.engine import csr_step
-
-        g = cycle_graph(12)
-        pos = np.arange(12)
-        u = np.full(12, 0.25)
-        out = np.empty(12, dtype=pos.dtype)
-        with pytest.warns(DeprecationWarning):
-            res = csr_step(g.indptr, g.indices, g.degrees, pos, u, out=out)
-        assert res is out

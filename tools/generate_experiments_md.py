@@ -212,21 +212,11 @@ SECTIONS = [
     (
         "compiled_kernels",
         "implementation — compiled inner-loop kernels (REPRO_KERNELS seam)",
-        "the compiled kernel provider (numba or cffi C twins) runs the "
+        "the compiled kernel provider (cffi C twins) runs the "
         "scalar-tail-dominated sequential workload >= 3x over pure numpy "
         "on the Table-1 cycle (measured ~20x) and never regresses the "
         "parallel lock-step workload below 0.9x, byte-identical to the "
         "numpy provider on every result field",
-    ),
-    (
-        "backend_overhead",
-        "implementation — pluggable array-backend seam",
-        "routing every hot-path primitive through the ArrayBackend "
-        "protocol costs ≤2% of driver wall time on the Table-1 cycle and "
-        "hypercube parallel-IDLA workloads (constructive estimate: "
-        "counted primitive calls × measured per-call dispatch delta), "
-        "and the assertion-checked numpy_strict backend is byte-identical "
-        "to the default",
     ),
 ]
 
