@@ -98,7 +98,7 @@ from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.core.trajectory import TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import csr_arrays, get_kernels
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_limit
 from repro.utils.rng import (
     UniformStream,
     UniformStreams,
@@ -112,7 +112,7 @@ __all__ = [
     "batched_parallel_idla",
     "batched_sequential_idla",
     "buffer_doubles",
-    "sequential_loop_kernels",
+    "per_rep_loop_kernels",
     "stream_block",
 ]
 
@@ -226,18 +226,30 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
     return spawn_generators(seed, reps)
 
 
-def sequential_loop_kernels(g, *, kernels=None, record=False, rule=None):
-    """The compiled provider that can run whole Sequential-IDLA walks on
-    ``g``, or ``None``.
+#: Processes with one moving particle per repetition, whose batched
+#: driver can run each repetition to completion in one compiled loop.
+_PER_REP_LOOPS = ("sequential", "c-sequential", "uniform", "ctu")
 
-    The compiled ``finish_sequential`` loop needs a compiled provider,
-    host CSR arrays (:func:`csr_arrays`), no recording and the default
-    settling rule.  The driver gates its
-    compiled tail finisher on this, and the runner's auto dispatch
-    consults it too, so the two cannot drift apart.
+
+def per_rep_loop_kernels(
+    process, g, *, kernels=None, record=False, rule=None, faithful_r=False
+):
+    """The compiled provider that can run whole repetitions of
+    ``process`` on ``g``, one compiled loop each, or ``None``.
+
+    The loops (``finish_sequential``, ``finish_uniform``, ``finish_ctu``)
+    need a compiled provider, host CSR arrays (:func:`csr_arrays`), no
+    recording, the default settling rule and Uniform-IDLA's default
+    scheduler (``faithful_r=False``).  The batched drivers gate their
+    per-repetition route on this, and the runner's auto dispatch consults
+    it too, so the two cannot drift apart.
     """
+    if process not in _PER_REP_LOOPS:
+        return None
     kern = get_kernels(kernels)
-    if not kern.compiled or record or not (rule is None or rule is standard_rule):
+    if not kern.compiled or record or faithful_r:
+        return None
+    if not (rule is None or rule is standard_rule):
         return None
     return kern if csr_arrays(g) is not None else None
 
@@ -508,6 +520,7 @@ def batched_parallel_idla(
         raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
     scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
     tail_total = _resolve_tail_threshold(tail_threshold)
+    budget = check_limit("max_rounds", max_rounds)
     kern = get_kernels(kernels)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
@@ -541,7 +554,6 @@ def batched_parallel_idla(
         return out
     step_chunk = plan.step_chunk
     use_default_rule = rule is None or rule is standard_rule
-    budget = float("inf") if max_rounds is None else float(max_rounds)
     process = "parallel-lazy" if lazy else "parallel"
 
     # ---- per-repetition initial draws, in the serial driver's order.
@@ -1040,7 +1052,7 @@ def batched_sequential_idla(
 
     Note on throughput: with one particle per repetition the batch width
     equals the number of *live* repetitions, and it shrinks with every
-    repetition that finishes.  So whenever :func:`sequential_loop_kernels`
+    repetition that finishes.  So whenever :func:`per_rep_loop_kernels`
     finds a compiled loop and ``tail_threshold`` is left at ``None``, no
     lock-step tick runs at all: every repetition enters the tail handoff
     at tick 0 and walks to completion in one compiled call, in turn.  An
@@ -1056,6 +1068,7 @@ def batched_sequential_idla(
             f"sequential IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
     tail_total = _resolve_tail_threshold(tail_threshold)
+    budget = check_limit("max_total_steps", max_total_steps)
     kern = get_kernels(kernels)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
@@ -1084,10 +1097,11 @@ def batched_sequential_idla(
             )
         return out
     use_default_rule = rule is None or rule is standard_rule
-    budget = float("inf") if max_total_steps is None else float(max_total_steps)
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     process = "sequential-lazy" if lazy else "sequential"
-    fin_kern = sequential_loop_kernels(g, kernels=kern, record=record, rule=rule)
+    fin_kern = per_rep_loop_kernels(
+        "sequential", g, kernels=kern, record=record, rule=rule
+    )
     if fin_kern is not None and tail_threshold is None:
         # one walker per repetition: every repetition enters the compiled
         # tail handoff at tick 0 and no lock-step tick runs

@@ -40,6 +40,25 @@ scheduler's swap-remove pool go through the shared helpers in
 :mod:`repro.core.settlement` so both execution modes resolve them
 identically by construction.
 
+Per-repetition route
+--------------------
+With one moving particle per repetition, the lock-step width is only the
+number of live repetitions, so numpy dispatch dominates every tick.
+Whenever :func:`repro.core.batched.per_rep_loop_kernels` finds a compiled
+provider (host CSR arrays, ``record=False`` and, for Uniform-IDLA,
+``faithful_r=False``), ``batched_uniform_idla`` and ``batched_ctu_idla``
+run no lock-step tick at all: after the shared time-0 settlement, each
+live repetition runs to completion in one compiled loop
+(``KernelSet.finish_uniform`` / ``finish_ctu``), which follows its serial
+driver's draw contract line for line.  The loop fetches whole
+serial-sized blocks from the repetition's own generator
+(``repro.core.uniform._BLOCK``, ``repro.core.continuous._BLOCK``), so each
+generator ends where the serial driver leaves it.  Logarithms never come
+from libm: each buffer travels with its numpy ``log1p(-u)`` lane, and the
+geometric-skip divisors with the numpy ``_skip_log_table``.  Everything
+else — the numpy provider, implicit graphs, ``record=True``,
+``faithful_r=True`` — keeps the lock-step body below.
+
 ``record=True`` routes each tick's ``(repetition, particle, vertex)``
 into the chunked :class:`repro.core.trajectory.TrajectoryStore` (one
 slice append per tick), and Uniform-IDLA's ``faithful_r=True`` runs a
@@ -56,7 +75,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batched import _resolve_generators
+from repro.core import continuous as _continuous
+from repro.core import uniform as _uniform
+from repro.core.batched import _resolve_generators, per_rep_loop_kernels
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
@@ -64,9 +85,9 @@ from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.settlement import settle_vacant_starts_inorder
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
-from repro.kernels import get_kernels
-from repro.utils.rng import UniformStreams, resolve_stream_block
-from repro.utils.validation import check_integer
+from repro.kernels import csr_arrays, get_kernels
+from repro.utils.rng import UniformStream, UniformStreams, resolve_stream_block
+from repro.utils.validation import check_integer, check_limit, check_positive_finite
 from repro.walks.continuous import poissonise_steps
 
 __all__ = [
@@ -135,6 +156,27 @@ def _init_lanes(R, n, m, starts2d, occ, settledflat, unsflat, orders):
     return lanes_list, k_list
 
 
+def _order_row(order: list, m: int) -> np.ndarray:
+    """``order`` (the time-0 settlements) as the prefix of an ``m``-slot
+    array a compiled per-repetition loop appends the rest to."""
+    row = np.empty(m, dtype=np.int64)
+    row[: len(order)] = order
+    return row
+
+
+def _skip_log_table(pool_size: int) -> np.ndarray:
+    """``log1p(-(k / pool_size))`` for ``k = 0 .. pool_size-1``.
+
+    The geometric-skip divisors of :func:`repro.core.uniform.uniform_idla`
+    for every pool size ``k`` at which it skips (entry 0 is unused), as
+    the compiled per-repetition loop reads them: computed by numpy here,
+    never by libm in C, and equal element for element to the serial
+    driver's scalar ``float(np.log1p(-(k / pool_size)))`` (pinned by
+    ``tests/test_kernels.py``).
+    """
+    return np.log1p(-(np.arange(pool_size) / pool_size))
+
+
 def _make_stepper(g: Graph, kernels):
     """One-walk-step kernel ``(positions, u) -> new positions``.
 
@@ -199,7 +241,8 @@ def batched_ctu_idla(
     state_budget=None,
     kernels=None,
 ) -> list[DispersionResult]:
-    """Run ``R`` independent CTU-IDLA realisations in lock-step.
+    """Run ``R`` independent CTU-IDLA realisations in lock-step, or one
+    compiled loop per repetition (see "Per-repetition route" above).
 
     Parameters
     ----------
@@ -239,8 +282,7 @@ def batched_ctu_idla(
         raise ValueError(
             f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_positive_finite("rate", rate)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
     if R == 0:
@@ -283,6 +325,27 @@ def batched_ctu_idla(
     lanes_list, k_list = _init_lanes(
         R, n, m, starts2d, occ, settledflat, unsflat, orders
     )
+
+    loop = per_rep_loop_kernels("ctu", g, kernels=kern, record=record)
+    if loop is not None:
+        # per-repetition route: each live repetition runs to completion
+        # in one compiled loop, fetching serial-sized blocks on demand
+        indptr, indices = csr_arrays(g)
+        for r, k in zip(lanes_list, k_list):
+            row = slice(r * m, (r + 1) * m)
+            order = _order_row(orders[r], m)
+            final_clock[r] = loop.finish_ctu(
+                indptr, indices, occ[r * n : (r + 1) * n], unsflat[row],
+                posflat[row], stepsflat[row], settledflat[row],
+                settle_clock[row], order,
+                UniformStream(gens[r], block=_continuous._BLOCK),
+                k=k, norder=len(orders[r]), rate=rate,
+            )
+            orders[r] = order
+        return _ctu_results(
+            g, starts2d, stepsflat, settledflat, orders, final_clock,
+            settle_clock, None,
+        )
 
     # ---- per-lane compact state (one lane per live repetition)
     lanes = np.asarray(lanes_list, dtype=np.int64)
@@ -355,13 +418,28 @@ def batched_ctu_idla(
             km1L, denomL, clockL = km1L[keep], denomL[keep], clockL[keep]
             laneM, laneN = laneM[keep], laneN[keep]
 
-    # ---- per-repetition result assembly
+    return _ctu_results(
+        g, starts2d, stepsflat, settledflat, orders, final_clock,
+        settle_clock, _finalize(store, record),
+    )
+
+
+def _finalize(store, record):
+    """Per-repetition trajectories of a recorded run, else ``None``."""
     if store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
+        return None
+    if record == "arrays":
+        return store.finalize_arrays()
+    return store.finalize()
+
+
+def _ctu_results(
+    g, starts2d, stepsflat, settledflat, orders, final_clock, settle_clock,
+    traj_all,
+) -> list[DispersionResult]:
+    """Per-repetition result assembly of :func:`batched_ctu_idla`."""
+    R, m = starts2d.shape
+    n = g.n
     results = []
     for r in range(R):
         row = slice(r * m, (r + 1) * m)
@@ -499,6 +577,10 @@ def batched_uniform_idla(
     wasted-tick clock in ``result.ticks`` (and trajectories under
     ``record=True``).
 
+    With a compiled provider (default mode, ``record=False``, CSR graph)
+    each repetition instead runs in one compiled loop; see
+    "Per-repetition route" in the module docstring.
+
     Unlike the CTU driver, per-tick consumption varies per lane (the
     geometric skip and the wasted-tick short-circuit make it 1–3
     doubles), so each lane keeps its own buffer pointer; a conservative
@@ -510,6 +592,7 @@ def batched_uniform_idla(
         raise ValueError(
             f"uniform IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
+    budget = check_limit("max_ticks", max_ticks)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
     if R == 0:
@@ -535,7 +618,7 @@ def batched_uniform_idla(
                 )
             )
         return out
-    budget = float("inf") if max_ticks is None else float(max_ticks)
+    limit_msg = f"uniform IDLA exceeded max_ticks={max_ticks}"
     check_budget = max_ticks is not None
 
     starts2d = np.empty((R, m), dtype=np.int64)
@@ -556,6 +639,28 @@ def batched_uniform_idla(
     )
 
     pool_size = max(m - 1, 1)
+    loop = per_rep_loop_kernels(
+        "uniform", g, kernels=kern, record=record, faithful_r=faithful_r
+    )
+    if loop is not None:
+        # per-repetition route: each live repetition runs to completion
+        # in one compiled loop, fetching serial-sized blocks on demand
+        indptr, indices = csr_arrays(g)
+        logq = _skip_log_table(pool_size)
+        for r, k in zip(lanes_list, k_list):
+            row = slice(r * m, (r + 1) * m)
+            order = _order_row(orders[r], m)
+            final_ticks[r] = loop.finish_uniform(
+                indptr, indices, occ[r * n : (r + 1) * n], unsflat[row],
+                posflat[row], stepsflat[row], settledflat[row], order,
+                UniformStream(gens[r], block=_uniform._BLOCK),
+                k=k, norder=len(orders[r]), logq=logq, budget=budget,
+                limit_msg=limit_msg,
+            )
+            orders[r] = order
+        return _uniform_results(
+            g, starts2d, stepsflat, settledflat, orders, final_ticks, None, None
+        )
 
     def logq_for(k: int) -> float:
         # same scalar np.log1p computation as the serial driver's cache;
@@ -636,7 +741,7 @@ def batched_uniform_idla(
             schedule_store.append(lanes, p)
             ticksL += 1
             if check_budget and (ticksL > budget).any():
-                raise RuntimeError(f"uniform IDLA exceeded max_ticks={max_ticks}")
+                raise RuntimeError(limit_msg)
             bptrL += 1
             act = np.flatnonzero(settledflat[laneM + p] < 0)
             if act.size == 0:
@@ -688,10 +793,10 @@ def batched_uniform_idla(
         extra *= skip
         ticksL += 1
         if check_budget and (ticksL > budget).any():
-            raise RuntimeError(f"uniform IDLA exceeded max_ticks={max_ticks}")
+            raise RuntimeError(limit_msg)
         ticksL += extra
         if check_budget and (ticksL > budget).any():
-            raise RuntimeError(f"uniform IDLA exceeded max_ticks={max_ticks}")
+            raise RuntimeError(limit_msg)
         # scheduler pick + walk step
         sidx = base + skip
         i = (bufflat[sidx] * kfL).astype(np.int64)
@@ -731,12 +836,19 @@ def batched_uniform_idla(
             logqL, ticksL, bptrL = logqL[keep], ticksL[keep], bptrL[keep]
             laneM, laneN, laneB = laneM[keep], laneN[keep], laneB[keep]
 
-    if store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
+    return _uniform_results(
+        g, starts2d, stepsflat, settledflat, orders, final_ticks,
+        _finalize(store, record), schedules,
+    )
+
+
+def _uniform_results(
+    g, starts2d, stepsflat, settledflat, orders, final_ticks, traj_all,
+    schedules,
+) -> list[DispersionResult]:
+    """Per-repetition result assembly of :func:`batched_uniform_idla`."""
+    R, m = starts2d.shape
+    n = g.n
     results = []
     for r in range(R):
         row = slice(r * m, (r + 1) * m)
@@ -790,8 +902,7 @@ def batched_continuous_sequential_idla(
     # local import: batched_sequential_idla lives beside _resolve_generators
     from repro.core.batched import batched_sequential_idla
 
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_positive_finite("rate", rate)
     gens = _resolve_generators(seeds, seed, reps)
     if not gens:
         return []

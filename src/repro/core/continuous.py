@@ -35,10 +35,16 @@ from repro.core.sequential import sequential_idla
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_positive_finite
 from repro.walks.continuous import poissonise_steps
 
 __all__ = ["ctu_idla", "continuous_sequential_idla"]
+
+#: Fetch-block size of :func:`ctu_idla`'s :class:`UniformStream` (its
+#: default).  Like ``repro.core.uniform._BLOCK`` it never influences a
+#: result; it is a module constant so tests can vary it, and so the
+#: compiled per-repetition loop fetches on the same grid.
+_BLOCK = 16384
 
 
 def ctu_idla(
@@ -71,8 +77,7 @@ def ctu_idla(
         raise ValueError(
             f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_positive_finite("rate", rate)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     adj = g.adjacency_lists()
@@ -90,7 +95,7 @@ def ctu_idla(
     pool = UnsettledPool(
         settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order)
     )
-    stream = UniformStream(rng)
+    stream = UniformStream(rng, block=_BLOCK)
 
     clock = 0.0
     k = len(pool)
@@ -159,6 +164,7 @@ def continuous_sequential_idla(
     the jumps").  ``dispersion_time`` is ``max_i`` duration, the time the
     slowest particle took to settle.
     """
+    check_positive_finite("rate", rate)
     rng = as_generator(seed)
     discrete = sequential_idla(g, origin, seed=rng, record=record)
     durations = poissonise_steps(discrete.steps, rng, rate=rate)

@@ -35,7 +35,7 @@ from repro.core.settlement import select_settlers, settle_vacant_starts
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_limit
 from repro.walks.engine import WalkEngine
 
 __all__ = ["parallel_idla"]
@@ -94,10 +94,10 @@ def parallel_idla(
         raise ValueError(f"num_particles must be >= 1, got {m}")
     if tie_break not in ("index", "random"):
         raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
+    budget = check_limit("max_rounds", max_rounds)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     use_default_rule = rule is None or rule is standard_rule
-    budget = float("inf") if max_rounds is None else float(max_rounds)
 
     if tie_break == "index":
         priority = np.arange(m, dtype=np.int64)

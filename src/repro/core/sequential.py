@@ -27,7 +27,7 @@ from repro.core.settlement import instant_settle_chain
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_limit
 
 __all__ = ["sequential_idla"]
 
@@ -96,6 +96,7 @@ def sequential_idla(
         raise ValueError(
             f"sequential IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
+    budget = check_limit("max_total_steps", max_total_steps)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     use_default_rule = rule is None or rule is standard_rule
@@ -109,7 +110,6 @@ def sequential_idla(
     # block-buffered uniforms, inlined for speed
     buf = rng.random(_BLOCK)
     bi = 0
-    budget = float("inf") if max_total_steps is None else float(max_total_steps)
     total = 0
 
     particle = 0

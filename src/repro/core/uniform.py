@@ -44,7 +44,7 @@ from repro.core.results import DispersionResult
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_limit
 
 __all__ = ["uniform_idla", "sample_schedule"]
 
@@ -96,6 +96,7 @@ def uniform_idla(
         raise ValueError(
             f"uniform IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
+    budget = check_limit("max_ticks", max_ticks)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     adj = g.adjacency_lists()
@@ -117,7 +118,6 @@ def uniform_idla(
     schedule: list[int] | None = [] if faithful_r else None
 
     ticks = 0
-    budget = float("inf") if max_ticks is None else float(max_ticks)
     k = len(pool)
     pool_size = max(m - 1, 1)
     logq = 0.0

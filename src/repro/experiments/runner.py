@@ -40,7 +40,7 @@ from repro.core.anytime import AdaptiveInfo, Precision, TauAccumulator
 from repro.core.batched import (
     batched_parallel_idla,
     batched_sequential_idla,
-    sequential_loop_kernels,
+    per_rep_loop_kernels,
 )
 from repro.core.batched_continuous import (
     batched_continuous_sequential_idla,
@@ -213,10 +213,10 @@ def _validate_driver_kwargs(process: str, kwargs: dict) -> None:
 #: dispatch overhead to pay off.  The tick-scheduled processes (uniform,
 #: ctu, c-sequential) batch one walking particle per repetition, so their
 #: crossovers sit far above parallel's repetitions × particles width.
-#: Sequential and c-sequential skip this threshold whenever their batched
-#: driver can run each repetition in one compiled loop (see
-#: ``_sequential_loop_route``); 64 is then only the crossover of their
-#: numpy lock-step body.
+#: Sequential, c-sequential, uniform and ctu skip this threshold whenever
+#: their batched driver can run each repetition in one compiled loop (see
+#: :func:`~repro.core.batched.per_rep_loop_kernels`); the numbers are
+#: then only the crossovers of their numpy lock-step bodies.
 _BATCHED_MIN_REPS = {
     "parallel": 4,
     "sequential": 64,
@@ -272,33 +272,25 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
     rule = kwargs.get("rule")
     if rule is not None and type(rule) not in _PURE_RULE_TYPES:
         return False
-    return reps >= _BATCHED_MIN_REPS[process] or _sequential_loop_route(
-        process, g, kwargs
-    )
-
-
-def _sequential_loop_route(process: str, g: Graph, kwargs) -> bool:
-    """Whether the batched driver runs each repetition in one compiled loop.
-
-    Sequential-IDLA has one walker per repetition; that route was
-    measured faster than the serial oracle at 1 to 256 repetitions and
-    than lock-step at 64 and 256 (see ``docs/kernels.md``).  The gates are the driver's
-    own (``sequential_loop_kernels``), plus the default
-    ``tail_threshold``: an explicit one pins the lock-step body.  An
-    unknown ``kernels`` name raises here, as the batched
-    driver would; a known but unavailable provider falls back to the
-    serial oracle, which never needed it.
-    """
-    if process not in ("sequential", "c-sequential"):
-        return False
+    if reps >= _BATCHED_MIN_REPS[process]:
+        return True
+    # Below the lock-step crossover, batch only if the driver runs each
+    # repetition in one compiled loop: measured faster than the serial
+    # oracle from 1 repetition up (see docs/kernels.md).  The gates are
+    # the drivers' own, plus sequential's default tail_threshold (an
+    # explicit one pins the lock-step body).  An unknown kernels name
+    # raises here, as the batched driver would; a known but unavailable
+    # provider falls back to the serial oracle, which never needed it.
     if kwargs.get("tail_threshold") is not None:
         return False
     try:
-        kern = sequential_loop_kernels(
+        kern = per_rep_loop_kernels(
+            process,
             g,
             kernels=kwargs.get("kernels"),
             record=kwargs.get("record", False),
             rule=kwargs.get("rule"),
+            faithful_r=kwargs.get("faithful_r", False),
         )
     except KernelsUnavailableError:
         return False

@@ -30,7 +30,7 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  A provider passes a load-time
-self-check (:func:`_self_check`) exercising all seven entry points before
+self-check (:func:`_self_check`) exercising all nine entry points before
 it can be selected, so a miscompiled or mis-installed provider fails at
 resolution, not mid-run.
 """
@@ -295,6 +295,59 @@ class CompiledKernels(KernelSet):
                 raise RuntimeError(limit_msg)
             buf = tail.take_block()
 
+    # ---- per-repetition tick-process loops ---------------------------
+    # One whole repetition of CTU-/Uniform-IDLA per call, from its time-0
+    # state: pool[:k] the unsettled particles, order[:norder] the settle
+    # order so far; the row arrays are updated in place.  Each buffer
+    # comes with its numpy log lane, and the unconsumed tail of a buffer
+    # (at most 2 doubles: the loops stop before a tick they cannot finish)
+    # is carried in front of the next block, so whole blocks are fetched
+    # exactly when the serial driver's UniformStream fetches them.
+    def finish_ctu(
+        self, indptr, indices, occ_row, pool, pos_row, steps_row,
+        settled_row, clock_row, order, stream, *, k, norder, rate,
+    ) -> float:
+        """Compiled :func:`repro.core.continuous.ctu_idla` tick loop;
+        returns the repetition's final clock."""
+        state = np.array([k, norder, 0], dtype=np.int64)
+        clock = np.zeros(1, dtype=np.float64)
+        occ = _u8(occ_row)
+        buf = stream.take_block()
+        while True:
+            status = self._impl.run_ctu(
+                indptr, indices, occ, pool, pos_row, steps_row, settled_row,
+                clock_row, order, buf, np.log1p(-buf), buf.shape[0], state,
+                clock, float(rate),
+            )
+            if status == 1:
+                return float(clock[0])
+            buf = np.concatenate((buf[state[2] :], stream.take_block()))
+
+    def finish_uniform(
+        self, indptr, indices, occ_row, pool, pos_row, steps_row,
+        settled_row, order, stream, *, k, norder, logq, budget, limit_msg,
+    ) -> int:
+        """Compiled :func:`repro.core.uniform.uniform_idla` tick loop
+        (default scheduler); returns the repetition's tick count.
+
+        ``logq[j]`` is ``np.log1p(-(j / pool_size))`` for
+        ``j < pool_size = logq.shape[0]``, the geometric-skip divisor.
+        """
+        state = np.array([k, norder, 0, 0], dtype=np.int64)
+        occ = _u8(occ_row)
+        buf = stream.take_block()
+        while True:
+            status = self._impl.run_uniform(
+                indptr, indices, occ, pool, pos_row, steps_row, settled_row,
+                order, buf, np.log1p(-buf), buf.shape[0], logq,
+                logq.shape[0], state, budget,
+            )
+            if status == 1:
+                return int(state[2])
+            if status < 0:
+                raise RuntimeError(limit_msg)
+            buf = np.concatenate((buf[state[3] :], stream.take_block()))
+
     # ---- single-walker loops -----------------------------------------
     def walk_positions(self, indptr, indices, out, rng, block: int):
         """Compiled :func:`repro.walks.single.random_walk` loop.
@@ -421,6 +474,40 @@ def _self_check(ks: CompiledKernels) -> None:
         _BlockFeeder([[0.9, 0.9]]), 2, float("inf"), "self-check",
     )
     assert hits == 2, hits
+
+    # three particles from vertex 0, particle 0 settled at time 0; the
+    # second tick straddles the first buffer's end in both loops
+    def tick_state():
+        occ = np.array([1, 0, 0], dtype=np.uint8)
+        rows = [np.array(a, dtype=np.int64) for a in (
+            [1, 2], [0, 0, 0], [0, 0, 0], [0, -1, -1], [0, -1, -1],
+        )]
+        return occ, rows
+
+    occ, (pool, pos, steps_row, settled_row, order) = tick_state()
+    clock_row = np.zeros(3)
+    clock = ks.finish_ctu(
+        indptr, indices, occ, pool, pos, steps_row, settled_row, clock_row,
+        order, _BlockFeeder([[0.5, 0.9, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0, 0.9]]),
+        k=2, norder=1, rate=1.0,
+    )
+    dt = -float(np.log1p(-0.5))
+    assert clock == dt / 2.0 + dt + dt, clock
+    assert clock_row.tolist() == [0.0, clock, dt / 2.0], clock_row
+    assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
+    assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
+
+    occ, (pool, pos, steps_row, settled_row, order) = tick_state()
+    ticks = ks.finish_uniform(
+        indptr, indices, occ, pool, pos, steps_row, settled_row, order,
+        _BlockFeeder([[0.9, 0.0, 0.8], [0.0, 0.0, 0.0, 0.0, 0.9]]),
+        k=2, norder=1, logq=np.log1p(-(np.arange(2) / 2)),
+        budget=float("inf"), limit_msg="self-check",
+    )
+    # skips: int(log1p(-0.8) / log1p(-0.5)) = 2, then 0
+    assert ticks == 5, ticks
+    assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
+    assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
 
 
 # ----------------------------------------------------------------------

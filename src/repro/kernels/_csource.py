@@ -1,12 +1,14 @@
 """C source for the cffi kernel provider.
 
-One translation unit, compiled with plain ``-O2`` (never ``-ffast-math``:
-the offset computation ``(i64)(u * (double)deg)`` must be the same IEEE
-double multiply + truncation the numpy path performs, or the bit-identity
-contract of :mod:`repro.kernels` breaks).  The functions mirror, line for
+One translation unit, compiled with plain ``-O2 -ffp-contract=off``
+(never ``-ffast-math``: the offset computation ``(i64)(u * (double)deg)``
+and the CTU clock update must be the same IEEE double operations the
+numpy path performs, or the bit-identity contract of
+:mod:`repro.kernels` breaks).  The functions mirror, line for
 line, the numpy round bodies in :mod:`repro.core.batched` and the scalar
 micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
-:mod:`repro.walks.single` — every behavioural quirk (the *unclamped*
+:mod:`repro.walks.single` and the tick loops of ``ctu_idla`` /
+``uniform_idla`` — every behavioural quirk (the *unclamped*
 ``int(u * deg)`` of the scalar loops, the clamped vector step, the draw
 order around the budget checks) is deliberate and pinned by
 ``tests/test_differential_drivers.py``.
@@ -41,6 +43,16 @@ i64 repro_walk_fill(const i64 *indptr, const i64 *indices, i64 *out,
 i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
                    const unsigned char *hit, const double *buf, i64 nbuf,
                    i64 *state, double limit);
+i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
+                  i64 *pool, i64 *pos, i64 *steps, i64 *settled,
+                  double *sclock, i64 *order, const double *buf,
+                  const double *lg, i64 nbuf, i64 *state, double *clock,
+                  double rate);
+i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
+                      unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
+                      i64 *settled, i64 *order, const double *buf,
+                      const double *lg, i64 nbuf, const double *logq,
+                      i64 pool_size, i64 *state, double budget);
 """
 
 C_SOURCE = """
@@ -249,5 +261,92 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
             return -1;
         }
     }
+}
+
+/* One CTU-IDLA repetition (ctu_idla's tick loop), from its time-0 state:
+ * pool[0..k) holds the unsettled particles (swap-remove order), order[]
+ * the settle order so far.  Per tick, three doubles: the clock advance
+ * -log1p(-u)/(k*rate) read from the caller's log lane `lg` (libm log1p
+ * is not bit-identical to numpy's), the clamped pool slot, the clamped
+ * step.  state = [k, settled-order length, consumed]; returns 1 when
+ * every particle settled, 0 before a tick whose doubles are not all in
+ * the buffer (resume with the unconsumed tail in front of a new one). */
+i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
+                  i64 *pool, i64 *pos, i64 *steps, i64 *settled,
+                  double *sclock, i64 *order, const double *buf,
+                  const double *lg, i64 nbuf, i64 *state, double *clock,
+                  double rate)
+{
+    i64 k = state[0], no = state[1], i = 0;
+    double c = clock[0];
+    while (k) {
+        if (i + 3 > nbuf) break;
+        c += -lg[i] / ((double)k * rate);
+        i64 s = (i64)(buf[i + 1] * (double)k);
+        if (s > k - 1) s = k - 1;
+        i64 p = pool[s];
+        i64 b = indptr[pos[p]];
+        i64 d = indptr[pos[p] + 1] - b;
+        i64 off = (i64)(buf[i + 2] * (double)d);
+        if (off > d - 1) off = d - 1;
+        i64 v = indices[b + off];
+        i += 3;
+        pos[p] = v;
+        steps[p] += 1;
+        if (occ[v]) continue;
+        occ[v] = 1;
+        settled[p] = v;
+        sclock[p] = c;
+        order[no++] = p;
+        pool[s] = pool[--k];
+    }
+    state[0] = k; state[1] = no; state[2] = i;
+    clock[0] = c;
+    return k == 0;
+}
+
+/* One Uniform-IDLA repetition (uniform_idla's default-mode tick loop),
+ * state laid out as in repro_run_ctu plus the tick count:
+ * state = [k, settled-order length, ticks, consumed].  Per tick: the
+ * budget check, then -- only while k < pool_size -- the geometric skip
+ * (i64)(log1p(-u) / logq[k]) of wasted ticks and the budget check again,
+ * then the clamped pool slot and the clamped step.  logq[k] is the
+ * caller's numpy log1p(-k/pool_size).  Returns 1 done, 0 before a tick
+ * whose 2-3 doubles are not all in the buffer, -1 on budget excess. */
+i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
+                      unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
+                      i64 *settled, i64 *order, const double *buf,
+                      const double *lg, i64 nbuf, const double *logq,
+                      i64 pool_size, i64 *state, double budget)
+{
+    i64 k = state[0], no = state[1], t = state[2], i = 0, status = 1;
+    while (k) {
+        i64 skip = k < pool_size;
+        if (i + 2 + skip > nbuf) { status = 0; break; }
+        t += 1;
+        if ((double)t > budget) { status = -1; break; }
+        if (skip) {
+            t += (i64)(lg[i++] / logq[k]);
+            if ((double)t > budget) { status = -1; break; }
+        }
+        i64 s = (i64)(buf[i] * (double)k);
+        if (s > k - 1) s = k - 1;
+        i64 p = pool[s];
+        i64 b = indptr[pos[p]];
+        i64 d = indptr[pos[p] + 1] - b;
+        i64 off = (i64)(buf[i + 1] * (double)d);
+        if (off > d - 1) off = d - 1;
+        i64 v = indices[b + off];
+        i += 2;
+        pos[p] = v;
+        steps[p] += 1;
+        if (occ[v]) continue;
+        occ[v] = 1;
+        settled[p] = v;
+        order[no++] = p;
+        pool[s] = pool[--k];
+    }
+    state[0] = k; state[1] = no; state[2] = t; state[3] = i;
+    return status;
 }
 """

@@ -3,11 +3,15 @@
 The provider that makes the compiled layer available wherever a C
 compiler is.  ``load()`` compiles
 :data:`repro.kernels._csource.C_SOURCE` once into a shared object cached
-under a source-hash-keyed path (``$REPRO_KERNELS_CACHE``, defaulting to a
-per-user directory below the system temp dir) and opens it in cffi ABI
-mode; subsequent processes reuse the cached ``.so`` without recompiling.
+under a path keyed on the source *and* the full compiler command
+(``$REPRO_KERNELS_CACHE``, defaulting to a per-user directory below the
+system temp dir) and opens it in cffi ABI mode; subsequent processes
+reuse the cached ``.so`` without recompiling, and a library built under
+one ``$CC`` is never picked up under another.
 
-Only plain ``-O2`` is passed (see the bit-identity note in ``_csource``).
+Only ``-O2 -ffp-contract=off`` is added to ``$CC`` (see the bit-identity
+note in ``_csource``); the explicit ``-ffp-contract=off`` keeps FMA
+contraction off whatever flags ``$CC`` carries.
 Build failures raise with the compiler's stderr attached; the registry
 turns that into a clean fallback under auto-detection and a loud error
 when the provider was requested explicitly.
@@ -35,21 +39,23 @@ def _cache_dir() -> str:
 
 def _ensure_built() -> str:
     """Compile the kernel source (once) and return the shared-object path."""
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
+    # CC may carry flags ("cc -std=c99"), as in make
+    cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
+    argv = [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+    key = "\0".join([C_SOURCE, *argv])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     cache = _cache_dir()
     so_path = os.path.join(cache, f"repro_kernels_{digest}.so")
     if os.path.exists(so_path):
         return so_path
     os.makedirs(cache, exist_ok=True)
-    # CC may carry flags ("cc -std=c99"), as in make
-    cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
     fd, c_path = tempfile.mkstemp(dir=cache, suffix=".c")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(C_SOURCE)
         tmp_so = c_path[:-2] + ".so"
         proc = subprocess.run(
-            [*cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
+            [*argv, "-o", tmp_so, c_path],
             capture_output=True,
             text=True,
         )
@@ -129,6 +135,20 @@ def load() -> SimpleNamespace:
             lib.repro_walk_hit(
                 pi(indptr), pi(indices), pu(hit), pd(buf), nbuf,
                 pi(state), limit,
+            )
+        ),
+        run_ctu=lambda indptr, indices, occ, pool, pos, steps, settled,
+        sclock, order, buf, lg, nbuf, state, clock, rate: lib.repro_run_ctu(
+            pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
+            pi(settled), pd(sclock), pi(order), pd(buf), pd(lg), nbuf,
+            pi(state), pd(clock), rate,
+        ),
+        run_uniform=lambda indptr, indices, occ, pool, pos, steps, settled,
+        order, buf, lg, nbuf, logq, pool_size, state, budget: (
+            lib.repro_run_uniform(
+                pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos),
+                pi(steps), pi(settled), pi(order), pd(buf), pd(lg), nbuf,
+                pd(logq), pool_size, pi(state), budget,
             )
         ),
     )

@@ -6,14 +6,18 @@ Hot loops never call these; they guard public API boundaries only, per the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "check_positive",
+    "check_positive_finite",
     "check_nonnegative",
     "check_fraction",
     "check_index",
     "check_integer",
+    "check_limit",
     "check_probability_vector",
 ]
 
@@ -41,6 +45,31 @@ def check_positive(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
+def check_positive_finite(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and ``> 0``.
+
+    For rates: ``nan`` would make every clock ``nan`` and ``inf`` every
+    duration zero, and neither fails any ``> 0`` comparison loudly.
+    """
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_limit(name: str, value) -> float:
+    """A step/tick/round cap as a float (``None``: no cap, ``inf``).
+
+    NaN raises ``ValueError``: ``t > nan`` is always false, so a NaN cap
+    would silently disable the limit.  Infinite and negative caps are
+    accepted (never exceeded / exceeded at the first step).
+    """
+    if value is None:
+        return float("inf")
+    budget = float(value)
+    if math.isnan(budget):
+        raise ValueError(f"{name} must not be NaN, got {value!r}")
+    return budget
 
 
 def check_nonnegative(name: str, value) -> None:

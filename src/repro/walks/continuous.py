@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_positive_finite
 
 __all__ = ["poissonise_steps", "exponential_race"]
 
@@ -33,8 +34,7 @@ def poissonise_steps(step_counts, seed=None, *, rate: float = 1.0) -> np.ndarray
     counts = np.asarray(step_counts, dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("step counts must be >= 0")
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_positive_finite("rate", rate)
     out = np.zeros(counts.shape, dtype=np.float64)
     pos = counts > 0
     out[pos] = rng.gamma(shape=counts[pos].astype(np.float64), scale=1.0 / rate)

@@ -83,7 +83,12 @@ CSEQ_VARIANTS = [
 ]
 
 
-def run_pair(serial_driver, batched_driver, g, variant, extras=()):
+#: Every provider available here: numpy runs the lock-step bodies, a
+#: compiled one the per-repetition loops of uniform and ctu.
+PROVIDERS = [name for name, ok in sorted(available_kernels().items()) if ok]
+
+
+def run_pair(serial_driver, batched_driver, g, variant, extras=(), kernels=None):
     kwargs = dict(variant)
     origin = kwargs.pop("origin", 0)
     serial = [
@@ -91,7 +96,8 @@ def run_pair(serial_driver, batched_driver, g, variant, extras=()):
         for s in spawn_seed_sequences(PARENT_SEED, REPS)
     ]
     batch = batched_driver(
-        g, origin, seeds=spawn_seed_sequences(PARENT_SEED, REPS), **kwargs
+        g, origin, seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+        kernels=kernels, **kwargs,
     )
     assert_results_identical(serial, batch, extras)
     return batch
@@ -102,9 +108,12 @@ def run_pair(serial_driver, batched_driver, g, variant, extras=()):
     "variant", CTU_VARIANTS, ids=lambda v: ",".join(sorted(v)) or "classic"
 )
 def test_batched_ctu_bit_identical(g, variant):
-    batch = run_pair(ctu_idla, batched_ctu_idla, g, variant, ["settle_clock"])
-    for res in batch:
-        assert res.settle_clock.max() == res.dispersion_time
+    for kernels in PROVIDERS:
+        batch = run_pair(
+            ctu_idla, batched_ctu_idla, g, variant, ["settle_clock"], kernels
+        )
+        for res in batch:
+            assert res.settle_clock.max() == res.dispersion_time
 
 
 @pytest.mark.parametrize("g", graph_cases(), ids=lambda g: g.name)
@@ -112,9 +121,12 @@ def test_batched_ctu_bit_identical(g, variant):
     "variant", UNIFORM_VARIANTS, ids=lambda v: ",".join(sorted(v)) or "classic"
 )
 def test_batched_uniform_bit_identical(g, variant):
-    batch = run_pair(uniform_idla, batched_uniform_idla, g, variant)
-    for res in batch:
-        assert res.ticks >= res.total_steps
+    for kernels in PROVIDERS:
+        batch = run_pair(
+            uniform_idla, batched_uniform_idla, g, variant, (), kernels
+        )
+        for res in batch:
+            assert res.ticks >= res.total_steps
 
 
 @pytest.mark.parametrize("g", graph_cases(), ids=lambda g: g.name)
@@ -165,9 +177,11 @@ def test_batched_single_particle_no_draws():
 
 @pytest.mark.parametrize("block", [3, 7, 64])
 def test_batched_block_size_invariance(monkeypatch, block):
-    """The per-repetition buffers replay one uniform-double stream; any
+    """The lock-step buffers replay one uniform-double stream; any
     refill chunking — including blocks that straddle a tick's 3-double
-    consumption — must reproduce the serial results exactly."""
+    consumption — must reproduce the serial results exactly.  (The
+    numpy provider pins the lock-step body; the compiled per-repetition
+    loops fetch serial-sized blocks, varied in ``tests/test_kernels.py``.)"""
     g = cycle_graph(24)
 
     def seeds():
@@ -177,9 +191,13 @@ def test_batched_block_size_invariance(monkeypatch, block):
     ref_uni = [uniform_idla(g, seed=s) for s in seeds()]
     monkeypatch.setattr(bc, "_BLOCK", block)
     assert_results_identical(
-        ref_ctu, batched_ctu_idla(g, seeds=seeds()), ["settle_clock"]
+        ref_ctu,
+        batched_ctu_idla(g, seeds=seeds(), kernels="numpy"),
+        ["settle_clock"],
     )
-    assert_results_identical(ref_uni, batched_uniform_idla(g, seeds=seeds()))
+    assert_results_identical(
+        ref_uni, batched_uniform_idla(g, seeds=seeds(), kernels="numpy")
+    )
 
 
 @pytest.mark.parametrize("block", [3, 7, 64])
@@ -226,8 +244,11 @@ def test_serial_stream_block_invariance():
 
 def test_batched_budget_errors_match_serial():
     g = cycle_graph(64)
-    with pytest.raises(RuntimeError, match="max_ticks=3"):
-        batched_uniform_idla(g, seeds=spawn_seed_sequences(0, 3), max_ticks=3)
+    for kernels in PROVIDERS:
+        with pytest.raises(RuntimeError, match="max_ticks=3"):
+            batched_uniform_idla(
+                g, seeds=spawn_seed_sequences(0, 3), max_ticks=3, kernels=kernels
+            )
     with pytest.raises(RuntimeError, match="max_ticks=3"):
         uniform_idla(g, seed=0, max_ticks=3)
 
@@ -249,6 +270,59 @@ def test_batched_argument_validation():
     assert batched_ctu_idla(g, reps=0) == []
     assert batched_uniform_idla(g, reps=0) == []
     assert batched_continuous_sequential_idla(g, reps=0) == []
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+@pytest.mark.parametrize("process", ["ctu", "c-sequential"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_non_finite_rate_rejected_before_any_repetition(process, rate, batched):
+    """``nan`` used to return all-NaN samples and ``inf`` all-zero ones;
+    both now fail up front in every mode."""
+    g = cycle_graph(16)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_dispersion(g, process, reps=4, seed=1, rate=rate, batched=batched)
+    with pytest.raises(ValueError, match="finite"):
+        BATCHED_DRIVERS[process](g, reps=4, seed=1, rate=rate)
+
+
+#: The step/tick/round cap of each process with one.
+LIMITS = {
+    "parallel": "max_rounds",
+    "sequential": "max_total_steps",
+    "uniform": "max_ticks",
+}
+
+
+@pytest.mark.parametrize("batched", [False, "auto"])
+@pytest.mark.parametrize("process", sorted(LIMITS))
+def test_nan_limit_rejected_before_any_repetition(process, batched, monkeypatch):
+    """``t > nan`` is always false, so a NaN cap used to disable the
+    limit silently; it now raises before any repetition finishes, while
+    an infinite cap still means "no cap"."""
+    g = cycle_graph(16)
+    name = LIMITS[process]
+    finished = []
+    for registry in (PROCESS_DRIVERS, BATCHED_DRIVERS):
+        fn = registry[process]
+
+        def tracked(*args, _fn=fn, **kwargs):
+            out = _fn(*args, **kwargs)
+            finished.append(out)
+            return out
+
+        monkeypatch.setitem(registry, process, functools.wraps(fn)(tracked))
+    for reps in (2, 64):
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            estimate_dispersion(
+                g, process, reps=reps, seed=0, batched=batched,
+                **{name: float("nan")},
+            )
+    assert finished == []
+    est = estimate_dispersion(
+        g, process, reps=2, seed=0, batched=batched, **{name: float("inf")}
+    )
+    ref = estimate_dispersion(g, process, reps=2, seed=0, batched=batched)
+    assert np.array_equal(est.samples, ref.samples)
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +392,8 @@ def test_runner_batched_rejects_unsupported_kwargs():
 
 def test_runner_auto_dispatch_thresholds():
     """Auto dispatch per kernel provider available here: a compiled one
-    moves the sequential crossovers, numpy keeps them."""
+    moves the sequential, c-sequential, uniform and ctu crossovers to a
+    single repetition, numpy keeps them."""
     providers = [name for name, ok in sorted(available_kernels().items()) if ok]
     assert "numpy" in providers
     for kernels in providers:
@@ -332,28 +407,31 @@ def _check_auto_dispatch_thresholds(kernels):
     g = cycle_graph(64)
     kw = {"kernels": kernels}
     for process in ("uniform", "ctu"):
-        assert _use_batched(process, g, 16, 1, kw, "auto")
-        assert not _use_batched(process, g, 15, 1, kw, "auto")
         # huge repetition counts batch too: the streaming buffers bound
         # their allocation, so there is no memory decline any more
         assert _use_batched(process, g, 50000, 1, kw, "auto")
     assert not _use_batched("uniform", g, 16, 2, kw, "auto")  # process pool
 
     compiled = get_kernels(kernels).compiled
-    for process in ("sequential", "c-sequential"):
-        assert _use_batched(process, g, 64, 1, kw, "auto")
+    crossovers = {"sequential": 64, "c-sequential": 64, "uniform": 16, "ctu": 16}
+    for process, crossover in crossovers.items():
+        assert _use_batched(process, g, crossover, 1, kw, "auto")
         # a compiled provider runs each repetition in one compiled loop,
         # which wins at any repetition count; numpy keeps the crossover
-        for reps in (1, 63):
+        for reps in (1, crossover - 1):
             assert _use_batched(process, g, reps, 1, kw, "auto") == compiled
-        # no compiled loop for these: numpy lock-step crossover at 64
+        # no compiled loop for these: numpy lock-step crossover
         for graph, extra in (
             (g, {"kernels": "numpy"}),
             (g, dict(kw, record=True)),
             (cycle_graph(64, implicit=True), kw),
         ):
-            assert _use_batched(process, graph, 64, 1, extra, "auto")
-            assert not _use_batched(process, graph, 63, 1, extra, "auto")
+            assert _use_batched(process, graph, crossover, 1, extra, "auto")
+            assert not _use_batched(process, graph, crossover - 1, 1, extra, "auto")
+    # the literal-schedule scheduler has no compiled loop either
+    faithful = dict(kw, faithful_r=True)
+    assert _use_batched("uniform", g, 16, 1, faithful, "auto")
+    assert not _use_batched("uniform", g, 15, 1, faithful, "auto")
     for extra in (
         dict(kw, rule=DelayedRule(2)),  # pure, but not the default rule
         dict(kw, tail_threshold=16),  # an explicit threshold pins lock-step
@@ -366,12 +444,12 @@ def _check_auto_dispatch_thresholds(kernels):
         assert not _use_batched("sequential", g, reps, 1, impure, "auto")
 
 
-@pytest.mark.parametrize("process", ["sequential", "c-sequential"])
+@pytest.mark.parametrize("process", ["sequential", "c-sequential", "uniform", "ctu"])
 def test_auto_dispatch_rejects_unknown_names_at_any_reps(process):
-    """Auto dispatch resolves ``kernels`` for sequential and c-sequential
-    at every repetition count, so an unknown name fails below the
-    64-repetition crossover too, as it does above it; a known provider
-    that is not installed still runs the serial oracle."""
+    """Auto dispatch resolves ``kernels`` for the processes with a
+    per-repetition route at every repetition count, so an unknown name
+    fails below the lock-step crossover too, as it does above it; a
+    known provider that is not installed still runs the serial oracle."""
     g = cycle_graph(16)
     for reps in (1, 64):
         with pytest.raises(ValueError, match="no-such"):

@@ -227,6 +227,13 @@ class TestContinuous:
         with pytest.raises(ValueError):
             ctu_idla(c8, rate=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_continuous_drivers_reject_non_finite_rate(self, c8, rate):
+        # nan made every clock nan and inf every duration 0, silently
+        for driver in (ctu_idla, continuous_sequential_idla):
+            with pytest.raises(ValueError, match="finite"):
+                driver(c8, seed=1, rate=rate)
+
     def test_continuous_sequential_duration_close_to_steps(self):
         g = grid_graph(5, 5)
         res = continuous_sequential_idla(g, 0, seed=21)

@@ -363,7 +363,8 @@ def test_kernels_deep_tail_and_budget(kernels):
 COMPILED_PROVIDERS = [p for p in KERNEL_PROVIDERS if p.values[0] != "numpy"]
 
 #: Driver variants of the per-repetition route; c-sequential has no lazy
-#: walk and no ``num_particles`` knob.
+#: walk and no ``num_particles`` knob.  The budget variant runs the tick
+#: processes in cohorts of two repetitions.
 PER_REP_VARIANTS = {
     "sequential": {
         "plain": {},
@@ -375,16 +376,43 @@ PER_REP_VARIANTS = {
         "plain": {},
         "uniform-origin": {"origin": "uniform"},
     },
+    "uniform": {
+        "plain": {},
+        "m<n": {"num_particles": 10},
+        "uniform-origin": {"origin": "uniform"},
+        "state-budget": {"state_budget": StateBudget(particles=48)},
+    },
+    "ctu": {
+        "plain": {},
+        "m<n": {"num_particles": 10},
+        "uniform-origin": {"origin": "uniform"},
+        "rate": {"rate": 0.5},
+        "state-budget": {"state_budget": StateBudget(particles=48)},
+    },
 }
+
+#: The sequential family's route, and the tick processes' route.
+SEQ_ROUTE = ("sequential", "c-sequential")
+TICK_ROUTE = ("uniform", "ctu")
 
 
 @pytest.fixture
 def route_calls(monkeypatch):
-    """Count the compiled loop, the fused step and the numpy step."""
+    """Count the compiled loops, the fused step and the numpy steppers
+    (``neighbor_step`` of the synchronous drivers, the tick drivers'
+    ``_make_stepper``)."""
     import repro.core.batched as batched
+    import repro.core.batched_continuous as batched_continuous
     from repro.kernels import CompiledKernels
 
-    calls = {"finish_sequential": 0, "csr_step": 0, "neighbor_step": 0}
+    calls = {
+        "finish_sequential": 0,
+        "finish_uniform": 0,
+        "finish_ctu": 0,
+        "csr_step": 0,
+        "neighbor_step": 0,
+        "_make_stepper": 0,
+    }
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -396,8 +424,11 @@ def route_calls(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(CompiledKernels, "finish_sequential")
+    counted(CompiledKernels, "finish_uniform")
+    counted(CompiledKernels, "finish_ctu")
     counted(CompiledKernels, "csr_step")
     counted(batched, "neighbor_step")
+    counted(batched_continuous, "_make_stepper")
     return calls
 
 
@@ -405,7 +436,7 @@ def route_calls(monkeypatch):
 @pytest.mark.parametrize("reps", [1, 16, 63, 64])
 @pytest.mark.parametrize(
     "process,variant",
-    [(p, v) for p, variants in PER_REP_VARIANTS.items() for v in variants],
+    [(p, v) for p in SEQ_ROUTE for v in PER_REP_VARIANTS[p]],
 )
 def test_sequential_per_rep_route_matches_serial_oracle(
     process, variant, reps, kernels, route_calls
@@ -428,10 +459,8 @@ def test_sequential_per_rep_route_matches_serial_oracle(
     assert np.array_equal(est.samples, serial.samples)
     assert np.array_equal(est.total_samples, serial.total_samples)
     # the route: no lock-step tick at all, one compiled call per repetition
-    assert route_calls == {
-        "finish_sequential": reps,
-        "csr_step": 0,
-        "neighbor_step": 0,
+    assert route_calls == dict.fromkeys(route_calls, 0) | {
+        "finish_sequential": reps
     }
 
     seeds = spawn_seed_sequences(PARENT_SEED, reps)
@@ -458,6 +487,99 @@ def test_sequential_per_rep_route_matches_serial_oracle(
         assert messages[0] == messages[1] == (
             "sequential IDLA exceeded max_total_steps=50"
         )
+
+
+@pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
+@pytest.mark.parametrize("reps", [1, 15, 16, 64])
+@pytest.mark.parametrize(
+    "process,variant",
+    [(p, v) for p in TICK_ROUTE for v in PER_REP_VARIANTS[p]],
+)
+def test_tick_per_rep_route_matches_serial_oracle(
+    process, variant, reps, kernels, route_calls
+):
+    """Uniform-IDLA and CTU-IDLA take the per-repetition route at any
+    repetition count under auto dispatch with a compiled provider: one
+    compiled loop per repetition that has unsettled particles and no
+    lock-step tick, bit-identical to the serial oracle including the
+    tick clock and CTU's ``settle_clock``."""
+    kwargs = dict(PER_REP_VARIANTS[process][variant])
+    origin = kwargs.pop("origin", 0)
+    budget = kwargs.pop("state_budget", None)
+    serial = estimate_dispersion(
+        GRAPH, process, origin=origin, reps=reps, seed=PARENT_SEED,
+        batched=False, **kwargs,
+    )
+    est = estimate_dispersion(
+        GRAPH, process, origin=origin, reps=reps, seed=PARENT_SEED,
+        kernels=kernels, state_budget=budget, **kwargs,
+    )
+    assert np.array_equal(est.samples, serial.samples)
+    assert np.array_equal(est.total_samples, serial.total_samples)
+
+    oracle = [
+        PROCESS_DRIVERS[process](GRAPH, origin, seed=s, **kwargs)
+        for s in spawn_seed_sequences(PARENT_SEED, reps)
+    ]
+    walking = sum(1 for r in oracle if r.total_steps > 0)
+    assert route_calls == dict.fromkeys(route_calls, 0) | {
+        f"finish_{process}": walking
+    }
+    batch = BATCHED_DRIVERS[process](
+        GRAPH, origin, seeds=spawn_seed_sequences(PARENT_SEED, reps),
+        kernels=kernels, state_budget=budget, **kwargs,
+    )
+    for s, b in zip(oracle, batch):
+        assert_result_identical(s, b, EXTRAS.get(process, ()))
+
+    if process == "uniform":
+        # the tick limit fails with the serial oracle's exact error
+        messages = []
+        for mode in ({"batched": False}, {"kernels": kernels}):
+            with pytest.raises(RuntimeError) as err:
+                estimate_dispersion(
+                    GRAPH, process, origin=origin, reps=reps, seed=PARENT_SEED,
+                    max_ticks=50, **kwargs, **mode,
+                )
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "uniform IDLA exceeded max_ticks=50"
+        )
+
+
+@pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
+@pytest.mark.parametrize("process", TICK_ROUTE)
+def test_tick_lockstep_body_keeps_its_cases(process, kernels, route_calls):
+    """What has no compiled loop keeps the numpy lock-step body, still
+    bit-identical: recording, ``faithful_r=True``, implicit graphs and
+    the numpy provider (also when chosen through ``REPRO_KERNELS``)."""
+    cases = [
+        (GRAPH, {"record": True, "kernels": kernels}),
+        (GRAPH_BUILDS["implicit"], {"kernels": kernels}),
+        (GRAPH, {"kernels": "numpy"}),
+        (GRAPH, {}),  # REPRO_KERNELS=numpy, set below
+    ]
+    if process == "uniform":
+        cases.append((GRAPH, {"faithful_r": True, "kernels": kernels}))
+    for g, kwargs in cases:
+        extras = EXTRAS.get(process, ())
+        if kwargs.get("faithful_r"):
+            extras = (*extras, "schedule")
+        drive = {k: v for k, v in kwargs.items() if k != "kernels"}
+        oracle = [
+            PROCESS_DRIVERS[process](GRAPH, 0, seed=s, **drive)
+            for s in spawn_seed_sequences(PARENT_SEED, REPS)
+        ]
+        with pytest.MonkeyPatch.context() as env:
+            if not kwargs:
+                env.setenv("REPRO_KERNELS", "numpy")
+            batch = BATCHED_DRIVERS[process](
+                g, 0, seeds=spawn_seed_sequences(PARENT_SEED, REPS), **kwargs
+            )
+        for s, b in zip(oracle, batch):
+            assert_result_identical(s, b, extras)
+    assert route_calls["finish_uniform"] == route_calls["finish_ctu"] == 0
+    assert route_calls["_make_stepper"] == len(cases)
 
 
 @pytest.mark.parametrize("build", ["csr", "implicit"])

@@ -17,20 +17,34 @@ layer's own contracts:
   irregular graphs, including the offset-clamp edge at ``u -> 1``;
 * the single-walker compiled loops against the pure-Python
   :class:`~repro.walks.single.SingleWalkKernel` path;
+* the per-repetition CTU-/Uniform-IDLA loops against their serial
+  drivers at tiny fetch blocks (ticks straddling every refill), and the
+  numpy ``logq`` table they read;
+* the build cache keyed on the whole compile command;
 * the ``UniformStream.take_block`` handoff contract the compiled tail
   finishers consume.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import shutil
 
 import numpy as np
 import pytest
 
+import repro.core.continuous as continuous_mod
+import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
-from repro.graphs import complete_binary_tree, cycle_graph, star_graph
+from repro.core.batched_continuous import (
+    _skip_log_table,
+    batched_ctu_idla,
+    batched_uniform_idla,
+)
+from repro.core.continuous import ctu_idla
+from repro.core.uniform import uniform_idla
+from repro.graphs import complete_binary_tree, cycle_graph, grid_graph, star_graph
 from repro.kernels import (
     KernelSet,
     KernelsUnavailableError,
@@ -40,7 +54,7 @@ from repro.kernels import (
     csr_arrays,
     get_kernels,
 )
-from repro.utils.rng import UniformStream, as_generator
+from repro.utils.rng import UniformStream, as_generator, spawn_seed_sequences
 from repro.walks.single import random_walk, walk_until_hit
 
 AVAILABLE = available_kernels()
@@ -175,6 +189,35 @@ def test_failed_build_reports_the_whole_cc_command(fresh_registry):
     with pytest.raises(RuntimeError, match="failed to build") as exc:
         cffi_impl._ensure_built()
     assert "-fno-such-flag-for-repro-tests" in str(exc.value).split("failed")[0]
+
+
+def test_cache_key_covers_the_compile_command(fresh_registry):
+    """Two ``CC`` flag strings build two cached libraries (a fast-math
+    build must never be reused for a plain one), and every build passes
+    ``-ffp-contract=off`` explicitly."""
+    from repro.kernels import cffi_impl
+
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    argvs = []
+    run = cffi_impl.subprocess.run
+
+    def recording_run(argv, **kwargs):
+        argvs.append(list(argv))
+        return run(argv, **kwargs)
+
+    fresh_registry.setattr(cffi_impl.subprocess, "run", recording_run)
+    paths = []
+    for flags in ("-std=c99", "-std=gnu99"):
+        fresh_registry.setenv("CC", f"{cc} {flags}")
+        paths.append(cffi_impl._ensure_built())
+        assert cffi_impl._ensure_built() == paths[-1]  # cached: no rebuild
+    assert paths[0] != paths[1]
+    assert len(argvs) == 2
+    assert all("-ffp-contract=off" in argv for argv in argvs)
+    cache = os.environ["REPRO_KERNELS_CACHE"]
+    assert sorted(os.listdir(cache)) == sorted(os.path.basename(p) for p in paths)
 
 
 @pytest.mark.parametrize("name", [n for n, ok in sorted(AVAILABLE.items()) if ok])
@@ -319,6 +362,55 @@ def test_walk_until_hit_limit_and_trivial_cases(provider):
     assert walk_until_hit(g, 5, [5], seed=1, kernels=provider) == 0
     with pytest.raises(RuntimeError, match="max_steps=3"):
         walk_until_hit(g, 0, [32], seed=2, max_steps=3, kernels=provider)
+
+
+# ---------------------------------------------------------------------------
+# per-repetition tick-process loops
+
+TICK_DRIVERS = {
+    "uniform": (uniform_idla, batched_uniform_idla, uniform_mod, ()),
+    "ctu": (ctu_idla, batched_ctu_idla, continuous_mod, ("settle_clock",)),
+}
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("process", sorted(TICK_DRIVERS))
+@pytest.mark.parametrize(
+    "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
+)
+def test_tick_loops_match_serial_at_tiny_blocks(
+    provider, block, process, g, monkeypatch
+):
+    """With 1-5 doubles per fetch, ticks (2-3 doubles each) straddle
+    nearly every refill: the loop's carried tail and the numpy log lane
+    must still replay the serial draws, and each generator must end
+    where the serial driver leaves it."""
+    serial, batched, module, extras = TICK_DRIVERS[process]
+    monkeypatch.setattr(module, "_BLOCK", block)
+    seeds = spawn_seed_sequences(7, 4)
+    ref_gens = [as_generator(s) for s in seeds]
+    gens = [as_generator(s) for s in seeds]
+    ref = [serial(g, 0, seed=gen, num_particles=7) for gen in ref_gens]
+    got = batched(g, 0, seeds=gens, num_particles=7, kernels=provider)
+    for s, b, ref_gen, gen in zip(ref, got, ref_gens, gens):
+        assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+        assert np.array_equal(s.settle_order, b.settle_order)
+        for name in extras:
+            assert np.array_equal(getattr(s, name), getattr(b, name))
+        assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("pool_size", [1, 2, 3, 7, 10, 63, 1000, 4097])
+def test_skip_log_table_matches_serial_scalar(pool_size):
+    """The vectorised table equals uniform_idla's scalar computation
+    ``float(np.log1p(-(k / pool_size)))`` bit for bit, for every k."""
+    table = _skip_log_table(pool_size)
+    assert table.shape == (pool_size,)
+    for k in range(1, pool_size):
+        assert table[k] == float(np.log1p(-(k / pool_size))), k
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,9 @@ class TestPoissonisation:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             poissonise_steps([1], rate=0.0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                poissonise_steps([1], rate=rate)
 
 
 class TestExponentialRace:
