@@ -86,6 +86,7 @@ import numpy as np
 
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.origins import resolve_origins
+from repro.core.parallel import _BLOCK as _SERIAL_PAR_BLOCK
 from repro.core.results import DispersionResult
 from repro.core.sequential import _BLOCK as _SERIAL_SEQ_BLOCK
 from repro.core.settlement import (
@@ -226,9 +227,9 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
     return spawn_generators(seed, reps)
 
 
-#: Processes with one moving particle per repetition, whose batched
-#: driver can run each repetition to completion in one compiled loop.
-_PER_REP_LOOPS = ("sequential", "c-sequential", "uniform", "ctu")
+#: Processes whose batched driver can run each repetition to completion
+#: in one compiled loop.
+_PER_REP_LOOPS = ("sequential", "c-sequential", "uniform", "ctu", "parallel")
 
 
 def per_rep_loop_kernels(
@@ -237,12 +238,14 @@ def per_rep_loop_kernels(
     """The compiled provider that can run whole repetitions of
     ``process`` on ``g``, one compiled loop each, or ``None``.
 
-    The loops (``finish_sequential``, ``finish_uniform``, ``finish_ctu``)
-    need a compiled provider, host CSR arrays (:func:`csr_arrays`), no
-    recording, the default settling rule and Uniform-IDLA's default
-    scheduler (``faithful_r=False``).  The batched drivers gate their
-    per-repetition route on this, and the runner's auto dispatch consults
-    it too, so the two cannot drift apart.
+    The loops (``finish_sequential``, ``finish_uniform``, ``finish_ctu``,
+    ``finish_parallel``) need a compiled provider, host CSR arrays
+    (:func:`csr_arrays`), no recording, the default settling rule and
+    Uniform-IDLA's default scheduler (``faithful_r=False``).  The batched
+    drivers gate their per-repetition route on this, and the runner's
+    auto dispatch consults it too, so the two cannot drift apart.  The
+    sequential and parallel drivers additionally keep their lock-step
+    body when ``tail_threshold`` is given explicitly.
     """
     if process not in _PER_REP_LOOPS:
         return None
@@ -461,6 +464,16 @@ def batched_parallel_idla(
 ) -> list[DispersionResult]:
     """Run ``R`` independent Parallel-IDLA realisations in lock-step.
 
+    Whenever :func:`per_rep_loop_kernels` finds a compiled loop (compiled
+    provider, host CSR arrays, ``record=False``, the default rule) and
+    ``tail_threshold`` is left at ``None``, no lock-step round runs at
+    all: after the shared round-0 settlement pass each repetition runs to
+    completion in one compiled call (``KernelSet.finish_parallel``) that
+    reads its own generator directly.  Samples stay bit-identical to the
+    serial oracle; the generators may end at other stream positions, as
+    they do after the lock-step body.  Everything else keeps the
+    lock-step body.
+
     Parameters
     ----------
     reps, seeds, seed:
@@ -480,8 +493,9 @@ def batched_parallel_idla(
         takes over the stragglers (once each survivor is also down to
         ``scalar_threshold`` live particles — i.e. inside the serial
         driver's own scalar narrow phase); ``0`` disables the handoff,
-        ``None`` uses the module default.  A performance knob only —
-        results are bit-identical either way.
+        ``None`` uses the module default (or the per-repetition route,
+        see above).  A performance knob only — results are bit-identical
+        either way.
     state_budget:
         Optional :class:`repro.core.budget.StateBudget` (or spec string)
         capping resident simulation state.  Resolved by
@@ -555,6 +569,12 @@ def batched_parallel_idla(
     step_chunk = plan.step_chunk
     use_default_rule = rule is None or rule is standard_rule
     process = "parallel-lazy" if lazy else "parallel"
+    # an explicit tail_threshold pins the lock-step body
+    loop = (
+        per_rep_loop_kernels("parallel", g, kernels=kern, record=record, rule=rule)
+        if tail_threshold is None
+        else None
+    )
 
     # ---- per-repetition initial draws, in the serial driver's order.
     # With the default "index" tie-break the priority of particle p is p
@@ -589,6 +609,27 @@ def batched_parallel_idla(
             free[r] -= winners.size
             settled2d[r, winners] = starts2d[r, winners]
             round2d[r, winners] = 0
+
+    if loop is not None:
+        # per-repetition route: each repetition with particles still
+        # walking runs to completion in one compiled loop
+        indptr, indices = csr_arrays(g)
+        best = np.full(n, -1, dtype=np.int64)
+        for r, gen in enumerate(gens):
+            act = np.flatnonzero(settled2d[r] < 0)
+            if act.size == 0 or free[r] == 0:
+                continue  # surplus particles of a covered start: 0 steps
+            loop.finish_parallel(
+                indptr, indices, occ[r * n : (r + 1) * n], act,
+                starts2d[r, act], arange_m if prio2d is None else prio2d[r],
+                best, steps2d[r], settled2d[r], round2d[r], gen,
+                free=int(free[r]), lazy=lazy,
+                scalar_threshold=scalar_threshold, budget=budget,
+                max_rounds=max_rounds, block=_SERIAL_PAR_BLOCK,
+            )
+        return _parallel_results(
+            g, process, starts2d, steps2d, settled2d, round2d, prio2d, None
+        )
 
     # ---- flat lock-step state: all repetitions' unsettled particles,
     # grouped by repetition, ascending particle index within each group
@@ -913,8 +954,19 @@ def batched_parallel_idla(
         traj_all = store.finalize_arrays()
     else:
         traj_all = store.finalize()
+    return _parallel_results(
+        g, process, starts2d, steps2d, settled2d, round2d, prio2d, traj_all
+    )
+
+
+def _parallel_results(
+    g, process, starts2d, steps2d, settled2d, round2d, prio2d, traj_all
+) -> list[DispersionResult]:
+    """Assemble the per-repetition results of a batched parallel run;
+    the settle order is the serial ``(round, priority)`` order."""
+    n, m = g.n, steps2d.shape[1]
     results = []
-    for r in range(R):
+    for r in range(steps2d.shape[0]):
         settled = np.flatnonzero(settled2d[r] >= 0)
         prio_vals = settled if prio2d is None else prio2d[r, settled]
         order = np.lexsort((prio_vals, round2d[r, settled]))

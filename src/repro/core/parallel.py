@@ -76,7 +76,8 @@ def parallel_idla(
         ``m`` (default ``n``); see module docstring for the ``m ≠ n``
         semantics.
     scalar_threshold:
-        Active-particle count below which the scalar micro-loop takes over.
+        Active-particle count below which the scalar micro-loop takes
+        over; an integer (``2.0`` means 2, ``2.5`` and ``True`` raise).
     record:
         Keep trajectories; the block of a classic ``"index"``-run satisfies
         the parallel property (4) (validated in tests).
@@ -94,6 +95,7 @@ def parallel_idla(
         raise ValueError(f"num_particles must be >= 1, got {m}")
     if tie_break not in ("index", "random"):
         raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
+    scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
     budget = check_limit("max_rounds", max_rounds)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)

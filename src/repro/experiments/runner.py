@@ -213,10 +213,12 @@ def _validate_driver_kwargs(process: str, kwargs: dict) -> None:
 #: dispatch overhead to pay off.  The tick-scheduled processes (uniform,
 #: ctu, c-sequential) batch one walking particle per repetition, so their
 #: crossovers sit far above parallel's repetitions × particles width.
-#: Sequential, c-sequential, uniform and ctu skip this threshold whenever
-#: their batched driver can run each repetition in one compiled loop (see
+#: Every process skips this threshold whenever its batched driver can run
+#: each repetition in one compiled loop (see
 #: :func:`~repro.core.batched.per_rep_loop_kernels`); the numbers are
-#: then only the crossovers of their numpy lock-step bodies.
+#: then only the crossovers of the numpy lock-step bodies, which the
+#: numpy provider, ``record=True``, implicit graphs, non-default rules and
+#: an explicit ``tail_threshold`` keep.
 _BATCHED_MIN_REPS = {
     "parallel": 4,
     "sequential": 64,
@@ -277,10 +279,11 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
     # Below the lock-step crossover, batch only if the driver runs each
     # repetition in one compiled loop: measured faster than the serial
     # oracle from 1 repetition up (see docs/kernels.md).  The gates are
-    # the drivers' own, plus sequential's default tail_threshold (an
-    # explicit one pins the lock-step body).  An unknown kernels name
-    # raises here, as the batched driver would; a known but unavailable
-    # provider falls back to the serial oracle, which never needed it.
+    # the drivers' own, plus the sequential and parallel default
+    # tail_threshold (an explicit one pins the lock-step body).  An
+    # unknown kernels name raises here, as the batched driver would; a
+    # known but unavailable provider falls back to the serial oracle,
+    # which never needed it.
     if kwargs.get("tail_threshold") is not None:
         return False
     try:

@@ -30,7 +30,7 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  A provider passes a load-time
-self-check (:func:`_self_check`) exercising all nine entry points before
+self-check (:func:`_self_check`) exercising all ten entry points before
 it can be selected, so a miscompiled or mis-installed provider fails at
 resolution, not mid-run.
 """
@@ -348,6 +348,54 @@ class CompiledKernels(KernelSet):
                 raise RuntimeError(limit_msg)
             buf = np.concatenate((buf[state[3] :], stream.take_block()))
 
+    def finish_parallel(
+        self, indptr, indices, occ_row, act, pos, prio, best, steps_row,
+        settled_row, round_row, rng, *, free, lazy, scalar_threshold,
+        budget, max_rounds, block: int,
+    ) -> int:
+        """Compiled :func:`repro.core.parallel.parallel_idla` round loop
+        for one repetition; returns its final round.
+
+        Starts after the round-0 settlement pass: ``act`` holds the
+        unsettled particles ascending and ``pos`` their vertices (both
+        are reordered in place), ``free`` the vacant-vertex count.
+        ``prio`` is the per-particle priority and ``best`` an all ``-1``
+        scratch of size ``n``, restored on return.  Doubles come straight
+        from ``rng``, at least ``block`` per fetch, the unconsumed tail of
+        a buffer carried in front of the next one: the samples are the
+        serial ones, while the generator may end elsewhere.
+        """
+        for a in (act, pos, prio, best, steps_row, settled_row, round_row):
+            if a.dtype != _I64 or not a.flags.c_contiguous:
+                raise ValueError("finish_parallel needs C-contiguous int64 rows")
+        if pos.shape != act.shape or best.shape[0] < occ_row.shape[0]:
+            raise ValueError("finish_parallel: act/pos or best size mismatch")
+        k = act.shape[0]
+        # k only shrinks, so clamping keeps every `k > threshold` test
+        thr = max(-1, min(scalar_threshold, k))
+        state = np.array([k, 0, free, 0], dtype=np.int64)
+        occ = _u8(occ_row)
+        lz = 1 if lazy else 0
+        buf = np.empty(0)
+        while True:
+            need = 2 * k if lazy and k > thr else k
+            buf = np.concatenate(
+                (buf[state[3] :], rng.random(max(block, need)))
+            )
+            state[3] = 0
+            status = self._impl.run_parallel(
+                indptr, indices, occ, act, pos, prio, best, steps_row,
+                settled_row, round_row, buf, buf.shape[0], state, lz, thr,
+                budget,
+            )
+            if status == 1:
+                return int(state[1])
+            if status < 0:
+                raise RuntimeError(
+                    f"parallel IDLA exceeded max_rounds={max_rounds}"
+                )
+            k = int(state[0])
+
     # ---- single-walker loops -----------------------------------------
     def walk_positions(self, indptr, indices, out, rng, block: int):
         """Compiled :func:`repro.walks.single.random_walk` loop.
@@ -508,6 +556,27 @@ def _self_check(ks: CompiledKernels) -> None:
     assert ticks == 5, ticks
     assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
     assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
+
+    # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
+    # 0 -> 1, where particle 2 wins on priority; round 2's gate ends the
+    # first buffer and its step double opens the second
+    occ = np.array([1, 0, 0], dtype=np.uint8)
+    act = np.array([1, 2], dtype=np.int64)
+    pos = np.zeros(2, dtype=np.int64)
+    best = np.full(3, -1, dtype=np.int64)
+    steps_row = np.zeros(3, dtype=np.int64)
+    settled_row = np.array([0, -1, -1], dtype=np.int64)
+    round_row = np.array([0, -1, -1], dtype=np.int64)
+    rounds = ks.finish_parallel(
+        indptr, indices, occ, act, pos, np.array([0, 2, 1], dtype=np.int64),
+        best, steps_row, settled_row, round_row,
+        _BlockFeeder([[0.9, 0.9, 0.5, 0.5, 0.9], [0.9, 0.0, 0.0, 0.0, 0.0]]),
+        free=2, lazy=True, scalar_threshold=0, budget=float("inf"),
+        max_rounds=None, block=5,
+    )
+    assert rounds == 2, rounds
+    assert settled_row.tolist() == [0, 2, 1] and steps_row.tolist() == [0, 2, 1]
+    assert round_row.tolist() == [0, 2, 1] and best.tolist() == [-1, -1, -1]
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,17 @@ numpy path performs, or the bit-identity contract of
 :mod:`repro.kernels` breaks).  The functions mirror, line for
 line, the numpy round bodies in :mod:`repro.core.batched` and the scalar
 micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
-:mod:`repro.walks.single` and the tick loops of ``ctu_idla`` /
-``uniform_idla`` — every behavioural quirk (the *unclamped*
-``int(u * deg)`` of the scalar loops, the clamped vector step, the draw
-order around the budget checks) is deliberate and pinned by
-``tests/test_differential_drivers.py``.
+:mod:`repro.walks.single`, the tick loops of ``ctu_idla`` /
+``uniform_idla`` and the round loops of ``parallel_idla`` — every
+behavioural quirk (the *unclamped* ``int(u * deg)`` of the scalar loops,
+the clamped vector step, the draw order around the budget checks) is
+deliberate and pinned by ``tests/test_differential_drivers.py``.
 
 The loop kernels consume uniforms from a caller-provided buffer and
-return ``0`` when it runs dry; the Python wrapper refills in exactly the
-serial drivers' block cadence (see ``KernelSet`` in the package root), so
-generator fetch positions stay on the serial grid.
+return ``0`` when it runs dry; the Python wrapper refills (see
+``KernelSet`` in the package root) in the serial drivers' block cadence
+wherever a later consumer reads the generator, so those fetch positions
+stay on the serial grid.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       i64 *settled, i64 *order, const double *buf,
                       const double *lg, i64 nbuf, const double *logq,
                       i64 pool_size, i64 *state, double budget);
+i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
+                       unsigned char *occ, i64 *act, i64 *pos,
+                       const i64 *prio, i64 *best, i64 *steps,
+                       i64 *settled, i64 *round, const double *buf,
+                       i64 nbuf, i64 *state, i64 lazy, i64 thr,
+                       double budget);
 """
 
 C_SOURCE = """
@@ -347,6 +354,76 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         pool[s] = pool[--k];
     }
     state[0] = k; state[1] = no; state[2] = t; state[3] = i;
+    return status;
+}
+
+/* One Parallel-IDLA repetition (parallel_idla's wide and narrow round
+ * loops) from its state after the round-0 settlement pass: act[0..k)
+ * the unsettled particles ascending, pos[0..k) their vertices.  Each
+ * round steps every active particle in active-list order.  The wide
+ * draw (k > thr) reads k doubles, or with `lazy` k hold gates then k
+ * step doubles; the narrow draw reads one double per particle (lazy:
+ * hold below 1/2, else step with 2(u - 1/2)).  Offsets are clamped: the
+ * narrow phase's raw truncation never reaches d, so one expression
+ * serves both phases.  Per vacant vertex the slot with the smallest
+ * prio[act[j]] settles (first on ties); `best` is all -1 on entry and
+ * on return.  state = [k, t, free, cursor]; returns 1 when done (the
+ * surplus particles of m > n get steps = t), 0 before a round whose
+ * doubles are not all in the buffer, -1 when t exceeds the budget. */
+i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
+                       unsigned char *occ, i64 *act, i64 *pos,
+                       const i64 *prio, i64 *best, i64 *steps,
+                       i64 *settled, i64 *round, const double *buf,
+                       i64 nbuf, i64 *state, i64 lazy, i64 thr,
+                       double budget)
+{
+    i64 k = state[0], t = state[1], fr = state[2], i = state[3];
+    i64 status = 1;
+    while (k && fr) {
+        i64 wide = k > thr;
+        i64 need = lazy && wide ? 2 * k : k;
+        if (i + need > nbuf) { status = 0; break; }
+        t += 1;
+        if ((double)t > budget) { status = -1; break; }
+        for (i64 j = 0; j < k; j++) {
+            double u = buf[i + j];
+            if (lazy) {
+                if (u < 0.5) continue;
+                u = wide ? buf[i + k + j] : 2.0 * (u - 0.5);
+            }
+            i64 b = indptr[pos[j]];
+            i64 d = indptr[pos[j] + 1] - b;
+            i64 off = (i64)(u * (double)d);
+            if (off > d - 1) off = d - 1;
+            pos[j] = indices[b + off];
+        }
+        i += need;
+        for (i64 j = 0; j < k; j++) {
+            i64 v = pos[j];
+            if (occ[v]) continue;
+            i64 c = best[v];
+            if (c < 0 || prio[act[j]] < prio[act[c]]) best[v] = j;
+        }
+        i64 w = 0;
+        for (i64 j = 0; j < k; j++) {
+            i64 p = act[j], v = pos[j];
+            if (best[v] == j) {
+                best[v] = -1;
+                occ[v] = 1;
+                fr -= 1;
+                steps[p] = t;
+                settled[p] = v;
+                round[p] = t;
+            } else {
+                act[w] = p;
+                pos[w++] = v;
+            }
+        }
+        k = w;
+    }
+    if (status == 1)
+        for (i64 j = 0; j < k; j++) steps[act[j]] = t;
+    state[0] = k; state[1] = t; state[2] = fr; state[3] = i;
     return status;
 }
 """

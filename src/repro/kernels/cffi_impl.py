@@ -151,4 +151,12 @@ def load() -> SimpleNamespace:
                 pd(logq), pool_size, pi(state), budget,
             )
         ),
+        run_parallel=lambda indptr, indices, occ, act, pos, prio, best, steps,
+        settled, rounds, buf, nbuf, state, lazy, thr, budget: (
+            lib.repro_run_parallel(
+                pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), pi(prio),
+                pi(best), pi(steps), pi(settled), pi(rounds), pd(buf), nbuf,
+                pi(state), lazy, thr, budget,
+            )
+        ),
     )

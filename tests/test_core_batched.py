@@ -24,6 +24,7 @@ from repro.core import (
     sequential_idla,
 )
 from repro.experiments import estimate_dispersion
+from repro.kernels import available_kernels
 from repro.graphs import (
     clique_with_hair,
     complete_graph,
@@ -35,6 +36,10 @@ from repro.walks.engine import WalkEngine
 
 REPS = 5
 PARENT_SEED = 20240517
+
+#: Every provider available here: numpy runs the parallel lock-step
+#: body, a compiled one the per-repetition loop.
+PROVIDERS = [name for name, ok in sorted(available_kernels().items()) if ok]
 
 
 def assert_results_identical(serial, batch):
@@ -86,10 +91,15 @@ def test_batched_parallel_bit_identical(g, variant):
         parallel_idla(g, origin, seed=s, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, REPS)
     ]
-    batch = batched_parallel_idla(
-        g, origin, seeds=spawn_seed_sequences(PARENT_SEED, REPS), **kwargs
-    )
-    assert_results_identical(serial, batch)
+    for kernels in PROVIDERS:
+        batch = batched_parallel_idla(
+            g,
+            origin,
+            seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+            kernels=kernels,
+            **kwargs,
+        )
+        assert_results_identical(serial, batch)
 
 
 @pytest.mark.parametrize("g", graph_cases(), ids=lambda g: g.name)
@@ -117,13 +127,15 @@ def test_batched_parallel_surplus_particles():
         parallel_idla(g, seed=s, num_particles=m)
         for s in spawn_seed_sequences(7, REPS)
     ]
-    batch = batched_parallel_idla(
-        g, seeds=spawn_seed_sequences(7, REPS), num_particles=m
-    )
-    assert_results_identical(serial, batch)
-    for res in batch:
-        assert res.is_complete_dispersion()
-        assert np.count_nonzero(res.settled_at < 0) == 5
+    for kernels in PROVIDERS:
+        batch = batched_parallel_idla(
+            g, seeds=spawn_seed_sequences(7, REPS), num_particles=m,
+            kernels=kernels,
+        )
+        assert_results_identical(serial, batch)
+        for res in batch:
+            assert res.is_complete_dispersion()
+            assert np.count_nonzero(res.settled_at < 0) == 5
 
 
 def test_batched_parallel_custom_rule():
@@ -148,8 +160,12 @@ def test_batched_sequential_custom_rule():
 
 def test_batched_budget_errors_match_serial():
     g = cycle_graph(64)
-    with pytest.raises(RuntimeError, match="max_rounds=5"):
-        batched_parallel_idla(g, seeds=spawn_seed_sequences(0, 3), max_rounds=5)
+    for kernels in PROVIDERS:
+        with pytest.raises(RuntimeError, match="max_rounds=5"):
+            batched_parallel_idla(
+                g, seeds=spawn_seed_sequences(0, 3), max_rounds=5,
+                kernels=kernels,
+            )
     with pytest.raises(RuntimeError, match="max_total_steps=5"):
         batched_sequential_idla(
             g, seeds=spawn_seed_sequences(0, 3), max_total_steps=5
@@ -169,14 +185,39 @@ def test_batched_argument_validation():
     assert batched_parallel_idla(g, reps=0) == []
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize("kernels", PROVIDERS)
+def test_scalar_threshold_rejected_at_every_rep_count(kernels, bad):
+    """One validation rule for ``scalar_threshold``: the serial driver
+    used to accept ``2.5`` and ``True`` while the batched one raised, so
+    the outcome hung on the repetition count auto dispatch saw."""
+    g = cycle_graph(16)
+    for reps in (1, 2, 4, 32):
+        with pytest.raises(ValueError, match="scalar_threshold must be an integer"):
+            estimate_dispersion(
+                g, "parallel", reps=reps, seed=0, kernels=kernels,
+                scalar_threshold=bad,
+            )
+    # an integral float still means its integer, in every mode
+    ref = estimate_dispersion(g, "parallel", reps=4, seed=0, scalar_threshold=2)
+    for mode in ({"batched": False}, {"kernels": kernels}):
+        est = estimate_dispersion(
+            g, "parallel", reps=4, seed=0, scalar_threshold=2.0, **mode
+        )
+        assert np.array_equal(est.samples, ref.samples)
+
+
 def test_batched_explicit_origin_array():
     g = grid_graph(4, 4)
     origins = np.arange(g.n)[::-1].copy()
     serial = [
         parallel_idla(g, origins, seed=s) for s in spawn_seed_sequences(21, REPS)
     ]
-    batch = batched_parallel_idla(g, origins, seeds=spawn_seed_sequences(21, REPS))
-    assert_results_identical(serial, batch)
+    for kernels in PROVIDERS:
+        batch = batched_parallel_idla(
+            g, origins, seeds=spawn_seed_sequences(21, REPS), kernels=kernels
+        )
+        assert_results_identical(serial, batch)
 
 
 # ----------------------------------------------------------------------

@@ -392,8 +392,8 @@ def test_runner_batched_rejects_unsupported_kwargs():
 
 def test_runner_auto_dispatch_thresholds():
     """Auto dispatch per kernel provider available here: a compiled one
-    moves the sequential, c-sequential, uniform and ctu crossovers to a
-    single repetition, numpy keeps them."""
+    moves the sequential, c-sequential, uniform, ctu and parallel
+    crossovers to a single repetition, numpy keeps them."""
     providers = [name for name, ok in sorted(available_kernels().items()) if ok]
     assert "numpy" in providers
     for kernels in providers:
@@ -413,12 +413,18 @@ def _check_auto_dispatch_thresholds(kernels):
     assert not _use_batched("uniform", g, 16, 2, kw, "auto")  # process pool
 
     compiled = get_kernels(kernels).compiled
-    crossovers = {"sequential": 64, "c-sequential": 64, "uniform": 16, "ctu": 16}
+    crossovers = {
+        "sequential": 64,
+        "c-sequential": 64,
+        "uniform": 16,
+        "ctu": 16,
+        "parallel": 4,
+    }
     for process, crossover in crossovers.items():
         assert _use_batched(process, g, crossover, 1, kw, "auto")
         # a compiled provider runs each repetition in one compiled loop,
         # which wins at any repetition count; numpy keeps the crossover
-        for reps in (1, crossover - 1):
+        for reps in sorted({1, 2, crossover - 1}):
             assert _use_batched(process, g, reps, 1, kw, "auto") == compiled
         # no compiled loop for these: numpy lock-step crossover
         for graph, extra in (
@@ -432,19 +438,24 @@ def _check_auto_dispatch_thresholds(kernels):
     faithful = dict(kw, faithful_r=True)
     assert _use_batched("uniform", g, 16, 1, faithful, "auto")
     assert not _use_batched("uniform", g, 15, 1, faithful, "auto")
-    for extra in (
-        dict(kw, rule=DelayedRule(2)),  # pure, but not the default rule
-        dict(kw, tail_threshold=16),  # an explicit threshold pins lock-step
-    ):
-        assert _use_batched("sequential", g, 64, 1, extra, "auto")
-        assert not _use_batched("sequential", g, 63, 1, extra, "auto")
-    # a rule auto dispatch cannot vouch for stays on the serial oracle
-    impure = dict(kw, rule=lambda t, v, vacant: vacant)
-    for reps in (1, 63, 64):
-        assert not _use_batched("sequential", g, reps, 1, impure, "auto")
+    for process in ("sequential", "parallel"):
+        crossover = crossovers[process]
+        for extra in (
+            dict(kw, rule=DelayedRule(2)),  # pure, but not the default rule
+            dict(kw, tail_threshold=16),  # an explicit threshold pins lock-step
+        ):
+            assert _use_batched(process, g, crossover, 1, extra, "auto")
+            for reps in sorted({1, crossover - 1}):
+                assert not _use_batched(process, g, reps, 1, extra, "auto")
+        # a rule auto dispatch cannot vouch for stays on the serial oracle
+        impure = dict(kw, rule=lambda t, v, vacant: vacant)
+        for reps in (1, crossover - 1, crossover):
+            assert not _use_batched(process, g, reps, 1, impure, "auto")
 
 
-@pytest.mark.parametrize("process", ["sequential", "c-sequential", "uniform", "ctu"])
+@pytest.mark.parametrize(
+    "process", ["sequential", "c-sequential", "uniform", "ctu", "parallel"]
+)
 def test_auto_dispatch_rejects_unknown_names_at_any_reps(process):
     """Auto dispatch resolves ``kernels`` for the processes with a
     per-repetition route at every repetition count, so an unknown name

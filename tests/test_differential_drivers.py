@@ -41,7 +41,7 @@ import pytest
 from repro.core.budget import StateBudget
 from repro.experiments import estimate_dispersion
 from repro.experiments.runner import BATCHED_DRIVERS, PROCESS_DRIVERS
-from repro.graphs import cycle_graph
+from repro.graphs import complete_binary_tree, cycle_graph
 from repro.kernels import available_kernels
 from repro.utils.rng import spawn_seed_sequences
 
@@ -109,7 +109,9 @@ def serial_oracle(process, kwargs, record):
 @pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_batched_drivers_match_serial_oracle(case, record, build):
-    """Lock-step drivers (finisher on and off) vs the serial reference."""
+    """Lock-step drivers (finisher on and off) vs the serial reference,
+    under every provider available here (numpy keeps the lock-step body
+    where a compiled one takes the per-repetition route)."""
     process, kwargs = case
     extras = EXTRAS.get(process, ())
     if kwargs.get("faithful_r"):
@@ -119,20 +121,22 @@ def test_batched_drivers_match_serial_oracle(case, record, build):
     if process in TAIL_TUNABLE:
         # 0 = pure lock-step to the last settlement; default straddles
         modes.append({"tail_threshold": 0})
-    for mode in modes:
-        batch = BATCHED_DRIVERS[process](
-            GRAPH_BUILDS[build],
-            0,
-            seeds=spawn_seed_sequences(PARENT_SEED, REPS),
-            record=record,
-            **kwargs,
-            **mode,
-        )
-        assert len(batch) == REPS
-        for s, b in zip(serial, batch):
-            assert_result_identical(s, b, extras)
-            if record:
-                assert b.trajectories is not None
+    for kernels in PROVIDERS:
+        for mode in modes:
+            batch = BATCHED_DRIVERS[process](
+                GRAPH_BUILDS[build],
+                0,
+                seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+                record=record,
+                kernels=kernels,
+                **kwargs,
+                **mode,
+            )
+            assert len(batch) == REPS
+            for s, b in zip(serial, batch):
+                assert_result_identical(s, b, extras)
+                if record:
+                    assert b.trajectories is not None
 
 
 @pytest.mark.parametrize("build", GRAPH_BUILDS, ids=GRAPH_BUILDS)
@@ -200,19 +204,21 @@ def test_budgeted_batched_matches_serial_oracle(case, record, budget):
     modes = [{}]
     if process in TAIL_TUNABLE:
         modes.append({"tail_threshold": 0})
-    for mode in modes:
-        batch = BATCHED_DRIVERS[process](
-            GRAPH,
-            0,
-            seeds=spawn_seed_sequences(PARENT_SEED, REPS),
-            record=record,
-            state_budget=BUDGETS[budget],
-            **kwargs,
-            **mode,
-        )
-        assert len(batch) == REPS
-        for s, b in zip(serial, batch):
-            assert_result_identical(s, b, extras)
+    for kernels in PROVIDERS:
+        for mode in modes:
+            batch = BATCHED_DRIVERS[process](
+                GRAPH,
+                0,
+                seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+                record=record,
+                state_budget=BUDGETS[budget],
+                kernels=kernels,
+                **kwargs,
+                **mode,
+            )
+            assert len(batch) == REPS
+            for s, b in zip(serial, batch):
+                assert_result_identical(s, b, extras)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -252,6 +258,11 @@ KERNEL_PROVIDERS = [
     )
     for name, ok in sorted(available_kernels().items())
 ]
+
+#: The providers available here, by name: the lock-step tests above run
+#: each (numpy keeps the lock-step body, a compiled one takes the
+#: per-repetition route).
+PROVIDERS = [name for name, ok in sorted(available_kernels().items()) if ok]
 
 
 @pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)
@@ -409,7 +420,10 @@ def route_calls(monkeypatch):
         "finish_sequential": 0,
         "finish_uniform": 0,
         "finish_ctu": 0,
+        "finish_parallel": 0,
+        "finish_parallel_single": 0,
         "csr_step": 0,
+        "settle_round": 0,
         "neighbor_step": 0,
         "_make_stepper": 0,
     }
@@ -426,7 +440,10 @@ def route_calls(monkeypatch):
     counted(CompiledKernels, "finish_sequential")
     counted(CompiledKernels, "finish_uniform")
     counted(CompiledKernels, "finish_ctu")
+    counted(CompiledKernels, "finish_parallel")
+    counted(CompiledKernels, "finish_parallel_single")
     counted(CompiledKernels, "csr_step")
+    counted(CompiledKernels, "settle_round")
     counted(batched, "neighbor_step")
     counted(batched_continuous, "_make_stepper")
     return calls
@@ -580,6 +597,114 @@ def test_tick_lockstep_body_keeps_its_cases(process, kernels, route_calls):
             assert_result_identical(s, b, extras)
     assert route_calls["finish_uniform"] == route_calls["finish_ctu"] == 0
     assert route_calls["_make_stepper"] == len(cases)
+
+
+#: Parallel-IDLA variants of the per-repetition route: lazy with
+#: ``scalar_threshold=0`` keeps the wide two-double draw to the end, and
+#: ``m > n`` leaves surplus particles walking when the last vertex fills.
+PARALLEL_VARIANTS = {
+    "plain": {},
+    "lazy": {"lazy": True},
+    "lazy-wide": {"lazy": True, "scalar_threshold": 0},
+    "m<n": {"num_particles": 10},
+    "m>n": {"num_particles": 40},
+    "uniform-origin": {"origin": "uniform"},
+    "random-ties": {"tie_break": "random"},
+    "state-budget": {"state_budget": StateBudget(particles=48)},
+}
+
+#: A regular graph and an irregular one for the parallel route.
+PARALLEL_GRAPHS = {"cycle": GRAPH, "btree": complete_binary_tree(4)}
+
+
+@pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
+@pytest.mark.parametrize("reps", [1, 4, 32])
+@pytest.mark.parametrize("graph", PARALLEL_GRAPHS)
+@pytest.mark.parametrize("variant", PARALLEL_VARIANTS)
+def test_parallel_per_rep_route_matches_serial_oracle(
+    variant, graph, reps, kernels, route_calls
+):
+    """Parallel-IDLA takes the per-repetition route at any repetition
+    count under auto dispatch with a compiled provider: one compiled
+    loop per repetition with particles left to walk, no lock-step round
+    and no finisher, bit-identical to the serial oracle."""
+    g = PARALLEL_GRAPHS[graph]
+    kwargs = dict(PARALLEL_VARIANTS[variant])
+    origin = kwargs.pop("origin", 0)
+    budget = kwargs.pop("state_budget", None)
+    serial = estimate_dispersion(
+        g, "parallel", origin=origin, reps=reps, seed=PARENT_SEED,
+        batched=False, **kwargs,
+    )
+    oracle = [
+        PROCESS_DRIVERS["parallel"](g, origin, seed=s, **kwargs)
+        for s in spawn_seed_sequences(PARENT_SEED, reps)
+    ]
+    walking = sum(1 for r in oracle if r.total_steps > 0)
+    # the serial oracle steps through the compiled csr_step: count from here
+    route_calls.update(dict.fromkeys(route_calls, 0))
+    est = estimate_dispersion(
+        g, "parallel", origin=origin, reps=reps, seed=PARENT_SEED,
+        kernels=kernels, state_budget=budget, **kwargs,
+    )
+    assert np.array_equal(est.samples, serial.samples)
+    assert np.array_equal(est.total_samples, serial.total_samples)
+    assert route_calls == dict.fromkeys(route_calls, 0) | {
+        "finish_parallel": walking
+    }
+    batch = BATCHED_DRIVERS["parallel"](
+        g, origin, seeds=spawn_seed_sequences(PARENT_SEED, reps),
+        kernels=kernels, state_budget=budget, **kwargs,
+    )
+    for s, b in zip(oracle, batch):
+        assert_result_identical(s, b)
+
+    # the round limit fails with the serial oracle's exact error
+    messages = []
+    for mode in ({"batched": False}, {"kernels": kernels}):
+        with pytest.raises(RuntimeError) as err:
+            estimate_dispersion(
+                g, "parallel", origin=origin, reps=reps, seed=PARENT_SEED,
+                max_rounds=5, **kwargs, **mode,
+            )
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "parallel IDLA exceeded max_rounds=5"
+
+
+@pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
+def test_parallel_lockstep_body_keeps_its_cases(kernels, route_calls):
+    """What the per-repetition loop does not cover keeps the lock-step
+    body, still bit-identical: recording, implicit graphs, a non-default
+    rule, an explicit ``tail_threshold`` and the numpy provider (also
+    when chosen through ``REPRO_KERNELS``)."""
+    from repro.core.stopping_rules import DelayedRule
+
+    rule = DelayedRule(2)
+    cases = [
+        (GRAPH, {"record": True, "kernels": kernels}),
+        (GRAPH_BUILDS["implicit"], {"kernels": kernels}),
+        (GRAPH, {"rule": rule, "kernels": kernels}),
+        (GRAPH, {"tail_threshold": 16, "kernels": kernels}),
+        (GRAPH, {"kernels": "numpy"}),
+        (GRAPH, {}),  # REPRO_KERNELS=numpy, set below
+    ]
+    for g, kwargs in cases:
+        drive = {
+            k: v for k, v in kwargs.items() if k not in ("kernels", "tail_threshold")
+        }
+        oracle = [
+            PROCESS_DRIVERS["parallel"](GRAPH, 0, seed=s, **drive)
+            for s in spawn_seed_sequences(PARENT_SEED, REPS)
+        ]
+        with pytest.MonkeyPatch.context() as env:
+            if not kwargs:
+                env.setenv("REPRO_KERNELS", "numpy")
+            batch = BATCHED_DRIVERS["parallel"](
+                g, 0, seeds=spawn_seed_sequences(PARENT_SEED, REPS), **kwargs
+            )
+        for s, b in zip(oracle, batch):
+            assert_result_identical(s, b)
+    assert route_calls["finish_parallel"] == 0
 
 
 @pytest.mark.parametrize("build", ["csr", "implicit"])

@@ -20,6 +20,8 @@ layer's own contracts:
 * the per-repetition CTU-/Uniform-IDLA loops against their serial
   drivers at tiny fetch blocks (ticks straddling every refill), and the
   numpy ``logq`` table they read;
+* the per-repetition Parallel-IDLA loop against ``parallel_idla`` at
+  tiny fetch blocks, across the wide -> narrow draw switch;
 * the build cache keyed on the whole compile command;
 * the ``UniformStream.take_block`` handoff contract the compiled tail
   finishers consume.
@@ -34,6 +36,7 @@ import shutil
 import numpy as np
 import pytest
 
+import repro.core.batched as batched_mod
 import repro.core.continuous as continuous_mod
 import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
@@ -42,7 +45,9 @@ from repro.core.batched_continuous import (
     batched_ctu_idla,
     batched_uniform_idla,
 )
+from repro.core.batched import batched_parallel_idla
 from repro.core.continuous import ctu_idla
+from repro.core.parallel import parallel_idla
 from repro.core.uniform import uniform_idla
 from repro.graphs import complete_binary_tree, cycle_graph, grid_graph, star_graph
 from repro.kernels import (
@@ -401,6 +406,81 @@ def test_tick_loops_match_serial_at_tiny_blocks(
         for name in extras:
             assert np.array_equal(getattr(s, name), getattr(b, name))
         assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+@pytest.mark.parametrize(
+    "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
+)
+def test_parallel_loop_matches_serial_at_tiny_blocks(
+    provider, block, lazy, g, monkeypatch
+):
+    """With 1-5 doubles per fetch, nearly every round (k doubles, 2k in
+    a lazy wide round) straddles a refill, and ``scalar_threshold=3``
+    switches each run from the wide to the narrow draw mid-stream: the
+    carried buffer tail must still replay ``parallel_idla`` exactly."""
+    monkeypatch.setattr(batched_mod, "_SERIAL_PAR_BLOCK", block)
+    kwargs = {"lazy": lazy, "scalar_threshold": 3}
+    ref = [
+        parallel_idla(g, 0, seed=s, **kwargs)
+        for s in spawn_seed_sequences(7, 4)
+    ]
+    calls = []
+    inner = kernels_mod.CompiledKernels.finish_parallel
+
+    def counted(self, *args, **kw):
+        calls.append(kw["block"])
+        return inner(self, *args, **kw)
+
+    monkeypatch.setattr(kernels_mod.CompiledKernels, "finish_parallel", counted)
+    got = batched_parallel_idla(
+        g, 0, seeds=spawn_seed_sequences(7, 4), kernels=provider, **kwargs
+    )
+    assert calls == [block] * 4
+    for s, b in zip(ref, got):
+        assert s.dispersion_time == b.dispersion_time
+        assert s.total_steps == b.total_steps
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+        assert np.array_equal(s.settle_order, b.settle_order)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
+    """The loop writes through raw pointers: a row of another dtype or a
+    strided view would be reinterpreted or silently copied, so the
+    wrapper refuses it before any call."""
+    ks = get_kernels(provider)
+    g = cycle_graph(5)
+    indptr, indices = csr_arrays(g)
+
+    def run(**override):
+        rows = {
+            "act": np.arange(1, 5, dtype=np.int64),
+            "pos": np.zeros(4, dtype=np.int64),
+            "best": np.full(5, -1, dtype=np.int64),
+        }
+        rows.update(override)
+        return ks.finish_parallel(
+            indptr, indices, np.array([1, 0, 0, 0, 0], dtype=np.uint8),
+            rows["act"], rows["pos"], np.arange(5, dtype=np.int64),
+            rows["best"], np.zeros(5, dtype=np.int64),
+            np.full(5, -1, dtype=np.int64), np.full(5, -1, dtype=np.int64),
+            as_generator(0), free=4, lazy=False, scalar_threshold=16,
+            budget=float("inf"), max_rounds=None, block=64,
+        )
+
+    assert run() > 0
+    for bad in (
+        {"act": np.arange(1, 5, dtype=np.int32)},
+        {"pos": np.zeros(8, dtype=np.int64)[::2]},
+        {"pos": np.zeros(3, dtype=np.int64)},
+        {"best": np.full(4, -1, dtype=np.int64)},
+    ):
+        with pytest.raises(ValueError, match="finish_parallel"):
+            run(**bad)
 
 
 @pytest.mark.parametrize("pool_size", [1, 2, 3, 7, 10, 63, 1000, 4097])

@@ -38,7 +38,12 @@ from repro.core.trajectory import TrajectoryArrays
 from repro.experiments.fanout import budget_aligned_shard, plan_shards
 from repro.experiments.runner import estimate_dispersion
 from repro.graphs import cycle_graph
+from repro.kernels import available_kernels
 from repro.utils.rng import spawn_seed_sequences
+
+#: Every provider available here: numpy runs the parallel lock-step
+#: body, a compiled one the per-repetition loop.
+PROVIDERS = [name for name, ok in sorted(available_kernels().items()) if ok]
 
 # ---------------------------------------------------------------------------
 # parsing / normalisation
@@ -154,14 +159,15 @@ def test_unknown_process_raises():
 
 def test_budget_smaller_than_one_rep_still_runs():
     g = cycle_graph(24)
-    seeds = spawn_seed_sequences(3, 4)
     plain = batched_parallel_idla(g, 0, seeds=spawn_seed_sequences(3, 4))
-    tight = batched_parallel_idla(
-        g, 0, seeds=seeds, state_budget=StateBudget(particles=1)
-    )
-    for s, b in zip(plain, tight):
-        assert s.dispersion_time == b.dispersion_time
-        assert np.array_equal(s.steps, b.steps)
+    for kernels in PROVIDERS:
+        tight = batched_parallel_idla(
+            g, 0, seeds=spawn_seed_sequences(3, 4),
+            state_budget=StateBudget(particles=1), kernels=kernels,
+        )
+        for s, b in zip(plain, tight):
+            assert s.dispersion_time == b.dispersion_time
+            assert np.array_equal(s.steps, b.steps)
 
 
 def test_huge_budget_matches_unbudgeted_results():
@@ -204,8 +210,12 @@ def test_cohorts_straddle_scalar_tail_finisher():
 def test_string_budget_accepted_by_drivers_and_runner():
     g = cycle_graph(24)
     a = batched_parallel_idla(g, 0, seeds=spawn_seed_sequences(5, 4))
-    b = batched_parallel_idla(g, 0, seeds=spawn_seed_sequences(5, 4), state_budget="48p")
-    assert [r.dispersion_time for r in a] == [r.dispersion_time for r in b]
+    for kernels in PROVIDERS:
+        b = batched_parallel_idla(
+            g, 0, seeds=spawn_seed_sequences(5, 4), state_budget="48p",
+            kernels=kernels,
+        )
+        assert [r.dispersion_time for r in a] == [r.dispersion_time for r in b]
     est = estimate_dispersion(g, "parallel", reps=4, seed=5, batched=True,
                               state_budget="48p")
     est2 = estimate_dispersion(g, "parallel", reps=4, seed=5, batched=False)

@@ -42,6 +42,7 @@ from repro.core import (
 from repro.core.batched import buffer_doubles, stream_block
 from repro.experiments.stats import bootstrap_ci
 from repro.graphs import complete_graph, cycle_graph, grid_graph
+from repro.kernels import available_kernels
 from repro.utils.rng import (
     UniformStream,
     UniformStreams,
@@ -52,6 +53,10 @@ from repro.utils.rng import (
 )
 
 PARENT_SEED = 20260731
+
+#: Every provider available here: numpy runs the parallel lock-step
+#: body, a compiled one the per-repetition loop.
+PROVIDERS = [name for name, ok in sorted(available_kernels().items()) if ok]
 
 
 def assert_results_identical(serial, batch, extras=()):
@@ -139,8 +144,11 @@ def test_parallel_reps_straddle_default_threshold(reps):
     serial = [
         parallel_idla(g, seed=s) for s in spawn_seed_sequences(PARENT_SEED, reps)
     ]
-    batch = batched_parallel_idla(g, seeds=spawn_seed_sequences(PARENT_SEED, reps))
-    assert_results_identical(serial, batch)
+    for kernels in PROVIDERS:
+        batch = batched_parallel_idla(
+            g, seeds=spawn_seed_sequences(PARENT_SEED, reps), kernels=kernels
+        )
+        assert_results_identical(serial, batch)
 
 
 @pytest.mark.parametrize("reps", [2, 16, 24])
@@ -226,8 +234,13 @@ def test_all_five_processes_bit_identical_across_thresholds(monkeypatch):
                 serial_driver(g, seed=s)
                 for s in spawn_seed_sequences(PARENT_SEED, reps)
             ]
-            batch = batched_driver(g, seeds=spawn_seed_sequences(PARENT_SEED, reps))
-            assert_results_identical(serial, batch)
+            for kernels in PROVIDERS:
+                batch = batched_driver(
+                    g,
+                    seeds=spawn_seed_sequences(PARENT_SEED, reps),
+                    kernels=kernels,
+                )
+                assert_results_identical(serial, batch)
 
 
 def test_sequential_generators_land_on_serial_positions():
@@ -275,10 +288,16 @@ def test_synchronous_chunk_invariance(monkeypatch, block):
             g, seeds=spawn_seed_sequences(11, 5), tail_threshold=0
         ),
     )
-    # and with the finisher crossing a chunk boundary mid-stream
+    # and with the finisher crossing a chunk boundary mid-stream (the
+    # default threshold passed explicitly: left at None, a compiled
+    # provider would skip lock-step altogether)
     assert_results_identical(
         ref_par,
-        batched_parallel_idla(g, seeds=spawn_seed_sequences(11, 5)),
+        batched_parallel_idla(
+            g,
+            seeds=spawn_seed_sequences(11, 5),
+            tail_threshold=batched_mod._TAIL_THRESHOLD,
+        ),
     )
     assert_results_identical(
         ref_seq,
