@@ -69,12 +69,14 @@ the **serial stream position** (``UniformStreams.align_to_serial``): the
 Poissonised sequential driver keeps consuming the generator after the
 discrete walks, so the fetch grid matters there, not just the values.
 
-``record=True`` routes the flat per-round state into the chunked
-:class:`repro.core.trajectory.TrajectoryStore` — one slice append per
-round, finalised into the serial drivers' exact ``list[list[int]]``
-trajectories, with straggler repetitions handed to the finisher via
-:meth:`TrajectoryStore.handoff` so the scalar micro-loops keep appending
-to the recorded prefix.  The runner validates driver kwargs up front
+In the lock-step body ``record=True`` routes the flat per-round state
+into the chunked :class:`repro.core.trajectory.TrajectoryStore` — one
+slice append per round, finalised into the serial drivers' exact
+``list[list[int]]`` trajectories, with straggler repetitions handed to
+the finisher via :meth:`TrajectoryStore.handoff` so the scalar
+micro-loops keep appending to the recorded prefix.  The per-repetition
+route (:func:`per_rep_loop_kernels`) records through the compiled
+loops' event sinks instead.  The runner validates driver kwargs up front
 (unknown keys raise ``TypeError`` there) and routes impure settling
 rules to the serial reference path, which stays the oracle the batched
 subsystem is tested against.
@@ -96,10 +98,10 @@ from repro.core.settlement import (
     settle_vacant_starts,
 )
 from repro.core.stopping_rules import StoppingRule, standard_rule
-from repro.core.trajectory import TrajectoryStore
+from repro.core.trajectory import TrajectoryArrays, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import csr_arrays, get_kernels
-from repro.utils.validation import check_integer, check_limit
+from repro.utils.validation import check_integer, check_limit, check_record
 from repro.utils.rng import (
     UniformStream,
     UniformStreams,
@@ -232,29 +234,50 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
 _PER_REP_LOOPS = ("sequential", "c-sequential", "uniform", "ctu", "parallel")
 
 
-def per_rep_loop_kernels(
-    process, g, *, kernels=None, record=False, rule=None, faithful_r=False
-):
+def per_rep_loop_kernels(process, g, *, kernels=None, rule=None, faithful_r=False):
     """The compiled provider that can run whole repetitions of
     ``process`` on ``g``, one compiled loop each, or ``None``.
 
     The loops (``finish_sequential``, ``finish_uniform``, ``finish_ctu``,
     ``finish_parallel``) need a compiled provider, host CSR arrays
-    (:func:`csr_arrays`), no recording, the default settling rule and
-    Uniform-IDLA's default scheduler (``faithful_r=False``).  The batched
-    drivers gate their per-repetition route on this, and the runner's
-    auto dispatch consults it too, so the two cannot drift apart.  The
-    sequential and parallel drivers additionally keep their lock-step
-    body when ``tail_threshold`` is given explicitly.
+    (:func:`csr_arrays`), the default settling rule and Uniform-IDLA's
+    default scheduler (``faithful_r=False``); they record trajectories
+    through an event sink (:meth:`repro.kernels.CompiledKernels.event_sink`).
+    The batched drivers gate their per-repetition route on this, and the
+    runner's auto dispatch consults it too, so the two cannot drift
+    apart.  The sequential and parallel drivers additionally keep their
+    lock-step body when ``tail_threshold`` is given explicitly.
     """
     if process not in _PER_REP_LOOPS:
         return None
     kern = get_kernels(kernels)
-    if not kern.compiled or record or faithful_r:
+    if not kern.compiled or faithful_r:
         return None
     if not (rule is None or rule is standard_rule):
         return None
     return kern if csr_arrays(g) is not None else None
+
+
+def _route_trajectories(grouped, starts2d, record):
+    """Trajectories of a per-repetition run, in the shape ``record`` asks
+    for (``None`` when ``grouped`` is).
+
+    ``grouped`` maps each repetition that walked to its grouped event
+    sink (:meth:`repro.kernels.EventSink.trajectories`); every particle
+    of any other repetition settled at its start, so its row is
+    ``[start]``.
+    """
+    if grouped is None:
+        return None
+    traj_all = [
+        grouped[r]
+        if r in grouped
+        else TrajectoryArrays.from_lists(starts2d[r, :, None])
+        for r in range(starts2d.shape[0])
+    ]
+    if record == "arrays":
+        return traj_all
+    return [traj.to_lists() for traj in traj_all]
 
 
 def _resolve_tail_threshold(tail_threshold) -> int:
@@ -465,14 +488,14 @@ def batched_parallel_idla(
     """Run ``R`` independent Parallel-IDLA realisations in lock-step.
 
     Whenever :func:`per_rep_loop_kernels` finds a compiled loop (compiled
-    provider, host CSR arrays, ``record=False``, the default rule) and
-    ``tail_threshold`` is left at ``None``, no lock-step round runs at
-    all: after the shared round-0 settlement pass each repetition runs to
-    completion in one compiled call (``KernelSet.finish_parallel``) that
-    reads its own generator directly.  Samples stay bit-identical to the
-    serial oracle; the generators may end at other stream positions, as
-    they do after the lock-step body.  Everything else keeps the
-    lock-step body.
+    provider, host CSR arrays, the default rule) and ``tail_threshold``
+    is left at ``None``, no lock-step round runs at all: after the shared
+    round-0 settlement pass each repetition runs to completion in one
+    compiled call (``KernelSet.finish_parallel``) that reads its own
+    generator directly and, under ``record``, writes its steps to an
+    event sink.  Samples stay bit-identical to the serial oracle; the
+    generators may end at other stream positions, as they do after the
+    lock-step body.  Everything else keeps the lock-step body.
 
     Parameters
     ----------
@@ -484,10 +507,12 @@ def batched_parallel_idla(
     lazy, record, tie_break, rule, num_particles, scalar_threshold, max_rounds:
         As in :func:`repro.core.parallel.parallel_idla`; ``rule`` must be
         a pure predicate (it is evaluated only on vacant candidates).
-        ``record=True`` keeps full trajectories via the chunked
-        :class:`~repro.core.trajectory.TrajectoryStore` — one vectorised
-        append per round; memory is ``O(total steps)`` as in the serial
-        driver, and entry ``r``'s trajectories are list-identical to it.
+        ``record=True`` (or ``"arrays"``) keeps full trajectories: the
+        per-repetition route groups each repetition's event sink, the
+        lock-step body appends one vectorised slice per round to the
+        chunked :class:`~repro.core.trajectory.TrajectoryStore`.  Memory
+        is ``O(total steps)`` as in the serial driver, and entry ``r``'s
+        trajectories are identical to it.
     tail_threshold:
         Surviving-repetition count at which the scalar tail finisher
         takes over the stragglers (once each survivor is also down to
@@ -535,6 +560,7 @@ def batched_parallel_idla(
     scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
     tail_total = _resolve_tail_threshold(tail_threshold)
     budget = check_limit("max_rounds", max_rounds)
+    record = check_record(record)
     kern = get_kernels(kernels)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
@@ -571,7 +597,7 @@ def batched_parallel_idla(
     process = "parallel-lazy" if lazy else "parallel"
     # an explicit tail_threshold pins the lock-step body
     loop = (
-        per_rep_loop_kernels("parallel", g, kernels=kern, record=record, rule=rule)
+        per_rep_loop_kernels("parallel", g, kernels=kern, rule=rule)
         if tail_threshold is None
         else None
     )
@@ -589,7 +615,6 @@ def batched_parallel_idla(
             prio2d[r, 0] = 0
             prio2d[r, 1:] = 1 + gen.permutation(m - 1)
 
-    store = TrajectoryStore(starts2d, n) if record else None
     occ = np.zeros(R * n, dtype=bool)
     free = np.full(R, n, dtype=np.int64)
     steps2d = np.zeros((R, m), dtype=np.int64)
@@ -615,21 +640,28 @@ def batched_parallel_idla(
         # walking runs to completion in one compiled loop
         indptr, indices = csr_arrays(g)
         best = np.full(n, -1, dtype=np.int64)
+        grouped = {} if record else None
         for r, gen in enumerate(gens):
             act = np.flatnonzero(settled2d[r] < 0)
             if act.size == 0 or free[r] == 0:
                 continue  # surplus particles of a covered start: 0 steps
+            sink = loop.event_sink(act.size) if record else None
             loop.finish_parallel(
                 indptr, indices, occ[r * n : (r + 1) * n], act,
                 starts2d[r, act], arange_m if prio2d is None else prio2d[r],
                 best, steps2d[r], settled2d[r], round2d[r], gen,
                 free=int(free[r]), lazy=lazy,
                 scalar_threshold=scalar_threshold, budget=budget,
-                max_rounds=max_rounds, block=_SERIAL_PAR_BLOCK,
+                max_rounds=max_rounds, block=_SERIAL_PAR_BLOCK, sink=sink,
             )
+            if sink is not None:
+                grouped[r] = sink.trajectories(starts2d[r])
         return _parallel_results(
-            g, process, starts2d, steps2d, settled2d, round2d, prio2d, None
+            g, process, starts2d, steps2d, settled2d, round2d, prio2d,
+            _route_trajectories(grouped, starts2d, record),
         )
+
+    store = TrajectoryStore(starts2d, n) if record else None
 
     # ---- flat lock-step state: all repetitions' unsettled particles,
     # grouped by repetition, ascending particle index within each group
@@ -1096,11 +1128,12 @@ def batched_sequential_idla(
     which the scalar tail finisher hands each straggler to the serial
     micro-loop — a performance knob only, results are bit-identical
     either way.  ``None`` means every repetition when the compiled loop
-    can run (see below), else the module default.  ``record=True`` keeps
-    full trajectories through the chunked
-    :class:`~repro.core.trajectory.TrajectoryStore` (one vectorised
-    append per tick; the finisher continues each straggler's recorded
-    prefix), list-identical to the serial driver's.
+    can run (see below), else the module default.  ``record=True`` (or
+    ``"arrays"``) keeps full trajectories, identical to the serial
+    driver's: the compiled loop records into an event sink, the lock-step
+    body into the chunked :class:`~repro.core.trajectory.TrajectoryStore`
+    (one vectorised append per tick; the Python finisher continues each
+    straggler's recorded prefix).
 
     Note on throughput: with one particle per repetition the batch width
     equals the number of *live* repetitions, and it shrinks with every
@@ -1121,6 +1154,7 @@ def batched_sequential_idla(
         )
     tail_total = _resolve_tail_threshold(tail_threshold)
     budget = check_limit("max_total_steps", max_total_steps)
+    record = check_record(record)
     kern = get_kernels(kernels)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
@@ -1151,19 +1185,23 @@ def batched_sequential_idla(
     use_default_rule = rule is None or rule is standard_rule
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     process = "sequential-lazy" if lazy else "sequential"
-    fin_kern = per_rep_loop_kernels(
-        "sequential", g, kernels=kern, record=record, rule=rule
-    )
-    if fin_kern is not None and tail_threshold is None:
+    fin_kern = per_rep_loop_kernels("sequential", g, kernels=kern, rule=rule)
+    per_rep = fin_kern is not None and tail_threshold is None
+    if per_rep:
         # one walker per repetition: every repetition enters the compiled
         # tail handoff at tick 0 and no lock-step tick runs
         tail_total = R
+    elif record:
+        # the Python finisher continues the lock-step store's prefix
+        fin_kern = None
 
     starts2d = np.empty((R, m), dtype=np.int64)
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
 
-    store = TrajectoryStore(starts2d, n) if record else None
+    store = TrajectoryStore(starts2d, n) if record and not per_rep else None
+    # per-repetition route: each repetition's event sink, grouped
+    grouped = {} if record and per_rep else None
     occ = np.zeros(R * n, dtype=bool)
     steps2d = np.zeros((R, m), dtype=np.int64)
     settled2d = np.full((R, m), -1, dtype=np.int64)
@@ -1216,6 +1254,7 @@ def batched_sequential_idla(
                     # in one pass); same fetch cadence via take_block, so
                     # the consumed count lands on the serial grid as the
                     # Python loop's would
+                    sink = fin_kern.event_sink() if grouped is not None else None
                     consumed = fin_kern.finish_sequential(
                         csr[0], csr[1],
                         occ[r * n : (r + 1) * n],
@@ -1230,7 +1269,10 @@ def batched_sequential_idla(
                         limit_msg=limit_msg,
                         steps_row=steps2d[r],
                         settled_row=settled2d[r],
+                        sink=sink,
                     )
+                    if sink is not None:
+                        grouped[r] = sink.trajectories(starts2d[r])
                 else:
                     consumed = _finish_sequential_rep(
                         adj,
@@ -1316,7 +1358,9 @@ def batched_sequential_idla(
             base = live * block
             vert_off = live * n
 
-    if store is None:
+    if per_rep:
+        traj_all = _route_trajectories(grouped, starts2d, record)
+    elif store is None:
         traj_all = None
     elif record == "arrays":
         traj_all = store.finalize_arrays()

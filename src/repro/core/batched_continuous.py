@@ -45,8 +45,8 @@ Per-repetition route
 With one moving particle per repetition, the lock-step width is only the
 number of live repetitions, so numpy dispatch dominates every tick.
 Whenever :func:`repro.core.batched.per_rep_loop_kernels` finds a compiled
-provider (host CSR arrays, ``record=False`` and, for Uniform-IDLA,
-``faithful_r=False``), ``batched_uniform_idla`` and ``batched_ctu_idla``
+provider (host CSR arrays and, for Uniform-IDLA, ``faithful_r=False``),
+``batched_uniform_idla`` and ``batched_ctu_idla``
 run no lock-step tick at all: after the shared time-0 settlement, each
 live repetition runs to completion in one compiled loop
 (``KernelSet.finish_uniform`` / ``finish_ctu``), which follows its serial
@@ -55,13 +55,15 @@ serial-sized blocks from the repetition's own generator
 (``repro.core.uniform._BLOCK``, ``repro.core.continuous._BLOCK``), so each
 generator ends where the serial driver leaves it.  Logarithms never come
 from libm: each buffer travels with its numpy ``log1p(-u)`` lane, and the
-geometric-skip divisors with the numpy ``_skip_log_table``.  Everything
-else — the numpy provider, implicit graphs, ``record=True``,
+geometric-skip divisors with the numpy ``_skip_log_table``.  A recorded
+run hands each loop an event sink (:meth:`repro.kernels.CompiledKernels
+.event_sink`).  Everything else — the numpy provider, implicit graphs,
 ``faithful_r=True`` — keeps the lock-step body below.
 
-``record=True`` routes each tick's ``(repetition, particle, vertex)``
-into the chunked :class:`repro.core.trajectory.TrajectoryStore` (one
-slice append per tick), and Uniform-IDLA's ``faithful_r=True`` runs a
+In the lock-step body ``record=True`` routes each tick's ``(repetition,
+particle, vertex)`` into the chunked
+:class:`repro.core.trajectory.TrajectoryStore` (one slice append per
+tick), and Uniform-IDLA's ``faithful_r=True`` runs a
 dedicated lock-step branch that draws the literal i.i.d. schedule — one
 scheduler pick per live repetition per tick, wasted ticks consuming
 exactly one double — recording it through
@@ -77,7 +79,11 @@ import numpy as np
 
 from repro.core import continuous as _continuous
 from repro.core import uniform as _uniform
-from repro.core.batched import _resolve_generators, per_rep_loop_kernels
+from repro.core.batched import (
+    _resolve_generators,
+    _route_trajectories,
+    per_rep_loop_kernels,
+)
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
@@ -87,7 +93,12 @@ from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import csr_arrays, get_kernels
 from repro.utils.rng import UniformStream, UniformStreams, resolve_stream_block
-from repro.utils.validation import check_integer, check_limit, check_positive_finite
+from repro.utils.validation import (
+    check_integer,
+    check_limit,
+    check_positive_finite,
+    check_record,
+)
 from repro.walks.continuous import poissonise_steps
 
 __all__ = [
@@ -253,9 +264,10 @@ def batched_ctu_idla(
         :func:`repro.utils.rng.spawn_generators`.
     rate, record, num_particles:
         As in :func:`repro.core.continuous.ctu_idla`; ``record=True``
-        keeps full trajectories via the chunked
-        :class:`~repro.core.trajectory.TrajectoryStore`, list-identical
-        to the serial driver's.
+        (or ``"arrays"``) keeps full trajectories, identical to the
+        serial driver's, through the compiled loop's event sink or the
+        lock-step body's chunked
+        :class:`~repro.core.trajectory.TrajectoryStore`.
     kernels:
         Kernel-provider name/:class:`~repro.kernels.KernelSet` (see
         :mod:`repro.kernels`); resolution order is this kwarg, then
@@ -283,6 +295,7 @@ def batched_ctu_idla(
             f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
     check_positive_finite("rate", rate)
+    record = check_record(record)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
     if R == 0:
@@ -312,7 +325,6 @@ def batched_ctu_idla(
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
 
-    store = TrajectoryStore(starts2d, n) if record else None
     occ = np.zeros(R * n, dtype=bool)
     posflat = starts2d.reshape(-1).copy()
     stepsflat = np.zeros(R * m, dtype=np.int64)
@@ -326,26 +338,32 @@ def batched_ctu_idla(
         R, n, m, starts2d, occ, settledflat, unsflat, orders
     )
 
-    loop = per_rep_loop_kernels("ctu", g, kernels=kern, record=record)
+    loop = per_rep_loop_kernels("ctu", g, kernels=kern)
     if loop is not None:
         # per-repetition route: each live repetition runs to completion
         # in one compiled loop, fetching serial-sized blocks on demand
         indptr, indices = csr_arrays(g)
+        grouped = {} if record else None
         for r, k in zip(lanes_list, k_list):
             row = slice(r * m, (r + 1) * m)
             order = _order_row(orders[r], m)
+            sink = loop.event_sink() if record else None
             final_clock[r] = loop.finish_ctu(
                 indptr, indices, occ[r * n : (r + 1) * n], unsflat[row],
                 posflat[row], stepsflat[row], settledflat[row],
                 settle_clock[row], order,
                 UniformStream(gens[r], block=_continuous._BLOCK),
-                k=k, norder=len(orders[r]), rate=rate,
+                k=k, norder=len(orders[r]), rate=rate, sink=sink,
             )
             orders[r] = order
+            if sink is not None:
+                grouped[r] = sink.trajectories(starts2d[r])
         return _ctu_results(
             g, starts2d, stepsflat, settledflat, orders, final_clock,
-            settle_clock, None,
+            settle_clock, _route_trajectories(grouped, starts2d, record),
         )
+
+    store = TrajectoryStore(starts2d, n) if record else None
 
     # ---- per-lane compact state (one lane per live repetition)
     lanes = np.asarray(lanes_list, dtype=np.int64)
@@ -577,9 +595,9 @@ def batched_uniform_idla(
     wasted-tick clock in ``result.ticks`` (and trajectories under
     ``record=True``).
 
-    With a compiled provider (default mode, ``record=False``, CSR graph)
-    each repetition instead runs in one compiled loop; see
-    "Per-repetition route" in the module docstring.
+    With a compiled provider (default mode, CSR graph) each repetition
+    instead runs in one compiled loop; see "Per-repetition route" in the
+    module docstring.
 
     Unlike the CTU driver, per-tick consumption varies per lane (the
     geometric skip and the wasted-tick short-circuit make it 1–3
@@ -593,6 +611,7 @@ def batched_uniform_idla(
             f"uniform IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
     budget = check_limit("max_ticks", max_ticks)
+    record = check_record(record)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
     if R == 0:
@@ -625,7 +644,6 @@ def batched_uniform_idla(
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
 
-    store = TrajectoryStore(starts2d, n) if record else None
     occ = np.zeros(R * n, dtype=bool)
     posflat = starts2d.reshape(-1).copy()
     stepsflat = np.zeros(R * m, dtype=np.int64)
@@ -639,28 +657,33 @@ def batched_uniform_idla(
     )
 
     pool_size = max(m - 1, 1)
-    loop = per_rep_loop_kernels(
-        "uniform", g, kernels=kern, record=record, faithful_r=faithful_r
-    )
+    loop = per_rep_loop_kernels("uniform", g, kernels=kern, faithful_r=faithful_r)
     if loop is not None:
         # per-repetition route: each live repetition runs to completion
         # in one compiled loop, fetching serial-sized blocks on demand
         indptr, indices = csr_arrays(g)
         logq = _skip_log_table(pool_size)
+        grouped = {} if record else None
         for r, k in zip(lanes_list, k_list):
             row = slice(r * m, (r + 1) * m)
             order = _order_row(orders[r], m)
+            sink = loop.event_sink() if record else None
             final_ticks[r] = loop.finish_uniform(
                 indptr, indices, occ[r * n : (r + 1) * n], unsflat[row],
                 posflat[row], stepsflat[row], settledflat[row], order,
                 UniformStream(gens[r], block=_uniform._BLOCK),
                 k=k, norder=len(orders[r]), logq=logq, budget=budget,
-                limit_msg=limit_msg,
+                limit_msg=limit_msg, sink=sink,
             )
             orders[r] = order
+            if sink is not None:
+                grouped[r] = sink.trajectories(starts2d[r])
         return _uniform_results(
-            g, starts2d, stepsflat, settledflat, orders, final_ticks, None, None
+            g, starts2d, stepsflat, settledflat, orders, final_ticks,
+            _route_trajectories(grouped, starts2d, record), None,
         )
+
+    store = TrajectoryStore(starts2d, n) if record else None
 
     def logq_for(k: int) -> float:
         # same scalar np.log1p computation as the serial driver's cache;
@@ -903,6 +926,7 @@ def batched_continuous_sequential_idla(
     from repro.core.batched import batched_sequential_idla
 
     check_positive_finite("rate", rate)
+    record = check_record(record)
     gens = _resolve_generators(seeds, seed, reps)
     if not gens:
         return []

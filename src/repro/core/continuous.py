@@ -35,7 +35,11 @@ from repro.core.sequential import sequential_idla
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
-from repro.utils.validation import check_integer, check_positive_finite
+from repro.utils.validation import (
+    check_integer,
+    check_positive_finite,
+    check_record,
+)
 from repro.walks.continuous import poissonise_steps
 
 __all__ = ["ctu_idla", "continuous_sequential_idla"]
@@ -78,6 +82,7 @@ def ctu_idla(
             f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
     check_positive_finite("rate", rate)
+    record = check_record(record)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     adj = g.adjacency_lists()
@@ -165,6 +170,7 @@ def continuous_sequential_idla(
     slowest particle took to settle.
     """
     check_positive_finite("rate", rate)
+    record = check_record(record)
     rng = as_generator(seed)
     discrete = sequential_idla(g, origin, seed=rng, record=record)
     durations = poissonise_steps(discrete.steps, rng, rate=rate)

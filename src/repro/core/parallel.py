@@ -35,7 +35,7 @@ from repro.core.settlement import select_settlers, settle_vacant_starts
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_integer, check_limit
+from repro.utils.validation import check_integer, check_limit, check_record
 from repro.walks.engine import WalkEngine
 
 __all__ = ["parallel_idla"]
@@ -97,6 +97,7 @@ def parallel_idla(
         raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
     scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
     budget = check_limit("max_rounds", max_rounds)
+    record = check_record(record)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     use_default_rule = rule is None or rule is standard_rule

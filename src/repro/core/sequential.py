@@ -27,7 +27,7 @@ from repro.core.settlement import instant_settle_chain
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_integer, check_limit
+from repro.utils.validation import check_integer, check_limit, check_record
 
 __all__ = ["sequential_idla"]
 
@@ -97,6 +97,7 @@ def sequential_idla(
             f"sequential IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
     budget = check_limit("max_total_steps", max_total_steps)
+    record = check_record(record)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     use_default_rule = rule is None or rule is standard_rule

@@ -44,7 +44,7 @@ from repro.core.results import DispersionResult
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
-from repro.utils.validation import check_integer, check_limit
+from repro.utils.validation import check_integer, check_limit, check_record
 
 __all__ = ["uniform_idla", "sample_schedule"]
 
@@ -97,6 +97,7 @@ def uniform_idla(
             f"uniform IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
     budget = check_limit("max_ticks", max_ticks)
+    record = check_record(record)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     adj = g.adjacency_lists()

@@ -57,7 +57,7 @@ from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
 from repro.kernels import KernelsUnavailableError, check_kernels
 from repro.utils.rng import as_seed_sequence, stable_seed
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_record
 
 __all__ = [
     "PROCESS_DRIVERS",
@@ -217,8 +217,8 @@ def _validate_driver_kwargs(process: str, kwargs: dict) -> None:
 #: each repetition in one compiled loop (see
 #: :func:`~repro.core.batched.per_rep_loop_kernels`); the numbers are
 #: then only the crossovers of the numpy lock-step bodies, which the
-#: numpy provider, ``record=True``, implicit graphs, non-default rules and
-#: an explicit ``tail_threshold`` keep.
+#: numpy provider, implicit graphs, non-default rules, Uniform-IDLA's
+#: ``faithful_r=True`` and an explicit ``tail_threshold`` keep.
 _BATCHED_MIN_REPS = {
     "parallel": 4,
     "sequential": 64,
@@ -291,7 +291,6 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
             process,
             g,
             kernels=kwargs.get("kernels"),
-            record=kwargs.get("record", False),
             rule=kwargs.get("rule"),
             faithful_r=kwargs.get("faithful_r", False),
         )
@@ -641,6 +640,8 @@ def estimate_dispersion(
             f"unknown process {process!r}; available: {sorted(PROCESS_DRIVERS)}"
         )
     _validate_driver_kwargs(process, kwargs)
+    if "record" in kwargs:
+        check_record(kwargs["record"])
     check_kernels(kwargs.get("kernels"))
     n_jobs = check_integer("n_jobs", n_jobs)
     if n_jobs < 1:

@@ -30,7 +30,7 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  A provider passes a load-time
-self-check (:func:`_self_check`) exercising all ten entry points before
+self-check (:func:`_self_check`) exercising all eleven entry points before
 it can be selected, so a miscompiled or mis-installed provider fails at
 resolution, not mid-run.
 """
@@ -47,6 +47,7 @@ import numpy as np
 __all__ = [
     "ENV_VAR",
     "CompiledKernels",
+    "EventSink",
     "KernelSet",
     "KernelsUnavailableError",
     "NumpyKernels",
@@ -63,6 +64,10 @@ _AUTO_ORDER = ("cffi",)
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
+
+#: Events an :class:`EventSink` buffer holds before a recording loop
+#: returns "sink full" (a Parallel-IDLA sink holds at least one round).
+_SINK_EVENTS = 1 << 15
 
 
 class KernelsUnavailableError(ValueError):
@@ -185,6 +190,54 @@ class NumpyKernels(KernelSet):
         return cand[winners]
 
 
+class EventSink:
+    """Event log of one recorded repetition of a per-repetition C loop.
+
+    The loop writes one ``(particle, vertex)`` int32 pair per
+    particle-step into :attr:`buf` (holds included, the serial drivers'
+    record shape).  Before a step or round that would overflow it, the
+    loop returns "sink full"; the wrapper then seals the filled
+    buffer and re-enters with a fresh one.  :meth:`trajectories` groups
+    the events by particle in one counting scatter, no sort.
+    """
+
+    __slots__ = ("capacity", "buf", "_sealed", "_scatter")
+
+    def __init__(self, scatter, capacity: int):
+        if capacity < 1:
+            # a loop could never record its next step: it would re-enter forever
+            raise ValueError(f"event sink capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.buf = np.empty(2 * capacity, dtype=np.int32)
+        self._sealed: list[np.ndarray] = []
+        self._scatter = scatter
+
+    def seal(self, count: int, *, reopen: bool = True) -> None:
+        """Keep the first ``count`` events of :attr:`buf`; with
+        ``reopen``, start an empty buffer for the loop to continue in."""
+        self._sealed.append(self.buf[: 2 * count])
+        self.buf = np.empty(2 * self.capacity if reopen else 0, dtype=np.int32)
+
+    def trajectories(self, starts: np.ndarray):
+        """The sealed events as :class:`~repro.core.trajectory
+        .TrajectoryArrays`: particle ``p``'s row is ``starts[p]`` followed
+        by its recorded vertices in order."""
+        from repro.core.trajectory import TrajectoryArrays
+
+        m = starts.shape[0]
+        lens = np.ones(m, dtype=np.int64)  # every row opens with its start
+        for ev in self._sealed:
+            lens += np.bincount(ev[0::2], minlength=m)
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        flat = np.empty(int(offsets[-1]), dtype=np.int32)
+        flat[offsets[:-1]] = starts
+        cursor = offsets[:-1] + 1
+        for ev in self._sealed:
+            self._scatter(ev, ev.shape[0] // 2, cursor, flat)
+        return TrajectoryArrays(offsets, flat)
+
+
 class CompiledKernels(KernelSet):
     """Wrapper over the low-level provider namespace (:mod:`cffi_impl`).
 
@@ -195,6 +248,9 @@ class CompiledKernels(KernelSet):
     raw generator for the single-walker loops) — the exact fetch cadence
     of the serial scalar loops, so generator positions stay reconcilable
     with the serial grid (``UniformStreams.align_to_serial``).
+
+    The per-repetition loops take an optional ``sink``
+    (:meth:`event_sink`) that records the repetition's trajectories.
     """
 
     __slots__ = ("_impl",)
@@ -250,29 +306,50 @@ class CompiledKernels(KernelSet):
         )
         return winners[: int(c)]
 
+    # ---- event sinks ---------------------------------------------------
+    def event_sink(self, min_capacity: int = 1) -> EventSink:
+        """A fresh :class:`EventSink` for one recorded repetition, holding
+        at least ``min_capacity`` events per buffer."""
+        return EventSink(self._impl.scatter_events, max(_SINK_EVENTS, min_capacity))
+
+    @staticmethod
+    def _sink_args(sink):
+        # the room of the buffer actually passed, so C never writes past it
+        return (None, 0) if sink is None else (sink.buf, sink.buf.shape[0] // 2)
+
     # ---- scalar-tail finisher loops ----------------------------------
     def finish_sequential(
         self, indptr, indices, occ_row, starts, tail, *,
         walker, pos, pstep, total, lazy, budget, limit_msg,
-        steps_row, settled_row,
+        steps_row, settled_row, sink=None,
     ) -> int:
-        """Compiled ``_finish_sequential_rep``; returns consumed doubles."""
-        state = np.array([walker, pos, pstep, total], dtype=np.int64)
+        """Compiled ``_finish_sequential_rep``; returns consumed doubles.
+
+        With ``sink``, every step from here on is recorded into it."""
+        state = np.array([walker, pos, pstep, total, 0, 0], dtype=np.int64)
         occ = _u8(occ_row)
         starts = _i64(starts)
         m = starts.shape[0]
         lz = 1 if lazy else 0
-        buf = tail.take_block()
+        buf = _f64(tail.take_block())
         while True:
             status = self._impl.finish_seq(
                 indptr, indices, occ, starts, steps_row, settled_row,
-                _f64(buf), buf.shape[0], state, m, lz, budget,
+                buf, buf.shape[0], state, m, lz, budget,
+                *self._sink_args(sink),
             )
             if status == 1:
+                if sink is not None:
+                    sink.seal(int(state[5]), reopen=False)
                 return int(state[3])
             if status < 0:
                 raise RuntimeError(limit_msg)
-            buf = tail.take_block()
+            if status == 2:
+                sink.seal(int(state[5]))
+                state[5] = 0
+                continue
+            buf = _f64(tail.take_block())
+            state[4] = 0
 
     def finish_parallel_single(
         self, indptr, indices, occ_arr, tail, *,
@@ -306,52 +383,74 @@ class CompiledKernels(KernelSet):
     def finish_ctu(
         self, indptr, indices, occ_row, pool, pos_row, steps_row,
         settled_row, clock_row, order, stream, *, k, norder, rate,
+        sink=None,
     ) -> float:
         """Compiled :func:`repro.core.continuous.ctu_idla` tick loop;
-        returns the repetition's final clock."""
-        state = np.array([k, norder, 0], dtype=np.int64)
+        returns the repetition's final clock.  With ``sink``, every tick
+        is recorded into it."""
+        state = np.array([k, norder, 0, 0], dtype=np.int64)
         clock = np.zeros(1, dtype=np.float64)
         occ = _u8(occ_row)
         buf = stream.take_block()
+        lg = np.log1p(-buf)
         while True:
             status = self._impl.run_ctu(
                 indptr, indices, occ, pool, pos_row, steps_row, settled_row,
-                clock_row, order, buf, np.log1p(-buf), buf.shape[0], state,
-                clock, float(rate),
+                clock_row, order, buf, lg, buf.shape[0], state,
+                clock, float(rate), *self._sink_args(sink),
             )
             if status == 1:
+                if sink is not None:
+                    sink.seal(int(state[3]), reopen=False)
                 return float(clock[0])
+            if status == 2:
+                sink.seal(int(state[3]))
+                state[3] = 0
+                continue
             buf = np.concatenate((buf[state[2] :], stream.take_block()))
+            lg = np.log1p(-buf)
+            state[2] = 0
 
     def finish_uniform(
         self, indptr, indices, occ_row, pool, pos_row, steps_row,
         settled_row, order, stream, *, k, norder, logq, budget, limit_msg,
+        sink=None,
     ) -> int:
         """Compiled :func:`repro.core.uniform.uniform_idla` tick loop
         (default scheduler); returns the repetition's tick count.
 
         ``logq[j]`` is ``np.log1p(-(j / pool_size))`` for
         ``j < pool_size = logq.shape[0]``, the geometric-skip divisor.
+        With ``sink``, every tick that steps is recorded into it.
         """
-        state = np.array([k, norder, 0, 0], dtype=np.int64)
+        state = np.array([k, norder, 0, 0, 0], dtype=np.int64)
         occ = _u8(occ_row)
         buf = stream.take_block()
+        lg = np.log1p(-buf)
         while True:
             status = self._impl.run_uniform(
                 indptr, indices, occ, pool, pos_row, steps_row, settled_row,
-                order, buf, np.log1p(-buf), buf.shape[0], logq,
-                logq.shape[0], state, budget,
+                order, buf, lg, buf.shape[0], logq,
+                logq.shape[0], state, budget, *self._sink_args(sink),
             )
             if status == 1:
+                if sink is not None:
+                    sink.seal(int(state[4]), reopen=False)
                 return int(state[2])
             if status < 0:
                 raise RuntimeError(limit_msg)
+            if status == 2:
+                sink.seal(int(state[4]))
+                state[4] = 0
+                continue
             buf = np.concatenate((buf[state[3] :], stream.take_block()))
+            lg = np.log1p(-buf)
+            state[3] = 0
 
     def finish_parallel(
         self, indptr, indices, occ_row, act, pos, prio, best, steps_row,
         settled_row, round_row, rng, *, free, lazy, scalar_threshold,
-        budget, max_rounds, block: int,
+        budget, max_rounds, block: int, sink=None,
     ) -> int:
         """Compiled :func:`repro.core.parallel.parallel_idla` round loop
         for one repetition; returns its final round.
@@ -363,7 +462,9 @@ class CompiledKernels(KernelSet):
         scratch of size ``n``, restored on return.  Doubles come straight
         from ``rng``, at least ``block`` per fetch, the unconsumed tail of
         a buffer carried in front of the next one: the samples are the
-        serial ones, while the generator may end elsewhere.
+        serial ones, while the generator may end elsewhere.  With
+        ``sink`` (capacity at least ``act.size``: one round's events),
+        every round is recorded into it.
         """
         for a in (act, pos, prio, best, steps_row, settled_row, round_row):
             if a.dtype != _I64 or not a.flags.c_contiguous:
@@ -371,30 +472,39 @@ class CompiledKernels(KernelSet):
         if pos.shape != act.shape or best.shape[0] < occ_row.shape[0]:
             raise ValueError("finish_parallel: act/pos or best size mismatch")
         k = act.shape[0]
+        if sink is not None and sink.capacity < k:
+            raise ValueError("finish_parallel: sink holds less than one round")
         # k only shrinks, so clamping keeps every `k > threshold` test
         thr = max(-1, min(scalar_threshold, k))
-        state = np.array([k, 0, free, 0], dtype=np.int64)
+        state = np.array([k, 0, free, 0, 0], dtype=np.int64)
         occ = _u8(occ_row)
         lz = 1 if lazy else 0
         buf = np.empty(0)
+        status = 0
         while True:
-            need = 2 * k if lazy and k > thr else k
-            buf = np.concatenate(
-                (buf[state[3] :], rng.random(max(block, need)))
-            )
-            state[3] = 0
+            if status == 0:
+                k = int(state[0])
+                need = 2 * k if lazy and k > thr else k
+                buf = np.concatenate(
+                    (buf[state[3] :], rng.random(max(block, need)))
+                )
+                state[3] = 0
             status = self._impl.run_parallel(
                 indptr, indices, occ, act, pos, prio, best, steps_row,
                 settled_row, round_row, buf, buf.shape[0], state, lz, thr,
-                budget,
+                budget, *self._sink_args(sink),
             )
             if status == 1:
+                if sink is not None:
+                    sink.seal(int(state[4]), reopen=False)
                 return int(state[1])
             if status < 0:
                 raise RuntimeError(
                     f"parallel IDLA exceeded max_rounds={max_rounds}"
                 )
-            k = int(state[0])
+            if status == 2:
+                sink.seal(int(state[4]))
+                state[4] = 0
 
     # ---- single-walker loops -----------------------------------------
     def walk_positions(self, indptr, indices, out, rng, block: int):
@@ -497,6 +607,11 @@ def _self_check(ks: CompiledKernels) -> None:
     )
     assert (vertex, rounds) == (1, 1) and bool(occ[1])
 
+    # recorded runs use one-event sinks (a Parallel-IDLA sink: one round),
+    # so every loop also re-enters after "sink full"
+    def sink(capacity=1):
+        return EventSink(ks._impl.scatter_events, capacity)
+
     occ = np.zeros(3, dtype=bool)
     occ[0] = True
     steps_row = np.zeros(2, dtype=np.int64)
@@ -511,6 +626,27 @@ def _self_check(ks: CompiledKernels) -> None:
     )
     assert consumed == 2
     assert settled_row.tolist() == [2, 1] and steps_row.tolist() == [1, 1]
+
+    # lazy: each particle holds once, then steps; with a one-event sink
+    # the loop re-enters mid-buffer after every event
+    for rec in (None, sink()):
+        occ = np.zeros(3, dtype=bool)
+        occ[0] = True
+        steps_row = np.zeros(2, dtype=np.int64)
+        settled_row = np.full(2, -1, dtype=np.int64)
+        starts = np.array([1, 2], dtype=np.int64)
+        consumed = ks.finish_sequential(
+            indptr, indices, occ, starts,
+            _BlockFeeder([[0.2, 0.9], [0.1, 0.6]]),
+            walker=0, pos=1, pstep=0, total=0, lazy=True,
+            budget=float("inf"), limit_msg="self-check",
+            steps_row=steps_row, settled_row=settled_row, sink=rec,
+        )
+        assert consumed == 4
+        assert settled_row.tolist() == [2, 1] and steps_row.tolist() == [2, 2]
+        if rec is not None:
+            traj = rec.trajectories(starts)
+            assert traj.to_lists() == [[1, 1, 2], [2, 2, 1]], traj.to_lists()
 
     out = np.empty(3, dtype=np.int64)
     out[0] = 0
@@ -532,51 +668,62 @@ def _self_check(ks: CompiledKernels) -> None:
         )]
         return occ, rows
 
-    occ, (pool, pos, steps_row, settled_row, order) = tick_state()
-    clock_row = np.zeros(3)
-    clock = ks.finish_ctu(
-        indptr, indices, occ, pool, pos, steps_row, settled_row, clock_row,
-        order, _BlockFeeder([[0.5, 0.9, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0, 0.9]]),
-        k=2, norder=1, rate=1.0,
-    )
-    dt = -float(np.log1p(-0.5))
-    assert clock == dt / 2.0 + dt + dt, clock
-    assert clock_row.tolist() == [0.0, clock, dt / 2.0], clock_row
-    assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
-    assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
+    # every recorded loop below ends in the same trajectories: particle 0
+    # settled at its start, particle 2 stepped once, particle 1 twice
+    walked = [[0], [0, 1, 2], [0, 1]]
+    starts = np.zeros(3, dtype=np.int64)
+    for rec in (None, sink()):
+        occ, (pool, pos, steps_row, settled_row, order) = tick_state()
+        clock_row = np.zeros(3)
+        clock = ks.finish_ctu(
+            indptr, indices, occ, pool, pos, steps_row, settled_row,
+            clock_row, order,
+            _BlockFeeder([[0.5, 0.9, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0, 0.9]]),
+            k=2, norder=1, rate=1.0, sink=rec,
+        )
+        dt = -float(np.log1p(-0.5))
+        assert clock == dt / 2.0 + dt + dt, clock
+        assert clock_row.tolist() == [0.0, clock, dt / 2.0], clock_row
+        assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
+        assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
+        assert rec is None or rec.trajectories(starts) == walked
 
-    occ, (pool, pos, steps_row, settled_row, order) = tick_state()
-    ticks = ks.finish_uniform(
-        indptr, indices, occ, pool, pos, steps_row, settled_row, order,
-        _BlockFeeder([[0.9, 0.0, 0.8], [0.0, 0.0, 0.0, 0.0, 0.9]]),
-        k=2, norder=1, logq=np.log1p(-(np.arange(2) / 2)),
-        budget=float("inf"), limit_msg="self-check",
-    )
-    # skips: int(log1p(-0.8) / log1p(-0.5)) = 2, then 0
-    assert ticks == 5, ticks
-    assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
-    assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
+    for rec in (None, sink()):
+        occ, (pool, pos, steps_row, settled_row, order) = tick_state()
+        ticks = ks.finish_uniform(
+            indptr, indices, occ, pool, pos, steps_row, settled_row, order,
+            _BlockFeeder([[0.9, 0.0, 0.8], [0.0, 0.0, 0.0, 0.0, 0.9]]),
+            k=2, norder=1, logq=np.log1p(-(np.arange(2) / 2)),
+            budget=float("inf"), limit_msg="self-check", sink=rec,
+        )
+        # skips: int(log1p(-0.8) / log1p(-0.5)) = 2, then 0
+        assert ticks == 5, ticks
+        assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
+        assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
+        assert rec is None or rec.trajectories(starts) == walked
 
     # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
     # 0 -> 1, where particle 2 wins on priority; round 2's gate ends the
     # first buffer and its step double opens the second
-    occ = np.array([1, 0, 0], dtype=np.uint8)
-    act = np.array([1, 2], dtype=np.int64)
-    pos = np.zeros(2, dtype=np.int64)
-    best = np.full(3, -1, dtype=np.int64)
-    steps_row = np.zeros(3, dtype=np.int64)
-    settled_row = np.array([0, -1, -1], dtype=np.int64)
-    round_row = np.array([0, -1, -1], dtype=np.int64)
-    rounds = ks.finish_parallel(
-        indptr, indices, occ, act, pos, np.array([0, 2, 1], dtype=np.int64),
-        best, steps_row, settled_row, round_row,
-        _BlockFeeder([[0.9, 0.9, 0.5, 0.5, 0.9], [0.9, 0.0, 0.0, 0.0, 0.0]]),
-        free=2, lazy=True, scalar_threshold=0, budget=float("inf"),
-        max_rounds=None, block=5,
-    )
-    assert rounds == 2, rounds
-    assert settled_row.tolist() == [0, 2, 1] and steps_row.tolist() == [0, 2, 1]
-    assert round_row.tolist() == [0, 2, 1] and best.tolist() == [-1, -1, -1]
+    for rec in (None, sink(2)):
+        occ = np.array([1, 0, 0], dtype=np.uint8)
+        act = np.array([1, 2], dtype=np.int64)
+        pos = np.zeros(2, dtype=np.int64)
+        best = np.full(3, -1, dtype=np.int64)
+        steps_row = np.zeros(3, dtype=np.int64)
+        settled_row = np.array([0, -1, -1], dtype=np.int64)
+        round_row = np.array([0, -1, -1], dtype=np.int64)
+        rounds = ks.finish_parallel(
+            indptr, indices, occ, act, pos, np.array([0, 2, 1], dtype=np.int64),
+            best, steps_row, settled_row, round_row,
+            _BlockFeeder([[0.9, 0.9, 0.5, 0.5, 0.9], [0.9, 0.0, 0.0, 0.0, 0.0]]),
+            free=2, lazy=True, scalar_threshold=0, budget=float("inf"),
+            max_rounds=None, block=5, sink=rec,
+        )
+        assert rounds == 2, rounds
+        assert settled_row.tolist() == [0, 2, 1] and steps_row.tolist() == [0, 2, 1]
+        assert round_row.tolist() == [0, 2, 1] and best.tolist() == [-1, -1, -1]
+        assert rec is None or rec.trajectories(starts) == walked
 
 
 # ----------------------------------------------------------------------

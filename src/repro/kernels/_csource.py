@@ -18,6 +18,16 @@ return ``0`` when it runs dry; the Python wrapper refills (see
 ``KernelSet`` in the package root) in the serial drivers' block cadence
 wherever a later consumer reads the generator, so those fetch positions
 stay on the serial grid.
+
+The four per-repetition loops (``repro_finish_seq``, ``repro_run_ctu``,
+``repro_run_uniform``, ``repro_run_parallel``) take an optional *event
+sink*: an ``int`` array of ``cap`` ``(particle, vertex)`` pairs, ``NULL``
+when the run does not record.  Each particle-step (holds included)
+appends one pair -- the shape the serial drivers record.  Before a step
+or round that would overflow the sink the loop returns ``2`` ("sink
+full"); the wrapper keeps the filled sink and re-enters with an empty
+one, as it does with a fresh buffer after a ``0``.
+``repro_scatter_events`` groups the events by particle afterwards.
 """
 
 from __future__ import annotations
@@ -35,7 +45,8 @@ i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
 i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
                      unsigned char *occ, const i64 *starts, i64 *steps_row,
                      i64 *settled_row, const double *buf, i64 nbuf,
-                     i64 *state, i64 m, i64 lazy, double budget);
+                     i64 *state, i64 m, i64 lazy, double budget, int *ev,
+                     i64 cap);
 i64 repro_finish_par1(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, const double *buf, i64 nbuf,
                       i64 *state, i64 lazy, i64 guard, double budget);
@@ -48,18 +59,20 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
                   double *sclock, i64 *order, const double *buf,
                   const double *lg, i64 nbuf, i64 *state, double *clock,
-                  double rate);
+                  double rate, int *ev, i64 cap);
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
                       i64 *settled, i64 *order, const double *buf,
                       const double *lg, i64 nbuf, const double *logq,
-                      i64 pool_size, i64 *state, double budget);
+                      i64 pool_size, i64 *state, double budget, int *ev,
+                      i64 cap);
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
                        i64 *settled, i64 *round, const double *buf,
                        i64 nbuf, i64 *state, i64 lazy, i64 thr,
-                       double budget);
+                       double budget, int *ev, i64 cap);
+void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
 """
 
 C_SOURCE = """
@@ -67,6 +80,11 @@ C_SOURCE = """
 #include <stdlib.h>
 
 typedef long long i64;
+
+/* Append the event (particle p, vertex v) to the event sink `ev` of the
+ * enclosing loop (NULL when it does not record); `nev` counts events. */
+#define REPRO_EVENT(p, v) do { if (ev) { \
+    ev[2 * nev] = (int)(p); ev[2 * nev + 1] = (int)(v); nev++; } } while (0)
 
 /* Fused CSR step: deg gather, offset truncation, clamp, slot gather.
  * Bit-identical to the numpy chain
@@ -137,34 +155,34 @@ i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
     return total;
 }
 
-/* _finish_sequential_rep's inner loop.  state = [particle, pos, t, total];
- * returns 1 when all m particles settled (state[3] = consumed doubles),
- * 0 when the uniform buffer ran dry (resume with a fresh buffer), -1 on
- * budget excess.  The serial loop draws u *before* the budget check and
- * indexes nbrs *unclamped* -- both reproduced exactly. */
+/* _finish_sequential_rep's inner loop.  state = [particle, pos, t,
+ * total, cursor, events]; returns 1 when all m particles settled
+ * (state[3] = consumed doubles), 0 when the uniform buffer ran dry
+ * (resume with a fresh buffer and cursor 0), 2 when the event sink is
+ * full (resume with an empty one), -1 on budget excess.  The serial loop
+ * draws u *before* the budget check and indexes nbrs *unclamped* -- both
+ * reproduced exactly.  With a sink, every step (holds included) records
+ * (particle, position after the step). */
 i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
                      unsigned char *occ, const i64 *starts, i64 *steps_row,
                      i64 *settled_row, const double *buf, i64 nbuf,
-                     i64 *state, i64 m, i64 lazy, double budget)
+                     i64 *state, i64 m, i64 lazy, double budget, int *ev,
+                     i64 cap)
 {
     i64 particle = state[0], pos = state[1], t = state[2], total = state[3];
-    i64 i = 0;
+    i64 i = state[4], nev = state[5], status;
     for (;;) {
-        if (i >= nbuf) {
-            state[0] = particle; state[1] = pos;
-            state[2] = t; state[3] = total;
-            return 0;
-        }
+        if (i >= nbuf) { status = 0; break; }
+        if (ev && nev >= cap) { status = 2; break; }
         double u = buf[i++];
         total += 1;
         t += 1;
-        if ((double)total > budget) {
-            state[0] = particle; state[1] = pos;
-            state[2] = t; state[3] = total;
-            return -1;
-        }
+        if ((double)total > budget) { status = -1; break; }
         if (lazy) {
-            if (u < 0.5) continue;
+            if (u < 0.5) {
+                REPRO_EVENT(particle, pos);
+                continue;
+            }
             u = 2.0 * (u - 0.5);
         }
         {
@@ -172,6 +190,7 @@ i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
             i64 d = indptr[pos + 1] - s;
             pos = indices[s + (i64)(u * (double)d)];
         }
+        REPRO_EVENT(particle, pos);
         if (occ[pos]) continue;
         occ[pos] = 1;
         steps_row[particle] = t;
@@ -185,14 +204,13 @@ i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
             settled_row[particle] = v;
             particle += 1;
         }
-        if (particle == m) {
-            state[0] = particle; state[1] = pos;
-            state[2] = t; state[3] = total;
-            return 1;
-        }
+        if (particle == m) { status = 1; break; }
         pos = starts[particle];
         t = 0;
     }
+    state[0] = particle; state[1] = pos; state[2] = t; state[3] = total;
+    state[4] = i; state[5] = nev;
+    return status;
 }
 
 /* The k == 1 branch of _finish_parallel_rep: one straggler particle, no
@@ -275,19 +293,23 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
  * the settle order so far.  Per tick, three doubles: the clock advance
  * -log1p(-u)/(k*rate) read from the caller's log lane `lg` (libm log1p
  * is not bit-identical to numpy's), the clamped pool slot, the clamped
- * step.  state = [k, settled-order length, consumed]; returns 1 when
- * every particle settled, 0 before a tick whose doubles are not all in
- * the buffer (resume with the unconsumed tail in front of a new one). */
+ * step.  state = [k, settled-order length, cursor, events]; returns 1
+ * when every particle settled, 0 before a tick whose doubles are not all
+ * in the buffer (resume with the unconsumed tail in front of a new one,
+ * cursor 0), 2 before a tick the event sink has no room for (resume with
+ * an empty one).  With a sink, each tick records (particle, new vertex). */
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
                   double *sclock, i64 *order, const double *buf,
                   const double *lg, i64 nbuf, i64 *state, double *clock,
-                  double rate)
+                  double rate, int *ev, i64 cap)
 {
-    i64 k = state[0], no = state[1], i = 0;
+    i64 k = state[0], no = state[1], i = state[2], nev = state[3];
+    i64 status = 1;
     double c = clock[0];
     while (k) {
-        if (i + 3 > nbuf) break;
+        if (i + 3 > nbuf) { status = 0; break; }
+        if (ev && nev >= cap) { status = 2; break; }
         c += -lg[i] / ((double)k * rate);
         i64 s = (i64)(buf[i + 1] * (double)k);
         if (s > k - 1) s = k - 1;
@@ -300,6 +322,7 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         i += 3;
         pos[p] = v;
         steps[p] += 1;
+        REPRO_EVENT(p, v);
         if (occ[v]) continue;
         occ[v] = 1;
         settled[p] = v;
@@ -307,29 +330,34 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         order[no++] = p;
         pool[s] = pool[--k];
     }
-    state[0] = k; state[1] = no; state[2] = i;
+    state[0] = k; state[1] = no; state[2] = i; state[3] = nev;
     clock[0] = c;
-    return k == 0;
+    return status;
 }
 
 /* One Uniform-IDLA repetition (uniform_idla's default-mode tick loop),
  * state laid out as in repro_run_ctu plus the tick count:
- * state = [k, settled-order length, ticks, consumed].  Per tick: the
+ * state = [k, settled-order length, ticks, cursor, events].  Per tick: the
  * budget check, then -- only while k < pool_size -- the geometric skip
  * (i64)(log1p(-u) / logq[k]) of wasted ticks and the budget check again,
  * then the clamped pool slot and the clamped step.  logq[k] is the
  * caller's numpy log1p(-k/pool_size).  Returns 1 done, 0 before a tick
- * whose 2-3 doubles are not all in the buffer, -1 on budget excess. */
+ * whose 2-3 doubles are not all in the buffer, 2 before a tick the event
+ * sink has no room for, -1 on budget excess.  With a sink, each tick
+ * that steps records (particle, new vertex); wasted ticks record none. */
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
                       i64 *settled, i64 *order, const double *buf,
                       const double *lg, i64 nbuf, const double *logq,
-                      i64 pool_size, i64 *state, double budget)
+                      i64 pool_size, i64 *state, double budget, int *ev,
+                      i64 cap)
 {
-    i64 k = state[0], no = state[1], t = state[2], i = 0, status = 1;
+    i64 k = state[0], no = state[1], t = state[2], i = state[3];
+    i64 nev = state[4], status = 1;
     while (k) {
         i64 skip = k < pool_size;
         if (i + 2 + skip > nbuf) { status = 0; break; }
+        if (ev && nev >= cap) { status = 2; break; }
         t += 1;
         if ((double)t > budget) { status = -1; break; }
         if (skip) {
@@ -347,13 +375,14 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         i += 2;
         pos[p] = v;
         steps[p] += 1;
+        REPRO_EVENT(p, v);
         if (occ[v]) continue;
         occ[v] = 1;
         settled[p] = v;
         order[no++] = p;
         pool[s] = pool[--k];
     }
-    state[0] = k; state[1] = no; state[2] = t; state[3] = i;
+    state[0] = k; state[1] = no; state[2] = t; state[3] = i; state[4] = nev;
     return status;
 }
 
@@ -367,22 +396,26 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
  * narrow phase's raw truncation never reaches d, so one expression
  * serves both phases.  Per vacant vertex the slot with the smallest
  * prio[act[j]] settles (first on ties); `best` is all -1 on entry and
- * on return.  state = [k, t, free, cursor]; returns 1 when done (the
- * surplus particles of m > n get steps = t), 0 before a round whose
- * doubles are not all in the buffer, -1 when t exceeds the budget. */
+ * on return.  state = [k, t, free, cursor, events]; returns 1 when done
+ * (the surplus particles of m > n get steps = t), 0 before a round whose
+ * doubles are not all in the buffer, 2 before a round the event sink has
+ * no room for (k events; resume with an empty sink), -1 when t exceeds
+ * the budget.  With a sink, each round records (particle, vertex) for
+ * every active particle after its step, holds included. */
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
                        i64 *settled, i64 *round, const double *buf,
                        i64 nbuf, i64 *state, i64 lazy, i64 thr,
-                       double budget)
+                       double budget, int *ev, i64 cap)
 {
     i64 k = state[0], t = state[1], fr = state[2], i = state[3];
-    i64 status = 1;
+    i64 nev = state[4], status = 1;
     while (k && fr) {
         i64 wide = k > thr;
         i64 need = lazy && wide ? 2 * k : k;
         if (i + need > nbuf) { status = 0; break; }
+        if (ev && nev + k > cap) { status = 2; break; }
         t += 1;
         if ((double)t > budget) { status = -1; break; }
         for (i64 j = 0; j < k; j++) {
@@ -398,6 +431,8 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
             pos[j] = indices[b + off];
         }
         i += need;
+        if (ev)
+            for (i64 j = 0; j < k; j++) REPRO_EVENT(act[j], pos[j]);
         for (i64 j = 0; j < k; j++) {
             i64 v = pos[j];
             if (occ[v]) continue;
@@ -423,7 +458,17 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
     }
     if (status == 1)
         for (i64 j = 0; j < k; j++) steps[act[j]] = t;
-    state[0] = k; state[1] = t; state[2] = fr; state[3] = i;
+    state[0] = k; state[1] = t; state[2] = fr; state[3] = i; state[4] = nev;
     return status;
+}
+
+/* Counting scatter of recorded events: event e = (p, v) lands at
+ * flat[cursor[p]++].  With cursor[p] the first free slot of particle p's
+ * row, one pass groups a sink by particle, chronological within each row,
+ * with no sort. */
+void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat)
+{
+    for (i64 e = 0; e < nev; e++)
+        flat[cursor[ev[2 * e]]++] = ev[2 * e + 1];
 }
 """

@@ -101,6 +101,9 @@ def load() -> SimpleNamespace:
     def pu(a):
         return from_buffer("unsigned char[]", a)
 
+    def pe(a):  # int32 events; None is NULL, a loop that does not record
+        return ffi.NULL if a is None else from_buffer("int[]", a)
+
     return SimpleNamespace(
         name="cffi",
         csr_step=lambda indptr, indices, pos, u, out, k: lib.repro_csr_step(
@@ -116,9 +119,10 @@ def load() -> SimpleNamespace:
             )
         ),
         finish_seq=lambda indptr, indices, occ, starts, steps_row, settled_row,
-        buf, nbuf, state, m, lazy, budget: lib.repro_finish_seq(
+        buf, nbuf, state, m, lazy, budget, ev, cap: lib.repro_finish_seq(
             pi(indptr), pi(indices), pu(occ), pi(starts), pi(steps_row),
             pi(settled_row), pd(buf), nbuf, pi(state), m, lazy, budget,
+            pe(ev), cap,
         ),
         finish_par1=lambda indptr, indices, occ, buf, nbuf, state, lazy,
         guard, budget: lib.repro_finish_par1(
@@ -138,25 +142,30 @@ def load() -> SimpleNamespace:
             )
         ),
         run_ctu=lambda indptr, indices, occ, pool, pos, steps, settled,
-        sclock, order, buf, lg, nbuf, state, clock, rate: lib.repro_run_ctu(
-            pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
-            pi(settled), pd(sclock), pi(order), pd(buf), pd(lg), nbuf,
-            pi(state), pd(clock), rate,
+        sclock, order, buf, lg, nbuf, state, clock, rate, ev, cap: (
+            lib.repro_run_ctu(
+                pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos),
+                pi(steps), pi(settled), pd(sclock), pi(order), pd(buf),
+                pd(lg), nbuf, pi(state), pd(clock), rate, pe(ev), cap,
+            )
         ),
         run_uniform=lambda indptr, indices, occ, pool, pos, steps, settled,
-        order, buf, lg, nbuf, logq, pool_size, state, budget: (
+        order, buf, lg, nbuf, logq, pool_size, state, budget, ev, cap: (
             lib.repro_run_uniform(
                 pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos),
                 pi(steps), pi(settled), pi(order), pd(buf), pd(lg), nbuf,
-                pd(logq), pool_size, pi(state), budget,
+                pd(logq), pool_size, pi(state), budget, pe(ev), cap,
             )
         ),
         run_parallel=lambda indptr, indices, occ, act, pos, prio, best, steps,
-        settled, rounds, buf, nbuf, state, lazy, thr, budget: (
+        settled, rounds, buf, nbuf, state, lazy, thr, budget, ev, cap: (
             lib.repro_run_parallel(
                 pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), pi(prio),
                 pi(best), pi(steps), pi(settled), pi(rounds), pd(buf), nbuf,
-                pi(state), lazy, thr, budget,
+                pi(state), lazy, thr, budget, pe(ev), cap,
             )
+        ),
+        scatter_events=lambda ev, nev, cursor, flat: lib.repro_scatter_events(
+            pe(ev), nev, pi(cursor), pe(flat)
         ),
     )

@@ -19,6 +19,7 @@ __all__ = [
     "check_integer",
     "check_limit",
     "check_probability_vector",
+    "check_record",
 ]
 
 
@@ -39,6 +40,20 @@ def check_integer(name: str, value) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_record(value):
+    """Validate a driver's ``record`` kwarg and return it.
+
+    Accepts ``False``, ``True`` (NumPy booleans too) and ``"arrays"``;
+    anything else — a typo such as ``"array"``, or ``0.5`` — raises
+    ``ValueError`` instead of silently recording as ``True``.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, str) and value == "arrays":
+        return value
+    raise ValueError(f"record must be False, True or 'arrays', got {value!r}")
 
 
 def check_positive(name: str, value) -> None:

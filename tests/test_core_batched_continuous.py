@@ -423,13 +423,15 @@ def _check_auto_dispatch_thresholds(kernels):
     for process, crossover in crossovers.items():
         assert _use_batched(process, g, crossover, 1, kw, "auto")
         # a compiled provider runs each repetition in one compiled loop,
-        # which wins at any repetition count; numpy keeps the crossover
-        for reps in sorted({1, 2, crossover - 1}):
-            assert _use_batched(process, g, reps, 1, kw, "auto") == compiled
+        # which wins at any repetition count, recording or not; numpy
+        # keeps the crossover
+        for extra in (kw, dict(kw, record=True), dict(kw, record="arrays")):
+            for reps in sorted({1, 2, crossover - 1}):
+                assert _use_batched(process, g, reps, 1, extra, "auto") == compiled
         # no compiled loop for these: numpy lock-step crossover
         for graph, extra in (
             (g, {"kernels": "numpy"}),
-            (g, dict(kw, record=True)),
+            (g, {"kernels": "numpy", "record": True}),
             (cycle_graph(64, implicit=True), kw),
         ):
             assert _use_batched(process, graph, crossover, 1, extra, "auto")

@@ -274,9 +274,10 @@ def test_kernels_axis_matches_serial_oracle(case, kernels, monkeypatch):
     pure performance decision: the fused offset+gather step, the
     counting-scatter settlement round, the vectorised vacancy probe and
     both scalar tail finishers all engage here (``record=True`` keeps the
-    store-active paths honest too — recording disables the compiled
-    finishers but not the lock-step kernels), and every result field must
-    stay byte-identical to the per-repetition serial loop.
+    store-active paths honest too — under ``tail_threshold=0`` recording
+    runs the lock-step kernels, left at ``None`` the compiled loops' event
+    sinks), and every result field must stay byte-identical to the
+    per-repetition serial loop.
 
     ``min_width`` is forced to 0 so this small graph still drives the
     compiled array kernels — under the default width gate these rounds
@@ -568,10 +569,12 @@ def test_tick_per_rep_route_matches_serial_oracle(
 @pytest.mark.parametrize("process", TICK_ROUTE)
 def test_tick_lockstep_body_keeps_its_cases(process, kernels, route_calls):
     """What has no compiled loop keeps the numpy lock-step body, still
-    bit-identical: recording, ``faithful_r=True``, implicit graphs and
-    the numpy provider (also when chosen through ``REPRO_KERNELS``)."""
+    bit-identical: ``faithful_r=True``, implicit graphs and the numpy
+    provider (also when chosen through ``REPRO_KERNELS``), recording or
+    not."""
     cases = [
-        (GRAPH, {"record": True, "kernels": kernels}),
+        (GRAPH, {"record": True, "kernels": "numpy"}),
+        (GRAPH_BUILDS["implicit"], {"record": True, "kernels": kernels}),
         (GRAPH_BUILDS["implicit"], {"kernels": kernels}),
         (GRAPH, {"kernels": "numpy"}),
         (GRAPH, {}),  # REPRO_KERNELS=numpy, set below
@@ -674,14 +677,15 @@ def test_parallel_per_rep_route_matches_serial_oracle(
 @pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
 def test_parallel_lockstep_body_keeps_its_cases(kernels, route_calls):
     """What the per-repetition loop does not cover keeps the lock-step
-    body, still bit-identical: recording, implicit graphs, a non-default
-    rule, an explicit ``tail_threshold`` and the numpy provider (also
-    when chosen through ``REPRO_KERNELS``)."""
+    body, still bit-identical: implicit graphs, a non-default rule, an
+    explicit ``tail_threshold`` and the numpy provider (also when chosen
+    through ``REPRO_KERNELS``), recording or not."""
     from repro.core.stopping_rules import DelayedRule
 
     rule = DelayedRule(2)
     cases = [
-        (GRAPH, {"record": True, "kernels": kernels}),
+        (GRAPH, {"record": True, "kernels": "numpy"}),
+        (GRAPH_BUILDS["implicit"], {"record": True, "kernels": kernels}),
         (GRAPH_BUILDS["implicit"], {"kernels": kernels}),
         (GRAPH, {"rule": rule, "kernels": kernels}),
         (GRAPH, {"tail_threshold": 16, "kernels": kernels}),
@@ -707,6 +711,115 @@ def test_parallel_lockstep_body_keeps_its_cases(kernels, route_calls):
     assert route_calls["finish_parallel"] == 0
 
 
+#: Recorded variants of the per-repetition route: every route variant.
+#: ``origin="uniform"`` settles several particles at their starts (rows
+#: ``[start]``); Parallel adds the lazy hold shapes, random ties and
+#: ``m > n`` surplus walkers.
+RECORD_VARIANTS = {"parallel": PARALLEL_VARIANTS, **PER_REP_VARIANTS}
+
+#: The compiled loop each process's per-repetition route calls.
+ROUTE_LOOP = {
+    "parallel": "finish_parallel",
+    "sequential": "finish_sequential",
+    "c-sequential": "finish_sequential",
+    "uniform": "finish_uniform",
+    "ctu": "finish_ctu",
+}
+
+
+@pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
+@pytest.mark.parametrize("sink", ["default-sink", "one-event-sink"])
+@pytest.mark.parametrize("record", [True, "arrays"], ids=["lists", "arrays"])
+@pytest.mark.parametrize(
+    "process,variant",
+    [(p, v) for p in RECORD_VARIANTS for v in RECORD_VARIANTS[p]],
+)
+def test_recorded_per_rep_route_matches_serial_oracle(
+    process, variant, record, sink, kernels, route_calls, monkeypatch
+):
+    """``record=True`` and ``record="arrays"`` take the per-repetition
+    route with a compiled provider, through the batched driver and auto
+    dispatch alike: one compiled loop per walking repetition, no
+    lock-step round, and trajectories equal to the serial oracle's, in
+    its shape.  A one-event sink (one round for Parallel) makes every
+    loop re-enter after "sink full"."""
+    import repro.kernels as kernels_mod
+
+    if sink == "one-event-sink":
+        monkeypatch.setattr(kernels_mod, "_SINK_EVENTS", 1)
+    kwargs = dict(RECORD_VARIANTS[process][variant])
+    origin = kwargs.pop("origin", 0)
+    budget = kwargs.pop("state_budget", None)
+    oracle = [
+        PROCESS_DRIVERS[process](GRAPH, origin, seed=s, record=record, **kwargs)
+        for s in spawn_seed_sequences(PARENT_SEED, REPS)
+    ]
+    walking = sum(1 for r in oracle if r.total_steps > 0)
+    # the serial oracle steps through the compiled csr_step: count from here
+    route_calls.update(dict.fromkeys(route_calls, 0))
+    batch = BATCHED_DRIVERS[process](
+        GRAPH, origin, seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+        record=record, kernels=kernels, state_budget=budget, **kwargs,
+    )
+    assert route_calls == dict.fromkeys(route_calls, 0) | {
+        ROUTE_LOOP[process]: walking
+    }
+    for s, b in zip(oracle, batch):
+        assert_result_identical(s, b, EXTRAS.get(process, ()))
+        assert type(b.trajectories) is type(s.trajectories)
+
+    est = estimate_dispersion(
+        GRAPH, process, origin=origin, reps=REPS, seed=PARENT_SEED,
+        record=record, kernels=kernels, state_budget=budget, **kwargs,
+    )
+    assert route_calls[ROUTE_LOOP[process]] == 2 * walking
+    assert est.trajectories == [r.trajectories for r in oracle]
+
+
+#: ``record`` values that name no recording mode.
+BAD_RECORDS = ["array", "lists", 0.5, 0, 1, None]
+
+
+@pytest.mark.parametrize("bad", BAD_RECORDS, ids=repr)
+@pytest.mark.parametrize("process", sorted(PROCESS_DRIVERS))
+def test_invalid_record_rejected_before_any_repetition(process, bad, monkeypatch):
+    """A misspelt or non-boolean ``record`` used to record as if it were
+    ``True``; every serial driver, batched driver and estimate mode now
+    raises before a repetition runs."""
+    finished = []
+    for registry in (PROCESS_DRIVERS, BATCHED_DRIVERS):
+        fn = registry[process]
+
+        def tracked(*args, _fn=fn, **kwargs):
+            out = _fn(*args, **kwargs)
+            finished.append(out)
+            return out
+
+        monkeypatch.setitem(registry, process, tracked)
+    match = "record must be False, True or 'arrays'"
+    with pytest.raises(ValueError, match=match):
+        PROCESS_DRIVERS[process](GRAPH, 0, seed=1, record=bad)
+    with pytest.raises(ValueError, match=match):
+        BATCHED_DRIVERS[process](GRAPH, 0, reps=0, record=bad)
+    for mode in ({"batched": False}, {"batched": True}, {}, {"n_jobs": 2}):
+        with pytest.raises(ValueError, match=match):
+            estimate_dispersion(
+                GRAPH, process, reps=REPS, seed=1, record=bad, **mode
+            )
+    assert finished == []
+
+
+@pytest.mark.parametrize("process", sorted(PROCESS_DRIVERS))
+def test_numpy_bool_record_accepted(process):
+    """``record`` accepts NumPy booleans like Python ones."""
+    est = estimate_dispersion(GRAPH, process, reps=2, seed=1, record=np.True_)
+    ref = estimate_dispersion(GRAPH, process, reps=2, seed=1, record=True)
+    assert est.trajectories == ref.trajectories
+    assert estimate_dispersion(
+        GRAPH, process, reps=2, seed=1, record=np.False_
+    ).trajectories is None
+
+
 @pytest.mark.parametrize("build", ["csr", "implicit"])
 def test_deep_tail_straddles_finisher_with_recording(build):
     """A repetition count above the threshold: the lock-step phase runs
@@ -716,14 +829,16 @@ def test_deep_tail_straddles_finisher_with_recording(build):
     the lazy per-vertex view instead of materialised lists."""
     oracle_g = cycle_graph(32)
     g = cycle_graph(32, implicit=(build == "implicit"))
-    reps = 24  # > default tail_threshold=16: genuine mid-run handoff
+    reps = 24  # > tail_threshold=16: genuine mid-run handoff
     for process in ("sequential", "parallel"):
         serial = [
             PROCESS_DRIVERS[process](oracle_g, 0, seed=s, record=True)
             for s in spawn_seed_sequences(11, reps)
         ]
+        # explicit: left at None, a compiled provider skips lock-step
         batch = BATCHED_DRIVERS[process](
-            g, 0, seeds=spawn_seed_sequences(11, reps), record=True
+            g, 0, seeds=spawn_seed_sequences(11, reps), record=True,
+            tail_threshold=16,
         )
         for s, b in zip(serial, batch):
             assert_result_identical(s, b)

@@ -22,6 +22,8 @@ layer's own contracts:
   numpy ``logq`` table they read;
 * the per-repetition Parallel-IDLA loop against ``parallel_idla`` at
   tiny fetch blocks, across the wide -> narrow draw switch;
+* recording: every per-repetition loop at tiny event sinks against the
+  serial trajectories, and the sink's grouping pass;
 * the build cache keyed on the whole compile command;
 * the ``UniformStream.take_block`` handoff contract the compiled tail
   finishers consume.
@@ -45,9 +47,10 @@ from repro.core.batched_continuous import (
     batched_ctu_idla,
     batched_uniform_idla,
 )
-from repro.core.batched import batched_parallel_idla
+from repro.core.batched import batched_parallel_idla, batched_sequential_idla
 from repro.core.continuous import ctu_idla
 from repro.core.parallel import parallel_idla
+from repro.core.sequential import sequential_idla
 from repro.core.uniform import uniform_idla
 from repro.graphs import complete_binary_tree, cycle_graph, grid_graph, star_graph
 from repro.kernels import (
@@ -481,6 +484,113 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
     ):
         with pytest.raises(ValueError, match="finish_parallel"):
             run(**bad)
+
+
+# ---------------------------------------------------------------------------
+# recording: event sinks of the per-repetition loops
+
+#: (serial driver, batched driver, kwargs) per recorded loop shape: lazy
+#: holds in both draw phases, random ties, ``m > n`` surplus walkers.
+RECORDED_LOOPS = {
+    "parallel-lazy": (
+        parallel_idla, batched_parallel_idla, {"lazy": True, "scalar_threshold": 3}
+    ),
+    "parallel-random-ties": (
+        parallel_idla, batched_parallel_idla, {"tie_break": "random"}
+    ),
+    "parallel-m>n": (parallel_idla, batched_parallel_idla, {"num_particles": 14}),
+    "sequential-lazy": (sequential_idla, batched_sequential_idla, {"lazy": True}),
+    "uniform": (uniform_idla, batched_uniform_idla, {"num_particles": 7}),
+    "ctu": (ctu_idla, batched_ctu_idla, {"num_particles": 7}),
+}
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("capacity", [1, 2, 5])
+@pytest.mark.parametrize("record", [True, "arrays"], ids=["lists", "arrays"])
+@pytest.mark.parametrize("origin", [0, "uniform"])
+@pytest.mark.parametrize("loop", sorted(RECORDED_LOOPS))
+@pytest.mark.parametrize(
+    "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
+)
+def test_recorded_loops_match_serial_at_tiny_sinks(
+    provider, capacity, record, origin, loop, g, monkeypatch
+):
+    """Sinks of 1-5 events (a Parallel-IDLA sink holds at least one
+    round) fill over and over: every re-entry after "sink full" must
+    resume the loop exactly, and the grouped events must equal the
+    serial trajectories in the serial shape.  Particles settled at their
+    start (all of them, some reps, under ``origin="uniform"``) keep
+    ``[start]``."""
+    monkeypatch.setattr(kernels_mod, "_SINK_EVENTS", capacity)
+    reopened = []
+    seal = kernels_mod.EventSink.seal
+
+    def counted(self, count, *, reopen=True):
+        reopened.append(reopen)
+        return seal(self, count, reopen=reopen)
+
+    monkeypatch.setattr(kernels_mod.EventSink, "seal", counted)
+    serial, batched, kwargs = RECORDED_LOOPS[loop]
+    ref = [
+        serial(g, origin, seed=s, record=record, **kwargs)
+        for s in spawn_seed_sequences(7, 4)
+    ]
+    got = batched(
+        g, origin, seeds=spawn_seed_sequences(7, 4), record=record,
+        kernels=provider, **kwargs,
+    )
+    if capacity == 1:
+        assert any(reopened)  # some sink filled up and the loop re-entered
+    for s, b in zip(ref, got):
+        assert type(b.trajectories) is type(s.trajectories)
+        assert b.trajectories == s.trajectories
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_event_sink_groups_events_by_particle(provider):
+    """Events interleaved across particles and split over several sealed
+    buffers group into per-particle rows, chronological, each opened by
+    its start; a particle with no event keeps ``[start]``."""
+    ks = get_kernels(provider)
+    sink = ks.event_sink()
+    assert sink.capacity == kernels_mod._SINK_EVENTS
+    assert ks.event_sink(kernels_mod._SINK_EVENTS + 1).capacity == (
+        kernels_mod._SINK_EVENTS + 1
+    )
+    sink.buf[:6] = [2, 5, 0, 1, 2, 6]
+    sink.seal(3)
+    sink.buf[:4] = [0, 2, 2, 7]
+    sink.seal(2, reopen=False)
+    traj = sink.trajectories(np.array([9, 8, 4, 3], dtype=np.int64))
+    assert traj.to_lists() == [[9, 1, 2], [8], [4, 5, 6, 7], [3]]
+    assert traj.offsets.tolist() == [0, 3, 4, 8, 9]
+    empty = ks.event_sink().trajectories(np.array([1, 0], dtype=np.int64))
+    assert empty.to_lists() == [[1], [0]]
+    with pytest.raises(ValueError, match="capacity"):
+        kernels_mod.EventSink(ks._impl.scatter_events, 0)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_parallel_loop_rejects_a_sink_smaller_than_a_round(provider):
+    """A Parallel-IDLA round writes one event per active particle at
+    once, so a sink that cannot hold one round could never drain."""
+    ks = get_kernels(provider)
+    g = cycle_graph(5)
+    indptr, indices = csr_arrays(g)
+    with pytest.raises(ValueError, match="one round"):
+        ks.finish_parallel(
+            indptr, indices, np.array([1, 0, 0, 0, 0], dtype=np.uint8),
+            np.arange(1, 5, dtype=np.int64), np.zeros(4, dtype=np.int64),
+            np.arange(5, dtype=np.int64), np.full(5, -1, dtype=np.int64),
+            np.zeros(5, dtype=np.int64), np.full(5, -1, dtype=np.int64),
+            np.full(5, -1, dtype=np.int64), as_generator(0), free=4,
+            lazy=False, scalar_threshold=16, budget=float("inf"),
+            max_rounds=None, block=64,
+            sink=kernels_mod.EventSink(ks._impl.scatter_events, 3),
+        )
 
 
 @pytest.mark.parametrize("pool_size", [1, 2, 3, 7, 10, 63, 1000, 4097])
