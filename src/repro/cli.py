@@ -114,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="fan repetition shards out over N worker processes "
-        "(shared-memory graph export; default: run in-process)",
+        help="fan repetition shards out over N workers: threads sharing "
+        "the graph on the per-repetition compiled route, else processes "
+        "with a shared-memory graph export (default: run in-process)",
     )
     run.add_argument(
         "--batched",

@@ -1,21 +1,31 @@
-"""Shared-memory process fan-out for Monte-Carlo dispersion estimates.
+"""Thread and shared-memory process fan-out for Monte-Carlo dispersion estimates.
 
-``estimate_dispersion(n_jobs > 1)`` used to pickle the whole graph into
-every one of the ``reps`` pool jobs and fan out *serial* repetitions, so
-the process pool could not compose with the lock-step batching of
-:mod:`repro.core.batched` / :mod:`repro.core.batched_continuous`.  This
-module replaces that path with the standard shared-immutable-structure
-pattern for parallel Monte Carlo over one read-only graph:
+``estimate_dispersion(n_jobs > 1)`` splits the repetition axis into
+contiguous shards (:func:`plan_shards`) and runs each shard through the
+batched drivers, so batching and workers compose.  Which workers run
+the shards is decided once per call, in the parent:
 
-* :class:`SharedGraph` exports a :class:`~repro.graphs.csr.Graph`'s CSR
-  arrays **once** into a named ``multiprocessing.shared_memory`` block;
-  each worker reattaches and rebuilds the graph zero-copy through
-  :meth:`repro.graphs.csr.Graph.from_shared`;
-* :func:`plan_shards` splits the repetition axis into one contiguous
-  slice per worker, so each worker runs the *batched* driver on its
-  shard — batching × processes compose instead of excluding each other;
-* :func:`run_shard` is the worker entry point and
-  :func:`fanout_estimate` orchestrates the pool from the parent.
+* **Threads**, when every repetition runs in one compiled loop (the
+  runner's per-repetition route: a compiled provider, a CSR graph, the
+  default settling rule, no ``faithful_r``, no explicit
+  ``tail_threshold`` and ``batched`` not ``False``).  cffi drops the
+  GIL inside each loop, so a ``ThreadPoolExecutor`` shares the
+  immutable graph's arrays in place: no export, no fork, no pickling.
+  The parent resolves the kernel provider once and hands the instance
+  to every thread.  Threads record ``record=True`` trajectories as
+  arrays; the calling thread builds the lists as it collects each
+  shard.  The pool lives only inside the call, so a later fork never
+  forks a multi-threaded process.
+* **Processes** for everything else, which is GIL-bound (the numpy
+  provider, implicit graphs, rules, ``faithful_r``, an explicit
+  ``tail_threshold``, ``batched=False``).  This is the standard
+  shared-immutable-structure pattern for parallel Monte Carlo over one
+  read-only graph: :class:`SharedGraph` exports a
+  :class:`~repro.graphs.csr.Graph`'s CSR arrays **once** into a named
+  ``multiprocessing.shared_memory`` block; each worker reattaches and
+  rebuilds the graph zero-copy through
+  :meth:`repro.graphs.csr.Graph.from_shared`, and :func:`run_shard` is
+  the worker entry point.
 
 Implicit families (:mod:`repro.graphs.implicit`) skip the segment
 entirely: their adjacency is arithmetic, so the worker-side rebuild is a
@@ -28,8 +38,8 @@ either.  Both spec routes validate their counts through the shared
 
 Bit-identity across execution modes is preserved because repetition
 ``r`` still consumes child ``r`` of the single parent ``SeedSequence``
-no matter which shard (or dispatch mode) runs it, and the batched
-drivers replay the serial uniform streams double for double.
+no matter which shard, worker kind (or dispatch mode) runs it, and the
+batched drivers replay the serial uniform streams double for double.
 
 Memory lifecycle
 ----------------
@@ -50,7 +60,8 @@ from __future__ import annotations
 
 import multiprocessing
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -59,7 +70,7 @@ import numpy as np
 
 from repro.graphs.csr import Graph
 from repro.graphs.implicit import ImplicitGraph, ImplicitGraphSpec, from_descriptor
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_record
 
 __all__ = [
     "SharedGraph",
@@ -267,32 +278,14 @@ def run_shard(
     # Imported here (not at module top) to keep runner -> fanout -> runner
     # from becoming an import cycle; by the time a shard runs, the
     # experiments package is fully initialised.
-    from repro.experiments.runner import (
-        BATCHED_DRIVERS,
-        _use_batched,
-        outcome_of,
-        run_process,
-        serial_kwargs,
-    )
+    from repro.experiments.runner import _shard_outcomes
 
     if isinstance(spec, ImplicitGraphSpec):
         shm, g = None, from_descriptor(spec)
     else:
         shm, g = attach(spec)
     try:
-        if batched is True:
-            use_batched = True  # validated by the parent before dispatch
-        else:
-            use_batched = _use_batched(process, g, len(children), 1, kwargs, batched)
-        if use_batched:
-            batch = BATCHED_DRIVERS[process](g, origin, seeds=list(children), **kwargs)
-            return [outcome_of(r) for r in batch]
-        out = []
-        skwargs = serial_kwargs(process, kwargs)
-        for child in children:
-            res = run_process(process, g, origin, seed=child, **skwargs)
-            out.append(outcome_of(res))
-        return out
+        return _shard_outcomes(g, process, origin, children, kwargs, batched)
     finally:
         # The graph's CSR arrays view shm.buf: release them before closing
         # the mapping (close() raises BufferError while views exist).
@@ -312,6 +305,44 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def _thread_outcomes(
+    g: Graph, process: str, origin, children, shards, n_jobs: int, kwargs
+) -> list[tuple[float, int, object, object]]:
+    """Run the shards on a thread pool that shares ``g`` in place.
+
+    Only for requests whose every repetition is one compiled loop (the
+    loops release the GIL).  ``kwargs`` carry the resolved provider, so
+    no thread resolves one.  Threads record ``"arrays"``; this thread
+    builds the ``record=True`` lists as it collects each shard.  On the
+    first failure the queued shards are cancelled and the pool joins
+    before the error propagates.
+    """
+    from repro.experiments.runner import _shard_outcomes
+
+    lists = check_record(kwargs.get("record", False)) is True
+    if lists:
+        kwargs = {**kwargs, "record": "arrays"}
+    outcomes: list[tuple[float, int, object, object]] = []
+    with ThreadPoolExecutor(max_workers=min(n_jobs, len(shards))) as pool:
+        pending = deque(
+            pool.submit(
+                _shard_outcomes, g, process, origin, children[start:stop], kwargs, True
+            )
+            for start, stop in shards
+        )
+        try:
+            while pending:
+                # popleft: a collected shard's arrays die with its lists
+                for disp, steps, traj, sched in pending.popleft().result():
+                    if lists:
+                        traj = traj.to_lists()
+                    outcomes.append((disp, steps, traj, sched))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return outcomes
+
+
 def fanout_estimate(
     g: Graph,
     process: str,
@@ -323,19 +354,29 @@ def fanout_estimate(
     kwargs,
     max_shard: int | None = None,
 ) -> list[tuple[float, int, object, object]]:
-    """Fan repetition shards out over a shared-memory process pool.
+    """Fan contiguous repetition shards out over a thread or process pool.
 
-    CSR graphs are exported once (not pickled per job); implicit
-    families skip the segment and ship their ``(family, params)``
-    descriptor instead.  The repetition axis is sharded contiguously
-    over at most ``n_jobs`` workers — or, with ``max_shard`` (the
-    adaptive runner's cost-weighted cap), into more, smaller shards
-    that queue on the pool — and each worker runs :func:`run_shard`,
-    batched where profitable (or forced via ``batched=True``).
-    Outcomes come back in repetition order and are bit-identical to
-    ``n_jobs=1`` over the same ``children``.
+    The repetition axis is sharded contiguously over at most ``n_jobs``
+    workers — or, with ``max_shard`` (the adaptive runner's
+    cost-weighted cap), into more, smaller shards that queue on the
+    pool.  When every repetition runs in one compiled loop (a compiled
+    provider, a CSR graph, the default rule, no ``faithful_r``, no
+    explicit ``tail_threshold`` and ``batched`` not ``False``), the
+    shards run on threads that share ``g``.  Otherwise CSR graphs are
+    exported once (not pickled per job), implicit families ship their
+    ``(family, params)`` descriptor, and each worker process runs
+    :func:`run_shard`, batched where profitable (or forced via
+    ``batched=True``).  Outcomes come back in repetition order and are
+    bit-identical to ``n_jobs=1`` over the same ``children``.
     """
+    from repro.experiments.runner import _per_rep_route
+
     shards = plan_shards(len(children), n_jobs, max_shard=max_shard)
+    kern = None if batched is False else _per_rep_route(process, g, kwargs)
+    if kern is not None:
+        return _thread_outcomes(
+            g, process, origin, children, shards, n_jobs, {**kwargs, "kernels": kern}
+        )
     if isinstance(g, ImplicitGraph):
         exporter, spec = nullcontext(), g.descriptor()
     else:

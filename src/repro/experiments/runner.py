@@ -12,13 +12,14 @@ across the three execution modes:
   amortising the per-round NumPy dispatch cost across the whole batch;
 * **serial** — one repetition at a time through the classic drivers; the
   reference oracle the batched drivers are bit-identical to;
-* **shared-memory fan-out** (``n_jobs > 1``) — the CSR arrays are
-  exported once into ``multiprocessing.shared_memory`` and contiguous
-  repetition *shards* run on a process pool, each shard through the
-  batched drivers where profitable (see
-  :mod:`repro.experiments.fanout`); batching × processes compose.
-  Implicit families (:mod:`repro.graphs.implicit`) fan out as a tiny
-  ``(family, params)`` descriptor instead of a memory segment.
+* **fan-out** (``n_jobs > 1``) — contiguous repetition *shards* run
+  through the batched drivers where profitable (see
+  :mod:`repro.experiments.fanout`); batching × workers compose.  On the
+  per-repetition compiled route the shards run on threads sharing the
+  graph; otherwise the CSR arrays are exported once into
+  ``multiprocessing.shared_memory`` and the shards run on a process
+  pool, with implicit families (:mod:`repro.graphs.implicit`) shipped
+  as a tiny ``(family, params)`` descriptor instead of a memory segment.
 
 Because the batched drivers replay the serial uniform streams double for
 double and repetition ``r`` always consumes child ``r`` of one parent
@@ -278,16 +279,25 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
         return True
     # Below the lock-step crossover, batch only if the driver runs each
     # repetition in one compiled loop: measured faster than the serial
-    # oracle from 1 repetition up (see docs/kernels.md).  The gates are
-    # the drivers' own, plus the sequential and parallel default
-    # tail_threshold (an explicit one pins the lock-step body).  An
-    # unknown kernels name raises here, as the batched driver would; a
-    # known but unavailable provider falls back to the serial oracle,
-    # which never needed it.
+    # oracle from 1 repetition up (see docs/kernels.md).
+    return _per_rep_route(process, g, kwargs) is not None
+
+
+def _per_rep_route(process: str, g: Graph, kwargs: dict):
+    """The resolved provider whose compiled loops run every repetition
+    of this request, one loop each, or ``None``.
+
+    The gates are the batched drivers' own
+    (:func:`~repro.core.batched.per_rep_loop_kernels`), plus the
+    sequential and parallel default ``tail_threshold`` (an explicit one
+    pins the lock-step body).  An unknown kernels name raises here, as
+    the batched driver would; a known but unavailable provider gives
+    ``None``, so callers keep the paths that never needed it.
+    """
     if kwargs.get("tail_threshold") is not None:
-        return False
+        return None
     try:
-        kern = per_rep_loop_kernels(
+        return per_rep_loop_kernels(
             process,
             g,
             kernels=kwargs.get("kernels"),
@@ -295,8 +305,7 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
             faithful_r=kwargs.get("faithful_r", False),
         )
     except KernelsUnavailableError:
-        return False
-    return kern is not None
+        return None
 
 
 def run_process(
@@ -373,6 +382,23 @@ def _one_run(args) -> tuple[float, int, object, object]:
     return outcome_of(res)
 
 
+def _shard_outcomes(
+    g: Graph, process: str, origin: int, children, kwargs: dict, batched
+) -> list[tuple[float, int, object, object]]:
+    """Run one contiguous block of repetitions in this thread.
+
+    The body every execution mode shares — ``n_jobs=1``, each fan-out
+    thread and each fan-out worker process: the batched driver where
+    :func:`_use_batched` picks it for this block's repetition count,
+    else the serial oracle, one child of ``children`` per repetition.
+    """
+    if _use_batched(process, g, len(children), 1, kwargs, batched):
+        batch = BATCHED_DRIVERS[process](g, origin, seeds=list(children), **kwargs)
+        return [outcome_of(r) for r in batch]
+    skwargs = serial_kwargs(process, kwargs)
+    return [_one_run((process, g, origin, s, skwargs)) for s in children]
+
+
 def _round_outcomes(
     g: Graph,
     process: str,
@@ -429,11 +455,7 @@ def _round_outcomes(
             kwargs=kwargs,
             max_shard=max_shard,
         )
-    if _use_batched(process, g, reps, jobs, kwargs, batched):
-        batch = BATCHED_DRIVERS[process](g, origin, seeds=list(children), **kwargs)
-        return [outcome_of(r) for r in batch]
-    skwargs = serial_kwargs(process, kwargs)
-    return [_one_run((process, g, origin, s, skwargs)) for s in children]
+    return _shard_outcomes(g, process, origin, children, kwargs, batched)
 
 
 #: Wall-clock seconds one fan-out shard should cost in later adaptive
@@ -571,12 +593,17 @@ def estimate_dispersion(
         confidence sequence is valid under optional stopping, so peeking
         after every round does not inflate the miscoverage.
     n_jobs:
-        ``1`` (default) runs in-process; ``> 1`` exports the graph once
-        into shared memory and fans contiguous repetition *shards* out
-        over a process pool, each worker running the batched driver on
-        its shard where profitable (:mod:`repro.experiments.fanout`);
-        implicit families ship a ``(family, params)`` descriptor instead
-        of a shared-memory segment.
+        ``1`` (default) runs in-process; ``> 1`` fans contiguous
+        repetition *shards* out over ``n_jobs`` workers, each running the
+        batched driver on its shard where profitable
+        (:mod:`repro.experiments.fanout`).  When every repetition runs in
+        one compiled loop (a compiled provider, a CSR graph, the default
+        rule, no ``faithful_r``, no explicit ``tail_threshold``,
+        ``batched`` not ``False``) the workers are threads sharing the
+        graph in place; the loops release the GIL.  Everything else
+        forks a process pool: the graph is exported once into shared
+        memory, and implicit families ship a ``(family, params)``
+        descriptor instead of a segment.
         Worker counts above the round's repetition count are clamped
         (surplus workers could only receive empty shards; ``reps=1``
         therefore always runs in-process).  Seeds are spawned
@@ -613,7 +640,8 @@ def estimate_dispersion(
         shrink under byte budgets — instead of one flat ``reps × m``
         allocation.  Serial paths strip it (they are one-repetition-
         resident by construction); with ``n_jobs > 1`` the budget
-        applies per worker and shards align to whole cohorts.  Budgets
+        applies per worker (per thread on the thread pool) and shards
+        align to whole cohorts.  Budgets
         never change a sample — every cohort shape replays the serial
         streams bit for bit.
         ``kernels=`` (a provider name or

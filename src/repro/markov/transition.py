@@ -9,10 +9,14 @@ solves we do); sparse CSR versions are provided for the larger sweeps.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.csr import Graph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "transition_matrix",
@@ -60,6 +64,9 @@ def laziness_matrix(P: np.ndarray, hold: float = 0.5) -> np.ndarray:
 
 def sparse_transition_matrix(g: Graph, *, lazy: bool = False) -> sp.csr_matrix:
     """CSR transition matrix; set ``lazy=True`` for ``(I + P)/2``."""
+    # imported here: scipy costs ~0.2 s, and only this function needs it
+    import scipy.sparse as sp
+
     n = g.n
     deg = g.degrees.astype(np.float64)
     if np.any(deg == 0):

@@ -1,22 +1,32 @@
 """Tests for the shared-memory fan-out subsystem (experiments.fanout)."""
 
 import gc
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.experiments.fanout as fanout_mod
+import repro.experiments.runner as runner_mod
+import repro.kernels as kernels_mod
+from repro.core.trajectory import TrajectoryArrays
 from repro.experiments import estimate_dispersion
 from repro.experiments.fanout import (
     SharedGraph,
     SharedGraphSpec,
     attach,
+    fanout_estimate,
     plan_shards,
     run_shard,
 )
-from repro.graphs import cycle_graph, grid_graph
+from repro.graphs import cycle_graph, grid_graph, implicit_graph
 from repro.graphs.csr import Graph
+from repro.kernels import available_kernels
 from repro.utils.rng import spawn_seed_sequences
 
 _SHM_DIR = Path("/dev/shm")
@@ -228,3 +238,215 @@ class TestRunShard:
     def test_spec_is_plain_data(self):
         spec = SharedGraphSpec(block="x", n=1, nnz=0, name="g")
         assert (spec.block, spec.n, spec.nnz, spec.name) == ("x", 1, 0, "g")
+
+
+needs_compiled = pytest.mark.skipif(
+    not available_kernels()["cffi"], reason="no compiled kernel provider here"
+)
+
+PROCESSES = ["sequential", "parallel", "uniform", "ctu", "c-sequential"]
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record every construction of ``fanout.<name>`` (still building it)."""
+    calls = []
+    real = getattr(fanout_mod, name)
+
+    def build(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fanout_mod, name, build)
+    return calls
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Construction logs of the three fan-out resources, by class name."""
+    return {
+        name: _spy(monkeypatch, name)
+        for name in ("SharedGraph", "ProcessPoolExecutor", "ThreadPoolExecutor")
+    }
+
+
+def _same_outcomes(a, b) -> bool:
+    """Outcome lists equal value for value, trajectory shapes included."""
+    return len(a) == len(b) and all(
+        (ta, sa, type(ja), ja, ca) == (tb, sb, type(jb), jb, cb)
+        for (ta, sa, ja, ca), (tb, sb, jb, cb) in zip(a, b)
+    )
+
+
+@needs_compiled
+class TestThreadRoute:
+    """``n_jobs > 1`` on the per-repetition compiled route runs shards on
+    threads sharing the graph: no segment export, no process pool, and
+    outcomes bit-identical to ``n_jobs=1``."""
+
+    REPS = 4
+
+    @pytest.mark.parametrize("max_shard", [None, 1])
+    @pytest.mark.parametrize("n_jobs", [2, 3, REPS + 1])
+    @pytest.mark.parametrize("record", [False, True, "arrays"])
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_bit_identical_to_one_job(self, pools, process, record, n_jobs, max_shard):
+        g = grid_graph(4, 4)
+        kwargs = {"record": record, "kernels": "cffi"}
+        children = spawn_seed_sequences(31, self.REPS)
+        ref = runner_mod._round_outcomes(g, process, 0, children, 1, "auto", kwargs)
+        out = fanout_estimate(
+            g,
+            process,
+            origin=0,
+            children=children,
+            n_jobs=n_jobs,
+            batched="auto",
+            kwargs=kwargs,
+            max_shard=max_shard,
+        )
+        assert _same_outcomes(ref, out)
+        if record is True:
+            assert all(isinstance(o[2], list) for o in out)
+        elif record == "arrays":
+            assert all(isinstance(o[2], TrajectoryArrays) for o in out)
+        assert pools["SharedGraph"] == [] and pools["ProcessPoolExecutor"] == []
+        assert len(pools["ThreadPoolExecutor"]) == 1
+
+    def test_estimate_takes_threads(self, pools):
+        g = grid_graph(6, 6)
+        ref = estimate_dispersion(g, "parallel", reps=8, seed=3, record=True)
+        out = estimate_dispersion(
+            g, "parallel", reps=8, seed=3, record=True, n_jobs=2, kernels="cffi"
+        )
+        assert np.array_equal(ref.samples, out.samples)
+        assert ref.trajectories == out.trajectories
+        assert pools["SharedGraph"] == [] and pools["ProcessPoolExecutor"] == []
+        assert len(pools["ThreadPoolExecutor"]) == 1
+
+    def test_stress_more_threads_than_cores(self):
+        """Many threads switching often share one graph and provider; a
+        race on either would break bit-identity."""
+        g = grid_graph(6, 6)
+        kwargs = {"record": True, "kernels": "cffi"}
+        children = spawn_seed_sequences(12, 24)
+        ref = runner_mod._round_outcomes(g, "parallel", 0, children, 1, "auto", kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = fanout_estimate(
+                g,
+                "parallel",
+                origin=0,
+                children=children,
+                n_jobs=8,
+                batched="auto",
+                kwargs=kwargs,
+                max_shard=1,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert _same_outcomes(ref, out)
+
+    @pytest.mark.parametrize(
+        "graph,process,kwargs",
+        [
+            ("csr", "parallel", {"kernels": "numpy"}),
+            ("implicit", "parallel", {"kernels": "cffi"}),
+            ("csr", "parallel", {"kernels": "cffi", "tail_threshold": 16}),
+            ("csr", "parallel", {"kernels": "cffi", "batched": False}),
+            ("csr", "uniform", {"kernels": "cffi", "faithful_r": True}),
+        ],
+        ids=["numpy", "implicit", "tail_threshold", "batched-false", "faithful_r"],
+    )
+    def test_off_route_still_forks(self, pools, graph, process, kwargs):
+        g = grid_graph(4, 4) if graph == "csr" else implicit_graph("grid", sides=(4, 4))
+        ref = estimate_dispersion(g, process, reps=4, seed=8, **kwargs)
+        out = estimate_dispersion(g, process, reps=4, seed=8, n_jobs=2, **kwargs)
+        assert np.array_equal(ref.samples, out.samples)
+        assert len(pools["ProcessPoolExecutor"]) == 1
+        assert pools["ThreadPoolExecutor"] == []
+        assert len(pools["SharedGraph"]) == (graph == "csr")
+
+    def test_provider_resolved_once(self, monkeypatch):
+        """From a cold registry the parent loads the provider once and
+        hands the instance to every thread; no thread resolves it."""
+        calls = []
+        real_load = kernels_mod._load
+
+        def load(name):
+            calls.append(name)
+            return real_load(name)
+
+        monkeypatch.setattr(kernels_mod, "_CACHE", {})
+        monkeypatch.setattr(kernels_mod, "_load", load)
+        children = spawn_seed_sequences(4, 8)
+        fanout_estimate(
+            grid_graph(4, 4),
+            "parallel",
+            origin=0,
+            children=children,
+            n_jobs=2,
+            batched="auto",
+            kwargs={"kernels": "cffi"},
+            max_shard=1,
+        )
+        assert calls == ["cffi"]
+
+    def test_failure_cancels_queued_shards_and_joins(self, monkeypatch):
+        """One shard raising reaches the caller unchanged; shards still
+        queued never start, and every pool thread has exited."""
+        release = threading.Event()
+        started = []
+        real_shard = runner_mod._shard_outcomes
+
+        def shard(*args):
+            started.append(args[3])
+            if len(started) > 1:
+                # hold later shards until the pool is shutting down, so
+                # the failure cannot race the workers through the queue
+                release.wait(timeout=10)
+            return real_shard(*args)
+
+        class Pool(ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(runner_mod, "_shard_outcomes", shard)
+        monkeypatch.setattr(fanout_mod, "ThreadPoolExecutor", Pool)
+        baseline = threading.active_count()
+        reps, n_jobs = 16, 2
+        with pytest.raises(RuntimeError, match=r"exceeded max_rounds=0"):
+            fanout_estimate(
+                grid_graph(4, 4),
+                "parallel",
+                origin=0,
+                children=spawn_seed_sequences(2, reps),
+                n_jobs=n_jobs,
+                batched="auto",
+                kwargs={"kernels": "cffi", "max_rounds": 0},
+                max_shard=1,
+            )
+        # the failing shard, plus at most one more per worker thread
+        assert 1 <= len(started) <= n_jobs + 1 < reps
+        assert threading.active_count() == baseline
+
+    def test_fork_after_threads_does_not_warn(self, pools):
+        """The thread pool lives only inside the call, so a later fork-path
+        estimate forks a single-threaded process (Python >= 3.12 warns
+        when a multi-threaded process forks)."""
+        g = grid_graph(4, 4)
+        baseline = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            threaded = estimate_dispersion(
+                g, "parallel", reps=4, seed=6, n_jobs=2, kernels="cffi"
+            )
+            assert threading.active_count() == baseline
+            forked = estimate_dispersion(
+                g, "parallel", reps=4, seed=6, n_jobs=2, kernels="numpy"
+            )
+        assert np.array_equal(threaded.samples, forked.samples)
+        assert len(pools["ThreadPoolExecutor"]) == 1
+        assert len(pools["ProcessPoolExecutor"]) == 1
