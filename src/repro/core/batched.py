@@ -88,7 +88,6 @@ import numpy as np
 
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.origins import resolve_origins
-from repro.core.parallel import _BLOCK as _SERIAL_PAR_BLOCK
 from repro.core.results import DispersionResult
 from repro.core.sequential import _BLOCK as _SERIAL_SEQ_BLOCK
 from repro.core.settlement import (
@@ -491,11 +490,13 @@ def batched_parallel_idla(
     provider, host CSR arrays, the default rule) and ``tail_threshold``
     is left at ``None``, no lock-step round runs at all: after the shared
     round-0 settlement pass each repetition runs to completion in one
-    compiled call (``KernelSet.finish_parallel``) that reads its own
-    generator directly and, under ``record``, writes its steps to an
-    event sink.  Samples stay bit-identical to the serial oracle; the
-    generators may end at other stream positions, as they do after the
-    lock-step body.  Everything else keeps the lock-step body.
+    compiled call (``KernelSet.finish_parallel``) that draws its doubles
+    from the repetition's bit generator inside the loop and, under
+    ``record``, writes its steps to an event sink.  Samples stay
+    bit-identical to the serial oracle, and each generator ends right
+    after the last double its repetition consumed (the serial oracle and
+    the lock-step body may leave it further on).  Everything else keeps
+    the lock-step body.
 
     Parameters
     ----------
@@ -652,7 +653,7 @@ def batched_parallel_idla(
                 best, steps2d[r], settled2d[r], round2d[r], gen,
                 free=int(free[r]), lazy=lazy,
                 scalar_threshold=scalar_threshold, budget=budget,
-                max_rounds=max_rounds, block=_SERIAL_PAR_BLOCK, sink=sink,
+                max_rounds=max_rounds, sink=sink,
             )
             if sink is not None:
                 grouped[r] = sink.trajectories(starts2d[r])

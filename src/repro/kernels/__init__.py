@@ -30,7 +30,7 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  A provider passes a load-time
-self-check (:func:`_self_check`) exercising all eleven entry points before
+self-check (:func:`_self_check`) exercising all twelve entry points before
 it can be selected, so a miscompiled or mis-installed provider fails at
 resolution, not mid-run.
 """
@@ -39,8 +39,10 @@ from __future__ import annotations
 
 import os
 import shlex
+import threading
 import warnings
 from importlib.util import find_spec
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -247,7 +249,9 @@ class CompiledKernels(KernelSet):
     stream object (``UniformStream.take_block`` for the finishers, the
     raw generator for the single-walker loops) — the exact fetch cadence
     of the serial scalar loops, so generator positions stay reconcilable
-    with the serial grid (``UniformStreams.align_to_serial``).
+    with the serial grid (``UniformStreams.align_to_serial``).  The
+    Parallel-IDLA loop (:meth:`finish_parallel`) instead draws from the
+    generator's ``bitgen_t`` inside C, one call per repetition.
 
     The per-repetition loops take an optional ``sink``
     (:meth:`event_sink`) that records the repetition's trajectories.
@@ -450,7 +454,7 @@ class CompiledKernels(KernelSet):
     def finish_parallel(
         self, indptr, indices, occ_row, act, pos, prio, best, steps_row,
         settled_row, round_row, rng, *, free, lazy, scalar_threshold,
-        budget, max_rounds, block: int, sink=None,
+        budget, max_rounds, sink=None,
     ) -> int:
         """Compiled :func:`repro.core.parallel.parallel_idla` round loop
         for one repetition; returns its final round.
@@ -459,52 +463,56 @@ class CompiledKernels(KernelSet):
         unsettled particles ascending and ``pos`` their vertices (both
         are reordered in place), ``free`` the vacant-vertex count.
         ``prio`` is the per-particle priority and ``best`` an all ``-1``
-        scratch of size ``n``, restored on return.  Doubles come straight
-        from ``rng``, at least ``block`` per fetch, the unconsumed tail of
-        a buffer carried in front of the next one: the samples are the
-        serial ones, while the generator may end elsewhere.  With
-        ``sink`` (capacity at least ``act.size``: one round's events),
-        every round is recorded into it.
+        scratch of size ``n``, restored on return.  The loop reads its
+        own generator directly: it draws each double from ``rng``'s bit
+        generator, under that generator's lock, in the serial order.  The
+        samples are the serial ones, and the generator ends right after
+        the last double consumed.  With ``sink`` (capacity at least
+        ``act.size``: one round's events), every round is recorded into
+        it.
         """
         for a in (act, pos, prio, best, steps_row, settled_row, round_row):
             if a.dtype != _I64 or not a.flags.c_contiguous:
                 raise ValueError("finish_parallel needs C-contiguous int64 rows")
-        if pos.shape != act.shape or best.shape[0] < occ_row.shape[0]:
-            raise ValueError("finish_parallel: act/pos or best size mismatch")
+        n = indptr.shape[0] - 1
+        if pos.shape != act.shape:
+            raise ValueError("finish_parallel: act/pos size mismatch")
+        if occ_row.shape[0] < n or best.shape[0] < n:
+            raise ValueError("finish_parallel: occ_row or best shorter than the graph")
         k = act.shape[0]
         if sink is not None and sink.capacity < k:
             raise ValueError("finish_parallel: sink holds less than one round")
+        # the loop checks 0 <= act < m and 0 <= pos < n before any draw
+        m = min(a.shape[0] for a in (prio, steps_row, settled_row, round_row))
         # k only shrinks, so clamping keeps every `k > threshold` test
         thr = max(-1, min(scalar_threshold, k))
-        state = np.array([k, 0, free, 0, 0], dtype=np.int64)
+        state = np.array([k, 0, free, 0], dtype=np.int64)
         occ = _u8(occ_row)
+        hold = np.empty(k) if lazy else None
         lz = 1 if lazy else 0
-        buf = np.empty(0)
-        status = 0
-        while True:
-            if status == 0:
-                k = int(state[0])
-                need = 2 * k if lazy and k > thr else k
-                buf = np.concatenate(
-                    (buf[state[3] :], rng.random(max(block, need)))
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            address = bitgen.ctypes.bit_generator.value
+            while True:
+                status = self._impl.run_parallel(
+                    indptr, indices, occ, act, pos, prio, best, steps_row,
+                    settled_row, round_row, address, hold, m, n, state, lz,
+                    thr, budget, *self._sink_args(sink),
                 )
+                if status != 2:
+                    break
+                sink.seal(int(state[3]))
                 state[3] = 0
-            status = self._impl.run_parallel(
-                indptr, indices, occ, act, pos, prio, best, steps_row,
-                settled_row, round_row, buf, buf.shape[0], state, lz, thr,
-                budget, *self._sink_args(sink),
+        if status == -2:
+            raise ValueError(
+                "finish_parallel: an act entry is past a row or a pos entry "
+                "is not a vertex"
             )
-            if status == 1:
-                if sink is not None:
-                    sink.seal(int(state[4]), reopen=False)
-                return int(state[1])
-            if status < 0:
-                raise RuntimeError(
-                    f"parallel IDLA exceeded max_rounds={max_rounds}"
-                )
-            if status == 2:
-                sink.seal(int(state[4]))
-                state[4] = 0
+        if status < 0:
+            raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
+        if sink is not None:
+            sink.seal(int(state[3]), reopen=False)
+        return int(state[1])
 
     # ---- single-walker loops -----------------------------------------
     def walk_positions(self, indptr, indices, out, rng, block: int):
@@ -565,11 +573,33 @@ class _BlockFeeder:
         return out
 
 
+class _ArrayGenerator:
+    """Generator stand-in over a fixed double sequence (self-check only).
+
+    Its ``bit_generator`` has what ``finish_parallel`` reads of numpy's:
+    a ``lock`` and the ``bitgen_t`` address, here of the C source's
+    array-backed bit generator, whose ``drawn()`` counts every double
+    the loop asked for.
+    """
+
+    def __init__(self, ks: CompiledKernels, doubles):
+        bitgen = ks._impl.array_bitgen(np.asarray(doubles, dtype=np.float64))
+        self.drawn = bitgen.drawn
+        self.bit_generator = SimpleNamespace(
+            lock=threading.Lock(),
+            ctypes=SimpleNamespace(
+                bit_generator=SimpleNamespace(value=bitgen.address)
+            ),
+            _keep=bitgen,
+        )
+
+
 def _self_check(ks: CompiledKernels) -> None:
     """Exercise every kernel on the path graph P3 and assert the answers.
 
     Catches toolchain miscompiles at selection time, loudly.  Inputs
-    cross a buffer-refill boundary so the resume protocol is checked too.
+    cross a buffer-refill boundary, and the recorded runs fill their
+    event sinks, so the resume protocols are checked too.
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
@@ -703,9 +733,12 @@ def _self_check(ks: CompiledKernels) -> None:
         assert rec is None or rec.trajectories(starts) == walked
 
     # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
-    # 0 -> 1, where particle 2 wins on priority; round 2's gate ends the
-    # first buffer and its step double opens the second
+    # 0 -> 1, where particle 2 wins on priority; round 2 moves particle 1
+    # on to 2.  Six doubles in all, none drawn past them.  The 2-round
+    # budget stops a loop that over-draws: past its end the array yields
+    # 0.0, a hold gate, on which the walker would stay forever
     for rec in (None, sink(2)):
+        rng = _ArrayGenerator(ks, [0.9, 0.9, 0.5, 0.5, 0.9, 0.9])
         occ = np.array([1, 0, 0], dtype=np.uint8)
         act = np.array([1, 2], dtype=np.int64)
         pos = np.zeros(2, dtype=np.int64)
@@ -715,12 +748,11 @@ def _self_check(ks: CompiledKernels) -> None:
         round_row = np.array([0, -1, -1], dtype=np.int64)
         rounds = ks.finish_parallel(
             indptr, indices, occ, act, pos, np.array([0, 2, 1], dtype=np.int64),
-            best, steps_row, settled_row, round_row,
-            _BlockFeeder([[0.9, 0.9, 0.5, 0.5, 0.9], [0.9, 0.0, 0.0, 0.0, 0.0]]),
-            free=2, lazy=True, scalar_threshold=0, budget=float("inf"),
-            max_rounds=None, block=5, sink=rec,
+            best, steps_row, settled_row, round_row, rng,
+            free=2, lazy=True, scalar_threshold=0, budget=2.0,
+            max_rounds=None, sink=rec,
         )
-        assert rounds == 2, rounds
+        assert rounds == 2 and rng.drawn() == 6, (rounds, rng.drawn())
         assert settled_row.tolist() == [0, 2, 1] and steps_row.tolist() == [0, 2, 1]
         assert round_row.tolist() == [0, 2, 1] and best.tolist() == [-1, -1, -1]
         assert rec is None or rec.trajectories(starts) == walked

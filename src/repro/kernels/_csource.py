@@ -17,7 +17,10 @@ The loop kernels consume uniforms from a caller-provided buffer and
 return ``0`` when it runs dry; the Python wrapper refills (see
 ``KernelSet`` in the package root) in the serial drivers' block cadence
 wherever a later consumer reads the generator, so those fetch positions
-stay on the serial grid.
+stay on the serial grid.  ``repro_run_parallel`` instead draws its own
+doubles from numpy's ``bitgen_t`` (``numpy/random/bitgen.h``, declared
+here with the same layout), one ``next_double`` call per double, so the
+generator ends right after the last double consumed.
 
 The four per-repetition loops (``repro_finish_seq``, ``repro_run_ctu``,
 ``repro_run_uniform``, ``repro_run_parallel``) take an optional *event
@@ -27,7 +30,9 @@ appends one pair -- the shape the serial drivers record.  Before a step
 or round that would overflow the sink the loop returns ``2`` ("sink
 full"); the wrapper keeps the filled sink and re-enters with an empty
 one, as it does with a fresh buffer after a ``0``.
-``repro_scatter_events`` groups the events by particle afterwards.
+``repro_scatter_events`` groups the events by particle afterwards, and
+``repro_array_bitgen`` makes a ``bitgen_t`` over a fixed array of
+doubles for the load-time self-check.
 """
 
 from __future__ import annotations
@@ -35,6 +40,14 @@ from __future__ import annotations
 #: Prototypes for ``cffi.FFI.cdef`` — keep in sync with :data:`C_SOURCE`.
 CDEF = """
 typedef long long i64;
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+typedef struct { const double *buf; i64 n; i64 i; } repro_array_rng;
 void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
                     const double *u, i64 *out, i64 k);
 i64 repro_vacant(const unsigned char *occ, const i64 *rep_off,
@@ -69,10 +82,11 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
-                       i64 *settled, i64 *round, const double *buf,
-                       i64 nbuf, i64 *state, i64 lazy, i64 thr,
-                       double budget, int *ev, i64 cap);
+                       i64 *settled, i64 *round, bitgen_t *bg,
+                       double *hold, i64 m, i64 n, i64 *state, i64 lazy,
+                       i64 thr, double budget, int *ev, i64 cap);
 void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
+void repro_array_bitgen(bitgen_t *bg, repro_array_rng *a);
 """
 
 C_SOURCE = """
@@ -80,6 +94,15 @@ C_SOURCE = """
 #include <stdlib.h>
 
 typedef long long i64;
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), field for field. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
 
 /* Append the event (particle p, vertex v) to the event sink `ev` of the
  * enclosing loop (NULL when it does not record); `nev` counts events. */
@@ -389,56 +412,69 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
 /* One Parallel-IDLA repetition (parallel_idla's wide and narrow round
  * loops) from its state after the round-0 settlement pass: act[0..k)
  * the unsettled particles ascending, pos[0..k) their vertices.  Each
- * round steps every active particle in active-list order.  The wide
- * draw (k > thr) reads k doubles, or with `lazy` k hold gates then k
- * step doubles; the narrow draw reads one double per particle (lazy:
+ * round steps every active particle in active-list order, drawing from
+ * numpy's bit generator `bg` one next_double call per double, in the
+ * serial order.  The wide draw (k > thr) takes k doubles; with `lazy`
+ * it first takes the k hold gates into `hold` (k doubles of scratch),
+ * then one step double per particle, held or not -- the order of
+ * rng.random(2k).  The narrow draw takes one double per particle (lazy:
  * hold below 1/2, else step with 2(u - 1/2)).  Offsets are clamped: the
  * narrow phase's raw truncation never reaches d, so one expression
- * serves both phases.  Per vacant vertex the slot with the smallest
- * prio[act[j]] settles (first on ties); `best` is all -1 on entry and
- * on return.  state = [k, t, free, cursor, events]; returns 1 when done
- * (the surplus particles of m > n get steps = t), 0 before a round whose
- * doubles are not all in the buffer, 2 before a round the event sink has
+ * serves both phases.  The contest rides the step pass: per vacant
+ * vertex the slot with the smallest prio[act[j]] settles (first on
+ * ties), and a round in which no walker claims a vacant vertex skips
+ * the compaction pass.  `best` is all -1 on entry and on return.
+ * state = [k, t, free, events]; returns 1 when done (the surplus
+ * particles of m > n get steps = t), 2 before a round the event sink has
  * no room for (k events; resume with an empty sink), -1 when t exceeds
- * the budget.  With a sink, each round records (particle, vertex) for
- * every active particle after its step, holds included. */
+ * the budget, -2 before any draw when an act[j] is outside [0, m) or a
+ * pos[j] outside [0, n).  With a sink, each round records (particle,
+ * vertex) for every active particle after its step, holds included. */
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
-                       i64 *settled, i64 *round, const double *buf,
-                       i64 nbuf, i64 *state, i64 lazy, i64 thr,
-                       double budget, int *ev, i64 cap)
+                       i64 *settled, i64 *round, bitgen_t *bg,
+                       double *hold, i64 m, i64 n, i64 *state, i64 lazy,
+                       i64 thr, double budget, int *ev, i64 cap)
 {
-    i64 k = state[0], t = state[1], fr = state[2], i = state[3];
-    i64 nev = state[4], status = 1;
+    i64 k = state[0], t = state[1], fr = state[2], nev = state[3];
+    i64 status = 1;
+    double (*next)(void *) = bg->next_double;
+    void *st = bg->state;
+    for (i64 j = 0; j < k; j++)
+        if (act[j] < 0 || act[j] >= m || pos[j] < 0 || pos[j] >= n)
+            return -2;
     while (k && fr) {
-        i64 wide = k > thr;
-        i64 need = lazy && wide ? 2 * k : k;
-        if (i + need > nbuf) { status = 0; break; }
+        i64 wide = k > thr, claims = 0;
         if (ev && nev + k > cap) { status = 2; break; }
         t += 1;
         if ((double)t > budget) { status = -1; break; }
+        if (lazy && wide)
+            for (i64 j = 0; j < k; j++) hold[j] = next(st);
         for (i64 j = 0; j < k; j++) {
-            double u = buf[i + j];
-            if (lazy) {
-                if (u < 0.5) continue;
-                u = wide ? buf[i + k + j] : 2.0 * (u - 0.5);
-            }
-            i64 b = indptr[pos[j]];
-            i64 d = indptr[pos[j] + 1] - b;
-            i64 off = (i64)(u * (double)d);
-            if (off > d - 1) off = d - 1;
-            pos[j] = indices[b + off];
-        }
-        i += need;
-        if (ev)
-            for (i64 j = 0; j < k; j++) REPRO_EVENT(act[j], pos[j]);
-        for (i64 j = 0; j < k; j++) {
+            double u = next(st);
             i64 v = pos[j];
+            int move = 1;
+            if (lazy) {
+                if (wide) move = hold[j] >= 0.5;
+                else if (u < 0.5) move = 0;
+                else u = 2.0 * (u - 0.5);
+            }
+            if (move) {
+                i64 b = indptr[v];
+                i64 d = indptr[v + 1] - b;
+                i64 off = (i64)(u * (double)d);
+                if (off > d - 1) off = d - 1;
+                v = indices[b + off];
+                pos[j] = v;
+            }
+            REPRO_EVENT(act[j], v);
             if (occ[v]) continue;
             i64 c = best[v];
-            if (c < 0 || prio[act[j]] < prio[act[c]]) best[v] = j;
+            if (c < 0) { best[v] = j; claims++; }
+            else if (prio[act[j]] < prio[act[c]]) best[v] = j;
         }
+        if (!claims) continue;
         i64 w = 0;
         for (i64 j = 0; j < k; j++) {
             i64 p = act[j], v = pos[j];
@@ -458,7 +494,7 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
     }
     if (status == 1)
         for (i64 j = 0; j < k; j++) steps[act[j]] = t;
-    state[0] = k; state[1] = t; state[2] = fr; state[3] = i; state[4] = nev;
+    state[0] = k; state[1] = t; state[2] = fr; state[3] = nev;
     return status;
 }
 
@@ -470,5 +506,27 @@ void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat)
 {
     for (i64 e = 0; e < nev; e++)
         flat[cursor[ev[2 * e]]++] = ev[2 * e + 1];
+}
+
+/* A bitgen_t over a fixed array, for the load-time self-check:
+ * next_double returns buf[i++], 0.0 once past the end, and keeps
+ * counting, so a loop that over-consumes its doubles shows in `i`. */
+typedef struct { const double *buf; i64 n; i64 i; } repro_array_rng;
+
+static double repro_array_next_double(void *st)
+{
+    repro_array_rng *a = (repro_array_rng *)st;
+    double u = a->i < a->n ? a->buf[a->i] : 0.0;
+    a->i++;
+    return u;
+}
+
+void repro_array_bitgen(bitgen_t *bg, repro_array_rng *a)
+{
+    bg->state = a;
+    bg->next_uint64 = NULL;
+    bg->next_uint32 = NULL;
+    bg->next_double = repro_array_next_double;
+    bg->next_raw = NULL;
 }
 """

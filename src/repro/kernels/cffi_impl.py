@@ -104,6 +104,21 @@ def load() -> SimpleNamespace:
     def pe(a):  # int32 events; None is NULL, a loop that does not record
         return ffi.NULL if a is None else from_buffer("int[]", a)
 
+    cast = ffi.cast
+
+    def array_bitgen(buf):
+        """A bitgen_t over the float64 array ``buf`` (self-check only):
+        its ``address`` and ``drawn()``, the next_double calls so far."""
+        data = pd(buf)
+        rng = ffi.new("repro_array_rng *", {"buf": data, "n": buf.shape[0]})
+        bg = ffi.new("bitgen_t *")
+        lib.repro_array_bitgen(bg, rng)
+        return SimpleNamespace(
+            address=int(cast("uintptr_t", bg)),
+            drawn=lambda: int(rng.i),
+            _keep=(buf, data, rng, bg),  # C holds raw pointers to these
+        )
+
     return SimpleNamespace(
         name="cffi",
         csr_step=lambda indptr, indices, pos, u, out, k: lib.repro_csr_step(
@@ -157,15 +172,18 @@ def load() -> SimpleNamespace:
                 pd(logq), pool_size, pi(state), budget, pe(ev), cap,
             )
         ),
+        # `bitgen` is the address of a numpy bitgen_t; `hold` is None
+        # (NULL) unless lazy
         run_parallel=lambda indptr, indices, occ, act, pos, prio, best, steps,
-        settled, rounds, buf, nbuf, state, lazy, thr, budget, ev, cap: (
-            lib.repro_run_parallel(
-                pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), pi(prio),
-                pi(best), pi(steps), pi(settled), pi(rounds), pd(buf), nbuf,
-                pi(state), lazy, thr, budget, pe(ev), cap,
-            )
+        settled, rounds, bitgen, hold, m, n, state, lazy, thr, budget, ev,
+        cap: lib.repro_run_parallel(
+            pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), pi(prio),
+            pi(best), pi(steps), pi(settled), pi(rounds),
+            cast("bitgen_t *", bitgen), ffi.NULL if hold is None else pd(hold),
+            m, n, pi(state), lazy, thr, budget, pe(ev), cap,
         ),
         scatter_events=lambda ev, nev, cursor, flat: lib.repro_scatter_events(
             pe(ev), nev, pi(cursor), pe(flat)
         ),
+        array_bitgen=array_bitgen,
     )

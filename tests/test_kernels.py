@@ -20,8 +20,9 @@ layer's own contracts:
 * the per-repetition CTU-/Uniform-IDLA loops against their serial
   drivers at tiny fetch blocks (ticks straddling every refill), and the
   numpy ``logq`` table they read;
-* the per-repetition Parallel-IDLA loop against ``parallel_idla`` at
-  tiny fetch blocks, across the wide -> narrow draw switch;
+* the per-repetition Parallel-IDLA loop against ``parallel_idla`` on
+  every numpy BitGenerator family, across the wide -> narrow draw
+  switch, and the generator position it leaves behind;
 * recording: every per-repetition loop at tiny event sinks against the
   serial trajectories, and the sink's grouping pass;
 * the build cache keyed on the whole compile command;
@@ -38,7 +39,6 @@ import shutil
 import numpy as np
 import pytest
 
-import repro.core.batched as batched_mod
 import repro.core.continuous as continuous_mod
 import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
@@ -411,79 +411,129 @@ def test_tick_loops_match_serial_at_tiny_blocks(
         assert gen.random() == ref_gen.random()
 
 
+#: Every numpy BitGenerator family: the per-repetition Parallel-IDLA loop
+#: calls each one's ``next_double`` directly.
+BIT_GENERATORS = [
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+]
+
+
+def _generators(family, n=4):
+    return [np.random.Generator(family(s)) for s in spawn_seed_sequences(7, n)]
+
+
 @pytest.mark.parametrize("provider", COMPILED)
-@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
 @pytest.mark.parametrize(
     "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
 )
-def test_parallel_loop_matches_serial_at_tiny_blocks(
-    provider, block, lazy, g, monkeypatch
+def test_parallel_loop_matches_serial_on_every_bit_generator(
+    provider, family, record, lazy, g, monkeypatch
 ):
-    """With 1-5 doubles per fetch, nearly every round (k doubles, 2k in
-    a lazy wide round) straddles a refill, and ``scalar_threshold=3``
-    switches each run from the wide to the narrow draw mid-stream: the
-    carried buffer tail must still replay ``parallel_idla`` exactly."""
-    monkeypatch.setattr(batched_mod, "_SERIAL_PAR_BLOCK", block)
-    kwargs = {"lazy": lazy, "scalar_threshold": 3}
-    ref = [
-        parallel_idla(g, 0, seed=s, **kwargs)
-        for s in spawn_seed_sequences(7, 4)
-    ]
+    """The loop draws from each bit generator's ``next_double`` in C,
+    and ``scalar_threshold=3`` switches each run from the wide to the
+    narrow draw mid-stream: the samples, settle orders and trajectories
+    must still be ``parallel_idla``'s, for every BitGenerator family.
+    An unrecorded repetition is one compiled call."""
+    kwargs = {"lazy": lazy, "scalar_threshold": 3, "record": record}
+    ref = [parallel_idla(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
+    ks = get_kernels(provider)
     calls = []
-    inner = kernels_mod.CompiledKernels.finish_parallel
+    inner = ks._impl.run_parallel
 
-    def counted(self, *args, **kw):
-        calls.append(kw["block"])
-        return inner(self, *args, **kw)
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
 
-    monkeypatch.setattr(kernels_mod.CompiledKernels, "finish_parallel", counted)
+    monkeypatch.setattr(ks._impl, "run_parallel", counted)
     got = batched_parallel_idla(
-        g, 0, seeds=spawn_seed_sequences(7, 4), kernels=provider, **kwargs
+        g, 0, seeds=_generators(family), kernels=provider, **kwargs
     )
-    assert calls == [block] * 4
+    if not record:
+        assert len(calls) == len(ref)
     for s, b in zip(ref, got):
         assert s.dispersion_time == b.dispersion_time
         assert s.total_steps == b.total_steps
         assert np.array_equal(s.steps, b.steps)
         assert np.array_equal(s.settled_at, b.settled_at)
         assert np.array_equal(s.settle_order, b.settle_order)
+        assert b.trajectories == s.trajectories
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+def test_parallel_loop_leaves_each_generator_after_its_last_double(
+    provider, family
+):
+    """With a fixed origin, index ties and no laziness a repetition
+    draws exactly one double per particle-step, so afterwards its
+    generator's next double is double ``total_steps + 1`` of a fresh
+    twin."""
+    gens = _generators(family)
+    got = batched_parallel_idla(
+        grid_graph(4, 5), 0, seeds=gens, kernels=provider
+    )
+    for res, gen, twin in zip(got, gens, _generators(family)):
+        twin.random(res.total_steps)
+        assert gen.random() == twin.random()
 
 
 @pytest.mark.parametrize("provider", COMPILED)
 def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
     """The loop writes through raw pointers: a row of another dtype or a
-    strided view would be reinterpreted or silently copied, so the
-    wrapper refuses it before any call."""
+    strided view would be reinterpreted or silently copied, and a row too
+    short for the particles in ``act`` or the vertices of the graph would
+    be read or written past its end, so the wrapper refuses them before
+    any draw."""
     ks = get_kernels(provider)
     g = cycle_graph(5)
     indptr, indices = csr_arrays(g)
 
-    def run(**override):
+    def run(rng, **override):
         rows = {
+            "occ_row": np.array([1, 0, 0, 0, 0], dtype=np.uint8),
             "act": np.arange(1, 5, dtype=np.int64),
             "pos": np.zeros(4, dtype=np.int64),
+            "prio": np.arange(5, dtype=np.int64),
             "best": np.full(5, -1, dtype=np.int64),
+            "steps_row": np.zeros(5, dtype=np.int64),
+            "settled_row": np.full(5, -1, dtype=np.int64),
+            "round_row": np.full(5, -1, dtype=np.int64),
         }
         rows.update(override)
         return ks.finish_parallel(
-            indptr, indices, np.array([1, 0, 0, 0, 0], dtype=np.uint8),
-            rows["act"], rows["pos"], np.arange(5, dtype=np.int64),
-            rows["best"], np.zeros(5, dtype=np.int64),
-            np.full(5, -1, dtype=np.int64), np.full(5, -1, dtype=np.int64),
-            as_generator(0), free=4, lazy=False, scalar_threshold=16,
-            budget=float("inf"), max_rounds=None, block=64,
+            indptr, indices, rows["occ_row"], rows["act"], rows["pos"],
+            rows["prio"], rows["best"], rows["steps_row"],
+            rows["settled_row"], rows["round_row"], rng, free=4, lazy=False,
+            scalar_threshold=16, budget=float("inf"), max_rounds=None,
         )
 
-    assert run() > 0
+    assert run(as_generator(0)) > 0
     for bad in (
         {"act": np.arange(1, 5, dtype=np.int32)},
         {"pos": np.zeros(8, dtype=np.int64)[::2]},
         {"pos": np.zeros(3, dtype=np.int64)},
         {"best": np.full(4, -1, dtype=np.int64)},
+        {"occ_row": np.array([1, 0, 0, 0], dtype=np.uint8)},
+        {"prio": np.arange(4, dtype=np.int64)},
+        {"steps_row": np.zeros(4, dtype=np.int64)},
+        {"settled_row": np.full(4, -1, dtype=np.int64)},
+        {"round_row": np.full(4, -1, dtype=np.int64)},
+        {"act": np.array([1, 2, 3, 5], dtype=np.int64)},
+        {"act": np.array([-1, 2, 3, 4], dtype=np.int64)},
+        {"pos": np.array([0, 0, 0, 5], dtype=np.int64)},
+        {"pos": np.array([0, -1, 0, 0], dtype=np.int64)},
     ):
+        rng = as_generator(0)
         with pytest.raises(ValueError, match="finish_parallel"):
-            run(**bad)
+            run(rng, **bad)
+        assert rng.random() == as_generator(0).random()  # nothing drawn
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +638,7 @@ def test_parallel_loop_rejects_a_sink_smaller_than_a_round(provider):
             np.zeros(5, dtype=np.int64), np.full(5, -1, dtype=np.int64),
             np.full(5, -1, dtype=np.int64), as_generator(0), free=4,
             lazy=False, scalar_threshold=16, budget=float("inf"),
-            max_rounds=None, block=64,
+            max_rounds=None,
             sink=kernels_mod.EventSink(ks._impl.scatter_events, 3),
         )
 
