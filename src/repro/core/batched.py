@@ -69,14 +69,12 @@ the **serial stream position** (``UniformStreams.align_to_serial``): the
 Poissonised sequential driver keeps consuming the generator after the
 discrete walks, so the fetch grid matters there, not just the values.
 
-In the lock-step body ``record=True`` routes the flat per-round state
-into the chunked :class:`repro.core.trajectory.TrajectoryStore` — one
-slice append per round, finalised into the serial drivers' exact
-``list[list[int]]`` trajectories, with straggler repetitions handed to
-the finisher via :meth:`TrajectoryStore.handoff` so the scalar
-micro-loops keep appending to the recorded prefix.  The per-repetition
-route (:func:`per_rep_loop_kernels`) records through the compiled
-loops' event sinks instead.  The runner validates driver kwargs up front
+``record=True`` routes the flat per-round state into the chunked
+:class:`repro.core.trajectory.TrajectoryStore` — one slice append per
+round, finalised into the serial drivers' exact ``list[list[int]]``
+trajectories, with straggler repetitions handed to the finisher via
+:meth:`TrajectoryStore.handoff` so the scalar micro-loops keep appending
+to the recorded prefix.  The runner validates driver kwargs up front
 (unknown keys raise ``TypeError`` there) and routes impure settling
 rules to the serial reference path, which stays the oracle the batched
 subsystem is tested against.
@@ -97,7 +95,7 @@ from repro.core.settlement import (
     settle_vacant_starts,
 )
 from repro.core.stopping_rules import StoppingRule, standard_rule
-from repro.core.trajectory import TrajectoryArrays, TrajectoryStore
+from repro.core.trajectory import TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import csr_arrays, get_kernels
 from repro.utils.validation import check_integer, check_limit, check_record
@@ -114,7 +112,6 @@ __all__ = [
     "batched_parallel_idla",
     "batched_sequential_idla",
     "buffer_doubles",
-    "per_rep_loop_kernels",
     "stream_block",
 ]
 
@@ -228,55 +225,35 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
     return spawn_generators(seed, reps)
 
 
-#: Processes whose batched driver can run each repetition to completion
-#: in one compiled loop.
-_PER_REP_LOOPS = ("sequential", "c-sequential", "uniform", "ctu", "parallel")
+def _particle_count(g: Graph, num_particles, label: str) -> int:
+    """Validated particle count ``m`` of a process that needs ``m <= n``."""
+    m = g.n if num_particles is None else check_integer("num_particles", num_particles)
+    if not 1 <= m <= g.n:
+        raise ValueError(
+            f"{label} IDLA needs 1 <= num_particles <= n, got {m} (n={g.n})"
+        )
+    return m
 
 
-def per_rep_loop_kernels(process, g, *, kernels=None, rule=None, faithful_r=False):
-    """The compiled provider that can run whole repetitions of
-    ``process`` on ``g``, one compiled loop each, or ``None``.
-
-    The loops (``finish_sequential``, ``finish_uniform``, ``finish_ctu``,
-    ``finish_parallel``) need a compiled provider, host CSR arrays
-    (:func:`csr_arrays`), the default settling rule and Uniform-IDLA's
-    default scheduler (``faithful_r=False``); they record trajectories
-    through an event sink (:meth:`repro.kernels.CompiledKernels.event_sink`).
-    The batched drivers gate their per-repetition route on this, and the
-    runner's auto dispatch consults it too, so the two cannot drift
-    apart.  The sequential and parallel drivers additionally keep their
-    lock-step body when ``tail_threshold`` is given explicitly.
-    """
-    if process not in _PER_REP_LOOPS:
-        return None
-    kern = get_kernels(kernels)
-    if not kern.compiled or faithful_r:
-        return None
-    if not (rule is None or rule is standard_rule):
-        return None
-    return kern if csr_arrays(g) is not None else None
-
-
-def _route_trajectories(grouped, starts2d, record):
-    """Trajectories of a per-repetition run, in the shape ``record`` asks
-    for (``None`` when ``grouped`` is).
-
-    ``grouped`` maps each repetition that walked to its grouped event
-    sink (:meth:`repro.kernels.EventSink.trajectories`); every particle
-    of any other repetition settled at its start, so its row is
-    ``[start]``.
-    """
-    if grouped is None:
-        return None
-    traj_all = [
-        grouped[r]
-        if r in grouped
-        else TrajectoryArrays.from_lists(starts2d[r, :, None])
-        for r in range(starts2d.shape[0])
+def _in_cohorts(driver, g, origin, gens, cohort_reps, **kwargs):
+    """Budgeted cohorts: ``driver`` runs ``cohort_reps`` repetitions to
+    completion at a time.  Repetition r always consumes generator r's
+    stream, so the grouping is invisible in the results; each call
+    re-resolves the same plan and proceeds single-cohort."""
+    return [
+        res
+        for a, b in cohort_slices(len(gens), cohort_reps)
+        for res in driver(g, origin, seeds=gens[a:b], **kwargs)
     ]
+
+
+def _finalize(store, record):
+    """Per-repetition trajectories of a recorded run, else ``None``."""
+    if store is None:
+        return None
     if record == "arrays":
-        return traj_all
-    return [traj.to_lists() for traj in traj_all]
+        return store.finalize_arrays()
+    return store.finalize()
 
 
 def _resolve_tail_threshold(tail_threshold) -> int:
@@ -486,18 +463,6 @@ def batched_parallel_idla(
 ) -> list[DispersionResult]:
     """Run ``R`` independent Parallel-IDLA realisations in lock-step.
 
-    Whenever :func:`per_rep_loop_kernels` finds a compiled loop (compiled
-    provider, host CSR arrays, the default rule) and ``tail_threshold``
-    is left at ``None``, no lock-step round runs at all: after the shared
-    round-0 settlement pass each repetition runs to completion in one
-    compiled call (``KernelSet.finish_parallel``) that draws its doubles
-    from the repetition's bit generator inside the loop and, under
-    ``record``, writes its steps to an event sink.  Samples stay
-    bit-identical to the serial oracle, and each generator ends right
-    after the last double its repetition consumed (the serial oracle and
-    the lock-step body may leave it further on).  Everything else keeps
-    the lock-step body.
-
     Parameters
     ----------
     reps, seeds, seed:
@@ -508,10 +473,9 @@ def batched_parallel_idla(
     lazy, record, tie_break, rule, num_particles, scalar_threshold, max_rounds:
         As in :func:`repro.core.parallel.parallel_idla`; ``rule`` must be
         a pure predicate (it is evaluated only on vacant candidates).
-        ``record=True`` (or ``"arrays"``) keeps full trajectories: the
-        per-repetition route groups each repetition's event sink, the
-        lock-step body appends one vectorised slice per round to the
-        chunked :class:`~repro.core.trajectory.TrajectoryStore`.  Memory
+        ``record=True`` (or ``"arrays"``) keeps full trajectories,
+        appending one vectorised slice per round to the chunked
+        :class:`~repro.core.trajectory.TrajectoryStore`.  Memory
         is ``O(total steps)`` as in the serial driver, and entry ``r``'s
         trajectories are identical to it.
     tail_threshold:
@@ -519,9 +483,8 @@ def batched_parallel_idla(
         takes over the stragglers (once each survivor is also down to
         ``scalar_threshold`` live particles — i.e. inside the serial
         driver's own scalar narrow phase); ``0`` disables the handoff,
-        ``None`` uses the module default (or the per-repetition route,
-        see above).  A performance knob only — results are bit-identical
-        either way.
+        ``None`` uses the module default.  A performance knob only —
+        results are bit-identical either way.
     state_budget:
         Optional :class:`repro.core.budget.StateBudget` (or spec string)
         capping resident simulation state.  Resolved by
@@ -553,14 +516,10 @@ def batched_parallel_idla(
     [True, True, True]
     """
     n = g.n
-    m = n if num_particles is None else check_integer("num_particles", num_particles)
-    if m < 1:
-        raise ValueError(f"num_particles must be >= 1, got {m}")
-    if tie_break not in ("index", "random"):
-        raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
-    scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
+    m, scalar_threshold, budget = _parallel_checks(
+        g, num_particles, tie_break, scalar_threshold, max_rounds
+    )
     tail_total = _resolve_tail_threshold(tail_threshold)
-    budget = check_limit("max_rounds", max_rounds)
     record = check_record(record)
     kern = get_kernels(kernels)
     gens = _resolve_generators(seeds, seed, reps)
@@ -569,99 +528,22 @@ def batched_parallel_idla(
         return []
     plan = plan_state(state_budget, "parallel", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts: run `cohort_reps` repetitions to completion at
-        # a time.  Repetition r always consumes generator r's stream, so
-        # the grouping is invisible in the results; the recursive call
-        # re-resolves the same plan and proceeds single-cohort.
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_parallel_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    lazy=lazy,
-                    record=record,
-                    tie_break=tie_break,
-                    rule=rule,
-                    num_particles=num_particles,
-                    scalar_threshold=scalar_threshold,
-                    max_rounds=max_rounds,
-                    tail_threshold=tail_threshold,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
+        return _in_cohorts(
+            batched_parallel_idla, g, origin, gens, plan.cohort_reps,
+            lazy=lazy, record=record, tie_break=tie_break, rule=rule,
+            num_particles=num_particles, scalar_threshold=scalar_threshold,
+            max_rounds=max_rounds, tail_threshold=tail_threshold,
+            state_budget=state_budget, kernels=kern,
+        )
     step_chunk = plan.step_chunk
     use_default_rule = rule is None or rule is standard_rule
     process = "parallel-lazy" if lazy else "parallel"
-    # an explicit tail_threshold pins the lock-step body
-    loop = (
-        per_rep_loop_kernels("parallel", g, kernels=kern, rule=rule)
-        if tail_threshold is None
-        else None
+    starts2d, prio2d, occ, free, steps2d, settled2d, round2d = _parallel_prelude(
+        g, origin, m, gens, tie_break
     )
-
-    # ---- per-repetition initial draws, in the serial driver's order.
-    # With the default "index" tie-break the priority of particle p is p
-    # itself, so `pid` doubles as the priority vector and prio2d stays None.
-    arange_m = np.arange(m, dtype=np.int64)
-    starts2d = np.empty((R, m), dtype=np.int64)
-    prio2d = None if tie_break == "index" else np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-        if prio2d is not None:
-            # σ(1) = 1 as in the serial driver: particle 0 keeps top priority
-            prio2d[r, 0] = 0
-            prio2d[r, 1:] = 1 + gen.permutation(m - 1)
-
-    occ = np.zeros(R * n, dtype=bool)
-    free = np.full(R, n, dtype=np.int64)
-    steps2d = np.zeros((R, m), dtype=np.int64)
-    settled2d = np.full((R, m), -1, dtype=np.int64)
-    round2d = np.full((R, m), -1, dtype=np.int64)
     steps2d_flat = steps2d.reshape(-1)
     settled2d_flat = settled2d.reshape(-1)
     round2d_flat = round2d.reshape(-1)
-
-    # ---- round 0: per-repetition settlement pass over the starts
-    for r in range(R):
-        occ_r = occ[r * n : (r + 1) * n]
-        prio_r = arange_m if prio2d is None else prio2d[r]
-        winners = settle_vacant_starts(occ_r, starts2d[r], prio_r)
-        if winners.size:
-            occ_r[starts2d[r, winners]] = True
-            free[r] -= winners.size
-            settled2d[r, winners] = starts2d[r, winners]
-            round2d[r, winners] = 0
-
-    if loop is not None:
-        # per-repetition route: each repetition with particles still
-        # walking runs to completion in one compiled loop
-        indptr, indices = csr_arrays(g)
-        best = np.full(n, -1, dtype=np.int64)
-        grouped = {} if record else None
-        for r, gen in enumerate(gens):
-            act = np.flatnonzero(settled2d[r] < 0)
-            if act.size == 0 or free[r] == 0:
-                continue  # surplus particles of a covered start: 0 steps
-            sink = loop.event_sink(act.size) if record else None
-            loop.finish_parallel(
-                indptr, indices, occ[r * n : (r + 1) * n], act,
-                starts2d[r, act], arange_m if prio2d is None else prio2d[r],
-                best, steps2d[r], settled2d[r], round2d[r], gen,
-                free=int(free[r]), lazy=lazy,
-                scalar_threshold=scalar_threshold, budget=budget,
-                max_rounds=max_rounds, sink=sink,
-            )
-            if sink is not None:
-                grouped[r] = sink.trajectories(starts2d[r])
-        return _parallel_results(
-            g, process, starts2d, steps2d, settled2d, round2d, prio2d,
-            _route_trajectories(grouped, starts2d, record),
-        )
-
     store = TrajectoryStore(starts2d, n) if record else None
 
     # ---- flat lock-step state: all repetitions' unsettled particles,
@@ -980,16 +862,55 @@ def batched_parallel_idla(
         compact(keep, np.unique(w_rep))
         handoff = tail_ready()
 
-    # ---- per-repetition result assembly
-    if store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
     return _parallel_results(
-        g, process, starts2d, steps2d, settled2d, round2d, prio2d, traj_all
+        g, process, starts2d, steps2d, settled2d, round2d, prio2d,
+        _finalize(store, record),
     )
+
+
+def _parallel_checks(g, num_particles, tie_break, scalar_threshold, max_rounds):
+    """Validated ``(m, scalar_threshold, budget)`` of a Parallel-IDLA batch."""
+    m = g.n if num_particles is None else check_integer("num_particles", num_particles)
+    if m < 1:
+        raise ValueError(f"num_particles must be >= 1, got {m}")
+    if tie_break not in ("index", "random"):
+        raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
+    scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
+    return m, scalar_threshold, check_limit("max_rounds", max_rounds)
+
+
+def _parallel_prelude(g, origin, m, gens, tie_break):
+    """Each repetition's initial draws, in the serial driver's order,
+    then the round-0 settlement pass over its starts.
+
+    Returns ``(starts2d, prio2d, occ, free, steps2d, settled2d,
+    round2d)``.  With the default "index" tie-break the priority of
+    particle p is p itself, so ``prio2d`` is ``None``.
+    """
+    n, R = g.n, len(gens)
+    arange_m = np.arange(m, dtype=np.int64)
+    starts2d = np.empty((R, m), dtype=np.int64)
+    prio2d = None if tie_break == "index" else np.empty((R, m), dtype=np.int64)
+    occ = np.zeros(R * n, dtype=bool)
+    free = np.full(R, n, dtype=np.int64)
+    steps2d = np.zeros((R, m), dtype=np.int64)
+    settled2d = np.full((R, m), -1, dtype=np.int64)
+    round2d = np.full((R, m), -1, dtype=np.int64)
+    for r, gen in enumerate(gens):
+        starts2d[r] = resolve_origins(g, origin, m, gen)
+        if prio2d is not None:
+            # σ(1) = 1 as in the serial driver: particle 0 keeps top priority
+            prio2d[r, 0] = 0
+            prio2d[r, 1:] = 1 + gen.permutation(m - 1)
+        occ_r = occ[r * n : (r + 1) * n]
+        prio_r = arange_m if prio2d is None else prio2d[r]
+        winners = settle_vacant_starts(occ_r, starts2d[r], prio_r)
+        if winners.size:
+            occ_r[starts2d[r, winners]] = True
+            free[r] -= winners.size
+            settled2d[r, winners] = starts2d[r, winners]
+            round2d[r, winners] = 0
+    return starts2d, prio2d, occ, free, steps2d, settled2d, round2d
 
 
 def _parallel_results(
@@ -997,30 +918,31 @@ def _parallel_results(
 ) -> list[DispersionResult]:
     """Assemble the per-repetition results of a batched parallel run;
     the settle order is the serial ``(round, priority)`` order."""
-    n, m = g.n, steps2d.shape[1]
     results = []
     for r in range(steps2d.shape[0]):
         settled = np.flatnonzero(settled2d[r] >= 0)
         prio_vals = settled if prio2d is None else prio2d[r, settled]
         order = np.lexsort((prio_vals, round2d[r, settled]))
         steps_r = steps2d[r].copy()
-        dispersion = int(steps_r[settled].max()) if settled.size else 0
-        results.append(
-            DispersionResult(
-                process=process,
-                graph_name=g.name,
-                n=n,
-                origin=int(starts2d[r, 0]),
-                dispersion_time=dispersion,
-                total_steps=int(steps_r.sum()),
-                steps=steps_r,
-                settled_at=settled2d[r].copy(),
-                settle_order=settled[order],
-                trajectories=None if traj_all is None else traj_all[r],
-                num_particles=None if m == n else m,
-            )
-        )
+        results.append(_result(
+            g, process, starts2d[r, 0], steps_r, settled2d[r].copy(),
+            settled[order], None if traj_all is None else traj_all[r],
+            dispersion_time=int(steps_r[settled].max()) if settled.size else 0,
+        ))
     return results
+
+
+def _result(g, process, origin, steps, settled, order, traj, **extra):
+    """One repetition's :class:`DispersionResult` from its own rows; τ is
+    its longest walk unless ``extra`` gives ``dispersion_time``."""
+    m = steps.shape[0]
+    extra.setdefault("dispersion_time", int(steps.max()))
+    return DispersionResult(
+        process=process, graph_name=g.name, n=g.n, origin=int(origin),
+        total_steps=int(steps.sum()), steps=steps, settled_at=settled,
+        settle_order=order, trajectories=traj,
+        num_particles=None if m == g.n else m, **extra,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1125,34 +1047,23 @@ def batched_sequential_idla(
     repetition's generator finishes at the serial stream position (the
     Poissonised driver keeps drawing from it).
 
-    ``tail_threshold`` (``0`` disables) is the live-repetition count at
-    which the scalar tail finisher hands each straggler to the serial
-    micro-loop — a performance knob only, results are bit-identical
-    either way.  ``None`` means every repetition when the compiled loop
-    can run (see below), else the module default.  ``record=True`` (or
+    ``tail_threshold`` (``0`` disables, ``None`` the module default) is
+    the live-repetition count at which the scalar tail finisher hands
+    each straggler to the serial micro-loop — a performance knob only,
+    results are bit-identical either way.  ``record=True`` (or
     ``"arrays"``) keeps full trajectories, identical to the serial
-    driver's: the compiled loop records into an event sink, the lock-step
-    body into the chunked :class:`~repro.core.trajectory.TrajectoryStore`
-    (one vectorised append per tick; the Python finisher continues each
-    straggler's recorded prefix).
+    driver's, in the chunked :class:`~repro.core.trajectory
+    .TrajectoryStore` (one vectorised append per tick; the Python
+    finisher continues each straggler's recorded prefix).
 
     Note on throughput: with one particle per repetition the batch width
     equals the number of *live* repetitions, and it shrinks with every
-    repetition that finishes.  So whenever :func:`per_rep_loop_kernels`
-    finds a compiled loop and ``tail_threshold`` is left at ``None``, no
-    lock-step tick runs at all: every repetition enters the tail handoff
-    at tick 0 and walks to completion in one compiled call, in turn.  An
-    explicit ``tail_threshold`` keeps the lock-step body.  Without a compiled loop, lock-step beats the serial
-    driver's scalar loop only from ``reps ≈ 64`` (the runner's auto
-    dispatch accounts for both); the parallel driver, whose batch width
-    is repetitions × active particles, wins much earlier.
+    repetition that finishes, so lock-step beats the serial driver's
+    scalar loop only from ``reps ≈ 64``; the parallel driver, whose
+    batch width is repetitions × active particles, wins much earlier.
     """
     n = g.n
-    m = n if num_particles is None else check_integer("num_particles", num_particles)
-    if not 1 <= m <= n:
-        raise ValueError(
-            f"sequential IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
-        )
+    m = _particle_count(g, num_particles, "sequential")
     tail_total = _resolve_tail_threshold(tail_threshold)
     budget = check_limit("max_total_steps", max_total_steps)
     record = check_record(record)
@@ -1163,63 +1074,26 @@ def batched_sequential_idla(
         return []
     plan = plan_state(state_budget, "sequential", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts (see batched_parallel_idla): repetition r keeps
-        # its own stream, so grouping is invisible in the results
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_sequential_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    lazy=lazy,
-                    record=record,
-                    rule=rule,
-                    num_particles=num_particles,
-                    max_total_steps=max_total_steps,
-                    tail_threshold=tail_threshold,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
+        return _in_cohorts(
+            batched_sequential_idla, g, origin, gens, plan.cohort_reps,
+            lazy=lazy, record=record, rule=rule, num_particles=num_particles,
+            max_total_steps=max_total_steps, tail_threshold=tail_threshold,
+            state_budget=state_budget, kernels=kern,
+        )
     use_default_rule = rule is None or rule is standard_rule
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
-    process = "sequential-lazy" if lazy else "sequential"
-    fin_kern = per_rep_loop_kernels("sequential", g, kernels=kern, rule=rule)
-    per_rep = fin_kern is not None and tail_threshold is None
-    if per_rep:
-        # one walker per repetition: every repetition enters the compiled
-        # tail handoff at tick 0 and no lock-step tick runs
-        tail_total = R
-    elif record:
-        # the Python finisher continues the lock-step store's prefix
-        fin_kern = None
+    # the compiled finisher needs host CSR arrays and the default rule; a
+    # recorded run keeps the Python finisher, which continues the store's
+    # recorded prefix
+    csr = csr_arrays(g) if kern.compiled and use_default_rule and not record else None
 
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-
-    store = TrajectoryStore(starts2d, n) if record and not per_rep else None
-    # per-repetition route: each repetition's event sink, grouped
-    grouped = {} if record and per_rep else None
-    occ = np.zeros(R * n, dtype=bool)
-    steps2d = np.zeros((R, m), dtype=np.int64)
-    settled2d = np.full((R, m), -1, dtype=np.int64)
-    current = np.zeros(R, dtype=np.int64)  # walking particle per repetition
-
-    # release chain from particle 0: instantly settle vacant starts
-    live_list, pos_list = [], []
-    for r in range(R):
-        walker = instant_settle_chain(
-            occ[r * n : (r + 1) * n], starts2d[r], 0, steps2d[r], settled2d[r]
-        )
-        if walker < m:
-            current[r] = walker
-            live_list.append(r)
-            pos_list.append(starts2d[r, walker])
-    live = np.asarray(live_list, dtype=np.int64)
-    pos = np.asarray(pos_list, dtype=np.int64)
+    # `current`: the walking particle of each repetition (m once done)
+    starts2d, occ, steps2d, settled2d, current = _sequential_prelude(
+        g, origin, m, gens
+    )
+    store = TrajectoryStore(starts2d, n) if record else None
+    live = np.flatnonzero(current < m)
+    pos = starts2d[live, current[live]]
 
     streams = _sequential_streams(gens, plan.stream_budget_doubles)
     block = streams.block
@@ -1235,7 +1109,6 @@ def batched_sequential_idla(
     kernel = neighbor_kernel(g)
     degrees_g = g.degrees
     fused = kern.stepper(g)
-    csr = csr_arrays(g) if fin_kern is not None else None
     minw = kern.min_width  # narrow ticks keep the numpy expressions
     ticks = 0
 
@@ -1245,18 +1118,17 @@ def batched_sequential_idla(
             # the lock-step tick costs more than the serial micro-loop;
             # finish each straggler on its own stream, then land its
             # generator on the serial fetch grid.
-            if adj is None and fin_kern is None:
+            if adj is None and csr is None:
                 adj = g.adjacency_lists()
             for i in range(live.size):
                 r = int(live[i])
                 tail = streams.tail(r, cursor)
-                if fin_kern is not None:
+                if csr is not None:
                     # compiled micro-loop (walk + settle + release chain
                     # in one pass); same fetch cadence via take_block, so
                     # the consumed count lands on the serial grid as the
                     # Python loop's would
-                    sink = fin_kern.event_sink() if grouped is not None else None
-                    consumed = fin_kern.finish_sequential(
+                    consumed = kern.finish_sequential(
                         csr[0], csr[1],
                         occ[r * n : (r + 1) * n],
                         starts2d[r],
@@ -1270,10 +1142,7 @@ def batched_sequential_idla(
                         limit_msg=limit_msg,
                         steps_row=steps2d[r],
                         settled_row=settled2d[r],
-                        sink=sink,
                     )
-                    if sink is not None:
-                        grouped[r] = sink.trajectories(starts2d[r])
                 else:
                     consumed = _finish_sequential_rep(
                         adj,
@@ -1359,30 +1228,44 @@ def batched_sequential_idla(
             base = live * block
             vert_off = live * n
 
-    if per_rep:
-        traj_all = _route_trajectories(grouped, starts2d, record)
-    elif store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
-    results = []
-    for r in range(R):
-        steps_r = steps2d[r].copy()
-        results.append(
-            DispersionResult(
-                process=process,
-                graph_name=g.name,
-                n=n,
-                origin=int(starts2d[r, 0]),
-                dispersion_time=int(steps_r.max()),
-                total_steps=int(steps_r.sum()),
-                steps=steps_r,
-                settled_at=settled2d[r].copy(),
-                settle_order=np.arange(m, dtype=np.int64),
-                trajectories=None if traj_all is None else traj_all[r],
-                num_particles=None if m == n else m,
-            )
+    return _sequential_results(
+        g, lazy, starts2d, steps2d, settled2d, _finalize(store, record)
+    )
+
+
+def _sequential_prelude(g, origin, m, gens):
+    """Each repetition's starts, then its release chain from particle 0
+    (vacant starts settle instantly).
+
+    Returns ``(starts2d, occ, steps2d, settled2d, walker)``, where
+    ``walker[r]`` is repetition ``r``'s first walking particle, ``m``
+    when every particle settled at its start.
+    """
+    n, R = g.n, len(gens)
+    starts2d = np.empty((R, m), dtype=np.int64)
+    occ = np.zeros(R * n, dtype=bool)
+    steps2d = np.zeros((R, m), dtype=np.int64)
+    settled2d = np.full((R, m), -1, dtype=np.int64)
+    walker = np.empty(R, dtype=np.int64)
+    for r, gen in enumerate(gens):
+        starts2d[r] = resolve_origins(g, origin, m, gen)
+        walker[r] = instant_settle_chain(
+            occ[r * n : (r + 1) * n], starts2d[r], 0, steps2d[r], settled2d[r]
         )
-    return results
+    return starts2d, occ, steps2d, settled2d, walker
+
+
+def _sequential_results(
+    g, lazy, starts2d, steps2d, settled2d, traj_all
+) -> list[DispersionResult]:
+    """Assemble the per-repetition results of a batched sequential run;
+    particles settle in index order."""
+    R, m = steps2d.shape
+    return [
+        _result(
+            g, "sequential-lazy" if lazy else "sequential", starts2d[r, 0],
+            steps2d[r].copy(), settled2d[r].copy(), np.arange(m, dtype=np.int64),
+            None if traj_all is None else traj_all[r],
+        )
+        for r in range(R)
+    ]

@@ -40,30 +40,9 @@ scheduler's swap-remove pool go through the shared helpers in
 :mod:`repro.core.settlement` so both execution modes resolve them
 identically by construction.
 
-Per-repetition route
---------------------
-With one moving particle per repetition, the lock-step width is only the
-number of live repetitions, so numpy dispatch dominates every tick.
-Whenever :func:`repro.core.batched.per_rep_loop_kernels` finds a compiled
-provider (host CSR arrays and, for Uniform-IDLA, ``faithful_r=False``),
-``batched_uniform_idla`` and ``batched_ctu_idla``
-run no lock-step tick at all: after the shared time-0 settlement, each
-live repetition runs to completion in one compiled loop
-(``KernelSet.finish_uniform`` / ``finish_ctu``), which follows its serial
-driver's draw contract line for line.  The loop fetches whole
-serial-sized blocks from the repetition's own generator
-(``repro.core.uniform._BLOCK``, ``repro.core.continuous._BLOCK``), so each
-generator ends where the serial driver leaves it.  Logarithms never come
-from libm: each buffer travels with its numpy ``log1p(-u)`` lane, and the
-geometric-skip divisors with the numpy ``_skip_log_table``.  A recorded
-run hands each loop an event sink (:meth:`repro.kernels.CompiledKernels
-.event_sink`).  Everything else — the numpy provider, implicit graphs,
-``faithful_r=True`` — keeps the lock-step body below.
-
-In the lock-step body ``record=True`` routes each tick's ``(repetition,
-particle, vertex)`` into the chunked
-:class:`repro.core.trajectory.TrajectoryStore` (one slice append per
-tick), and Uniform-IDLA's ``faithful_r=True`` runs a
+``record=True`` routes each tick's ``(repetition, particle, vertex)``
+into the chunked :class:`repro.core.trajectory.TrajectoryStore` (one
+slice append per tick), and Uniform-IDLA's ``faithful_r=True`` runs a
 dedicated lock-step branch that draws the literal i.i.d. schedule — one
 scheduler pick per live repetition per tick, wasted ticks consuming
 exactly one double — recording it through
@@ -77,28 +56,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import continuous as _continuous
-from repro.core import uniform as _uniform
 from repro.core.batched import (
+    _finalize,
+    _in_cohorts,
+    _particle_count,
+    _result,
     _resolve_generators,
-    _route_trajectories,
-    per_rep_loop_kernels,
+    batched_sequential_idla,
 )
-from repro.core.budget import cohort_slices, plan_state
+from repro.core.budget import plan_state
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.settlement import settle_vacant_starts_inorder
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
-from repro.kernels import csr_arrays, get_kernels
-from repro.utils.rng import UniformStream, UniformStreams, resolve_stream_block
-from repro.utils.validation import (
-    check_integer,
-    check_limit,
-    check_positive_finite,
-    check_record,
-)
+from repro.kernels import get_kernels
+from repro.utils.rng import UniformStreams, resolve_stream_block
+from repro.utils.validation import check_limit, check_positive_finite, check_record
 from repro.walks.continuous import poissonise_steps
 
 __all__ = [
@@ -146,14 +121,21 @@ def stream_block(process: str, reps: int, num_particles: int | None = None) -> i
     raise ValueError(f"no tick-scheduled batched driver for process {process!r}")
 
 
-def _init_lanes(R, n, m, starts2d, occ, settledflat, unsflat, orders):
-    """Time-0 settlement for every repetition, via the shared in-order helper.
-
-    Fills each repetition's pool row in ``unsflat`` and returns the live
-    lanes (repetitions with unsettled particles) and their pool sizes.
-    """
+def _init_lanes(g, origin, m, gens):
+    """Each repetition's starts, then its time-0 settlement via the
+    shared in-order helper: the flat per-particle rows, each settle order
+    so far, each pool row in ``unsflat``, and the live lanes (repetitions
+    with unsettled particles) with their pool sizes."""
+    n, R = g.n, len(gens)
+    starts2d = np.empty((R, m), dtype=np.int64)
+    occ = np.zeros(R * n, dtype=bool)
+    stepsflat = np.zeros(R * m, dtype=np.int64)
+    settledflat = np.full(R * m, -1, dtype=np.int64)
+    orders: list[list[int]] = [[] for _ in range(R)]
+    unsflat = np.empty(R * m, dtype=np.int64)
     lanes_list, k_list = [], []
-    for r in range(R):
+    for r, gen in enumerate(gens):
+        starts2d[r] = resolve_origins(g, origin, m, gen)
         uns = settle_vacant_starts_inorder(
             occ[r * n : (r + 1) * n],
             starts2d[r],
@@ -164,28 +146,11 @@ def _init_lanes(R, n, m, starts2d, occ, settledflat, unsflat, orders):
             unsflat[r * m : r * m + len(uns)] = uns
             lanes_list.append(r)
             k_list.append(len(uns))
-    return lanes_list, k_list
-
-
-def _order_row(order: list, m: int) -> np.ndarray:
-    """``order`` (the time-0 settlements) as the prefix of an ``m``-slot
-    array a compiled per-repetition loop appends the rest to."""
-    row = np.empty(m, dtype=np.int64)
-    row[: len(order)] = order
-    return row
-
-
-def _skip_log_table(pool_size: int) -> np.ndarray:
-    """``log1p(-(k / pool_size))`` for ``k = 0 .. pool_size-1``.
-
-    The geometric-skip divisors of :func:`repro.core.uniform.uniform_idla`
-    for every pool size ``k`` at which it skips (entry 0 is unused), as
-    the compiled per-repetition loop reads them: computed by numpy here,
-    never by libm in C, and equal element for element to the serial
-    driver's scalar ``float(np.log1p(-(k / pool_size)))`` (pinned by
-    ``tests/test_kernels.py``).
-    """
-    return np.log1p(-(np.arange(pool_size) / pool_size))
+    posflat = starts2d.reshape(-1).copy()
+    return (
+        starts2d, occ, posflat, stepsflat, settledflat, orders, unsflat,
+        lanes_list, k_list,
+    )
 
 
 def _make_stepper(g: Graph, kernels):
@@ -252,8 +217,7 @@ def batched_ctu_idla(
     state_budget=None,
     kernels=None,
 ) -> list[DispersionResult]:
-    """Run ``R`` independent CTU-IDLA realisations in lock-step, or one
-    compiled loop per repetition (see "Per-repetition route" above).
+    """Run ``R`` independent CTU-IDLA realisations in lock-step.
 
     Parameters
     ----------
@@ -265,8 +229,7 @@ def batched_ctu_idla(
     rate, record, num_particles:
         As in :func:`repro.core.continuous.ctu_idla`; ``record=True``
         (or ``"arrays"``) keeps full trajectories, identical to the
-        serial driver's, through the compiled loop's event sink or the
-        lock-step body's chunked
+        serial driver's, in the chunked
         :class:`~repro.core.trajectory.TrajectoryStore`.
     kernels:
         Kernel-provider name/:class:`~repro.kernels.KernelSet` (see
@@ -289,11 +252,7 @@ def batched_ctu_idla(
     [True, True, True]
     """
     n = g.n
-    m = n if num_particles is None else check_integer("num_particles", num_particles)
-    if not 1 <= m <= n:
-        raise ValueError(
-            f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
-        )
+    m = _particle_count(g, num_particles, "CTU")
     check_positive_finite("rate", rate)
     record = check_record(record)
     gens = _resolve_generators(seeds, seed, reps)
@@ -303,66 +262,18 @@ def batched_ctu_idla(
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "ctu", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts (see batched_parallel_idla): repetition r keeps
-        # its own stream, so grouping is invisible in the results
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_ctu_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    rate=rate,
-                    record=record,
-                    num_particles=num_particles,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
-
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-
-    occ = np.zeros(R * n, dtype=bool)
-    posflat = starts2d.reshape(-1).copy()
-    stepsflat = np.zeros(R * m, dtype=np.int64)
-    settledflat = np.full(R * m, -1, dtype=np.int64)
-    settle_clock = np.zeros(R * m, dtype=np.float64)
-    orders: list[list[int]] = [[] for _ in range(R)]
-    final_clock = np.zeros(R, dtype=np.float64)
-    unsflat = np.empty(R * m, dtype=np.int64)
-
-    lanes_list, k_list = _init_lanes(
-        R, n, m, starts2d, occ, settledflat, unsflat, orders
-    )
-
-    loop = per_rep_loop_kernels("ctu", g, kernels=kern)
-    if loop is not None:
-        # per-repetition route: each live repetition runs to completion
-        # in one compiled loop, fetching serial-sized blocks on demand
-        indptr, indices = csr_arrays(g)
-        grouped = {} if record else None
-        for r, k in zip(lanes_list, k_list):
-            row = slice(r * m, (r + 1) * m)
-            order = _order_row(orders[r], m)
-            sink = loop.event_sink() if record else None
-            final_clock[r] = loop.finish_ctu(
-                indptr, indices, occ[r * n : (r + 1) * n], unsflat[row],
-                posflat[row], stepsflat[row], settledflat[row],
-                settle_clock[row], order,
-                UniformStream(gens[r], block=_continuous._BLOCK),
-                k=k, norder=len(orders[r]), rate=rate, sink=sink,
-            )
-            orders[r] = order
-            if sink is not None:
-                grouped[r] = sink.trajectories(starts2d[r])
-        return _ctu_results(
-            g, starts2d, stepsflat, settledflat, orders, final_clock,
-            settle_clock, _route_trajectories(grouped, starts2d, record),
+        return _in_cohorts(
+            batched_ctu_idla, g, origin, gens, plan.cohort_reps, rate=rate,
+            record=record, num_particles=num_particles,
+            state_budget=state_budget, kernels=kern,
         )
 
+    (
+        starts2d, occ, posflat, stepsflat, settledflat, orders, unsflat,
+        lanes_list, k_list,
+    ) = _init_lanes(g, origin, m, gens)
+    settle_clock = np.zeros(R * m, dtype=np.float64)
+    final_clock = np.zeros(R, dtype=np.float64)
     store = TrajectoryStore(starts2d, n) if record else None
 
     # ---- per-lane compact state (one lane per live repetition)
@@ -442,39 +353,20 @@ def batched_ctu_idla(
     )
 
 
-def _finalize(store, record):
-    """Per-repetition trajectories of a recorded run, else ``None``."""
-    if store is None:
-        return None
-    if record == "arrays":
-        return store.finalize_arrays()
-    return store.finalize()
-
-
 def _ctu_results(
     g, starts2d, stepsflat, settledflat, orders, final_clock, settle_clock,
     traj_all,
 ) -> list[DispersionResult]:
     """Per-repetition result assembly of :func:`batched_ctu_idla`."""
     R, m = starts2d.shape
-    n = g.n
     results = []
     for r in range(R):
         row = slice(r * m, (r + 1) * m)
-        steps_r = stepsflat[row].copy()
-        result = DispersionResult(
-            process="ctu",
-            graph_name=g.name,
-            n=n,
-            origin=int(starts2d[r, 0]),
-            dispersion_time=float(final_clock[r]),
-            total_steps=int(steps_r.sum()),
-            steps=steps_r,
-            settled_at=settledflat[row].copy(),
-            settle_order=np.asarray(orders[r], dtype=np.int64),
-            ticks=float(final_clock[r]),
-            trajectories=None if traj_all is None else traj_all[r],
-            num_particles=None if m == n else m,
+        result = _result(
+            g, "ctu", starts2d[r, 0], stepsflat[row].copy(),
+            settledflat[row].copy(), np.asarray(orders[r], dtype=np.int64),
+            None if traj_all is None else traj_all[r],
+            dispersion_time=float(final_clock[r]), ticks=float(final_clock[r]),
         )
         object.__setattr__(result, "settle_clock", settle_clock[row].copy())
         results.append(result)
@@ -595,21 +487,13 @@ def batched_uniform_idla(
     wasted-tick clock in ``result.ticks`` (and trajectories under
     ``record=True``).
 
-    With a compiled provider (default mode, CSR graph) each repetition
-    instead runs in one compiled loop; see "Per-repetition route" in the
-    module docstring.
-
     Unlike the CTU driver, per-tick consumption varies per lane (the
     geometric skip and the wasted-tick short-circuit make it 1–3
     doubles), so each lane keeps its own buffer pointer; a conservative
     shared countdown batches the refill checks.
     """
     n = g.n
-    m = n if num_particles is None else check_integer("num_particles", num_particles)
-    if not 1 <= m <= n:
-        raise ValueError(
-            f"uniform IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
-        )
+    m = _particle_count(g, num_particles, "uniform")
     budget = check_limit("max_ticks", max_ticks)
     record = check_record(record)
     gens = _resolve_generators(seeds, seed, reps)
@@ -619,70 +503,20 @@ def batched_uniform_idla(
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "uniform", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts (see batched_parallel_idla): repetition r keeps
-        # its own stream, so grouping is invisible in the results
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_uniform_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    record=record,
-                    faithful_r=faithful_r,
-                    num_particles=num_particles,
-                    max_ticks=max_ticks,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
+        return _in_cohorts(
+            batched_uniform_idla, g, origin, gens, plan.cohort_reps,
+            record=record, faithful_r=faithful_r, num_particles=num_particles,
+            max_ticks=max_ticks, state_budget=state_budget, kernels=kern,
+        )
     limit_msg = f"uniform IDLA exceeded max_ticks={max_ticks}"
     check_budget = max_ticks is not None
 
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-
-    occ = np.zeros(R * n, dtype=bool)
-    posflat = starts2d.reshape(-1).copy()
-    stepsflat = np.zeros(R * m, dtype=np.int64)
-    settledflat = np.full(R * m, -1, dtype=np.int64)
-    orders: list[list[int]] = [[] for _ in range(R)]
+    (
+        starts2d, occ, posflat, stepsflat, settledflat, orders, unsflat,
+        lanes_list, k_list,
+    ) = _init_lanes(g, origin, m, gens)
     final_ticks = np.zeros(R, dtype=np.int64)
-    unsflat = np.empty(R * m, dtype=np.int64)
-
-    lanes_list, k_list = _init_lanes(
-        R, n, m, starts2d, occ, settledflat, unsflat, orders
-    )
-
     pool_size = max(m - 1, 1)
-    loop = per_rep_loop_kernels("uniform", g, kernels=kern, faithful_r=faithful_r)
-    if loop is not None:
-        # per-repetition route: each live repetition runs to completion
-        # in one compiled loop, fetching serial-sized blocks on demand
-        indptr, indices = csr_arrays(g)
-        logq = _skip_log_table(pool_size)
-        grouped = {} if record else None
-        for r, k in zip(lanes_list, k_list):
-            row = slice(r * m, (r + 1) * m)
-            order = _order_row(orders[r], m)
-            sink = loop.event_sink() if record else None
-            final_ticks[r] = loop.finish_uniform(
-                indptr, indices, occ[r * n : (r + 1) * n], unsflat[row],
-                posflat[row], stepsflat[row], settledflat[row], order,
-                UniformStream(gens[r], block=_uniform._BLOCK),
-                k=k, norder=len(orders[r]), logq=logq, budget=budget,
-                limit_msg=limit_msg, sink=sink,
-            )
-            orders[r] = order
-            if sink is not None:
-                grouped[r] = sink.trajectories(starts2d[r])
-        return _uniform_results(
-            g, starts2d, stepsflat, settledflat, orders, final_ticks,
-            _route_trajectories(grouped, starts2d, record), None,
-        )
-
     store = TrajectoryStore(starts2d, n) if record else None
 
     def logq_for(k: int) -> float:
@@ -871,24 +705,13 @@ def _uniform_results(
 ) -> list[DispersionResult]:
     """Per-repetition result assembly of :func:`batched_uniform_idla`."""
     R, m = starts2d.shape
-    n = g.n
     results = []
     for r in range(R):
         row = slice(r * m, (r + 1) * m)
-        steps_r = stepsflat[row].copy()
-        result = DispersionResult(
-            process="uniform",
-            graph_name=g.name,
-            n=n,
-            origin=int(starts2d[r, 0]),
-            dispersion_time=int(steps_r.max()),
-            total_steps=int(steps_r.sum()),
-            steps=steps_r,
-            settled_at=settledflat[row].copy(),
-            settle_order=np.asarray(orders[r], dtype=np.int64),
-            ticks=float(final_ticks[r]),
-            trajectories=None if traj_all is None else traj_all[r],
-            num_particles=None if m == n else m,
+        result = _result(
+            g, "uniform", starts2d[r, 0], stepsflat[row].copy(),
+            settledflat[row].copy(), np.asarray(orders[r], dtype=np.int64),
+            None if traj_all is None else traj_all[r], ticks=float(final_ticks[r]),
         )
         if schedules is not None:
             # frozen dataclass: attach like the serial driver does
@@ -922,9 +745,6 @@ def batched_continuous_sequential_idla(
     to ``continuous_sequential_idla(g, origin, seed=seeds[r], rate=rate)``,
     including the ``durations`` extra attribute.
     """
-    # local import: batched_sequential_idla lives beside _resolve_generators
-    from repro.core.batched import batched_sequential_idla
-
     check_positive_finite("rate", rate)
     record = check_record(record)
     gens = _resolve_generators(seeds, seed, reps)
@@ -934,27 +754,27 @@ def batched_continuous_sequential_idla(
         g, origin, seeds=gens, record=record, state_budget=state_budget,
         kernels=kernels,
     )
+    return _poissonised(g, walks, gens, rate)
+
+
+def _poissonised(g, walks, gens, rate) -> list[DispersionResult]:
+    """c-sequential results from Sequential-IDLA ``walks`` that leave
+    each generator at the serial stream position: the ``Gamma(ρ_i,
+    1/rate)`` durations come from the very same per-repetition call the
+    serial driver makes."""
     results = []
-    for r, res in enumerate(walks):
+    for res, gen in zip(walks, gens):
         if res.total_steps == 0:
             # The serial driver draws its first uniform block before the
             # release loop; a repetition whose particles all settle
             # instantly consumes none of it, but the draw still advances
             # the stream the Gamma call below reads from.
-            gens[r].random(_SEQ_BLOCK)
-        durations = poissonise_steps(res.steps, gens[r], rate=rate)
-        out = DispersionResult(
-            process="c-sequential",
-            graph_name=g.name,
-            n=g.n,
-            origin=res.origin,
-            dispersion_time=float(durations.max()),
-            total_steps=res.total_steps,
-            steps=res.steps,
-            settled_at=res.settled_at,
-            settle_order=res.settle_order,
-            ticks=float(durations.max()),
-            trajectories=res.trajectories,
+            gen.random(_SEQ_BLOCK)
+        durations = poissonise_steps(res.steps, gen, rate=rate)
+        out = _result(
+            g, "c-sequential", res.origin, res.steps, res.settled_at,
+            res.settle_order, res.trajectories,
+            dispersion_time=float(durations.max()), ticks=float(durations.max()),
         )
         object.__setattr__(out, "durations", durations)
         results.append(out)

@@ -6,16 +6,15 @@ batched drivers, so batching and workers compose.  Which workers run
 the shards is decided once per call, in the parent:
 
 * **Threads**, when every repetition runs in one compiled loop (the
-  runner's per-repetition route: a compiled provider, a CSR graph, the
-  default settling rule, no ``faithful_r``, no explicit
-  ``tail_threshold`` and ``batched`` not ``False``).  cffi drops the
-  GIL inside each loop, so a ``ThreadPoolExecutor`` shares the
-  immutable graph's arrays in place: no export, no fork, no pickling.
-  The parent resolves the kernel provider once and hands the instance
-  to every thread.  Threads record ``record=True`` trajectories as
-  arrays; the calling thread builds the lists as it collects each
-  shard.  The pool lives only inside the call, so a later fork never
-  forks a multi-threaded process.
+  per-repetition route of :mod:`repro.core.route`, with ``batched`` not
+  ``False``).  cffi drops the GIL inside each loop, so a
+  ``ThreadPoolExecutor`` shares the immutable graph's arrays in place:
+  no export, no fork, no pickling.  The parent resolves the kernel
+  provider once and hands the instance to every thread, which calls
+  :func:`~repro.core.route.run_reps` on its shard.  Threads record
+  ``record=True`` trajectories as arrays; the calling thread builds the
+  lists as it collects each shard.  The pool lives only inside the
+  call, so a later fork never forks a multi-threaded process.
 * **Processes** for everything else, which is GIL-bound (the numpy
   provider, implicit graphs, rules, ``faithful_r``, an explicit
   ``tail_threshold``, ``batched=False``).  This is the standard
@@ -68,6 +67,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.core.route import route_kernels, run_reps
 from repro.graphs.csr import Graph
 from repro.graphs.implicit import ImplicitGraph, ImplicitGraphSpec, from_descriptor
 from repro.utils.validation import check_integer, check_record
@@ -310,14 +310,14 @@ def _thread_outcomes(
 ) -> list[tuple[float, int, object, object]]:
     """Run the shards on a thread pool that shares ``g`` in place.
 
-    Only for requests whose every repetition is one compiled loop (the
-    loops release the GIL).  ``kwargs`` carry the resolved provider, so
-    no thread resolves one.  Threads record ``"arrays"``; this thread
-    builds the ``record=True`` lists as it collects each shard.  On the
-    first failure the queued shards are cancelled and the pool joins
-    before the error propagates.
+    Only for requests that pass :func:`~repro.core.route.route_kernels`
+    (the loops release the GIL).  ``kwargs`` carry the resolved
+    provider, so no thread resolves one.  Threads record ``"arrays"``;
+    this thread builds the ``record=True`` lists as it collects each
+    shard.  On the first failure the queued shards are cancelled and the
+    pool joins before the error propagates.
     """
-    from repro.experiments.runner import _shard_outcomes
+    from repro.experiments.runner import outcome_of
 
     lists = check_record(kwargs.get("record", False)) is True
     if lists:
@@ -325,15 +325,14 @@ def _thread_outcomes(
     outcomes: list[tuple[float, int, object, object]] = []
     with ThreadPoolExecutor(max_workers=min(n_jobs, len(shards))) as pool:
         pending = deque(
-            pool.submit(
-                _shard_outcomes, g, process, origin, children[start:stop], kwargs, True
-            )
+            pool.submit(run_reps, process, g, children[start:stop], origin, **kwargs)
             for start, stop in shards
         )
         try:
             while pending:
                 # popleft: a collected shard's arrays die with its lists
-                for disp, steps, traj, sched in pending.popleft().result():
+                for res in pending.popleft().result():
+                    disp, steps, traj, sched = outcome_of(res)
                     if lists:
                         traj = traj.to_lists()
                     outcomes.append((disp, steps, traj, sched))
@@ -359,20 +358,17 @@ def fanout_estimate(
     The repetition axis is sharded contiguously over at most ``n_jobs``
     workers — or, with ``max_shard`` (the adaptive runner's
     cost-weighted cap), into more, smaller shards that queue on the
-    pool.  When every repetition runs in one compiled loop (a compiled
-    provider, a CSR graph, the default rule, no ``faithful_r``, no
-    explicit ``tail_threshold`` and ``batched`` not ``False``), the
-    shards run on threads that share ``g``.  Otherwise CSR graphs are
-    exported once (not pickled per job), implicit families ship their
-    ``(family, params)`` descriptor, and each worker process runs
-    :func:`run_shard`, batched where profitable (or forced via
-    ``batched=True``).  Outcomes come back in repetition order and are
+    pool.  When every repetition runs in one compiled loop
+    (:func:`~repro.core.route.route_kernels` passes and ``batched`` is
+    not ``False``), the shards run on threads that share ``g``.
+    Otherwise CSR graphs are exported once (not pickled per job),
+    implicit families ship their ``(family, params)`` descriptor, and
+    each worker process runs :func:`run_shard`, batched where profitable
+    (or forced via ``batched=True``).  Outcomes come back in repetition order and are
     bit-identical to ``n_jobs=1`` over the same ``children``.
     """
-    from repro.experiments.runner import _per_rep_route
-
     shards = plan_shards(len(children), n_jobs, max_shard=max_shard)
-    kern = None if batched is False else _per_rep_route(process, g, kwargs)
+    kern = None if batched is False else route_kernels(process, g, kwargs)
     if kern is not None:
         return _thread_outcomes(
             g, process, origin, children, shards, n_jobs, {**kwargs, "kernels": kern}

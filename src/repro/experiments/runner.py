@@ -15,8 +15,9 @@ across the three execution modes:
 * **fan-out** (``n_jobs > 1``) — contiguous repetition *shards* run
   through the batched drivers where profitable (see
   :mod:`repro.experiments.fanout`); batching × workers compose.  On the
-  per-repetition compiled route the shards run on threads sharing the
-  graph; otherwise the CSR arrays are exported once into
+  per-repetition compiled route (:mod:`repro.core.route`) the shards
+  run on threads sharing the graph; otherwise the CSR arrays are
+  exported once into
   ``multiprocessing.shared_memory`` and the shards run on a process
   pool, with implicit families (:mod:`repro.graphs.implicit`) shipped
   as a tiny ``(family, params)`` descriptor instead of a memory segment.
@@ -38,11 +39,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.anytime import AdaptiveInfo, Precision, TauAccumulator
-from repro.core.batched import (
-    batched_parallel_idla,
-    batched_sequential_idla,
-    per_rep_loop_kernels,
-)
+from repro.core.batched import batched_parallel_idla, batched_sequential_idla
 from repro.core.batched_continuous import (
     batched_continuous_sequential_idla,
     batched_ctu_idla,
@@ -51,12 +48,13 @@ from repro.core.batched_continuous import (
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
 from repro.core.parallel import parallel_idla
 from repro.core.results import DispersionResult
+from repro.core.route import route_kernels, run_reps
 from repro.core.sequential import sequential_idla
 from repro.core.stopping_rules import DelayedRule, HairRule, StoppingRule
 from repro.core.uniform import uniform_idla
 from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
-from repro.kernels import KernelsUnavailableError, check_kernels
+from repro.kernels import check_kernels
 from repro.utils.rng import as_seed_sequence, stable_seed
 from repro.utils.validation import check_integer, check_record
 
@@ -214,12 +212,9 @@ def _validate_driver_kwargs(process: str, kwargs: dict) -> None:
 #: dispatch overhead to pay off.  The tick-scheduled processes (uniform,
 #: ctu, c-sequential) batch one walking particle per repetition, so their
 #: crossovers sit far above parallel's repetitions × particles width.
-#: Every process skips this threshold whenever its batched driver can run
-#: each repetition in one compiled loop (see
-#: :func:`~repro.core.batched.per_rep_loop_kernels`); the numbers are
-#: then only the crossovers of the numpy lock-step bodies, which the
-#: numpy provider, implicit graphs, non-default rules, Uniform-IDLA's
-#: ``faithful_r=True`` and an explicit ``tail_threshold`` keep.
+#: The numbers are only the crossovers of the lock-step bodies: whatever
+#: passes :func:`~repro.core.route.route_kernels` runs one compiled loop
+#: per repetition at any count, ahead of this threshold.
 _BATCHED_MIN_REPS = {
     "parallel": 4,
     "sequential": 64,
@@ -250,7 +245,8 @@ def _validate_forced_batched(process: str, kwargs) -> None:
 
 
 def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched):
-    """Decide whether an in-process estimate runs through the lock-step drivers.
+    """Decide whether an in-process estimate runs batched: through the
+    per-repetition route or the lock-step drivers.
 
     Shard workers call this too (with their shard's repetition count and
     ``n_jobs=1``).  There is no memory criterion any more: the streaming
@@ -277,35 +273,10 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
         return False
     if reps >= _BATCHED_MIN_REPS[process]:
         return True
-    # Below the lock-step crossover, batch only if the driver runs each
-    # repetition in one compiled loop: measured faster than the serial
-    # oracle from 1 repetition up (see docs/kernels.md).
-    return _per_rep_route(process, g, kwargs) is not None
-
-
-def _per_rep_route(process: str, g: Graph, kwargs: dict):
-    """The resolved provider whose compiled loops run every repetition
-    of this request, one loop each, or ``None``.
-
-    The gates are the batched drivers' own
-    (:func:`~repro.core.batched.per_rep_loop_kernels`), plus the
-    sequential and parallel default ``tail_threshold`` (an explicit one
-    pins the lock-step body).  An unknown kernels name raises here, as
-    the batched driver would; a known but unavailable provider gives
-    ``None``, so callers keep the paths that never needed it.
-    """
-    if kwargs.get("tail_threshold") is not None:
-        return None
-    try:
-        return per_rep_loop_kernels(
-            process,
-            g,
-            kernels=kwargs.get("kernels"),
-            rule=kwargs.get("rule"),
-            faithful_r=kwargs.get("faithful_r", False),
-        )
-    except KernelsUnavailableError:
-        return None
+    # Below the lock-step crossover, batch only on the per-repetition
+    # route: measured faster than the serial oracle from 1 repetition up
+    # (see docs/kernels.md).
+    return route_kernels(process, g, kwargs) is not None
 
 
 def run_process(
@@ -387,11 +358,17 @@ def _shard_outcomes(
 ) -> list[tuple[float, int, object, object]]:
     """Run one contiguous block of repetitions in this thread.
 
-    The body every execution mode shares — ``n_jobs=1``, each fan-out
-    thread and each fan-out worker process: the batched driver where
-    :func:`_use_batched` picks it for this block's repetition count,
-    else the serial oracle, one child of ``children`` per repetition.
+    The body of ``n_jobs=1`` and of each fan-out worker process: the
+    per-repetition route when :func:`~repro.core.route.route_kernels`
+    passes (and ``batched`` is not ``False``), else the lock-step driver
+    where :func:`_use_batched` picks it for this block's repetition
+    count, else the serial oracle, one child of ``children`` per
+    repetition.
     """
+    kern = None if batched is False else route_kernels(process, g, kwargs)
+    if kern is not None:
+        batch = run_reps(process, g, children, origin, **{**kwargs, "kernels": kern})
+        return [outcome_of(r) for r in batch]
     if _use_batched(process, g, len(children), 1, kwargs, batched):
         batch = BATCHED_DRIVERS[process](g, origin, seeds=list(children), **kwargs)
         return [outcome_of(r) for r in batch]
@@ -597,10 +574,9 @@ def estimate_dispersion(
         repetition *shards* out over ``n_jobs`` workers, each running the
         batched driver on its shard where profitable
         (:mod:`repro.experiments.fanout`).  When every repetition runs in
-        one compiled loop (a compiled provider, a CSR graph, the default
-        rule, no ``faithful_r``, no explicit ``tail_threshold``,
-        ``batched`` not ``False``) the workers are threads sharing the
-        graph in place; the loops release the GIL.  Everything else
+        one compiled loop (:mod:`repro.core.route`; ``batched`` not
+        ``False``) the workers are threads sharing the graph in place;
+        the loops release the GIL.  Everything else
         forks a process pool: the graph is exported once into shared
         memory, and implicit families ship a ``(family, params)``
         descriptor instead of a segment.

@@ -115,6 +115,51 @@ def _u8(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.uint8 else np.ascontiguousarray(a, dtype=np.uint8)
 
 
+# The per-repetition loops write through raw pointers, so their wrappers
+# refuse, before any draw, what C would misread or overrun: a row of
+# another dtype or a strided view (reinterpreted, or silently copied so
+# the update is lost), a row too short, an index outside its row.
+def _check_rows(name: str, dtype, length: int, *rows) -> None:
+    for a in rows:
+        if a.dtype != dtype or not a.flags.c_contiguous:
+            raise ValueError(f"{name} needs C-contiguous {dtype} rows")
+        if a.shape[0] < length:
+            raise ValueError(f"{name}: a row is shorter than {length}")
+
+
+def _check_range(name: str, what: str, values: np.ndarray, hi: int) -> None:
+    # int64 values: seen as uint64 a negative one is huge, so one max()
+    # tests both ends of [0, hi)
+    if values.size and values.view(np.uint64).max() >= hi:
+        raise ValueError(f"{name}: {what} outside [0, {hi})")
+
+
+def _occ_row(name: str, occ_row: np.ndarray, n: int) -> np.ndarray:
+    """``occ_row`` as the ``uint8`` view a loop updates in place."""
+    if occ_row.dtype not in (np.bool_, np.uint8) or not occ_row.flags.c_contiguous:
+        raise ValueError(f"{name} needs a C-contiguous bool or uint8 occ_row")
+    if occ_row.shape[0] < n:
+        raise ValueError(f"{name}: occ_row is shorter than the graph")
+    return occ_row.view(np.uint8)
+
+
+def _tick_occ(name, indptr, occ_row, pool, rows, clock_row, order, k, norder):
+    """A tick loop's checks (``rows[0]`` is ``pos_row``); returns ``occ``."""
+    n = indptr.shape[0] - 1
+    occ = _occ_row(name, occ_row, n)
+    if k < 0 or norder < 0:
+        raise ValueError(f"{name}: k and norder must be >= 0")
+    m = rows[0].shape[0]
+    _check_rows(name, _I64, m, *rows)
+    _check_rows(name, _I64, k, pool)
+    _check_rows(name, _I64, norder + k, order)
+    if clock_row is not None:
+        _check_rows(name, _F64, m, clock_row)
+    _check_range(name, "a pool entry", pool[:k], m)
+    _check_range(name, "a pooled particle's vertex", rows[0][pool[:k]], n)
+    return occ
+
+
 class KernelSet:
     """Resolved kernel provider: the object the drivers thread around.
 
@@ -321,6 +366,33 @@ class CompiledKernels(KernelSet):
         # the room of the buffer actually passed, so C never writes past it
         return (None, 0) if sink is None else (sink.buf, sink.buf.shape[0] // 2)
 
+    @staticmethod
+    def _feed(run, stream, state, sink, *, cursor, events, carry, limit_msg=None):
+        """Drive a block-fed loop to completion: ``run(buf, lg)`` enters
+        it once and returns 1 done, 0 buffer dry (next block; with
+        ``carry`` behind the unconsumed tail, with its numpy log lane
+        ``lg``), 2 sink full (sealed) or < 0 over budget."""
+        buf = _f64(stream.take_block())
+        lg = np.log1p(-buf) if carry else None
+        while True:
+            status = run(buf, lg)
+            if status == 2:
+                sink.seal(int(state[events]))
+                state[events] = 0
+                continue
+            if status == 1:
+                if sink is not None:
+                    sink.seal(int(state[events]), reopen=False)
+                return
+            if status < 0:
+                raise RuntimeError(limit_msg)
+            if carry:
+                buf = np.concatenate((buf[state[cursor] :], stream.take_block()))
+                lg = np.log1p(-buf)
+            else:
+                buf = _f64(stream.take_block())
+            state[cursor] = 0
+
     # ---- scalar-tail finisher loops ----------------------------------
     def finish_sequential(
         self, indptr, indices, occ_row, starts, tail, *,
@@ -330,30 +402,26 @@ class CompiledKernels(KernelSet):
         """Compiled ``_finish_sequential_rep``; returns consumed doubles.
 
         With ``sink``, every step from here on is recorded into it."""
-        state = np.array([walker, pos, pstep, total, 0, 0], dtype=np.int64)
-        occ = _u8(occ_row)
+        n = indptr.shape[0] - 1
+        occ = _occ_row("finish_sequential", occ_row, n)
         starts = _i64(starts)
         m = starts.shape[0]
+        _check_rows("finish_sequential", _I64, m, steps_row, settled_row)
+        _check_range("finish_sequential", "a start", starts, n)
+        if not (0 <= walker < m and 0 <= pos < n):
+            raise ValueError("finish_sequential: walker or pos out of range")
+        state = np.array([walker, pos, pstep, total, 0, 0], dtype=np.int64)
         lz = 1 if lazy else 0
-        buf = _f64(tail.take_block())
-        while True:
-            status = self._impl.finish_seq(
+        self._feed(
+            lambda buf, _: self._impl.finish_seq(
                 indptr, indices, occ, starts, steps_row, settled_row,
                 buf, buf.shape[0], state, m, lz, budget,
                 *self._sink_args(sink),
-            )
-            if status == 1:
-                if sink is not None:
-                    sink.seal(int(state[5]), reopen=False)
-                return int(state[3])
-            if status < 0:
-                raise RuntimeError(limit_msg)
-            if status == 2:
-                sink.seal(int(state[5]))
-                state[5] = 0
-                continue
-            buf = _f64(tail.take_block())
-            state[4] = 0
+            ),
+            tail, state, sink, cursor=4, events=5, carry=False,
+            limit_msg=limit_msg,
+        )
+        return int(state[3])
 
     def finish_parallel_single(
         self, indptr, indices, occ_arr, tail, *,
@@ -382,8 +450,9 @@ class CompiledKernels(KernelSet):
     # order so far; the row arrays are updated in place.  Each buffer
     # comes with its numpy log lane, and the unconsumed tail of a buffer
     # (at most 2 doubles: the loops stop before a tick they cannot finish)
-    # is carried in front of the next block, so whole blocks are fetched
-    # exactly when the serial driver's UniformStream fetches them.
+    # is carried in front of the next block (``_feed``'s ``carry``), so
+    # whole blocks are fetched exactly when the serial driver's
+    # UniformStream fetches them.
     def finish_ctu(
         self, indptr, indices, occ_row, pool, pos_row, steps_row,
         settled_row, clock_row, order, stream, *, k, norder, rate,
@@ -392,28 +461,21 @@ class CompiledKernels(KernelSet):
         """Compiled :func:`repro.core.continuous.ctu_idla` tick loop;
         returns the repetition's final clock.  With ``sink``, every tick
         is recorded into it."""
+        occ = _tick_occ(
+            "finish_ctu", indptr, occ_row, pool,
+            (pos_row, steps_row, settled_row), clock_row, order, k, norder,
+        )
         state = np.array([k, norder, 0, 0], dtype=np.int64)
         clock = np.zeros(1, dtype=np.float64)
-        occ = _u8(occ_row)
-        buf = stream.take_block()
-        lg = np.log1p(-buf)
-        while True:
-            status = self._impl.run_ctu(
+        self._feed(
+            lambda buf, lg: self._impl.run_ctu(
                 indptr, indices, occ, pool, pos_row, steps_row, settled_row,
                 clock_row, order, buf, lg, buf.shape[0], state,
                 clock, float(rate), *self._sink_args(sink),
-            )
-            if status == 1:
-                if sink is not None:
-                    sink.seal(int(state[3]), reopen=False)
-                return float(clock[0])
-            if status == 2:
-                sink.seal(int(state[3]))
-                state[3] = 0
-                continue
-            buf = np.concatenate((buf[state[2] :], stream.take_block()))
-            lg = np.log1p(-buf)
-            state[2] = 0
+            ),
+            stream, state, sink, cursor=2, events=3, carry=True,
+        )
+        return float(clock[0])
 
     def finish_uniform(
         self, indptr, indices, occ_row, pool, pos_row, steps_row,
@@ -427,29 +489,22 @@ class CompiledKernels(KernelSet):
         ``j < pool_size = logq.shape[0]``, the geometric-skip divisor.
         With ``sink``, every tick that steps is recorded into it.
         """
+        occ = _tick_occ(
+            "finish_uniform", indptr, occ_row, pool,
+            (pos_row, steps_row, settled_row), None, order, k, norder,
+        )
+        _check_rows("finish_uniform", _F64, 0, logq)
         state = np.array([k, norder, 0, 0, 0], dtype=np.int64)
-        occ = _u8(occ_row)
-        buf = stream.take_block()
-        lg = np.log1p(-buf)
-        while True:
-            status = self._impl.run_uniform(
+        self._feed(
+            lambda buf, lg: self._impl.run_uniform(
                 indptr, indices, occ, pool, pos_row, steps_row, settled_row,
                 order, buf, lg, buf.shape[0], logq,
                 logq.shape[0], state, budget, *self._sink_args(sink),
-            )
-            if status == 1:
-                if sink is not None:
-                    sink.seal(int(state[4]), reopen=False)
-                return int(state[2])
-            if status < 0:
-                raise RuntimeError(limit_msg)
-            if status == 2:
-                sink.seal(int(state[4]))
-                state[4] = 0
-                continue
-            buf = np.concatenate((buf[state[3] :], stream.take_block()))
-            lg = np.log1p(-buf)
-            state[3] = 0
+            ),
+            stream, state, sink, cursor=3, events=4, carry=True,
+            limit_msg=limit_msg,
+        )
+        return int(state[2])
 
     def finish_parallel(
         self, indptr, indices, occ_row, act, pos, prio, best, steps_row,
@@ -471,14 +526,15 @@ class CompiledKernels(KernelSet):
         ``act.size``: one round's events), every round is recorded into
         it.
         """
-        for a in (act, pos, prio, best, steps_row, settled_row, round_row):
-            if a.dtype != _I64 or not a.flags.c_contiguous:
-                raise ValueError("finish_parallel needs C-contiguous int64 rows")
         n = indptr.shape[0] - 1
+        occ = _occ_row("finish_parallel", occ_row, n)
+        _check_rows(
+            "finish_parallel", _I64, 0, act, pos, prio, steps_row,
+            settled_row, round_row,
+        )
+        _check_rows("finish_parallel", _I64, n, best)
         if pos.shape != act.shape:
             raise ValueError("finish_parallel: act/pos size mismatch")
-        if occ_row.shape[0] < n or best.shape[0] < n:
-            raise ValueError("finish_parallel: occ_row or best shorter than the graph")
         k = act.shape[0]
         if sink is not None and sink.capacity < k:
             raise ValueError("finish_parallel: sink holds less than one round")
@@ -487,7 +543,6 @@ class CompiledKernels(KernelSet):
         # k only shrinks, so clamping keeps every `k > threshold` test
         thr = max(-1, min(scalar_threshold, k))
         state = np.array([k, 0, free, 0], dtype=np.int64)
-        occ = _u8(occ_row)
         hold = np.empty(k) if lazy else None
         lz = 1 if lazy else 0
         bitgen = rng.bit_generator

@@ -35,10 +35,14 @@ of a shared-memory segment.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.core import route
 from repro.core.budget import StateBudget
+from repro.core.stopping_rules import DelayedRule
 from repro.experiments import estimate_dispersion
 from repro.experiments.runner import BATCHED_DRIVERS, PROCESS_DRIVERS
 from repro.graphs import complete_binary_tree, cycle_graph
@@ -110,8 +114,7 @@ def serial_oracle(process, kwargs, record):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_batched_drivers_match_serial_oracle(case, record, build):
     """Lock-step drivers (finisher on and off) vs the serial reference,
-    under every provider available here (numpy keeps the lock-step body
-    where a compiled one takes the per-repetition route)."""
+    under every provider available here."""
     process, kwargs = case
     extras = EXTRAS.get(process, ())
     if kwargs.get("faithful_r"):
@@ -260,8 +263,7 @@ KERNEL_PROVIDERS = [
 ]
 
 #: The providers available here, by name: the lock-step tests above run
-#: each (numpy keeps the lock-step body, a compiled one takes the
-#: per-repetition route).
+#: each.
 PROVIDERS = [name for name, ok in sorted(available_kernels().items()) if ok]
 
 
@@ -338,11 +340,7 @@ def test_kernels_through_runner(case, kernels):
 @pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)
 def test_kernels_deep_tail_and_budget(kernels):
     """Compiled finishers against a genuine mid-run handoff (reps above
-    the tail threshold) and compiled lock-step under budget cohorts.
-
-    The threshold is passed explicitly: left at ``None``, a compiled
-    sequential run skips lock-step altogether (see
-    ``test_sequential_per_rep_route_matches_serial_oracle``)."""
+    the tail threshold) and compiled lock-step under budget cohorts."""
     g = cycle_graph(32)
     reps = 24
     for process in ("sequential", "parallel"):
@@ -485,8 +483,8 @@ def test_sequential_per_rep_route_matches_serial_oracle(
     oracle = [
         PROCESS_DRIVERS[process](GRAPH, origin, seed=s, **kwargs) for s in seeds
     ]
-    batch = BATCHED_DRIVERS[process](
-        GRAPH, origin, seeds=spawn_seed_sequences(PARENT_SEED, reps),
+    batch = route.run_reps(
+        process, GRAPH, spawn_seed_sequences(PARENT_SEED, reps), origin,
         kernels=kernels, **kwargs,
     )
     for s, b in zip(oracle, batch):
@@ -543,8 +541,8 @@ def test_tick_per_rep_route_matches_serial_oracle(
     assert route_calls == dict.fromkeys(route_calls, 0) | {
         f"finish_{process}": walking
     }
-    batch = BATCHED_DRIVERS[process](
-        GRAPH, origin, seeds=spawn_seed_sequences(PARENT_SEED, reps),
+    batch = route.run_reps(
+        process, GRAPH, spawn_seed_sequences(PARENT_SEED, reps), origin,
         kernels=kernels, state_budget=budget, **kwargs,
     )
     for s, b in zip(oracle, batch):
@@ -655,8 +653,8 @@ def test_parallel_per_rep_route_matches_serial_oracle(
     assert route_calls == dict.fromkeys(route_calls, 0) | {
         "finish_parallel": walking
     }
-    batch = BATCHED_DRIVERS["parallel"](
-        g, origin, seeds=spawn_seed_sequences(PARENT_SEED, reps),
+    batch = route.run_reps(
+        "parallel", g, spawn_seed_sequences(PARENT_SEED, reps), origin,
         kernels=kernels, state_budget=budget, **kwargs,
     )
     for s, b in zip(oracle, batch):
@@ -680,8 +678,6 @@ def test_parallel_lockstep_body_keeps_its_cases(kernels, route_calls):
     body, still bit-identical: implicit graphs, a non-default rule, an
     explicit ``tail_threshold`` and the numpy provider (also when chosen
     through ``REPRO_KERNELS``), recording or not."""
-    from repro.core.stopping_rules import DelayedRule
-
     rule = DelayedRule(2)
     cases = [
         (GRAPH, {"record": True, "kernels": "numpy"}),
@@ -711,6 +707,90 @@ def test_parallel_lockstep_body_keeps_its_cases(kernels, route_calls):
     assert route_calls["finish_parallel"] == 0
 
 
+@pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
+@pytest.mark.parametrize("process", sorted(BATCHED_DRIVERS))
+def test_lockstep_drivers_never_take_the_route(process, kernels, monkeypatch):
+    """Called directly, the lock-step drivers run lock-step under a
+    compiled provider too, recording or not: the per-repetition loops
+    and their event sinks belong to :mod:`repro.core.route` alone."""
+    from repro.kernels import CompiledKernels
+
+    called = []
+    for name in ("finish_parallel", "finish_uniform", "finish_ctu", "event_sink"):
+        monkeypatch.setattr(
+            CompiledKernels, name, lambda *a, _name=name, **k: called.append(_name)
+        )
+    for record in (False, True, "arrays"):
+        batch = BATCHED_DRIVERS[process](
+            GRAPH, 0, seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+            record=record, kernels=kernels,
+        )
+        for s, b in zip(serial_oracle(process, {}, record), batch):
+            assert_result_identical(s, b, EXTRAS.get(process, ()))
+    assert called == []
+
+
+#: The options the route gate reads, per process that has them.
+GATE_OPTIONS = {
+    "parallel": [
+        {},
+        {"rule": DelayedRule(2)},
+        {"tail_threshold": 16},
+        {"rule": DelayedRule(2), "tail_threshold": 16},
+    ],
+    "uniform": [{}, {"faithful_r": True}],
+}
+
+
+class _InlineProcessPool(ThreadPoolExecutor):
+    """The fork pool's stand-in: the same shards, without forking."""
+
+    def __init__(self, max_workers, mp_context=None):
+        super().__init__(max_workers)
+
+
+@pytest.mark.parametrize("batched", [True, "auto", False], ids=repr)
+@pytest.mark.parametrize("build", GRAPH_BUILDS, ids=GRAPH_BUILDS)
+@pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)
+@pytest.mark.parametrize(
+    "process,options",
+    [(p, o) for p in GATE_OPTIONS for o in GATE_OPTIONS[p]],
+    ids=lambda v: v if isinstance(v, str) else ",".join(sorted(v)) or "default",
+)
+def test_runner_and_thread_pool_agree_on_the_route(
+    process, options, kernels, build, batched, monkeypatch
+):
+    """The in-process runner takes ``run_reps`` exactly when
+    ``n_jobs=2`` takes the thread pool: both consult the one gate, and
+    it passes exactly for a compiled provider, a CSR graph, the default
+    rule and scheduler, no explicit ``tail_threshold`` and ``batched``
+    not ``False``."""
+    import repro.experiments.fanout as fanout_mod
+    import repro.experiments.runner as runner_mod
+
+    taken = {"runner": 0, "threads": 0}
+    for module, key in ((runner_mod, "runner"), (fanout_mod, "threads")):
+
+        def counted(*args, _inner=module.run_reps, _key=key, **kwargs):
+            taken[_key] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "run_reps", counted)
+    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", _InlineProcessPool)
+    runs = [
+        estimate_dispersion(
+            GRAPH_BUILDS[build], process, reps=4, seed=PARENT_SEED,
+            n_jobs=n_jobs, batched=batched, kernels=kernels, **options,
+        )
+        for n_jobs in (1, 2)
+    ]
+    assert np.array_equal(runs[0].samples, runs[1].samples)
+    expected = (
+        kernels != "numpy" and build == "csr" and not options and batched is not False
+    )
+    assert taken == {"runner": expected, "threads": 2 * expected}
+
+
 #: Recorded variants of the per-repetition route: every route variant.
 #: ``origin="uniform"`` settles several particles at their starts (rows
 #: ``[start]``); Parallel adds the lazy hold shapes, random ties and
@@ -738,7 +818,7 @@ def test_recorded_per_rep_route_matches_serial_oracle(
     process, variant, record, sink, kernels, route_calls, monkeypatch
 ):
     """``record=True`` and ``record="arrays"`` take the per-repetition
-    route with a compiled provider, through the batched driver and auto
+    route with a compiled provider, through ``run_reps`` and auto
     dispatch alike: one compiled loop per walking repetition, no
     lock-step round, and trajectories equal to the serial oracle's, in
     its shape.  A one-event sink (one round for Parallel) makes every
@@ -757,8 +837,8 @@ def test_recorded_per_rep_route_matches_serial_oracle(
     walking = sum(1 for r in oracle if r.total_steps > 0)
     # the serial oracle steps through the compiled csr_step: count from here
     route_calls.update(dict.fromkeys(route_calls, 0))
-    batch = BATCHED_DRIVERS[process](
-        GRAPH, origin, seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+    batch = route.run_reps(
+        process, GRAPH, spawn_seed_sequences(PARENT_SEED, REPS), origin,
         record=record, kernels=kernels, state_budget=budget, **kwargs,
     )
     assert route_calls == dict.fromkeys(route_calls, 0) | {
@@ -835,7 +915,6 @@ def test_deep_tail_straddles_finisher_with_recording(build):
             PROCESS_DRIVERS[process](oracle_g, 0, seed=s, record=True)
             for s in spawn_seed_sequences(11, reps)
         ]
-        # explicit: left at None, a compiled provider skips lock-step
         batch = BATCHED_DRIVERS[process](
             g, 0, seeds=spawn_seed_sequences(11, reps), record=True,
             tail_threshold=16,

@@ -397,15 +397,15 @@ class TestThreadRoute:
         queued never start, and every pool thread has exited."""
         release = threading.Event()
         started = []
-        real_shard = runner_mod._shard_outcomes
+        real_shard = fanout_mod.run_reps
 
-        def shard(*args):
-            started.append(args[3])
+        def shard(*args, **kwargs):
+            started.append(args[2])
             if len(started) > 1:
                 # hold later shards until the pool is shutting down, so
                 # the failure cannot race the workers through the queue
                 release.wait(timeout=10)
-            return real_shard(*args)
+            return real_shard(*args, **kwargs)
 
         class Pool(ThreadPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
@@ -413,7 +413,7 @@ class TestThreadRoute:
                 release.set()
                 super().shutdown(wait=wait)
 
-        monkeypatch.setattr(runner_mod, "_shard_outcomes", shard)
+        monkeypatch.setattr(fanout_mod, "run_reps", shard)
         monkeypatch.setattr(fanout_mod, "ThreadPoolExecutor", Pool)
         baseline = threading.active_count()
         reps, n_jobs = 16, 2

@@ -42,12 +42,7 @@ import pytest
 import repro.core.continuous as continuous_mod
 import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
-from repro.core.batched_continuous import (
-    _skip_log_table,
-    batched_ctu_idla,
-    batched_uniform_idla,
-)
-from repro.core.batched import batched_parallel_idla, batched_sequential_idla
+from repro.core.route import _skip_log_table, run_reps
 from repro.core.continuous import ctu_idla
 from repro.core.parallel import parallel_idla
 from repro.core.sequential import sequential_idla
@@ -376,8 +371,8 @@ def test_walk_until_hit_limit_and_trivial_cases(provider):
 # per-repetition tick-process loops
 
 TICK_DRIVERS = {
-    "uniform": (uniform_idla, batched_uniform_idla, uniform_mod, ()),
-    "ctu": (ctu_idla, batched_ctu_idla, continuous_mod, ("settle_clock",)),
+    "uniform": (uniform_idla, uniform_mod, ()),
+    "ctu": (ctu_idla, continuous_mod, ("settle_clock",)),
 }
 
 
@@ -394,13 +389,13 @@ def test_tick_loops_match_serial_at_tiny_blocks(
     nearly every refill: the loop's carried tail and the numpy log lane
     must still replay the serial draws, and each generator must end
     where the serial driver leaves it."""
-    serial, batched, module, extras = TICK_DRIVERS[process]
+    serial, module, extras = TICK_DRIVERS[process]
     monkeypatch.setattr(module, "_BLOCK", block)
     seeds = spawn_seed_sequences(7, 4)
     ref_gens = [as_generator(s) for s in seeds]
     gens = [as_generator(s) for s in seeds]
     ref = [serial(g, 0, seed=gen, num_particles=7) for gen in ref_gens]
-    got = batched(g, 0, seeds=gens, num_particles=7, kernels=provider)
+    got = run_reps(process, g, gens, 0, num_particles=7, kernels=provider)
     for s, b, ref_gen, gen in zip(ref, got, ref_gens, gens):
         assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
         assert np.array_equal(s.steps, b.steps)
@@ -452,8 +447,8 @@ def test_parallel_loop_matches_serial_on_every_bit_generator(
         return inner(*args)
 
     monkeypatch.setattr(ks._impl, "run_parallel", counted)
-    got = batched_parallel_idla(
-        g, 0, seeds=_generators(family), kernels=provider, **kwargs
+    got = run_reps(
+        "parallel", g, _generators(family), 0, kernels=provider, **kwargs
     )
     if not record:
         assert len(calls) == len(ref)
@@ -476,9 +471,7 @@ def test_parallel_loop_leaves_each_generator_after_its_last_double(
     generator's next double is double ``total_steps + 1`` of a fresh
     twin."""
     gens = _generators(family)
-    got = batched_parallel_idla(
-        grid_graph(4, 5), 0, seeds=gens, kernels=provider
-    )
+    got = run_reps("parallel", grid_graph(4, 5), gens, 0, kernels=provider)
     for res, gen, twin in zip(got, gens, _generators(family)):
         twin.random(res.total_steps)
         assert gen.random() == twin.random()
@@ -536,22 +529,152 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
         assert rng.random() == as_generator(0).random()  # nothing drawn
 
 
+def _sequential_call(ks, indptr, indices, stream, rows):
+    return ks.finish_sequential(
+        indptr, indices, rows["occ_row"], rows["starts"], stream,
+        walker=rows["walker"], pos=rows["pos"], pstep=0, total=0,
+        lazy=False, budget=float("inf"), limit_msg="limit",
+        steps_row=rows["steps_row"], settled_row=rows["settled_row"],
+    )
+
+
+def _ctu_call(ks, indptr, indices, stream, rows):
+    return ks.finish_ctu(
+        indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
+        rows["steps_row"], rows["settled_row"], rows["clock_row"],
+        rows["order"], stream, k=rows["k"], norder=rows["norder"], rate=1.0,
+    )
+
+
+def _uniform_call(ks, indptr, indices, stream, rows):
+    return ks.finish_uniform(
+        indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
+        rows["steps_row"], rows["settled_row"], rows["order"], stream,
+        k=rows["k"], norder=rows["norder"], logq=rows["logq"],
+        budget=float("inf"), limit_msg="limit",
+    )
+
+
+#: The block-fed loops, each with its row set on C5 (particle 0 settled
+#: at vertex 0, particles 1..4 to walk from 0) and its violations: the
+#: wrong dtype, a strided view, short rows, out-of-range indices.
+BLOCK_LOOPS = {
+    "finish_sequential": (
+        _sequential_call,
+        lambda: {
+            "occ_row": np.array([1, 0, 0, 0, 0], dtype=bool),
+            "starts": np.zeros(5, dtype=np.int64),
+            "steps_row": np.zeros(5, dtype=np.int64),
+            "settled_row": np.array([0, -1, -1, -1, -1], dtype=np.int64),
+            "walker": 1,
+            "pos": 0,
+        },
+        [
+            {"steps_row": np.zeros(5, dtype=np.int32)},
+            {"settled_row": np.full(10, -1, dtype=np.int64)[::2]},
+            {"occ_row": np.array([1, 0, 0, 0, 0], dtype=np.int32)},
+            {"steps_row": np.zeros(4, dtype=np.int64)},
+            {"settled_row": np.full(4, -1, dtype=np.int64)},
+            {"occ_row": np.array([1, 0, 0, 0], dtype=bool)},
+            {"starts": np.array([0, 0, 0, 0, 5], dtype=np.int64)},
+            {"starts": np.array([0, -1, 0, 0, 0], dtype=np.int64)},
+            {"walker": 5},
+            {"walker": -1},
+            {"pos": 5},
+            {"pos": -1},
+        ],
+    ),
+    "finish_ctu": (
+        _ctu_call,
+        lambda: {
+            "occ_row": np.array([1, 0, 0, 0, 0], dtype=np.uint8),
+            "pool": np.arange(1, 5, dtype=np.int64),
+            "pos_row": np.zeros(5, dtype=np.int64),
+            "steps_row": np.zeros(5, dtype=np.int64),
+            "settled_row": np.array([0, -1, -1, -1, -1], dtype=np.int64),
+            "clock_row": np.zeros(5),
+            "order": np.zeros(5, dtype=np.int64),
+            "k": 4,
+            "norder": 1,
+        },
+        [
+            {"clock_row": np.zeros(5, dtype=np.float32)},
+            {"steps_row": np.zeros(5, dtype=np.int32)},
+            {"pool": np.arange(1, 5, dtype=np.int32)},
+            {"clock_row": np.zeros(4)},
+            {"order": np.zeros(4, dtype=np.int64)},
+            {"pool": np.arange(1, 4, dtype=np.int64)},
+            {"pos_row": np.zeros(10, dtype=np.int64)[::2]},
+            {"pool": np.array([1, 2, 3, 5], dtype=np.int64)},
+            {"pool": np.array([-1, 2, 3, 4], dtype=np.int64)},
+            {"pos_row": np.array([0, 0, 0, 5, 0], dtype=np.int64)},
+            {"k": 5},
+            {"norder": 2},
+            {"norder": -1},
+        ],
+    ),
+    "finish_uniform": (
+        _uniform_call,
+        lambda: {
+            "occ_row": np.array([1, 0, 0, 0, 0], dtype=np.uint8),
+            "pool": np.arange(1, 5, dtype=np.int64),
+            "pos_row": np.zeros(5, dtype=np.int64),
+            "steps_row": np.zeros(5, dtype=np.int64),
+            "settled_row": np.array([0, -1, -1, -1, -1], dtype=np.int64),
+            "order": np.zeros(5, dtype=np.int64),
+            "logq": np.log1p(-(np.arange(4) / 4)),
+            "k": 4,
+            "norder": 1,
+        },
+        [
+            {"settled_row": np.full(5, -1, dtype=np.int32)},
+            {"logq": np.log1p(-(np.arange(4) / 4)).astype(np.float32)},
+            {"occ_row": np.array([1, 0, 0, 0, 0], dtype=np.int64)},
+            {"settled_row": np.full(4, -1, dtype=np.int64)},
+            {"occ_row": np.array([1, 0, 0, 0], dtype=np.uint8)},
+            {"pool": np.array([1, 2, 3, 7], dtype=np.int64)},
+            {"pos_row": np.array([0, 9, 0, 0, 0], dtype=np.int64)},
+            {"k": -1},
+            {"norder": 2},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("loop", sorted(BLOCK_LOOPS))
+def test_block_loops_reject_rows_they_cannot_update_in_place(provider, loop):
+    """As ``finish_parallel`` does, the block-fed loops refuse rows of
+    another dtype, strided views, rows too short for the particles or
+    the graph, and indices outside their rows, before any draw: C would
+    misread them or write past a row's end."""
+    ks = get_kernels(provider)
+    indptr, indices = csr_arrays(cycle_graph(5))
+    call, rows, bad_rows = BLOCK_LOOPS[loop]
+    stream = UniformStream(as_generator(0), block=64)
+    call(ks, indptr, indices, stream, rows())
+    assert stream.drawn > 0
+    for bad in bad_rows:
+        stream = UniformStream(as_generator(0), block=64)
+        with pytest.raises(ValueError, match=loop):
+            call(ks, indptr, indices, stream, {**rows(), **bad})
+        assert stream.drawn == 0, bad  # nothing drawn
+
+
 # ---------------------------------------------------------------------------
 # recording: event sinks of the per-repetition loops
 
-#: (serial driver, batched driver, kwargs) per recorded loop shape: lazy
-#: holds in both draw phases, random ties, ``m > n`` surplus walkers.
+#: (process, serial driver, kwargs) per recorded loop shape: lazy holds
+#: in both draw phases, random ties, ``m > n`` surplus walkers.
 RECORDED_LOOPS = {
     "parallel-lazy": (
-        parallel_idla, batched_parallel_idla, {"lazy": True, "scalar_threshold": 3}
+        "parallel", parallel_idla, {"lazy": True, "scalar_threshold": 3}
     ),
-    "parallel-random-ties": (
-        parallel_idla, batched_parallel_idla, {"tie_break": "random"}
-    ),
-    "parallel-m>n": (parallel_idla, batched_parallel_idla, {"num_particles": 14}),
-    "sequential-lazy": (sequential_idla, batched_sequential_idla, {"lazy": True}),
-    "uniform": (uniform_idla, batched_uniform_idla, {"num_particles": 7}),
-    "ctu": (ctu_idla, batched_ctu_idla, {"num_particles": 7}),
+    "parallel-random-ties": ("parallel", parallel_idla, {"tie_break": "random"}),
+    "parallel-m>n": ("parallel", parallel_idla, {"num_particles": 14}),
+    "sequential-lazy": ("sequential", sequential_idla, {"lazy": True}),
+    "uniform": ("uniform", uniform_idla, {"num_particles": 7}),
+    "ctu": ("ctu", ctu_idla, {"num_particles": 7}),
 }
 
 
@@ -581,13 +704,13 @@ def test_recorded_loops_match_serial_at_tiny_sinks(
         return seal(self, count, reopen=reopen)
 
     monkeypatch.setattr(kernels_mod.EventSink, "seal", counted)
-    serial, batched, kwargs = RECORDED_LOOPS[loop]
+    process, serial, kwargs = RECORDED_LOOPS[loop]
     ref = [
         serial(g, origin, seed=s, record=record, **kwargs)
         for s in spawn_seed_sequences(7, 4)
     ]
-    got = batched(
-        g, origin, seeds=spawn_seed_sequences(7, 4), record=record,
+    got = run_reps(
+        process, g, spawn_seed_sequences(7, 4), origin, record=record,
         kernels=provider, **kwargs,
     )
     if capacity == 1:
