@@ -1122,17 +1122,17 @@ def batched_sequential_idla(
                 adj = g.adjacency_lists()
             for i in range(live.size):
                 r = int(live[i])
-                tail = streams.tail(r, cursor)
                 if csr is not None:
                     # compiled micro-loop (walk + settle + release chain
-                    # in one pass); same fetch cadence via take_block, so
-                    # the consumed count lands on the serial grid as the
-                    # Python loop's would
+                    # in one pass): the row's unconsumed doubles, then
+                    # the generator itself, one double per step
+                    prefix = streams.buf[r, cursor:]
                     consumed = kern.finish_sequential(
                         csr[0], csr[1],
                         occ[r * n : (r + 1) * n],
                         starts2d[r],
-                        tail,
+                        gens[r],
+                        prefix=prefix,
                         walker=int(current[r]),
                         pos=int(pos[i]),
                         pstep=int(pstep[i]),
@@ -1143,7 +1143,9 @@ def batched_sequential_idla(
                         steps_row=steps2d[r],
                         settled_row=settled2d[r],
                     )
+                    drawn = max(0, consumed - ticks - prefix.shape[0])
                 else:
+                    tail = streams.tail(r, cursor)
                     consumed = _finish_sequential_rep(
                         adj,
                         occ[r * n : (r + 1) * n],
@@ -1164,7 +1166,8 @@ def batched_sequential_idla(
                         if store is not None
                         else None,
                     )
-                streams.align_to_serial(r, consumed, tail)
+                    drawn = tail.drawn
+                streams.align_to_serial(r, consumed, drawn)
             break
         if cursor == block:
             streams.fill(live.tolist())

@@ -7,7 +7,8 @@ Drivers accept:
 
 * an ``int`` — all particles start there (classic);
 * ``"uniform"`` — i.i.d. uniform random start per particle;
-* a sequence of ``m`` vertex ids — explicit per-particle starts.
+* a sequence of ``m`` vertex ids — explicit per-particle starts (each an
+  integer or an integral float; booleans and fractions are rejected).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import Graph
-from repro.utils.validation import check_index
+from repro.utils.validation import check_index, check_integer
 
 __all__ = ["resolve_origins"]
 
@@ -30,7 +31,10 @@ def resolve_origins(g: Graph, origin, num_particles: int, rng) -> np.ndarray:
     if np.isscalar(origin) or isinstance(origin, (int, np.integer)):
         v = check_index("origin", origin, n)
         return np.full(num_particles, v, dtype=np.int64)
-    arr = np.asarray(list(origin), dtype=np.int64)
+    if isinstance(origin, np.ndarray) and origin.dtype.kind in "iu":
+        arr = origin.astype(np.int64)
+    else:  # entry by entry: 5.5 or True must not become a vertex id
+        arr = np.array([check_integer("origin", v) for v in origin], dtype=np.int64)
     if arr.shape != (num_particles,):
         raise ValueError(
             f"origins array must have length {num_particles}, got {arr.shape}"

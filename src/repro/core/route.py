@@ -12,13 +12,15 @@ and :mod:`repro.core.batched_continuous`, or the serial oracles.
 the tie-break permutation, then the round-0 settlement pass, the release
 chain or the time-0 settlement), then one ``CompiledKernels.finish_*``
 call that runs it to completion in its serial driver's draw order.
-``finish_parallel`` draws each double from the repetition's ``bitgen_t``
-inside C, so the generator ends right after the last double consumed
-(the serial oracle and the lock-step body may leave it further on).
-The other loops fetch whole blocks of their serial driver's size through
-a :class:`~repro.utils.rng.UniformStream`, so each generator ends where
-the serial driver leaves it, which c-sequential's Gamma durations read
-next; their logarithms come from numpy, never from libm.  The results
+``finish_parallel`` and ``finish_sequential`` draw each double from the
+repetition's ``bitgen_t`` inside C, so the generator ends right after
+the last double consumed (the serial oracle and the lock-step body may
+leave it further on); c-sequential then draws up to the serial
+driver's block grid before its Gamma durations.  Only the tick loops
+(Uniform, CTU) are still fed by buffer: they fetch whole blocks of their
+serial driver's size through a :class:`~repro.utils.rng.UniformStream`,
+so each generator ends where the serial driver leaves it, and their
+logarithms come from numpy, never from libm.  The results
 are assembled by the lock-step drivers' own helpers, bit-identical to
 the serial oracle.  ``record`` hands each repetition an event sink
 (:meth:`~repro.kernels.CompiledKernels.event_sink`).  A
@@ -181,9 +183,8 @@ def _sequential(
         sink = kern.event_sink() if record else None
         if w < m:
             kern.finish_sequential(
-                indptr, indices, occ[r * n : (r + 1) * n], starts[r],
-                UniformStream(gen, block=_seq_mod._BLOCK), walker=w,
-                pos=int(starts[r, w]), pstep=0, total=0, lazy=lazy,
+                indptr, indices, occ[r * n : (r + 1) * n], starts[r], gen,
+                walker=w, pos=int(starts[r, w]), pstep=0, total=0, lazy=lazy,
                 budget=budget, limit_msg=limit_msg, steps_row=steps[r],
                 settled_row=settled[r], sink=sink,
             )
@@ -193,7 +194,12 @@ def _sequential(
 
 def _c_sequential(g, gens, origin, kern, record, *, rate=1.0):
     check_positive_finite("rate", rate)
-    return _poissonised(g, _sequential(g, gens, origin, kern, record), gens, rate)
+    walks = _sequential(g, gens, origin, kern, record)
+    for res, gen in zip(walks, gens):
+        # the loop drew total_steps doubles; the serial driver fetches
+        # whole blocks, so finish the last one (as align_to_serial does)
+        gen.random(-res.total_steps % _seq_mod._BLOCK)
+    return _poissonised(g, walks, gens, rate)
 
 
 def _uniform(g, gens, origin, kern, record, *, num_particles=None, max_ticks=None):

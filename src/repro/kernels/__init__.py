@@ -288,15 +288,17 @@ class EventSink:
 class CompiledKernels(KernelSet):
     """Wrapper over the low-level provider namespace (:mod:`cffi_impl`).
 
-    The loop kernels speak a shared buffer protocol: they consume
-    uniforms from the array they were handed and return ``0`` when it
-    runs dry, whereupon the wrapper fetches the next block from the
-    stream object (``UniformStream.take_block`` for the finishers, the
-    raw generator for the single-walker loops) — the exact fetch cadence
-    of the serial scalar loops, so generator positions stay reconcilable
-    with the serial grid (``UniformStreams.align_to_serial``).  The
-    Parallel-IDLA loop (:meth:`finish_parallel`) instead draws from the
-    generator's ``bitgen_t`` inside C, one call per repetition.
+    The tick loops and the walk loops speak a shared buffer protocol:
+    they consume uniforms from the array they were handed and return
+    ``0`` when it runs dry, whereupon the wrapper fetches the next block
+    from the stream object (``UniformStream.take_block`` for the tick
+    loops and the parallel straggler loop, the raw generator for the
+    single-walker loops) — the exact fetch cadence of the serial scalar
+    loops, so generator positions stay where the serial drivers leave
+    them.  The Sequential- and Parallel-IDLA loops
+    (:meth:`finish_sequential`, :meth:`finish_parallel`) instead draw
+    from the generator's ``bitgen_t`` inside C, one call per repetition
+    unless the event sink fills.
 
     The per-repetition loops take an optional ``sink``
     (:meth:`event_sink`) that records the repetition's trajectories.
@@ -367,13 +369,13 @@ class CompiledKernels(KernelSet):
         return (None, 0) if sink is None else (sink.buf, sink.buf.shape[0] // 2)
 
     @staticmethod
-    def _feed(run, stream, state, sink, *, cursor, events, carry, limit_msg=None):
-        """Drive a block-fed loop to completion: ``run(buf, lg)`` enters
-        it once and returns 1 done, 0 buffer dry (next block; with
-        ``carry`` behind the unconsumed tail, with its numpy log lane
-        ``lg``), 2 sink full (sealed) or < 0 over budget."""
+    def _feed(run, stream, state, sink, *, cursor, events, limit_msg=None):
+        """Drive a block-fed tick loop to completion: ``run(buf, lg)``
+        enters it once and returns 1 done, 0 buffer dry (next block,
+        behind the unconsumed tail, with its numpy log lane ``lg``), 2 sink
+        full (sealed) or < 0 over budget."""
         buf = _f64(stream.take_block())
-        lg = np.log1p(-buf) if carry else None
+        lg = np.log1p(-buf)
         while True:
             status = run(buf, lg)
             if status == 2:
@@ -386,22 +388,42 @@ class CompiledKernels(KernelSet):
                 return
             if status < 0:
                 raise RuntimeError(limit_msg)
-            if carry:
-                buf = np.concatenate((buf[state[cursor] :], stream.take_block()))
-                lg = np.log1p(-buf)
-            else:
-                buf = _f64(stream.take_block())
+            buf = np.concatenate((buf[state[cursor] :], stream.take_block()))
+            lg = np.log1p(-buf)
             state[cursor] = 0
+
+    def _draw(self, run, rng, state, sink, *, events, prefix=None) -> int:
+        """Drive a loop that draws from ``rng``'s bit generator, under
+        that generator's lock, and return its final status:
+        ``run(address)`` enters it once; status 2 (sink full) seals the
+        sink and re-enters.  ``prefix`` (float64) is served first."""
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            address = bitgen.ctypes.bit_generator.value
+            if prefix is not None and prefix.shape[0]:
+                front = self._impl.prefix_bitgen(prefix, address)
+                address = front.address
+            while (status := run(address)) == 2:
+                sink.seal(int(state[events]))
+                state[events] = 0
+        if status == 1 and sink is not None:
+            sink.seal(int(state[events]), reopen=False)
+        return status
 
     # ---- scalar-tail finisher loops ----------------------------------
     def finish_sequential(
-        self, indptr, indices, occ_row, starts, tail, *,
+        self, indptr, indices, occ_row, starts, rng, *, prefix=None,
         walker, pos, pstep, total, lazy, budget, limit_msg,
         steps_row, settled_row, sink=None,
     ) -> int:
-        """Compiled ``_finish_sequential_rep``; returns consumed doubles.
+        """Compiled ``_finish_sequential_rep``; returns ``total`` plus the
+        doubles consumed here, one per step.
 
-        With ``sink``, every step from here on is recorded into it."""
+        The loop draws each double from ``rng``'s bit generator, under
+        that generator's lock, so the generator ends right after the last
+        double consumed.  ``prefix``, a float64 row (the unconsumed
+        doubles of a lock-step stream row), is served before it.  With
+        ``sink``, every step from here on is recorded into it."""
         n = indptr.shape[0] - 1
         occ = _occ_row("finish_sequential", occ_row, n)
         starts = _i64(starts)
@@ -410,17 +432,19 @@ class CompiledKernels(KernelSet):
         _check_range("finish_sequential", "a start", starts, n)
         if not (0 <= walker < m and 0 <= pos < n):
             raise ValueError("finish_sequential: walker or pos out of range")
-        state = np.array([walker, pos, pstep, total, 0, 0], dtype=np.int64)
+        if prefix is not None:
+            _check_rows("finish_sequential", _F64, 0, prefix)
+        state = np.array([walker, pos, pstep, total, 0], dtype=np.int64)
         lz = 1 if lazy else 0
-        self._feed(
-            lambda buf, _: self._impl.finish_seq(
+        status = self._draw(
+            lambda address: self._impl.finish_seq(
                 indptr, indices, occ, starts, steps_row, settled_row,
-                buf, buf.shape[0], state, m, lz, budget,
-                *self._sink_args(sink),
+                address, state, m, lz, budget, *self._sink_args(sink),
             ),
-            tail, state, sink, cursor=4, events=5, carry=False,
-            limit_msg=limit_msg,
+            rng, state, sink, events=4, prefix=prefix,
         )
+        if status < 0:
+            raise RuntimeError(limit_msg)
         return int(state[3])
 
     def finish_parallel_single(
@@ -473,7 +497,7 @@ class CompiledKernels(KernelSet):
                 clock_row, order, buf, lg, buf.shape[0], state,
                 clock, float(rate), *self._sink_args(sink),
             ),
-            stream, state, sink, cursor=2, events=3, carry=True,
+            stream, state, sink, cursor=2, events=3,
         )
         return float(clock[0])
 
@@ -501,8 +525,7 @@ class CompiledKernels(KernelSet):
                 order, buf, lg, buf.shape[0], logq,
                 logq.shape[0], state, budget, *self._sink_args(sink),
             ),
-            stream, state, sink, cursor=3, events=4, carry=True,
-            limit_msg=limit_msg,
+            stream, state, sink, cursor=3, events=4, limit_msg=limit_msg,
         )
         return int(state[2])
 
@@ -545,19 +568,14 @@ class CompiledKernels(KernelSet):
         state = np.array([k, 0, free, 0], dtype=np.int64)
         hold = np.empty(k) if lazy else None
         lz = 1 if lazy else 0
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            address = bitgen.ctypes.bit_generator.value
-            while True:
-                status = self._impl.run_parallel(
-                    indptr, indices, occ, act, pos, prio, best, steps_row,
-                    settled_row, round_row, address, hold, m, n, state, lz,
-                    thr, budget, *self._sink_args(sink),
-                )
-                if status != 2:
-                    break
-                sink.seal(int(state[3]))
-                state[3] = 0
+        status = self._draw(
+            lambda address: self._impl.run_parallel(
+                indptr, indices, occ, act, pos, prio, best, steps_row,
+                settled_row, round_row, address, hold, m, n, state, lz,
+                thr, budget, *self._sink_args(sink),
+            ),
+            rng, state, sink, events=3,
+        )
         if status == -2:
             raise ValueError(
                 "finish_parallel: an act entry is past a row or a pos entry "
@@ -565,8 +583,6 @@ class CompiledKernels(KernelSet):
             )
         if status < 0:
             raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
-        if sink is not None:
-            sink.seal(int(state[3]), reopen=False)
         return int(state[1])
 
     # ---- single-walker loops -----------------------------------------
@@ -631,14 +647,14 @@ class _BlockFeeder:
 class _ArrayGenerator:
     """Generator stand-in over a fixed double sequence (self-check only).
 
-    Its ``bit_generator`` has what ``finish_parallel`` reads of numpy's:
-    a ``lock`` and the ``bitgen_t`` address, here of the C source's
-    array-backed bit generator, whose ``drawn()`` counts every double
-    the loop asked for.
+    Its ``bit_generator`` has what the bit-generator loops read of
+    numpy's: a ``lock`` and the ``bitgen_t`` address, here of the C
+    source's prefix bit generator with nothing behind the array, whose
+    ``drawn()`` counts every double the loop asked for.
     """
 
     def __init__(self, ks: CompiledKernels, doubles):
-        bitgen = ks._impl.array_bitgen(np.asarray(doubles, dtype=np.float64))
+        bitgen = ks._impl.prefix_bitgen(np.asarray(doubles, dtype=np.float64))
         self.drawn = bitgen.drawn
         self.bit_generator = SimpleNamespace(
             lock=threading.Lock(),
@@ -652,9 +668,10 @@ class _ArrayGenerator:
 def _self_check(ks: CompiledKernels) -> None:
     """Exercise every kernel on the path graph P3 and assert the answers.
 
-    Catches toolchain miscompiles at selection time, loudly.  Inputs
-    cross a buffer-refill boundary, and the recorded runs fill their
-    event sinks, so the resume protocols are checked too.
+    Catches toolchain miscompiles at selection time, loudly.  The
+    block-fed inputs cross a buffer-refill boundary, and the recorded
+    runs fill their event sinks, so the resume protocols are checked
+    too.
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
@@ -697,37 +714,27 @@ def _self_check(ks: CompiledKernels) -> None:
     def sink(capacity=1):
         return EventSink(ks._impl.scatter_events, capacity)
 
-    occ = np.zeros(3, dtype=bool)
-    occ[0] = True
-    steps_row = np.zeros(2, dtype=np.int64)
-    settled_row = np.full(2, -1, dtype=np.int64)
-    consumed = ks.finish_sequential(
-        indptr, indices, occ,
-        np.array([1, 2], dtype=np.int64),
-        _BlockFeeder([[0.9], [0.1]]),
-        walker=0, pos=1, pstep=0, total=0, lazy=False,
-        budget=float("inf"), limit_msg="self-check",
-        steps_row=steps_row, settled_row=settled_row,
-    )
-    assert consumed == 2
-    assert settled_row.tolist() == [2, 1] and steps_row.tolist() == [1, 1]
-
-    # lazy: each particle holds once, then steps; with a one-event sink
-    # the loop re-enters mid-buffer after every event
-    for rec in (None, sink()):
+    # Sequential-IDLA, particle 0 walking from 1, particle 1 from 2: each
+    # holds once, then steps.  Cut 0 reads every double from the
+    # generator (with a one-event sink the loop re-enters after every
+    # event); cut 3 reads three from a prefix, then one from the
+    # generator.  The 4-step budget stops a loop that over-draws
+    doubles = [0.2, 0.9, 0.1, 0.6]
+    for cut, rec in ((0, None), (0, sink()), (3, None)):
+        rng = _ArrayGenerator(ks, doubles[cut:])
         occ = np.zeros(3, dtype=bool)
         occ[0] = True
         steps_row = np.zeros(2, dtype=np.int64)
         settled_row = np.full(2, -1, dtype=np.int64)
         starts = np.array([1, 2], dtype=np.int64)
         consumed = ks.finish_sequential(
-            indptr, indices, occ, starts,
-            _BlockFeeder([[0.2, 0.9], [0.1, 0.6]]),
+            indptr, indices, occ, starts, rng,
+            prefix=np.array(doubles[:cut]) if cut else None,
             walker=0, pos=1, pstep=0, total=0, lazy=True,
-            budget=float("inf"), limit_msg="self-check",
+            budget=4.0, limit_msg="self-check",
             steps_row=steps_row, settled_row=settled_row, sink=rec,
         )
-        assert consumed == 4
+        assert consumed == 4 and rng.drawn() == 4 - cut, (consumed, rng.drawn())
         assert settled_row.tolist() == [2, 1] and steps_row.tolist() == [2, 2]
         if rec is not None:
             traj = rec.trajectories(starts)

@@ -13,14 +13,17 @@ behavioural quirk (the *unclamped* ``int(u * deg)`` of the scalar loops,
 the clamped vector step, the draw order around the budget checks) is
 deliberate and pinned by ``tests/test_differential_drivers.py``.
 
-The loop kernels consume uniforms from a caller-provided buffer and
-return ``0`` when it runs dry; the Python wrapper refills (see
+The walk loops (``repro_finish_par1``, ``repro_walk_fill``,
+``repro_walk_hit``) and the tick loops (``repro_run_ctu``,
+``repro_run_uniform``) consume uniforms from a caller-provided buffer
+and return ``0`` when it runs dry; the Python wrapper refills (see
 ``KernelSet`` in the package root) in the serial drivers' block cadence
 wherever a later consumer reads the generator, so those fetch positions
-stay on the serial grid.  ``repro_run_parallel`` instead draws its own
-doubles from numpy's ``bitgen_t`` (``numpy/random/bitgen.h``, declared
-here with the same layout), one ``next_double`` call per double, so the
-generator ends right after the last double consumed.
+stay on the serial grid.  ``repro_finish_seq`` and ``repro_run_parallel``
+instead draw their own doubles from numpy's ``bitgen_t``
+(``numpy/random/bitgen.h``, declared here with the same layout), one
+``next_double`` call per double, so the generator ends right after the
+last double consumed.
 
 The four per-repetition loops (``repro_finish_seq``, ``repro_run_ctu``,
 ``repro_run_uniform``, ``repro_run_parallel``) take an optional *event
@@ -29,10 +32,11 @@ when the run does not record.  Each particle-step (holds included)
 appends one pair -- the shape the serial drivers record.  Before a step
 or round that would overflow the sink the loop returns ``2`` ("sink
 full"); the wrapper keeps the filled sink and re-enters with an empty
-one, as it does with a fresh buffer after a ``0``.
-``repro_scatter_events`` groups the events by particle afterwards, and
-``repro_array_bitgen`` makes a ``bitgen_t`` over a fixed array of
-doubles for the load-time self-check.
+one.  ``repro_scatter_events`` groups the events by particle afterwards,
+and ``repro_prefix_bitgen`` makes a ``bitgen_t`` that serves a fixed
+array of doubles before those of another ``bitgen_t``: the leftover of
+a lock-step stream row, or (with none behind it) the load-time
+self-check's fixed draws.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ typedef struct bitgen {
     double (*next_double)(void *st);
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
-typedef struct { const double *buf; i64 n; i64 i; } repro_array_rng;
+typedef struct {
+    const double *buf; i64 n; i64 i; bitgen_t *rest;
+} repro_prefix_rng;
 void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
                     const double *u, i64 *out, i64 k);
 i64 repro_vacant(const unsigned char *occ, const i64 *rep_off,
@@ -57,9 +63,8 @@ i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
                        i64 *best, i64 *touched, i64 *winners);
 i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
                      unsigned char *occ, const i64 *starts, i64 *steps_row,
-                     i64 *settled_row, const double *buf, i64 nbuf,
-                     i64 *state, i64 m, i64 lazy, double budget, int *ev,
-                     i64 cap);
+                     i64 *settled_row, bitgen_t *bg, i64 *state, i64 m,
+                     i64 lazy, double budget, int *ev, i64 cap);
 i64 repro_finish_par1(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, const double *buf, i64 nbuf,
                       i64 *state, i64 lazy, i64 guard, double budget);
@@ -86,7 +91,7 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        double *hold, i64 m, i64 n, i64 *state, i64 lazy,
                        i64 thr, double budget, int *ev, i64 cap);
 void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
-void repro_array_bitgen(bitgen_t *bg, repro_array_rng *a);
+void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
 """
 
 C_SOURCE = """
@@ -178,26 +183,26 @@ i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
     return total;
 }
 
-/* _finish_sequential_rep's inner loop.  state = [particle, pos, t,
- * total, cursor, events]; returns 1 when all m particles settled
- * (state[3] = consumed doubles), 0 when the uniform buffer ran dry
- * (resume with a fresh buffer and cursor 0), 2 when the event sink is
- * full (resume with an empty one), -1 on budget excess.  The serial loop
- * draws u *before* the budget check and indexes nbrs *unclamped* -- both
+/* _finish_sequential_rep's inner loop, drawing each double from numpy's
+ * bit generator `bg`, one next_double call per step.  state = [particle,
+ * pos, t, total, events]; returns 1 when all m particles settled
+ * (state[3] = consumed doubles), 2 when the event sink is full (resume
+ * with an empty one), -1 on budget excess.  The serial loop draws u
+ * *before* the budget check and indexes nbrs *unclamped* -- both
  * reproduced exactly.  With a sink, every step (holds included) records
  * (particle, position after the step). */
 i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
                      unsigned char *occ, const i64 *starts, i64 *steps_row,
-                     i64 *settled_row, const double *buf, i64 nbuf,
-                     i64 *state, i64 m, i64 lazy, double budget, int *ev,
-                     i64 cap)
+                     i64 *settled_row, bitgen_t *bg, i64 *state, i64 m,
+                     i64 lazy, double budget, int *ev, i64 cap)
 {
     i64 particle = state[0], pos = state[1], t = state[2], total = state[3];
-    i64 i = state[4], nev = state[5], status;
+    i64 nev = state[4], status;
+    double (*next)(void *) = bg->next_double;
+    void *st = bg->state;
     for (;;) {
-        if (i >= nbuf) { status = 0; break; }
         if (ev && nev >= cap) { status = 2; break; }
-        double u = buf[i++];
+        double u = next(st);
         total += 1;
         t += 1;
         if ((double)total > budget) { status = -1; break; }
@@ -232,7 +237,7 @@ i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
         t = 0;
     }
     state[0] = particle; state[1] = pos; state[2] = t; state[3] = total;
-    state[4] = i; state[5] = nev;
+    state[4] = nev;
     return status;
 }
 
@@ -508,25 +513,28 @@ void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat)
         flat[cursor[ev[2 * e]]++] = ev[2 * e + 1];
 }
 
-/* A bitgen_t over a fixed array, for the load-time self-check:
- * next_double returns buf[i++], 0.0 once past the end, and keeps
- * counting, so a loop that over-consumes its doubles shows in `i`. */
-typedef struct { const double *buf; i64 n; i64 i; } repro_array_rng;
+/* A bitgen_t serving the fixed array buf[0..n) first, then the doubles
+ * of the bit generator `rest` -- or, with no `rest` (the load-time
+ * self-check), 0.0 once past the end.  `i` counts every draw of either
+ * kind, so a loop that over-consumes its doubles shows in it. */
+typedef struct {
+    const double *buf; i64 n; i64 i; bitgen_t *rest;
+} repro_prefix_rng;
 
-static double repro_array_next_double(void *st)
+static double repro_prefix_next_double(void *st)
 {
-    repro_array_rng *a = (repro_array_rng *)st;
-    double u = a->i < a->n ? a->buf[a->i] : 0.0;
-    a->i++;
-    return u;
+    repro_prefix_rng *a = (repro_prefix_rng *)st;
+    i64 i = a->i++;
+    if (i < a->n) return a->buf[i];
+    return a->rest ? a->rest->next_double(a->rest->state) : 0.0;
 }
 
-void repro_array_bitgen(bitgen_t *bg, repro_array_rng *a)
+void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a)
 {
     bg->state = a;
     bg->next_uint64 = NULL;
     bg->next_uint32 = NULL;
-    bg->next_double = repro_array_next_double;
+    bg->next_double = repro_prefix_next_double;
     bg->next_raw = NULL;
 }
 """

@@ -106,13 +106,17 @@ def load() -> SimpleNamespace:
 
     cast = ffi.cast
 
-    def array_bitgen(buf):
-        """A bitgen_t over the float64 array ``buf`` (self-check only):
-        its ``address`` and ``drawn()``, the next_double calls so far."""
+    def prefix_bitgen(buf, rest=None):
+        """A bitgen_t serving the float64 array ``buf``, then the
+        bitgen_t at address ``rest`` (``None``: 0.0 past the end): its
+        ``address`` and ``drawn()``, the next_double calls so far."""
         data = pd(buf)
-        rng = ffi.new("repro_array_rng *", {"buf": data, "n": buf.shape[0]})
+        rng = ffi.new("repro_prefix_rng *", {
+            "buf": data, "n": buf.shape[0],
+            "rest": ffi.NULL if rest is None else cast("bitgen_t *", rest),
+        })
         bg = ffi.new("bitgen_t *")
-        lib.repro_array_bitgen(bg, rng)
+        lib.repro_prefix_bitgen(bg, rng)
         return SimpleNamespace(
             address=int(cast("uintptr_t", bg)),
             drawn=lambda: int(rng.i),
@@ -133,11 +137,12 @@ def load() -> SimpleNamespace:
                 pi(best), pi(touched), pi(winners),
             )
         ),
+        # `bitgen` is the address of a bitgen_t: numpy's or a prefix one
         finish_seq=lambda indptr, indices, occ, starts, steps_row, settled_row,
-        buf, nbuf, state, m, lazy, budget, ev, cap: lib.repro_finish_seq(
+        bitgen, state, m, lazy, budget, ev, cap: lib.repro_finish_seq(
             pi(indptr), pi(indices), pu(occ), pi(starts), pi(steps_row),
-            pi(settled_row), pd(buf), nbuf, pi(state), m, lazy, budget,
-            pe(ev), cap,
+            pi(settled_row), cast("bitgen_t *", bitgen), pi(state), m, lazy,
+            budget, pe(ev), cap,
         ),
         finish_par1=lambda indptr, indices, occ, buf, nbuf, state, lazy,
         guard, budget: lib.repro_finish_par1(
@@ -185,5 +190,5 @@ def load() -> SimpleNamespace:
         scatter_events=lambda ev, nev, cursor, flat: lib.repro_scatter_events(
             pe(ev), nev, pi(cursor), pe(flat)
         ),
-        array_bitgen=array_bitgen,
+        prefix_bitgen=prefix_bitgen,
     )

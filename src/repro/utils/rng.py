@@ -212,8 +212,10 @@ class UniformStream:
     def take_block(self) -> np.ndarray:
         """Next contiguous run of the stream as a float64 array.
 
-        The bulk-handoff twin of :meth:`uniform` for the compiled tail
-        finishers (:mod:`repro.kernels`): the first call returns whatever
+        The bulk-handoff twin of :meth:`uniform` for the block-fed
+        compiled loops (:mod:`repro.kernels`: the Uniform- and CTU-IDLA
+        tick loops, the parallel straggler loop; the sequential loop
+        draws from the generator itself): the first call returns whatever
         buffered doubles remain unconsumed (the ``initial`` prefix and/or
         the current block's tail), later calls fetch whole fresh blocks —
         exactly the fetch cadence of the scalar loop, so ``drawn`` stays
@@ -417,9 +419,7 @@ class UniformStreams:
             self.gens[r], block=self.block, initial=self.buf[r, ptr:]
         )
 
-    def align_to_serial(
-        self, r: int, consumed: int, tail: UniformStream | None = None
-    ) -> None:
+    def align_to_serial(self, r: int, consumed: int, drawn: int = 0) -> None:
         """Fast-forward generator ``r`` onto the serial fetch grid.
 
         The serial drivers fetch in ``align``-sized blocks (one drawn up
@@ -430,10 +430,12 @@ class UniformStreams:
         difference lands the generator exactly where the serial driver
         leaves it — required by callers that keep consuming the generator
         after the walk (Gamma durations of the Poissonised driver).
+        ``drawn`` counts the doubles a tail finisher took from generator
+        ``r`` itself, past this buffer.
         """
         if self._align is None:
             return
-        fetched = int(self.fetched[r]) + (0 if tail is None else tail.drawn)
+        fetched = int(self.fetched[r]) + drawn
         target = self._align * max(1, -(-consumed // self._align))
         if target > fetched:
             self.gens[r].random(target - fetched)

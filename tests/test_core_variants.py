@@ -12,6 +12,7 @@ from repro.core import (
     resolve_origins,
     sequential_idla,
 )
+from repro.experiments import estimate_dispersion
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.utils.rng import as_generator, stable_seed
 
@@ -44,6 +45,30 @@ class TestResolveOrigins:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             resolve_origins(cycle_graph(6), [0, 9, 1], 3, as_generator(0))
+
+    @pytest.mark.parametrize("batched", [False, "auto"])
+    @pytest.mark.parametrize(
+        "process", ["sequential", "parallel", "uniform", "ctu", "c-sequential"]
+    )
+    @pytest.mark.parametrize(
+        "origin",
+        [[0, 1, 2, 3, 4, 5.5], np.array([True, False] * 3), [0, 1, 2, 3, 4, True]],
+        ids=["fraction", "bool-array", "bool-entry"],
+    )
+    def test_non_integral_entries_raise(self, origin, process, batched):
+        """A fraction or a boolean is no vertex id: every process raises
+        under either dispatch instead of truncating it.  Integral floats
+        are still accepted."""
+        g = cycle_graph(6)
+        with pytest.raises(ValueError, match="origin"):
+            estimate_dispersion(
+                g, process, origin=origin, reps=2, seed=0, batched=batched
+            )
+        ok = estimate_dispersion(
+            g, process, origin=[0.0, 1, 2, 3, 4, 5], reps=2, seed=0,
+            batched=batched,
+        )
+        assert ok.samples.shape == (2,)
 
 
 class TestFewerParticles:

@@ -20,14 +20,16 @@ layer's own contracts:
 * the per-repetition CTU-/Uniform-IDLA loops against their serial
   drivers at tiny fetch blocks (ticks straddling every refill), and the
   numpy ``logq`` table they read;
-* the per-repetition Parallel-IDLA loop against ``parallel_idla`` on
-  every numpy BitGenerator family, across the wide -> narrow draw
-  switch, and the generator position it leaves behind;
+* the per-repetition Parallel- and Sequential-IDLA loops against
+  ``parallel_idla`` / ``sequential_idla`` on every numpy BitGenerator
+  family (across Parallel's wide -> narrow draw switch), the generator
+  position they leave behind, c-sequential's durations after the
+  sequential loop, and the lock-step sequential tail's prefix handoff;
 * recording: every per-repetition loop at tiny event sinks against the
   serial trajectories, and the sink's grouping pass;
 * the build cache keyed on the whole compile command;
-* the ``UniformStream.take_block`` handoff contract the compiled tail
-  finishers consume.
+* the ``UniformStream.take_block`` handoff contract the block-fed
+  compiled loops consume.
 """
 
 from __future__ import annotations
@@ -39,11 +41,14 @@ import shutil
 import numpy as np
 import pytest
 
+import repro.core.batched as batched_mod
 import repro.core.continuous as continuous_mod
+import repro.core.sequential as sequential_mod
 import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
+from repro.core.batched import batched_sequential_idla
 from repro.core.route import _skip_log_table, run_reps
-from repro.core.continuous import ctu_idla
+from repro.core.continuous import continuous_sequential_idla, ctu_idla
 from repro.core.parallel import parallel_idla
 from repro.core.sequential import sequential_idla
 from repro.core.uniform import uniform_idla
@@ -406,8 +411,8 @@ def test_tick_loops_match_serial_at_tiny_blocks(
         assert gen.random() == ref_gen.random()
 
 
-#: Every numpy BitGenerator family: the per-repetition Parallel-IDLA loop
-#: calls each one's ``next_double`` directly.
+#: Every numpy BitGenerator family: the per-repetition Parallel- and
+#: Sequential-IDLA loops call each one's ``next_double`` directly.
 BIT_GENERATORS = [
     np.random.PCG64,
     np.random.PCG64DXSM,
@@ -478,6 +483,123 @@ def test_parallel_loop_leaves_each_generator_after_its_last_double(
 
 
 @pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+@pytest.mark.parametrize(
+    "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
+)
+def test_sequential_loop_matches_serial_on_every_bit_generator(
+    provider, family, record, lazy, g, monkeypatch
+):
+    """The loop draws one double per step from each bit generator's
+    ``next_double`` in C: the samples and trajectories must still be
+    ``sequential_idla``'s, for every BitGenerator family.  An unrecorded
+    repetition is one compiled call."""
+    kwargs = {"lazy": lazy, "record": record}
+    ref = [sequential_idla(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
+    ks = get_kernels(provider)
+    calls = []
+    inner = ks._impl.finish_seq
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(ks._impl, "finish_seq", counted)
+    got = run_reps(
+        "sequential", g, _generators(family), 0, kernels=provider, **kwargs
+    )
+    if not record:
+        assert len(calls) == len(ref)
+    for s, b in zip(ref, got):
+        assert s.dispersion_time == b.dispersion_time
+        assert s.total_steps == b.total_steps
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+        assert b.trajectories == s.trajectories
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+def test_sequential_loop_leaves_each_generator_after_its_last_double(
+    provider, family, lazy
+):
+    """One double per step, holds included: afterwards each generator's
+    next double is double ``total_steps + 1`` of a fresh twin."""
+    gens = _generators(family)
+    got = run_reps(
+        "sequential", grid_graph(4, 5), gens, 0, kernels=provider, lazy=lazy
+    )
+    for res, gen, twin in zip(got, gens, _generators(family)):
+        twin.random(res.total_steps)
+        assert gen.random() == twin.random()
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("block", [None, 1, 5, 64])
+def test_c_sequential_durations_match_serial_on_every_bit_generator(
+    provider, family, block, monkeypatch
+):
+    """The Gamma durations read each generator after the walk, so the
+    route must land it where the serial driver's block fetches leave
+    it, at the default fetch block and at tiny ones."""
+    if block is not None:
+        monkeypatch.setattr(sequential_mod, "_BLOCK", block)
+    g = grid_graph(3, 4)
+    ref = [continuous_sequential_idla(g, 0, seed=gen) for gen in _generators(family)]
+    got = run_reps("c-sequential", g, _generators(family), 0, kernels=provider)
+    for s, b in zip(ref, got):
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.durations, b.durations)
+        assert s.dispersion_time == b.dispersion_time
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("block", [None, 4])
+@pytest.mark.parametrize("tail_threshold", [3, 8])
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+def test_lockstep_sequential_tail_hands_its_row_prefix_to_the_loop(
+    provider, family, block, tail_threshold, lazy, monkeypatch
+):
+    """An explicit ``tail_threshold`` pins lock-step; at the handoff the
+    compiled loop reads the row's unconsumed doubles (none when the
+    handoff comes before the first fill, at threshold 8, or at a block's
+    end), then the generator.  Samples must be the serial ones and each generator must
+    end where the serial driver leaves it."""
+    if block is not None:
+        monkeypatch.setattr(batched_mod, "_BLOCK", block)
+    g = grid_graph(3, 4)
+    ks = get_kernels(provider)
+    prefixes = []
+    inner = ks._impl.prefix_bitgen
+
+    def counted(buf, rest=None):
+        prefixes.append(buf.shape[0])
+        return inner(buf, rest)
+
+    monkeypatch.setattr(ks._impl, "prefix_bitgen", counted)
+    ref_gens, gens = _generators(family, 6), _generators(family, 6)
+    ref = [sequential_idla(g, 0, seed=gen, lazy=lazy) for gen in ref_gens]
+    got = batched_sequential_idla(
+        g, 0, seeds=gens, lazy=lazy, tail_threshold=tail_threshold,
+        kernels=provider,
+    )
+    if block is None:
+        assert bool(prefixes) == (tail_threshold < 6)
+    else:  # a prefix shorter than the handoff's remaining steps
+        assert all(0 < p < block for p in prefixes), prefixes
+    for s, b, ref_gen, gen in zip(ref, got, ref_gens, gens):
+        assert s.total_steps == b.total_steps
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+        assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("provider", COMPILED)
 def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
     """The loop writes through raw pointers: a row of another dtype or a
     strided view would be reinterpreted or silently copied, and a row too
@@ -529,35 +651,39 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
         assert rng.random() == as_generator(0).random()  # nothing drawn
 
 
-def _sequential_call(ks, indptr, indices, stream, rows):
+def _sequential_call(ks, indptr, indices, rng, rows):
     return ks.finish_sequential(
-        indptr, indices, rows["occ_row"], rows["starts"], stream,
-        walker=rows["walker"], pos=rows["pos"], pstep=0, total=0,
+        indptr, indices, rows["occ_row"], rows["starts"], rng,
+        prefix=rows.get("prefix"), walker=rows["walker"], pos=rows["pos"],
+        pstep=0, total=0,
         lazy=False, budget=float("inf"), limit_msg="limit",
         steps_row=rows["steps_row"], settled_row=rows["settled_row"],
     )
 
 
-def _ctu_call(ks, indptr, indices, stream, rows):
+def _ctu_call(ks, indptr, indices, rng, rows):
     return ks.finish_ctu(
         indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
         rows["steps_row"], rows["settled_row"], rows["clock_row"],
-        rows["order"], stream, k=rows["k"], norder=rows["norder"], rate=1.0,
+        rows["order"], UniformStream(rng, block=64), k=rows["k"],
+        norder=rows["norder"], rate=1.0,
     )
 
 
-def _uniform_call(ks, indptr, indices, stream, rows):
+def _uniform_call(ks, indptr, indices, rng, rows):
     return ks.finish_uniform(
         indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
-        rows["steps_row"], rows["settled_row"], rows["order"], stream,
+        rows["steps_row"], rows["settled_row"], rows["order"],
+        UniformStream(rng, block=64),
         k=rows["k"], norder=rows["norder"], logq=rows["logq"],
         budget=float("inf"), limit_msg="limit",
     )
 
 
-#: The block-fed loops, each with its row set on C5 (particle 0 settled
-#: at vertex 0, particles 1..4 to walk from 0) and its violations: the
-#: wrong dtype, a strided view, short rows, out-of-range indices.
+#: The loops beside ``finish_parallel``, each with its row set on C5
+#: (particle 0 settled at vertex 0, particles 1..4 to walk from 0) and its
+#: violations: the wrong dtype, a strided view, short rows, out-of-range
+#: indices.
 BLOCK_LOOPS = {
     "finish_sequential": (
         _sequential_call,
@@ -582,6 +708,8 @@ BLOCK_LOOPS = {
             {"walker": -1},
             {"pos": 5},
             {"pos": -1},
+            {"prefix": np.zeros(4, dtype=np.float32)},
+            {"prefix": np.zeros(8)[::2]},
         ],
     ),
     "finish_ctu": (
@@ -644,21 +772,21 @@ BLOCK_LOOPS = {
 @pytest.mark.parametrize("provider", COMPILED)
 @pytest.mark.parametrize("loop", sorted(BLOCK_LOOPS))
 def test_block_loops_reject_rows_they_cannot_update_in_place(provider, loop):
-    """As ``finish_parallel`` does, the block-fed loops refuse rows of
-    another dtype, strided views, rows too short for the particles or
-    the graph, and indices outside their rows, before any draw: C would
-    misread them or write past a row's end."""
+    """As ``finish_parallel`` does, the other per-repetition loops refuse
+    rows of another dtype, strided views, rows too short for the
+    particles or the graph, and indices outside their rows, before any
+    draw: C would misread them or write past a row's end."""
     ks = get_kernels(provider)
     indptr, indices = csr_arrays(cycle_graph(5))
     call, rows, bad_rows = BLOCK_LOOPS[loop]
-    stream = UniformStream(as_generator(0), block=64)
-    call(ks, indptr, indices, stream, rows())
-    assert stream.drawn > 0
+    rng = as_generator(0)
+    call(ks, indptr, indices, rng, rows())
+    assert rng.random() != as_generator(0).random()
     for bad in bad_rows:
-        stream = UniformStream(as_generator(0), block=64)
+        rng = as_generator(0)
         with pytest.raises(ValueError, match=loop):
-            call(ks, indptr, indices, stream, {**rows(), **bad})
-        assert stream.drawn == 0, bad  # nothing drawn
+            call(ks, indptr, indices, rng, {**rows(), **bad})
+        assert rng.random() == as_generator(0).random(), bad  # nothing drawn
 
 
 # ---------------------------------------------------------------------------
