@@ -3,9 +3,12 @@
 ``record=True`` was the last mode (with ``faithful_r=True``) that forced
 ``estimate_dispersion`` through the serial drivers.  The chunked
 :class:`repro.core.trajectory.TrajectoryStore` lifts it: the lock-step
-drivers append their flat per-round state in one slice per round and the
-exact serial ``list[list[int]]`` trajectories are materialised once, in
-a single stable grouping pass at the end.
+drivers append their flat per-round state in one slice per round and
+each repetition's :class:`~repro.core.trajectory.TrajectoryArrays` is
+built once, in a single stable grouping pass at the end.  Every recorded
+result, serial or batched, must come back in that one shape, and the
+:class:`~repro.core.blocks.Block` built from it must equal the one built
+from its ``to_lists()`` rows.
 
 Measured here, with results committed for EXPERIMENTS.md:
 
@@ -31,6 +34,8 @@ import time
 
 from _common import emit, run_once
 from repro.core import (
+    Block,
+    TrajectoryArrays,
     batched_parallel_idla,
     batched_sequential_idla,
     parallel_idla,
@@ -61,6 +66,7 @@ def _recorded(serial_driver, batched_driver, n, reps, serial_reps, check_reps=8)
         for s in spawn_seed_sequences(SEED, reps)[:serial_reps]
     ]
     serial_s = (time.perf_counter() - t0) * (reps / serial_reps)
+    assert all(isinstance(r.trajectories, TrajectoryArrays) for r in serial)
 
     # keep the identity-check subset + every tau; free the serial bulk so
     # the batched phase is not timed against the serial run's multi-GB
@@ -76,8 +82,11 @@ def _recorded(serial_driver, batched_driver, n, reps, serial_reps, check_reps=8)
 
     events = sum(r.total_steps for r in batch)
     assert taus == [r.dispersion_time for r in batch[: len(taus)]], "tau diverged"
+    assert all(isinstance(r.trajectories, TrajectoryArrays) for r in batch)
     for s, b in zip(check, batch):
         assert s.trajectories == b.trajectories, "trajectories diverged"
+        traj = b.trajectories
+        assert Block(traj).rows == Block(traj.to_lists()).rows, "Block diverged"
     return {
         "serial_s": serial_s,
         "serial_reps_timed": serial_reps,

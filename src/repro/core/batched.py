@@ -71,13 +71,13 @@ discrete walks, so the fetch grid matters there, not just the values.
 
 ``record=True`` routes the flat per-round state into the chunked
 :class:`repro.core.trajectory.TrajectoryStore` — one slice append per
-round, finalised into the serial drivers' exact ``list[list[int]]``
-trajectories, with straggler repetitions handed to the finisher via
-:meth:`TrajectoryStore.handoff` so the scalar micro-loops keep appending
-to the recorded prefix.  The runner validates driver kwargs up front
-(unknown keys raise ``TypeError`` there) and routes impure settling
-rules to the serial reference path, which stays the oracle the batched
-subsystem is tested against.
+round, finalised into :class:`~repro.core.trajectory.TrajectoryArrays`
+equal to the serial drivers' trajectories, with straggler repetitions
+handed to the finisher via :meth:`TrajectoryStore.handoff` so the scalar
+micro-loops keep appending to the recorded prefix.  The runner
+validates driver kwargs up front (unknown keys raise ``TypeError``
+there) and routes impure settling rules to the serial reference path,
+which stays the oracle the batched subsystem is tested against.
 """
 
 from __future__ import annotations
@@ -247,13 +247,9 @@ def _in_cohorts(driver, g, origin, gens, cohort_reps, **kwargs):
     ]
 
 
-def _finalize(store, record):
+def _finalize(store):
     """Per-repetition trajectories of a recorded run, else ``None``."""
-    if store is None:
-        return None
-    if record == "arrays":
-        return store.finalize_arrays()
-    return store.finalize()
+    return None if store is None else store.finalize_arrays()
 
 
 def _resolve_tail_threshold(tail_threshold) -> int:
@@ -451,7 +447,7 @@ def batched_parallel_idla(
     seeds=None,
     seed=None,
     lazy: bool = False,
-    record: bool | str = False,
+    record: bool = False,
     tie_break: str = "index",
     rule: StoppingRule | None = None,
     num_particles: int | None = None,
@@ -473,10 +469,10 @@ def batched_parallel_idla(
     lazy, record, tie_break, rule, num_particles, scalar_threshold, max_rounds:
         As in :func:`repro.core.parallel.parallel_idla`; ``rule`` must be
         a pure predicate (it is evaluated only on vacant candidates).
-        ``record=True`` (or ``"arrays"``) keeps full trajectories,
-        appending one vectorised slice per round to the chunked
-        :class:`~repro.core.trajectory.TrajectoryStore`.  Memory
-        is ``O(total steps)`` as in the serial driver, and entry ``r``'s
+        ``record=True`` keeps full trajectories, appending one
+        vectorised slice per round to the chunked
+        :class:`~repro.core.trajectory.TrajectoryStore`.  Memory is
+        ``O(total steps)`` as in the serial driver, and entry ``r``'s
         trajectories are identical to it.
     tail_threshold:
         Surviving-repetition count at which the scalar tail finisher
@@ -864,7 +860,7 @@ def batched_parallel_idla(
 
     return _parallel_results(
         g, process, starts2d, steps2d, settled2d, round2d, prio2d,
-        _finalize(store, record),
+        _finalize(store),
     )
 
 
@@ -1028,7 +1024,7 @@ def batched_sequential_idla(
     seeds=None,
     seed=None,
     lazy: bool = False,
-    record: bool | str = False,
+    record: bool = False,
     rule: StoppingRule | None = None,
     num_particles: int | None = None,
     max_total_steps: float | None = None,
@@ -1050,11 +1046,11 @@ def batched_sequential_idla(
     ``tail_threshold`` (``0`` disables, ``None`` the module default) is
     the live-repetition count at which the scalar tail finisher hands
     each straggler to the serial micro-loop — a performance knob only,
-    results are bit-identical either way.  ``record=True`` (or
-    ``"arrays"``) keeps full trajectories, identical to the serial
-    driver's, in the chunked :class:`~repro.core.trajectory
-    .TrajectoryStore` (one vectorised append per tick; the Python
-    finisher continues each straggler's recorded prefix).
+    results are bit-identical either way.  ``record=True`` keeps full
+    trajectories, identical to the serial driver's, in the chunked
+    :class:`~repro.core.trajectory.TrajectoryStore` (one vectorised
+    append per tick; the Python finisher continues each straggler's
+    recorded prefix).
 
     Note on throughput: with one particle per repetition the batch width
     equals the number of *live* repetitions, and it shrinks with every
@@ -1232,7 +1228,7 @@ def batched_sequential_idla(
             vert_off = live * n
 
     return _sequential_results(
-        g, lazy, starts2d, steps2d, settled2d, _finalize(store, record)
+        g, lazy, starts2d, steps2d, settled2d, _finalize(store)
     )
 
 

@@ -212,7 +212,7 @@ def batched_ctu_idla(
     seeds=None,
     seed=None,
     rate: float = 1.0,
-    record: bool | str = False,
+    record: bool = False,
     num_particles: int | None = None,
     state_budget=None,
     kernels=None,
@@ -228,8 +228,8 @@ def batched_ctu_idla(
         :func:`repro.utils.rng.spawn_generators`.
     rate, record, num_particles:
         As in :func:`repro.core.continuous.ctu_idla`; ``record=True``
-        (or ``"arrays"``) keeps full trajectories, identical to the
-        serial driver's, in the chunked
+        keeps full trajectories, identical to the serial driver's, in
+        the chunked
         :class:`~repro.core.trajectory.TrajectoryStore`.
     kernels:
         Kernel-provider name/:class:`~repro.kernels.KernelSet` (see
@@ -349,7 +349,7 @@ def batched_ctu_idla(
 
     return _ctu_results(
         g, starts2d, stepsflat, settledflat, orders, final_clock,
-        settle_clock, _finalize(store, record),
+        settle_clock, _finalize(store),
     )
 
 
@@ -468,7 +468,7 @@ def batched_uniform_idla(
     reps: int | None = None,
     seeds=None,
     seed=None,
-    record: bool | str = False,
+    record: bool = False,
     faithful_r: bool = False,
     num_particles: int | None = None,
     max_ticks: float | None = None,
@@ -695,7 +695,7 @@ def batched_uniform_idla(
 
     return _uniform_results(
         g, starts2d, stepsflat, settledflat, orders, final_ticks,
-        _finalize(store, record), schedules,
+        _finalize(store), schedules,
     )
 
 
@@ -731,7 +731,7 @@ def batched_continuous_sequential_idla(
     seeds=None,
     seed=None,
     rate: float = 1.0,
-    record: bool | str = False,
+    record: bool = False,
     state_budget=None,
     kernels=None,
 ) -> list[DispersionResult]:

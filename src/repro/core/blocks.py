@@ -41,12 +41,11 @@ class Block:
     ----------
     rows:
         ``rows[i]`` is the trajectory of particle ``i`` (sequence of
-        vertices, first entry is the origin).  Rows are copied; both the
-        serial drivers' ``list[list[int]]`` shape and the array shapes
-        (:class:`repro.core.trajectory.TrajectoryArrays`, or any iterable
-        of integer arrays) are accepted —
-        array rows are converted to plain-int lists, so Cut & Paste
-        always mutates Python lists.
+        vertices, first entry is the origin).  Rows are copied; the
+        recorded :class:`repro.core.trajectory.TrajectoryArrays`, a
+        ``list[list[int]]`` and any iterable of integer arrays are all
+        accepted — array rows are converted to plain-int lists, so
+        Cut & Paste always mutates Python lists.
 
     Notes
     -----

@@ -33,6 +33,7 @@ from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.sequential import sequential_idla
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
+from repro.core.trajectory import TrajectoryArrays
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
 from repro.utils.validation import (
@@ -57,7 +58,7 @@ def ctu_idla(
     *,
     rate: float = 1.0,
     seed=None,
-    record: bool | str = False,
+    record: bool = False,
     num_particles: int | None = None,
 ) -> DispersionResult:
     """Run one continuous-time Uniform-IDLA realisation.
@@ -130,10 +131,6 @@ def ctu_idla(
             k -= 1
             denom = k * rate
 
-    if record == "arrays" and trajectories is not None:
-        from repro.core.trajectory import TrajectoryArrays
-
-        trajectories = TrajectoryArrays.from_lists(trajectories)
     steps_arr = np.asarray(steps, dtype=np.int64)
     result = DispersionResult(
         process="ctu",
@@ -146,7 +143,7 @@ def ctu_idla(
         settled_at=settled_at,
         settle_order=np.asarray(settle_order, dtype=np.int64),
         ticks=float(clock),
-        trajectories=trajectories,
+        trajectories=TrajectoryArrays.from_lists(trajectories) if record else None,
         num_particles=None if m == n else m,
     )
     object.__setattr__(result, "settle_clock", settle_clock)
@@ -159,7 +156,7 @@ def continuous_sequential_idla(
     *,
     rate: float = 1.0,
     seed=None,
-    record: bool | str = False,
+    record: bool = False,
 ) -> DispersionResult:
     """Run one continuous-time Sequential-IDLA realisation.
 

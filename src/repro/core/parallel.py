@@ -33,6 +33,7 @@ from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.settlement import select_settlers, settle_vacant_starts
 from repro.core.stopping_rules import StoppingRule, standard_rule
+from repro.core.trajectory import TrajectoryArrays
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_integer, check_limit, check_record
@@ -49,7 +50,7 @@ def parallel_idla(
     *,
     lazy: bool = False,
     seed=None,
-    record: bool | str = False,
+    record: bool = False,
     tie_break: str = "index",
     rule: StoppingRule | None = None,
     num_particles: int | None = None,
@@ -231,10 +232,6 @@ def parallel_idla(
         for p in act:
             steps[p] = t
 
-    if record == "arrays" and trajectories is not None:
-        from repro.core.trajectory import TrajectoryArrays
-
-        trajectories = TrajectoryArrays.from_lists(trajectories)
     settled_steps = steps[settled_at >= 0]
     dispersion = int(settled_steps.max()) if settled_steps.size else 0
     return DispersionResult(
@@ -247,6 +244,6 @@ def parallel_idla(
         steps=steps,
         settled_at=settled_at,
         settle_order=np.asarray(settle_order, dtype=np.int64),
-        trajectories=trajectories,
+        trajectories=TrajectoryArrays.from_lists(trajectories) if record else None,
         num_particles=None if m == n else m,
     )

@@ -42,10 +42,11 @@ class DispersionResult:
         Scheduling-clock duration where it differs from ``dispersion_time``
         (Uniform-IDLA ticks, CTU continuous time); ``None`` otherwise.
     trajectories:
-        Full per-particle vertex sequences when the driver was called with
-        ``record=True`` (``list[list[int]]``) or ``record="arrays"``
-        (:class:`~repro.core.trajectory.TrajectoryArrays`); ``None``
-        otherwise.  The two shapes compare equal by content.
+        Full per-particle vertex sequences as
+        :class:`~repro.core.trajectory.TrajectoryArrays` when the driver
+        was called with ``record=True``, ``None`` otherwise.  It compares
+        equal by content to the ``list[list[int]]`` shape; call
+        ``to_lists()`` for mutable rows.
     num_particles:
         Number of particles ``m`` (§6.2 variant); ``None`` means the
         classic ``m = n``.  With ``m > n`` (Parallel-IDLA only) the
@@ -62,7 +63,7 @@ class DispersionResult:
     settled_at: np.ndarray
     settle_order: np.ndarray
     ticks: float | None = None
-    trajectories: list[list[int]] | TrajectoryArrays | None = field(
+    trajectories: TrajectoryArrays | None = field(
         default=None, repr=False
     )
     num_particles: int | None = None
@@ -87,22 +88,12 @@ class DispersionResult:
         return Block(self.trajectories)
 
     def trajectory_arrays(self) -> TrajectoryArrays:
-        """Trajectories as a zero-copy ragged array container.
-
-        The array-native view for large-``n`` analyses: ``row(p)`` is an
-        ndarray view of particle ``p``'s vertex sequence, no Python ints.
-        Free when the driver ran with ``record="arrays"``; under plain
-        ``record=True`` the list-of-lists shape is converted (one bulk
-        copy).  Raises when trajectories were not recorded at all.
-        """
+        """The recorded :attr:`trajectories`; raises when there are none."""
         if self.trajectories is None:
             raise ValueError(
-                "trajectories were not recorded; rerun the driver with "
-                "record=True or record='arrays'"
+                "trajectories were not recorded; rerun the driver with record=True"
             )
-        if isinstance(self.trajectories, TrajectoryArrays):
-            return self.trajectories
-        return TrajectoryArrays.from_lists(self.trajectories)
+        return self.trajectories
 
     def is_complete_dispersion(self) -> bool:
         """Settlement is as complete as ``m`` vs ``n`` allows.

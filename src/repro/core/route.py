@@ -23,7 +23,8 @@ so each generator ends where the serial driver leaves it, and their
 logarithms come from numpy, never from libm.  The results
 are assembled by the lock-step drivers' own helpers, bit-identical to
 the serial oracle.  ``record`` hands each repetition an event sink
-(:meth:`~repro.kernels.CompiledKernels.event_sink`).  A
+(:meth:`~repro.kernels.CompiledKernels.event_sink`), whose events become
+the repetition's :class:`~repro.core.trajectory.TrajectoryArrays` as is.  A
 ``state_budget`` is ignored: the route keeps no stream buffers or
 round transients, only the result rows and the occupancy.
 """
@@ -104,13 +105,10 @@ def run_reps(
     return _RUNNERS[process](g, gens, origin, kern, record, **opts)
 
 
-def _trajectories(sink, starts, record):
-    """One repetition's trajectories in the shape ``record`` asks for
+def _trajectories(sink, starts):
+    """One repetition's trajectories, ``None`` when it did not record
     (a particle that never walked keeps ``[start]``)."""
-    if sink is None:
-        return None
-    traj = sink.trajectories(starts)
-    return traj if record == "arrays" else traj.to_lists()
+    return None if sink is None else sink.trajectories(starts)
 
 
 def _order_row(order: list, m: int) -> np.ndarray:
@@ -161,7 +159,7 @@ def _parallel(
                 scalar_threshold=scalar_threshold, budget=budget,
                 max_rounds=max_rounds, sink=sink,
             )
-        traj.append(_trajectories(sink, starts[r], record))
+        traj.append(_trajectories(sink, starts[r]))
     return _parallel_results(
         g, "parallel-lazy" if lazy else "parallel", starts, steps, settled,
         rounds, prio, traj,
@@ -188,7 +186,7 @@ def _sequential(
                 budget=budget, limit_msg=limit_msg, steps_row=steps[r],
                 settled_row=settled[r], sink=sink,
             )
-        traj.append(_trajectories(sink, starts[r], record))
+        traj.append(_trajectories(sink, starts[r]))
     return _sequential_results(g, lazy, starts, steps, settled, traj)
 
 
@@ -224,7 +222,7 @@ def _uniform(g, gens, origin, kern, record, *, num_particles=None, max_ticks=Non
                 norder=norder, logq=logq, budget=budget, limit_msg=limit_msg,
                 sink=sink,
             )
-        traj.append(_trajectories(sink, starts[r], record))
+        traj.append(_trajectories(sink, starts[r]))
     return _uniform_results(g, starts, steps, settled, orders, ticks, traj, None)
 
 
@@ -248,7 +246,7 @@ def _ctu(g, gens, origin, kern, record, *, rate=1.0, num_particles=None):
                 UniformStream(gen, block=_ctu_mod._BLOCK), k=k_of[r],
                 norder=norder, rate=rate, sink=sink,
             )
-        traj.append(_trajectories(sink, starts[r], record))
+        traj.append(_trajectories(sink, starts[r]))
     return _ctu_results(
         g, starts, steps, settled, orders, clock, settle_clock, traj
     )

@@ -25,6 +25,7 @@ from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.settlement import instant_settle_chain
 from repro.core.stopping_rules import StoppingRule, standard_rule
+from repro.core.trajectory import TrajectoryArrays
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_integer, check_limit, check_record
@@ -40,7 +41,7 @@ def sequential_idla(
     *,
     lazy: bool = False,
     seed=None,
-    record: bool | str = False,
+    record: bool = False,
     rule: StoppingRule | None = None,
     num_particles: int | None = None,
     max_total_steps: float | None = None,
@@ -61,8 +62,9 @@ def sequential_idla(
     seed:
         RNG seed / generator.
     record:
-        Keep full trajectories (enables ``result.block()``); memory is
-        ``O(total steps)``.
+        Keep full trajectories as
+        :class:`~repro.core.trajectory.TrajectoryArrays` (enables
+        ``result.block()``); memory is ``O(total steps)``.
     rule:
         Settling rule; defaults to the standard "first vacant vertex".
         Rules govern *walking* particles (step >= 1); a vacant start
@@ -170,10 +172,6 @@ def sequential_idla(
             trajectories.append(traj)
         particle += 1
 
-    if record == "arrays" and trajectories is not None:
-        from repro.core.trajectory import TrajectoryArrays
-
-        trajectories = TrajectoryArrays.from_lists(trajectories)
     return DispersionResult(
         process="sequential-lazy" if lazy else "sequential",
         graph_name=g.name,
@@ -184,6 +182,6 @@ def sequential_idla(
         steps=steps,
         settled_at=settled_at,
         settle_order=np.arange(m, dtype=np.int64),
-        trajectories=trajectories,
+        trajectories=TrajectoryArrays.from_lists(trajectories) if record else None,
         num_particles=None if m == n else m,
     )

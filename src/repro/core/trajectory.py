@@ -1,37 +1,37 @@
-"""Chunked per-repetition trajectory recording for the batched drivers.
+"""Recorded trajectories: the one result shape and the lock-step store.
 
 ``record=True`` asks a driver for the full vertex sequence of every
-particle.  The serial drivers build those sequences the obvious way —
-one Python list per particle, appended per step — which is exactly the
-per-element bookkeeping the lock-step drivers exist to avoid: a batched
-round touches *every live repetition at once*, so appending through
-``R`` Python lists per round would hand the whole batching win back.
+particle.  Every route returns it as one :class:`TrajectoryArrays` per
+repetition: a flat ``int32`` vertex array plus ``m + 1`` ``int64``
+offsets, with zero-copy row views.  The per-repetition C loops build it
+from their event sinks, the serial drivers seal their per-step Python
+lists into it once, and the lock-step drivers build it with the
+:class:`TrajectoryStore` here.
 
-The :class:`TrajectoryStore` here keeps recording on the vector path.
-Each round the driver appends its flat ``(repetition, particle, vertex)``
-state in one slice assignment per column into append-only int32
-**chunks** (a grown chunk is started, never copied; columns are stored
-separately so every later pass streams contiguous memory), and the exact
-``list[list[int]]`` shape :class:`repro.core.results.DispersionResult`
-exposes is materialised once, by a single sort-free counting scatter
-(each append touches a cell at most once, so events are rank-stamped on
-the way in) — ``O(events)`` NumPy work plus one ``tolist()`` per
-particle instead of per-step interpreter dispatch.  The grouping pass is
-computed lazily and cached, so the scalar tail finisher's handoffs and
-the final assembly share one scatter.
+The store keeps recording on the vector path.  Each round the driver
+appends its flat ``(repetition, particle, vertex)`` state in one slice
+assignment per column into append-only **chunks** (a grown chunk is
+started, never copied; columns are stored separately so every later
+pass streams contiguous memory), and :meth:`TrajectoryStore
+.finalize_arrays` groups the log once, by a single sort-free counting
+scatter (each append touches a cell at most once, so events are
+rank-stamped on the way in) — ``O(events)`` NumPy work, no Python int
+per event.  The grouping pass is computed lazily and cached, so the
+scalar tail finisher's handoffs and the final assembly share one
+scatter.
 
 Two contracts make the store drop-in for the batched subsystem:
 
 * **bit-shape identity** — every particle's sequence starts at its start
   vertex and appends one vertex per recorded event in consumption order,
-  so the finalised lists equal the serial drivers' ``trajectories``
+  so the finalised rows equal the serial drivers' ``trajectories``
   element for element (the differential harness pins this across all
   five processes);
 * **mid-stream handoff** — :meth:`handoff` materialises one straggler
   repetition's prefix as mutable per-particle lists for the scalar tail
   finisher to keep appending to, mirroring :meth:`UniformStreams.tail
   <repro.utils.rng.UniformStreams.tail>` on the uniform-stream side; the
-  handed-off lists win at :meth:`finalize`.
+  handed-off lists win at :meth:`finalize_arrays`.
 
 :class:`ScheduleStore` is the same chunked-append idea for Uniform-IDLA's
 ``faithful_r`` mode, where the realised i.i.d. schedule is one extra int
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
+import operator
 
 import numpy as np
 
@@ -52,11 +54,10 @@ __all__ = ["TrajectoryArrays", "TrajectoryStore", "ScheduleStore"]
 def _gc_paused():
     """Pause garbage collection around bulk Python-list materialisation.
 
-    Finalising a big run creates hundreds of millions of ints and lists;
+    Listing a big run creates hundreds of millions of ints and lists;
     none of them can participate in a reference cycle, but every
     generational collection the allocations trigger still scans the
-    ever-growing heap — a quadratic tax on exactly the hot path this
-    store exists to keep linear.
+    ever-growing heap — a quadratic tax on a pass that should be linear.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -155,18 +156,18 @@ def _narrow_dtype(max_value: int):
 class TrajectoryArrays:
     """One repetition's trajectories as a ragged array pair, zero-copy rows.
 
-    The ``list[list[int]]`` trajectory shape costs one Python object per
-    recorded vertex — at large ``n`` the final materialisation dominates a
-    recording run (the ROADMAP's "trajectory list tax").  This container
-    is the array-native alternative ``record="arrays"`` produces: one flat
-    vertex array plus an ``(m + 1,)`` int64 offset array, with
-    :meth:`row` returning a **view** (no copy, no Python ints) of particle
-    ``p``'s vertex sequence.
+    The shape ``record=True`` returns on every route: one flat ``int32``
+    vertex array plus an ``(m + 1,)`` ``int64`` offset array, with
+    :meth:`row` returning a **view** (no copy, no Python ints) of
+    particle ``p``'s vertex sequence.  Indexing follows a list's rules:
+    negative indices wrap, an out-of-range index raises ``IndexError``
+    and a slice returns the selected rows as a new container.
+    :meth:`to_lists` builds the ``list[list[int]]`` shape for callers
+    that need mutable rows.
 
     Equality is by content against either another :class:`TrajectoryArrays`
-    or the serial drivers' list-of-lists shape (``lists == arrays`` also
-    works — Python's reflected ``__eq__`` lands here), which is what lets
-    the differential harness compare the two recording modes directly.
+    or the ``list[list[int]]`` shape (``lists == arrays`` also works —
+    Python's reflected ``__eq__`` lands here).
     :class:`repro.core.blocks.Block` accepts either shape as rows.
     """
 
@@ -178,16 +179,17 @@ class TrajectoryArrays:
 
     @classmethod
     def from_lists(cls, rows) -> TrajectoryArrays:
-        """Build from the serial drivers' ``list[list[int]]`` shape."""
+        """Seal a ``list[list[int]]`` (the serial drivers' walk-time shape)."""
         lens = np.fromiter(
             (len(row) for row in rows), dtype=np.int64, count=len(rows)
         )
-        offsets = np.concatenate(([0], np.cumsum(lens)))
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        at = 0
-        for row in rows:
-            flat[at : at + len(row)] = row
-            at += len(row)
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        flat = np.fromiter(
+            itertools.chain.from_iterable(rows),
+            dtype=np.int32,
+            count=int(offsets[-1]),
+        )
         return cls(offsets, flat)
 
     def __len__(self) -> int:
@@ -197,7 +199,22 @@ class TrajectoryArrays:
         """Particle ``p``'s vertex sequence — a zero-copy view."""
         return self.flat[self.offsets[p] : self.offsets[p + 1]]
 
-    def __getitem__(self, p: int) -> np.ndarray:
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            picked = np.arange(len(self), dtype=np.int64)[key]
+            first = self.offsets[picked]
+            lens = self.offsets[picked + 1] - first
+            offsets = np.zeros(picked.size + 1, dtype=np.int64)
+            np.cumsum(lens, out=offsets[1:])
+            shift = np.repeat(first - offsets[:-1], lens)
+            return TrajectoryArrays(
+                offsets, self.flat[shift + np.arange(offsets[-1])]
+            )
+        p = operator.index(key)
+        if p < 0:
+            p += len(self)
+        if not 0 <= p < len(self):
+            raise IndexError(f"row {key} out of range for {len(self)} rows")
         return self.row(p)
 
     def __iter__(self):
@@ -205,7 +222,7 @@ class TrajectoryArrays:
             yield self.row(p)
 
     def to_lists(self) -> list[list[int]]:
-        """Materialise the serial ``list[list[int]]`` shape (pays the tax)."""
+        """The ``list[list[int]]`` shape: one Python int per vertex."""
         with _gc_paused():
             return [self.row(p).tolist() for p in range(len(self))]
 
@@ -292,7 +309,7 @@ class TrajectoryStore:
 
         One counting scatter over the whole log — no sort — cached by log
         length so the tail finisher's per-straggler :meth:`handoff` calls
-        and the final :meth:`finalize` pass all share it.
+        and the final :meth:`finalize_arrays` pass all share it.
         """
         size = len(self._log)
         if self._groups is not None and self._groups[0] == size:
@@ -317,7 +334,7 @@ class TrajectoryStore:
         Returns one mutable list per particle — ``[start]`` plus every
         event recorded so far — which the finisher keeps appending to in
         the serial drivers' own shape.  The returned lists (not the event
-        log) are what :meth:`finalize` reports for this repetition.
+        log) are what :meth:`finalize_arrays` reports for this repetition.
         """
         rows = [[int(v)] for v in self._starts[r]]
         if len(self._log):
@@ -335,19 +352,18 @@ class TrajectoryStore:
     def finalize_arrays(self) -> list[TrajectoryArrays]:
         """Materialise every repetition's :class:`TrajectoryArrays`.
 
-        The ``record="arrays"`` finaliser: the same (cached) grouping
-        scatter as :meth:`finalize`, but the grouped vertices land in one
-        flat array with each particle's start vertex prepended — no
-        Python ints, no per-particle lists.  Per-repetition results are
-        zero-copy views into that one array; repetitions previously
+        The (cached) grouping scatter lands the grouped vertices in one
+        flat ``int32`` array with each particle's start vertex prepended —
+        no Python ints, no per-particle lists.  Per-repetition results
+        are zero-copy views into that one array; repetitions previously
         handed to a scalar finisher contribute their (finisher-mutated)
-        :meth:`handoff` lists, converted.
+        :meth:`handoff` lists, sealed.
         """
         R, m = self._starts.shape
         # +1: every particle's sequence is seeded with its start vertex
         lens = self._counter + 1
         offsets_all = np.concatenate(([0], np.cumsum(lens)))
-        flat = np.empty(int(offsets_all[-1]), dtype=self._log._dtypes[2])
+        flat = np.empty(int(offsets_all[-1]), dtype=np.int32)
         seq_start = offsets_all[:-1]
         flat[seq_start] = self._starts.reshape(-1)
         if len(self._log):
@@ -368,32 +384,6 @@ class TrajectoryStore:
                     offsets_all[r * m : (r + 1) * m + 1] - lo, flat[lo:hi]
                 )
             )
-        return out
-
-    def finalize(self) -> list[list[list[int]]]:
-        """Materialise every repetition's ``list[list[int]]`` trajectories.
-
-        One bulk ``extend`` per particle over the (cached) grouping pass;
-        repetitions previously handed to a scalar finisher contribute
-        their (finisher-mutated) :meth:`handoff` lists instead of their
-        logged prefix.
-        """
-        R, m = self._starts.shape
-        with _gc_paused():
-            out = [
-                self._handoff[r]
-                if r in self._handoff
-                else [[int(v)] for v in self._starts[r]]
-                for r in range(R)
-            ]
-            if not len(self._log):
-                return out
-            cells, bounds, verts = self._grouped()
-            for i, cell in enumerate(cells.tolist()):
-                r, p = divmod(cell, m)
-                if r in self._handoff:
-                    continue  # the handed-off lists already hold this prefix
-                out[r][p].extend(verts[bounds[i] : bounds[i + 1]].tolist())
         return out
 
 

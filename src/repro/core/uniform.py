@@ -42,6 +42,7 @@ import numpy as np
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
+from repro.core.trajectory import TrajectoryArrays
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
 from repro.utils.validation import check_integer, check_limit, check_record
@@ -69,7 +70,7 @@ def uniform_idla(
     origin=0,
     *,
     seed=None,
-    record: bool | str = False,
+    record: bool = False,
     faithful_r: bool = False,
     num_particles: int | None = None,
     max_ticks: float | None = None,
@@ -177,10 +178,6 @@ def uniform_idla(
                 pool.remove_at(i)
             k -= 1
 
-    if record == "arrays" and trajectories is not None:
-        from repro.core.trajectory import TrajectoryArrays
-
-        trajectories = TrajectoryArrays.from_lists(trajectories)
     steps_arr = np.asarray(steps, dtype=np.int64)
     result = DispersionResult(
         process="uniform",
@@ -193,7 +190,7 @@ def uniform_idla(
         settled_at=settled_at,
         settle_order=np.asarray(settle_order, dtype=np.int64),
         ticks=float(ticks),
-        trajectories=trajectories,
+        trajectories=TrajectoryArrays.from_lists(trajectories) if record else None,
         num_particles=None if m == n else m,
     )
     if faithful_r:

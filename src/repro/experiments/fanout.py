@@ -11,10 +11,10 @@ the shards is decided once per call, in the parent:
   ``ThreadPoolExecutor`` shares the immutable graph's arrays in place:
   no export, no fork, no pickling.  The parent resolves the kernel
   provider once and hands the instance to every thread, which calls
-  :func:`~repro.core.route.run_reps` on its shard.  Threads record
-  ``record=True`` trajectories as arrays; the calling thread builds the
-  lists as it collects each shard.  The pool lives only inside the
-  call, so a later fork never forks a multi-threaded process.
+  :func:`~repro.core.route.run_reps` on its shard; ``record=True``
+  trajectories come back as the threads built them.  The pool lives
+  only inside the call, so a later fork never forks a multi-threaded
+  process.
 * **Processes** for everything else, which is GIL-bound (the numpy
   provider, implicit graphs, rules, ``faithful_r``, an explicit
   ``tail_threshold``, ``batched=False``).  This is the standard
@@ -70,7 +70,7 @@ import numpy as np
 from repro.core.route import route_kernels, run_reps
 from repro.graphs.csr import Graph
 from repro.graphs.implicit import ImplicitGraph, ImplicitGraphSpec, from_descriptor
-from repro.utils.validation import check_integer, check_record
+from repro.utils.validation import check_integer
 
 __all__ = [
     "SharedGraph",
@@ -271,9 +271,11 @@ def run_shard(
     Returns one :func:`repro.experiments.runner.outcome_of` payload —
     ``(dispersion_time, total_steps, trajectories, schedule)`` — per
     repetition, in repetition order, bit-identical to the in-process
-    paths over the same children; trajectories are per-repetition lists,
-    so the parent concatenates shard payloads in ``SeedSequence``-child
-    order and recording survives the process boundary unchanged.
+    paths over the same children; each repetition's trajectories are one
+    :class:`~repro.core.trajectory.TrajectoryArrays` (two arrays to
+    pickle), so the parent concatenates shard payloads in
+    ``SeedSequence``-child order and recording survives the process
+    boundary unchanged.
     """
     # Imported here (not at module top) to keep runner -> fanout -> runner
     # from becoming an import cycle; by the time a shard runs, the
@@ -312,16 +314,12 @@ def _thread_outcomes(
 
     Only for requests that pass :func:`~repro.core.route.route_kernels`
     (the loops release the GIL).  ``kwargs`` carry the resolved
-    provider, so no thread resolves one.  Threads record ``"arrays"``;
-    this thread builds the ``record=True`` lists as it collects each
-    shard.  On the first failure the queued shards are cancelled and the
-    pool joins before the error propagates.
+    provider, so no thread resolves one.  On the first failure the
+    queued shards are cancelled and the pool joins before the error
+    propagates.
     """
     from repro.experiments.runner import outcome_of
 
-    lists = check_record(kwargs.get("record", False)) is True
-    if lists:
-        kwargs = {**kwargs, "record": "arrays"}
     outcomes: list[tuple[float, int, object, object]] = []
     with ThreadPoolExecutor(max_workers=min(n_jobs, len(shards))) as pool:
         pending = deque(
@@ -330,12 +328,8 @@ def _thread_outcomes(
         )
         try:
             while pending:
-                # popleft: a collected shard's arrays die with its lists
-                for res in pending.popleft().result():
-                    disp, steps, traj, sched = outcome_of(res)
-                    if lists:
-                        traj = traj.to_lists()
-                    outcomes.append((disp, steps, traj, sched))
+                # popleft: a collected shard's results die with its future
+                outcomes.extend(map(outcome_of, pending.popleft().result()))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

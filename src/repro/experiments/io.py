@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.trajectory import TrajectoryArrays
+
 __all__ = ["to_jsonable", "save_json", "load_json"]
 
 
@@ -21,7 +23,9 @@ def to_jsonable(obj):
     non-standard ``NaN`` / ``Infinity`` tokens — serialise as ``null``.
     That lossy mapping is the documented round-trip contract with
     :func:`load_json`: a reader sees ``None`` wherever a measurement was
-    undefined.
+    undefined.  Recorded trajectories
+    (:class:`~repro.core.trajectory.TrajectoryArrays`) serialise as one
+    list of vertices per particle.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
@@ -31,6 +35,8 @@ def to_jsonable(obj):
         # tolist() may surface non-finite floats; route through the
         # scalar branches below.
         return to_jsonable(obj.tolist())
+    if isinstance(obj, TrajectoryArrays):
+        return obj.to_lists()
     if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

@@ -51,6 +51,7 @@ from repro.core.results import DispersionResult
 from repro.core.route import route_kernels, run_reps
 from repro.core.sequential import sequential_idla
 from repro.core.stopping_rules import DelayedRule, HairRule, StoppingRule
+from repro.core.trajectory import TrajectoryArrays
 from repro.core.uniform import uniform_idla
 from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
@@ -296,9 +297,10 @@ def run_process(
 class DispersionEstimate:
     """Samples + summary for one (graph, process, origin) configuration.
 
-    ``trajectories`` (with ``record=True``) holds one ``list[list[int]]``
-    per repetition — repetition ``r``'s per-particle vertex sequences,
-    exactly ``run_process(..., record=True).trajectories`` — and
+    ``trajectories`` (with ``record=True``) holds one
+    :class:`~repro.core.trajectory.TrajectoryArrays` per repetition —
+    repetition ``r``'s per-particle vertex sequences, exactly
+    ``run_process(..., record=True).trajectories`` — and
     ``schedules`` (Uniform-IDLA with ``faithful_r=True``) one realised
     schedule array per repetition.  Both are per-repetition lists in
     ``SeedSequence``-child order, identical across serial / batched /
@@ -317,7 +319,7 @@ class DispersionEstimate:
     total_steps: SummaryStats
     samples: np.ndarray
     total_samples: np.ndarray
-    trajectories: list[list[list[int]]] | None = None
+    trajectories: list[TrajectoryArrays] | None = None
     schedules: list[np.ndarray] | None = None
     adaptive: AdaptiveInfo | None = None
 
@@ -606,7 +608,8 @@ def estimate_dispersion(
         (:func:`driver_kwargs`) — unknown keys raise ``TypeError``
         naming the options instead of reaching the driver.
         ``record=True`` surfaces per-repetition trajectories on the
-        estimate (``faithful_r=True`` likewise the realised
+        estimate, one :class:`~repro.core.trajectory.TrajectoryArrays`
+        each (``faithful_r=True`` likewise the realised
         Uniform-IDLA schedules); both batch and fan out like every
         other mode — dispatch stays purely a performance decision.
         ``state_budget=`` (a :class:`repro.core.budget.StateBudget`, a

@@ -43,17 +43,18 @@ def check_integer(name: str, value) -> int:
 
 
 def check_record(value):
-    """Validate a driver's ``record`` kwarg and return it.
+    """Validate a driver's ``record`` kwarg and return it as a ``bool``.
 
-    Accepts ``False``, ``True`` (NumPy booleans too) and ``"arrays"``;
-    anything else — a typo such as ``"array"``, or ``0.5`` — raises
-    ``ValueError`` instead of silently recording as ``True``.
+    Accepts ``False`` and ``True`` (NumPy booleans too); anything else —
+    the retired ``"arrays"`` mode, or ``0.5`` — raises ``ValueError``
+    instead of silently recording as ``True``.
     """
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
-    if isinstance(value, str) and value == "arrays":
-        return value
-    raise ValueError(f"record must be False, True or 'arrays', got {value!r}")
+    raise ValueError(
+        f"record must be True or False, got {value!r} "
+        "(record=True returns TrajectoryArrays)"
+    )
 
 
 def check_positive(name: str, value) -> None:

@@ -425,7 +425,7 @@ def _check_auto_dispatch_thresholds(kernels):
         # a compiled provider runs each repetition in one compiled loop,
         # which wins at any repetition count, recording or not; numpy
         # keeps the crossover
-        for extra in (kw, dict(kw, record=True), dict(kw, record="arrays")):
+        for extra in (kw, dict(kw, record=True)):
             for reps in sorted({1, 2, crossover - 1}):
                 assert _use_batched(process, g, reps, 1, extra, "auto") == compiled
         # no compiled loop for these: numpy lock-step crossover

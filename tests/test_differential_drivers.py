@@ -720,7 +720,7 @@ def test_lockstep_drivers_never_take_the_route(process, kernels, monkeypatch):
         monkeypatch.setattr(
             CompiledKernels, name, lambda *a, _name=name, **k: called.append(_name)
         )
-    for record in (False, True, "arrays"):
+    for record in (False, True):
         batch = BATCHED_DRIVERS[process](
             GRAPH, 0, seeds=spawn_seed_sequences(PARENT_SEED, REPS),
             record=record, kernels=kernels,
@@ -809,20 +809,18 @@ ROUTE_LOOP = {
 
 @pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
 @pytest.mark.parametrize("sink", ["default-sink", "one-event-sink"])
-@pytest.mark.parametrize("record", [True, "arrays"], ids=["lists", "arrays"])
 @pytest.mark.parametrize(
     "process,variant",
     [(p, v) for p in RECORD_VARIANTS for v in RECORD_VARIANTS[p]],
 )
 def test_recorded_per_rep_route_matches_serial_oracle(
-    process, variant, record, sink, kernels, route_calls, monkeypatch
+    process, variant, sink, kernels, route_calls, monkeypatch
 ):
-    """``record=True`` and ``record="arrays"`` take the per-repetition
-    route with a compiled provider, through ``run_reps`` and auto
-    dispatch alike: one compiled loop per walking repetition, no
-    lock-step round, and trajectories equal to the serial oracle's, in
-    its shape.  A one-event sink (one round for Parallel) makes every
-    loop re-enter after "sink full"."""
+    """``record=True`` takes the per-repetition route with a compiled
+    provider, through ``run_reps`` and auto dispatch alike: one compiled
+    loop per walking repetition, no lock-step round, and trajectories
+    equal to the serial oracle's, in its shape.  A one-event sink (one
+    round for Parallel) makes every loop re-enter after "sink full"."""
     import repro.kernels as kernels_mod
 
     if sink == "one-event-sink":
@@ -831,7 +829,7 @@ def test_recorded_per_rep_route_matches_serial_oracle(
     origin = kwargs.pop("origin", 0)
     budget = kwargs.pop("state_budget", None)
     oracle = [
-        PROCESS_DRIVERS[process](GRAPH, origin, seed=s, record=record, **kwargs)
+        PROCESS_DRIVERS[process](GRAPH, origin, seed=s, record=True, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, REPS)
     ]
     walking = sum(1 for r in oracle if r.total_steps > 0)
@@ -839,7 +837,7 @@ def test_recorded_per_rep_route_matches_serial_oracle(
     route_calls.update(dict.fromkeys(route_calls, 0))
     batch = route.run_reps(
         process, GRAPH, spawn_seed_sequences(PARENT_SEED, REPS), origin,
-        record=record, kernels=kernels, state_budget=budget, **kwargs,
+        record=True, kernels=kernels, state_budget=budget, **kwargs,
     )
     assert route_calls == dict.fromkeys(route_calls, 0) | {
         ROUTE_LOOP[process]: walking
@@ -850,14 +848,15 @@ def test_recorded_per_rep_route_matches_serial_oracle(
 
     est = estimate_dispersion(
         GRAPH, process, origin=origin, reps=REPS, seed=PARENT_SEED,
-        record=record, kernels=kernels, state_budget=budget, **kwargs,
+        record=True, kernels=kernels, state_budget=budget, **kwargs,
     )
     assert route_calls[ROUTE_LOOP[process]] == 2 * walking
     assert est.trajectories == [r.trajectories for r in oracle]
 
 
-#: ``record`` values that name no recording mode.
-BAD_RECORDS = ["array", "lists", 0.5, 0, 1, None]
+#: ``record`` values that name no recording mode; ``"arrays"`` was one
+#: until ``record=True`` itself returned arrays.
+BAD_RECORDS = ["arrays", "array", "lists", 0.5, 0, 1, None]
 
 
 @pytest.mark.parametrize("bad", BAD_RECORDS, ids=repr)
@@ -876,7 +875,7 @@ def test_invalid_record_rejected_before_any_repetition(process, bad, monkeypatch
             return out
 
         monkeypatch.setitem(registry, process, tracked)
-    match = "record must be False, True or 'arrays'"
+    match = r"record must be True or False, got .* \(record=True returns"
     with pytest.raises(ValueError, match=match):
         PROCESS_DRIVERS[process](GRAPH, 0, seed=1, record=bad)
     with pytest.raises(ValueError, match=match):
@@ -886,6 +885,9 @@ def test_invalid_record_rejected_before_any_repetition(process, bad, monkeypatch
             estimate_dispersion(
                 GRAPH, process, reps=REPS, seed=1, record=bad, **mode
             )
+    if available_kernels()["cffi"]:
+        with pytest.raises(ValueError, match=match):
+            route.run_reps(process, GRAPH, [1], record=bad, kernels="cffi")
     assert finished == []
 
 

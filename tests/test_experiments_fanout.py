@@ -287,7 +287,7 @@ class TestThreadRoute:
 
     @pytest.mark.parametrize("max_shard", [None, 1])
     @pytest.mark.parametrize("n_jobs", [2, 3, REPS + 1])
-    @pytest.mark.parametrize("record", [False, True, "arrays"])
+    @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("process", PROCESSES)
     def test_bit_identical_to_one_job(self, pools, process, record, n_jobs, max_shard):
         g = grid_graph(4, 4)
@@ -305,9 +305,7 @@ class TestThreadRoute:
             max_shard=max_shard,
         )
         assert _same_outcomes(ref, out)
-        if record is True:
-            assert all(isinstance(o[2], list) for o in out)
-        elif record == "arrays":
+        if record:
             assert all(isinstance(o[2], TrajectoryArrays) for o in out)
         assert pools["SharedGraph"] == [] and pools["ProcessPoolExecutor"] == []
         assert len(pools["ThreadPoolExecutor"]) == 1
@@ -322,6 +320,39 @@ class TestThreadRoute:
         assert ref.trajectories == out.trajectories
         assert pools["SharedGraph"] == [] and pools["ProcessPoolExecutor"] == []
         assert len(pools["ThreadPoolExecutor"]) == 1
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_record_true_has_one_shape_on_every_route(self, pools, process):
+        """``record=True`` gives one :class:`TrajectoryArrays` per
+        repetition, ``int32`` vertices and ``int64`` offsets, equal on
+        every route.  Only Parallel- and Sequential-IDLA take a
+        ``tail_threshold``; the numpy provider pins the others to
+        lock-step."""
+        lockstep = (
+            {"tail_threshold": 2}
+            if process in ("parallel", "sequential")
+            else {"kernels": "numpy"}
+        )
+        routes = {
+            "per-repetition C": {"kernels": "cffi"},
+            "thread pool": {"kernels": "cffi", "n_jobs": 2},
+            "lock-step": {"batched": True, **lockstep},
+            "serial oracle": {"batched": False},
+            "fork fan-out": {"batched": False, "n_jobs": 2},
+        }
+        g = grid_graph(4, 4)
+        ref = None
+        for name, opts in routes.items():
+            est = estimate_dispersion(g, process, reps=4, seed=8, record=True, **opts)
+            assert len(est.trajectories) == 4, name
+            for traj in est.trajectories:
+                assert isinstance(traj, TrajectoryArrays), name
+                assert traj.flat.dtype == np.int32, name
+                assert traj.offsets.dtype == np.int64, name
+            ref = est.trajectories if ref is None else ref
+            assert est.trajectories == ref, name
+        assert len(pools["ThreadPoolExecutor"]) == 1
+        assert len(pools["ProcessPoolExecutor"]) == 1
 
     def test_stress_more_threads_than_cores(self):
         """Many threads switching often share one graph and provider; a

@@ -808,19 +808,18 @@ RECORDED_LOOPS = {
 
 @pytest.mark.parametrize("provider", COMPILED)
 @pytest.mark.parametrize("capacity", [1, 2, 5])
-@pytest.mark.parametrize("record", [True, "arrays"], ids=["lists", "arrays"])
 @pytest.mark.parametrize("origin", [0, "uniform"])
 @pytest.mark.parametrize("loop", sorted(RECORDED_LOOPS))
 @pytest.mark.parametrize(
     "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
 )
 def test_recorded_loops_match_serial_at_tiny_sinks(
-    provider, capacity, record, origin, loop, g, monkeypatch
+    provider, capacity, origin, loop, g, monkeypatch
 ):
     """Sinks of 1-5 events (a Parallel-IDLA sink holds at least one
     round) fill over and over: every re-entry after "sink full" must
     resume the loop exactly, and the grouped events must equal the
-    serial trajectories in the serial shape.  Particles settled at their
+    serial trajectories, in the same shape.  Particles settled at their
     start (all of them, some reps, under ``origin="uniform"``) keep
     ``[start]``."""
     monkeypatch.setattr(kernels_mod, "_SINK_EVENTS", capacity)
@@ -834,11 +833,11 @@ def test_recorded_loops_match_serial_at_tiny_sinks(
     monkeypatch.setattr(kernels_mod.EventSink, "seal", counted)
     process, serial, kwargs = RECORDED_LOOPS[loop]
     ref = [
-        serial(g, origin, seed=s, record=record, **kwargs)
+        serial(g, origin, seed=s, record=True, **kwargs)
         for s in spawn_seed_sequences(7, 4)
     ]
     got = run_reps(
-        process, g, spawn_seed_sequences(7, 4), origin, record=record,
+        process, g, spawn_seed_sequences(7, 4), origin, record=True,
         kernels=provider, **kwargs,
     )
     if capacity == 1:

@@ -68,7 +68,6 @@ TRACED = [
         "TrajectoryStore.append",
         ("self", "rep_ids", "pids", "verts"),
     ),
-    ("repro.core.trajectory", "TrajectoryStore.finalize", ("self",)),
     ("repro.core.trajectory", "TrajectoryStore.finalize_arrays", ("self",)),
     ("repro.experiments.fanout", "fanout_estimate", None),
     ("repro.experiments.fanout", "SharedGraph.__init__", ("self",)),

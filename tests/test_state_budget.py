@@ -285,12 +285,8 @@ def test_block_accepts_array_and_list_rows():
 def test_result_trajectory_arrays_accessor():
     g = cycle_graph(16)
     res = parallel_idla(g, 0, seed=1, record=True)
-    arrs = res.trajectory_arrays()
-    assert arrs == res.trajectories
-    res_a = parallel_idla(g, 0, seed=1, record="arrays")
-    assert isinstance(res_a.trajectories, TrajectoryArrays)
-    assert res_a.trajectory_arrays() is res_a.trajectories
-    assert res_a.trajectories == res.trajectories
+    assert isinstance(res.trajectories, TrajectoryArrays)
+    assert res.trajectory_arrays() is res.trajectories
     bare = parallel_idla(g, 0, seed=1)
     with pytest.raises(ValueError, match="record"):
         bare.trajectory_arrays()
