@@ -1,4 +1,5 @@
-"""Shared fixtures: small canonical graphs reused across the suite."""
+"""Shared fixtures: small canonical graphs reused across the suite, and
+a reader check for recorded trajectories."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+from repro.core.trajectory import TrajectoryArrays
 
 
 @pytest.fixture
@@ -78,3 +80,28 @@ SMALL_GRAPH_FACTORIES = [
 def small_graph(request):
     """Parametrised fixture covering one representative of each family."""
     return SMALL_GRAPH_FACTORIES[request.param]()
+
+
+def _same_rows(got, want, view):
+    """``got`` equals ``want`` as read through ``view``: ``"lists"`` reads
+    ``to_lists()`` (plain Python ints), ``"arrays"`` the ``int32`` /
+    ``int64`` buffers and the zero-copy row views."""
+    assert isinstance(got, TrajectoryArrays) and isinstance(want, TrajectoryArrays)
+    if view == "lists":
+        rows = got.to_lists()
+        assert rows == want.to_lists()
+        assert all(type(v) is int for row in rows for v in row)
+    else:
+        assert got.flat.dtype == np.int32 and got.offsets.dtype == np.int64
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.flat, want.flat)
+        for p in range(len(got)):
+            assert np.shares_memory(got[p], got.flat)
+            assert np.array_equal(got[p], want[p])
+
+
+@pytest.fixture
+def same_rows():
+    """The :func:`_same_rows` check, for tests parametrised over the
+    two readers ``view in ["lists", "arrays"]``."""
+    return _same_rows

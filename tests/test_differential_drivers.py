@@ -809,18 +809,21 @@ ROUTE_LOOP = {
 
 @pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)
 @pytest.mark.parametrize("sink", ["default-sink", "one-event-sink"])
+@pytest.mark.parametrize("view", ["lists", "arrays"])
 @pytest.mark.parametrize(
     "process,variant",
     [(p, v) for p in RECORD_VARIANTS for v in RECORD_VARIANTS[p]],
 )
 def test_recorded_per_rep_route_matches_serial_oracle(
-    process, variant, sink, kernels, route_calls, monkeypatch
+    process, variant, view, sink, kernels, route_calls, same_rows, monkeypatch
 ):
     """``record=True`` takes the per-repetition route with a compiled
     provider, through ``run_reps`` and auto dispatch alike: one compiled
     loop per walking repetition, no lock-step round, and trajectories
-    equal to the serial oracle's, in its shape.  A one-event sink (one
-    round for Parallel) makes every loop re-enter after "sink full"."""
+    equal to the serial oracle's, in its shape and through either reader
+    (``to_lists()`` or the buffers and row views).  A one-event sink
+    (one round for Parallel) makes every loop re-enter after "sink
+    full"."""
     import repro.kernels as kernels_mod
 
     if sink == "one-event-sink":
@@ -845,6 +848,7 @@ def test_recorded_per_rep_route_matches_serial_oracle(
     for s, b in zip(oracle, batch):
         assert_result_identical(s, b, EXTRAS.get(process, ()))
         assert type(b.trajectories) is type(s.trajectories)
+        same_rows(b.trajectories, s.trajectories, view)
 
     est = estimate_dispersion(
         GRAPH, process, origin=origin, reps=REPS, seed=PARENT_SEED,
@@ -852,6 +856,8 @@ def test_recorded_per_rep_route_matches_serial_oracle(
     )
     assert route_calls[ROUTE_LOOP[process]] == 2 * walking
     assert est.trajectories == [r.trajectories for r in oracle]
+    for traj, s in zip(est.trajectories, oracle):
+        same_rows(traj, s.trajectories, view)
 
 
 #: ``record`` values that name no recording mode; ``"arrays"`` was one

@@ -287,9 +287,15 @@ class TestThreadRoute:
 
     @pytest.mark.parametrize("max_shard", [None, 1])
     @pytest.mark.parametrize("n_jobs", [2, 3, REPS + 1])
-    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize(
+        "record,view",
+        [(False, None), (True, "lists"), (True, "arrays")],
+        ids=["False", "True-lists", "True-arrays"],
+    )
     @pytest.mark.parametrize("process", PROCESSES)
-    def test_bit_identical_to_one_job(self, pools, process, record, n_jobs, max_shard):
+    def test_bit_identical_to_one_job(
+        self, pools, same_rows, process, record, view, n_jobs, max_shard
+    ):
         g = grid_graph(4, 4)
         kwargs = {"record": record, "kernels": "cffi"}
         children = spawn_seed_sequences(31, self.REPS)
@@ -307,6 +313,8 @@ class TestThreadRoute:
         assert _same_outcomes(ref, out)
         if record:
             assert all(isinstance(o[2], TrajectoryArrays) for o in out)
+            for a, b in zip(out, ref):
+                same_rows(a[2], b[2], view)
         assert pools["SharedGraph"] == [] and pools["ProcessPoolExecutor"] == []
         assert len(pools["ThreadPoolExecutor"]) == 1
 

@@ -808,20 +808,22 @@ RECORDED_LOOPS = {
 
 @pytest.mark.parametrize("provider", COMPILED)
 @pytest.mark.parametrize("capacity", [1, 2, 5])
+@pytest.mark.parametrize("view", ["lists", "arrays"])
 @pytest.mark.parametrize("origin", [0, "uniform"])
 @pytest.mark.parametrize("loop", sorted(RECORDED_LOOPS))
 @pytest.mark.parametrize(
     "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
 )
 def test_recorded_loops_match_serial_at_tiny_sinks(
-    provider, capacity, origin, loop, g, monkeypatch
+    provider, capacity, view, origin, loop, g, same_rows, monkeypatch
 ):
     """Sinks of 1-5 events (a Parallel-IDLA sink holds at least one
     round) fill over and over: every re-entry after "sink full" must
     resume the loop exactly, and the grouped events must equal the
-    serial trajectories, in the same shape.  Particles settled at their
-    start (all of them, some reps, under ``origin="uniform"``) keep
-    ``[start]``."""
+    serial trajectories, in the same shape and through either reader
+    (``to_lists()`` or the buffers and row views).  Particles settled at
+    their start (all of them, some reps, under ``origin="uniform"``)
+    keep ``[start]``."""
     monkeypatch.setattr(kernels_mod, "_SINK_EVENTS", capacity)
     reopened = []
     seal = kernels_mod.EventSink.seal
@@ -845,6 +847,7 @@ def test_recorded_loops_match_serial_at_tiny_sinks(
     for s, b in zip(ref, got):
         assert type(b.trajectories) is type(s.trajectories)
         assert b.trajectories == s.trajectories
+        same_rows(b.trajectories, s.trajectories, view)
         assert np.array_equal(s.steps, b.steps)
         assert np.array_equal(s.settled_at, b.settled_at)
 
