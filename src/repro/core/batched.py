@@ -1123,12 +1123,12 @@ def batched_sequential_idla(
                     # in one pass): the row's unconsumed doubles, then
                     # the generator itself, one double per step
                     prefix = streams.buf[r, cursor:]
-                    consumed = kern.finish_sequential(
+                    (consumed,) = kern.finish_sequential(
                         csr[0], csr[1],
                         occ[r * n : (r + 1) * n],
-                        starts2d[r],
-                        gens[r],
-                        prefix=prefix,
+                        starts2d[r : r + 1],
+                        [gens[r]],
+                        prefixes=[prefix],
                         walker=int(current[r]),
                         pos=int(pos[i]),
                         pstep=int(pstep[i]),
@@ -1136,9 +1136,10 @@ def batched_sequential_idla(
                         lazy=lazy,
                         budget=budget,
                         limit_msg=limit_msg,
-                        steps_row=steps2d[r],
-                        settled_row=settled2d[r],
+                        steps=steps2d[r : r + 1],
+                        settled=settled2d[r : r + 1],
                     )
+                    consumed = int(consumed)
                     drawn = max(0, consumed - ticks - prefix.shape[0])
                 else:
                     tail = streams.tail(r, cursor)

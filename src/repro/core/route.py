@@ -1,4 +1,4 @@
-"""The per-repetition route: every repetition in one compiled loop.
+"""The per-repetition route: every repetition run to completion in C.
 
 :func:`route_kernels` is the one gate.  It passes for a compiled kernel
 provider (:mod:`repro.kernels`), host CSR arrays, the default settling
@@ -10,8 +10,11 @@ and :mod:`repro.core.batched_continuous`, or the serial oracles.
 
 :func:`run_reps` runs each repetition as its process's prelude (origins,
 the tie-break permutation, then the round-0 settlement pass, the release
-chain or the time-0 settlement), then one ``CompiledKernels.finish_*``
-call that runs it to completion in its serial driver's draw order.
+chain or the time-0 settlement), then its compiled loop, in its serial
+driver's draw order: one ``CompiledKernels.finish_*`` call per
+repetition, except that Sequential-IDLA (and so c-sequential) makes one
+``finish_sequential`` call per shard, which keeps ``REPRO_LANES``
+repetitions in flight so the CPU overlaps their dependent steps.
 ``finish_parallel`` and ``finish_sequential`` draw each double from the
 repetition's ``bitgen_t`` inside C, so the generator ends right after
 the last double consumed (the serial oracle and the lock-step body may
@@ -64,7 +67,7 @@ _GATED = ("rule", "faithful_r", "tail_threshold", "state_budget")
 
 def route_kernels(process: str, g, kwargs: dict):
     """The compiled provider that runs every repetition of this request
-    in one loop each, or ``None``.
+    in its compiled loop, or ``None``.
 
     ``kwargs`` are the estimate's driver options.  An explicit
     ``tail_threshold`` pins the lock-step body.  An unknown ``kernels``
@@ -88,8 +91,8 @@ def route_kernels(process: str, g, kwargs: dict):
 def run_reps(
     process: str, g, gens, origin=0, *, kernels, record=False, **opts
 ) -> list[DispersionResult]:
-    """One repetition per seed/generator in ``gens``, each in one
-    compiled loop; entry ``r`` is bit-identical to the serial driver's
+    """One repetition per seed/generator in ``gens``, each run to
+    completion in C; entry ``r`` is bit-identical to the serial driver's
     run with ``seed=gens[r]``.
 
     ``opts`` are the process's driver options; the request must pass
@@ -174,19 +177,15 @@ def _sequential(
     budget = check_limit("max_total_steps", max_total_steps)
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     starts, occ, steps, settled, walker = _sequential_prelude(g, origin, m, gens)
-    n, (indptr, indices) = g.n, csr_arrays(g)
-    traj = []
-    for r, gen in enumerate(gens):
-        w = int(walker[r])
-        sink = kern.event_sink() if record else None
-        if w < m:
-            kern.finish_sequential(
-                indptr, indices, occ[r * n : (r + 1) * n], starts[r], gen,
-                walker=w, pos=int(starts[r, w]), pstep=0, total=0, lazy=lazy,
-                budget=budget, limit_msg=limit_msg, steps_row=steps[r],
-                settled_row=settled[r], sink=sink,
-            )
-        traj.append(_trajectories(sink, starts[r]))
+    indptr, indices = csr_arrays(g)
+    sinks = [kern.event_sink() for _ in gens] if record else None
+    kern.finish_sequential(
+        indptr, indices, occ, starts, gens, walker=walker, lazy=lazy,
+        budget=budget, limit_msg=limit_msg, steps=steps, settled=settled,
+        sinks=sinks,
+    )
+    sinks = sinks or [None] * len(gens)
+    traj = [_trajectories(sink, row) for sink, row in zip(sinks, starts)]
     return _sequential_results(g, lazy, starts, steps, settled, traj)
 
 

@@ -57,7 +57,7 @@ from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
 from repro.kernels import check_kernels
 from repro.utils.rng import as_seed_sequence, stable_seed
-from repro.utils.validation import check_integer, check_record
+from repro.utils.validation import check_integer, check_limit, check_record
 
 __all__ = [
     "PROCESS_DRIVERS",
@@ -190,6 +190,10 @@ def driver_kwargs(process: str) -> frozenset[str]:
     result = frozenset(accepted)
     _DRIVER_KWARGS_CACHE[process] = result
     return result
+
+
+#: The step/tick/round caps, checked before any repetition runs.
+_CAPS = frozenset({"max_total_steps", "max_ticks", "max_rounds"})
 
 
 def _validate_driver_kwargs(process: str, kwargs: dict) -> None:
@@ -649,6 +653,8 @@ def estimate_dispersion(
     _validate_driver_kwargs(process, kwargs)
     if "record" in kwargs:
         check_record(kwargs["record"])
+    for cap in _CAPS & set(kwargs):
+        check_limit(cap, kwargs[cap])
     check_kernels(kwargs.get("kernels"))
     n_jobs = check_integer("n_jobs", n_jobs)
     if n_jobs < 1:

@@ -41,6 +41,7 @@ import os
 import shlex
 import threading
 import warnings
+from contextlib import ExitStack
 from importlib.util import find_spec
 from types import SimpleNamespace
 
@@ -297,11 +298,12 @@ class CompiledKernels(KernelSet):
     loops, so generator positions stay where the serial drivers leave
     them.  The Sequential- and Parallel-IDLA loops
     (:meth:`finish_sequential`, :meth:`finish_parallel`) instead draw
-    from the generator's ``bitgen_t`` inside C, one call per repetition
-    unless the event sink fills.
+    from the generator's ``bitgen_t`` inside C: unless an event sink
+    fills, one call per Parallel-IDLA repetition, and one per shard of
+    Sequential-IDLA repetitions, ``REPRO_LANES`` of them interleaved.
 
-    The per-repetition loops take an optional ``sink``
-    (:meth:`event_sink`) that records the repetition's trajectories.
+    The per-repetition loops take an optional event sink per repetition
+    (:meth:`event_sink`) that records its trajectories.
     """
 
     __slots__ = ("_impl",)
@@ -392,60 +394,122 @@ class CompiledKernels(KernelSet):
             lg = np.log1p(-buf)
             state[cursor] = 0
 
-    def _draw(self, run, rng, state, sink, *, events, prefix=None) -> int:
-        """Drive a loop that draws from ``rng``'s bit generator, under
-        that generator's lock, and return its final status:
-        ``run(address)`` enters it once; status 2 (sink full) seals the
-        sink and re-enters.  ``prefix`` (float64) is served first."""
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            address = bitgen.ctypes.bit_generator.value
-            if prefix is not None and prefix.shape[0]:
-                front = self._impl.prefix_bitgen(prefix, address)
-                address = front.address
-            while (status := run(address)) == 2:
-                sink.seal(int(state[events]))
-                state[events] = 0
-        if status == 1 and sink is not None:
-            sink.seal(int(state[events]), reopen=False)
+    def _draw(self, run, rngs, state, sinks, *, events, prefixes=None):
+        """Drive a loop that draws from the bit generators of ``rngs``,
+        one per row of ``state``, holding every generator's lock, and
+        return its final status.
+
+        ``run(addresses)`` enters the loop once with each row's
+        ``bitgen_t`` address and returns ``(status, row)``; status 2 (the
+        sink of ``row`` is full) seals that sink and re-enters.  A "full"
+        sink holding no event would make the loop re-enter forever, so
+        it raises.  ``prefixes[r]`` (float64), when given, is served
+        before row ``r``'s generator."""
+        addresses = []
+        fronts = []  # the prefix bit generators C reads through
+        with ExitStack() as held:
+            for r, rng in enumerate(rngs):
+                bitgen = rng.bit_generator
+                held.enter_context(bitgen.lock)
+                address = bitgen.ctypes.bit_generator.value
+                prefix = None if prefixes is None else prefixes[r]
+                if prefix is not None and prefix.shape[0]:
+                    fronts.append(self._impl.prefix_bitgen(prefix, address))
+                    address = fronts[-1].address
+                addresses.append(address)
+            while True:
+                status, row = run(addresses)
+                if status != 2:
+                    break
+                if not state[row, events]:
+                    raise RuntimeError("compiled loop: 'sink full' on an empty sink")
+                sinks[row].seal(int(state[row, events]))
+                state[row, events] = 0
+        if status == 1 and sinks is not None:
+            for r, sink in enumerate(sinks):
+                sink.seal(int(state[r, events]), reopen=False)
         return status
 
     # ---- scalar-tail finisher loops ----------------------------------
     def finish_sequential(
-        self, indptr, indices, occ_row, starts, rng, *, prefix=None,
-        walker, pos, pstep, total, lazy, budget, limit_msg,
-        steps_row, settled_row, sink=None,
-    ) -> int:
-        """Compiled ``_finish_sequential_rep``; returns ``total`` plus the
+        self, indptr, indices, occ, starts, rngs, *, prefixes=None,
+        walker, pos=None, pstep=0, total=0, lazy, budget, limit_msg,
+        steps, settled, sinks=None,
+    ) -> np.ndarray:
+        """Compiled ``_finish_sequential_rep`` for ``R = len(rngs)``
+        repetitions in one call; returns each one's ``total`` plus the
         doubles consumed here, one per step.
 
-        The loop draws each double from ``rng``'s bit generator, under
-        that generator's lock, so the generator ends right after the last
-        double consumed.  ``prefix``, a float64 row (the unconsumed
-        doubles of a lock-step stream row), is served before it.  With
-        ``sink``, every step from here on is recorded into it."""
+        Row ``r`` of ``starts``, ``steps`` and ``settled`` (all ``(R, m)``)
+        and ``occ[r*n : (r+1)*n]`` belong to repetition ``r``, which walks
+        particle ``walker[r]`` (``m``: done), ``pstep[r]`` steps in, from
+        ``pos[r]`` (default: its start), with ``total[r]`` doubles consumed
+        so far; scalars serve every row.  The C loop keeps
+        ``REPRO_LANES`` repetitions in flight, each drawing from its own
+        generator, so every row's samples are those of the serial loop
+        run on its own.  Every generator's lock is held across the call,
+        and each generator ends right after the last double its row
+        consumed; one generator passed for two rows raises
+        ``ValueError`` before any draw.  ``prefixes[r]``, a float64 row
+        or ``None`` (the unconsumed doubles of a lock-step stream row),
+        is served before generator ``r``.  With ``sinks``, one per row,
+        every step from here on is recorded into its row's sink."""
+        name = "finish_sequential"
         n = indptr.shape[0] - 1
-        occ = _occ_row("finish_sequential", occ_row, n)
-        starts = _i64(starts)
-        m = starts.shape[0]
-        _check_rows("finish_sequential", _I64, m, steps_row, settled_row)
-        _check_range("finish_sequential", "a start", starts, n)
-        if not (0 <= walker < m and 0 <= pos < n):
-            raise ValueError("finish_sequential: walker or pos out of range")
-        if prefix is not None:
-            _check_rows("finish_sequential", _F64, 0, prefix)
-        state = np.array([walker, pos, pstep, total, 0], dtype=np.int64)
-        lz = 1 if lazy else 0
-        status = self._draw(
-            lambda address: self._impl.finish_seq(
-                indptr, indices, occ, starts, steps_row, settled_row,
-                address, state, m, lz, budget, *self._sink_args(sink),
-            ),
-            rng, state, sink, events=4, prefix=prefix,
+        R = len(rngs)
+        if starts.ndim != 2 or starts.shape[0] != R:
+            raise ValueError(f"{name}: starts needs one row per generator")
+        m = starts.shape[1]
+        for a in (starts, steps, settled):
+            if a.dtype != _I64 or not a.flags.c_contiguous or a.shape != (R, m):
+                raise ValueError(f"{name} needs C-contiguous int64 rows of {m}")
+        occ = _occ_row(name, occ, R * n)
+        _check_range(name, "a start", starts, n)
+        if len({id(rng.bit_generator) for rng in rngs}) < R:
+            # its lock would be taken twice, and interleaved draws would
+            # break every row's bit-identity
+            raise ValueError(f"{name}: a generator is passed for two rows")
+        for rows in (prefixes, sinks):
+            if rows is not None and len(rows) != R:
+                raise ValueError(f"{name}: prefixes and sinks need one per row")
+        for prefix in prefixes or ():
+            if prefix is not None:
+                _check_rows(name, _F64, 0, prefix)
+        state = np.zeros((R, 5), dtype=np.int64)
+        state[:, 0] = walker
+        walking = state[:, 0] < m
+        if ((state[:, 0] < 0) | (state[:, 0] > m)).any():
+            raise ValueError(f"{name}: walker out of range")
+        state[walking, 1] = (
+            starts[walking, state[walking, 0]] if pos is None
+            else np.broadcast_to(pos, (R,))[walking]
         )
+        _check_range(name, "a pos", state[walking, 1], n)
+        state[:, 2] = pstep
+        state[:, 3] = total
+        which = np.zeros(1, dtype=np.int64)
+        evs = caps = None
+        if sinks is not None:
+            evs = np.array([s.buf.ctypes.data for s in sinks], dtype=np.uintp)
+            caps = np.array([s.buf.shape[0] // 2 for s in sinks], dtype=np.int64)
+
+        def run(addresses):
+            if evs is not None and R:
+                # the row sealed after the last entry writes a new buffer
+                r = int(which[0])
+                evs[r] = sinks[r].buf.ctypes.data
+                caps[r] = sinks[r].buf.shape[0] // 2
+            status = self._impl.finish_seq(
+                indptr, indices, occ, starts, steps, settled,
+                np.array(addresses, dtype=np.uintp), state, R, n, m,
+                1 if lazy else 0, budget, evs, caps, which,
+            )
+            return status, int(which[0])
+
+        status = self._draw(run, rngs, state, sinks, events=4, prefixes=prefixes)
         if status < 0:
             raise RuntimeError(limit_msg)
-        return int(state[3])
+        return state[:, 3].copy()
 
     def finish_parallel_single(
         self, indptr, indices, occ_arr, tail, *,
@@ -565,16 +629,16 @@ class CompiledKernels(KernelSet):
         m = min(a.shape[0] for a in (prio, steps_row, settled_row, round_row))
         # k only shrinks, so clamping keeps every `k > threshold` test
         thr = max(-1, min(scalar_threshold, k))
-        state = np.array([k, 0, free, 0], dtype=np.int64)
+        state = np.array([[k, 0, free, 0]], dtype=np.int64)
         hold = np.empty(k) if lazy else None
         lz = 1 if lazy else 0
         status = self._draw(
-            lambda address: self._impl.run_parallel(
+            lambda addresses: (self._impl.run_parallel(
                 indptr, indices, occ, act, pos, prio, best, steps_row,
-                settled_row, round_row, address, hold, m, n, state, lz,
+                settled_row, round_row, addresses[0], hold, m, n, state, lz,
                 thr, budget, *self._sink_args(sink),
-            ),
-            rng, state, sink, events=3,
+            ), 0),
+            [rng], state, None if sink is None else [sink], events=3,
         )
         if status == -2:
             raise ValueError(
@@ -583,7 +647,7 @@ class CompiledKernels(KernelSet):
             )
         if status < 0:
             raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
-        return int(state[1])
+        return int(state[0, 1])
 
     # ---- single-walker loops -----------------------------------------
     def walk_positions(self, indptr, indices, out, rng, block: int):
@@ -714,31 +778,44 @@ def _self_check(ks: CompiledKernels) -> None:
     def sink(capacity=1):
         return EventSink(ks._impl.scatter_events, capacity)
 
-    # Sequential-IDLA, particle 0 walking from 1, particle 1 from 2: each
-    # holds once, then steps.  Cut 0 reads every double from the
-    # generator (with a one-event sink the loop re-enters after every
-    # event); cut 3 reads three from a prefix, then one from the
-    # generator.  The 4-step budget stops a loop that over-draws
-    doubles = [0.2, 0.9, 0.1, 0.6]
-    for cut, rec in ((0, None), (0, sink()), (3, None)):
-        rng = _ArrayGenerator(ks, doubles[cut:])
-        occ = np.zeros(3, dtype=bool)
-        occ[0] = True
-        steps_row = np.zeros(2, dtype=np.int64)
-        settled_row = np.full(2, -1, dtype=np.int64)
-        starts = np.array([1, 2], dtype=np.int64)
+    # Sequential-IDLA in one call of ten rows, two particles each, vertex
+    # 0 taken: row 0 settled both at time 0; row 1 resumes particle 0 one
+    # step (and one double) in, reading two doubles from a prefix, then
+    # one from its generator; rows 2-9 walk from time 0, more rows than
+    # the loop has lanes, so lanes take new rows.  Each walking particle
+    # holds once, then steps.  The 4-step budget stops a loop that
+    # over-draws: past its doubles a generator yields 0.0, a hold.  The
+    # recorded run's one-event sinks make every lane re-enter
+    walk_a = ([1, 2], [0.2, 0.9, 0.1, 0.6], [2, 1], [[1, 1, 2], [2, 2, 1]])
+    walk_b = ([2, 1], [0.2, 0.9, 0.1, 0.9], [1, 2], [[2, 2, 1], [1, 1, 2]])
+    walks = [walk_a, walk_b] * 4
+    for rec in (False, True):
+        starts = np.array([[0, 2], [1, 2]] + [w[0] for w in walks], dtype=np.int64)
+        R = starts.shape[0]
+        occ = np.zeros((R, 3), dtype=bool)
+        occ[:, 0] = occ[0, 2] = True
+        steps = np.zeros((R, 2), dtype=np.int64)
+        settled = np.full((R, 2), -1, dtype=np.int64)
+        settled[0] = [0, 2]
+        rngs = [_ArrayGenerator(ks, d) for d in [[], [0.6]] + [w[1] for w in walks]]
+        sinks = [sink() for _ in range(R)] if rec else None
         consumed = ks.finish_sequential(
-            indptr, indices, occ, starts, rng,
-            prefix=np.array(doubles[:cut]) if cut else None,
-            walker=0, pos=1, pstep=0, total=0, lazy=True,
-            budget=4.0, limit_msg="self-check",
-            steps_row=steps_row, settled_row=settled_row, sink=rec,
+            indptr, indices, occ.reshape(-1), starts, rngs,
+            prefixes=[None, np.array([0.9, 0.1])] + [None] * (R - 2),
+            walker=[2] + [0] * (R - 1), pstep=[0, 1] + [0] * (R - 2),
+            total=[0, 1] + [0] * (R - 2), lazy=True, budget=4.0,
+            limit_msg="self-check", steps=steps, settled=settled, sinks=sinks,
         )
-        assert consumed == 4 and rng.drawn() == 4 - cut, (consumed, rng.drawn())
-        assert settled_row.tolist() == [2, 1] and steps_row.tolist() == [2, 2]
-        if rec is not None:
-            traj = rec.trajectories(starts)
-            assert traj.to_lists() == [[1, 1, 2], [2, 2, 1]], traj.to_lists()
+        drawn = [rng.drawn() for rng in rngs]
+        assert consumed.tolist() == [0] + [4] * (R - 1), consumed
+        assert drawn == [0, 1] + [4] * (R - 2), drawn
+        assert settled.tolist() == [[0, 2], [2, 1]] + [w[2] for w in walks]
+        assert steps.tolist() == [[0, 0]] + [[2, 2]] * (R - 1), steps
+        if rec:
+            traj = [sk.trajectories(row).to_lists() for sk, row in zip(sinks, starts)]
+            assert traj == [[[0], [2]], [[1, 2], [2, 2, 1]]] + [
+                w[3] for w in walks
+            ], traj
 
     out = np.empty(3, dtype=np.int64)
     out[0] = 0

@@ -104,6 +104,12 @@ def load() -> SimpleNamespace:
     def pe(a):  # int32 events; None is NULL, a loop that does not record
         return ffi.NULL if a is None else from_buffer("int[]", a)
 
+    def pp(a):  # uintp addresses
+        return from_buffer("uintptr_t[]", a)
+
+    def opt(view, a):  # None is NULL
+        return ffi.NULL if a is None else view(a)
+
     cast = ffi.cast
 
     def prefix_bitgen(buf, rest=None):
@@ -137,12 +143,15 @@ def load() -> SimpleNamespace:
                 pi(best), pi(touched), pi(winners),
             )
         ),
-        # `bitgen` is the address of a bitgen_t: numpy's or a prefix one
-        finish_seq=lambda indptr, indices, occ, starts, steps_row, settled_row,
-        bitgen, state, m, lazy, budget, ev, cap: lib.repro_finish_seq(
-            pi(indptr), pi(indices), pu(occ), pi(starts), pi(steps_row),
-            pi(settled_row), cast("bitgen_t *", bitgen), pi(state), m, lazy,
-            budget, pe(ev), cap,
+        # `bitgens` holds each row's bitgen_t address (numpy's or a prefix
+        # one), `evs` each row's sink address (None: no recording)
+        finish_seq=lambda indptr, indices, occ, starts, steps, settled,
+        bitgens, state, R, n, m, lazy, budget, evs, caps, which: (
+            lib.repro_finish_seq(
+                pi(indptr), pi(indices), pu(occ), pi(starts), pi(steps),
+                pi(settled), pp(bitgens), pi(state), R, n, m, lazy, budget,
+                opt(pp, evs), opt(pi, caps), pi(which),
+            )
         ),
         finish_par1=lambda indptr, indices, occ, buf, nbuf, state, lazy,
         guard, budget: lib.repro_finish_par1(

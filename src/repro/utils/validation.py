@@ -7,6 +7,7 @@ Hot loops never call these; they guard public API boundaries only, per the
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -78,10 +79,16 @@ def check_limit(name: str, value) -> float:
 
     NaN raises ``ValueError``: ``t > nan`` is always false, so a NaN cap
     would silently disable the limit.  Infinite and negative caps are
-    accepted (never exceeded / exceeded at the first step).
+    accepted (never exceeded / exceeded at the first step).  A string, a
+    boolean or any other non-real value raises ``TypeError``: ``float``
+    would parse ``"50"`` and read ``True`` as a cap of 1.
     """
     if value is None:
         return float("inf")
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(
+            f"{name} must be a real number or None, got {type(value).__name__}"
+        )
     budget = float(value)
     if math.isnan(budget):
         raise ValueError(f"{name} must not be NaN, got {value!r}")

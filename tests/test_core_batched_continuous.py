@@ -325,6 +325,55 @@ def test_nan_limit_rejected_before_any_repetition(process, batched, monkeypatch)
     assert np.array_equal(est.samples, ref.samples)
 
 
+#: Caps that ``float`` would have accepted: strings it parses, booleans
+#: it reads as 0 or 1, and a value that is not a real number at all.
+BAD_LIMITS = ["50", "1e9", True, False, np.bool_(True), 1j]
+
+
+@pytest.mark.parametrize("bad", BAD_LIMITS, ids=repr)
+@pytest.mark.parametrize("process", sorted(LIMITS))
+def test_non_real_limit_rejected_before_any_repetition(process, bad, monkeypatch):
+    """``max_total_steps="50"``, ``max_ticks="1e9"`` and
+    ``max_rounds="1e9"`` used to run, and ``max_ticks=True`` acted as a
+    cap of 1; every path now raises ``TypeError`` before a repetition
+    runs: the serial oracle, the per-repetition route and lock-step (an
+    explicit ``tail_threshold`` where the driver has one)."""
+    from repro.core.route import route_kernels, run_reps
+
+    g = cycle_graph(16)
+    name = LIMITS[process]
+    lockstep = {"tail_threshold": 0} if process != "uniform" else {}
+    finished = []
+    for registry in (PROCESS_DRIVERS, BATCHED_DRIVERS):
+        fn = registry[process]
+
+        def tracked(*args, _fn=fn, **kwargs):
+            out = _fn(*args, **kwargs)
+            finished.append(out)
+            return out
+
+        monkeypatch.setitem(registry, process, functools.wraps(fn)(tracked))
+    calls = [
+        lambda: PROCESS_DRIVERS[process](g, 0, seed=0, **{name: bad}),
+        lambda: BATCHED_DRIVERS[process](
+            g, reps=4, seed=0, kernels="numpy", **lockstep, **{name: bad}
+        ),
+    ]
+    calls += [
+        lambda batched=batched, reps=reps: estimate_dispersion(
+            g, process, reps=reps, seed=0, batched=batched, **{name: bad}
+        )
+        for batched in (False, True, "auto")
+        for reps in (2, 64)
+    ]
+    if route_kernels(process, g, {}) is not None:
+        calls.append(lambda: run_reps(process, g, [0, 1], kernels=None, **{name: bad}))
+    for call in calls:
+        with pytest.raises(TypeError, match=f"{name} must be a real number"):
+            call()
+    assert finished == []
+
+
 # ----------------------------------------------------------------------
 # shared settlement helpers
 # ----------------------------------------------------------------------

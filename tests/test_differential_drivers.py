@@ -474,9 +474,9 @@ def test_sequential_per_rep_route_matches_serial_oracle(
     )
     assert np.array_equal(est.samples, serial.samples)
     assert np.array_equal(est.total_samples, serial.total_samples)
-    # the route: no lock-step tick at all, one compiled call per repetition
+    # the route: no lock-step tick at all, one compiled call per shard
     assert route_calls == dict.fromkeys(route_calls, 0) | {
-        "finish_sequential": reps
+        "finish_sequential": 1
     }
 
     seeds = spawn_seed_sequences(PARENT_SEED, reps)
@@ -819,7 +819,8 @@ def test_recorded_per_rep_route_matches_serial_oracle(
 ):
     """``record=True`` takes the per-repetition route with a compiled
     provider, through ``run_reps`` and auto dispatch alike: one compiled
-    loop per walking repetition, no lock-step round, and trajectories
+    loop per walking repetition (per shard for the sequential pair), no
+    lock-step round, and trajectories
     equal to the serial oracle's, in its shape and through either reader
     (``to_lists()`` or the buffers and row views).  A one-event sink
     (one round for Parallel) makes every loop re-enter after "sink
@@ -835,7 +836,8 @@ def test_recorded_per_rep_route_matches_serial_oracle(
         PROCESS_DRIVERS[process](GRAPH, origin, seed=s, record=True, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, REPS)
     ]
-    walking = sum(1 for r in oracle if r.total_steps > 0)
+    # one call per shard for the sequential pair, else per walking rep
+    calls = 1 if process in SEQ_ROUTE else sum(r.total_steps > 0 for r in oracle)
     # the serial oracle steps through the compiled csr_step: count from here
     route_calls.update(dict.fromkeys(route_calls, 0))
     batch = route.run_reps(
@@ -843,7 +845,7 @@ def test_recorded_per_rep_route_matches_serial_oracle(
         record=True, kernels=kernels, state_budget=budget, **kwargs,
     )
     assert route_calls == dict.fromkeys(route_calls, 0) | {
-        ROUTE_LOOP[process]: walking
+        ROUTE_LOOP[process]: calls
     }
     for s, b in zip(oracle, batch):
         assert_result_identical(s, b, EXTRAS.get(process, ()))
@@ -854,7 +856,7 @@ def test_recorded_per_rep_route_matches_serial_oracle(
         GRAPH, process, origin=origin, reps=REPS, seed=PARENT_SEED,
         record=True, kernels=kernels, state_budget=budget, **kwargs,
     )
-    assert route_calls[ROUTE_LOOP[process]] == 2 * walking
+    assert route_calls[ROUTE_LOOP[process]] == 2 * calls
     assert est.trajectories == [r.trajectories for r in oracle]
     for traj, s in zip(est.trajectories, oracle):
         same_rows(traj, s.trajectories, view)

@@ -25,6 +25,10 @@ layer's own contracts:
   family (across Parallel's wide -> narrow draw switch), the generator
   position they leave behind, c-sequential's durations after the
   sequential loop, and the lock-step sequential tail's prefix handoff;
+* the Sequential-IDLA loop's lanes (several repetitions in flight per
+  call): 1-65 repetitions, repetitions done at time 0 beside walking
+  ones, a budget excess past the first lane, one-event sinks that make
+  every lane re-enter, and the refusal of one generator for two rows;
 * recording: every per-repetition loop at tiny event sinks against the
   serial trajectories, and the sink's grouping pass;
 * the build cache keyed on the whole compile command;
@@ -49,6 +53,7 @@ import repro.kernels as kernels_mod
 from repro.core.batched import batched_sequential_idla
 from repro.core.route import _skip_log_table, run_reps
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
+from repro.core.origins import resolve_origins
 from repro.core.parallel import parallel_idla
 from repro.core.sequential import sequential_idla
 from repro.core.uniform import uniform_idla
@@ -494,8 +499,8 @@ def test_sequential_loop_matches_serial_on_every_bit_generator(
 ):
     """The loop draws one double per step from each bit generator's
     ``next_double`` in C: the samples and trajectories must still be
-    ``sequential_idla``'s, for every BitGenerator family.  An unrecorded
-    repetition is one compiled call."""
+    ``sequential_idla``'s, for every BitGenerator family.  Unrecorded,
+    the whole shard is one compiled call."""
     kwargs = {"lazy": lazy, "record": record}
     ref = [sequential_idla(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
     ks = get_kernels(provider)
@@ -511,7 +516,7 @@ def test_sequential_loop_matches_serial_on_every_bit_generator(
         "sequential", g, _generators(family), 0, kernels=provider, **kwargs
     )
     if not record:
-        assert len(calls) == len(ref)
+        assert len(calls) == 1
     for s, b in zip(ref, got):
         assert s.dispersion_time == b.dispersion_time
         assert s.total_steps == b.total_steps
@@ -599,6 +604,158 @@ def test_lockstep_sequential_tail_hands_its_row_prefix_to_the_loop(
         assert gen.random() == ref_gen.random()
 
 
+# ---------------------------------------------------------------------------
+# the Sequential-IDLA lane loop: several repetitions in flight per call
+
+
+def _count_sequential_calls(ks, monkeypatch) -> list:
+    calls = []
+    inner = ks._impl.finish_seq
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(ks._impl, "finish_seq", counted)
+    return calls
+
+
+def _assert_sequential_identical(ref, got):
+    assert len(ref) == len(got)
+    for s, b in zip(ref, got):
+        assert s.dispersion_time == b.dispersion_time
+        assert s.total_steps == b.total_steps
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+        assert b.trajectories == s.trajectories
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("reps", [1, 3, 4, 5, 63, 64, 65])
+def test_sequential_lanes_match_serial_at_every_fill(provider, reps, monkeypatch):
+    """Fewer repetitions than lanes, a whole number of lanes and one
+    past it: one compiled call runs the shard, every row equals the
+    serial oracle, and each generator ends right after its last
+    double."""
+    g = grid_graph(3, 4)
+    calls = _count_sequential_calls(get_kernels(provider), monkeypatch)
+    seeds = spawn_seed_sequences(11, reps)
+    ref = [sequential_idla(g, 0, seed=s) for s in seeds]
+    gens = [as_generator(s) for s in seeds]
+    got = run_reps("sequential", g, gens, 0, kernels=provider)
+    assert len(calls) == 1
+    _assert_sequential_identical(ref, got)
+    for res, gen, s in zip(got, gens, seeds):
+        twin = as_generator(s)
+        twin.random(res.total_steps)
+        assert gen.random() == twin.random()
+
+
+#: Requests whose repetitions settle every particle at time 0: one
+#: particle, distinct explicit origins, or (cycle-4, three uniform
+#: origins) a mix of such repetitions and walking ones.
+DONE_AT_ZERO = {
+    "one-particle": (grid_graph(3, 4), 0, {"num_particles": 1}),
+    "distinct-origins": (
+        grid_graph(3, 4), [0, 5, 11], {"num_particles": 3}
+    ),
+    "mixed": (cycle_graph(4), "uniform", {"num_particles": 3}),
+    "mixed-lazy": (cycle_graph(4), "uniform", {"num_particles": 3, "lazy": True}),
+}
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("case", sorted(DONE_AT_ZERO))
+def test_sequential_lanes_skip_repetitions_done_at_time_zero(provider, case):
+    """Repetitions done at time 0 take no lane and draw nothing; those
+    that walk beside them still equal the serial oracle."""
+    g, origin, kwargs = DONE_AT_ZERO[case]
+    seeds = spawn_seed_sequences(3, 24)
+    ref = [sequential_idla(g, origin, seed=s, **kwargs) for s in seeds]
+    if case.startswith("mixed"):
+        walks = {res.total_steps > 0 for res in ref}
+        assert walks == {False, True}, "the seeds no longer mix the two"
+    gens = [as_generator(s) for s in seeds]
+    got = run_reps("sequential", g, gens, origin, kernels=provider, **kwargs)
+    _assert_sequential_identical(ref, got)
+    for res, gen, s in zip(got, gens, seeds):
+        if res.total_steps == 0:  # only the origins were drawn
+            twin = as_generator(s)
+            resolve_origins(g, origin, kwargs["num_particles"], twin)
+            assert gen.random() == twin.random()
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+def test_sequential_lane_budget_excess_raises_the_serial_message(provider, lazy):
+    """A budget that repetition 0 (lane 0) stays within but a later one
+    exceeds: the route raises the serial driver's exact message."""
+    g = grid_graph(3, 4)
+    seeds = spawn_seed_sequences(5, 6)
+    totals = [sequential_idla(g, 0, seed=s, lazy=lazy).total_steps for s in seeds]
+    budget = totals[0]
+    assert max(totals[1:]) > budget, "no later repetition exceeds the budget"
+    with pytest.raises(RuntimeError) as serial:
+        for s in seeds:
+            sequential_idla(g, 0, seed=s, lazy=lazy, max_total_steps=budget)
+    with pytest.raises(RuntimeError) as routed:
+        run_reps(
+            "sequential", g, seeds, 0, kernels=provider, lazy=lazy,
+            max_total_steps=budget,
+        )
+    assert str(routed.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+def test_sequential_lanes_reenter_on_every_full_sink(
+    provider, family, lazy, monkeypatch
+):
+    """One-event sinks fill at every step of every lane: each "sink full"
+    return hands back one row, and the re-entered loop resumes every lane
+    exactly (nine repetitions: the lanes are refilled, then run partly
+    empty)."""
+    monkeypatch.setattr(kernels_mod, "_SINK_EVENTS", 1)
+    g = star_graph(7)
+    ref = [
+        sequential_idla(g, 0, seed=gen, lazy=lazy, record=True)
+        for gen in _generators(family, 9)
+    ]
+    got = run_reps(
+        "sequential", g, _generators(family, 9), 0, kernels=provider,
+        lazy=lazy, record=True,
+    )
+    _assert_sequential_identical(ref, got)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_sequential_loop_rejects_one_generator_for_two_rows(provider):
+    """Rows sharing a bit generator would take its lock twice and
+    interleave its draws, so the wrapper refuses them before any draw,
+    whether one Generator is passed twice or two wrap one BitGenerator."""
+    ks = get_kernels(provider)
+    g = cycle_graph(5)
+    indptr, indices = csr_arrays(g)
+    shared = np.random.PCG64(0)
+    for rngs in (
+        [as_generator(0)] * 2,
+        [np.random.Generator(shared), np.random.Generator(shared)],
+    ):
+        with pytest.raises(ValueError, match="finish_sequential: a generator"):
+            ks.finish_sequential(
+                indptr, indices, np.zeros(10, dtype=bool),
+                np.zeros((2, 5), dtype=np.int64), rngs, walker=0, lazy=False,
+                budget=float("inf"), limit_msg="limit",
+                steps=np.zeros((2, 5), dtype=np.int64),
+                settled=np.full((2, 5), -1, dtype=np.int64),
+            )
+        assert rngs[0].random() == as_generator(0).random()  # nothing drawn
+    gen = as_generator(0)
+    with pytest.raises(ValueError, match="finish_sequential: a generator"):
+        run_reps("sequential", g, [gen, gen], 0, kernels=provider)
+
+
 @pytest.mark.parametrize("provider", COMPILED)
 def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
     """The loop writes through raw pointers: a row of another dtype or a
@@ -653,11 +810,10 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
 
 def _sequential_call(ks, indptr, indices, rng, rows):
     return ks.finish_sequential(
-        indptr, indices, rows["occ_row"], rows["starts"], rng,
-        prefix=rows.get("prefix"), walker=rows["walker"], pos=rows["pos"],
-        pstep=0, total=0,
+        indptr, indices, rows["occ_row"], rows["starts"][None], [rng],
+        prefixes=[rows.get("prefix")], walker=rows["walker"], pos=rows["pos"],
         lazy=False, budget=float("inf"), limit_msg="limit",
-        steps_row=rows["steps_row"], settled_row=rows["settled_row"],
+        steps=rows["steps_row"][None], settled=rows["settled_row"][None],
     )
 
 
@@ -704,7 +860,7 @@ BLOCK_LOOPS = {
             {"occ_row": np.array([1, 0, 0, 0], dtype=bool)},
             {"starts": np.array([0, 0, 0, 0, 5], dtype=np.int64)},
             {"starts": np.array([0, -1, 0, 0, 0], dtype=np.int64)},
-            {"walker": 5},
+            {"walker": 6},
             {"walker": -1},
             {"pos": 5},
             {"pos": -1},

@@ -10,6 +10,7 @@ from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_fraction,
     check_index,
+    check_limit,
     check_nonnegative,
     check_positive,
     check_probability_vector,
@@ -25,6 +26,35 @@ class TestCheckPositive:
     def test_rejects(self, bad):
         with pytest.raises(ValueError, match="x must be > 0"):
             check_positive("x", bad)
+
+
+class TestCheckLimit:
+    @pytest.mark.parametrize(
+        "value,budget",
+        [
+            (None, float("inf")),
+            (50, 50.0),
+            (np.int64(50), 50.0),
+            (2.5, 2.5),
+            (np.float32(2.5), 2.5),
+            (float("inf"), float("inf")),
+            (-1, -1.0),
+        ],
+    )
+    def test_accepts_real_caps_and_none(self, value, budget):
+        assert check_limit("cap", value) == budget
+
+    @pytest.mark.parametrize(
+        "bad", ["50", "1e9", b"50", True, False, np.bool_(True), 1j, [50]],
+        ids=repr,
+    )
+    def test_rejects_strings_booleans_and_non_reals(self, bad):
+        with pytest.raises(TypeError, match="cap must be a real number or None"):
+            check_limit("cap", bad)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="cap must not be NaN"):
+            check_limit("cap", float("nan"))
 
 
 class TestCheckNonnegative:
