@@ -35,10 +35,11 @@ order, making every result field bit-identical::
 
 and likewise for ``batched_uniform_idla`` (default scheduler mode) and
 ``batched_continuous_sequential_idla`` — enforced by
-``tests/test_core_batched_continuous.py``.  Time-0 settlement and the
-scheduler's swap-remove pool go through the shared helpers in
-:mod:`repro.core.settlement` so both execution modes resolve them
-identically by construction.
+``tests/test_core_batched_continuous.py``.  Time-0 settlement is the
+serial drivers' in-order pass (:func:`repro.core.settlement
+.settle_vacant_starts_inorder`), resolved for every repetition in one
+numpy pass and pinned against that helper, and the scheduler's pool rows
+swap-remove as :class:`repro.core.settlement.UnsettledPool` does.
 
 ``record=True`` routes each tick's ``(repetition, particle, vertex)``
 into the chunked :class:`repro.core.trajectory.TrajectoryStore` (one
@@ -68,7 +69,6 @@ from repro.core.budget import plan_state
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
-from repro.core.settlement import settle_vacant_starts_inorder
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import get_kernels
@@ -122,34 +122,38 @@ def stream_block(process: str, reps: int, num_particles: int | None = None) -> i
 
 
 def _init_lanes(g, origin, m, gens):
-    """Each repetition's starts, then its time-0 settlement via the
-    shared in-order helper: the flat per-particle rows, each settle order
-    so far, each pool row in ``unsflat``, and the live lanes (repetitions
-    with unsettled particles) with their pool sizes."""
+    """Each repetition's starts, then the time-0 settlement of every
+    repetition in one numpy pass: the flat per-particle rows, each settle
+    order so far, each pool row in ``unsflat``, and the live lanes
+    (repetitions with unsettled particles) with their pool sizes.
+
+    The settlement is :func:`~repro.core.settlement
+    .settle_vacant_starts_inorder`'s, per repetition: the first particle
+    on each start vertex settles there, and both the settle order and
+    the pool of the rest are ascending.  Origins are resolved one
+    repetition at a time, in order, because they may draw."""
     n, R = g.n, len(gens)
     starts2d = np.empty((R, m), dtype=np.int64)
-    occ = np.zeros(R * n, dtype=bool)
-    stepsflat = np.zeros(R * m, dtype=np.int64)
-    settledflat = np.full(R * m, -1, dtype=np.int64)
-    orders: list[list[int]] = [[] for _ in range(R)]
-    unsflat = np.empty(R * m, dtype=np.int64)
-    lanes_list, k_list = [], []
     for r, gen in enumerate(gens):
         starts2d[r] = resolve_origins(g, origin, m, gen)
-        uns = settle_vacant_starts_inorder(
-            occ[r * n : (r + 1) * n],
-            starts2d[r],
-            settledflat[r * m : (r + 1) * m],
-            orders[r],
-        )
-        if uns:
-            unsflat[r * m : r * m + len(uns)] = uns
-            lanes_list.append(r)
-            k_list.append(len(uns))
+    # one cell per (repetition, vertex); np.unique's index is the first
+    # particle standing on each
+    cells = (np.arange(R, dtype=np.int64)[:, None] * n + starts2d).reshape(-1)
+    first = np.zeros(R * m, dtype=bool)
+    first[np.unique(cells, return_index=True)[1]] = True
+    occ = np.zeros(R * n, dtype=bool)
+    occ[cells[first]] = True
+    settledflat = np.where(first, starts2d.reshape(-1), -1)
+    first = first.reshape(R, m)
+    orders: list[list[int]] = [np.flatnonzero(row).tolist() for row in first]
+    # unsettled particles first, each group ascending
+    unsflat = np.argsort(first, axis=1, kind="stable").reshape(-1)
+    ks = m - first.sum(axis=1)
+    lanes_list = np.flatnonzero(ks).tolist()
     posflat = starts2d.reshape(-1).copy()
     return (
-        starts2d, occ, posflat, stepsflat, settledflat, orders, unsflat,
-        lanes_list, k_list,
+        starts2d, occ, posflat, np.zeros(R * m, dtype=np.int64), settledflat,
+        orders, unsflat, lanes_list, ks[lanes_list].tolist(),
     )
 
 

@@ -47,8 +47,7 @@ __all__ = ["ctu_idla", "continuous_sequential_idla"]
 
 #: Fetch-block size of :func:`ctu_idla`'s :class:`UniformStream` (its
 #: default).  Like ``repro.core.uniform._BLOCK`` it never influences a
-#: result; it is a module constant so tests can vary it, and so the
-#: compiled per-repetition loop fetches on the same grid.
+#: result; it is a module constant so tests can vary it.
 _BLOCK = 16384
 
 

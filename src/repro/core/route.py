@@ -14,16 +14,15 @@ chain or the time-0 settlement), then its compiled loop, in its serial
 driver's draw order: one ``CompiledKernels.finish_*`` call per
 repetition, except that Sequential-IDLA (and so c-sequential) makes one
 ``finish_sequential`` call per shard, which keeps ``REPRO_LANES``
-repetitions in flight so the CPU overlaps their dependent steps.
-``finish_parallel`` and ``finish_sequential`` draw each double from the
-repetition's ``bitgen_t`` inside C, so the generator ends right after
-the last double consumed (the serial oracle and the lock-step body may
-leave it further on); c-sequential then draws up to the serial
-driver's block grid before its Gamma durations.  Only the tick loops
-(Uniform, CTU) are still fed by buffer: they fetch whole blocks of their
-serial driver's size through a :class:`~repro.utils.rng.UniformStream`,
-so each generator ends where the serial driver leaves it, and their
-logarithms come from numpy, never from libm.  The results
+repetitions in flight so the CPU overlaps their dependent steps.  Every
+loop draws each double from the repetition's ``bitgen_t`` inside C, so
+the generator ends right after the last double consumed (the serial
+oracle and the lock-step body may leave it further on); c-sequential
+then draws up to the serial driver's block grid before its Gamma
+durations.  The tick loops (Uniform, CTU) take no logarithm in C: the
+doubles the serial driver takes ``log1p(-u)`` of go to a lane that the
+wrapper folds with numpy's ``log1p``, as the serial driver's
+:class:`~repro.utils.rng.UniformStream` does.  The results
 are assembled by the lock-step drivers' own helpers, bit-identical to
 the serial oracle.  ``record`` hands each repetition an event sink
 (:meth:`~repro.kernels.CompiledKernels.event_sink`), whose events become
@@ -36,9 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import continuous as _ctu_mod
 from repro.core import sequential as _seq_mod
-from repro.core import uniform as _uniform_mod
 from repro.core.batched import (
     _parallel_checks,
     _parallel_prelude,
@@ -56,7 +53,7 @@ from repro.core.batched_continuous import (
 from repro.core.results import DispersionResult
 from repro.core.stopping_rules import standard_rule
 from repro.kernels import KernelsUnavailableError, csr_arrays, get_kernels
-from repro.utils.rng import UniformStream, as_generator
+from repro.utils.rng import as_generator
 from repro.utils.validation import check_limit, check_positive_finite, check_record
 
 __all__ = ["route_kernels", "run_reps"]
@@ -216,8 +213,7 @@ def _uniform(g, gens, origin, kern, record, *, num_particles=None, max_ticks=Non
             norder, orders[r] = len(orders[r]), _order_row(orders[r], m)
             ticks[r] = kern.finish_uniform(
                 indptr, indices, occ[r * n : (r + 1) * n], pool[row], pos[row],
-                steps[row], settled[row], orders[r],
-                UniformStream(gen, block=_uniform_mod._BLOCK), k=k_of[r],
+                steps[row], settled[row], orders[r], gen, k=k_of[r],
                 norder=norder, logq=logq, budget=budget, limit_msg=limit_msg,
                 sink=sink,
             )
@@ -241,9 +237,8 @@ def _ctu(g, gens, origin, kern, record, *, rate=1.0, num_particles=None):
             norder, orders[r] = len(orders[r]), _order_row(orders[r], m)
             clock[r] = kern.finish_ctu(
                 indptr, indices, occ[r * n : (r + 1) * n], pool[row], pos[row],
-                steps[row], settled[row], settle_clock[row], orders[r],
-                UniformStream(gen, block=_ctu_mod._BLOCK), k=k_of[r],
-                norder=norder, rate=rate, sink=sink,
+                steps[row], settled[row], settle_clock[row], orders[r], gen,
+                k=k_of[r], norder=norder, rate=rate, sink=sink,
             )
         traj.append(_trajectories(sink, starts[r]))
     return _ctu_results(

@@ -37,6 +37,7 @@ resolution, not mid-run.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import shlex
 import threading
@@ -71,6 +72,35 @@ _F64 = np.dtype(np.float64)
 #: Events an :class:`EventSink` buffer holds before a recording loop
 #: returns "sink full" (a Parallel-IDLA sink holds at least one round).
 _SINK_EVENTS = 1 << 15
+
+#: Doubles a tick loop's log lane holds (CTU: one per tick, Uniform: one
+#: per geometric skip) before the loop returns "lane full" and the
+#: wrapper takes their logarithms with numpy.  No result depends on it.
+#: Each re-entry costs a compiled call and a fold: on a 2-core x86-64 VM
+#: (best of 30 interleaved runs of 16-repetition estimates on cycle-64 and
+#: grid-10x10, ~8-23k ticks a repetition), lanes of 4096 took ~10% longer
+#: than lanes of 16384 or 65536, which measured alike.
+_LANE = 1 << 14
+
+
+#: The name numpy gives the capsule of a BitGenerator's ``bitgen_t``.
+_CAPSULE = b"BitGenerator"
+
+# with prototypes of their own: the shared ctypes.pythonapi functions
+# are left as other code may have set them
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+_capsule_new = ctypes.PYFUNCTYPE(
+    ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
+)(("PyCapsule_New", ctypes.pythonapi))
+
+
+def _bitgen_address(bit_generator) -> int:
+    """Address of a numpy BitGenerator's ``bitgen_t``, read from its
+    ``capsule``: ~1 us a generator, where ``bit_generator.ctypes``
+    builds several ctypes objects for each new one (~10 us)."""
+    return _capsule_pointer(bit_generator.capsule, _CAPSULE)
 
 
 class KernelsUnavailableError(ValueError):
@@ -289,18 +319,20 @@ class EventSink:
 class CompiledKernels(KernelSet):
     """Wrapper over the low-level provider namespace (:mod:`cffi_impl`).
 
-    The tick loops and the walk loops speak a shared buffer protocol:
-    they consume uniforms from the array they were handed and return
-    ``0`` when it runs dry, whereupon the wrapper fetches the next block
-    from the stream object (``UniformStream.take_block`` for the tick
-    loops and the parallel straggler loop, the raw generator for the
-    single-walker loops) — the exact fetch cadence of the serial scalar
-    loops, so generator positions stay where the serial drivers leave
-    them.  The Sequential- and Parallel-IDLA loops
-    (:meth:`finish_sequential`, :meth:`finish_parallel`) instead draw
-    from the generator's ``bitgen_t`` inside C: unless an event sink
-    fills, one call per Parallel-IDLA repetition, and one per shard of
-    Sequential-IDLA repetitions, ``REPRO_LANES`` of them interleaved.
+    The walk loops speak a buffer protocol: they consume uniforms from
+    the array they were handed and return ``0`` when it runs dry,
+    whereupon the wrapper fetches the next block from the stream object
+    (``UniformStream.take_block`` for the parallel straggler loop, the
+    raw generator for the single-walker loops) — the exact fetch cadence
+    of the serial scalar loops, so generator positions stay where the
+    serial drivers leave them.  The four per-repetition loops
+    (:meth:`finish_sequential`, :meth:`finish_parallel`,
+    :meth:`finish_ctu`, :meth:`finish_uniform`) instead draw from the
+    generator's ``bitgen_t`` inside C (:meth:`_draw`): unless an event
+    sink fills, one call per Parallel-IDLA repetition, and one per shard
+    of Sequential-IDLA repetitions, ``REPRO_LANES`` of them interleaved.
+    The tick loops also return when their log lane fills; the wrapper
+    takes its logarithms with numpy (:meth:`_ticks`) and re-enters.
 
     The per-repetition loops take an optional event sink per repetition
     (:meth:`event_sink`) that records its trajectories.
@@ -370,30 +402,6 @@ class CompiledKernels(KernelSet):
         # the room of the buffer actually passed, so C never writes past it
         return (None, 0) if sink is None else (sink.buf, sink.buf.shape[0] // 2)
 
-    @staticmethod
-    def _feed(run, stream, state, sink, *, cursor, events, limit_msg=None):
-        """Drive a block-fed tick loop to completion: ``run(buf, lg)``
-        enters it once and returns 1 done, 0 buffer dry (next block,
-        behind the unconsumed tail, with its numpy log lane ``lg``), 2 sink
-        full (sealed) or < 0 over budget."""
-        buf = _f64(stream.take_block())
-        lg = np.log1p(-buf)
-        while True:
-            status = run(buf, lg)
-            if status == 2:
-                sink.seal(int(state[events]))
-                state[events] = 0
-                continue
-            if status == 1:
-                if sink is not None:
-                    sink.seal(int(state[events]), reopen=False)
-                return
-            if status < 0:
-                raise RuntimeError(limit_msg)
-            buf = np.concatenate((buf[state[cursor] :], stream.take_block()))
-            lg = np.log1p(-buf)
-            state[cursor] = 0
-
     def _draw(self, run, rngs, state, sinks, *, events, prefixes=None):
         """Drive a loop that draws from the bit generators of ``rngs``,
         one per row of ``state``, holding every generator's lock, and
@@ -411,7 +419,7 @@ class CompiledKernels(KernelSet):
             for r, rng in enumerate(rngs):
                 bitgen = rng.bit_generator
                 held.enter_context(bitgen.lock)
-                address = bitgen.ctypes.bit_generator.value
+                address = _bitgen_address(bitgen)
                 prefix = None if prefixes is None else prefixes[r]
                 if prefix is not None and prefix.shape[0]:
                     fronts.append(self._impl.prefix_bitgen(prefix, address))
@@ -535,39 +543,80 @@ class CompiledKernels(KernelSet):
     # ---- per-repetition tick-process loops ---------------------------
     # One whole repetition of CTU-/Uniform-IDLA per call, from its time-0
     # state: pool[:k] the unsettled particles, order[:norder] the settle
-    # order so far; the row arrays are updated in place.  Each buffer
-    # comes with its numpy log lane, and the unconsumed tail of a buffer
-    # (at most 2 doubles: the loops stop before a tick they cannot finish)
-    # is carried in front of the next block (``_feed``'s ``carry``), so
-    # whole blocks are fetched exactly when the serial driver's
-    # UniformStream fetches them.
+    # order so far; the row arrays are updated in place.  The loop draws
+    # every double from the generator in C and writes the ones the serial
+    # driver takes log1p(-u) of to a lane of _LANE slots, with their
+    # divisors; each fold takes the lane's logarithms with numpy's log1p,
+    # as the serial driver's UniformStream does, and empties it.
+    def _ticks(self, run, fold, rng, state, sink, *, events):
+        """Drive a tick loop to completion under ``rng``'s lock and
+        return its final status: ``run(address)`` enters it once; every
+        status but 2 ("sink full", handled by :meth:`_draw`) folds the
+        lane through ``fold(status)``, which returns the status to act
+        on, and 3 ("lane full") then re-enters."""
+
+        def enter(addresses):
+            while True:
+                status = run(addresses[0])
+                if status == 2:
+                    return status, 0
+                status = fold(status)
+                if status != 3:
+                    return status, 0
+
+        sinks = None if sink is None else [sink]
+        return self._draw(enter, [rng], state, sinks, events=events)
+
     def finish_ctu(
         self, indptr, indices, occ_row, pool, pos_row, steps_row,
-        settled_row, clock_row, order, stream, *, k, norder, rate,
-        sink=None,
+        settled_row, clock_row, order, rng, *, k, norder, rate, sink=None,
     ) -> float:
         """Compiled :func:`repro.core.continuous.ctu_idla` tick loop;
-        returns the repetition's final clock.  With ``sink``, every tick
-        is recorded into it."""
+        returns the repetition's final clock.
+
+        The loop draws 3 doubles a tick from ``rng``'s bit generator, in
+        the serial order, so the samples are the serial ones and the
+        generator ends right after the last double consumed.  With
+        ``sink``, every tick is recorded into it."""
         occ = _tick_occ(
             "finish_ctu", indptr, occ_row, pool,
             (pos_row, steps_row, settled_row), clock_row, order, k, norder,
         )
-        state = np.array([k, norder, 0, 0], dtype=np.int64)
-        clock = np.zeros(1, dtype=np.float64)
-        self._feed(
-            lambda buf, lg: self._impl.run_ctu(
+        state = np.array([[k, norder, 0, 0]], dtype=np.int64)
+        cap = _LANE
+        lane = np.empty(2 * cap)
+        clock, folded = 0.0, norder
+
+        def fold(status):
+            # the serial clock += -log1p(-u) / (k * rate), tick by tick,
+            # which is clock - log1p(-u) / (k * rate) bit for bit; a
+            # particle settled since the last fold holds its lane length
+            nonlocal clock, folded
+            nl, no = int(state[0, 2]), int(state[0, 1])
+            if nl:
+                acc = np.empty(nl + 1)
+                acc[0] = clock
+                np.divide(np.log1p(-lane[:nl]), lane[cap : cap + nl], out=acc[1:])
+                np.subtract.accumulate(acc, out=acc)
+                settled = order[folded:no]
+                clock_row[settled] = acc[clock_row[settled].astype(np.int64)]
+                clock, folded = float(acc[-1]), no
+                state[0, 2] = 0
+            return status
+
+        self._ticks(
+            lambda address: self._impl.run_ctu(
                 indptr, indices, occ, pool, pos_row, steps_row, settled_row,
-                clock_row, order, buf, lg, buf.shape[0], state,
-                clock, float(rate), *self._sink_args(sink),
+                clock_row, order, address, lane, cap, state, float(rate),
+                *self._sink_args(sink),
             ),
-            stream, state, sink, cursor=2, events=3,
+            fold, rng, state, sink, events=3,
         )
-        return float(clock[0])
+        return clock
 
     def finish_uniform(
         self, indptr, indices, occ_row, pool, pos_row, steps_row,
-        settled_row, order, stream, *, k, norder, logq, budget, limit_msg,
+        settled_row, order, rng, *, k, norder, logq, budget, limit_msg,
         sink=None,
     ) -> int:
         """Compiled :func:`repro.core.uniform.uniform_idla` tick loop
@@ -575,23 +624,44 @@ class CompiledKernels(KernelSet):
 
         ``logq[j]`` is ``np.log1p(-(j / pool_size))`` for
         ``j < pool_size = logq.shape[0]``, the geometric-skip divisor.
-        With ``sink``, every tick that steps is recorded into it.
+        The loop draws 2 doubles a tick, plus 1 per skip, from ``rng``'s
+        bit generator, in the serial order; it ends right after the last
+        double consumed.  A tick count past ``budget`` raises
+        ``RuntimeError(limit_msg)``, as the serial driver does.  With
+        ``sink``, every tick that steps is recorded into it.
         """
         occ = _tick_occ(
             "finish_uniform", indptr, occ_row, pool,
             (pos_row, steps_row, settled_row), None, order, k, norder,
         )
         _check_rows("finish_uniform", _F64, 0, logq)
-        state = np.array([k, norder, 0, 0, 0], dtype=np.int64)
-        self._feed(
-            lambda buf, lg: self._impl.run_uniform(
+        state = np.array([[k, norder, 0, 0, 0]], dtype=np.int64)
+        cap = _LANE
+        lane = np.empty(2 * cap)
+
+        def fold(status):
+            # the serial ticks += int(log1p(-u) / logq[k]), skip by skip;
+            # ticks only grow, so the final count exceeds the budget
+            # exactly when the serial driver raises
+            nl = int(state[0, 3])
+            if nl:
+                skips = np.log1p(-lane[:nl])
+                skips /= lane[cap : cap + nl]
+                state[0, 2] += int(skips.astype(np.int64).sum())
+                state[0, 3] = 0
+            return -1 if int(state[0, 2]) > budget else status
+
+        status = self._ticks(
+            lambda address: self._impl.run_uniform(
                 indptr, indices, occ, pool, pos_row, steps_row, settled_row,
-                order, buf, lg, buf.shape[0], logq,
-                logq.shape[0], state, budget, *self._sink_args(sink),
+                order, address, lane, cap, logq, logq.shape[0], state,
+                budget, *self._sink_args(sink),
             ),
-            stream, state, sink, cursor=3, events=4, limit_msg=limit_msg,
+            fold, rng, state, sink, events=4,
         )
-        return int(state[2])
+        if status < 0:
+            raise RuntimeError(limit_msg)
+        return int(state[0, 2])
 
     def finish_parallel(
         self, indptr, indices, occ_row, act, pos, prio, best, steps_row,
@@ -712,7 +782,7 @@ class _ArrayGenerator:
     """Generator stand-in over a fixed double sequence (self-check only).
 
     Its ``bit_generator`` has what the bit-generator loops read of
-    numpy's: a ``lock`` and the ``bitgen_t`` address, here of the C
+    numpy's: a ``lock`` and the ``bitgen_t`` capsule, here of the C
     source's prefix bit generator with nothing behind the array, whose
     ``drawn()`` counts every double the loop asked for.
     """
@@ -722,9 +792,7 @@ class _ArrayGenerator:
         self.drawn = bitgen.drawn
         self.bit_generator = SimpleNamespace(
             lock=threading.Lock(),
-            ctypes=SimpleNamespace(
-                bit_generator=SimpleNamespace(value=bitgen.address)
-            ),
+            capsule=_capsule_new(bitgen.address, _CAPSULE, None),
             _keep=bitgen,
         )
 
@@ -733,9 +801,8 @@ def _self_check(ks: CompiledKernels) -> None:
     """Exercise every kernel on the path graph P3 and assert the answers.
 
     Catches toolchain miscompiles at selection time, loudly.  The
-    block-fed inputs cross a buffer-refill boundary, and the recorded
-    runs fill their event sinks, so the resume protocols are checked
-    too.
+    recorded runs fill their event sinks, and the tick loops also run
+    with a one-slot log lane, so the resume protocols are checked too.
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
@@ -828,8 +895,8 @@ def _self_check(ks: CompiledKernels) -> None:
     )
     assert hits == 2, hits
 
-    # three particles from vertex 0, particle 0 settled at time 0; the
-    # second tick straddles the first buffer's end in both loops
+    # three particles from vertex 0, particle 0 settled at time 0: particle
+    # 2 steps to 1 and settles, particle 1 steps to 1, then on to 2
     def tick_state():
         occ = np.array([1, 0, 0], dtype=np.uint8)
         rows = [np.array(a, dtype=np.int64) for a in (
@@ -837,6 +904,13 @@ def _self_check(ks: CompiledKernels) -> None:
         )]
         return occ, rows
 
+    # CTU: 3 doubles a tick; Uniform: 2 a tick, plus a skip double on
+    # ticks 2 and 3 (skips int(log1p(-0.8) / log1p(-0.5)) = 2, then 0)
+    draws = {
+        "ctu": [0.5, 0.9, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.9],
+        "uniform": [0.9, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.9],
+    }
+    logq = np.log1p(-(np.arange(2) / 2))
     # every recorded loop below ends in the same trajectories: particle 0
     # settled at its start, particle 2 stepped once, particle 1 twice
     walked = [[0], [0, 1, 2], [0, 1]]
@@ -844,14 +918,13 @@ def _self_check(ks: CompiledKernels) -> None:
     for rec in (None, sink()):
         occ, (pool, pos, steps_row, settled_row, order) = tick_state()
         clock_row = np.zeros(3)
+        rng = _ArrayGenerator(ks, draws["ctu"])
         clock = ks.finish_ctu(
             indptr, indices, occ, pool, pos, steps_row, settled_row,
-            clock_row, order,
-            _BlockFeeder([[0.5, 0.9, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0, 0.9]]),
-            k=2, norder=1, rate=1.0, sink=rec,
+            clock_row, order, rng, k=2, norder=1, rate=1.0, sink=rec,
         )
         dt = -float(np.log1p(-0.5))
-        assert clock == dt / 2.0 + dt + dt, clock
+        assert clock == dt / 2.0 + dt + dt and rng.drawn() == 9, clock
         assert clock_row.tolist() == [0.0, clock, dt / 2.0], clock_row
         assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
         assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
@@ -859,17 +932,47 @@ def _self_check(ks: CompiledKernels) -> None:
 
     for rec in (None, sink()):
         occ, (pool, pos, steps_row, settled_row, order) = tick_state()
+        rng = _ArrayGenerator(ks, draws["uniform"])
         ticks = ks.finish_uniform(
             indptr, indices, occ, pool, pos, steps_row, settled_row, order,
-            _BlockFeeder([[0.9, 0.0, 0.8], [0.0, 0.0, 0.0, 0.0, 0.9]]),
-            k=2, norder=1, logq=np.log1p(-(np.arange(2) / 2)),
-            budget=float("inf"), limit_msg="self-check", sink=rec,
+            rng, k=2, norder=1, logq=logq, budget=float("inf"),
+            limit_msg="self-check", sink=rec,
         )
-        # skips: int(log1p(-0.8) / log1p(-0.5)) = 2, then 0
-        assert ticks == 5, ticks
+        assert ticks == 5 and rng.drawn() == 8, ticks
         assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
         assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
         assert rec is None or rec.trajectories(starts) == walked
+
+    # the same runs with a one-slot lane: before each tick that needs a
+    # slot once it is taken, the loop returns 3 ("lane full"); every
+    # return leaves the tick's log double and its divisor in the lane
+    half = float(logq[1])
+    full = {
+        "ctu": [(3, 0.5, 2.0), (3, 0.5, 1.0), (1, 0.5, 1.0)],
+        "uniform": [(3, 0.8, half), (1, 0.0, half)],
+    }
+    lane = np.empty(2)
+    for loop, seen in full.items():
+        occ, (pool, pos, steps_row, settled_row, order) = tick_state()
+        rng = _ArrayGenerator(ks, draws[loop])
+        bitgen = _bitgen_address(rng.bit_generator)
+        rows = (indptr, indices, occ, pool, pos, steps_row, settled_row)
+        if loop == "ctu":
+            state, nl = np.array([2, 1, 0, 0], dtype=np.int64), 2
+            args = (*rows, np.zeros(3), order, bitgen, lane, 1, state, 1.0)
+        else:
+            state, nl = np.array([2, 1, 0, 0, 0], dtype=np.int64), 3
+            args = (*rows, order, bitgen, lane, 1, logq, 2, state, float("inf"))
+        run = getattr(ks._impl, f"run_{loop}")
+        got = []
+        while not got or got[-1][0] == 3:
+            status = run(*args, None, 0)
+            assert state[nl] == 1, state
+            got.append((status, float(lane[0]), float(lane[1])))
+            state[nl] = 0
+        assert got == seen and rng.drawn() == len(draws[loop]), got
+        assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
+        assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
 
     # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
     # 0 -> 1, where particle 2 wins on priority; round 2 moves particle 1

@@ -2,8 +2,8 @@
 
 One translation unit, compiled with plain ``-O2 -ffp-contract=off``
 (never ``-ffast-math``: the offset computation ``(i64)(u * (double)deg)``
-and the CTU clock update must be the same IEEE double operations the
-numpy path performs, or the bit-identity contract of
+and the CTU clock divisor ``(double)k * rate`` must be the same IEEE
+double operations the numpy path performs, or the bit-identity contract of
 :mod:`repro.kernels` breaks).  The functions mirror, line for
 line, the numpy round bodies in :mod:`repro.core.batched` and the scalar
 micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
@@ -14,20 +14,24 @@ the clamped vector step, the draw order around the budget checks) is
 deliberate and pinned by ``tests/test_differential_drivers.py``.
 
 The walk loops (``repro_finish_par1``, ``repro_walk_fill``,
-``repro_walk_hit``) and the tick loops (``repro_run_ctu``,
-``repro_run_uniform``) consume uniforms from a caller-provided buffer
-and return ``0`` when it runs dry; the Python wrapper refills (see
+``repro_walk_hit``) consume uniforms from a caller-provided buffer and
+return ``0`` when it runs dry; the Python wrapper refills (see
 ``KernelSet`` in the package root) in the serial drivers' block cadence
 wherever a later consumer reads the generator, so those fetch positions
-stay on the serial grid.  ``repro_finish_seq`` and ``repro_run_parallel``
-instead draw their own doubles from numpy's ``bitgen_t``
-(``numpy/random/bitgen.h``, declared here with the same layout), one
-``next_double`` call per double, so the generator ends right after the
-last double consumed.  ``repro_finish_seq`` runs every repetition of a
-shard in one call, ``REPRO_LANES`` of them in flight round-robin, each
-with its own ``bitgen_t``, state row and event sink: the CPU overlaps
-their dependent steps, and every repetition's draws and updates stay
-those of the loop run on its own.
+stay on the serial grid.  The four per-repetition loops
+(``repro_finish_seq``, ``repro_run_parallel``, ``repro_run_ctu``,
+``repro_run_uniform``) instead draw their own doubles from numpy's
+``bitgen_t`` (``numpy/random/bitgen.h``, declared here with the same
+layout), one ``next_double`` call per double, so the generator ends
+right after the last double consumed.  The tick loops need
+``log1p(-u)`` of some doubles (CTU's clock, Uniform's geometric skip),
+which C never takes: they write those doubles to a *log lane* with their
+divisors, and the wrapper folds the lane with numpy's ``log1p`` when it
+fills (status ``3``) or the repetition ends.  ``repro_finish_seq`` runs
+every repetition of a shard in one call, ``REPRO_LANES`` of them in
+flight round-robin, each with its own ``bitgen_t``, state row and event
+sink: the CPU overlaps their dependent steps, and every repetition's
+draws and updates stay those of the loop run on its own.
 
 The four per-repetition loops (``repro_finish_seq``, ``repro_run_ctu``,
 ``repro_run_uniform``, ``repro_run_parallel``) take an optional *event
@@ -81,15 +85,13 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
                    i64 *state, double limit);
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
-                  double *sclock, i64 *order, const double *buf,
-                  const double *lg, i64 nbuf, i64 *state, double *clock,
-                  double rate, int *ev, i64 cap);
+                  double *sclock, i64 *order, bitgen_t *bg, double *lane,
+                  i64 lane_cap, i64 *state, double rate, int *ev, i64 cap);
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
-                      i64 *settled, i64 *order, const double *buf,
-                      const double *lg, i64 nbuf, const double *logq,
-                      i64 pool_size, i64 *state, double budget, int *ev,
-                      i64 cap);
+                      i64 *settled, i64 *order, bitgen_t *bg, double *lane,
+                      i64 lane_cap, const double *logq, i64 pool_size,
+                      i64 *state, double budget, int *ev, i64 cap);
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
@@ -416,91 +418,107 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
     }
 }
 
+/* The tick loops' log lane: lane[0..cap) holds the doubles whose
+ * log1p(-u) the serial driver takes, lane[cap..2cap) each one's divisor.
+ * No logarithm is taken in C (libm's log1p is not bit-identical to
+ * numpy's): the wrapper folds a full lane, or the last one, with numpy's
+ * log1p and empties it.  A loop returns 3 ("lane full") before a tick
+ * that needs a slot in a full lane. */
+
 /* One CTU-IDLA repetition (ctu_idla's tick loop), from its time-0 state:
  * pool[0..k) holds the unsettled particles (swap-remove order), order[]
- * the settle order so far.  Per tick, three doubles: the clock advance
- * -log1p(-u)/(k*rate) read from the caller's log lane `lg` (libm log1p
- * is not bit-identical to numpy's), the clamped pool slot, the clamped
- * step.  state = [k, settled-order length, cursor, events]; returns 1
- * when every particle settled, 0 before a tick whose doubles are not all
- * in the buffer (resume with the unconsumed tail in front of a new one,
- * cursor 0), 2 before a tick the event sink has no room for (resume with
- * an empty one).  With a sink, each tick records (particle, new vertex). */
+ * the settle order so far.  Per tick, three doubles from numpy's bit
+ * generator `bg`, one next_double call each, in the serial order: the
+ * clock double, written to the lane with its divisor (double)k*rate
+ * (the clock advance is -log1p(-u)/divisor), the clamped pool slot, the
+ * clamped step.  A particle that settles gets sclock[p] = the lane
+ * length after its tick's advance, which the wrapper's fold replaces
+ * with the clock.  state = [k, settled-order length, lane length,
+ * events]; returns 1 when every particle settled, 2 before a tick the
+ * event sink has no room for (resume with an empty one), 3 before a
+ * tick when the lane is full (resume with an empty one).  With a sink,
+ * each tick records (particle, new vertex). */
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
-                  double *sclock, i64 *order, const double *buf,
-                  const double *lg, i64 nbuf, i64 *state, double *clock,
-                  double rate, int *ev, i64 cap)
+                  double *sclock, i64 *order, bitgen_t *bg, double *lane,
+                  i64 lane_cap, i64 *state, double rate, int *ev, i64 cap)
 {
-    i64 k = state[0], no = state[1], i = state[2], nev = state[3];
+    i64 k = state[0], no = state[1], nl = state[2], nev = state[3];
     i64 status = 1;
-    double c = clock[0];
+    double (*next)(void *) = bg->next_double;
+    void *st = bg->state;
+    double *den = lane + lane_cap;
     while (k) {
-        if (i + 3 > nbuf) { status = 0; break; }
+        if (nl >= lane_cap) { status = 3; break; }
         if (ev && nev >= cap) { status = 2; break; }
-        c += -lg[i] / ((double)k * rate);
-        i64 s = (i64)(buf[i + 1] * (double)k);
+        lane[nl] = next(st);
+        den[nl++] = (double)k * rate;
+        i64 s = (i64)(next(st) * (double)k);
         if (s > k - 1) s = k - 1;
         i64 p = pool[s];
         i64 b = indptr[pos[p]];
         i64 d = indptr[pos[p] + 1] - b;
-        i64 off = (i64)(buf[i + 2] * (double)d);
+        i64 off = (i64)(next(st) * (double)d);
         if (off > d - 1) off = d - 1;
         i64 v = indices[b + off];
-        i += 3;
         pos[p] = v;
         steps[p] += 1;
         REPRO_EVENT(p, v);
         if (occ[v]) continue;
         occ[v] = 1;
         settled[p] = v;
-        sclock[p] = c;
+        sclock[p] = (double)nl;
         order[no++] = p;
         pool[s] = pool[--k];
     }
-    state[0] = k; state[1] = no; state[2] = i; state[3] = nev;
-    clock[0] = c;
+    state[0] = k; state[1] = no; state[2] = nl; state[3] = nev;
     return status;
 }
 
 /* One Uniform-IDLA repetition (uniform_idla's default-mode tick loop),
  * state laid out as in repro_run_ctu plus the tick count:
- * state = [k, settled-order length, ticks, cursor, events].  Per tick: the
- * budget check, then -- only while k < pool_size -- the geometric skip
- * (i64)(log1p(-u) / logq[k]) of wasted ticks and the budget check again,
- * then the clamped pool slot and the clamped step.  logq[k] is the
- * caller's numpy log1p(-k/pool_size).  Returns 1 done, 0 before a tick
- * whose 2-3 doubles are not all in the buffer, 2 before a tick the event
- * sink has no room for, -1 on budget excess.  With a sink, each tick
- * that steps records (particle, new vertex); wasted ticks record none. */
+ * state = [k, settled-order length, ticks, lane length, events].  Per
+ * tick: ticks += 1 and the budget check, then -- only while
+ * k < pool_size -- the geometric-skip double, written to the lane with
+ * its divisor logq[k] (the caller's numpy log1p(-k/pool_size)), then the
+ * clamped pool slot and the clamped step: 2-3 doubles from `bg`, one
+ * next_double call each, in the serial order.  The skips
+ * (i64)(log1p(-u)/logq[k]) are the wrapper's to add when it folds the
+ * lane, so `ticks` here is a lower bound of the serial tick count: the
+ * loop returns -1 once it exceeds the budget, and the wrapper checks the
+ * budget exactly after each fold.  Returns 1 done, 2 before a tick the
+ * event sink has no room for, 3 before a skip tick when the lane is
+ * full.  With a sink, each tick that steps records (particle, new
+ * vertex); wasted ticks record none. */
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
-                      i64 *settled, i64 *order, const double *buf,
-                      const double *lg, i64 nbuf, const double *logq,
-                      i64 pool_size, i64 *state, double budget, int *ev,
-                      i64 cap)
+                      i64 *settled, i64 *order, bitgen_t *bg, double *lane,
+                      i64 lane_cap, const double *logq, i64 pool_size,
+                      i64 *state, double budget, int *ev, i64 cap)
 {
-    i64 k = state[0], no = state[1], t = state[2], i = state[3];
+    i64 k = state[0], no = state[1], t = state[2], nl = state[3];
     i64 nev = state[4], status = 1;
+    double (*next)(void *) = bg->next_double;
+    void *st = bg->state;
+    double *div = lane + lane_cap;
     while (k) {
         i64 skip = k < pool_size;
-        if (i + 2 + skip > nbuf) { status = 0; break; }
+        if (skip && nl >= lane_cap) { status = 3; break; }
         if (ev && nev >= cap) { status = 2; break; }
         t += 1;
         if ((double)t > budget) { status = -1; break; }
         if (skip) {
-            t += (i64)(lg[i++] / logq[k]);
-            if ((double)t > budget) { status = -1; break; }
+            lane[nl] = next(st);
+            div[nl++] = logq[k];
         }
-        i64 s = (i64)(buf[i] * (double)k);
+        i64 s = (i64)(next(st) * (double)k);
         if (s > k - 1) s = k - 1;
         i64 p = pool[s];
         i64 b = indptr[pos[p]];
         i64 d = indptr[pos[p] + 1] - b;
-        i64 off = (i64)(buf[i + 1] * (double)d);
+        i64 off = (i64)(next(st) * (double)d);
         if (off > d - 1) off = d - 1;
         i64 v = indices[b + off];
-        i += 2;
         pos[p] = v;
         steps[p] += 1;
         REPRO_EVENT(p, v);
@@ -510,7 +528,7 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         order[no++] = p;
         pool[s] = pool[--k];
     }
-    state[0] = k; state[1] = no; state[2] = t; state[3] = i; state[4] = nev;
+    state[0] = k; state[1] = no; state[2] = t; state[3] = nl; state[4] = nev;
     return status;
 }
 

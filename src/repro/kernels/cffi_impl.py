@@ -170,21 +170,23 @@ def load() -> SimpleNamespace:
                 pi(state), limit,
             )
         ),
+        # `bitgen` is the address of a bitgen_t (numpy's or a prefix one);
+        # `lane` holds 2 * lane_cap doubles
         run_ctu=lambda indptr, indices, occ, pool, pos, steps, settled,
-        sclock, order, buf, lg, nbuf, state, clock, rate, ev, cap: (
+        sclock, order, bitgen, lane, lane_cap, state, rate, ev, cap: (
             lib.repro_run_ctu(
                 pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos),
-                pi(steps), pi(settled), pd(sclock), pi(order), pd(buf),
-                pd(lg), nbuf, pi(state), pd(clock), rate, pe(ev), cap,
+                pi(steps), pi(settled), pd(sclock), pi(order),
+                cast("bitgen_t *", bitgen), pd(lane), lane_cap, pi(state),
+                rate, pe(ev), cap,
             )
         ),
         run_uniform=lambda indptr, indices, occ, pool, pos, steps, settled,
-        order, buf, lg, nbuf, logq, pool_size, state, budget, ev, cap: (
-            lib.repro_run_uniform(
-                pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos),
-                pi(steps), pi(settled), pi(order), pd(buf), pd(lg), nbuf,
-                pd(logq), pool_size, pi(state), budget, pe(ev), cap,
-            )
+        order, bitgen, lane, lane_cap, logq, pool_size, state, budget, ev,
+        cap: lib.repro_run_uniform(
+            pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
+            pi(settled), pi(order), cast("bitgen_t *", bitgen), pd(lane),
+            lane_cap, pd(logq), pool_size, pi(state), budget, pe(ev), cap,
         ),
         # `bitgen` is the address of a numpy bitgen_t; `hold` is None
         # (NULL) unless lazy

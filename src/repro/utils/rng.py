@@ -213,14 +213,13 @@ class UniformStream:
         """Next contiguous run of the stream as a float64 array.
 
         The bulk-handoff twin of :meth:`uniform` for the block-fed
-        compiled loops (:mod:`repro.kernels`: the Uniform- and CTU-IDLA
-        tick loops, the parallel straggler loop; the sequential loop
-        draws from the generator itself): the first call returns whatever
-        buffered doubles remain unconsumed (the ``initial`` prefix and/or
-        the current block's tail), later calls fetch whole fresh blocks —
-        exactly the fetch cadence of the scalar loop, so ``drawn`` stays
-        reconcilable with the serial grid via
-        :meth:`UniformStreams.align_to_serial`.  Do not interleave with
+        compiled parallel straggler loop (:mod:`repro.kernels`; the
+        per-repetition loops draw from the generator itself): the first
+        call returns whatever buffered doubles remain unconsumed (the
+        ``initial`` prefix and/or the current block's tail), later calls
+        fetch whole fresh blocks — exactly the fetch cadence of the
+        scalar loop, so ``drawn`` stays reconcilable with the serial grid
+        via :meth:`UniformStreams.align_to_serial`.  Do not interleave with
         the scalar accessors: the returned array is handed off whole, so
         this stream's cursor jumps past it.
         """

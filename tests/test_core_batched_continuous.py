@@ -18,6 +18,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.batched_continuous as bc
 from repro.core import (
@@ -28,12 +29,13 @@ from repro.core import (
     ctu_idla,
     uniform_idla,
 )
+from repro.core.origins import resolve_origins
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.experiments import estimate_dispersion
 from repro.experiments.runner import BATCHED_DRIVERS, PROCESS_DRIVERS
 from repro.graphs import complete_graph, cycle_graph, grid_graph
 from repro.kernels import available_kernels, get_kernels
-from repro.utils.rng import spawn_seed_sequences
+from repro.utils.rng import as_generator, spawn_seed_sequences
 
 REPS = 5
 PARENT_SEED = 20260730
@@ -399,6 +401,53 @@ def test_unsettled_pool_swap_remove():
     assert pool.ids == [4, 11, 9]
     pool.remove_at(2)  # removing the last slot is a plain pop
     assert pool.ids == [4, 11]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_init_lanes_matches_the_serial_time0_pass(data):
+    """``_init_lanes`` resolves time 0 for every repetition in one numpy
+    pass; each repetition must come out as the serial drivers'
+    per-particle ``settle_vacant_starts_inorder`` leaves it (first
+    particle per start vertex wins; settle order and pool ascending),
+    under duplicate starts, explicit per-particle origins and
+    ``origin="uniform"``, whose draws must stay in repetition order."""
+    n = data.draw(st.integers(3, 9))
+    g = cycle_graph(n)
+    m = data.draw(st.integers(1, n))
+    origin = data.draw(
+        st.one_of(
+            st.integers(0, n - 1),
+            st.just("uniform"),
+            st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+            st.lists(st.integers(0, 1), min_size=m, max_size=m),
+        )
+    )
+    seeds = spawn_seed_sequences(data.draw(st.integers(0, 2**32 - 1)), 6)
+    R = data.draw(st.integers(1, 6))
+    gens = [as_generator(s) for s in seeds[:R]]
+    (
+        starts2d, occ, pos, steps, settled, orders, pool, lanes, ks,
+    ) = bc._init_lanes(g, origin, m, gens)
+    assert not steps.any() and np.array_equal(pos, starts2d.reshape(-1))
+    ref_lanes, ref_ks = [], []
+    for r, seed in enumerate(seeds[:R]):
+        ref_gen = as_generator(seed)
+        starts = resolve_origins(g, origin, m, ref_gen)
+        ref_occ = [False] * n
+        ref_settled = np.full(m, -1, dtype=np.int64)
+        ref_order: list[int] = []
+        uns = settle_vacant_starts_inorder(ref_occ, starts, ref_settled, ref_order)
+        assert np.array_equal(starts2d[r], starts)
+        assert occ[r * n : (r + 1) * n].tolist() == ref_occ
+        assert np.array_equal(settled[r * m : (r + 1) * m], ref_settled)
+        assert orders[r] == ref_order
+        assert pool[r * m : r * m + len(uns)].tolist() == uns
+        if uns:
+            ref_lanes.append(r)
+            ref_ks.append(len(uns))
+        assert gens[r].random() == ref_gen.random()
+    assert (lanes, ks) == (ref_lanes, ref_ks)
 
 
 # ----------------------------------------------------------------------

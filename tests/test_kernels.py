@@ -18,13 +18,15 @@ layer's own contracts:
 * the single-walker compiled loops against the pure-Python
   :class:`~repro.walks.single.SingleWalkKernel` path;
 * the per-repetition CTU-/Uniform-IDLA loops against their serial
-  drivers at tiny fetch blocks (ticks straddling every refill), and the
+  drivers at tiny serial fetch blocks and tiny log lanes (a fold at
+  nearly every tick), the generator position they leave behind, and the
   numpy ``logq`` table they read;
-* the per-repetition Parallel- and Sequential-IDLA loops against
-  ``parallel_idla`` / ``sequential_idla`` on every numpy BitGenerator
-  family (across Parallel's wide -> narrow draw switch), the generator
-  position they leave behind, c-sequential's durations after the
-  sequential loop, and the lock-step sequential tail's prefix handoff;
+* the four per-repetition loops against ``parallel_idla`` /
+  ``sequential_idla`` / ``ctu_idla`` / ``uniform_idla`` on every numpy
+  BitGenerator family (across Parallel's wide -> narrow draw switch),
+  the generator position the Parallel and Sequential loops leave behind,
+  c-sequential's durations after the sequential loop, and the lock-step
+  sequential tail's prefix handoff;
 * the Sequential-IDLA loop's lanes (several repetitions in flight per
   call): 1-65 repetitions, repetitions done at time 0 beside walking
   ones, a budget excess past the first lane, one-event sinks that make
@@ -33,7 +35,7 @@ layer's own contracts:
   serial trajectories, and the sink's grouping pass;
 * the build cache keyed on the whole compile command;
 * the ``UniformStream.take_block`` handoff contract the block-fed
-  compiled loops consume.
+  parallel straggler loop consumes.
 """
 
 from __future__ import annotations
@@ -386,34 +388,69 @@ TICK_DRIVERS = {
 }
 
 
+#: Log-lane capacities: one slot (the loop returns "lane full" before
+#: every tick that needs one), a few, and the default.
+LANES = [1, 2, 3, None]
+
+
+def _count_draws(monkeypatch, module):
+    """Count the serial driver's doubles by kind: ``uniform()`` and
+    ``log1mu()`` calls of its stream."""
+    counts = {"uniform": 0, "log1mu": 0}
+
+    class Counted(UniformStream):
+        __slots__ = ()
+
+        def uniform(self):
+            counts["uniform"] += 1
+            return super().uniform()
+
+        def log1mu(self):
+            counts["log1mu"] += 1
+            return super().log1mu()
+
+    monkeypatch.setattr(module, "UniformStream", Counted)
+    return counts
+
+
 @pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("process", sorted(TICK_DRIVERS))
 @pytest.mark.parametrize(
     "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
 )
 def test_tick_loops_match_serial_at_tiny_blocks(
-    provider, block, process, g, monkeypatch
+    provider, lane, block, process, g, monkeypatch
 ):
-    """With 1-5 doubles per fetch, ticks (2-3 doubles each) straddle
-    nearly every refill: the loop's carried tail and the numpy log lane
-    must still replay the serial draws, and each generator must end
-    where the serial driver leaves it."""
+    """With 1-5 doubles per serial fetch, ticks (2-3 doubles each)
+    straddle nearly every refill of the serial driver's stream, and with
+    a lane of 1-3 slots the loop returns "lane full" and its logarithms
+    are folded over and over: the route must still replay the serial
+    draws.  Each generator ends right after the doubles consumed: 3 per
+    CTU tick, 2 per Uniform tick plus 1 per geometric skip."""
     serial, module, extras = TICK_DRIVERS[process]
     monkeypatch.setattr(module, "_BLOCK", block)
+    if lane is not None:
+        monkeypatch.setattr(kernels_mod, "_LANE", lane)
     seeds = spawn_seed_sequences(7, 4)
-    ref_gens = [as_generator(s) for s in seeds]
     gens = [as_generator(s) for s in seeds]
-    ref = [serial(g, 0, seed=gen, num_particles=7) for gen in ref_gens]
     got = run_reps(process, g, gens, 0, num_particles=7, kernels=provider)
-    for s, b, ref_gen, gen in zip(ref, got, ref_gens, gens):
+    for seed, b, gen in zip(seeds, got, gens):
+        counts = _count_draws(monkeypatch, module)
+        s = serial(g, 0, seed=as_generator(seed), num_particles=7)
         assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
         assert np.array_equal(s.steps, b.steps)
         assert np.array_equal(s.settled_at, b.settled_at)
         assert np.array_equal(s.settle_order, b.settle_order)
         for name in extras:
             assert np.array_equal(getattr(s, name), getattr(b, name))
-        assert gen.random() == ref_gen.random()
+        assert counts["uniform"] == 2 * b.total_steps
+        if process == "ctu":
+            assert counts["log1mu"] == b.total_steps
+        twin = as_generator(seed)
+        twin.random(counts["uniform"] + counts["log1mu"])
+        assert gen.random() == twin.random()
 
 
 #: Every numpy BitGenerator family: the per-repetition Parallel- and
@@ -540,6 +577,46 @@ def test_sequential_loop_leaves_each_generator_after_its_last_double(
     for res, gen, twin in zip(got, gens, _generators(family)):
         twin.random(res.total_steps)
         assert gen.random() == twin.random()
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+@pytest.mark.parametrize("process", sorted(TICK_DRIVERS))
+@pytest.mark.parametrize(
+    "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
+)
+def test_tick_loops_match_serial_on_every_bit_generator(
+    provider, family, record, process, g, monkeypatch
+):
+    """The tick loops draw each double from the bit generator's
+    ``next_double`` in C and leave the logarithms to numpy: the samples,
+    settle clocks and trajectories must still be the serial driver's,
+    for every BitGenerator family.  Unrecorded, a repetition whose log
+    lane never fills is one compiled call."""
+    serial, _, extras = TICK_DRIVERS[process]
+    kwargs = {"num_particles": 7, "record": record}
+    ref = [serial(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
+    ks = get_kernels(provider)
+    calls = []
+    inner = getattr(ks._impl, f"run_{process}")
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(ks._impl, f"run_{process}", counted)
+    got = run_reps(process, g, _generators(family), 0, kernels=provider, **kwargs)
+    if not record:
+        assert len(calls) == len(ref)
+    for s, b in zip(ref, got):
+        assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+        assert np.array_equal(s.settle_order, b.settle_order)
+        for name in extras:
+            assert np.array_equal(getattr(s, name), getattr(b, name))
+        assert b.trajectories == s.trajectories
 
 
 @pytest.mark.parametrize("provider", COMPILED)
@@ -821,16 +898,14 @@ def _ctu_call(ks, indptr, indices, rng, rows):
     return ks.finish_ctu(
         indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
         rows["steps_row"], rows["settled_row"], rows["clock_row"],
-        rows["order"], UniformStream(rng, block=64), k=rows["k"],
-        norder=rows["norder"], rate=1.0,
+        rows["order"], rng, k=rows["k"], norder=rows["norder"], rate=1.0,
     )
 
 
 def _uniform_call(ks, indptr, indices, rng, rows):
     return ks.finish_uniform(
         indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
-        rows["steps_row"], rows["settled_row"], rows["order"],
-        UniformStream(rng, block=64),
+        rows["steps_row"], rows["settled_row"], rows["order"], rng,
         k=rows["k"], norder=rows["norder"], logq=rows["logq"],
         budget=float("inf"), limit_msg="limit",
     )

@@ -1,12 +1,15 @@
-"""Random-graph differential fuzz of the Sequential-IDLA route.
+"""Random-graph differential fuzz of the per-repetition route.
 
-The per-repetition route runs a whole shard of Sequential-IDLA (and
-c-sequential) repetitions in one compiled call that keeps several
-repetitions in flight.  Hypothesis draws small connected graphs
-(irregular degrees, pendant vertices), origins, particle counts, lazy
-walks, recording with tiny event sinks and 1-9 repetitions, so the
-loop's lanes are often only partly filled; every repetition must equal
-the serial oracle bit for bit.
+The route runs a whole shard of Sequential-IDLA (and c-sequential)
+repetitions in one compiled call that keeps several repetitions in
+flight, and each Uniform- and CTU-IDLA repetition in one tick loop whose
+logarithms numpy takes when its log lane fills or the repetition ends.
+Hypothesis draws small connected graphs (irregular degrees, pendant
+vertices), origins, particle counts, lazy walks, CTU rates, Uniform tick
+caps, recording with tiny event sinks, tiny log lanes and 1-9
+repetitions, so the sequential loop's lanes are often only partly
+filled; every repetition must equal the serial oracle bit for bit, and a
+tick cap must raise the serial oracle's error.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.kernels as kernels_mod
-from repro.core.continuous import continuous_sequential_idla
+from repro.core.continuous import continuous_sequential_idla, ctu_idla
 from repro.core.route import run_reps
 from repro.core.sequential import sequential_idla
+from repro.core.uniform import uniform_idla
 from repro.graphs import Graph
 from repro.kernels import available_kernels
 from repro.utils.rng import spawn_seed_sequences
@@ -112,3 +116,69 @@ def test_c_sequential_route_matches_serial_on_random_graphs(request, record, sin
             "c-sequential", g, seeds, origin, kernels="cffi", record=record
         )
     _check(ref, got, ("durations",))
+
+
+#: Log-lane capacities of the tick loops: one slot (a fold before nearly
+#: every tick), a few, and the default.
+LANES = st.sampled_from([1, 2, 3, None])
+
+
+def _route(process, g, origin, seeds, sink, lane, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        if sink is not None:
+            mp.setattr(kernels_mod, "_SINK_EVENTS", sink)
+        if lane is not None:
+            mp.setattr(kernels_mod, "_LANE", lane)
+        return run_reps(process, g, seeds, origin, kernels="cffi", **kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    request=requests(), record=st.booleans(), sink=SINKS, lane=LANES,
+    data=st.data(),
+)
+def test_uniform_route_matches_serial_on_random_graphs(
+    request, record, sink, lane, data
+):
+    """Without a cap the samples and tick counts must be the serial
+    ones.  The loop counts ticks without their geometric skips, which
+    numpy adds at each fold, so caps are drawn at the edges that trip in
+    C (below a repetition's stepping ticks), only at a fold (between its
+    stepping ticks and its ticks) or never; a trip must raise the serial
+    oracle's error."""
+    g, origin, m, seeds = request
+    kwargs = {"num_particles": m, "record": record}
+    free = [uniform_idla(g, origin, seed=s, **kwargs) for s in seeds]
+    r = data.draw(st.integers(0, len(free) - 1))
+    steps, ticks = free[r].total_steps, int(free[r].ticks)
+    cap = data.draw(
+        st.sampled_from(
+            [None, steps - 1, steps, (steps + ticks) // 2, ticks - 1, ticks]
+        )
+    )
+    if cap is not None:
+        cap = max(cap, 0)
+    try:
+        ref = [
+            uniform_idla(g, origin, seed=s, max_ticks=cap, **kwargs) for s in seeds
+        ]
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as got:
+            _route("uniform", g, origin, seeds, sink, lane, max_ticks=cap, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = _route("uniform", g, origin, seeds, sink, lane, max_ticks=cap, **kwargs)
+    _check(ref, got, ("ticks",))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    request=requests(), record=st.booleans(), sink=SINKS, lane=LANES,
+    rate=st.floats(min_value=0.05, max_value=20.0),
+)
+def test_ctu_route_matches_serial_on_random_graphs(request, record, sink, lane, rate):
+    g, origin, m, seeds = request
+    kwargs = {"num_particles": m, "record": record, "rate": rate}
+    ref = [ctu_idla(g, origin, seed=s, **kwargs) for s in seeds]
+    got = _route("ctu", g, origin, seeds, sink, lane, **kwargs)
+    _check(ref, got, ("settle_clock", "ticks"))
