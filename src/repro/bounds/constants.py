@@ -5,6 +5,9 @@
 
       κ_cc = Σ_{i≥1} (−1)^{i+1} ( 2/(i(3i−1)) + 2/(i(3i+1)) ) ≈ 1.2552
 
+  It is stored as the float literal :func:`kappa_cc` returns at its
+  default 200,000 terms, so importing this module sums nothing.
+
   Note: the paper's display drops the alternating sign and flips the inner
   ``+`` (it prints ``Σ (2/(i(3i-1)) − 2/(i(3i+1)))``, which evaluates to
   ≈ 0.59, inconsistent with the quoted value 1.255).  The form above
@@ -53,8 +56,9 @@ def kappa_cc(terms: int = 200_000) -> float:
     return total
 
 
-#: Lemma 5.1's constant, precomputed.
-KAPPA_CC: float = kappa_cc()
+#: Lemma 5.1's constant: ``repr(kappa_cc())``, stored so an import does
+#: not sum 200,000 terms (``tests/test_bounds.py`` pins the equality).
+KAPPA_CC: float = 1.255197456920205
 
 #: Theorem 5.2's Parallel-IDLA constant on the clique.
 PI2_OVER_6: float = math.pi**2 / 6.0

@@ -8,6 +8,7 @@ assume normality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,14 @@ def summarize(samples) -> SummaryStats:
     mean = float(x.mean())
     std = float(x.std(ddof=1)) if x.size > 1 else 0.0
     sem = std / np.sqrt(x.size) if x.size > 1 else 0.0
+    s = np.sort(x)
+    if np.isnan(s[-1]):  # NaNs sort last; numpy's median/quantile give NaN
+        median = q05 = q95 = float("nan")
+    else:
+        h = s.size // 2
+        median = float(s[h]) if s.size % 2 else (float(s[h - 1]) + float(s[h])) / 2
+        q05 = _sorted_quantile(s, 0.05)
+        q95 = _sorted_quantile(s, 0.95)
     return SummaryStats(
         n=int(x.size),
         mean=mean,
@@ -72,12 +81,33 @@ def summarize(samples) -> SummaryStats:
         sem=float(sem),
         ci95_low=mean - 1.96 * sem,
         ci95_high=mean + 1.96 * sem,
-        median=float(np.median(x)),
-        q05=float(np.quantile(x, 0.05)),
-        q95=float(np.quantile(x, 0.95)),
+        median=median,
+        q05=q05,
+        q95=q95,
         min=float(x.min()),
         max=float(x.max()),
     )
+
+
+def _sorted_quantile(s: np.ndarray, q: float) -> float:
+    """``np.quantile(s, q)`` (method ``"linear"``) read off the sorted,
+    NaN-free ``s``, operation for operation: the virtual index
+    ``(n - 1) q``, both neighbours the last element past ``n - 2`` (and
+    the weight then taken against index ``-1``), and ``_lerp``'s two
+    branches split at ``t >= 0.5``.  Bit-identical to numpy's, pinned in
+    ``tests/test_experiments.py``; one shared sort replaces numpy's
+    per-call partitions.
+    """
+    n = s.size
+    v = (n - 1) * q
+    if v >= n - 1:
+        i, a, b = -1, float(s[-1]), float(s[-1])
+    else:
+        i = math.floor(v)
+        a, b = float(s[i]), float(s[i + 1])
+    t = v - i
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 def bootstrap_ci(

@@ -21,8 +21,8 @@ Providers
     body, so forcing ``REPRO_KERNELS=numpy`` is the honest fallback mode.
 ``cffi``
     The kernels as C (:mod:`repro.kernels._csource`), built once with
-    the system compiler (``$CC``, default ``cc``) and opened in cffi ABI
-    mode.
+    the system compiler (``$CC``, default ``cc``) and opened in cffi's
+    out-of-line ABI mode (:mod:`repro.kernels.cffi_impl`).
 
 Bit-identity contract
 ---------------------
@@ -1105,6 +1105,8 @@ def get_kernels(spec: str | KernelSet | None = None) -> KernelSet:
     spec = _provider_name(spec)
     if spec == "auto":
         for name in _AUTO_ORDER:
+            if name in _CACHE:  # loaded: no toolchain probe
+                return _CACHE[name]
             if not _dep_present(name):
                 continue
             try:

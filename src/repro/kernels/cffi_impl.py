@@ -2,24 +2,37 @@
 
 The provider that makes the compiled layer available wherever a C
 compiler is.  ``load()`` compiles
-:data:`repro.kernels._csource.C_SOURCE` once into a shared object cached
-under a path keyed on the source *and* the full compiler command
-(``$REPRO_KERNELS_CACHE``, defaulting to a per-user directory below the
-system temp dir) and opens it in cffi ABI mode; subsequent processes
-reuse the cached ``.so`` without recompiling, and a library built under
-one ``$CC`` is never picked up under another.
+:data:`repro.kernels._csource.C_SOURCE` once into a shared object and
+opens it in cffi's out-of-line ABI mode.  Both live in one cache
+directory (``$REPRO_KERNELS_CACHE``, defaulting to a per-user directory
+below the system temp dir):
+
+* the ``.so``, keyed on the source *and* the full compiler command, so a
+  library built under one ``$CC`` is never picked up under another;
+* the pure-Python ffi module cffi generates from
+  :data:`~repro.kernels._csource.CDEF` (``set_source(name, None)`` +
+  ``make_py_source``), keyed on the ``.so``'s key, ``CDEF`` and the
+  ``_cffi_backend`` version, so edited declarations or an upgraded cffi
+  never load stale ones.
+
+The first process parses ``CDEF`` (cffi imports pycparser for that) and
+writes both files atomically; later processes import the generated
+module and ``dlopen`` the ``.so`` without recompiling, importing
+pycparser or parsing ``CDEF``.
 
 Only ``-O2 -ffp-contract=off`` is added to ``$CC`` (see the bit-identity
 note in ``_csource``); the explicit ``-ffp-contract=off`` keeps FMA
 contraction off whatever flags ``$CC`` carries.
 Build failures raise with the compiler's stderr attached; the registry
 turns that into a clean fallback under auto-detection and a loud error
-when the provider was requested explicitly.
+when the provider was requested explicitly.  So does a cached ffi
+module that fails to import.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import shlex
 import subprocess
@@ -37,15 +50,22 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
 
 
-def _ensure_built() -> str:
-    """Compile the kernel source (once) and return the shared-object path."""
+def _compile_command() -> tuple[list[str], list[str]]:
+    """``$CC`` split into words, and the whole compile command."""
     # CC may carry flags ("cc -std=c99"), as in make
     cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
-    argv = [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
-    key = "\0".join([C_SOURCE, *argv])
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return cc, [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()[:16]
+
+
+def _ensure_built() -> str:
+    """Compile the kernel source (once) and return the shared-object path."""
+    cc, argv = _compile_command()
     cache = _cache_dir()
-    so_path = os.path.join(cache, f"repro_kernels_{digest}.so")
+    so_path = os.path.join(cache, f"repro_kernels_{_digest(C_SOURCE, *argv)}.so")
     if os.path.exists(so_path):
         return so_path
     os.makedirs(cache, exist_ok=True)
@@ -72,6 +92,51 @@ def _ensure_built() -> str:
     return so_path
 
 
+def _ffi_module_path() -> str:
+    """Where the ffi module for :data:`CDEF` and this cffi is cached."""
+    import _cffi_backend
+
+    _, argv = _compile_command()
+    digest = _digest(C_SOURCE, *argv, CDEF, _cffi_backend.__version__)
+    return os.path.join(_cache_dir(), f"repro_kernels_ffi_{digest}.py")
+
+
+def _ensure_ffi_module() -> str:
+    """Generate (once) the out-of-line ffi module for :data:`CDEF` and
+    return its path; only this first generation imports pycparser."""
+    py_path = _ffi_module_path()
+    if os.path.exists(py_path):
+        return py_path
+    import cffi
+    from cffi.recompiler import make_py_source
+
+    ffi = cffi.FFI()
+    ffi.cdef(CDEF)
+    name = os.path.basename(py_path)[:-3]
+    ffi.set_source(name, None)
+    cache = os.path.dirname(py_path)
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp_py = tempfile.mkstemp(dir=cache, suffix=".py.tmp")
+    os.close(fd)
+    try:
+        make_py_source(ffi, name, tmp_py)
+        # atomic within the cache dir, as for the .so
+        os.replace(tmp_py, py_path)
+    finally:
+        if os.path.exists(tmp_py):
+            os.unlink(tmp_py)
+    return py_path
+
+
+def _import_ffi(py_path: str):
+    """The ``ffi`` object of the generated module at ``py_path``."""
+    name = os.path.basename(py_path)[:-3]
+    spec = importlib.util.spec_from_file_location(name, py_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ffi
+
+
 def load() -> SimpleNamespace:
     """Build/open the library and return the low-level impl namespace.
 
@@ -81,11 +146,9 @@ def load() -> SimpleNamespace:
     walkers/CSR, ``float64`` uniforms, ``uint8`` occupancy) — the
     ``KernelSet`` wrappers in the package root guarantee that.
     """
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(CDEF)
-    lib = ffi.dlopen(_ensure_built())
+    so_path = _ensure_built()
+    ffi = _import_ffi(_ensure_ffi_module())
+    lib = ffi.dlopen(so_path)
     # typed from_buffer views decay to pointers at the call boundary and
     # cost ~4x less per argument than cast("i64 *", a.ctypes.data) — at
     # kernel call rates the marshalling is a measurable slice of the

@@ -44,6 +44,10 @@ class TestConstants:
     def test_kappa_cc_value(self):
         assert abs(KAPPA_CC - 1.2552) < 1e-3
 
+    def test_kappa_cc_literal_is_the_series_value(self):
+        # the module stores kappa_cc()'s repr rather than summing on import
+        assert KAPPA_CC == kappa_cc()
+
     def test_kappa_cc_converges(self):
         assert abs(kappa_cc(100_000) - kappa_cc(200_000)) < 1e-9
 

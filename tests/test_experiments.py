@@ -39,6 +39,40 @@ class TestStats:
         with pytest.raises(ValueError):
             summarize([])
 
+    @staticmethod
+    def _same_order_stats(x):
+        s = summarize(x)
+        got = (s.median, s.q05, s.q95)
+        want = (np.median(x), np.quantile(x, 0.05), np.quantile(x, 0.95))
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert np.float64(g).tobytes() == np.float64(w).tobytes(), (x, got, want)
+
+    @pytest.mark.parametrize(
+        "seed, kind", list(enumerate(["uniform", "ties", "integers", "scaled"]))
+    )
+    def test_summarize_order_stats_match_numpy_bit_for_bit(self, seed, kind):
+        """One sort yields numpy's median and linear 0.05/0.95 quantiles
+        exactly: every size 1-12, then random sizes up to 200."""
+        rng = np.random.default_rng(seed)
+        sizes = [*range(1, 13), *rng.integers(1, 201, size=150).tolist()]
+        for n in sizes:
+            if kind == "uniform":
+                x = rng.random(n) * 1e3
+            elif kind == "ties":
+                x = rng.integers(0, 4, size=n).astype(np.float64) * 0.1
+            elif kind == "integers":
+                x = rng.integers(0, 10**6, size=n).astype(np.float64)
+            else:
+                x = rng.standard_exponential(n) * 10.0 ** rng.integers(-150, 150)
+            self._same_order_stats(x)
+
+    def test_summarize_nan_matches_numpy(self):
+        x = np.array([3.0, np.nan, 1.0, 2.0])
+        self._same_order_stats(x)
+        s = summarize(x)
+        assert np.isnan(s.median) and np.isnan(s.q05) and np.isnan(s.q95)
+
     def test_bootstrap_ci_contains_mean_for_tight_data(self):
         rng = np.random.default_rng(0)
         x = rng.normal(10, 1, size=200)

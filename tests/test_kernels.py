@@ -8,8 +8,9 @@ layer's own contracts:
   > auto-detection) and its failure modes — an explicitly requested
   provider that cannot initialise raises, auto-detection falls through
   silently, the numpy fallback is always available; the registry is
-  exactly ``{numpy, cffi}``, and ``$CC`` may carry flags after the
-  compiler;
+  exactly ``{numpy, cffi}``, ``$CC`` may carry flags after the
+  compiler, and auto-detection returns a loaded provider without
+  probing the toolchain again;
 * pickling resolved providers by name (the fan-out runner's kwargs
   path);
 * kernel-by-kernel parity of each compiled provider against the
@@ -33,7 +34,11 @@ layer's own contracts:
   every lane re-enter, and the refusal of one generator for two rows;
 * recording: every per-repetition loop at tiny event sinks against the
   serial trajectories, and the sink's grouping pass;
-* the build cache keyed on the whole compile command;
+* the build cache: the library keyed on the whole compile command, the
+  generated ffi module on ``CDEF`` and the cffi version too, a first
+  build silent on stdout, a damaged module failing like a damaged
+  library, and a warm-cache load in a fresh interpreter that imports no
+  pycparser yet runs the self-check;
 * the ``UniformStream.take_block`` handoff contract the block-fed
   parallel straggler loop consumes.
 """
@@ -233,6 +238,124 @@ def test_cache_key_covers_the_compile_command(fresh_registry):
     assert all("-ffp-contract=off" in argv for argv in argvs)
     cache = os.environ["REPRO_KERNELS_CACHE"]
     assert sorted(os.listdir(cache)) == sorted(os.path.basename(p) for p in paths)
+
+
+def test_auto_returns_the_loaded_provider_without_probing(monkeypatch):
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    ks = get_kernels("auto")
+    if not ks.compiled:
+        pytest.skip("no compiled provider loads here")
+
+    def no_probe(name):
+        raise AssertionError(f"probed the toolchain for loaded {name!r}")
+
+    monkeypatch.setattr(kernels_mod, "_dep_present", no_probe)
+    assert get_kernels() is ks
+    assert get_kernels("auto") is ks
+
+
+def _require_cc():
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+
+
+def _ffi_modules(cache):
+    return sorted(f for f in os.listdir(cache) if f.startswith("repro_kernels_ffi_"))
+
+
+def test_first_build_writes_nothing_to_stdout(fresh_registry, capfd):
+    _require_cc()
+    assert get_kernels("cffi").name == "cffi"
+    assert capfd.readouterr().out == ""
+    assert len(_ffi_modules(os.environ["REPRO_KERNELS_CACHE"])) == 1
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_damaged_ffi_module_fails_like_a_damaged_library(fresh_registry, damage):
+    """A cached ffi module that no longer imports makes ``cffi``
+    unavailable: an explicit request raises, auto-detection warns and
+    falls back to ``numpy``."""
+    _require_cc()
+    get_kernels("cffi")
+    cache = os.environ["REPRO_KERNELS_CACHE"]
+    (name,) = _ffi_modules(cache)
+    path = os.path.join(cache, name)
+    with open(path, "rb") as fh:
+        text = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(text[: len(text) // 2] if damage == "truncated" else b"\0ffi = (")
+    fresh_registry.setattr(kernels_mod, "_CACHE", {})
+    fresh_registry.setattr(kernels_mod, "_FAILED", {})
+    with pytest.raises(KernelsUnavailableError, match="cffi"):
+        get_kernels("cffi")
+    fresh_registry.setattr(kernels_mod, "_FAILED", {})
+    with pytest.warns(RuntimeWarning, match="cffi"):
+        assert get_kernels("auto").name == "numpy"
+
+
+def test_ffi_module_key_covers_cdef_and_cffi_version(fresh_registry):
+    """Edited declarations or another cffi never reuse a generated ffi
+    module; an unchanged key reuses it without regenerating."""
+    import _cffi_backend
+    import cffi.recompiler
+
+    from repro.kernels import cffi_impl
+
+    made = []
+    make = cffi.recompiler.make_py_source
+
+    def recording_make(ffi, name, path, *args, **kwargs):
+        made.append(name)
+        return make(ffi, name, path, *args, **kwargs)
+
+    fresh_registry.setattr(cffi.recompiler, "make_py_source", recording_make)
+    paths = [cffi_impl._ensure_ffi_module()]
+    assert cffi_impl._ensure_ffi_module() == paths[0]  # cached
+    fresh_registry.setattr(
+        cffi_impl, "CDEF", cffi_impl.CDEF + "void repro_not_built(void);\n"
+    )
+    paths.append(cffi_impl._ensure_ffi_module())
+    assert paths[1] != paths[0] and len(made) == 2
+    cache = os.environ["REPRO_KERNELS_CACHE"]
+    assert _ffi_modules(cache) == sorted(os.path.basename(p) for p in paths)
+    # cffi itself refuses to run beside another backend version, so only
+    # the key is checked for this part
+    fresh_registry.setattr(_cffi_backend, "__version__", "0.0.0-repro-test")
+    assert cffi_impl._ffi_module_path() not in paths
+
+
+_NO_PARSER_LOAD = """
+import sys
+import repro.kernels as k
+check, ran = k._self_check, []
+k._self_check = lambda ks: (ran.append(ks.name), check(ks))
+assert k.get_kernels("cffi").name == "cffi"
+assert ran == ["cffi"], ran
+assert "pycparser" not in sys.modules
+"""
+
+
+def test_warm_cache_loads_without_pycparser(fresh_registry):
+    """A fresh interpreter on a warm cache resolves ``cffi`` from the
+    generated ffi module and the cached library: it parses no ``CDEF``,
+    imports no pycparser, and still runs the load-time self-check."""
+    import subprocess
+    import sys
+
+    import repro
+
+    _require_cc()
+    get_kernels("cffi")  # warms the private cache
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_PARSER_LOAD],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", [n for n, ok in sorted(AVAILABLE.items()) if ok])
