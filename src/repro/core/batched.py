@@ -92,7 +92,6 @@ from repro.core.settlement import (
     chunked_vacancies,
     instant_settle_chain,
     select_settlers,
-    settle_vacant_starts,
 )
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.core.trajectory import TrajectoryStore
@@ -875,37 +874,72 @@ def _parallel_checks(g, num_particles, tie_break, scalar_threshold, max_rounds):
     return m, scalar_threshold, check_limit("max_rounds", max_rounds)
 
 
+def _vertex_origin(origin) -> bool:
+    """``origin`` names one start vertex for every particle."""
+    return not isinstance(origin, str) and np.isscalar(origin)
+
+
+def _resolve_starts(g, origin, m, gens) -> np.ndarray:
+    """Each repetition's start vertices, ``(R, m)``.  A vertex origin
+    fills them in one operation; ``"uniform"`` and explicit origins are
+    resolved one repetition at a time, in order, since they may draw."""
+    R = len(gens)
+    if R and _vertex_origin(origin):
+        return np.full((R, m), resolve_origins(g, origin, 1, None)[0])
+    starts2d = np.empty((R, m), dtype=np.int64)
+    for r, gen in enumerate(gens):
+        starts2d[r] = resolve_origins(g, origin, m, gen)
+    return starts2d
+
+
+def _time0(origin, starts2d, n, prio2d=None):
+    """The time-0 settlement of every repetition in one numpy pass: per
+    (repetition, start vertex) cell the particle of smallest priority
+    (``None``: its index) settles there.
+
+    Returns the occupancy (``R * n``) and the ``(R, m)`` mask of the
+    particles that settled."""
+    R, m = starts2d.shape
+    occ = np.zeros(R * n, dtype=bool)
+    first = np.zeros((R, m), dtype=bool)
+    if _vertex_origin(origin):
+        # one shared start: particle 0, first under either tie-break
+        first[:, 0] = True
+        occ[np.arange(R) * n + starts2d[:, 0]] = True
+        return occ, first
+    cells = (np.arange(R, dtype=np.int64)[:, None] * n + starts2d).reshape(-1)
+    if prio2d is None:  # the first particle on each cell
+        winners = np.unique(cells, return_index=True)[1]
+    else:
+        winners = select_settlers(cells, prio2d.reshape(-1))
+    first.reshape(-1)[winners] = True
+    occ[cells[winners]] = True
+    return occ, first
+
+
 def _parallel_prelude(g, origin, m, gens, tie_break):
     """Each repetition's initial draws, in the serial driver's order,
-    then the round-0 settlement pass over its starts.
+    then the round-0 settlement pass of every repetition at once.
 
     Returns ``(starts2d, prio2d, occ, free, steps2d, settled2d,
     round2d)``.  With the default "index" tie-break the priority of
     particle p is p itself, so ``prio2d`` is ``None``.
     """
-    n, R = g.n, len(gens)
-    arange_m = np.arange(m, dtype=np.int64)
-    starts2d = np.empty((R, m), dtype=np.int64)
-    prio2d = None if tie_break == "index" else np.empty((R, m), dtype=np.int64)
-    occ = np.zeros(R * n, dtype=bool)
-    free = np.full(R, n, dtype=np.int64)
-    steps2d = np.zeros((R, m), dtype=np.int64)
-    settled2d = np.full((R, m), -1, dtype=np.int64)
-    round2d = np.full((R, m), -1, dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-        if prio2d is not None:
-            # σ(1) = 1 as in the serial driver: particle 0 keeps top priority
-            prio2d[r, 0] = 0
+    starts2d = _resolve_starts(g, origin, m, gens)
+    R = len(gens)
+    prio2d = None
+    if tie_break != "index":
+        prio2d = np.empty((R, m), dtype=np.int64)
+        # σ(1) = 1 as in the serial driver: particle 0 keeps top priority
+        prio2d[:, 0] = 0
+        for r, gen in enumerate(gens):
             prio2d[r, 1:] = 1 + gen.permutation(m - 1)
-        occ_r = occ[r * n : (r + 1) * n]
-        prio_r = arange_m if prio2d is None else prio2d[r]
-        winners = settle_vacant_starts(occ_r, starts2d[r], prio_r)
-        if winners.size:
-            occ_r[starts2d[r, winners]] = True
-            free[r] -= winners.size
-            settled2d[r, winners] = starts2d[r, winners]
-            round2d[r, winners] = 0
+    occ, first = _time0(origin, starts2d, g.n, prio2d)
+    settled2d = np.where(first, starts2d, -1)
+    round2d = np.full((R, m), -1, dtype=np.int64)
+    round2d[first] = 0
+    free = g.n - np.count_nonzero(first, axis=1)
+    steps2d = np.zeros((R, m), dtype=np.int64)
     return starts2d, prio2d, occ, free, steps2d, settled2d, round2d
 
 
@@ -913,32 +947,58 @@ def _parallel_results(
     g, process, starts2d, steps2d, settled2d, round2d, prio2d, traj_all
 ) -> list[DispersionResult]:
     """Assemble the per-repetition results of a batched parallel run;
-    the settle order is the serial ``(round, priority)`` order."""
-    results = []
-    for r in range(steps2d.shape[0]):
-        settled = np.flatnonzero(settled2d[r] >= 0)
-        prio_vals = settled if prio2d is None else prio2d[r, settled]
-        order = np.lexsort((prio_vals, round2d[r, settled]))
-        steps_r = steps2d[r].copy()
-        results.append(_result(
-            g, process, starts2d[r, 0], steps_r, settled2d[r].copy(),
-            settled[order], None if traj_all is None else traj_all[r],
-            dispersion_time=int(steps_r[settled].max()) if settled.size else 0,
-        ))
-    return results
-
-
-def _result(g, process, origin, steps, settled, order, traj, **extra):
-    """One repetition's :class:`DispersionResult` from its own rows; τ is
-    its longest walk unless ``extra`` gives ``dispersion_time``."""
-    m = steps.shape[0]
-    extra.setdefault("dispersion_time", int(steps.max()))
-    return DispersionResult(
-        process=process, graph_name=g.name, n=g.n, origin=int(origin),
-        total_steps=int(steps.sum()), steps=steps, settled_at=settled,
-        settle_order=order, trajectories=traj,
-        num_particles=None if m == g.n else m, **extra,
+    the settle order is the serial ``(round, priority)`` order, from one
+    argsort of every row's ``round * m + priority`` (priorities are
+    distinct, so the keys are; unsettled particles sort last)."""
+    m = steps2d.shape[1]
+    settled = settled2d >= 0
+    key = round2d * m
+    key += np.arange(m) if prio2d is None else prio2d
+    key[~settled] = np.iinfo(np.int64).max
+    ranked = np.argsort(key, axis=1)
+    orders = [row[:c] for row, c in zip(ranked, np.count_nonzero(settled, axis=1))]
+    return _results(
+        g, process, starts2d[:, 0], steps2d, settled2d, orders, traj_all,
+        dispersion=steps2d.max(axis=1, where=settled, initial=0),
     )
+
+
+def _results(
+    g, process, origins, steps2d, settled2d, orders, traj_all, *,
+    dispersion=None, ticks=None, **extras,
+) -> list[DispersionResult]:
+    """Each repetition's :class:`DispersionResult` from ``origins[r]``,
+    ``orders[r]`` (an int64 array) and row ``r`` of the ``(R, m)``
+    arrays, which it keeps as views.
+
+    The totals and (unless ``dispersion`` gives them) the dispersion
+    times, each repetition's longest walk, come from one reduction each;
+    ``ticks``, when given, holds one value per repetition, and row ``r``
+    of each of ``extras`` is attached as that attribute."""
+    R, m = steps2d.shape
+    if dispersion is None:
+        dispersion = steps2d.max(axis=1)
+    ticks = [None] * R if ticks is None else np.asarray(ticks, dtype=float).tolist()
+    name, n = g.name, g.n
+    num_particles = None if m == n else m
+    results = [
+        DispersionResult(
+            process=process, graph_name=name, n=n, origin=origin,
+            dispersion_time=tau, total_steps=total, steps=steps,
+            settled_at=settled, settle_order=order, ticks=tick,
+            trajectories=traj, num_particles=num_particles,
+        )
+        for origin, tau, total, steps, settled, order, tick, traj in zip(
+            np.asarray(origins).tolist(), dispersion.tolist(),
+            steps2d.sum(axis=1).tolist(), steps2d, settled2d, orders, ticks,
+            [None] * R if traj_all is None else traj_all,
+        )
+    ]
+    for attr, rows in extras.items():
+        for result, row in zip(results, rows):
+            # frozen dataclass: attach like the serial drivers do
+            object.__setattr__(result, attr, row)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -1242,17 +1302,27 @@ def _sequential_prelude(g, origin, m, gens):
     when every particle settled at its start.
     """
     n, R = g.n, len(gens)
-    starts2d = np.empty((R, m), dtype=np.int64)
-    occ = np.zeros(R * n, dtype=bool)
+    starts2d = _resolve_starts(g, origin, m, gens)
     steps2d = np.zeros((R, m), dtype=np.int64)
+    if _vertex_origin(origin):
+        # particle 0 settles on the shared start, and particle 1 walks
+        # (or, with m = 1, none is left)
+        occ, first = _time0(origin, starts2d, n)
+        settled2d = np.where(first, starts2d, -1)
+        return starts2d, occ, steps2d, settled2d, np.ones(R, dtype=np.int64)
+    occ = np.zeros(R * n, dtype=bool)
     settled2d = np.full((R, m), -1, dtype=np.int64)
     walker = np.empty(R, dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
+    for r in range(R):
         walker[r] = instant_settle_chain(
             occ[r * n : (r + 1) * n], starts2d[r], 0, steps2d[r], settled2d[r]
         )
     return starts2d, occ, steps2d, settled2d, walker
+
+
+def _index_orders(R: int, m: int) -> np.ndarray:
+    """``R`` rows of the settle order ``0 .. m-1``."""
+    return np.tile(np.arange(m, dtype=np.int64), (R, 1))
 
 
 def _sequential_results(
@@ -1261,11 +1331,7 @@ def _sequential_results(
     """Assemble the per-repetition results of a batched sequential run;
     particles settle in index order."""
     R, m = steps2d.shape
-    return [
-        _result(
-            g, "sequential-lazy" if lazy else "sequential", starts2d[r, 0],
-            steps2d[r].copy(), settled2d[r].copy(), np.arange(m, dtype=np.int64),
-            None if traj_all is None else traj_all[r],
-        )
-        for r in range(R)
-    ]
+    return _results(
+        g, "sequential-lazy" if lazy else "sequential", starts2d[:, 0],
+        steps2d, settled2d, _index_orders(R, m), traj_all,
+    )

@@ -60,13 +60,15 @@ import numpy as np
 from repro.core.batched import (
     _finalize,
     _in_cohorts,
+    _index_orders,
     _particle_count,
-    _result,
     _resolve_generators,
+    _resolve_starts,
+    _results,
+    _time0,
     batched_sequential_idla,
 )
 from repro.core.budget import plan_state
-from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
@@ -74,7 +76,6 @@ from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import get_kernels
 from repro.utils.rng import UniformStreams, resolve_stream_block
 from repro.utils.validation import check_limit, check_positive_finite, check_record
-from repro.walks.continuous import poissonise_steps
 
 __all__ = [
     "batched_ctu_idla",
@@ -130,21 +131,10 @@ def _init_lanes(g, origin, m, gens):
     The settlement is :func:`~repro.core.settlement
     .settle_vacant_starts_inorder`'s, per repetition: the first particle
     on each start vertex settles there, and both the settle order and
-    the pool of the rest are ascending.  Origins are resolved one
-    repetition at a time, in order, because they may draw."""
-    n, R = g.n, len(gens)
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-    # one cell per (repetition, vertex); np.unique's index is the first
-    # particle standing on each
-    cells = (np.arange(R, dtype=np.int64)[:, None] * n + starts2d).reshape(-1)
-    first = np.zeros(R * m, dtype=bool)
-    first[np.unique(cells, return_index=True)[1]] = True
-    occ = np.zeros(R * n, dtype=bool)
-    occ[cells[first]] = True
-    settledflat = np.where(first, starts2d.reshape(-1), -1)
-    first = first.reshape(R, m)
+    the pool of the rest are ascending."""
+    starts2d = _resolve_starts(g, origin, m, gens)
+    occ, first = _time0(origin, starts2d, g.n)
+    settledflat = np.where(first, starts2d, -1).reshape(-1)
     orders: list[list[int]] = [np.flatnonzero(row).tolist() for row in first]
     # unsettled particles first, each group ascending
     unsflat = np.argsort(first, axis=1, kind="stable").reshape(-1)
@@ -152,8 +142,8 @@ def _init_lanes(g, origin, m, gens):
     lanes_list = np.flatnonzero(ks).tolist()
     posflat = starts2d.reshape(-1).copy()
     return (
-        starts2d, occ, posflat, np.zeros(R * m, dtype=np.int64), settledflat,
-        orders, unsflat, lanes_list, ks[lanes_list].tolist(),
+        starts2d, occ, posflat, np.zeros(len(gens) * m, dtype=np.int64),
+        settledflat, orders, unsflat, lanes_list, ks[lanes_list].tolist(),
     )
 
 
@@ -352,29 +342,25 @@ def batched_ctu_idla(
             laneM, laneN = laneM[keep], laneN[keep]
 
     return _ctu_results(
-        g, starts2d, stepsflat, settledflat, orders, final_clock,
-        settle_clock, _finalize(store),
+        g, starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
+        _order_arrays(orders), final_clock, settle_clock.reshape(R, m),
+        _finalize(store),
     )
 
 
+def _order_arrays(orders: list[list[int]]) -> list[np.ndarray]:
+    return [np.asarray(order, dtype=np.int64) for order in orders]
+
+
 def _ctu_results(
-    g, starts2d, stepsflat, settledflat, orders, final_clock, settle_clock,
-    traj_all,
+    g, starts2d, steps2d, settled2d, orders, final_clock, settle_clock, traj_all
 ) -> list[DispersionResult]:
-    """Per-repetition result assembly of :func:`batched_ctu_idla`."""
-    R, m = starts2d.shape
-    results = []
-    for r in range(R):
-        row = slice(r * m, (r + 1) * m)
-        result = _result(
-            g, "ctu", starts2d[r, 0], stepsflat[row].copy(),
-            settledflat[row].copy(), np.asarray(orders[r], dtype=np.int64),
-            None if traj_all is None else traj_all[r],
-            dispersion_time=float(final_clock[r]), ticks=float(final_clock[r]),
-        )
-        object.__setattr__(result, "settle_clock", settle_clock[row].copy())
-        results.append(result)
-    return results
+    """Per-repetition result assembly of the CTU-IDLA drivers, from
+    ``(R, m)`` rows."""
+    return _results(
+        g, "ctu", starts2d[:, 0], steps2d, settled2d, orders, traj_all,
+        dispersion=final_clock, ticks=final_clock, settle_clock=settle_clock,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -698,30 +684,21 @@ def batched_uniform_idla(
             laneM, laneN, laneB = laneM[keep], laneN[keep], laneB[keep]
 
     return _uniform_results(
-        g, starts2d, stepsflat, settledflat, orders, final_ticks,
-        _finalize(store), schedules,
+        g, starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
+        _order_arrays(orders), final_ticks, _finalize(store), schedules,
     )
 
 
 def _uniform_results(
-    g, starts2d, stepsflat, settledflat, orders, final_ticks, traj_all,
-    schedules,
+    g, starts2d, steps2d, settled2d, orders, final_ticks, traj_all, schedules
 ) -> list[DispersionResult]:
-    """Per-repetition result assembly of :func:`batched_uniform_idla`."""
-    R, m = starts2d.shape
-    results = []
-    for r in range(R):
-        row = slice(r * m, (r + 1) * m)
-        result = _result(
-            g, "uniform", starts2d[r, 0], stepsflat[row].copy(),
-            settledflat[row].copy(), np.asarray(orders[r], dtype=np.int64),
-            None if traj_all is None else traj_all[r], ticks=float(final_ticks[r]),
-        )
-        if schedules is not None:
-            # frozen dataclass: attach like the serial driver does
-            object.__setattr__(result, "schedule", schedules[r])
-        results.append(result)
-    return results
+    """Per-repetition result assembly of the Uniform-IDLA drivers, from
+    ``(R, m)`` rows."""
+    extras = {} if schedules is None else {"schedule": schedules}
+    return _results(
+        g, "uniform", starts2d[:, 0], steps2d, settled2d, orders, traj_all,
+        ticks=final_ticks, **extras,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -758,28 +735,41 @@ def batched_continuous_sequential_idla(
         g, origin, seeds=gens, record=record, state_budget=state_budget,
         kernels=kernels,
     )
-    return _poissonised(g, walks, gens, rate)
-
-
-def _poissonised(g, walks, gens, rate) -> list[DispersionResult]:
-    """c-sequential results from Sequential-IDLA ``walks`` that leave
-    each generator at the serial stream position: the ``Gamma(ρ_i,
-    1/rate)`` durations come from the very same per-repetition call the
-    serial driver makes."""
-    results = []
     for res, gen in zip(walks, gens):
         if res.total_steps == 0:
             # The serial driver draws its first uniform block before the
             # release loop; a repetition whose particles all settle
             # instantly consumes none of it, but the draw still advances
-            # the stream the Gamma call below reads from.
+            # the stream the Gamma call reads from.
             gen.random(_SEQ_BLOCK)
-        durations = poissonise_steps(res.steps, gen, rate=rate)
-        out = _result(
-            g, "c-sequential", res.origin, res.steps, res.settled_at,
-            res.settle_order, res.trajectories,
-            dispersion_time=float(durations.max()), ticks=float(durations.max()),
-        )
-        object.__setattr__(out, "durations", durations)
-        results.append(out)
-    return results
+    return _poissonised(
+        g, [res.origin for res in walks], np.array([res.steps for res in walks]),
+        np.array([res.settled_at for res in walks]),
+        [res.trajectories for res in walks], gens, rate,
+    )
+
+
+def _poissonised(
+    g, origins, steps2d, settled2d, traj_all, gens, rate
+) -> list[DispersionResult]:
+    """c-sequential results from Sequential-IDLA rows whose generators
+    stand where the serial driver's walk leaves them: each repetition's
+    ``Gamma(ρ_i, 1/rate)`` durations come from the very call
+    :func:`~repro.walks.continuous.poissonise_steps` makes, one per
+    repetition."""
+    walked = steps2d > 0
+    shapes = steps2d[walked].astype(np.float64)
+    ends = np.cumsum(np.count_nonzero(walked, axis=1)).tolist()
+    durations = np.zeros(steps2d.shape)
+    draws = [
+        gen.gamma(shape=shapes[a:b], scale=1.0 / rate)
+        for gen, a, b in zip(gens, [0, *ends], ends)
+    ]
+    if draws:
+        durations[walked] = np.concatenate(draws)
+    longest = durations.max(axis=1)
+    R, m = steps2d.shape
+    return _results(
+        g, "c-sequential", origins, steps2d, settled2d, _index_orders(R, m),
+        traj_all, dispersion=longest, ticks=longest, durations=durations,
+    )

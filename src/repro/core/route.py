@@ -1,4 +1,4 @@
-"""The per-repetition route: every repetition run to completion in C.
+"""The per-repetition route: a whole shard of repetitions in one C call.
 
 :func:`route_kernels` is the one gate.  It passes for a compiled kernel
 provider (:mod:`repro.kernels`), host CSR arrays, the default settling
@@ -8,26 +8,32 @@ thread pool (``n_jobs > 1``) consult it, then call :func:`run_reps`.
 Everything else keeps the lock-step drivers of :mod:`repro.core.batched`
 and :mod:`repro.core.batched_continuous`, or the serial oracles.
 
-:func:`run_reps` runs each repetition as its process's prelude (origins,
-the tie-break permutation, then the round-0 settlement pass, the release
-chain or the time-0 settlement), then its compiled loop, in its serial
-driver's draw order: one ``CompiledKernels.finish_*`` call per
-repetition, except that Sequential-IDLA (and so c-sequential) makes one
-``finish_sequential`` call per shard, which keeps ``REPRO_LANES``
-repetitions in flight so the CPU overlaps their dependent steps.  Every
-loop draws each double from the repetition's ``bitgen_t`` inside C, so
-the generator ends right after the last double consumed (the serial
-oracle and the lock-step body may leave it further on); c-sequential
-then draws up to the serial driver's block grid before its Gamma
-durations.  The tick loops (Uniform, CTU) take no logarithm in C: the
-doubles the serial driver takes ``log1p(-u)`` of go to a lane that the
-wrapper folds with numpy's ``log1p``, as the serial driver's
-:class:`~repro.utils.rng.UniformStream` does.  The results
-are assembled by the lock-step drivers' own helpers, bit-identical to
-the serial oracle.  ``record`` hands each repetition an event sink
+:func:`run_reps` runs a shard in three steps, each once for the whole
+shard.  The prelude builds every repetition's rows as ``(R, m)`` arrays
+in numpy: the starts (a vertex origin in one fill; ``"uniform"`` and
+explicit origins repetition by repetition, in order, since they may
+draw), Parallel-IDLA's tie-break permutations, then the round-0
+settlement pass, the release chain or the time-0 settlement of every
+repetition at once.  Then one ``CompiledKernels.finish_*`` call runs
+every repetition to completion (plus one per "sink full" or "lane full"
+re-entry; none when no repetition walks).  Sequential-IDLA's loop (and
+so c-sequential's) keeps ``REPRO_LANES`` repetitions in flight, so the
+CPU overlaps their dependent steps; the others run the repetitions one
+after another.  Every loop draws each double from its repetition's
+``bitgen_t`` inside C, in the serial driver's order, so each generator
+ends right after the last double consumed (the serial oracle and the
+lock-step body may leave it further on); c-sequential then draws up to
+the serial driver's block grid before its Gamma durations.  The tick
+loops (Uniform, CTU) take no logarithm in C: the doubles the serial
+driver takes ``log1p(-u)`` of go to a log lane shared by the shard,
+which the wrapper folds with numpy's ``log1p``, as the serial driver's
+:class:`~repro.utils.rng.UniformStream` does.  Last, the results are
+assembled by the lock-step drivers' own helpers, with one reduction per
+statistic over the shard, bit-identical to the serial oracle.
+``record`` hands each repetition an event sink
 (:meth:`~repro.kernels.CompiledKernels.event_sink`), whose events become
-the repetition's :class:`~repro.core.trajectory.TrajectoryArrays` as is.  A
-``state_budget`` is ignored: the route keeps no stream buffers or
+the repetition's :class:`~repro.core.trajectory.TrajectoryArrays` as is.
+A ``state_budget`` is ignored: the route keeps no stream buffers or
 round transients, only the result rows and the occupancy.
 """
 
@@ -41,15 +47,12 @@ from repro.core.batched import (
     _parallel_prelude,
     _parallel_results,
     _particle_count,
+    _resolve_starts,
     _sequential_prelude,
     _sequential_results,
+    _time0,
 )
-from repro.core.batched_continuous import (
-    _ctu_results,
-    _init_lanes,
-    _poissonised,
-    _uniform_results,
-)
+from repro.core.batched_continuous import _ctu_results, _poissonised, _uniform_results
 from repro.core.results import DispersionResult
 from repro.core.stopping_rules import standard_rule
 from repro.kernels import KernelsUnavailableError, csr_arrays, get_kernels
@@ -105,18 +108,23 @@ def run_reps(
     return _RUNNERS[process](g, gens, origin, kern, record, **opts)
 
 
-def _trajectories(sink, starts):
-    """One repetition's trajectories, ``None`` when it did not record
-    (a particle that never walked keeps ``[start]``)."""
-    return None if sink is None else sink.trajectories(starts)
+def _sinks(kern, record: bool, starts, *, opened=True, counts=None):
+    """One event sink per repetition when recording (else ``None``),
+    each holding at least ``counts[r]`` events per buffer (Parallel-IDLA:
+    one round).  A loop that runs the repetitions one after another
+    takes them unopened: each opens on its repetition's first event."""
+    if not record:
+        return None
+    counts = [1] * len(starts) if counts is None else counts
+    return [kern.event_sink(row, c, opened=opened) for row, c in zip(starts, counts)]
 
 
-def _order_row(order: list, m: int) -> np.ndarray:
-    """``order`` (the time-0 settlements) as the prefix of an ``m``-slot
-    array a tick loop appends the rest to."""
-    row = np.empty(m, dtype=np.int64)
-    row[: len(order)] = order
-    return row
+def _trajectories(sinks):
+    """Each repetition's trajectories, ``None`` when the run did not
+    record; the sinks of a loop that never ran hold only the starts."""
+    if sinks is None:
+        return None
+    return [s.close() if s.trajectories is None else s.trajectories for s in sinks]
 
 
 def _skip_log_table(pool_size: int) -> np.ndarray:
@@ -132,8 +140,8 @@ def _skip_log_table(pool_size: int) -> np.ndarray:
     return np.log1p(-(np.arange(pool_size) / pool_size))
 
 
-# Each runner validates the options, runs every repetition's prelude,
-# then each repetition's loop, and assembles the results.
+# Each runner validates the options, builds the shard's rows, runs its
+# loop once for the whole shard and assembles the results.
 def _parallel(
     g, gens, origin, kern, record, *, lazy=False, tie_break="index",
     num_particles=None, scalar_threshold=16, max_rounds=None,
@@ -144,105 +152,119 @@ def _parallel(
     starts, prio, occ, free, steps, settled, rounds = _parallel_prelude(
         g, origin, m, gens, tie_break
     )
-    n, (indptr, indices) = g.n, csr_arrays(g)
-    arange_m = np.arange(m, dtype=np.int64)
-    best = np.full(n, -1, dtype=np.int64)  # each loop restores it
-    traj = []
-    for r, gen in enumerate(gens):
-        act = np.flatnonzero(settled[r] < 0)
-        sink = kern.event_sink(act.size) if record else None
-        if act.size and free[r]:  # else surplus particles walk 0 steps
-            kern.finish_parallel(
-                indptr, indices, occ[r * n : (r + 1) * n], act, starts[r, act],
-                arange_m if prio is None else prio[r], best, steps[r],
-                settled[r], rounds[r], gen, free=int(free[r]), lazy=lazy,
-                scalar_threshold=scalar_threshold, budget=budget,
-                max_rounds=max_rounds, sink=sink,
-            )
-        traj.append(_trajectories(sink, starts[r]))
+    k = np.count_nonzero(settled < 0, axis=1)
+    sinks = _sinks(kern, record, starts, opened=False, counts=k.tolist())
+    if ((k > 0) & (free > 0)).any():  # else surplus particles walk 0 steps
+        kern.finish_parallel(
+            *csr_arrays(g), occ, *_active_rows(starts, settled), prio,
+            np.full(g.n, -1, dtype=np.int64), steps, settled, rounds, gens,
+            k=k, free=free, lazy=lazy, scalar_threshold=scalar_threshold,
+            budget=budget, max_rounds=max_rounds, sinks=sinks,
+        )
     return _parallel_results(
         g, "parallel-lazy" if lazy else "parallel", starts, steps, settled,
-        rounds, prio, traj,
+        rounds, prio, _trajectories(sinks),
     )
 
 
-def _sequential(
+def _active_rows(starts, settled):
+    """Each row's unsettled particles first, ascending, and the rows of
+    their start vertices: the active lists a round loop starts from."""
+    act = np.argsort(settled >= 0, axis=1, kind="stable")
+    return act, np.take_along_axis(starts, act, axis=1)
+
+
+def _walk_sequential(
     g, gens, origin, kern, record, *, lazy=False, num_particles=None,
     max_total_steps=None,
 ):
+    """Sequential-IDLA's walks: ``(starts, steps, settled, traj)``."""
     m = _particle_count(g, num_particles, "sequential")
     budget = check_limit("max_total_steps", max_total_steps)
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     starts, occ, steps, settled, walker = _sequential_prelude(g, origin, m, gens)
-    indptr, indices = csr_arrays(g)
-    sinks = [kern.event_sink() for _ in gens] if record else None
+    sinks = _sinks(kern, record, starts)
     kern.finish_sequential(
-        indptr, indices, occ, starts, gens, walker=walker, lazy=lazy,
+        *csr_arrays(g), occ, starts, gens, walker=walker, lazy=lazy,
         budget=budget, limit_msg=limit_msg, steps=steps, settled=settled,
         sinks=sinks,
     )
-    sinks = sinks or [None] * len(gens)
-    traj = [_trajectories(sink, row) for sink, row in zip(sinks, starts)]
+    return starts, steps, settled, _trajectories(sinks)
+
+
+def _sequential(g, gens, origin, kern, record, *, lazy=False, **opts):
+    starts, steps, settled, traj = _walk_sequential(
+        g, gens, origin, kern, record, lazy=lazy, **opts
+    )
     return _sequential_results(g, lazy, starts, steps, settled, traj)
 
 
 def _c_sequential(g, gens, origin, kern, record, *, rate=1.0):
     check_positive_finite("rate", rate)
-    walks = _sequential(g, gens, origin, kern, record)
-    for res, gen in zip(walks, gens):
-        # the loop drew total_steps doubles; the serial driver fetches
-        # whole blocks, so finish the last one (as align_to_serial does)
-        gen.random(-res.total_steps % _seq_mod._BLOCK)
-    return _poissonised(g, walks, gens, rate)
+    starts, steps, settled, traj = _walk_sequential(g, gens, origin, kern, record)
+    block = _seq_mod._BLOCK
+    spill = np.empty(block)  # one scratch for every repetition's draw
+    for total, gen in zip(steps.sum(axis=1).tolist(), gens):
+        # the loop drew `total` doubles; the serial driver fetches whole
+        # blocks, the first before its release loop, so finish the last
+        # one (as align_to_serial does)
+        gen.random(out=spill[: -total % block if total else block])
+    return _poissonised(g, starts[:, 0], steps, settled, traj, gens, rate)
+
+
+def _tick_prelude(g, origin, m, gens):
+    """The tick processes' rows at time 0, each ``(R, m)``: the starts,
+    the vertices, the steps, the settlements, each settle order so far
+    (the time-0 settlers ascending, then room for the rest) and each
+    pool (the unsettled particles ascending); with the occupancy and the
+    pool sizes."""
+    starts = _resolve_starts(g, origin, m, gens)
+    occ, first = _time0(origin, starts, g.n)
+    return (
+        starts, occ, starts.copy(), np.zeros_like(starts),
+        np.where(first, starts, -1), np.argsort(~first, axis=1, kind="stable"),
+        np.argsort(first, axis=1, kind="stable"),
+        m - np.count_nonzero(first, axis=1),
+    )
 
 
 def _uniform(g, gens, origin, kern, record, *, num_particles=None, max_ticks=None):
     m = _particle_count(g, num_particles, "uniform")
     budget = check_limit("max_ticks", max_ticks)
-    limit_msg = f"uniform IDLA exceeded max_ticks={max_ticks}"
-    starts, occ, pos, steps, settled, orders, pool, lanes, ks = _init_lanes(
+    starts, occ, pos, steps, settled, order, pool, k = _tick_prelude(
         g, origin, m, gens
     )
-    n, (indptr, indices) = g.n, csr_arrays(g)
-    logq = _skip_log_table(max(m - 1, 1))
-    k_of, ticks, traj = dict(zip(lanes, ks)), np.zeros(len(gens), np.int64), []
-    for r, gen in enumerate(gens):
-        sink = kern.event_sink() if record else None
-        if r in k_of:
-            row = slice(r * m, (r + 1) * m)
-            norder, orders[r] = len(orders[r]), _order_row(orders[r], m)
-            ticks[r] = kern.finish_uniform(
-                indptr, indices, occ[r * n : (r + 1) * n], pool[row], pos[row],
-                steps[row], settled[row], orders[r], gen, k=k_of[r],
-                norder=norder, logq=logq, budget=budget, limit_msg=limit_msg,
-                sink=sink,
-            )
-        traj.append(_trajectories(sink, starts[r]))
-    return _uniform_results(g, starts, steps, settled, orders, ticks, traj, None)
+    sinks = _sinks(kern, record, starts, opened=False)
+    ticks = np.zeros(len(gens), dtype=np.int64)
+    if k.any():
+        ticks = kern.finish_uniform(
+            *csr_arrays(g), occ, pool, pos, steps, settled, order, gens, k=k,
+            norder=m - k, logq=_skip_log_table(max(m - 1, 1)), budget=budget,
+            limit_msg=f"uniform IDLA exceeded max_ticks={max_ticks}",
+            sinks=sinks,
+        )
+    return _uniform_results(
+        g, starts, steps, settled, order, ticks, _trajectories(sinks), None
+    )
 
 
 def _ctu(g, gens, origin, kern, record, *, rate=1.0, num_particles=None):
     m = _particle_count(g, num_particles, "CTU")
     check_positive_finite("rate", rate)
-    starts, occ, pos, steps, settled, orders, pool, lanes, ks = _init_lanes(
+    starts, occ, pos, steps, settled, order, pool, k = _tick_prelude(
         g, origin, m, gens
     )
-    n, (indptr, indices) = g.n, csr_arrays(g)
-    settle_clock = np.zeros(len(gens) * m, dtype=np.float64)
-    k_of, clock, traj = dict(zip(lanes, ks)), np.zeros(len(gens)), []
-    for r, gen in enumerate(gens):
-        sink = kern.event_sink() if record else None
-        if r in k_of:
-            row = slice(r * m, (r + 1) * m)
-            norder, orders[r] = len(orders[r]), _order_row(orders[r], m)
-            clock[r] = kern.finish_ctu(
-                indptr, indices, occ[r * n : (r + 1) * n], pool[row], pos[row],
-                steps[row], settled[row], settle_clock[row], orders[r], gen,
-                k=k_of[r], norder=norder, rate=rate, sink=sink,
-            )
-        traj.append(_trajectories(sink, starts[r]))
+    sinks = _sinks(kern, record, starts, opened=False)
+    settle_clock = np.zeros(starts.shape)
+    clock = np.zeros(len(gens))
+    if k.any():
+        clock = kern.finish_ctu(
+            *csr_arrays(g), occ, pool, pos, steps, settled, settle_clock,
+            order, gens, k=k, norder=m - k, rate=rate, sinks=sinks,
+        )
     return _ctu_results(
-        g, starts, steps, settled, orders, clock, settle_clock, traj
+        g, starts, steps, settled, order, clock, settle_clock,
+        _trajectories(sinks),
     )
 
 

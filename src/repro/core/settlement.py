@@ -130,8 +130,8 @@ def settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order) -> 
 
     Returns the list of particles still unsettled, ascending — the initial
     contents of the scheduler's :class:`UnsettledPool`.  Shared by the
-    serial drivers and their batched lock-step replicas (which call it
-    once per repetition), so both resolve time 0 identically.
+    serial drivers and the tests that pin the batched drivers' one-pass
+    time-0 settlement to it, so both resolve time 0 identically.
     """
     unsettled = []
     for p, v in enumerate(starts):

@@ -3,7 +3,7 @@
 ``record=True`` asks a driver for the full vertex sequence of every
 particle.  Every route returns it as one :class:`TrajectoryArrays` per
 repetition: a flat ``int32`` vertex array plus ``m + 1`` ``int64``
-offsets, with zero-copy row views.  The per-repetition C loops build it
+offsets, with zero-copy row views.  The route's C shard loops build it
 from their event sinks, the serial drivers seal their per-step Python
 lists into it once, and the lock-step drivers build it with the
 :class:`TrajectoryStore` here.

@@ -57,13 +57,12 @@ parent's unlink tolerates an already-removed segment).
 
 from __future__ import annotations
 
-import multiprocessing
 import weakref
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -71,6 +70,13 @@ from repro.core.route import route_kernels, run_reps
 from repro.graphs.csr import Graph
 from repro.graphs.implicit import ImplicitGraph, ImplicitGraphSpec, from_descriptor
 from repro.utils.validation import check_integer
+
+if TYPE_CHECKING:
+    from multiprocessing import shared_memory
+
+# The fork path's modules (multiprocessing, its shared_memory and
+# concurrent.futures.process) are imported by the functions that use
+# them: the thread route and every n_jobs=1 estimate never load them.
 
 __all__ = [
     "SharedGraph",
@@ -126,6 +132,8 @@ class SharedGraph:
     """
 
     def __init__(self, g: Graph):
+        from multiprocessing import shared_memory
+
         n, nnz = g.n, g.indices.size
         self._shm = shared_memory.SharedMemory(
             create=True, size=(n + 1 + nnz) * _ITEMSIZE
@@ -156,6 +164,8 @@ def attach(spec: SharedGraphSpec) -> tuple[shared_memory.SharedMemory, Graph]:
     The graph's CSR arrays view the returned mapping directly; drop every
     reference to the graph *before* calling ``close()`` on the mapping.
     """
+    from multiprocessing import shared_memory
+
     shm = shared_memory.SharedMemory(name=spec.block)
     try:
         return shm, Graph.from_shared(shm.buf, spec.n, spec.nnz, name=spec.name)
@@ -301,6 +311,8 @@ def run_shard(
 
 def _mp_context():
     """Prefer ``fork``: cheap worker start and one shared resource tracker."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platforms without fork
@@ -367,6 +379,8 @@ def fanout_estimate(
         return _thread_outcomes(
             g, process, origin, children, shards, n_jobs, {**kwargs, "kernels": kern}
         )
+    from concurrent.futures import ProcessPoolExecutor
+
     if isinstance(g, ImplicitGraph):
         exporter, spec = nullcontext(), g.descriptor()
     else:

@@ -218,8 +218,8 @@ def _validate_driver_kwargs(process: str, kwargs: dict) -> None:
 #: ctu, c-sequential) batch one walking particle per repetition, so their
 #: crossovers sit far above parallel's repetitions × particles width.
 #: The numbers are only the crossovers of the lock-step bodies: whatever
-#: passes :func:`~repro.core.route.route_kernels` runs one compiled loop
-#: per repetition at any count, ahead of this threshold.
+#: passes :func:`~repro.core.route.route_kernels` runs each shard in one
+#: compiled call at any count, ahead of this threshold.
 _BATCHED_MIN_REPS = {
     "parallel": 4,
     "sequential": 64,

@@ -42,8 +42,8 @@ import os
 import shlex
 import threading
 import warnings
-from contextlib import ExitStack
 from importlib.util import find_spec
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,7 +146,7 @@ def _u8(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.uint8 else np.ascontiguousarray(a, dtype=np.uint8)
 
 
-# The per-repetition loops write through raw pointers, so their wrappers
+# The shard loops write through raw pointers, so their wrappers
 # refuse, before any draw, what C would misread or overrun: a row of
 # another dtype or a strided view (reinterpreted, or silently copied so
 # the update is lost), a row too short, an index outside its row.
@@ -174,21 +174,47 @@ def _occ_row(name: str, occ_row: np.ndarray, n: int) -> np.ndarray:
     return occ_row.view(np.uint8)
 
 
-def _tick_occ(name, indptr, occ_row, pool, rows, clock_row, order, k, norder):
-    """A tick loop's checks (``rows[0]`` is ``pos_row``); returns ``occ``."""
+def _shard_rows(name: str, dtype, R: int, m: int, *rows) -> None:
+    """Each of ``rows`` is a C-contiguous ``(R, m)`` array of ``dtype``."""
+    for a in rows:
+        if a.dtype != dtype or not a.flags.c_contiguous or a.shape != (R, m):
+            raise ValueError(f"{name} needs C-contiguous {dtype} rows of {m}")
+
+
+def _row_width(a: np.ndarray) -> int:
+    """``m`` of an ``(R, m)`` array (-1, which no row check passes,
+    for any other shape)."""
+    return a.shape[1] if a.ndim == 2 else -1
+
+
+def _check_shard(name: str, rngs, sinks) -> None:
+    """One generator, and with ``sinks`` one sink, per row."""
+    if len({id(rng.bit_generator) for rng in rngs}) < len(rngs):
+        # its lock would be taken twice, and interleaved draws would
+        # break every row's bit-identity
+        raise ValueError(f"{name}: a generator is passed for two rows")
+    if sinks is not None and len(sinks) != len(rngs):
+        raise ValueError(f"{name}: prefixes and sinks need one per row")
+
+
+def _tick_state(name, indptr, occ, pool, rows, rngs, k, norder, sinks, width):
+    """A tick shard's checks, before any draw (``rows[0]`` is ``pos``);
+    returns ``occ`` as ``uint8`` and the state rows, ``k`` and
+    ``norder`` filled in."""
     n = indptr.shape[0] - 1
-    occ = _occ_row(name, occ_row, n)
-    if k < 0 or norder < 0:
-        raise ValueError(f"{name}: k and norder must be >= 0")
-    m = rows[0].shape[0]
-    _check_rows(name, _I64, m, *rows)
-    _check_rows(name, _I64, k, pool)
-    _check_rows(name, _I64, norder + k, order)
-    if clock_row is not None:
-        _check_rows(name, _F64, m, clock_row)
-    _check_range(name, "a pool entry", pool[:k], m)
-    _check_range(name, "a pooled particle's vertex", rows[0][pool[:k]], n)
-    return occ
+    R, m = len(rngs), _row_width(rows[0])
+    _shard_rows(name, _I64, R, m, pool, *rows)
+    occ = _occ_row(name, occ, R * n)
+    _check_shard(name, rngs, sinks)
+    _check_range(name, "a pool entry", pool, m)
+    _check_range(name, "a particle's vertex", rows[0], n)
+    state = np.zeros((R, width), dtype=np.int64)
+    state[:, 0] = k
+    state[:, 1] = norder
+    k, norder = state[:, 0], state[:, 1]
+    if R and (min(k.min(), norder.min()) < 0 or (k + norder).max() > m):
+        raise ValueError(f"{name}: k and norder must be >= 0, k + norder <= m")
+    return occ, state
 
 
 class KernelSet:
@@ -269,26 +295,38 @@ class NumpyKernels(KernelSet):
 
 
 class EventSink:
-    """Event log of one recorded repetition of a per-repetition C loop.
+    """Event log of one recorded repetition of a shard loop.
 
     The loop writes one ``(particle, vertex)`` int32 pair per
     particle-step into :attr:`buf` (holds included, the serial drivers'
     record shape).  Before a step or round that would overflow it, the
-    loop returns "sink full"; the wrapper then seals the filled
-    buffer and re-enters with a fresh one.  :meth:`trajectories` groups
-    the events by particle in one counting scatter, no sort.
+    loop returns "sink full"; the wrapper then seals the filled buffer
+    and re-enters with a fresh one.  A sink made with ``opened=False``
+    starts with no room, so the loop returns "sink full" before its
+    repetition's first event, and the wrapper opens it then.  A loop
+    that runs its repetitions one after another takes such sinks: the
+    wrapper closes every earlier row's sink before it opens the next, so
+    the shard holds one repetition's events at a time.  :meth:`close`
+    groups the events by particle into :attr:`trajectories` in one
+    counting scatter, no sort, and frees the buffers.
     """
 
-    __slots__ = ("capacity", "buf", "_sealed", "_scatter")
+    __slots__ = ("capacity", "starts", "buf", "trajectories", "_sealed", "_scatter")
 
-    def __init__(self, scatter, capacity: int):
+    def __init__(self, scatter, capacity: int, starts, *, opened: bool = True):
         if capacity < 1:
             # a loop could never record its next step: it would re-enter forever
             raise ValueError(f"event sink capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.buf = np.empty(2 * capacity, dtype=np.int32)
+        self.starts = starts
+        self.buf = np.empty(2 * capacity if opened else 0, dtype=np.int32)
+        self.trajectories = None
         self._sealed: list[np.ndarray] = []
         self._scatter = scatter
+
+    def open(self) -> None:
+        """Give an unopened sink its buffer."""
+        self.buf = np.empty(2 * self.capacity, dtype=np.int32)
 
     def seal(self, count: int, *, reopen: bool = True) -> None:
         """Keep the first ``count`` events of :attr:`buf`; with
@@ -296,12 +334,16 @@ class EventSink:
         self._sealed.append(self.buf[: 2 * count])
         self.buf = np.empty(2 * self.capacity if reopen else 0, dtype=np.int32)
 
-    def trajectories(self, starts: np.ndarray):
-        """The sealed events as :class:`~repro.core.trajectory
-        .TrajectoryArrays`: particle ``p``'s row is ``starts[p]`` followed
-        by its recorded vertices in order."""
+    def close(self, count: int = 0):
+        """Seal the last ``count`` events and set :attr:`trajectories` to
+        all of them as :class:`~repro.core.trajectory.TrajectoryArrays`:
+        particle ``p``'s row is ``starts[p]`` followed by its recorded
+        vertices in order.  The buffers are freed; returns the
+        trajectories."""
         from repro.core.trajectory import TrajectoryArrays
 
+        self.seal(count, reopen=False)
+        starts = self.starts
         m = starts.shape[0]
         lens = np.ones(m, dtype=np.int64)  # every row opens with its start
         for ev in self._sealed:
@@ -313,7 +355,9 @@ class EventSink:
         cursor = offsets[:-1] + 1
         for ev in self._sealed:
             self._scatter(ev, ev.shape[0] // 2, cursor, flat)
-        return TrajectoryArrays(offsets, flat)
+        self._sealed = []
+        self.trajectories = TrajectoryArrays(offsets, flat)
+        return self.trajectories
 
 
 class CompiledKernels(KernelSet):
@@ -325,16 +369,16 @@ class CompiledKernels(KernelSet):
     (``UniformStream.take_block`` for the parallel straggler loop, the
     raw generator for the single-walker loops) — the exact fetch cadence
     of the serial scalar loops, so generator positions stay where the
-    serial drivers leave them.  The four per-repetition loops
+    serial drivers leave them.  The four shard loops
     (:meth:`finish_sequential`, :meth:`finish_parallel`,
-    :meth:`finish_ctu`, :meth:`finish_uniform`) instead draw from the
-    generator's ``bitgen_t`` inside C (:meth:`_draw`): unless an event
-    sink fills, one call per Parallel-IDLA repetition, and one per shard
-    of Sequential-IDLA repetitions, ``REPRO_LANES`` of them interleaved.
-    The tick loops also return when their log lane fills; the wrapper
-    takes its logarithms with numpy (:meth:`_ticks`) and re-enters.
+    :meth:`finish_ctu`, :meth:`finish_uniform`) instead run every
+    repetition of a shard in one compiled call, each repetition drawing
+    from its generator's ``bitgen_t`` inside C (:meth:`_draw`).  They
+    return early only when an event sink fills or, for the tick loops,
+    when the shared log lane fills; the wrapper then seals the sink or
+    takes the lane's logarithms with numpy, and re-enters.
 
-    The per-repetition loops take an optional event sink per repetition
+    The shard loops take an optional event sink per repetition
     (:meth:`event_sink`) that records its trajectories.
     """
 
@@ -392,53 +436,97 @@ class CompiledKernels(KernelSet):
         return winners[: int(c)]
 
     # ---- event sinks ---------------------------------------------------
-    def event_sink(self, min_capacity: int = 1) -> EventSink:
-        """A fresh :class:`EventSink` for one recorded repetition, holding
-        at least ``min_capacity`` events per buffer."""
-        return EventSink(self._impl.scatter_events, max(_SINK_EVENTS, min_capacity))
+    def event_sink(
+        self, starts, min_capacity: int = 1, *, opened: bool = True
+    ) -> EventSink:
+        """A fresh :class:`EventSink` for one recorded repetition with
+        start vertices ``starts``, holding at least ``min_capacity``
+        events per buffer."""
+        return EventSink(
+            self._impl.scatter_events, max(_SINK_EVENTS, min_capacity), starts,
+            opened=opened,
+        )
 
-    @staticmethod
-    def _sink_args(sink):
-        # the room of the buffer actually passed, so C never writes past it
-        return (None, 0) if sink is None else (sink.buf, sink.buf.shape[0] // 2)
+    def _draw(self, run, rngs, state, sinks, *, events, prefixes=None, fold=None):
+        """Drive a shard loop whose row ``r`` draws from the bit generator
+        of ``rngs[r]``, holding every generator's lock, and return its
+        final status.
 
-    def _draw(self, run, rngs, state, sinks, *, events, prefixes=None):
-        """Drive a loop that draws from the bit generators of ``rngs``,
-        one per row of ``state``, holding every generator's lock, and
-        return its final status.
-
-        ``run(addresses)`` enters the loop once with each row's
-        ``bitgen_t`` address and returns ``(status, row)``; status 2 (the
-        sink of ``row`` is full) seals that sink and re-enters.  A "full"
-        sink holding no event would make the loop re-enter forever, so
-        it raises.  ``prefixes[r]`` (float64), when given, is served
-        before row ``r``'s generator."""
-        addresses = []
+        ``run(bgs, evs, caps)`` enters the loop once with each row's
+        ``bitgen_t`` address (``uintp``) and, with ``sinks``, each row's
+        sink buffer address and room (else ``None``), and returns
+        ``(status, row)``.  ``fold(status)``, when given, runs after every
+        return and gives the status to act on.  Status 2 (the sink of
+        ``row`` is full) seals that sink, or opens it if unopened, and
+        re-enters, as does 3 (the log lane is full).  A "full" open sink
+        holding no event would make the loop re-enter forever, so it
+        raises.  When the loop is done every sink is closed, into its
+        repetition's trajectories.  ``prefixes[r]`` (float64), when given,
+        is served before row ``r``'s generator."""
+        bgs = np.empty(len(rngs), dtype=np.uintp)
+        evs = caps = None
+        if sinks is not None:
+            evs = np.array([s.buf.ctypes.data for s in sinks], dtype=np.uintp)
+            caps = np.array([s.buf.shape[0] // 2 for s in sinks], dtype=np.int64)
         fronts = []  # the prefix bit generators C reads through
-        with ExitStack() as held:
-            for r, rng in enumerate(rngs):
-                bitgen = rng.bit_generator
-                held.enter_context(bitgen.lock)
+        bitgens = [rng.bit_generator for rng in rngs]
+        closed = 0  # the sinks of rows [0, closed) are closed
+        held = 0
+        try:
+            for bitgen in bitgens:
+                bitgen.lock.acquire()
+                held += 1
+            for r, bitgen in enumerate(bitgens):
                 address = _bitgen_address(bitgen)
                 prefix = None if prefixes is None else prefixes[r]
                 if prefix is not None and prefix.shape[0]:
                     fronts.append(self._impl.prefix_bitgen(prefix, address))
                     address = fronts[-1].address
-                addresses.append(address)
+                bgs[r] = address
             while True:
-                status, row = run(addresses)
-                if status != 2:
+                status, row = run(bgs, evs, caps)
+                if fold is not None:
+                    status = fold(status)
+                if status == 2:
+                    sink = sinks[row]
+                    if not sink.buf.shape[0]:
+                        # the row's first event: only a loop that runs its
+                        # rows in order takes unopened sinks, so every row
+                        # before it is done
+                        for q in range(closed, row):
+                            sinks[q].close(int(state[q, events]))
+                        closed = row
+                        sink.open()
+                    elif state[row, events]:
+                        sink.seal(int(state[row, events]))
+                    else:
+                        raise RuntimeError(
+                            "compiled loop: 'sink full' on an empty sink"
+                        )
+                    state[row, events] = 0
+                    # the room of the buffer actually passed, so C never
+                    # writes past it
+                    evs[row] = sink.buf.ctypes.data
+                    caps[row] = sink.buf.shape[0] // 2
+                elif status != 3:
                     break
-                if not state[row, events]:
-                    raise RuntimeError("compiled loop: 'sink full' on an empty sink")
-                sinks[row].seal(int(state[row, events]))
-                state[row, events] = 0
+        finally:
+            for bitgen in bitgens[:held]:
+                bitgen.lock.release()
         if status == 1 and sinks is not None:
-            for r, sink in enumerate(sinks):
-                sink.seal(int(state[r, events]), reopen=False)
+            for q in range(closed, len(sinks)):
+                sinks[q].close(int(state[q, events]))
         return status
 
-    # ---- scalar-tail finisher loops ----------------------------------
+    # ---- the shard loops -----------------------------------------------
+    # Each runs every repetition of a shard in one compiled call (plus one
+    # per "sink full" or "lane full" re-entry): row r of the (R, m) arrays
+    # and occ[r*n : (r+1)*n] belong to repetition r, which draws each
+    # double from the bit generator of rngs[r] in C, in its serial
+    # driver's order, so each generator ends right after the last double
+    # its row consumed.  Every row is checked once, before any draw; one
+    # generator passed for two rows raises ValueError.  With sinks, one
+    # per row, every step is recorded into its row's sink.
     def finish_sequential(
         self, indptr, indices, occ, starts, rngs, *, prefixes=None,
         walker, pos=None, pstep=0, total=0, lazy, budget, limit_msg,
@@ -453,33 +541,22 @@ class CompiledKernels(KernelSet):
         particle ``walker[r]`` (``m``: done), ``pstep[r]`` steps in, from
         ``pos[r]`` (default: its start), with ``total[r]`` doubles consumed
         so far; scalars serve every row.  The C loop keeps
-        ``REPRO_LANES`` repetitions in flight, each drawing from its own
-        generator, so every row's samples are those of the serial loop
-        run on its own.  Every generator's lock is held across the call,
-        and each generator ends right after the last double its row
-        consumed; one generator passed for two rows raises
-        ``ValueError`` before any draw.  ``prefixes[r]``, a float64 row
-        or ``None`` (the unconsumed doubles of a lock-step stream row),
-        is served before generator ``r``.  With ``sinks``, one per row,
-        every step from here on is recorded into its row's sink."""
+        ``REPRO_LANES`` repetitions in flight; every row's samples are
+        those of the serial loop run on its own.  ``prefixes[r]``, a
+        float64 row or ``None`` (the unconsumed doubles of a lock-step
+        stream row), is served before generator ``r``."""
         name = "finish_sequential"
         n = indptr.shape[0] - 1
         R = len(rngs)
         if starts.ndim != 2 or starts.shape[0] != R:
             raise ValueError(f"{name}: starts needs one row per generator")
         m = starts.shape[1]
-        for a in (starts, steps, settled):
-            if a.dtype != _I64 or not a.flags.c_contiguous or a.shape != (R, m):
-                raise ValueError(f"{name} needs C-contiguous int64 rows of {m}")
+        _shard_rows(name, _I64, R, m, starts, steps, settled)
         occ = _occ_row(name, occ, R * n)
         _check_range(name, "a start", starts, n)
-        if len({id(rng.bit_generator) for rng in rngs}) < R:
-            # its lock would be taken twice, and interleaved draws would
-            # break every row's bit-identity
-            raise ValueError(f"{name}: a generator is passed for two rows")
-        for rows in (prefixes, sinks):
-            if rows is not None and len(rows) != R:
-                raise ValueError(f"{name}: prefixes and sinks need one per row")
+        _check_shard(name, rngs, sinks)
+        if prefixes is not None and len(prefixes) != R:
+            raise ValueError(f"{name}: prefixes and sinks need one per row")
         for prefix in prefixes or ():
             if prefix is not None:
                 _check_rows(name, _F64, 0, prefix)
@@ -496,21 +573,12 @@ class CompiledKernels(KernelSet):
         state[:, 2] = pstep
         state[:, 3] = total
         which = np.zeros(1, dtype=np.int64)
-        evs = caps = None
-        if sinks is not None:
-            evs = np.array([s.buf.ctypes.data for s in sinks], dtype=np.uintp)
-            caps = np.array([s.buf.shape[0] // 2 for s in sinks], dtype=np.int64)
+        lz = 1 if lazy else 0
 
-        def run(addresses):
-            if evs is not None and R:
-                # the row sealed after the last entry writes a new buffer
-                r = int(which[0])
-                evs[r] = sinks[r].buf.ctypes.data
-                caps[r] = sinks[r].buf.shape[0] // 2
+        def run(bgs, evs, caps):
             status = self._impl.finish_seq(
-                indptr, indices, occ, starts, steps, settled,
-                np.array(addresses, dtype=np.uintp), state, R, n, m,
-                1 if lazy else 0, budget, evs, caps, which,
+                indptr, indices, occ, starts, steps, settled, bgs, state, R,
+                n, m, lz, budget, evs, caps, which,
             )
             return status, int(which[0])
 
@@ -519,6 +587,186 @@ class CompiledKernels(KernelSet):
             raise RuntimeError(limit_msg)
         return state[:, 3].copy()
 
+    # The tick loops (CTU, Uniform) write the doubles the serial driver
+    # takes log1p(-u) of to a lane of _LANE slots shared by the shard's
+    # repetitions, with their divisors; each row records its segment
+    # [LO, HI).  After every return, the fold takes one log1p and one
+    # divide over the used lane, as the serial driver's UniformStream
+    # takes numpy's log1p, then splits the results per repetition.
+    def finish_ctu(
+        self, indptr, indices, occ, pool, pos, steps, settled, clock, order,
+        rngs, *, k, norder, rate, sinks=None,
+    ) -> np.ndarray:
+        """Compiled :func:`repro.core.continuous.ctu_idla` tick loop for
+        ``R = len(rngs)`` repetitions; returns each one's final clock.
+
+        ``pool``, ``pos``, ``steps``, ``settled``, ``clock`` (float64, the
+        settle clocks) and ``order`` are ``(R, m)``: ``pool[r, :k[r]]``
+        holds repetition ``r``'s unsettled particles and
+        ``order[r, :norder[r]]`` its settle order so far; every entry of
+        ``pool`` must be a particle, every entry of ``pos`` a vertex.  Each
+        tick draws 3 doubles, in the serial order."""
+        occ, state = _tick_state(
+            "finish_ctu", indptr, occ, pool, (pos, steps, settled, order),
+            rngs, k, norder, sinks, 5,
+        )
+        R, m = pos.shape
+        _shard_rows("finish_ctu", _F64, R, m, clock)
+        cap = _LANE
+        lane = np.empty(2 * cap)
+        clocks = np.zeros(R)
+        folded = state[:, 1].copy()  # each row's settle order at the last fold
+        cols = np.arange(m)
+        which = np.zeros(1, dtype=np.int64)
+
+        def fold(status):
+            # the serial clock += -log1p(-u) / (k * rate), tick by tick,
+            # which is clock - log1p(-u) / (k * rate) bit for bit
+            lo, hi = state[:, 2], state[:, 3]
+            seg = np.flatnonzero(hi > lo)
+            if not seg.size:
+                return status
+            nl = int(hi[seg[-1]])
+            # vals[i + 1] is lane slot i's log1p(-u) / (k * rate); each
+            # segment [a, b) accumulates in place from vals[a], which
+            # then holds its carried clock (the segments lie in row order,
+            # so vals[a] is the one before's final clock, saved by then)
+            vals = np.empty(nl + 1)
+            np.log1p(-lane[:nl], out=vals[1:])
+            vals[1:] /= lane[cap : cap + nl]
+            for r, a, b in zip(seg.tolist(), lo[seg].tolist(), hi[seg].tolist()):
+                acc = vals[a : b + 1]
+                acc[0] = clocks[r]
+                np.subtract.accumulate(acc, out=acc)
+                clocks[r] = acc[-1]
+            # a particle settled since the last fold holds the lane length
+            # g after its tick: its clock is vals[g], or its row's final
+            # clock if the next segment's start took that slot
+            rr, cc = np.nonzero((cols >= folded[:, None]) & (cols < state[:, 1:2]))
+            p = order[rr, cc]
+            g = clock[rr, p].astype(np.int64)
+            clock[rr, p] = np.where(g == hi[rr], clocks[rr], vals[g])
+            folded[:] = state[:, 1]
+            return status
+
+        self._draw(
+            lambda bgs, evs, caps: (self._impl.run_ctu(
+                indptr, indices, occ, pool, pos, steps, settled, clock, order,
+                bgs, lane, cap, state, R, indptr.shape[0] - 1, m, float(rate),
+                evs, caps, which,
+            ), int(which[0])),
+            rngs, state, sinks, events=4, fold=fold,
+        )
+        return clocks
+
+    def finish_uniform(
+        self, indptr, indices, occ, pool, pos, steps, settled, order, rngs,
+        *, k, norder, logq, budget, limit_msg, sinks=None,
+    ) -> np.ndarray:
+        """Compiled :func:`repro.core.uniform.uniform_idla` tick loop
+        (default scheduler) for ``R = len(rngs)`` repetitions; returns
+        each one's tick count.
+
+        The rows are :meth:`finish_ctu`'s, less the clocks.  ``logq[j]``
+        is ``np.log1p(-(j / pool_size))`` for ``j < pool_size =
+        logq.shape[0]``, the geometric-skip divisor.  Each tick draws 2
+        doubles, plus 1 per skip, in the serial order.  A tick count past
+        ``budget`` raises ``RuntimeError(limit_msg)``, as the serial
+        driver does."""
+        occ, state = _tick_state(
+            "finish_uniform", indptr, occ, pool, (pos, steps, settled, order),
+            rngs, k, norder, sinks, 6,
+        )
+        _check_rows("finish_uniform", _F64, 0, logq)
+        R, m = pos.shape
+        cap = _LANE
+        lane = np.empty(2 * cap)
+        which = np.zeros(1, dtype=np.int64)
+
+        def fold(status):
+            # the serial ticks += int(log1p(-u) / logq[k]), skip by skip;
+            # ticks only grow, so a final count exceeds the budget
+            # exactly when the serial driver raises
+            lo, hi = state[:, 3], state[:, 4]
+            seg = np.flatnonzero(hi > lo)
+            if seg.size:
+                nl = int(hi[seg[-1]])
+                skips = np.log1p(-lane[:nl])
+                skips /= lane[cap : cap + nl]
+                # the segments tile the lane in row order
+                state[seg, 2] += np.add.reduceat(skips.astype(np.int64), lo[seg])
+            return -1 if (state[:, 2] > budget).any() else status
+
+        status = self._draw(
+            lambda bgs, evs, caps: (self._impl.run_uniform(
+                indptr, indices, occ, pool, pos, steps, settled, order, bgs,
+                lane, cap, logq, logq.shape[0], state, R,
+                indptr.shape[0] - 1, m, budget, evs, caps, which,
+            ), int(which[0])),
+            rngs, state, sinks, events=5, fold=fold,
+        )
+        if status < 0:
+            raise RuntimeError(limit_msg)
+        return state[:, 2].copy()
+
+    def finish_parallel(
+        self, indptr, indices, occ, act, pos, prio, best, steps, settled,
+        rounds, rngs, *, k, free, lazy, scalar_threshold, budget,
+        max_rounds, sinks=None,
+    ) -> np.ndarray:
+        """Compiled :func:`repro.core.parallel.parallel_idla` round loop
+        for ``R = len(rngs)`` repetitions; returns each one's final round.
+
+        Starts after the round-0 settlement pass: ``act[r, :k[r]]`` holds
+        repetition ``r``'s unsettled particles ascending and ``pos[r,
+        :k[r]]`` their vertices (both are reordered in place), ``free[r]``
+        its vacant-vertex count; every entry of ``act`` must be a
+        particle, every entry of ``pos`` a vertex.  ``prio`` is ``None``
+        (a particle's priority is its index) or ``(R, m)``, like ``act``,
+        ``pos``, ``steps``, ``settled`` and ``rounds``; ``best`` is an all
+        ``-1`` scratch of size ``n``, restored on return.  A sink must hold
+        at least one round: ``k[r]`` events."""
+        name = "finish_parallel"
+        n = indptr.shape[0] - 1
+        R, m = len(rngs), _row_width(steps)
+        _shard_rows(
+            name, _I64, R, m, act, pos, steps, settled, rounds,
+            *(() if prio is None else (prio,)),
+        )
+        _check_rows(name, _I64, n, best)
+        occ = _occ_row(name, occ, R * n)
+        _check_shard(name, rngs, sinks)
+        _check_range(name, "an act entry", act, m)
+        _check_range(name, "a pos entry", pos, n)
+        state = np.zeros((R, 4), dtype=np.int64)
+        state[:, 0] = k
+        state[:, 2] = free
+        k = state[:, 0]
+        if R and (k.min() < 0 or k.max() > m):
+            raise ValueError(f"{name}: an active count outside [0, {m}]")
+        if sinks is not None and any(
+            s.capacity < kr for s, kr in zip(sinks, k.tolist())
+        ):
+            raise ValueError(f"{name}: a sink holds less than one round")
+        # k only shrinks and never passes m, so clamping keeps every
+        # `k > threshold` test
+        thr = max(-1, min(scalar_threshold, m))
+        hold = np.empty(m) if lazy else None
+        lz = 1 if lazy else 0
+        which = np.zeros(1, dtype=np.int64)
+        status = self._draw(
+            lambda bgs, evs, caps: (self._impl.run_parallel(
+                indptr, indices, occ, act, pos, prio, best, steps, settled,
+                rounds, bgs, hold, state, R, n, m, lz, thr, budget, evs, caps,
+                which,
+            ), int(which[0])),
+            rngs, state, sinks, events=3,
+        )
+        if status < 0:
+            raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
+        return state[:, 1].copy()
+
+    # ---- scalar-tail finisher loop ----------------------------------
     def finish_parallel_single(
         self, indptr, indices, occ_arr, tail, *,
         v, t, lazy, guard, budget, limit_msg,
@@ -539,185 +787,6 @@ class CompiledKernels(KernelSet):
             if status < 0:
                 raise RuntimeError(limit_msg)
             buf = tail.take_block()
-
-    # ---- per-repetition tick-process loops ---------------------------
-    # One whole repetition of CTU-/Uniform-IDLA per call, from its time-0
-    # state: pool[:k] the unsettled particles, order[:norder] the settle
-    # order so far; the row arrays are updated in place.  The loop draws
-    # every double from the generator in C and writes the ones the serial
-    # driver takes log1p(-u) of to a lane of _LANE slots, with their
-    # divisors; each fold takes the lane's logarithms with numpy's log1p,
-    # as the serial driver's UniformStream does, and empties it.
-    def _ticks(self, run, fold, rng, state, sink, *, events):
-        """Drive a tick loop to completion under ``rng``'s lock and
-        return its final status: ``run(address)`` enters it once; every
-        status but 2 ("sink full", handled by :meth:`_draw`) folds the
-        lane through ``fold(status)``, which returns the status to act
-        on, and 3 ("lane full") then re-enters."""
-
-        def enter(addresses):
-            while True:
-                status = run(addresses[0])
-                if status == 2:
-                    return status, 0
-                status = fold(status)
-                if status != 3:
-                    return status, 0
-
-        sinks = None if sink is None else [sink]
-        return self._draw(enter, [rng], state, sinks, events=events)
-
-    def finish_ctu(
-        self, indptr, indices, occ_row, pool, pos_row, steps_row,
-        settled_row, clock_row, order, rng, *, k, norder, rate, sink=None,
-    ) -> float:
-        """Compiled :func:`repro.core.continuous.ctu_idla` tick loop;
-        returns the repetition's final clock.
-
-        The loop draws 3 doubles a tick from ``rng``'s bit generator, in
-        the serial order, so the samples are the serial ones and the
-        generator ends right after the last double consumed.  With
-        ``sink``, every tick is recorded into it."""
-        occ = _tick_occ(
-            "finish_ctu", indptr, occ_row, pool,
-            (pos_row, steps_row, settled_row), clock_row, order, k, norder,
-        )
-        state = np.array([[k, norder, 0, 0]], dtype=np.int64)
-        cap = _LANE
-        lane = np.empty(2 * cap)
-        clock, folded = 0.0, norder
-
-        def fold(status):
-            # the serial clock += -log1p(-u) / (k * rate), tick by tick,
-            # which is clock - log1p(-u) / (k * rate) bit for bit; a
-            # particle settled since the last fold holds its lane length
-            nonlocal clock, folded
-            nl, no = int(state[0, 2]), int(state[0, 1])
-            if nl:
-                acc = np.empty(nl + 1)
-                acc[0] = clock
-                np.divide(np.log1p(-lane[:nl]), lane[cap : cap + nl], out=acc[1:])
-                np.subtract.accumulate(acc, out=acc)
-                settled = order[folded:no]
-                clock_row[settled] = acc[clock_row[settled].astype(np.int64)]
-                clock, folded = float(acc[-1]), no
-                state[0, 2] = 0
-            return status
-
-        self._ticks(
-            lambda address: self._impl.run_ctu(
-                indptr, indices, occ, pool, pos_row, steps_row, settled_row,
-                clock_row, order, address, lane, cap, state, float(rate),
-                *self._sink_args(sink),
-            ),
-            fold, rng, state, sink, events=3,
-        )
-        return clock
-
-    def finish_uniform(
-        self, indptr, indices, occ_row, pool, pos_row, steps_row,
-        settled_row, order, rng, *, k, norder, logq, budget, limit_msg,
-        sink=None,
-    ) -> int:
-        """Compiled :func:`repro.core.uniform.uniform_idla` tick loop
-        (default scheduler); returns the repetition's tick count.
-
-        ``logq[j]`` is ``np.log1p(-(j / pool_size))`` for
-        ``j < pool_size = logq.shape[0]``, the geometric-skip divisor.
-        The loop draws 2 doubles a tick, plus 1 per skip, from ``rng``'s
-        bit generator, in the serial order; it ends right after the last
-        double consumed.  A tick count past ``budget`` raises
-        ``RuntimeError(limit_msg)``, as the serial driver does.  With
-        ``sink``, every tick that steps is recorded into it.
-        """
-        occ = _tick_occ(
-            "finish_uniform", indptr, occ_row, pool,
-            (pos_row, steps_row, settled_row), None, order, k, norder,
-        )
-        _check_rows("finish_uniform", _F64, 0, logq)
-        state = np.array([[k, norder, 0, 0, 0]], dtype=np.int64)
-        cap = _LANE
-        lane = np.empty(2 * cap)
-
-        def fold(status):
-            # the serial ticks += int(log1p(-u) / logq[k]), skip by skip;
-            # ticks only grow, so the final count exceeds the budget
-            # exactly when the serial driver raises
-            nl = int(state[0, 3])
-            if nl:
-                skips = np.log1p(-lane[:nl])
-                skips /= lane[cap : cap + nl]
-                state[0, 2] += int(skips.astype(np.int64).sum())
-                state[0, 3] = 0
-            return -1 if int(state[0, 2]) > budget else status
-
-        status = self._ticks(
-            lambda address: self._impl.run_uniform(
-                indptr, indices, occ, pool, pos_row, steps_row, settled_row,
-                order, address, lane, cap, logq, logq.shape[0], state,
-                budget, *self._sink_args(sink),
-            ),
-            fold, rng, state, sink, events=4,
-        )
-        if status < 0:
-            raise RuntimeError(limit_msg)
-        return int(state[0, 2])
-
-    def finish_parallel(
-        self, indptr, indices, occ_row, act, pos, prio, best, steps_row,
-        settled_row, round_row, rng, *, free, lazy, scalar_threshold,
-        budget, max_rounds, sink=None,
-    ) -> int:
-        """Compiled :func:`repro.core.parallel.parallel_idla` round loop
-        for one repetition; returns its final round.
-
-        Starts after the round-0 settlement pass: ``act`` holds the
-        unsettled particles ascending and ``pos`` their vertices (both
-        are reordered in place), ``free`` the vacant-vertex count.
-        ``prio`` is the per-particle priority and ``best`` an all ``-1``
-        scratch of size ``n``, restored on return.  The loop reads its
-        own generator directly: it draws each double from ``rng``'s bit
-        generator, under that generator's lock, in the serial order.  The
-        samples are the serial ones, and the generator ends right after
-        the last double consumed.  With ``sink`` (capacity at least
-        ``act.size``: one round's events), every round is recorded into
-        it.
-        """
-        n = indptr.shape[0] - 1
-        occ = _occ_row("finish_parallel", occ_row, n)
-        _check_rows(
-            "finish_parallel", _I64, 0, act, pos, prio, steps_row,
-            settled_row, round_row,
-        )
-        _check_rows("finish_parallel", _I64, n, best)
-        if pos.shape != act.shape:
-            raise ValueError("finish_parallel: act/pos size mismatch")
-        k = act.shape[0]
-        if sink is not None and sink.capacity < k:
-            raise ValueError("finish_parallel: sink holds less than one round")
-        # the loop checks 0 <= act < m and 0 <= pos < n before any draw
-        m = min(a.shape[0] for a in (prio, steps_row, settled_row, round_row))
-        # k only shrinks, so clamping keeps every `k > threshold` test
-        thr = max(-1, min(scalar_threshold, k))
-        state = np.array([[k, 0, free, 0]], dtype=np.int64)
-        hold = np.empty(k) if lazy else None
-        lz = 1 if lazy else 0
-        status = self._draw(
-            lambda addresses: (self._impl.run_parallel(
-                indptr, indices, occ, act, pos, prio, best, steps_row,
-                settled_row, round_row, addresses[0], hold, m, n, state, lz,
-                thr, budget, *self._sink_args(sink),
-            ), 0),
-            [rng], state, None if sink is None else [sink], events=3,
-        )
-        if status == -2:
-            raise ValueError(
-                "finish_parallel: an act entry is past a row or a pos entry "
-                "is not a vertex"
-            )
-        if status < 0:
-            raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
-        return int(state[0, 1])
 
     # ---- single-walker loops -----------------------------------------
     def walk_positions(self, indptr, indices, out, rng, block: int):
@@ -800,9 +869,10 @@ class _ArrayGenerator:
 def _self_check(ks: CompiledKernels) -> None:
     """Exercise every kernel on the path graph P3 and assert the answers.
 
-    Catches toolchain miscompiles at selection time, loudly.  The
-    recorded runs fill their event sinks, and the tick loops also run
-    with a one-slot log lane, so the resume protocols are checked too.
+    Catches toolchain miscompiles at selection time, loudly.  Every
+    shard loop runs several rows in one call, the recorded runs fill
+    their event sinks, and the tick loops also run with a one-slot log
+    lane, so the row offsets and the resume protocols are checked too.
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
@@ -841,9 +911,10 @@ def _self_check(ks: CompiledKernels) -> None:
     assert (vertex, rounds) == (1, 1) and bool(occ[1])
 
     # recorded runs use one-event sinks (a Parallel-IDLA sink: one round),
-    # so every loop also re-enters after "sink full"
-    def sink(capacity=1):
-        return EventSink(ks._impl.scatter_events, capacity)
+    # so every loop also re-enters after "sink full"; the loops that run
+    # their rows in order take them unopened, as the route hands them
+    def sink(starts, capacity=1, opened=True):
+        return EventSink(ks._impl.scatter_events, capacity, starts, opened=opened)
 
     # Sequential-IDLA in one call of ten rows, two particles each, vertex
     # 0 taken: row 0 settled both at time 0; row 1 resumes particle 0 one
@@ -865,7 +936,7 @@ def _self_check(ks: CompiledKernels) -> None:
         settled = np.full((R, 2), -1, dtype=np.int64)
         settled[0] = [0, 2]
         rngs = [_ArrayGenerator(ks, d) for d in [[], [0.6]] + [w[1] for w in walks]]
-        sinks = [sink() for _ in range(R)] if rec else None
+        sinks = [sink(row) for row in starts] if rec else None
         consumed = ks.finish_sequential(
             indptr, indices, occ.reshape(-1), starts, rngs,
             prefixes=[None, np.array([0.9, 0.1])] + [None] * (R - 2),
@@ -879,7 +950,7 @@ def _self_check(ks: CompiledKernels) -> None:
         assert settled.tolist() == [[0, 2], [2, 1]] + [w[2] for w in walks]
         assert steps.tolist() == [[0, 0]] + [[2, 2]] * (R - 1), steps
         if rec:
-            traj = [sk.trajectories(row).to_lists() for sk, row in zip(sinks, starts)]
+            traj = [sk.trajectories.to_lists() for sk in sinks]
             assert traj == [[[0], [2]], [[1, 2], [2, 2, 1]]] + [
                 w[3] for w in walks
             ], traj
@@ -896,11 +967,13 @@ def _self_check(ks: CompiledKernels) -> None:
     assert hits == 2, hits
 
     # three particles from vertex 0, particle 0 settled at time 0: particle
-    # 2 steps to 1 and settles, particle 1 steps to 1, then on to 2
-    def tick_state():
-        occ = np.array([1, 0, 0], dtype=np.uint8)
-        rows = [np.array(a, dtype=np.int64) for a in (
-            [1, 2], [0, 0, 0], [0, 0, 0], [0, -1, -1], [0, -1, -1],
+    # 2 steps to 1 and settles, particle 1 steps to 1, then on to 2.  Each
+    # loop also runs two such rows in one call, each with its own
+    # generator of the same doubles, and ends them alike
+    def tick_rows(R):
+        occ = np.tile(np.array([1, 0, 0], dtype=np.uint8), R)
+        rows = [np.tile(np.array(a, dtype=np.int64), (R, 1)) for a in (
+            [1, 2, 0], [0, 0, 0], [0, 0, 0], [0, -1, -1], [0, -1, -1],
         )]
         return occ, rows
 
@@ -915,89 +988,118 @@ def _self_check(ks: CompiledKernels) -> None:
     # settled at its start, particle 2 stepped once, particle 1 twice
     walked = [[0], [0, 1, 2], [0, 1]]
     starts = np.zeros(3, dtype=np.int64)
-    for rec in (None, sink()):
-        occ, (pool, pos, steps_row, settled_row, order) = tick_state()
-        clock_row = np.zeros(3)
-        rng = _ArrayGenerator(ks, draws["ctu"])
-        clock = ks.finish_ctu(
-            indptr, indices, occ, pool, pos, steps_row, settled_row,
-            clock_row, order, rng, k=2, norder=1, rate=1.0, sink=rec,
-        )
-        dt = -float(np.log1p(-0.5))
-        assert clock == dt / 2.0 + dt + dt and rng.drawn() == 9, clock
-        assert clock_row.tolist() == [0.0, clock, dt / 2.0], clock_row
-        assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
-        assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
-        assert rec is None or rec.trajectories(starts) == walked
+    dt = -float(np.log1p(-0.5))
+    clock = dt / 2.0 + dt + dt
 
-    for rec in (None, sink()):
-        occ, (pool, pos, steps_row, settled_row, order) = tick_state()
-        rng = _ArrayGenerator(ks, draws["uniform"])
+    def tick_ends(R, rngs, loop, rows, sinks):
+        _, pos, steps_row, settled_row, order = rows
+        assert [rng.drawn() for rng in rngs] == [len(draws[loop])] * R
+        assert settled_row.tolist() == order.tolist() == [[0, 2, 1]] * R
+        assert steps_row.tolist() == pos.tolist() == [[0, 2, 1]] * R
+        for rec in sinks or ():
+            assert rec.trajectories == walked
+
+    def tick_sinks(R, rec):
+        return [sink(starts, opened=False) for _ in range(R)] if rec else None
+
+    for R, rec in ((1, False), (1, True), (2, False), (2, True)):
+        occ, rows = tick_rows(R)
+        pool, pos, steps_row, settled_row, order = rows
+        clock_rows = np.zeros((R, 3))
+        rngs = [_ArrayGenerator(ks, draws["ctu"]) for _ in range(R)]
+        sinks = tick_sinks(R, rec)
+        clocks = ks.finish_ctu(
+            indptr, indices, occ, pool, pos, steps_row, settled_row,
+            clock_rows, order, rngs, k=2, norder=1, rate=1.0, sinks=sinks,
+        )
+        assert clocks.tolist() == [clock] * R, clocks
+        assert clock_rows.tolist() == [[0.0, clock, dt / 2.0]] * R, clock_rows
+        tick_ends(R, rngs, "ctu", rows, sinks)
+
+        occ, rows = tick_rows(R)
+        pool, pos, steps_row, settled_row, order = rows
+        rngs = [_ArrayGenerator(ks, draws["uniform"]) for _ in range(R)]
+        sinks = tick_sinks(R, rec)
         ticks = ks.finish_uniform(
             indptr, indices, occ, pool, pos, steps_row, settled_row, order,
-            rng, k=2, norder=1, logq=logq, budget=float("inf"),
-            limit_msg="self-check", sink=rec,
+            rngs, k=2, norder=1, logq=logq, budget=float("inf"),
+            limit_msg="self-check", sinks=sinks,
         )
-        assert ticks == 5 and rng.drawn() == 8, ticks
-        assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
-        assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
-        assert rec is None or rec.trajectories(starts) == walked
+        assert ticks.tolist() == [5] * R, ticks
+        tick_ends(R, rngs, "uniform", rows, sinks)
 
     # the same runs with a one-slot lane: before each tick that needs a
     # slot once it is taken, the loop returns 3 ("lane full"); every
-    # return leaves the tick's log double and its divisor in the lane
+    # return leaves the tick's log double and its divisor in the lane.
+    # Two rows share the lane: row 1 finds it holding row 0's last double
     half = float(logq[1])
     full = {
         "ctu": [(3, 0.5, 2.0), (3, 0.5, 1.0), (1, 0.5, 1.0)],
         "uniform": [(3, 0.8, half), (1, 0.0, half)],
     }
     lane = np.empty(2)
-    for loop, seen in full.items():
-        occ, (pool, pos, steps_row, settled_row, order) = tick_state()
-        rng = _ArrayGenerator(ks, draws[loop])
-        bitgen = _bitgen_address(rng.bit_generator)
-        rows = (indptr, indices, occ, pool, pos, steps_row, settled_row)
+    for (loop, seen), R in product(full.items(), (1, 2)):
+        occ, rows = tick_rows(R)
+        rngs = [_ArrayGenerator(ks, draws[loop]) for _ in range(R)]
+        bgs = np.array(
+            [_bitgen_address(rng.bit_generator) for rng in rngs], dtype=np.uintp
+        )
+        which = np.zeros(1, dtype=np.int64)
+        pool, pos, steps_row, settled_row, order = rows
+        front = (indptr, indices, occ, pool, pos, steps_row, settled_row)
         if loop == "ctu":
-            state, nl = np.array([2, 1, 0, 0], dtype=np.int64), 2
-            args = (*rows, np.zeros(3), order, bitgen, lane, 1, state, 1.0)
+            state, hi = np.zeros((R, 5), dtype=np.int64), 3
+            args = (*front, np.zeros((R, 3)), order, bgs, lane, 1, state, R, 3, 3, 1.0)
         else:
-            state, nl = np.array([2, 1, 0, 0, 0], dtype=np.int64), 3
-            args = (*rows, order, bitgen, lane, 1, logq, 2, state, float("inf"))
+            state, hi = np.zeros((R, 6), dtype=np.int64), 4
+            args = (
+                *front, order, bgs, lane, 1, logq, 2, state, R, 3, 3,
+                float("inf"),
+            )
+        state[:, :2] = [2, 1]
         run = getattr(ks._impl, f"run_{loop}")
         got = []
         while not got or got[-1][0] == 3:
-            status = run(*args, None, 0)
-            assert state[nl] == 1, state
+            status = run(*args, None, None, which)
+            assert state[:, hi].max() == 1, state
             got.append((status, float(lane[0]), float(lane[1])))
-            state[nl] = 0
-        assert got == seen and rng.drawn() == len(draws[loop]), got
-        assert settled_row.tolist() == [0, 2, 1] and order.tolist() == [0, 2, 1]
-        assert steps_row.tolist() == [0, 2, 1] and pos.tolist() == [0, 2, 1]
+        expect = [*seen[:-1], (3, *seen[-1][1:])] * (R - 1) + seen
+        assert got == expect, got
+        tick_ends(R, rngs, loop, rows, None)
 
     # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
     # 0 -> 1, where particle 2 wins on priority; round 2 moves particle 1
-    # on to 2.  Six doubles in all, none drawn past them.  The 2-round
-    # budget stops a loop that over-draws: past its end the array yields
-    # 0.0, a hold gate, on which the walker would stay forever
-    for rec in (None, sink(2)):
-        rng = _ArrayGenerator(ks, [0.9, 0.9, 0.5, 0.5, 0.9, 0.9])
-        occ = np.array([1, 0, 0], dtype=np.uint8)
-        act = np.array([1, 2], dtype=np.int64)
-        pos = np.zeros(2, dtype=np.int64)
+    # on to 2.  A second row ranks particle 1 first, so there particle 1
+    # settles at 1 and particle 2 moves on.  Six doubles a row, none
+    # drawn past them.  The 2-round budget stops a loop that over-draws:
+    # past its end the array yields 0.0, a hold gate, on which the walker
+    # would stay forever
+    ends = [([0, 2, 1], walked), ([0, 1, 2], [[0], [0, 1], [0, 1, 2]])]
+    for R, rec in ((1, False), (1, True), (2, False), (2, True)):
+        rngs = [
+            _ArrayGenerator(ks, [0.9, 0.9, 0.5, 0.5, 0.9, 0.9]) for _ in range(R)
+        ]
+        occ = np.tile(np.array([1, 0, 0], dtype=np.uint8), R)
+        act = np.tile(np.array([1, 2, 0], dtype=np.int64), (R, 1))
+        pos = np.zeros((R, 3), dtype=np.int64)
+        prio = np.array([[0, 2, 1], [0, 1, 2]][:R], dtype=np.int64)
         best = np.full(3, -1, dtype=np.int64)
-        steps_row = np.zeros(3, dtype=np.int64)
-        settled_row = np.array([0, -1, -1], dtype=np.int64)
-        round_row = np.array([0, -1, -1], dtype=np.int64)
+        steps_row = np.zeros((R, 3), dtype=np.int64)
+        settled_row = np.tile(np.array([0, -1, -1], dtype=np.int64), (R, 1))
+        round_row = settled_row.copy()
+        sinks = [sink(starts, 2, False) for _ in range(R)] if rec else None
         rounds = ks.finish_parallel(
-            indptr, indices, occ, act, pos, np.array([0, 2, 1], dtype=np.int64),
-            best, steps_row, settled_row, round_row, rng,
-            free=2, lazy=True, scalar_threshold=0, budget=2.0,
-            max_rounds=None, sink=rec,
+            indptr, indices, occ, act, pos, prio, best, steps_row,
+            settled_row, round_row, rngs, k=2, free=2, lazy=True,
+            scalar_threshold=0, budget=2.0, max_rounds=None, sinks=sinks,
         )
-        assert rounds == 2 and rng.drawn() == 6, (rounds, rng.drawn())
-        assert settled_row.tolist() == [0, 2, 1] and steps_row.tolist() == [0, 2, 1]
-        assert round_row.tolist() == [0, 2, 1] and best.tolist() == [-1, -1, -1]
-        assert rec is None or rec.trajectories(starts) == walked
+        settled_at = [row for row, _ in ends[:R]]
+        assert rounds.tolist() == [2] * R, rounds
+        assert [rng.drawn() for rng in rngs] == [6] * R
+        assert settled_row.tolist() == steps_row.tolist() == settled_at
+        assert round_row.tolist() == settled_at and best.tolist() == [-1] * 3
+        for rec, (_, paths) in zip(sinks or (), ends):
+            assert rec.trajectories == paths
 
 
 # ----------------------------------------------------------------------

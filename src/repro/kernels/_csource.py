@@ -18,34 +18,38 @@ The walk loops (``repro_finish_par1``, ``repro_walk_fill``,
 return ``0`` when it runs dry; the Python wrapper refills (see
 ``KernelSet`` in the package root) in the serial drivers' block cadence
 wherever a later consumer reads the generator, so those fetch positions
-stay on the serial grid.  The four per-repetition loops
-(``repro_finish_seq``, ``repro_run_parallel``, ``repro_run_ctu``,
-``repro_run_uniform``) instead draw their own doubles from numpy's
-``bitgen_t`` (``numpy/random/bitgen.h``, declared here with the same
-layout), one ``next_double`` call per double, so the generator ends
-right after the last double consumed.  The tick loops need
-``log1p(-u)`` of some doubles (CTU's clock, Uniform's geometric skip),
-which C never takes: they write those doubles to a *log lane* with their
-divisors, and the wrapper folds the lane with numpy's ``log1p`` when it
-fills (status ``3``) or the repetition ends.  ``repro_finish_seq`` runs
-every repetition of a shard in one call, ``REPRO_LANES`` of them in
-flight round-robin, each with its own ``bitgen_t``, state row and event
-sink: the CPU overlaps their dependent steps, and every repetition's
-draws and updates stay those of the loop run on its own.
+stay on the serial grid.  The four shard loops (``repro_finish_seq``,
+``repro_run_parallel``, ``repro_run_ctu``, ``repro_run_uniform``) instead
+run every repetition of a shard in one call, each repetition with its
+own state row, rows of the shard's ``(R, m)`` arrays and ``bitgen_t``
+(``numpy/random/bitgen.h``, declared here with the same layout), from
+which it draws each double, one ``next_double`` call per double, so
+every generator ends right after the last double its repetition
+consumed.  ``repro_finish_seq`` keeps ``REPRO_LANES`` repetitions in
+flight round-robin, so the CPU overlaps their dependent steps; the
+other three run the repetitions one after another.  Either way every
+repetition's draws and updates are those of the loop run on its own.
+The tick loops need ``log1p(-u)`` of some doubles (CTU's clock,
+Uniform's geometric skip), which C never takes: they write those
+doubles to a *log lane* shared by the call's repetitions, with their
+divisors, and the wrapper folds the lane with numpy's ``log1p`` after
+every return (status ``3``: the lane is full).
 
-The four per-repetition loops (``repro_finish_seq``, ``repro_run_ctu``,
-``repro_run_uniform``, ``repro_run_parallel``) take an optional *event
-sink* per repetition: an ``int`` array of ``cap`` ``(particle,
-vertex)`` pairs, ``NULL`` when the run does not record.  Each
+The shard loops take an optional *event sink* per repetition: an
+``int`` array of ``caps[r]`` ``(particle, vertex)`` pairs at address
+``evs[r]``, ``evs`` ``NULL`` when the run does not record.  Each
 particle-step (holds included) appends one pair -- the shape the serial
-drivers record.  Before a step
-or round that would overflow a sink the loop returns ``2`` ("sink
-full"); the wrapper keeps the filled sink and re-enters with an empty
-one.  ``repro_scatter_events`` groups the events by particle afterwards,
-and ``repro_prefix_bitgen`` makes a ``bitgen_t`` that serves a fixed
-array of doubles before those of another ``bitgen_t``: the leftover of
-a lock-step stream row, or (with none behind it) the load-time
-self-check's fixed draws.
+drivers record.  Before a step or round that would overflow a sink the
+loop returns ``2`` ("sink full") and names the repetition in
+``*which``; the wrapper keeps the filled sink and re-enters with an
+empty one.  A sink of room 0 is full before its repetition's first
+event: the loops that run repetitions one after another get such
+unopened sinks, so the wrapper can group each finished repetition's
+events before the next one opens its sink.  ``repro_scatter_events``
+groups the events by particle afterwards, and ``repro_prefix_bitgen``
+makes a ``bitgen_t`` that serves a fixed array of doubles before those
+of another ``bitgen_t``: the leftover of a lock-step stream row, or
+(with none behind it) the load-time self-check's fixed draws.
 """
 
 from __future__ import annotations
@@ -85,19 +89,24 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
                    i64 *state, double limit);
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
-                  double *sclock, i64 *order, bitgen_t *bg, double *lane,
-                  i64 lane_cap, i64 *state, double rate, int *ev, i64 cap);
+                  double *sclock, i64 *order, const uintptr_t *bgs,
+                  double *lane, i64 lane_cap, i64 *state, i64 R, i64 n,
+                  i64 m, double rate, const uintptr_t *evs, const i64 *caps,
+                  i64 *which);
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
-                      i64 *settled, i64 *order, bitgen_t *bg, double *lane,
-                      i64 lane_cap, const double *logq, i64 pool_size,
-                      i64 *state, double budget, int *ev, i64 cap);
+                      i64 *settled, i64 *order, const uintptr_t *bgs,
+                      double *lane, i64 lane_cap, const double *logq,
+                      i64 pool_size, i64 *state, i64 R, i64 n, i64 m,
+                      double budget, const uintptr_t *evs, const i64 *caps,
+                      i64 *which);
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
-                       i64 *settled, i64 *round, bitgen_t *bg,
-                       double *hold, i64 m, i64 n, i64 *state, i64 lazy,
-                       i64 thr, double budget, int *ev, i64 cap);
+                       i64 *settled, i64 *round, const uintptr_t *bgs,
+                       double *hold, i64 *state, i64 R, i64 n, i64 m,
+                       i64 lazy, i64 thr, double budget,
+                       const uintptr_t *evs, const i64 *caps, i64 *which);
 void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
 void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
 """
@@ -418,206 +427,276 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
     }
 }
 
-/* The tick loops' log lane: lane[0..cap) holds the doubles whose
- * log1p(-u) the serial driver takes, lane[cap..2cap) each one's divisor.
- * No logarithm is taken in C (libm's log1p is not bit-identical to
- * numpy's): the wrapper folds a full lane, or the last one, with numpy's
- * log1p and empties it.  A loop returns 3 ("lane full") before a tick
- * that needs a slot in a full lane. */
+/* The tick loops run the R repetitions of a shard in one call, one after
+ * another (a repetition runs to completion, then the next starts), and
+ * share one log lane: lane[0..cap) holds the doubles whose log1p(-u)
+ * the serial driver takes, lane[cap..2cap) each one's divisor.  No
+ * logarithm is taken in C (libm's log1p is not bit-identical to
+ * numpy's): the wrapper folds the lane with numpy's log1p after every
+ * return and the next call starts with it empty.  Each repetition's
+ * doubles are one contiguous segment of the lane, [LO, HI) in its state
+ * row.  A loop returns 3 ("lane full") before a tick that needs a slot
+ * in a full lane.  Interleaving repetitions, as repro_finish_seq does,
+ * does not pay here: a tick picks a random particle, so consecutive
+ * ticks of one repetition already overlap in the CPU.  A prototype
+ * 4-lane round-robin CTU loop gave the same rows but took 24.8 ns a tick
+ * on the 64-cycle and 24.6 on the 10x10 grid, against 20.7 and 23.0 ns
+ * one repetition at a time (2-core x86-64 VM). */
 
-/* One CTU-IDLA repetition (ctu_idla's tick loop), from its time-0 state:
- * pool[0..k) holds the unsettled particles (swap-remove order), order[]
- * the settle order so far.  Per tick, three doubles from numpy's bit
- * generator `bg`, one next_double call each, in the serial order: the
- * clock double, written to the lane with its divisor (double)k*rate
- * (the clock advance is -log1p(-u)/divisor), the clamped pool slot, the
- * clamped step.  A particle that settles gets sclock[p] = the lane
- * length after its tick's advance, which the wrapper's fold replaces
- * with the clock.  state = [k, settled-order length, lane length,
- * events]; returns 1 when every particle settled, 2 before a tick the
- * event sink has no room for (resume with an empty one), 3 before a
- * tick when the lane is full (resume with an empty one).  With a sink,
- * each tick records (particle, new vertex). */
+/* State rows of the tick loops: the pool size k, the settle-order
+ * length, (Uniform) the tick count, the repetition's lane segment and
+ * its event count. */
+enum { CTU_K, CTU_NO, CTU_LO, CTU_HI, CTU_EVENTS, CTU_STATE };
+enum { UNI_K, UNI_NO, UNI_TICKS, UNI_LO, UNI_HI, UNI_EVENTS, UNI_STATE };
+
+/* CTU-IDLA (ctu_idla's tick loop) for R repetitions, each from its
+ * state row state[r*CTU_STATE ..]: repetition r owns occ[r*n ..], the
+ * rows pool, pos, steps, settled, sclock, order [r*m ..], its bit
+ * generator bgs[r] and, when recording (evs not NULL), the event sink
+ * evs[r] of caps[r] events.  pool[0..k) holds its unsettled particles
+ * (swap-remove order), order[] its settle order so far.  Per tick, three
+ * doubles from its bit generator, one next_double call each, in the
+ * serial order: the clock double, written to the lane with its divisor
+ * (double)k*rate (the clock advance is -log1p(-u)/divisor), the clamped
+ * pool slot, the clamped step.  A particle that settles gets sclock[p] =
+ * the lane length after its tick's advance, which the wrapper's fold
+ * replaces with the clock.  Returns 1 when every repetition is done, 2
+ * before a tick the sink of repetition *which has no room for (resume
+ * with an empty one), 3 before a tick of repetition *which when the lane
+ * is full; on any return every visited row is written back.  With a
+ * sink, each tick records (particle, new vertex). */
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
-                  double *sclock, i64 *order, bitgen_t *bg, double *lane,
-                  i64 lane_cap, i64 *state, double rate, int *ev, i64 cap)
+                  double *sclock, i64 *order, const uintptr_t *bgs,
+                  double *lane, i64 lane_cap, i64 *state, i64 R, i64 n,
+                  i64 m, double rate, const uintptr_t *evs, const i64 *caps,
+                  i64 *which)
 {
-    i64 k = state[0], no = state[1], nl = state[2], nev = state[3];
-    i64 status = 1;
-    double (*next)(void *) = bg->next_double;
-    void *st = bg->state;
     double *den = lane + lane_cap;
-    while (k) {
-        if (nl >= lane_cap) { status = 3; break; }
-        if (ev && nev >= cap) { status = 2; break; }
-        lane[nl] = next(st);
-        den[nl++] = (double)k * rate;
-        i64 s = (i64)(next(st) * (double)k);
-        if (s > k - 1) s = k - 1;
-        i64 p = pool[s];
-        i64 b = indptr[pos[p]];
-        i64 d = indptr[pos[p] + 1] - b;
-        i64 off = (i64)(next(st) * (double)d);
-        if (off > d - 1) off = d - 1;
-        i64 v = indices[b + off];
-        pos[p] = v;
-        steps[p] += 1;
-        REPRO_EVENT(p, v);
-        if (occ[v]) continue;
-        occ[v] = 1;
-        settled[p] = v;
-        sclock[p] = (double)nl;
-        order[no++] = p;
-        pool[s] = pool[--k];
+    i64 nl = 0, status = 1;
+    for (i64 r = 0; r < R && status == 1; r++) {
+        i64 *row = state + r * CTU_STATE;
+        i64 k = row[CTU_K], no = row[CTU_NO], nev = row[CTU_EVENTS];
+        row[CTU_LO] = row[CTU_HI] = nl;
+        if (!k) continue;
+        bitgen_t *bg = (bitgen_t *)bgs[r];
+        double (*next)(void *) = bg->next_double;
+        void *st = bg->state;
+        unsigned char *oc = occ + r * n;
+        i64 *pl = pool + r * m, *ps = pos + r * m, *sp = steps + r * m;
+        i64 *se = settled + r * m, *od = order + r * m;
+        double *sc = sclock + r * m;
+        int *ev = evs ? (int *)evs[r] : NULL;
+        i64 cap = evs ? caps[r] : 0;
+        while (k) {
+            if (nl >= lane_cap) { status = 3; break; }
+            if (evs && nev >= cap) { status = 2; break; }
+            lane[nl] = next(st);
+            den[nl++] = (double)k * rate;
+            i64 s = (i64)(next(st) * (double)k);
+            if (s > k - 1) s = k - 1;
+            i64 p = pl[s];
+            i64 b = indptr[ps[p]];
+            i64 d = indptr[ps[p] + 1] - b;
+            i64 off = (i64)(next(st) * (double)d);
+            if (off > d - 1) off = d - 1;
+            i64 v = indices[b + off];
+            ps[p] = v;
+            sp[p] += 1;
+            REPRO_EVENT(p, v);
+            if (oc[v]) continue;
+            oc[v] = 1;
+            se[p] = v;
+            sc[p] = (double)nl;
+            od[no++] = p;
+            pl[s] = pl[--k];
+        }
+        row[CTU_K] = k; row[CTU_NO] = no; row[CTU_HI] = nl;
+        row[CTU_EVENTS] = nev;
+        if (status != 1) *which = r;
     }
-    state[0] = k; state[1] = no; state[2] = nl; state[3] = nev;
     return status;
 }
 
-/* One Uniform-IDLA repetition (uniform_idla's default-mode tick loop),
- * state laid out as in repro_run_ctu plus the tick count:
- * state = [k, settled-order length, ticks, lane length, events].  Per
- * tick: ticks += 1 and the budget check, then -- only while
- * k < pool_size -- the geometric-skip double, written to the lane with
- * its divisor logq[k] (the caller's numpy log1p(-k/pool_size)), then the
- * clamped pool slot and the clamped step: 2-3 doubles from `bg`, one
- * next_double call each, in the serial order.  The skips
- * (i64)(log1p(-u)/logq[k]) are the wrapper's to add when it folds the
- * lane, so `ticks` here is a lower bound of the serial tick count: the
- * loop returns -1 once it exceeds the budget, and the wrapper checks the
- * budget exactly after each fold.  Returns 1 done, 2 before a tick the
- * event sink has no room for, 3 before a skip tick when the lane is
- * full.  With a sink, each tick that steps records (particle, new
- * vertex); wasted ticks record none. */
+/* Uniform-IDLA (uniform_idla's default-mode tick loop) for R
+ * repetitions, laid out as in repro_run_ctu, with the tick count in each
+ * state row.  Per tick: ticks += 1 and the budget check, then -- only
+ * while k < pool_size -- the geometric-skip double, written to the lane
+ * with its divisor logq[k] (the caller's numpy log1p(-k/pool_size)),
+ * then the clamped pool slot and the clamped step: 2-3 doubles from the
+ * repetition's bit generator, one next_double call each, in the serial
+ * order.  The skips (i64)(log1p(-u)/logq[k]) are the wrapper's to add
+ * when it folds the lane, so a row's tick count here is a lower bound of
+ * the serial one: the loop returns -1 once it exceeds the budget
+ * (repetition *which), and the wrapper checks the budget exactly after
+ * each fold.  Returns 1 when every repetition is done, 2 before a tick
+ * the sink of repetition *which has no room for, 3 before a skip tick
+ * of repetition *which when the lane is full.  With a sink, each tick
+ * that steps records (particle, new vertex); wasted ticks record none. */
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
-                      i64 *settled, i64 *order, bitgen_t *bg, double *lane,
-                      i64 lane_cap, const double *logq, i64 pool_size,
-                      i64 *state, double budget, int *ev, i64 cap)
+                      i64 *settled, i64 *order, const uintptr_t *bgs,
+                      double *lane, i64 lane_cap, const double *logq,
+                      i64 pool_size, i64 *state, i64 R, i64 n, i64 m,
+                      double budget, const uintptr_t *evs, const i64 *caps,
+                      i64 *which)
 {
-    i64 k = state[0], no = state[1], t = state[2], nl = state[3];
-    i64 nev = state[4], status = 1;
-    double (*next)(void *) = bg->next_double;
-    void *st = bg->state;
     double *div = lane + lane_cap;
-    while (k) {
-        i64 skip = k < pool_size;
-        if (skip && nl >= lane_cap) { status = 3; break; }
-        if (ev && nev >= cap) { status = 2; break; }
-        t += 1;
-        if ((double)t > budget) { status = -1; break; }
-        if (skip) {
-            lane[nl] = next(st);
-            div[nl++] = logq[k];
+    i64 nl = 0, status = 1;
+    for (i64 r = 0; r < R && status == 1; r++) {
+        i64 *row = state + r * UNI_STATE;
+        i64 k = row[UNI_K], no = row[UNI_NO], t = row[UNI_TICKS];
+        i64 nev = row[UNI_EVENTS];
+        row[UNI_LO] = row[UNI_HI] = nl;
+        if (!k) continue;
+        bitgen_t *bg = (bitgen_t *)bgs[r];
+        double (*next)(void *) = bg->next_double;
+        void *st = bg->state;
+        unsigned char *oc = occ + r * n;
+        i64 *pl = pool + r * m, *ps = pos + r * m, *sp = steps + r * m;
+        i64 *se = settled + r * m, *od = order + r * m;
+        int *ev = evs ? (int *)evs[r] : NULL;
+        i64 cap = evs ? caps[r] : 0;
+        while (k) {
+            i64 skip = k < pool_size;
+            if (skip && nl >= lane_cap) { status = 3; break; }
+            if (evs && nev >= cap) { status = 2; break; }
+            t += 1;
+            if ((double)t > budget) { status = -1; break; }
+            if (skip) {
+                lane[nl] = next(st);
+                div[nl++] = logq[k];
+            }
+            i64 s = (i64)(next(st) * (double)k);
+            if (s > k - 1) s = k - 1;
+            i64 p = pl[s];
+            i64 b = indptr[ps[p]];
+            i64 d = indptr[ps[p] + 1] - b;
+            i64 off = (i64)(next(st) * (double)d);
+            if (off > d - 1) off = d - 1;
+            i64 v = indices[b + off];
+            ps[p] = v;
+            sp[p] += 1;
+            REPRO_EVENT(p, v);
+            if (oc[v]) continue;
+            oc[v] = 1;
+            se[p] = v;
+            od[no++] = p;
+            pl[s] = pl[--k];
         }
-        i64 s = (i64)(next(st) * (double)k);
-        if (s > k - 1) s = k - 1;
-        i64 p = pool[s];
-        i64 b = indptr[pos[p]];
-        i64 d = indptr[pos[p] + 1] - b;
-        i64 off = (i64)(next(st) * (double)d);
-        if (off > d - 1) off = d - 1;
-        i64 v = indices[b + off];
-        pos[p] = v;
-        steps[p] += 1;
-        REPRO_EVENT(p, v);
-        if (occ[v]) continue;
-        occ[v] = 1;
-        settled[p] = v;
-        order[no++] = p;
-        pool[s] = pool[--k];
+        row[UNI_K] = k; row[UNI_NO] = no; row[UNI_TICKS] = t;
+        row[UNI_HI] = nl; row[UNI_EVENTS] = nev;
+        if (status != 1) *which = r;
     }
-    state[0] = k; state[1] = no; state[2] = t; state[3] = nl; state[4] = nev;
     return status;
 }
 
-/* One Parallel-IDLA repetition (parallel_idla's wide and narrow round
- * loops) from its state after the round-0 settlement pass: act[0..k)
- * the unsettled particles ascending, pos[0..k) their vertices.  Each
- * round steps every active particle in active-list order, drawing from
- * numpy's bit generator `bg` one next_double call per double, in the
- * serial order.  The wide draw (k > thr) takes k doubles; with `lazy`
- * it first takes the k hold gates into `hold` (k doubles of scratch),
- * then one step double per particle, held or not -- the order of
- * rng.random(2k).  The narrow draw takes one double per particle (lazy:
- * hold below 1/2, else step with 2(u - 1/2)).  Offsets are clamped: the
- * narrow phase's raw truncation never reaches d, so one expression
- * serves both phases.  The contest rides the step pass: per vacant
- * vertex the slot with the smallest prio[act[j]] settles (first on
- * ties), and a round in which no walker claims a vacant vertex skips
- * the compaction pass.  `best` is all -1 on entry and on return.
- * state = [k, t, free, events]; returns 1 when done (the surplus
- * particles of m > n get steps = t), 2 before a round the event sink has
- * no room for (k events; resume with an empty sink), -1 when t exceeds
- * the budget, -2 before any draw when an act[j] is outside [0, m) or a
- * pos[j] outside [0, n).  With a sink, each round records (particle,
- * vertex) for every active particle after its step, holds included. */
+/* State row of repro_run_parallel: active count, round, vacant-vertex
+ * count, events. */
+enum { PAR_K, PAR_T, PAR_FREE, PAR_EVENTS, PAR_STATE };
+
+/* Parallel-IDLA (parallel_idla's wide and narrow round loops) for R
+ * repetitions, one after another, each from its state after the round-0
+ * settlement pass.  Repetition r owns occ[r*n ..], the rows act, pos,
+ * prio, steps, settled, round [r*m ..], the state row
+ * state[r*PAR_STATE ..], its bit generator bgs[r] and, when recording,
+ * the sink evs[r] of caps[r] events; act[0..k) holds its unsettled
+ * particles ascending and pos[0..k) their vertices.  Each round steps
+ * every active particle in active-list order, drawing one next_double
+ * call per double, in the serial order.  The wide draw (k > thr) takes k
+ * doubles; with `lazy` it first takes the k hold gates into `hold` (m
+ * doubles of scratch), then one step double per particle, held or not --
+ * the order of rng.random(2k).  The narrow draw takes one double per
+ * particle (lazy: hold below 1/2, else step with 2(u - 1/2)).  Offsets
+ * are clamped: the narrow phase's raw truncation never reaches d, so one
+ * expression serves both phases.  The contest rides the step pass: per
+ * vacant vertex the slot with the smallest priority settles (first on
+ * ties; prio NULL: the particle index, so the first claim always wins),
+ * and a round in which no walker claims a vacant vertex skips the
+ * compaction pass.  `best` (n cells) is all -1 on entry and on return.
+ * Returns 1 when every repetition is done (the surplus particles of
+ * m > n get steps = their last round), 2 before a round the sink of
+ * repetition *which has no room for (k events; resume with an empty
+ * sink), -1 when the round of repetition *which exceeds the budget; on
+ * any return every visited row is written back.  With a sink, each round
+ * records (particle, vertex) for every active particle after its step,
+ * holds included. */
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
-                       i64 *settled, i64 *round, bitgen_t *bg,
-                       double *hold, i64 m, i64 n, i64 *state, i64 lazy,
-                       i64 thr, double budget, int *ev, i64 cap)
+                       i64 *settled, i64 *round, const uintptr_t *bgs,
+                       double *hold, i64 *state, i64 R, i64 n, i64 m,
+                       i64 lazy, i64 thr, double budget,
+                       const uintptr_t *evs, const i64 *caps, i64 *which)
 {
-    i64 k = state[0], t = state[1], fr = state[2], nev = state[3];
     i64 status = 1;
-    double (*next)(void *) = bg->next_double;
-    void *st = bg->state;
-    for (i64 j = 0; j < k; j++)
-        if (act[j] < 0 || act[j] >= m || pos[j] < 0 || pos[j] >= n)
-            return -2;
-    while (k && fr) {
-        i64 wide = k > thr, claims = 0;
-        if (ev && nev + k > cap) { status = 2; break; }
-        t += 1;
-        if ((double)t > budget) { status = -1; break; }
-        if (lazy && wide)
-            for (i64 j = 0; j < k; j++) hold[j] = next(st);
-        for (i64 j = 0; j < k; j++) {
-            double u = next(st);
-            i64 v = pos[j];
-            int move = 1;
-            if (lazy) {
-                if (wide) move = hold[j] >= 0.5;
-                else if (u < 0.5) move = 0;
-                else u = 2.0 * (u - 0.5);
+    for (i64 r = 0; r < R && status == 1; r++) {
+        i64 *row = state + r * PAR_STATE;
+        i64 k = row[PAR_K], t = row[PAR_T], fr = row[PAR_FREE];
+        i64 nev = row[PAR_EVENTS];
+        bitgen_t *bg = (bitgen_t *)bgs[r];
+        double (*next)(void *) = bg->next_double;
+        void *st = bg->state;
+        unsigned char *oc = occ + r * n;
+        i64 *ac = act + r * m, *ps = pos + r * m, *sp = steps + r * m;
+        i64 *se = settled + r * m, *rd = round + r * m;
+        const i64 *pr = prio ? prio + r * m : NULL;
+        int *ev = evs ? (int *)evs[r] : NULL;
+        i64 cap = evs ? caps[r] : 0;
+        while (k && fr) {
+            i64 wide = k > thr, claims = 0;
+            if (evs && nev + k > cap) { status = 2; break; }
+            t += 1;
+            if ((double)t > budget) { status = -1; break; }
+            if (lazy && wide)
+                for (i64 j = 0; j < k; j++) hold[j] = next(st);
+            for (i64 j = 0; j < k; j++) {
+                double u = next(st);
+                i64 v = ps[j];
+                int move = 1;
+                if (lazy) {
+                    if (wide) move = hold[j] >= 0.5;
+                    else if (u < 0.5) move = 0;
+                    else u = 2.0 * (u - 0.5);
+                }
+                if (move) {
+                    i64 b = indptr[v];
+                    i64 d = indptr[v + 1] - b;
+                    i64 off = (i64)(u * (double)d);
+                    if (off > d - 1) off = d - 1;
+                    v = indices[b + off];
+                    ps[j] = v;
+                }
+                REPRO_EVENT(ac[j], v);
+                if (oc[v]) continue;
+                i64 c = best[v];
+                if (c < 0) { best[v] = j; claims++; }
+                else if (pr && pr[ac[j]] < pr[ac[c]]) best[v] = j;
             }
-            if (move) {
-                i64 b = indptr[v];
-                i64 d = indptr[v + 1] - b;
-                i64 off = (i64)(u * (double)d);
-                if (off > d - 1) off = d - 1;
-                v = indices[b + off];
-                pos[j] = v;
+            if (!claims) continue;
+            i64 w = 0;
+            for (i64 j = 0; j < k; j++) {
+                i64 p = ac[j], v = ps[j];
+                if (best[v] == j) {
+                    best[v] = -1;
+                    oc[v] = 1;
+                    fr -= 1;
+                    sp[p] = t;
+                    se[p] = v;
+                    rd[p] = t;
+                } else {
+                    ac[w] = p;
+                    ps[w++] = v;
+                }
             }
-            REPRO_EVENT(act[j], v);
-            if (occ[v]) continue;
-            i64 c = best[v];
-            if (c < 0) { best[v] = j; claims++; }
-            else if (prio[act[j]] < prio[act[c]]) best[v] = j;
+            k = w;
         }
-        if (!claims) continue;
-        i64 w = 0;
-        for (i64 j = 0; j < k; j++) {
-            i64 p = act[j], v = pos[j];
-            if (best[v] == j) {
-                best[v] = -1;
-                occ[v] = 1;
-                fr -= 1;
-                steps[p] = t;
-                settled[p] = v;
-                round[p] = t;
-            } else {
-                act[w] = p;
-                pos[w++] = v;
-            }
-        }
-        k = w;
+        if (status == 1)
+            for (i64 j = 0; j < k; j++) sp[ac[j]] = t;
+        row[PAR_K] = k; row[PAR_T] = t; row[PAR_FREE] = fr;
+        row[PAR_EVENTS] = nev;
+        if (status != 1) *which = r;
     }
-    if (status == 1)
-        for (i64 j = 0; j < k; j++) steps[act[j]] = t;
-    state[0] = k; state[1] = t; state[2] = fr; state[3] = nev;
     return status;
 }
 

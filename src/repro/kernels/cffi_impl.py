@@ -233,33 +233,34 @@ def load() -> SimpleNamespace:
                 pi(state), limit,
             )
         ),
-        # `bitgen` is the address of a bitgen_t (numpy's or a prefix one);
-        # `lane` holds 2 * lane_cap doubles
+        # `bitgens` holds each row's bitgen_t address, `evs` each row's
+        # sink address (None: no recording); `lane` holds 2 * lane_cap
+        # doubles
         run_ctu=lambda indptr, indices, occ, pool, pos, steps, settled,
-        sclock, order, bitgen, lane, lane_cap, state, rate, ev, cap: (
-            lib.repro_run_ctu(
-                pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos),
-                pi(steps), pi(settled), pd(sclock), pi(order),
-                cast("bitgen_t *", bitgen), pd(lane), lane_cap, pi(state),
-                rate, pe(ev), cap,
-            )
+        sclock, order, bitgens, lane, lane_cap, state, R, n, m, rate, evs,
+        caps, which: lib.repro_run_ctu(
+            pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
+            pi(settled), pd(sclock), pi(order), pp(bitgens), pd(lane),
+            lane_cap, pi(state), R, n, m, rate, opt(pp, evs), opt(pi, caps),
+            pi(which),
         ),
         run_uniform=lambda indptr, indices, occ, pool, pos, steps, settled,
-        order, bitgen, lane, lane_cap, logq, pool_size, state, budget, ev,
-        cap: lib.repro_run_uniform(
+        order, bitgens, lane, lane_cap, logq, pool_size, state, R, n, m,
+        budget, evs, caps, which: lib.repro_run_uniform(
             pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
-            pi(settled), pi(order), cast("bitgen_t *", bitgen), pd(lane),
-            lane_cap, pd(logq), pool_size, pi(state), budget, pe(ev), cap,
+            pi(settled), pi(order), pp(bitgens), pd(lane), lane_cap,
+            pd(logq), pool_size, pi(state), R, n, m, budget, opt(pp, evs),
+            opt(pi, caps), pi(which),
         ),
-        # `bitgen` is the address of a numpy bitgen_t; `hold` is None
-        # (NULL) unless lazy
+        # `prio` is None (NULL: the particle index) or one row per
+        # repetition; `hold` is None (NULL) unless lazy
         run_parallel=lambda indptr, indices, occ, act, pos, prio, best, steps,
-        settled, rounds, bitgen, hold, m, n, state, lazy, thr, budget, ev,
-        cap: lib.repro_run_parallel(
-            pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), pi(prio),
-            pi(best), pi(steps), pi(settled), pi(rounds),
-            cast("bitgen_t *", bitgen), ffi.NULL if hold is None else pd(hold),
-            m, n, pi(state), lazy, thr, budget, pe(ev), cap,
+        settled, rounds, bitgens, hold, state, R, n, m, lazy, thr, budget,
+        evs, caps, which: lib.repro_run_parallel(
+            pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), opt(pi, prio),
+            pi(best), pi(steps), pi(settled), pi(rounds), pp(bitgens),
+            opt(pd, hold), pi(state), R, n, m, lazy, thr, budget,
+            opt(pp, evs), opt(pi, caps), pi(which),
         ),
         scatter_events=lambda ev, nev, cursor, flat: lib.repro_scatter_events(
             pe(ev), nev, pi(cursor), pe(flat)

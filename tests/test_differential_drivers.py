@@ -516,9 +516,9 @@ def test_tick_per_rep_route_matches_serial_oracle(
 ):
     """Uniform-IDLA and CTU-IDLA take the per-repetition route at any
     repetition count under auto dispatch with a compiled provider: one
-    compiled loop per repetition that has unsettled particles and no
-    lock-step tick, bit-identical to the serial oracle including the
-    tick clock and CTU's ``settle_clock``."""
+    compiled call per shard (none when no repetition has unsettled
+    particles) and no lock-step tick, bit-identical to the serial oracle
+    including the tick clock and CTU's ``settle_clock``."""
     kwargs = dict(PER_REP_VARIANTS[process][variant])
     origin = kwargs.pop("origin", 0)
     budget = kwargs.pop("state_budget", None)
@@ -537,9 +537,9 @@ def test_tick_per_rep_route_matches_serial_oracle(
         PROCESS_DRIVERS[process](GRAPH, origin, seed=s, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, reps)
     ]
-    walking = sum(1 for r in oracle if r.total_steps > 0)
+    walking = any(r.total_steps > 0 for r in oracle)
     assert route_calls == dict.fromkeys(route_calls, 0) | {
-        f"finish_{process}": walking
+        f"finish_{process}": int(walking)
     }
     batch = route.run_reps(
         process, GRAPH, spawn_seed_sequences(PARENT_SEED, reps), origin,
@@ -627,8 +627,9 @@ def test_parallel_per_rep_route_matches_serial_oracle(
 ):
     """Parallel-IDLA takes the per-repetition route at any repetition
     count under auto dispatch with a compiled provider: one compiled
-    loop per repetition with particles left to walk, no lock-step round
-    and no finisher, bit-identical to the serial oracle."""
+    call per shard (none when no repetition has particles left to walk),
+    no lock-step round and no finisher, bit-identical to the serial
+    oracle."""
     g = PARALLEL_GRAPHS[graph]
     kwargs = dict(PARALLEL_VARIANTS[variant])
     origin = kwargs.pop("origin", 0)
@@ -641,7 +642,7 @@ def test_parallel_per_rep_route_matches_serial_oracle(
         PROCESS_DRIVERS["parallel"](g, origin, seed=s, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, reps)
     ]
-    walking = sum(1 for r in oracle if r.total_steps > 0)
+    walking = any(r.total_steps > 0 for r in oracle)
     # the serial oracle steps through the compiled csr_step: count from here
     route_calls.update(dict.fromkeys(route_calls, 0))
     est = estimate_dispersion(
@@ -651,7 +652,7 @@ def test_parallel_per_rep_route_matches_serial_oracle(
     assert np.array_equal(est.samples, serial.samples)
     assert np.array_equal(est.total_samples, serial.total_samples)
     assert route_calls == dict.fromkeys(route_calls, 0) | {
-        "finish_parallel": walking
+        "finish_parallel": int(walking)
     }
     batch = route.run_reps(
         "parallel", g, spawn_seed_sequences(PARENT_SEED, reps), origin,
@@ -765,6 +766,8 @@ def test_runner_and_thread_pool_agree_on_the_route(
     it passes exactly for a compiled provider, a CSR graph, the default
     rule and scheduler, no explicit ``tail_threshold`` and ``batched``
     not ``False``."""
+    import concurrent.futures
+
     import repro.experiments.fanout as fanout_mod
     import repro.experiments.runner as runner_mod
 
@@ -776,7 +779,8 @@ def test_runner_and_thread_pool_agree_on_the_route(
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(module, "run_reps", counted)
-    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", _InlineProcessPool)
+    # the fork path imports its pool from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineProcessPool)
     runs = [
         estimate_dispersion(
             GRAPH_BUILDS[build], process, reps=4, seed=PARENT_SEED,
@@ -819,8 +823,8 @@ def test_recorded_per_rep_route_matches_serial_oracle(
 ):
     """``record=True`` takes the per-repetition route with a compiled
     provider, through ``run_reps`` and auto dispatch alike: one compiled
-    loop per walking repetition (per shard for the sequential pair), no
-    lock-step round, and trajectories
+    call per shard (for the tick and round loops, none when no
+    repetition walks), no lock-step round, and trajectories
     equal to the serial oracle's, in its shape and through either reader
     (``to_lists()`` or the buffers and row views).  A one-event sink
     (one round for Parallel) makes every loop re-enter after "sink
@@ -836,8 +840,9 @@ def test_recorded_per_rep_route_matches_serial_oracle(
         PROCESS_DRIVERS[process](GRAPH, origin, seed=s, record=True, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, REPS)
     ]
-    # one call per shard for the sequential pair, else per walking rep
-    calls = 1 if process in SEQ_ROUTE else sum(r.total_steps > 0 for r in oracle)
+    # one call per shard; the tick and round loops skip a shard that
+    # does not walk
+    calls = 1 if process in SEQ_ROUTE else int(any(r.total_steps for r in oracle))
     # the serial oracle steps through the compiled csr_step: count from here
     route_calls.update(dict.fromkeys(route_calls, 0))
     batch = route.run_reps(

@@ -1,6 +1,9 @@
 """Tests for the shared-memory fan-out subsystem (experiments.fanout)."""
 
+import concurrent.futures
 import gc
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -247,25 +250,29 @@ needs_compiled = pytest.mark.skipif(
 PROCESSES = ["sequential", "parallel", "uniform", "ctu", "c-sequential"]
 
 
-def _spy(monkeypatch, name: str) -> list:
-    """Record every construction of ``fanout.<name>`` (still building it)."""
+def _spy(monkeypatch, owner, name: str) -> list:
+    """Record every construction of ``owner.<name>`` (still building it)."""
     calls = []
-    real = getattr(fanout_mod, name)
+    real = getattr(owner, name)
 
     def build(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fanout_mod, name, build)
+    monkeypatch.setattr(owner, name, build)
     return calls
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Construction logs of the three fan-out resources, by class name."""
+    """Construction logs of the three fan-out resources, by class name
+    (the fork path imports its process pool when it runs)."""
     return {
-        name: _spy(monkeypatch, name)
-        for name in ("SharedGraph", "ProcessPoolExecutor", "ThreadPoolExecutor")
+        "SharedGraph": _spy(monkeypatch, fanout_mod, "SharedGraph"),
+        "ProcessPoolExecutor": _spy(
+            monkeypatch, concurrent.futures, "ProcessPoolExecutor"
+        ),
+        "ThreadPoolExecutor": _spy(monkeypatch, fanout_mod, "ThreadPoolExecutor"),
     }
 
 
@@ -489,3 +496,36 @@ class TestThreadRoute:
         assert np.array_equal(threaded.samples, forked.samples)
         assert len(pools["ThreadPoolExecutor"]) == 1
         assert len(pools["ProcessPoolExecutor"]) == 1
+
+    def test_import_and_thread_route_load_no_fork_stack(self):
+        """``import repro`` and an ``n_jobs=2`` estimate on the thread
+        route load neither ``multiprocessing`` nor the process pool, in a
+        fresh interpreter: only the fork path imports them, when it
+        runs."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_FORK_STACK],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+_NO_FORK_STACK = """
+import sys
+
+FORK_STACK = ("multiprocessing", "concurrent.futures.process")
+
+import repro
+assert not [m for m in FORK_STACK if m in sys.modules], "import repro"
+from repro.experiments import estimate_dispersion
+from repro.graphs import grid_graph
+estimate_dispersion(
+    grid_graph(4, 4), "parallel", reps=4, seed=6, n_jobs=2, kernels="cffi"
+)
+assert not [m for m in FORK_STACK if m in sys.modules], "thread route"
+"""

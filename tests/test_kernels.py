@@ -32,6 +32,11 @@ layer's own contracts:
   call): 1-65 repetitions, repetitions done at time 0 beside walking
   ones, a budget excess past the first lane, one-event sinks that make
   every lane re-enter, and the refusal of one generator for two rows;
+* the Parallel-, Uniform- and CTU-IDLA shard loops (one call runs a
+  shard, a repetition at a time): 0-17 repetitions with idle rows among
+  walking ones, one log lane spanning several repetitions, a later
+  row's full sink and tick cap, one particle and one vertex, and the
+  row checks of every shard loop on ``(R, m)`` arrays;
 * recording: every per-repetition loop at tiny event sinks against the
   serial trajectories, and the sink's grouping pass;
 * the build cache: the library keyed on the whole compile command, the
@@ -64,7 +69,13 @@ from repro.core.origins import resolve_origins
 from repro.core.parallel import parallel_idla
 from repro.core.sequential import sequential_idla
 from repro.core.uniform import uniform_idla
-from repro.graphs import complete_binary_tree, cycle_graph, grid_graph, star_graph
+from repro.graphs import (
+    Graph,
+    complete_binary_tree,
+    cycle_graph,
+    grid_graph,
+    star_graph,
+)
 from repro.kernels import (
     KernelSet,
     KernelsUnavailableError,
@@ -605,7 +616,7 @@ def test_parallel_loop_matches_serial_on_every_bit_generator(
     and ``scalar_threshold=3`` switches each run from the wide to the
     narrow draw mid-stream: the samples, settle orders and trajectories
     must still be ``parallel_idla``'s, for every BitGenerator family.
-    An unrecorded repetition is one compiled call."""
+    Unrecorded, the whole shard is one compiled call."""
     kwargs = {"lazy": lazy, "scalar_threshold": 3, "record": record}
     ref = [parallel_idla(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
     ks = get_kernels(provider)
@@ -621,7 +632,7 @@ def test_parallel_loop_matches_serial_on_every_bit_generator(
         "parallel", g, _generators(family), 0, kernels=provider, **kwargs
     )
     if not record:
-        assert len(calls) == len(ref)
+        assert len(calls) == 1
     for s, b in zip(ref, got):
         assert s.dispersion_time == b.dispersion_time
         assert s.total_steps == b.total_steps
@@ -715,8 +726,8 @@ def test_tick_loops_match_serial_on_every_bit_generator(
     """The tick loops draw each double from the bit generator's
     ``next_double`` in C and leave the logarithms to numpy: the samples,
     settle clocks and trajectories must still be the serial driver's,
-    for every BitGenerator family.  Unrecorded, a repetition whose log
-    lane never fills is one compiled call."""
+    for every BitGenerator family.  Unrecorded, a shard whose log lane
+    never fills is one compiled call."""
     serial, _, extras = TICK_DRIVERS[process]
     kwargs = {"num_particles": 7, "record": record}
     ref = [serial(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
@@ -731,7 +742,7 @@ def test_tick_loops_match_serial_on_every_bit_generator(
     monkeypatch.setattr(ks._impl, f"run_{process}", counted)
     got = run_reps(process, g, _generators(family), 0, kernels=provider, **kwargs)
     if not record:
-        assert len(calls) == len(ref)
+        assert len(calls) == 1
     for s, b in zip(ref, got):
         assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
         assert np.array_equal(s.steps, b.steps)
@@ -956,86 +967,302 @@ def test_sequential_loop_rejects_one_generator_for_two_rows(provider):
         run_reps("sequential", g, [gen, gen], 0, kernels=provider)
 
 
+# ---------------------------------------------------------------------------
+# the Parallel-, Uniform- and CTU-IDLA shard loops: one call per shard
+
+#: Serial driver and result extras of each loop that runs a shard's
+#: repetitions one after another.
+SHARD_LOOPS = {
+    "parallel": (parallel_idla, ()),
+    "uniform": (uniform_idla, ("ticks",)),
+    "ctu": (ctu_idla, ("ticks", "settle_clock")),
+}
+
+def _returns(ks, process, monkeypatch) -> list:
+    """Spy on the compiled shard loop: ``(status, which, state)`` after
+    every return."""
+    seen = []
+    inner = getattr(ks._impl, f"run_{process}")
+
+    def spied(*args):
+        status = inner(*args)
+        state, which = args[-10 if process == "parallel" else -8], args[-1]
+        seen.append((status, int(which[0]), state.copy()))
+        return status
+
+    monkeypatch.setattr(ks._impl, f"run_{process}", spied)
+    return seen
+
+
+def _assert_rows_identical(ref, got, extras):
+    assert len(ref) == len(got)
+    for s, b in zip(ref, got):
+        assert (s.dispersion_time, s.total_steps) == (b.dispersion_time, b.total_steps)
+        assert np.array_equal(s.steps, b.steps)
+        assert np.array_equal(s.settled_at, b.settled_at)
+        assert np.array_equal(s.settle_order, b.settle_order)
+        assert b.trajectories == s.trajectories
+        for name in extras:
+            assert np.array_equal(getattr(s, name), getattr(b, name)), name
+
+
+#: Three particles from uniform origins on the 3x4 grid: children 0, 2,
+#: 3, 5, ... of parent seed 3 draw three distinct starts, so nothing
+#: walks, while children 1, 4, 8, ... walk (``test_..._beside_idle_rows``
+#: asserts the mix).
+IDLE_MIX_SEED = 3
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize(
+    "process,lane",
+    [("parallel", None)] + [(p, lane) for p in ("uniform", "ctu") for lane in LANES],
+)
+@pytest.mark.parametrize("R", [0, 1, 2, 5, 17])
+def test_shard_loops_match_serial_beside_idle_rows(
+    provider, process, lane, R, monkeypatch
+):
+    """A shard of 0-17 repetitions, repetitions with nothing to walk
+    (row 0 among them) beside walking ones, and log lanes of 1-3 slots:
+    every row equals its serial oracle, one compiled call runs the
+    shard (none when nothing walks; tiny lanes add one call per "lane
+    full" return), and an idle row's generator ends after its origin
+    draws."""
+    if lane is not None:
+        monkeypatch.setattr(kernels_mod, "_LANE", lane)
+    g, kwargs = grid_graph(3, 4), {"num_particles": 3}
+    serial, extras = SHARD_LOOPS[process]
+    seeds = spawn_seed_sequences(IDLE_MIX_SEED, R)
+    ref = [serial(g, "uniform", seed=s, **kwargs) for s in seeds]
+    walking = [res.total_steps > 0 for res in ref]
+    assert walking[:5] == [False, True, False, False, True][:R], "the mix moved"
+    returns = _returns(get_kernels(provider), process, monkeypatch)
+    gens = [as_generator(s) for s in seeds]
+    got = run_reps(process, g, gens, "uniform", kernels=provider, **kwargs)
+    _assert_rows_identical(ref, got, extras)
+    assert bool(returns) == any(walking)
+    if lane is None:
+        assert len(returns) == int(any(walking))
+    for res, gen, s in zip(got, gens, seeds):
+        if res.total_steps == 0:  # only the origins were drawn
+            twin = as_generator(s)
+            resolve_origins(g, "uniform", 3, twin)
+            assert gen.random() == twin.random()
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("lane", [1, 2, 3])
+def test_one_log_lane_spans_several_repetitions(provider, lane, monkeypatch):
+    """Two particles from the star's centre: each CTU-IDLA repetition
+    takes one tick, one lane slot, so a lane of ``lane`` slots holds the
+    doubles of ``lane`` repetitions when it fills, and each fold splits
+    it per repetition."""
+    monkeypatch.setattr(kernels_mod, "_LANE", lane)
+    g, kwargs = star_graph(9), {"num_particles": 2}
+    seeds = spawn_seed_sequences(5, 9)
+    ref = [ctu_idla(g, 0, seed=s, **kwargs) for s in seeds]
+    returns = _returns(get_kernels(provider), "ctu", monkeypatch)
+    got = run_reps("ctu", g, seeds, 0, kernels=provider, **kwargs)
+    _assert_rows_identical(ref, got, SHARD_LOOPS["ctu"][1])
+    # a CTU state row records its lane segment [LO, HI) in columns 2, 3
+    spans = [int((state[:, 3] > state[:, 2]).sum()) for _, _, state in returns]
+    assert [status for status, _, _ in returns] == [3] * (len(returns) - 1) + [1]
+    assert max(spans) == lane and len(returns) == -(-9 // lane), spans
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("process", sorted(SHARD_LOOPS))
+def test_shard_loops_reenter_on_a_later_rows_full_sink(provider, process, monkeypatch):
+    """Row 0 has nothing to walk, so every "sink full" return of a
+    one-event sink names a later row; each re-entry resumes that row
+    exactly (a Parallel-IDLA sink holds one round)."""
+    monkeypatch.setattr(kernels_mod, "_SINK_EVENTS", 1)
+    g, kwargs = grid_graph(3, 4), {"num_particles": 5, "record": True}
+    serial, extras = SHARD_LOOPS[process]
+    # child 0 of parent 13 draws five distinct starts; later ones walk
+    # up to four steps
+    seeds = spawn_seed_sequences(13, 9)
+    ref = [serial(g, "uniform", seed=s, **kwargs) for s in seeds]
+    returns = _returns(get_kernels(provider), process, monkeypatch)
+    got = run_reps(process, g, seeds, "uniform", kernels=provider, **kwargs)
+    _assert_rows_identical(ref, got, extras)
+    assert ref[0].total_steps == 0, "row 0 walks"
+    full = [which for status, which, _ in returns if status == 2]
+    assert full and min(full) >= 1, full
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_uniform_cap_trips_in_a_later_row_with_the_serial_message(provider):
+    """A tick cap that rows 0 and 1 stay within and a later row passes:
+    the shard raises the serial driver's exact message."""
+    g, kwargs = grid_graph(3, 4), {"num_particles": 3}
+    seeds = spawn_seed_sequences(IDLE_MIX_SEED, 9)
+    ticks = [int(uniform_idla(g, "uniform", seed=s, **kwargs).ticks) for s in seeds]
+    cap = max(ticks[:2])
+    assert max(ticks[2:]) > cap, "no later row passes the cap"
+    with pytest.raises(RuntimeError) as serial:
+        for s in seeds:
+            uniform_idla(g, "uniform", seed=s, max_ticks=cap, **kwargs)
+    with pytest.raises(RuntimeError) as routed:
+        run_reps(
+            "uniform", g, seeds, "uniform", kernels=provider, max_ticks=cap,
+            **kwargs,
+        )
+    assert str(routed.value) == str(serial.value)
+
+
+#: One particle, one vertex, and (Parallel-IDLA only) surplus particles
+#: on one vertex.
+TINY = {
+    "m=1": (grid_graph(3, 4), 1),
+    "n=1": (Graph.from_edges(1, [], name="K1"), 1),
+    "n=1,m=3": (Graph.from_edges(1, [], name="K1"), 3),
+}
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize(
+    "process,case",
+    [
+        (p, c)
+        for p in sorted(SHARD_LOOPS)
+        for c in TINY
+        if p == "parallel" or c != "n=1,m=3"
+    ],
+)
+def test_shard_loops_with_one_particle_or_one_vertex(
+    provider, process, case, monkeypatch
+):
+    """One particle, or one vertex (Parallel-IDLA's surplus particles
+    have nowhere to go): every particle settles at time 0 or never
+    moves, nothing walks, and no compiled call runs."""
+    g, m = TINY[case]
+    serial, extras = SHARD_LOOPS[process]
+    seeds = spawn_seed_sequences(2, 3)
+    ref = [serial(g, 0, seed=s, num_particles=m) for s in seeds]
+    returns = _returns(get_kernels(provider), process, monkeypatch)
+    got = run_reps(process, g, seeds, 0, kernels=provider, num_particles=m)
+    _assert_rows_identical(ref, got, extras)
+    assert returns == []
+
+
+def _tiled(row, dtype=np.int64, R=2):
+    """``R`` copies of ``row`` as a C-contiguous ``(R, m)`` array."""
+    return np.tile(np.array(row, dtype=dtype), (R, 1))
+
+
+def _generator_rows(R):
+    return [as_generator(r) for r in range(R)]
+
+
+def _nothing_drawn(rngs):
+    fresh = _generator_rows(len(rngs))
+    return all(rng.random() == twin.random() for rng, twin in zip(rngs, fresh))
+
+
 @pytest.mark.parametrize("provider", COMPILED)
 def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
     """The loop writes through raw pointers: a row of another dtype or a
     strided view would be reinterpreted or silently copied, and a row too
     short for the particles in ``act`` or the vertices of the graph would
-    be read or written past its end, so the wrapper refuses them before
-    any draw."""
+    be read or written past its end, so the wrapper refuses them, for
+    the whole ``(R, m)`` shard, before any draw."""
     ks = get_kernels(provider)
     g = cycle_graph(5)
     indptr, indices = csr_arrays(g)
 
-    def run(rng, **override):
+    def run(rngs, **override):
         rows = {
-            "occ_row": np.array([1, 0, 0, 0, 0], dtype=np.uint8),
-            "act": np.arange(1, 5, dtype=np.int64),
-            "pos": np.zeros(4, dtype=np.int64),
-            "prio": np.arange(5, dtype=np.int64),
+            "occ": np.tile(np.array([1, 0, 0, 0, 0], dtype=np.uint8), 2),
+            "act": _tiled([1, 2, 3, 4, 0]),
+            "pos": np.zeros((2, 5), dtype=np.int64),
+            "prio": _tiled(range(5)),
             "best": np.full(5, -1, dtype=np.int64),
-            "steps_row": np.zeros(5, dtype=np.int64),
-            "settled_row": np.full(5, -1, dtype=np.int64),
-            "round_row": np.full(5, -1, dtype=np.int64),
+            "steps": np.zeros((2, 5), dtype=np.int64),
+            "settled": np.full((2, 5), -1, dtype=np.int64),
+            "rounds": np.full((2, 5), -1, dtype=np.int64),
+            "k": 4,
         }
         rows.update(override)
         return ks.finish_parallel(
-            indptr, indices, rows["occ_row"], rows["act"], rows["pos"],
-            rows["prio"], rows["best"], rows["steps_row"],
-            rows["settled_row"], rows["round_row"], rng, free=4, lazy=False,
+            indptr, indices, rows["occ"], rows["act"], rows["pos"],
+            rows["prio"], rows["best"], rows["steps"], rows["settled"],
+            rows["rounds"], rngs, k=rows["k"], free=4, lazy=False,
             scalar_threshold=16, budget=float("inf"), max_rounds=None,
         )
 
-    assert run(as_generator(0)) > 0
+    assert (run(_generator_rows(2)) > 0).all()
     for bad in (
-        {"act": np.arange(1, 5, dtype=np.int32)},
-        {"pos": np.zeros(8, dtype=np.int64)[::2]},
-        {"pos": np.zeros(3, dtype=np.int64)},
+        {"act": _tiled([1, 2, 3, 4, 0], np.int32)},
+        {"pos": np.zeros((2, 10), dtype=np.int64)[:, ::2]},
+        {"pos": np.zeros((2, 3), dtype=np.int64)},
         {"best": np.full(4, -1, dtype=np.int64)},
-        {"occ_row": np.array([1, 0, 0, 0], dtype=np.uint8)},
-        {"prio": np.arange(4, dtype=np.int64)},
-        {"steps_row": np.zeros(4, dtype=np.int64)},
-        {"settled_row": np.full(4, -1, dtype=np.int64)},
-        {"round_row": np.full(4, -1, dtype=np.int64)},
-        {"act": np.array([1, 2, 3, 5], dtype=np.int64)},
-        {"act": np.array([-1, 2, 3, 4], dtype=np.int64)},
-        {"pos": np.array([0, 0, 0, 5], dtype=np.int64)},
-        {"pos": np.array([0, -1, 0, 0], dtype=np.int64)},
+        {"occ": np.tile(np.array([1, 0, 0, 0], dtype=np.uint8), 2)},
+        {"prio": _tiled(range(4))},
+        {"steps": np.zeros((2, 4), dtype=np.int64)},
+        {"settled": np.full((2, 4), -1, dtype=np.int64)},
+        {"rounds": np.full((2, 4), -1, dtype=np.int64)},
+        {"act": np.array([[1, 2, 3, 4, 0], [1, 2, 3, 5, 0]], dtype=np.int64)},
+        {"act": np.array([[-1, 2, 3, 4, 0], [1, 2, 3, 4, 0]], dtype=np.int64)},
+        {"pos": np.array([[0, 0, 0, 0, 0], [0, 0, 0, 5, 0]], dtype=np.int64)},
+        {"pos": np.array([[0, -1, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=np.int64)},
+        {"k": 6},
+        {"k": [4, -1]},
     ):
-        rng = as_generator(0)
+        rngs = _generator_rows(2)
         with pytest.raises(ValueError, match="finish_parallel"):
-            run(rng, **bad)
-        assert rng.random() == as_generator(0).random()  # nothing drawn
+            run(rngs, **bad)
+        assert _nothing_drawn(rngs), bad
+    rng = as_generator(0)
+    with pytest.raises(ValueError, match="finish_parallel: a generator"):
+        run([rng, rng])
+    assert _nothing_drawn([rng])
 
 
-def _sequential_call(ks, indptr, indices, rng, rows):
+def _sequential_call(ks, indptr, indices, rngs, rows):
     return ks.finish_sequential(
-        indptr, indices, rows["occ_row"], rows["starts"][None], [rng],
+        indptr, indices, rows["occ_row"], rows["starts"][None], rngs,
         prefixes=[rows.get("prefix")], walker=rows["walker"], pos=rows["pos"],
         lazy=False, budget=float("inf"), limit_msg="limit",
         steps=rows["steps_row"][None], settled=rows["settled_row"][None],
     )
 
 
-def _ctu_call(ks, indptr, indices, rng, rows):
+def _ctu_call(ks, indptr, indices, rngs, rows):
     return ks.finish_ctu(
-        indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
-        rows["steps_row"], rows["settled_row"], rows["clock_row"],
-        rows["order"], rng, k=rows["k"], norder=rows["norder"], rate=1.0,
+        indptr, indices, rows["occ"], rows["pool"], rows["pos"],
+        rows["steps"], rows["settled"], rows["clock"], rows["order"], rngs,
+        k=rows["k"], norder=rows["norder"], rate=1.0,
     )
 
 
-def _uniform_call(ks, indptr, indices, rng, rows):
+def _uniform_call(ks, indptr, indices, rngs, rows):
     return ks.finish_uniform(
-        indptr, indices, rows["occ_row"], rows["pool"], rows["pos_row"],
-        rows["steps_row"], rows["settled_row"], rows["order"], rng,
+        indptr, indices, rows["occ"], rows["pool"], rows["pos"],
+        rows["steps"], rows["settled"], rows["order"], rngs,
         k=rows["k"], norder=rows["norder"], logq=rows["logq"],
         budget=float("inf"), limit_msg="limit",
     )
 
 
+def _tick_rows():
+    """Two repetitions on C5: particle 0 settled at vertex 0, particles
+    1..4 to walk from 0."""
+    return {
+        "occ": np.tile(np.array([1, 0, 0, 0, 0], dtype=np.uint8), 2),
+        "pool": _tiled([1, 2, 3, 4, 0]),
+        "pos": np.zeros((2, 5), dtype=np.int64),
+        "steps": np.zeros((2, 5), dtype=np.int64),
+        "settled": _tiled([0, -1, -1, -1, -1]),
+        "order": np.zeros((2, 5), dtype=np.int64),
+        "k": 4,
+        "norder": 1,
+    }
+
+
 #: The loops beside ``finish_parallel``, each with its row set on C5
-#: (particle 0 settled at vertex 0, particles 1..4 to walk from 0) and its
+#: (particle 0 settled at vertex 0, particles 1..4 to walk from 0; the
+#: tick loops run two such repetitions), its repetition count and its
 #: violations: the wrong dtype, a strided view, short rows, out-of-range
 #: indices.
 BLOCK_LOOPS = {
@@ -1065,60 +1292,44 @@ BLOCK_LOOPS = {
             {"prefix": np.zeros(4, dtype=np.float32)},
             {"prefix": np.zeros(8)[::2]},
         ],
+        1,
     ),
     "finish_ctu": (
         _ctu_call,
-        lambda: {
-            "occ_row": np.array([1, 0, 0, 0, 0], dtype=np.uint8),
-            "pool": np.arange(1, 5, dtype=np.int64),
-            "pos_row": np.zeros(5, dtype=np.int64),
-            "steps_row": np.zeros(5, dtype=np.int64),
-            "settled_row": np.array([0, -1, -1, -1, -1], dtype=np.int64),
-            "clock_row": np.zeros(5),
-            "order": np.zeros(5, dtype=np.int64),
-            "k": 4,
-            "norder": 1,
-        },
+        lambda: {**_tick_rows(), "clock": np.zeros((2, 5))},
         [
-            {"clock_row": np.zeros(5, dtype=np.float32)},
-            {"steps_row": np.zeros(5, dtype=np.int32)},
-            {"pool": np.arange(1, 5, dtype=np.int32)},
-            {"clock_row": np.zeros(4)},
-            {"order": np.zeros(4, dtype=np.int64)},
-            {"pool": np.arange(1, 4, dtype=np.int64)},
-            {"pos_row": np.zeros(10, dtype=np.int64)[::2]},
-            {"pool": np.array([1, 2, 3, 5], dtype=np.int64)},
-            {"pool": np.array([-1, 2, 3, 4], dtype=np.int64)},
-            {"pos_row": np.array([0, 0, 0, 5, 0], dtype=np.int64)},
+            {"clock": np.zeros((2, 5), dtype=np.float32)},
+            {"steps": np.zeros((2, 5), dtype=np.int32)},
+            {"pool": _tiled([1, 2, 3, 4, 0], np.int32)},
+            {"clock": np.zeros((2, 4))},
+            {"order": np.zeros((2, 4), dtype=np.int64)},
+            {"pool": _tiled([1, 2, 3])},
+            {"pos": np.zeros((2, 10), dtype=np.int64)[:, ::2]},
+            {"pool": np.array([[1, 2, 3, 4, 0], [1, 2, 3, 5, 0]], dtype=np.int64)},
+            {"pool": np.array([[1, 2, 3, 4, 0], [-1, 2, 3, 4, 0]], dtype=np.int64)},
+            {"pos": np.array([[0, 0, 0, 0, 0], [0, 0, 0, 5, 0]], dtype=np.int64)},
             {"k": 5},
             {"norder": 2},
             {"norder": -1},
         ],
+        2,
     ),
     "finish_uniform": (
         _uniform_call,
-        lambda: {
-            "occ_row": np.array([1, 0, 0, 0, 0], dtype=np.uint8),
-            "pool": np.arange(1, 5, dtype=np.int64),
-            "pos_row": np.zeros(5, dtype=np.int64),
-            "steps_row": np.zeros(5, dtype=np.int64),
-            "settled_row": np.array([0, -1, -1, -1, -1], dtype=np.int64),
-            "order": np.zeros(5, dtype=np.int64),
-            "logq": np.log1p(-(np.arange(4) / 4)),
-            "k": 4,
-            "norder": 1,
-        },
+        lambda: {**_tick_rows(), "logq": np.log1p(-(np.arange(4) / 4))},
         [
-            {"settled_row": np.full(5, -1, dtype=np.int32)},
+            {"settled": np.full((2, 5), -1, dtype=np.int32)},
             {"logq": np.log1p(-(np.arange(4) / 4)).astype(np.float32)},
-            {"occ_row": np.array([1, 0, 0, 0, 0], dtype=np.int64)},
-            {"settled_row": np.full(4, -1, dtype=np.int64)},
-            {"occ_row": np.array([1, 0, 0, 0], dtype=np.uint8)},
-            {"pool": np.array([1, 2, 3, 7], dtype=np.int64)},
-            {"pos_row": np.array([0, 9, 0, 0, 0], dtype=np.int64)},
+            {"occ": np.tile(np.array([1, 0, 0, 0, 0], dtype=np.int64), 2)},
+            {"settled": np.full((2, 4), -1, dtype=np.int64)},
+            {"occ": np.tile(np.array([1, 0, 0, 0], dtype=np.uint8), 2)},
+            {"pool": np.array([[1, 2, 3, 7, 0], [1, 2, 3, 4, 0]], dtype=np.int64)},
+            {"pos": np.array([[0, 0, 0, 0, 0], [0, 9, 0, 0, 0]], dtype=np.int64)},
             {"k": -1},
+            {"k": [4, 5]},
             {"norder": 2},
         ],
+        2,
     ),
 }
 
@@ -1126,21 +1337,29 @@ BLOCK_LOOPS = {
 @pytest.mark.parametrize("provider", COMPILED)
 @pytest.mark.parametrize("loop", sorted(BLOCK_LOOPS))
 def test_block_loops_reject_rows_they_cannot_update_in_place(provider, loop):
-    """As ``finish_parallel`` does, the other per-repetition loops refuse
-    rows of another dtype, strided views, rows too short for the
-    particles or the graph, and indices outside their rows, before any
-    draw: C would misread them or write past a row's end."""
+    """As ``finish_parallel`` does, the other shard loops refuse rows of
+    another dtype, strided views, rows too short for the particles or
+    the graph, and indices outside their rows, before any draw: C would
+    misread them or write past a row's end.  One generator for two rows
+    is refused too."""
     ks = get_kernels(provider)
     indptr, indices = csr_arrays(cycle_graph(5))
-    call, rows, bad_rows = BLOCK_LOOPS[loop]
-    rng = as_generator(0)
-    call(ks, indptr, indices, rng, rows())
-    assert rng.random() != as_generator(0).random()
+    call, rows, bad_rows, R = BLOCK_LOOPS[loop]
+    rngs = _generator_rows(R)
+    call(ks, indptr, indices, rngs, rows())
+    assert not any(
+        rng.random() == fresh.random() for rng, fresh in zip(rngs, _generator_rows(R))
+    )
     for bad in bad_rows:
-        rng = as_generator(0)
+        rngs = _generator_rows(R)
         with pytest.raises(ValueError, match=loop):
-            call(ks, indptr, indices, rng, {**rows(), **bad})
-        assert rng.random() == as_generator(0).random(), bad  # nothing drawn
+            call(ks, indptr, indices, rngs, {**rows(), **bad})
+        assert _nothing_drawn(rngs), bad  # nothing drawn
+    if R > 1:
+        rng = as_generator(0)
+        with pytest.raises(ValueError, match=f"{loop}: a generator"):
+            call(ks, indptr, indices, [rng] * R, rows())
+        assert _nothing_drawn([rng])
 
 
 # ---------------------------------------------------------------------------
@@ -1210,24 +1429,29 @@ def test_recorded_loops_match_serial_at_tiny_sinks(
 def test_event_sink_groups_events_by_particle(provider):
     """Events interleaved across particles and split over several sealed
     buffers group into per-particle rows, chronological, each opened by
-    its start; a particle with no event keeps ``[start]``."""
+    its start; a particle with no event keeps ``[start]``.  Closing frees
+    the buffers; an unopened sink has no room until it opens."""
     ks = get_kernels(provider)
-    sink = ks.event_sink()
+    sink = ks.event_sink(np.array([9, 8, 4, 3], dtype=np.int64))
     assert sink.capacity == kernels_mod._SINK_EVENTS
-    assert ks.event_sink(kernels_mod._SINK_EVENTS + 1).capacity == (
+    assert ks.event_sink(None, kernels_mod._SINK_EVENTS + 1).capacity == (
         kernels_mod._SINK_EVENTS + 1
     )
     sink.buf[:6] = [2, 5, 0, 1, 2, 6]
     sink.seal(3)
     sink.buf[:4] = [0, 2, 2, 7]
-    sink.seal(2, reopen=False)
-    traj = sink.trajectories(np.array([9, 8, 4, 3], dtype=np.int64))
+    traj = sink.close(2)
+    assert traj is sink.trajectories
     assert traj.to_lists() == [[9, 1, 2], [8], [4, 5, 6, 7], [3]]
     assert traj.offsets.tolist() == [0, 3, 4, 8, 9]
-    empty = ks.event_sink().trajectories(np.array([1, 0], dtype=np.int64))
-    assert empty.to_lists() == [[1], [0]]
+    assert sink.buf.shape == (0,) and sink._sealed == []
+    unopened = ks.event_sink(np.array([1, 0], dtype=np.int64), opened=False)
+    assert unopened.buf.shape == (0,)
+    unopened.open()
+    assert unopened.buf.shape == (2 * unopened.capacity,)
+    assert unopened.close().to_lists() == [[1], [0]]
     with pytest.raises(ValueError, match="capacity"):
-        kernels_mod.EventSink(ks._impl.scatter_events, 0)
+        kernels_mod.EventSink(ks._impl.scatter_events, 0, None)
 
 
 @pytest.mark.parametrize("provider", COMPILED)
@@ -1237,17 +1461,20 @@ def test_parallel_loop_rejects_a_sink_smaller_than_a_round(provider):
     ks = get_kernels(provider)
     g = cycle_graph(5)
     indptr, indices = csr_arrays(g)
+    sink = kernels_mod.EventSink
+    rngs = _generator_rows(2)
     with pytest.raises(ValueError, match="one round"):
         ks.finish_parallel(
-            indptr, indices, np.array([1, 0, 0, 0, 0], dtype=np.uint8),
-            np.arange(1, 5, dtype=np.int64), np.zeros(4, dtype=np.int64),
-            np.arange(5, dtype=np.int64), np.full(5, -1, dtype=np.int64),
-            np.zeros(5, dtype=np.int64), np.full(5, -1, dtype=np.int64),
-            np.full(5, -1, dtype=np.int64), as_generator(0), free=4,
+            indptr, indices, np.tile(np.array([1, 0, 0, 0, 0], dtype=np.uint8), 2),
+            _tiled([1, 2, 3, 4, 0]), np.zeros((2, 5), dtype=np.int64), None,
+            np.full(5, -1, dtype=np.int64), np.zeros((2, 5), dtype=np.int64),
+            np.full((2, 5), -1, dtype=np.int64),
+            np.full((2, 5), -1, dtype=np.int64), rngs, k=[2, 4], free=4,
             lazy=False, scalar_threshold=16, budget=float("inf"),
             max_rounds=None,
-            sink=kernels_mod.EventSink(ks._impl.scatter_events, 3),
+            sinks=[sink(ks._impl.scatter_events, c, None) for c in (4, 3)],
         )
+    assert _nothing_drawn(rngs)
 
 
 @pytest.mark.parametrize("pool_size", [1, 2, 3, 7, 10, 63, 1000, 4097])

@@ -1,15 +1,17 @@
 """Random-graph differential fuzz of the per-repetition route.
 
-The route runs a whole shard of Sequential-IDLA (and c-sequential)
-repetitions in one compiled call that keeps several repetitions in
-flight, and each Uniform- and CTU-IDLA repetition in one tick loop whose
-logarithms numpy takes when its log lane fills or the repetition ends.
-Hypothesis draws small connected graphs (irregular degrees, pendant
-vertices), origins, particle counts, lazy walks, CTU rates, Uniform tick
+The route runs a whole shard of repetitions in one compiled call per
+process: Sequential-IDLA (and c-sequential) keeps several repetitions in
+flight, Parallel-, Uniform- and CTU-IDLA run them one after another, the
+tick loops sharing one log lane whose logarithms numpy takes whenever
+the loop returns.  Hypothesis draws small connected graphs (irregular
+degrees, pendant vertices), origins, particle counts (Parallel's above
+the vertex count too), lazy walks, tie-breaks, CTU rates, round and tick
 caps, recording with tiny event sinks, tiny log lanes and 1-9
 repetitions, so the sequential loop's lanes are often only partly
-filled; every repetition must equal the serial oracle bit for bit, and a
-tick cap must raise the serial oracle's error.
+filled and one log lane often spans several repetitions; every
+repetition must equal the serial oracle bit for bit, and a cap must
+raise the serial oracle's error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.kernels as kernels_mod
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
+from repro.core.parallel import parallel_idla
 from repro.core.route import run_reps
 from repro.core.sequential import sequential_idla
 from repro.core.uniform import uniform_idla
@@ -49,12 +52,13 @@ def connected_graphs(draw, max_n=12):
 
 
 @st.composite
-def requests(draw):
+def requests(draw, surplus=False):
     """``(g, origin, num_particles, seeds)``: a graph, an origin spec (a
     vertex, ``"uniform"`` or one explicit vertex per particle), a
-    particle count and 1-9 repetition seeds."""
+    particle count (with ``surplus``, up to twice the vertices) and 1-9
+    repetition seeds."""
     g = draw(connected_graphs())
-    m = draw(st.integers(min_value=1, max_value=g.n))
+    m = draw(st.integers(min_value=1, max_value=2 * g.n if surplus else g.n))
     origin = draw(
         st.one_of(
             st.integers(min_value=0, max_value=g.n - 1),
@@ -182,3 +186,39 @@ def test_ctu_route_matches_serial_on_random_graphs(request, record, sink, lane, 
     ref = [ctu_idla(g, origin, seed=s, **kwargs) for s in seeds]
     got = _route("ctu", g, origin, seeds, sink, lane, **kwargs)
     _check(ref, got, ("settle_clock", "ticks"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    request=requests(surplus=True), lazy=st.booleans(),
+    tie_break=st.sampled_from(["index", "random"]),
+    threshold=st.sampled_from([0, 3, 16]), record=st.booleans(), sink=SINKS,
+    data=st.data(),
+)
+def test_parallel_route_matches_serial_on_random_graphs(
+    request, lazy, tie_break, threshold, record, sink, data
+):
+    """Without a cap the samples, settle orders and trajectories must be
+    ``parallel_idla``'s.  A round cap is drawn just below a repetition's
+    last round, at it, or not at all; a trip must raise the serial
+    oracle's error."""
+    g, origin, m, seeds = request
+    kwargs = {
+        "lazy": lazy, "tie_break": tie_break, "scalar_threshold": threshold,
+        "num_particles": m, "record": record,
+    }
+    free = [parallel_idla(g, origin, seed=s, **kwargs) for s in seeds]
+    r = data.draw(st.integers(0, len(free) - 1))
+    last = int(free[r].dispersion_time)
+    cap = data.draw(st.sampled_from([None, max(last - 1, 0), last]))
+    try:
+        ref = [
+            parallel_idla(g, origin, seed=s, max_rounds=cap, **kwargs) for s in seeds
+        ]
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as got:
+            _route("parallel", g, origin, seeds, sink, None, max_rounds=cap, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = _route("parallel", g, origin, seeds, sink, None, max_rounds=cap, **kwargs)
+    _check(ref, got)
