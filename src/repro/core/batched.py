@@ -86,7 +86,7 @@ import numpy as np
 
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.origins import resolve_origins
-from repro.core.results import DispersionResult
+from repro.core.results import DispersionResult, ShardResults
 from repro.core.sequential import _BLOCK as _SERIAL_SEQ_BLOCK
 from repro.core.settlement import (
     chunked_vacancies,
@@ -857,9 +857,11 @@ def batched_parallel_idla(
         compact(keep, np.unique(w_rep))
         handoff = tail_ready()
 
-    return _parallel_results(
-        g, process, starts2d, steps2d, settled2d, round2d, prio2d,
-        _finalize(store),
+    return list(
+        _parallel_results(
+            g, process, starts2d, steps2d, settled2d, round2d, prio2d,
+            _finalize(store),
+        )
     )
 
 
@@ -945,7 +947,7 @@ def _parallel_prelude(g, origin, m, gens, tie_break):
 
 def _parallel_results(
     g, process, starts2d, steps2d, settled2d, round2d, prio2d, traj_all
-) -> list[DispersionResult]:
+) -> ShardResults:
     """Assemble the per-repetition results of a batched parallel run;
     the settle order is the serial ``(round, priority)`` order, from one
     argsort of every row's ``round * m + priority`` (priorities are
@@ -966,39 +968,24 @@ def _parallel_results(
 def _results(
     g, process, origins, steps2d, settled2d, orders, traj_all, *,
     dispersion=None, ticks=None, **extras,
-) -> list[DispersionResult]:
-    """Each repetition's :class:`DispersionResult` from ``origins[r]``,
-    ``orders[r]`` (an int64 array) and row ``r`` of the ``(R, m)``
-    arrays, which it keeps as views.
+) -> ShardResults:
+    """The shard's :class:`ShardResults` from ``origins[r]``, ``orders[r]``
+    (an int64 array or row) and row ``r`` of the ``(R, m)`` arrays.
 
     The totals and (unless ``dispersion`` gives them) the dispersion
     times, each repetition's longest walk, come from one reduction each;
     ``ticks``, when given, holds one value per repetition, and row ``r``
-    of each of ``extras`` is attached as that attribute."""
+    of each of ``extras`` is attached to result ``r`` as that attribute."""
     R, m = steps2d.shape
     if dispersion is None:
         dispersion = steps2d.max(axis=1)
-    ticks = [None] * R if ticks is None else np.asarray(ticks, dtype=float).tolist()
-    name, n = g.name, g.n
-    num_particles = None if m == n else m
-    results = [
-        DispersionResult(
-            process=process, graph_name=name, n=n, origin=origin,
-            dispersion_time=tau, total_steps=total, steps=steps,
-            settled_at=settled, settle_order=order, ticks=tick,
-            trajectories=traj, num_particles=num_particles,
-        )
-        for origin, tau, total, steps, settled, order, tick, traj in zip(
-            np.asarray(origins).tolist(), dispersion.tolist(),
-            steps2d.sum(axis=1).tolist(), steps2d, settled2d, orders, ticks,
-            [None] * R if traj_all is None else traj_all,
-        )
-    ]
-    for attr, rows in extras.items():
-        for result, row in zip(results, rows):
-            # frozen dataclass: attach like the serial drivers do
-            object.__setattr__(result, attr, row)
-    return results
+    if ticks is not None:
+        ticks = np.asarray(ticks, dtype=float)
+    return ShardResults(
+        process, g.name, g.n, None if m == g.n else m, origins, dispersion,
+        steps2d.sum(axis=1), steps2d, settled2d, orders, ticks, traj_all,
+        extras,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1288,8 +1275,10 @@ def batched_sequential_idla(
             base = live * block
             vert_off = live * n
 
-    return _sequential_results(
-        g, lazy, starts2d, steps2d, settled2d, _finalize(store)
+    return list(
+        _sequential_results(
+            g, lazy, starts2d, steps2d, settled2d, _finalize(store)
+        )
     )
 
 
@@ -1327,7 +1316,7 @@ def _index_orders(R: int, m: int) -> np.ndarray:
 
 def _sequential_results(
     g, lazy, starts2d, steps2d, settled2d, traj_all
-) -> list[DispersionResult]:
+) -> ShardResults:
     """Assemble the per-repetition results of a batched sequential run;
     particles settle in index order."""
     R, m = steps2d.shape

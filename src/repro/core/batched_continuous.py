@@ -69,7 +69,7 @@ from repro.core.batched import (
     batched_sequential_idla,
 )
 from repro.core.budget import plan_state
-from repro.core.results import DispersionResult
+from repro.core.results import DispersionResult, ShardResults
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
@@ -341,10 +341,12 @@ def batched_ctu_idla(
             km1L, denomL, clockL = km1L[keep], denomL[keep], clockL[keep]
             laneM, laneN = laneM[keep], laneN[keep]
 
-    return _ctu_results(
-        g, starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
-        _order_arrays(orders), final_clock, settle_clock.reshape(R, m),
-        _finalize(store),
+    return list(
+        _ctu_results(
+            g, starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
+            _order_arrays(orders), final_clock, settle_clock.reshape(R, m),
+            _finalize(store),
+        )
     )
 
 
@@ -354,7 +356,7 @@ def _order_arrays(orders: list[list[int]]) -> list[np.ndarray]:
 
 def _ctu_results(
     g, starts2d, steps2d, settled2d, orders, final_clock, settle_clock, traj_all
-) -> list[DispersionResult]:
+) -> ShardResults:
     """Per-repetition result assembly of the CTU-IDLA drivers, from
     ``(R, m)`` rows."""
     return _results(
@@ -683,15 +685,17 @@ def batched_uniform_idla(
             logqL, ticksL, bptrL = logqL[keep], ticksL[keep], bptrL[keep]
             laneM, laneN, laneB = laneM[keep], laneN[keep], laneB[keep]
 
-    return _uniform_results(
-        g, starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
-        _order_arrays(orders), final_ticks, _finalize(store), schedules,
+    return list(
+        _uniform_results(
+            g, starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
+            _order_arrays(orders), final_ticks, _finalize(store), schedules,
+        )
     )
 
 
 def _uniform_results(
     g, starts2d, steps2d, settled2d, orders, final_ticks, traj_all, schedules
-) -> list[DispersionResult]:
+) -> ShardResults:
     """Per-repetition result assembly of the Uniform-IDLA drivers, from
     ``(R, m)`` rows."""
     extras = {} if schedules is None else {"schedule": schedules}
@@ -742,16 +746,18 @@ def batched_continuous_sequential_idla(
             # instantly consumes none of it, but the draw still advances
             # the stream the Gamma call reads from.
             gen.random(_SEQ_BLOCK)
-    return _poissonised(
-        g, [res.origin for res in walks], np.array([res.steps for res in walks]),
-        np.array([res.settled_at for res in walks]),
-        [res.trajectories for res in walks], gens, rate,
+    return list(
+        _poissonised(
+            g, [res.origin for res in walks], np.array([res.steps for res in walks]),
+            np.array([res.settled_at for res in walks]),
+            [res.trajectories for res in walks], gens, rate,
+        )
     )
 
 
 def _poissonised(
     g, origins, steps2d, settled2d, traj_all, gens, rate
-) -> list[DispersionResult]:
+) -> ShardResults:
     """c-sequential results from Sequential-IDLA rows whose generators
     stand where the serial driver's walk leaves them: each repetition's
     ``Gamma(ρ_i, 1/rate)`` durations come from the very call

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from repro.core.blocks import Block
 from repro.core.trajectory import TrajectoryArrays
 
-__all__ = ["DispersionResult"]
+__all__ = ["DispersionResult", "ShardResults"]
 
 
 @dataclass(frozen=True)
@@ -113,3 +114,76 @@ class DispersionResult:
             f"{self.origin}): dispersion={self.dispersion_time:g}, "
             f"total_steps={self.total_steps}"
         )
+
+
+class ShardResults(Sequence):
+    """The results of a shard of ``R`` repetitions, kept as columns.
+
+    What the runner reads of a shard is :attr:`samples` (each
+    repetition's dispersion time, ``float64``), :attr:`total_samples`
+    (its total steps, ``int64``), :attr:`trajectories` and
+    :attr:`schedules` (a list, or ``None`` when not recorded): one
+    column each, with no per-repetition object.  Indexing builds
+    repetition ``r``'s :class:`DispersionResult`, which keeps views of
+    row ``r`` of the ``(R, m)`` columns; ``extras`` name further
+    per-repetition attributes (a row or entry each) that the result
+    carries, as the serial drivers attach them.
+    """
+
+    __slots__ = (
+        "process", "graph_name", "n", "num_particles", "origins", "dispersion",
+        "samples", "total_samples", "steps", "settled_at", "settle_orders",
+        "ticks", "trajectories", "extras",
+    )
+
+    def __init__(
+        self, process, graph_name, n, num_particles, origins, dispersion,
+        total_steps, steps, settled_at, settle_orders, ticks, trajectories,
+        extras,
+    ):
+        self.process = process
+        self.graph_name = graph_name
+        self.n = n
+        self.num_particles = num_particles
+        self.origins = np.asarray(origins)
+        self.dispersion = np.asarray(dispersion)
+        self.samples = self.dispersion.astype(np.float64)
+        self.total_samples = total_steps
+        self.steps = steps
+        self.settled_at = settled_at
+        self.settle_orders = settle_orders
+        self.ticks = ticks
+        self.trajectories = trajectories
+        self.extras = extras
+
+    @property
+    def schedules(self):
+        """Each repetition's realised schedule, or ``None``."""
+        return self.extras.get("schedule")
+
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[i] for i in range(*r.indices(len(self)))]
+        r = range(len(self))[r]
+        traj = self.trajectories
+        result = DispersionResult(
+            process=self.process,
+            graph_name=self.graph_name,
+            n=self.n,
+            origin=self.origins[r].item(),
+            dispersion_time=self.dispersion[r].item(),
+            total_steps=self.total_samples[r].item(),
+            steps=self.steps[r],
+            settled_at=self.settled_at[r],
+            settle_order=self.settle_orders[r],
+            ticks=None if self.ticks is None else float(self.ticks[r]),
+            trajectories=None if traj is None else traj[r],
+            num_particles=self.num_particles,
+        )
+        for attr, rows in self.extras.items():
+            # frozen dataclass: attach like the serial drivers do
+            object.__setattr__(result, attr, rows[r])
+        return result

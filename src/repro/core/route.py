@@ -19,17 +19,28 @@ every repetition to completion (plus one per "sink full" or "lane full"
 re-entry; none when no repetition walks).  Sequential-IDLA's loop (and
 so c-sequential's) keeps ``REPRO_LANES`` repetitions in flight, so the
 CPU overlaps their dependent steps; the others run the repetitions one
-after another.  Every loop draws each double from its repetition's
-``bitgen_t`` inside C, in the serial driver's order, so each generator
-ends right after the last double consumed (the serial oracle and the
-lock-step body may leave it further on); c-sequential then draws up to
-the serial driver's block grid before its Gamma durations.  The tick
-loops (Uniform, CTU) take no logarithm in C: the doubles the serial
-driver takes ``log1p(-u)`` of go to a log lane shared by the shard,
+after another.  Every loop draws each double inside C, in the serial
+driver's order, so each generator ends right after the last double
+consumed (the serial oracle and the lock-step body may leave it further
+on); c-sequential then draws up to the serial driver's block grid before
+its Gamma durations.  Where no repetition draws in Python (a vertex
+origin, Parallel-IDLA's index tie-break, not c-sequential) and the seeds
+are a :class:`~repro.utils.rng.SpawnRange` of a default-pool parent, as
+the runner hands them out, C seeds each repetition's PCG64 state from
+its child and steps it inline: no ``SeedSequence`` or ``Generator`` is
+built.  Otherwise each repetition gets its numpy ``Generator``; C steps
+a ``PCG64`` inline all the same, storing its state back, and calls any
+other bit generator's ``next_double``.  The tick loops (Uniform, CTU)
+take no logarithm in C: the doubles the serial driver takes
+``log1p(-u)`` of go to a log lane shared by the shard,
 which the wrapper folds with numpy's ``log1p``, as the serial driver's
 :class:`~repro.utils.rng.UniformStream` does.  Last, the results are
 assembled by the lock-step drivers' own helpers, with one reduction per
-statistic over the shard, bit-identical to the serial oracle.
+statistic over the shard, bit-identical to the serial oracle, into one
+:class:`~repro.core.results.ShardResults` of columns: the runner reads
+its samples from them, and a repetition's
+:class:`~repro.core.results.DispersionResult` is built only when asked
+for.
 ``record`` hands each repetition an event sink
 (:meth:`~repro.kernels.CompiledKernels.event_sink`), whose events become
 the repetition's :class:`~repro.core.trajectory.TrajectoryArrays` as is.
@@ -51,12 +62,13 @@ from repro.core.batched import (
     _sequential_prelude,
     _sequential_results,
     _time0,
+    _vertex_origin,
 )
 from repro.core.batched_continuous import _ctu_results, _poissonised, _uniform_results
-from repro.core.results import DispersionResult
+from repro.core.results import ShardResults
 from repro.core.stopping_rules import standard_rule
 from repro.kernels import KernelsUnavailableError, csr_arrays, get_kernels
-from repro.utils.rng import as_generator
+from repro.utils.rng import SpawnRange, as_generator
 from repro.utils.validation import check_limit, check_positive_finite, check_record
 
 __all__ = ["route_kernels", "run_reps"]
@@ -90,8 +102,9 @@ def route_kernels(process: str, g, kwargs: dict):
 
 def run_reps(
     process: str, g, gens, origin=0, *, kernels, record=False, **opts
-) -> list[DispersionResult]:
-    """One repetition per seed/generator in ``gens``, each run to
+) -> ShardResults:
+    """One repetition per seed/generator in ``gens`` (a sequence, or a
+    :class:`~repro.utils.rng.SpawnRange` of children), each run to
     completion in C; entry ``r`` is bit-identical to the serial driver's
     run with ``seed=gens[r]``.
 
@@ -104,8 +117,27 @@ def run_reps(
     record = check_record(record)
     for key in _GATED:
         opts.pop(key, None)
-    gens = [as_generator(s) for s in gens]
-    return _RUNNERS[process](g, gens, origin, kern, record, **opts)
+    seeds = None
+    if isinstance(gens, SpawnRange) and not _draws_in_python(process, origin, opts):
+        # no row draws outside C: each starts from its child's PCG64
+        # state, seeded in C, and no SeedSequence or Generator is built
+        seeds = kern.pcg64_seeds(gens)
+    if seeds is None:
+        gens = [as_generator(s) for s in gens]
+    else:
+        gens = [None] * len(gens)
+    return _RUNNERS[process](g, gens, seeds, origin, kern, record, **opts)
+
+
+def _draws_in_python(process: str, origin, opts) -> bool:
+    """Whether a repetition draws from its generator outside the C loop:
+    a random or explicit origin, Parallel-IDLA's random tie-break, and
+    c-sequential's block-grid remainder and Gamma durations."""
+    return (
+        process == "c-sequential"
+        or not _vertex_origin(origin)
+        or (process == "parallel" and opts.get("tie_break", "index") != "index")
+    )
 
 
 def _sinks(kern, record: bool, starts, *, opened=True, counts=None):
@@ -143,7 +175,7 @@ def _skip_log_table(pool_size: int) -> np.ndarray:
 # Each runner validates the options, builds the shard's rows, runs its
 # loop once for the whole shard and assembles the results.
 def _parallel(
-    g, gens, origin, kern, record, *, lazy=False, tie_break="index",
+    g, gens, seeds, origin, kern, record, *, lazy=False, tie_break="index",
     num_particles=None, scalar_threshold=16, max_rounds=None,
 ):
     m, scalar_threshold, budget = _parallel_checks(
@@ -159,7 +191,7 @@ def _parallel(
             *csr_arrays(g), occ, *_active_rows(starts, settled), prio,
             np.full(g.n, -1, dtype=np.int64), steps, settled, rounds, gens,
             k=k, free=free, lazy=lazy, scalar_threshold=scalar_threshold,
-            budget=budget, max_rounds=max_rounds, sinks=sinks,
+            budget=budget, max_rounds=max_rounds, sinks=sinks, seeds=seeds,
         )
     return _parallel_results(
         g, "parallel-lazy" if lazy else "parallel", starts, steps, settled,
@@ -175,7 +207,7 @@ def _active_rows(starts, settled):
 
 
 def _walk_sequential(
-    g, gens, origin, kern, record, *, lazy=False, num_particles=None,
+    g, gens, seeds, origin, kern, record, *, lazy=False, num_particles=None,
     max_total_steps=None,
 ):
     """Sequential-IDLA's walks: ``(starts, steps, settled, traj)``."""
@@ -187,21 +219,23 @@ def _walk_sequential(
     kern.finish_sequential(
         *csr_arrays(g), occ, starts, gens, walker=walker, lazy=lazy,
         budget=budget, limit_msg=limit_msg, steps=steps, settled=settled,
-        sinks=sinks,
+        sinks=sinks, seeds=seeds,
     )
     return starts, steps, settled, _trajectories(sinks)
 
 
-def _sequential(g, gens, origin, kern, record, *, lazy=False, **opts):
+def _sequential(g, gens, seeds, origin, kern, record, *, lazy=False, **opts):
     starts, steps, settled, traj = _walk_sequential(
-        g, gens, origin, kern, record, lazy=lazy, **opts
+        g, gens, seeds, origin, kern, record, lazy=lazy, **opts
     )
     return _sequential_results(g, lazy, starts, steps, settled, traj)
 
 
-def _c_sequential(g, gens, origin, kern, record, *, rate=1.0):
+def _c_sequential(g, gens, seeds, origin, kern, record, *, rate=1.0):
     check_positive_finite("rate", rate)
-    starts, steps, settled, traj = _walk_sequential(g, gens, origin, kern, record)
+    starts, steps, settled, traj = _walk_sequential(
+        g, gens, seeds, origin, kern, record
+    )
     block = _seq_mod._BLOCK
     spill = np.empty(block)  # one scratch for every repetition's draw
     for total, gen in zip(steps.sum(axis=1).tolist(), gens):
@@ -228,7 +262,9 @@ def _tick_prelude(g, origin, m, gens):
     )
 
 
-def _uniform(g, gens, origin, kern, record, *, num_particles=None, max_ticks=None):
+def _uniform(
+    g, gens, seeds, origin, kern, record, *, num_particles=None, max_ticks=None
+):
     m = _particle_count(g, num_particles, "uniform")
     budget = check_limit("max_ticks", max_ticks)
     starts, occ, pos, steps, settled, order, pool, k = _tick_prelude(
@@ -241,14 +277,14 @@ def _uniform(g, gens, origin, kern, record, *, num_particles=None, max_ticks=Non
             *csr_arrays(g), occ, pool, pos, steps, settled, order, gens, k=k,
             norder=m - k, logq=_skip_log_table(max(m - 1, 1)), budget=budget,
             limit_msg=f"uniform IDLA exceeded max_ticks={max_ticks}",
-            sinks=sinks,
+            sinks=sinks, seeds=seeds,
         )
     return _uniform_results(
         g, starts, steps, settled, order, ticks, _trajectories(sinks), None
     )
 
 
-def _ctu(g, gens, origin, kern, record, *, rate=1.0, num_particles=None):
+def _ctu(g, gens, seeds, origin, kern, record, *, rate=1.0, num_particles=None):
     m = _particle_count(g, num_particles, "CTU")
     check_positive_finite("rate", rate)
     starts, occ, pos, steps, settled, order, pool, k = _tick_prelude(
@@ -260,7 +296,7 @@ def _ctu(g, gens, origin, kern, record, *, rate=1.0, num_particles=None):
     if k.any():
         clock = kern.finish_ctu(
             *csr_arrays(g), occ, pool, pos, steps, settled, settle_clock,
-            order, gens, k=k, norder=m - k, rate=rate, sinks=sinks,
+            order, gens, k=k, norder=m - k, rate=rate, sinks=sinks, seeds=seeds,
         )
     return _ctu_results(
         g, starts, steps, settled, order, clock, settle_clock,

@@ -330,7 +330,7 @@ def _thread_outcomes(
     queued shards are cancelled and the pool joins before the error
     propagates.
     """
-    from repro.experiments.runner import outcome_of
+    from repro.experiments.runner import shard_outcomes
 
     outcomes: list[tuple[float, int, object, object]] = []
     with ThreadPoolExecutor(max_workers=min(n_jobs, len(shards))) as pool:
@@ -341,7 +341,7 @@ def _thread_outcomes(
         try:
             while pending:
                 # popleft: a collected shard's results die with its future
-                outcomes.extend(map(outcome_of, pending.popleft().result()))
+                outcomes.extend(shard_outcomes(pending.popleft().result()))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -56,7 +56,7 @@ from repro.core.uniform import uniform_idla
 from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
 from repro.kernels import check_kernels
-from repro.utils.rng import as_seed_sequence, stable_seed
+from repro.utils.rng import SeedChildren, stable_seed
 from repro.utils.validation import check_integer, check_limit, check_record
 
 __all__ = [
@@ -353,6 +353,19 @@ def outcome_of(res: DispersionResult) -> tuple[float, int, object, object]:
     )
 
 
+def shard_outcomes(shard) -> list[tuple[float, int, object, object]]:
+    """:func:`outcome_of` of every repetition of a
+    :class:`~repro.core.results.ShardResults`, read from its columns
+    without building a result."""
+    R = len(shard)
+    return list(zip(
+        shard.samples.tolist(),
+        shard.total_samples.tolist(),
+        shard.trajectories or [None] * R,
+        shard.schedules or [None] * R,
+    ))
+
+
 def _one_run(args) -> tuple[float, int, object, object]:
     process, g, origin, seed, kwargs = args
     res = run_process(process, g, origin, seed=seed, **kwargs)
@@ -373,8 +386,9 @@ def _shard_outcomes(
     """
     kern = None if batched is False else route_kernels(process, g, kwargs)
     if kern is not None:
-        batch = run_reps(process, g, children, origin, **{**kwargs, "kernels": kern})
-        return [outcome_of(r) for r in batch]
+        return shard_outcomes(
+            run_reps(process, g, children, origin, **{**kwargs, "kernels": kern})
+        )
     if _use_batched(process, g, len(children), 1, kwargs, batched):
         batch = BATCHED_DRIVERS[process](g, origin, seeds=list(children), **kwargs)
         return [outcome_of(r) for r in batch]
@@ -453,7 +467,7 @@ def _adaptive_outcomes(
     g: Graph,
     process: str,
     origin: int,
-    parent,
+    seeds: SeedChildren,
     precision: Precision,
     n_jobs: int,
     batched,
@@ -461,11 +475,11 @@ def _adaptive_outcomes(
 ) -> tuple[list[tuple[float, int, object, object]], AdaptiveInfo]:
     """Run repetition rounds until the anytime CI meets ``precision``.
 
-    Every round spawns the *next* children of ``parent``
-    (``SeedSequence.spawn`` advances the parent's counter, so round
+    Every round takes the *next* children of the parent ``seeds``
+    hands out (:meth:`~repro.utils.rng.SeedChildren.take`), so round
     boundaries are invisible in the streams: the concatenated outcomes
     are bit-identical to one fixed run of the same total repetition
-    count).  After each round the anytime confidence-sequence width is
+    count.  After each round the anytime confidence-sequence width is
     checked — valid under exactly this kind of optional stopping — and
     the next round is sized from the width still missing, capped by
     ``precision.growth`` and ``precision.max_reps``.
@@ -505,7 +519,7 @@ def _adaptive_outcomes(
                 max_shard = max(1, int(_TARGET_SHARD_SECONDS / per_rep_s))
             else:
                 max_shard = None
-        children = parent.spawn(round_reps)
+        children = seeds.take(round_reps)
         outcomes.extend(
             _round_outcomes(
                 g, process, origin, children, n_jobs, batched, kwargs, max_shard
@@ -665,18 +679,18 @@ def estimate_dispersion(
         _validate_forced_batched(process, kwargs)
     if precision is not None and reps is not None:
         raise TypeError("pass either reps= or precision=, not both")
-    parent = as_seed_sequence(
+    seeds = SeedChildren(
         seed if seed is not None else stable_seed(g.name, process, origin)
     )
     if precision is not None:
         outcomes, info = _adaptive_outcomes(
-            g, process, origin, parent, precision, n_jobs, batched, kwargs
+            g, process, origin, seeds, precision, n_jobs, batched, kwargs
         )
     else:
         reps = 16 if reps is None else check_integer("reps", reps)
         if reps < 1:
             raise ValueError(f"reps must be >= 1, got {reps}")
-        children = parent.spawn(reps)
+        children = seeds.take(reps)
         outcomes = _round_outcomes(
             g, process, origin, children, n_jobs, batched, kwargs
         )

@@ -30,7 +30,7 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  A provider passes a load-time
-self-check (:func:`_self_check`) exercising all twelve entry points before
+self-check (:func:`_self_check`) exercising all fourteen entry points before
 it can be selected, so a miscompiled or mis-installed provider fails at
 resolution, not mid-run.
 """
@@ -187,25 +187,44 @@ def _row_width(a: np.ndarray) -> int:
     return a.shape[1] if a.ndim == 2 else -1
 
 
-def _check_shard(name: str, rngs, sinks) -> None:
-    """One generator, and with ``sinks`` one sink, per row."""
-    if len({id(rng.bit_generator) for rng in rngs}) < len(rngs):
+def _check_shard(name: str, rngs, sinks, seeds):
+    """One generator or ``None``, and with ``sinks`` one sink, per row;
+    the rows without a generator draw from their row of ``seeds``.
+    Returns ``seeds`` as C reads it: ``None`` when every row has a
+    generator."""
+    gens = [rng for rng in rngs if rng is not None]
+    if len({id(rng.bit_generator) for rng in gens}) < len(gens):
         # its lock would be taken twice, and interleaved draws would
         # break every row's bit-identity
         raise ValueError(f"{name}: a generator is passed for two rows")
     if sinks is not None and len(sinks) != len(rngs):
         raise ValueError(f"{name}: prefixes and sinks need one per row")
+    if len(gens) == len(rngs):
+        return None
+    if (
+        not isinstance(seeds, np.ndarray)
+        or seeds.dtype != np.uint64
+        or not seeds.flags.c_contiguous
+        or seeds.shape != (len(rngs), 4)
+    ):
+        raise ValueError(
+            f"{name}: rows without a generator need C-contiguous uint64 "
+            f"seeds of shape ({len(rngs)}, 4)"
+        )
+    return seeds
 
 
-def _tick_state(name, indptr, occ, pool, rows, rngs, k, norder, sinks, width):
+def _tick_state(
+    name, indptr, occ, pool, rows, rngs, seeds, k, norder, sinks, width
+):
     """A tick shard's checks, before any draw (``rows[0]`` is ``pos``);
-    returns ``occ`` as ``uint8`` and the state rows, ``k`` and
-    ``norder`` filled in."""
+    returns ``occ`` as ``uint8``, the state rows, ``k`` and ``norder``
+    filled in, and the seeds C reads."""
     n = indptr.shape[0] - 1
     R, m = len(rngs), _row_width(rows[0])
     _shard_rows(name, _I64, R, m, pool, *rows)
     occ = _occ_row(name, occ, R * n)
-    _check_shard(name, rngs, sinks)
+    seeds = _check_shard(name, rngs, sinks, seeds)
     _check_range(name, "a pool entry", pool, m)
     _check_range(name, "a particle's vertex", rows[0], n)
     state = np.zeros((R, width), dtype=np.int64)
@@ -214,7 +233,7 @@ def _tick_state(name, indptr, occ, pool, rows, rngs, k, norder, sinks, width):
     k, norder = state[:, 0], state[:, 1]
     if R and (min(k.min(), norder.min()) < 0 or (k + norder).max() > m):
         raise ValueError(f"{name}: k and norder must be >= 0, k + norder <= m")
-    return occ, state
+    return occ, state, seeds
 
 
 class KernelSet:
@@ -373,7 +392,9 @@ class CompiledKernels(KernelSet):
     (:meth:`finish_sequential`, :meth:`finish_parallel`,
     :meth:`finish_ctu`, :meth:`finish_uniform`) instead run every
     repetition of a shard in one compiled call, each repetition drawing
-    from its generator's ``bitgen_t`` inside C (:meth:`_draw`).  They
+    inside C (:meth:`_draw`): a numpy ``PCG64`` or a row of C-seeded
+    states (:meth:`pcg64_seeds`) stepped inline, any other bit generator
+    through its ``bitgen_t``.  They
     return early only when an event sink fills or, for the tick loops,
     when the shared log lane fills; the wrapper then seals the sink or
     takes the lane's logarithms with numpy, and re-enters.
@@ -447,36 +468,73 @@ class CompiledKernels(KernelSet):
             opened=opened,
         )
 
+    # ---- the draw sources ----------------------------------------------
+    def pcg64_seeds(self, children) -> np.ndarray | None:
+        """The PCG64 state of each child of ``children`` (a
+        :class:`~repro.utils.rng.SpawnRange`), as
+        ``numpy.random.PCG64(child)`` seeds it: one ``(4,)`` ``uint64`` row
+        a child, the shard loops' ``seeds``.  ``None`` when the parent's
+        pool size is not numpy's default, which C does not reproduce."""
+        words = children.entropy_words()
+        if words is None:
+            return None
+        seeds = np.empty((len(children), 4), dtype=np.uint64)
+        self._impl.seed_pcg64(words, children.start, len(children), seeds)
+        return seeds
+
+    def draw_doubles(self, rngs, n: int, *, seeds=None) -> np.ndarray:
+        """``(R, n)`` doubles, row ``r`` drawn in C from ``rngs[r]`` (or
+        its row of ``seeds``), as the shard loops draw them: each row
+        equals ``rngs[r].random(n)`` and leaves the generator where that
+        call would."""
+        R = len(rngs)
+        seeds = _check_shard("draw_doubles", rngs, None, seeds)
+        out = np.empty((R, n))
+        state = np.zeros((R, 1), dtype=np.int64)
+
+        def run(bgs, evs, caps):
+            self._impl.draw_doubles(bgs, seeds, R, n, out)
+            return 1, 0
+
+        self._draw(run, rngs, state, None, events=0)
+        return out
+
     def _draw(self, run, rngs, state, sinks, *, events, prefixes=None, fold=None):
         """Drive a shard loop whose row ``r`` draws from the bit generator
-        of ``rngs[r]``, holding every generator's lock, and return its
-        final status.
+        of ``rngs[r]`` (``None``: from its row of the seeds C was handed),
+        holding every generator's lock, and return its final status.
 
         ``run(bgs, evs, caps)`` enters the loop once with each row's
-        ``bitgen_t`` address (``uintp``) and, with ``sinks``, each row's
-        sink buffer address and room (else ``None``), and returns
-        ``(status, row)``.  ``fold(status)``, when given, runs after every
-        return and gives the status to act on.  Status 2 (the sink of
+        ``bitgen_t`` address (``uintp``; 0 for a row without a generator)
+        and, with ``sinks``, each row's sink buffer address and room (else
+        ``None``), and returns ``(status, row)``.  C steps a numpy
+        ``PCG64`` inline and stores its state back on every return; it
+        calls every other bit generator's ``next_double``.
+        ``fold(status)``, when given, runs after every return and gives
+        the status to act on.  Status 2 (the sink of
         ``row`` is full) seals that sink, or opens it if unopened, and
         re-enters, as does 3 (the log lane is full).  A "full" open sink
         holding no event would make the loop re-enter forever, so it
         raises.  When the loop is done every sink is closed, into its
         repetition's trajectories.  ``prefixes[r]`` (float64), when given,
         is served before row ``r``'s generator."""
-        bgs = np.empty(len(rngs), dtype=np.uintp)
+        bgs = np.zeros(len(rngs), dtype=np.uintp)
         evs = caps = None
         if sinks is not None:
             evs = np.array([s.buf.ctypes.data for s in sinks], dtype=np.uintp)
             caps = np.array([s.buf.shape[0] // 2 for s in sinks], dtype=np.int64)
         fronts = []  # the prefix bit generators C reads through
-        bitgens = [rng.bit_generator for rng in rngs]
+        bitgens = [None if rng is None else rng.bit_generator for rng in rngs]
+        locks = [bitgen.lock for bitgen in bitgens if bitgen is not None]
         closed = 0  # the sinks of rows [0, closed) are closed
         held = 0
         try:
-            for bitgen in bitgens:
-                bitgen.lock.acquire()
+            for lock in locks:
+                lock.acquire()
                 held += 1
             for r, bitgen in enumerate(bitgens):
+                if bitgen is None:
+                    continue
                 address = _bitgen_address(bitgen)
                 prefix = None if prefixes is None else prefixes[r]
                 if prefix is not None and prefix.shape[0]:
@@ -511,8 +569,8 @@ class CompiledKernels(KernelSet):
                 elif status != 3:
                     break
         finally:
-            for bitgen in bitgens[:held]:
-                bitgen.lock.release()
+            for lock in locks[:held]:
+                lock.release()
         if status == 1 and sinks is not None:
             for q in range(closed, len(sinks)):
                 sinks[q].close(int(state[q, events]))
@@ -524,13 +582,15 @@ class CompiledKernels(KernelSet):
     # and occ[r*n : (r+1)*n] belong to repetition r, which draws each
     # double from the bit generator of rngs[r] in C, in its serial
     # driver's order, so each generator ends right after the last double
-    # its row consumed.  Every row is checked once, before any draw; one
-    # generator passed for two rows raises ValueError.  With sinks, one
-    # per row, every step is recorded into its row's sink.
+    # its row consumed.  A row whose rngs[r] is None draws from the PCG64
+    # state in row r of `seeds` (pcg64_seeds), which C advances in place.
+    # Every row is checked once, before any draw; one generator passed
+    # for two rows raises ValueError.  With sinks, one per row, every step
+    # is recorded into its row's sink.
     def finish_sequential(
         self, indptr, indices, occ, starts, rngs, *, prefixes=None,
         walker, pos=None, pstep=0, total=0, lazy, budget, limit_msg,
-        steps, settled, sinks=None,
+        steps, settled, sinks=None, seeds=None,
     ) -> np.ndarray:
         """Compiled ``_finish_sequential_rep`` for ``R = len(rngs)``
         repetitions in one call; returns each one's ``total`` plus the
@@ -554,12 +614,14 @@ class CompiledKernels(KernelSet):
         _shard_rows(name, _I64, R, m, starts, steps, settled)
         occ = _occ_row(name, occ, R * n)
         _check_range(name, "a start", starts, n)
-        _check_shard(name, rngs, sinks)
+        seeds = _check_shard(name, rngs, sinks, seeds)
         if prefixes is not None and len(prefixes) != R:
             raise ValueError(f"{name}: prefixes and sinks need one per row")
-        for prefix in prefixes or ():
+        for rng, prefix in zip(rngs, prefixes or ()):
             if prefix is not None:
                 _check_rows(name, _F64, 0, prefix)
+                if rng is None:
+                    raise ValueError(f"{name}: a prefix needs a generator behind it")
         state = np.zeros((R, 5), dtype=np.int64)
         state[:, 0] = walker
         walking = state[:, 0] < m
@@ -577,8 +639,8 @@ class CompiledKernels(KernelSet):
 
         def run(bgs, evs, caps):
             status = self._impl.finish_seq(
-                indptr, indices, occ, starts, steps, settled, bgs, state, R,
-                n, m, lz, budget, evs, caps, which,
+                indptr, indices, occ, starts, steps, settled, bgs, seeds,
+                state, R, n, m, lz, budget, evs, caps, which,
             )
             return status, int(which[0])
 
@@ -595,7 +657,7 @@ class CompiledKernels(KernelSet):
     # takes numpy's log1p, then splits the results per repetition.
     def finish_ctu(
         self, indptr, indices, occ, pool, pos, steps, settled, clock, order,
-        rngs, *, k, norder, rate, sinks=None,
+        rngs, *, k, norder, rate, sinks=None, seeds=None,
     ) -> np.ndarray:
         """Compiled :func:`repro.core.continuous.ctu_idla` tick loop for
         ``R = len(rngs)`` repetitions; returns each one's final clock.
@@ -606,9 +668,9 @@ class CompiledKernels(KernelSet):
         ``order[r, :norder[r]]`` its settle order so far; every entry of
         ``pool`` must be a particle, every entry of ``pos`` a vertex.  Each
         tick draws 3 doubles, in the serial order."""
-        occ, state = _tick_state(
+        occ, state, seeds = _tick_state(
             "finish_ctu", indptr, occ, pool, (pos, steps, settled, order),
-            rngs, k, norder, sinks, 5,
+            rngs, seeds, k, norder, sinks, 5,
         )
         R, m = pos.shape
         _shard_rows("finish_ctu", _F64, R, m, clock)
@@ -652,8 +714,8 @@ class CompiledKernels(KernelSet):
         self._draw(
             lambda bgs, evs, caps: (self._impl.run_ctu(
                 indptr, indices, occ, pool, pos, steps, settled, clock, order,
-                bgs, lane, cap, state, R, indptr.shape[0] - 1, m, float(rate),
-                evs, caps, which,
+                bgs, seeds, lane, cap, state, R, indptr.shape[0] - 1, m,
+                float(rate), evs, caps, which,
             ), int(which[0])),
             rngs, state, sinks, events=4, fold=fold,
         )
@@ -661,7 +723,7 @@ class CompiledKernels(KernelSet):
 
     def finish_uniform(
         self, indptr, indices, occ, pool, pos, steps, settled, order, rngs,
-        *, k, norder, logq, budget, limit_msg, sinks=None,
+        *, k, norder, logq, budget, limit_msg, sinks=None, seeds=None,
     ) -> np.ndarray:
         """Compiled :func:`repro.core.uniform.uniform_idla` tick loop
         (default scheduler) for ``R = len(rngs)`` repetitions; returns
@@ -673,9 +735,9 @@ class CompiledKernels(KernelSet):
         doubles, plus 1 per skip, in the serial order.  A tick count past
         ``budget`` raises ``RuntimeError(limit_msg)``, as the serial
         driver does."""
-        occ, state = _tick_state(
+        occ, state, seeds = _tick_state(
             "finish_uniform", indptr, occ, pool, (pos, steps, settled, order),
-            rngs, k, norder, sinks, 6,
+            rngs, seeds, k, norder, sinks, 6,
         )
         _check_rows("finish_uniform", _F64, 0, logq)
         R, m = pos.shape
@@ -700,7 +762,7 @@ class CompiledKernels(KernelSet):
         status = self._draw(
             lambda bgs, evs, caps: (self._impl.run_uniform(
                 indptr, indices, occ, pool, pos, steps, settled, order, bgs,
-                lane, cap, logq, logq.shape[0], state, R,
+                seeds, lane, cap, logq, logq.shape[0], state, R,
                 indptr.shape[0] - 1, m, budget, evs, caps, which,
             ), int(which[0])),
             rngs, state, sinks, events=5, fold=fold,
@@ -712,7 +774,7 @@ class CompiledKernels(KernelSet):
     def finish_parallel(
         self, indptr, indices, occ, act, pos, prio, best, steps, settled,
         rounds, rngs, *, k, free, lazy, scalar_threshold, budget,
-        max_rounds, sinks=None,
+        max_rounds, sinks=None, seeds=None,
     ) -> np.ndarray:
         """Compiled :func:`repro.core.parallel.parallel_idla` round loop
         for ``R = len(rngs)`` repetitions; returns each one's final round.
@@ -735,7 +797,7 @@ class CompiledKernels(KernelSet):
         )
         _check_rows(name, _I64, n, best)
         occ = _occ_row(name, occ, R * n)
-        _check_shard(name, rngs, sinks)
+        seeds = _check_shard(name, rngs, sinks, seeds)
         _check_range(name, "an act entry", act, m)
         _check_range(name, "a pos entry", pos, n)
         state = np.zeros((R, 4), dtype=np.int64)
@@ -757,8 +819,8 @@ class CompiledKernels(KernelSet):
         status = self._draw(
             lambda bgs, evs, caps: (self._impl.run_parallel(
                 indptr, indices, occ, act, pos, prio, best, steps, settled,
-                rounds, bgs, hold, state, R, n, m, lz, thr, budget, evs, caps,
-                which,
+                rounds, bgs, seeds, hold, state, R, n, m, lz, thr, budget, evs,
+                caps, which,
             ), int(which[0])),
             rngs, state, sinks, events=3,
         )
@@ -848,21 +910,25 @@ class _BlockFeeder:
 
 
 class _ArrayGenerator:
-    """Generator stand-in over a fixed double sequence (self-check only).
+    """Generator stand-in over a fixed double sequence.
 
     Its ``bit_generator`` has what the bit-generator loops read of
     numpy's: a ``lock`` and the ``bitgen_t`` capsule, here of the C
-    source's prefix bit generator with nothing behind the array, whose
-    ``drawn()`` counts every double the loop asked for.
+    source's prefix bit generator, whose ``drawn()`` counts every double
+    the loop asked for.  Past the array it serves the doubles of the
+    numpy generator ``rest``, or (the self-check) ``0.0`` with none.
     """
 
-    def __init__(self, ks: CompiledKernels, doubles):
-        bitgen = ks._impl.prefix_bitgen(np.asarray(doubles, dtype=np.float64))
+    def __init__(self, ks: CompiledKernels, doubles, rest=None):
+        bitgen = ks._impl.prefix_bitgen(
+            np.asarray(doubles, dtype=np.float64),
+            None if rest is None else _bitgen_address(rest.bit_generator),
+        )
         self.drawn = bitgen.drawn
         self.bit_generator = SimpleNamespace(
             lock=threading.Lock(),
             capsule=_capsule_new(bitgen.address, _CAPSULE, None),
-            _keep=bitgen,
+            _keep=(bitgen, rest),
         )
 
 
@@ -876,6 +942,27 @@ def _self_check(ks: CompiledKernels) -> None:
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
+
+    # the draw contract: C steps a numpy PCG64 inline (its pcg64_state
+    # read through bitgen_t.state) and stores the state back (the other
+    # bit generators' generic call is the prefix bit generator's, below);
+    # each row of the C-seeded states is the one numpy.random.PCG64 seeds
+    # from that SeedSequence child (an entropy of three words and a
+    # nested spawn key with a word above 2**32)
+    from repro.utils.rng import SpawnRange
+
+    rng, twin = (np.random.Generator(np.random.PCG64(20260)) for _ in range(2))
+    drawn = ks.draw_doubles([rng], 5)
+    assert drawn.tolist() == [twin.random(5).tolist()], drawn
+    assert rng.bit_generator.state == twin.bit_generator.state
+    children = SpawnRange(np.random.SeedSequence(2**70 + 9, spawn_key=(1, 2**33)), 0, 2)
+    for row, child in zip(ks.pcg64_seeds(children).tolist(), children):
+        state = np.random.PCG64(child).state["state"]
+        assert row == [
+            word >> shift & 0xFFFFFFFFFFFFFFFF
+            for word in (state["state"], state["inc"])
+            for shift in (0, 64)
+        ], row
 
     stepped = ks.csr_step(
         indptr, indices,
@@ -1049,11 +1136,14 @@ def _self_check(ks: CompiledKernels) -> None:
         front = (indptr, indices, occ, pool, pos, steps_row, settled_row)
         if loop == "ctu":
             state, hi = np.zeros((R, 5), dtype=np.int64), 3
-            args = (*front, np.zeros((R, 3)), order, bgs, lane, 1, state, R, 3, 3, 1.0)
+            args = (
+                *front, np.zeros((R, 3)), order, bgs, None, lane, 1, state, R,
+                3, 3, 1.0,
+            )
         else:
             state, hi = np.zeros((R, 6), dtype=np.int64), 4
             args = (
-                *front, order, bgs, lane, 1, logq, 2, state, R, 3, 3,
+                *front, order, bgs, None, lane, 1, logq, 2, state, R, 3, 3,
                 float("inf"),
             )
         state[:, :2] = [2, 1]

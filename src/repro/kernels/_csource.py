@@ -21,19 +21,29 @@ wherever a later consumer reads the generator, so those fetch positions
 stay on the serial grid.  The four shard loops (``repro_finish_seq``,
 ``repro_run_parallel``, ``repro_run_ctu``, ``repro_run_uniform``) instead
 run every repetition of a shard in one call, each repetition with its
-own state row, rows of the shard's ``(R, m)`` arrays and ``bitgen_t``
-(``numpy/random/bitgen.h``, declared here with the same layout), from
-which it draws each double, one ``next_double`` call per double, so
-every generator ends right after the last double its repetition
-consumed.  ``repro_finish_seq`` keeps ``REPRO_LANES`` repetitions in
-flight round-robin, so the CPU overlaps their dependent steps; the
-other three run the repetitions one after another.  Either way every
-repetition's draws and updates are those of the loop run on its own.
-The tick loops need ``log1p(-u)`` of some doubles (CTU's clock,
-Uniform's geometric skip), which C never takes: they write those
-doubles to a *log lane* shared by the call's repetitions, with their
-divisors, and the wrapper folds the lane with numpy's ``log1p`` after
-every return (status ``3``: the lane is full).
+own state row, rows of the shard's ``(R, m)`` arrays and draw source,
+from which it draws each double in the serial order, so every generator
+ends right after the last double its repetition consumed.  A draw
+source (``repro_rng``, one helper ``repro_draw`` for all four loops) is
+either an inline PCG64 -- numpy's default bit generator, stepped in
+registers -- or the generic ``next_double`` call of a ``bitgen_t``
+(``numpy/random/bitgen.h``, declared here with the same layout).  Row
+``r``'s source is the ``bitgen_t`` at ``bgs[r]``: a numpy ``PCG64``,
+recognised by its ``next_double`` pointer, is loaded into the inline
+state and stored back on every return; any other takes the call.  A
+row with ``bgs[r] == 0`` steps the PCG64 state in row ``r`` of
+``seeds``, which ``repro_seed_pcg64`` computes from a ``SeedSequence``
+child as numpy does, so a repetition whose doubles are all drawn here
+needs no numpy generator at all.  ``repro_finish_seq`` keeps
+``REPRO_LANES`` repetitions in flight round-robin, so the CPU overlaps
+their dependent steps; the other three run the repetitions one after
+another.  Either way every repetition's draws and updates are those of
+the loop run on its own.  The tick loops need ``log1p(-u)`` of some
+doubles (CTU's clock, Uniform's geometric skip), which C never takes:
+they write those doubles to a *log lane* shared by the call's
+repetitions, with their divisors, and the wrapper folds the lane with
+numpy's ``log1p`` after every return (status ``3``: the lane is
+full).
 
 The shard loops take an optional *event sink* per repetition: an
 ``int`` array of ``caps[r]`` ``(particle, vertex)`` pairs at address
@@ -67,6 +77,11 @@ typedef struct bitgen {
 typedef struct {
     const double *buf; i64 n; i64 i; bitgen_t *rest;
 } repro_prefix_rng;
+void repro_pcg64_register(const bitgen_t *pcg64);
+void repro_draw_doubles(const uintptr_t *bgs, uint64_t *seeds, i64 R,
+                        i64 n, double *out);
+void repro_seed_pcg64(const uint32_t *pre, i64 npre, uint64_t start,
+                      i64 count, uint64_t *seeds);
 void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
                     const double *u, i64 *out, i64 k);
 i64 repro_vacant(const unsigned char *occ, const i64 *rep_off,
@@ -76,8 +91,8 @@ i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
                        i64 *best, i64 *touched, i64 *winners);
 i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
                      unsigned char *occ, const i64 *starts, i64 *steps,
-                     i64 *settled, const uintptr_t *bgs, i64 *state, i64 R,
-                     i64 n, i64 m, i64 lazy, double budget,
+                     i64 *settled, const uintptr_t *bgs, uint64_t *seeds,
+                     i64 *state, i64 R, i64 n, i64 m, i64 lazy, double budget,
                      const uintptr_t *evs, const i64 *caps, i64 *which);
 i64 repro_finish_par1(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, const double *buf, i64 nbuf,
@@ -90,22 +105,22 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
                   double *sclock, i64 *order, const uintptr_t *bgs,
-                  double *lane, i64 lane_cap, i64 *state, i64 R, i64 n,
-                  i64 m, double rate, const uintptr_t *evs, const i64 *caps,
-                  i64 *which);
+                  uint64_t *seeds, double *lane, i64 lane_cap, i64 *state,
+                  i64 R, i64 n, i64 m, double rate, const uintptr_t *evs,
+                  const i64 *caps, i64 *which);
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
                       i64 *settled, i64 *order, const uintptr_t *bgs,
-                      double *lane, i64 lane_cap, const double *logq,
-                      i64 pool_size, i64 *state, i64 R, i64 n, i64 m,
-                      double budget, const uintptr_t *evs, const i64 *caps,
-                      i64 *which);
+                      uint64_t *seeds, double *lane, i64 lane_cap,
+                      const double *logq, i64 pool_size, i64 *state, i64 R,
+                      i64 n, i64 m, double budget, const uintptr_t *evs,
+                      const i64 *caps, i64 *which);
 i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
                        i64 *settled, i64 *round, const uintptr_t *bgs,
-                       double *hold, i64 *state, i64 R, i64 n, i64 m,
-                       i64 lazy, i64 thr, double budget,
+                       uint64_t *seeds, double *hold, i64 *state, i64 R,
+                       i64 n, i64 m, i64 lazy, i64 thr, double budget,
                        const uintptr_t *evs, const i64 *caps, i64 *which);
 void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
 void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
@@ -114,6 +129,7 @@ void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
 C_SOURCE = """
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef long long i64;
 
@@ -125,6 +141,156 @@ typedef struct bitgen {
     double (*next_double)(void *st);
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
+
+/* ---- the draw source of a shard row ----------------------------------
+ * A row draws from an inline PCG64 or through the generic bitgen_t call.
+ * The inline PCG64 is numpy's (numpy/random/src/pcg64): the 128-bit LCG
+ * state s = s * M + inc, then the XSL-RR output of the new state, and
+ * next_double = (x >> 11) * 2^-53.  Its state, two 128-bit words {state,
+ * inc} as numpy's pcg64_random_t holds them (gcc's __uint128_t), comes
+ * from a row of `seeds` (seeded here by repro_seed_pcg64) or from a numpy
+ * PCG64, recognised by its next_double pointer (repro_pcg64_register, at
+ * load) and read through bitgen_t.state -> pcg64_state.pcg_state.  It is
+ * stored back where it came from on every return.  Every other bit
+ * generator (PCG64DXSM, MT19937, Philox, SFC64, the prefix bit generator)
+ * takes the generic next_double call. */
+typedef __uint128_t repro_u128;
+
+#define REPRO_PCG_MULT \\
+    (((repro_u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+typedef struct {
+    repro_u128 s, inc;
+    double (*next)(void *);   /* NULL: the inline PCG64 */
+    void *st;
+    void *home;               /* where {s, inc} are stored back */
+} repro_rng;
+
+static double (*repro_pcg64_double)(void *);
+
+void repro_pcg64_register(const bitgen_t *pcg64)
+{
+    repro_pcg64_double = pcg64->next_double;
+}
+
+static inline double repro_draw(repro_rng *g)
+{
+    if (g->next) return g->next(g->st);
+    g->s = g->s * REPRO_PCG_MULT + g->inc;
+    uint64_t x = (uint64_t)(g->s >> 64) ^ (uint64_t)g->s;
+    unsigned rot = (unsigned)(g->s >> 122);
+    x = (x >> rot) | (x << ((-rot) & 63u));
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Row r's source: seeds[4r .. 4r+4) when bgs[r] is 0, else the bitgen_t
+ * at address bgs[r]. */
+static inline void repro_rng_load(repro_rng *g, const uintptr_t *bgs,
+                                  uint64_t *seeds, i64 r)
+{
+    bitgen_t *bg = (bitgen_t *)bgs[r];
+    g->s = g->inc = 0;
+    g->next = NULL;
+    g->st = NULL;
+    if (!bg) g->home = seeds + 4 * r;
+    else if (repro_pcg64_double && bg->next_double == repro_pcg64_double)
+        g->home = *(void **)bg->state;
+    else {
+        g->next = bg->next_double;
+        g->st = bg->state;
+        g->home = NULL;
+        return;
+    }
+    memcpy(&g->s, g->home, sizeof g->s);
+    memcpy(&g->inc, (char *)g->home + sizeof g->s, sizeof g->inc);
+}
+
+static inline void repro_rng_store(const repro_rng *g)
+{
+    if (g->home) memcpy(g->home, &g->s, sizeof g->s);
+}
+
+/* Row r draws n doubles into out[r*n ..] from its source, for each of R
+ * rows, and stores its state back: the draw contract on its own. */
+void repro_draw_doubles(const uintptr_t *bgs, uint64_t *seeds, i64 R,
+                        i64 n, double *out)
+{
+    for (i64 r = 0; r < R; r++) {
+        repro_rng g;
+        repro_rng_load(&g, bgs, seeds, r);
+        for (i64 j = 0; j < n; j++) out[r * n + j] = repro_draw(&g);
+        repro_rng_store(&g);
+    }
+}
+
+/* numpy's SeedSequence hash constants (bit_generator.pyx). */
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+
+static inline uint32_t repro_hashmix(uint32_t v, uint32_t *h)
+{
+    v ^= *h;
+    *h *= SS_MULT_A;
+    v *= *h;
+    return v ^ (v >> 16);
+}
+
+static inline uint32_t repro_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+/* PCG64 states of children start .. start+count-1 of a default-pool (4
+ * words) SeedSequence, written as rows of `seeds`.  Child i's assembled
+ * entropy is pre[0 .. npre) -- the parent's entropy words, zero-padded
+ * to 4, then its spawn key's -- followed by the words of i (least
+ * significant first; i = 0 is one word).  As numpy does, the entropy is
+ * mixed into the pool, generate_state(4, uint64) hashes the pool out,
+ * and PCG64 seeds from the four words s: state = 0, inc = (s2:s3 << 1) |
+ * 1, a step, state += s0:s1, a step. */
+void repro_seed_pcg64(const uint32_t *pre, i64 npre, uint64_t start,
+                      i64 count, uint64_t *seeds)
+{
+    for (i64 c = 0; c < count; c++) {
+        uint64_t i = start + (uint64_t)c;
+        uint32_t iw[2] = {(uint32_t)i, (uint32_t)(i >> 32)};
+        i64 ni = (i >> 32) ? 2 : 1, ne = npre + ni;
+        uint32_t pool[4], h = SS_INIT_A, out[8];
+        for (i64 j = 0; j < 4; j++)
+            pool[j] = repro_hashmix(j < npre ? pre[j] : iw[j - npre], &h);
+        for (int s = 0; s < 4; s++)
+            for (int d = 0; d < 4; d++)
+                if (s != d) pool[d] = repro_mix(pool[d], repro_hashmix(pool[s], &h));
+        for (i64 s = 4; s < ne; s++) {
+            uint32_t e = s < npre ? pre[s] : iw[s - npre];
+            for (int d = 0; d < 4; d++)
+                pool[d] = repro_mix(pool[d], repro_hashmix(e, &h));
+        }
+        h = SS_INIT_B;
+        for (int j = 0; j < 8; j++) {
+            uint32_t v = pool[j % 4] ^ h;
+            h *= SS_MULT_B;
+            v *= h;
+            out[j] = v ^ (v >> 16);
+        }
+        uint64_t w[4];
+        for (int j = 0; j < 4; j++)
+            w[j] = (uint64_t)out[2 * j] | ((uint64_t)out[2 * j + 1] << 32);
+        repro_u128 init = ((repro_u128)w[0] << 64) | w[1];
+        repro_u128 seq = ((repro_u128)w[2] << 64) | w[3];
+        repro_u128 st[2];
+        st[1] = (seq << 1) | 1u;
+        st[0] = st[1];                      /* 0 * M + inc */
+        st[0] += init;
+        st[0] = st[0] * REPRO_PCG_MULT + st[1];
+        memcpy(seeds + 4 * c, st, sizeof st);
+    }
+}
 
 /* Append the event (particle p, vertex v) to the event sink `ev` of the
  * enclosing loop (NULL when it does not record); `nev` counts events. */
@@ -214,8 +380,7 @@ enum { SEQ_PARTICLE, SEQ_POS, SEQ_T, SEQ_TOTAL, SEQ_EVENTS, SEQ_STATE };
 /* One lane: a repetition in flight, with its rows and its draw source. */
 typedef struct {
     i64 r, particle, pos, t, total, nev, cap;
-    double (*next)(void *);
-    void *st;
+    repro_rng g;
     unsigned char *occ;
     const i64 *starts;
     i64 *steps, *settled;
@@ -230,6 +395,7 @@ static void repro_seq_save(i64 *state, const repro_seq_lane *L)
     row[SEQ_T] = L->t;
     row[SEQ_TOTAL] = L->total;
     row[SEQ_EVENTS] = L->nev;
+    repro_rng_store(&L->g);
 }
 
 /* One pass of repro_finish_seq: each of the *nl lanes takes one step.  A
@@ -248,7 +414,7 @@ repro_seq_pass(repro_seq_lane *lane, i64 *nl, const i64 *indptr,
         int *ev = L->ev;
         i64 nev = L->nev, pos = L->pos;
         if (rec && nev >= L->cap) { *which = L->r; return 2; }
-        double u = L->next(L->st);
+        double u = repro_draw(&L->g);
         L->total += 1;
         L->t += 1;
         if ((double)L->total > budget) { *which = L->r; return -1; }
@@ -298,8 +464,8 @@ repro_seq_pass(repro_seq_lane *lane, i64 *nl, const i64 *indptr,
  * repetition settles its last particle takes the next unstarted one.
  * Repetition r owns rows occ[r*n ..], starts/steps/settled[r*m ..], the
  * state row state[r*SEQ_STATE ..] = [particle, pos, t, total, events]
- * (particle == m: done) and the bit generator bgs[r], from which it
- * draws each double, one next_double call per step.  When recording,
+ * (particle == m: done) and the draw source of row r (bgs, seeds), from
+ * which it draws one double per step.  When recording,
  * evs[r] is its event sink of caps[r] events (evs NULL: no recording).
  * Returns 1 when every repetition is done (state[..TOTAL] = consumed
  * doubles), 2 when the sink of repetition *which is full (resume with an
@@ -313,8 +479,8 @@ repro_seq_pass(repro_seq_lane *lane, i64 *nl, const i64 *indptr,
                                          state, m, budget, which, rec, lz)
 i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
                      unsigned char *occ, const i64 *starts, i64 *steps,
-                     i64 *settled, const uintptr_t *bgs, i64 *state, i64 R,
-                     i64 n, i64 m, i64 lazy, double budget,
+                     i64 *settled, const uintptr_t *bgs, uint64_t *seeds,
+                     i64 *state, i64 R, i64 n, i64 m, i64 lazy, double budget,
                      const uintptr_t *evs, const i64 *caps, i64 *which)
 {
     repro_seq_lane lane[REPRO_LANES];
@@ -325,15 +491,13 @@ i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
             const i64 *row = state + r * SEQ_STATE;
             if (row[SEQ_PARTICLE] >= m) continue;
             repro_seq_lane *L = &lane[nl++];
-            bitgen_t *bg = (bitgen_t *)bgs[r];
             L->r = r;
             L->particle = row[SEQ_PARTICLE];
             L->pos = row[SEQ_POS];
             L->t = row[SEQ_T];
             L->total = row[SEQ_TOTAL];
             L->nev = row[SEQ_EVENTS];
-            L->next = bg->next_double;
-            L->st = bg->state;
+            repro_rng_load(&L->g, bgs, seeds, r);
             L->occ = occ + r * n;
             L->starts = starts + r * m;
             L->steps = steps + r * m;
@@ -451,14 +615,14 @@ enum { UNI_K, UNI_NO, UNI_TICKS, UNI_LO, UNI_HI, UNI_EVENTS, UNI_STATE };
 
 /* CTU-IDLA (ctu_idla's tick loop) for R repetitions, each from its
  * state row state[r*CTU_STATE ..]: repetition r owns occ[r*n ..], the
- * rows pool, pos, steps, settled, sclock, order [r*m ..], its bit
- * generator bgs[r] and, when recording (evs not NULL), the event sink
+ * rows pool, pos, steps, settled, sclock, order [r*m ..], its draw
+ * source (bgs, seeds) and, when recording (evs not NULL), the event sink
  * evs[r] of caps[r] events.  pool[0..k) holds its unsettled particles
  * (swap-remove order), order[] its settle order so far.  Per tick, three
- * doubles from its bit generator, one next_double call each, in the
- * serial order: the clock double, written to the lane with its divisor
- * (double)k*rate (the clock advance is -log1p(-u)/divisor), the clamped
- * pool slot, the clamped step.  A particle that settles gets sclock[p] =
+ * doubles from its draw source, in the serial order: the clock double,
+ * written to the lane with its divisor (double)k*rate (the clock advance
+ * is -log1p(-u)/divisor), the clamped pool slot, the clamped step.  A
+ * particle that settles gets sclock[p] =
  * the lane length after its tick's advance, which the wrapper's fold
  * replaces with the clock.  Returns 1 when every repetition is done, 2
  * before a tick the sink of repetition *which has no room for (resume
@@ -468,9 +632,9 @@ enum { UNI_K, UNI_NO, UNI_TICKS, UNI_LO, UNI_HI, UNI_EVENTS, UNI_STATE };
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
                   double *sclock, i64 *order, const uintptr_t *bgs,
-                  double *lane, i64 lane_cap, i64 *state, i64 R, i64 n,
-                  i64 m, double rate, const uintptr_t *evs, const i64 *caps,
-                  i64 *which)
+                  uint64_t *seeds, double *lane, i64 lane_cap, i64 *state,
+                  i64 R, i64 n, i64 m, double rate, const uintptr_t *evs,
+                  const i64 *caps, i64 *which)
 {
     double *den = lane + lane_cap;
     i64 nl = 0, status = 1;
@@ -479,9 +643,8 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         i64 k = row[CTU_K], no = row[CTU_NO], nev = row[CTU_EVENTS];
         row[CTU_LO] = row[CTU_HI] = nl;
         if (!k) continue;
-        bitgen_t *bg = (bitgen_t *)bgs[r];
-        double (*next)(void *) = bg->next_double;
-        void *st = bg->state;
+        repro_rng g;
+        repro_rng_load(&g, bgs, seeds, r);
         unsigned char *oc = occ + r * n;
         i64 *pl = pool + r * m, *ps = pos + r * m, *sp = steps + r * m;
         i64 *se = settled + r * m, *od = order + r * m;
@@ -491,14 +654,14 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         while (k) {
             if (nl >= lane_cap) { status = 3; break; }
             if (evs && nev >= cap) { status = 2; break; }
-            lane[nl] = next(st);
+            lane[nl] = repro_draw(&g);
             den[nl++] = (double)k * rate;
-            i64 s = (i64)(next(st) * (double)k);
+            i64 s = (i64)(repro_draw(&g) * (double)k);
             if (s > k - 1) s = k - 1;
             i64 p = pl[s];
             i64 b = indptr[ps[p]];
             i64 d = indptr[ps[p] + 1] - b;
-            i64 off = (i64)(next(st) * (double)d);
+            i64 off = (i64)(repro_draw(&g) * (double)d);
             if (off > d - 1) off = d - 1;
             i64 v = indices[b + off];
             ps[p] = v;
@@ -513,6 +676,7 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         }
         row[CTU_K] = k; row[CTU_NO] = no; row[CTU_HI] = nl;
         row[CTU_EVENTS] = nev;
+        repro_rng_store(&g);
         if (status != 1) *which = r;
     }
     return status;
@@ -524,10 +688,9 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
  * while k < pool_size -- the geometric-skip double, written to the lane
  * with its divisor logq[k] (the caller's numpy log1p(-k/pool_size)),
  * then the clamped pool slot and the clamped step: 2-3 doubles from the
- * repetition's bit generator, one next_double call each, in the serial
- * order.  The skips (i64)(log1p(-u)/logq[k]) are the wrapper's to add
- * when it folds the lane, so a row's tick count here is a lower bound of
- * the serial one: the loop returns -1 once it exceeds the budget
+ * repetition's draw source, in the serial order.  The skips
+ * (i64)(log1p(-u)/logq[k]) are the wrapper's to add when it folds the
+ * lane, so a row's tick count here is a lower bound of the serial one: the loop returns -1 once it exceeds the budget
  * (repetition *which), and the wrapper checks the budget exactly after
  * each fold.  Returns 1 when every repetition is done, 2 before a tick
  * the sink of repetition *which has no room for, 3 before a skip tick
@@ -536,10 +699,10 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
                       i64 *settled, i64 *order, const uintptr_t *bgs,
-                      double *lane, i64 lane_cap, const double *logq,
-                      i64 pool_size, i64 *state, i64 R, i64 n, i64 m,
-                      double budget, const uintptr_t *evs, const i64 *caps,
-                      i64 *which)
+                      uint64_t *seeds, double *lane, i64 lane_cap,
+                      const double *logq, i64 pool_size, i64 *state, i64 R,
+                      i64 n, i64 m, double budget, const uintptr_t *evs,
+                      const i64 *caps, i64 *which)
 {
     double *div = lane + lane_cap;
     i64 nl = 0, status = 1;
@@ -549,9 +712,8 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         i64 nev = row[UNI_EVENTS];
         row[UNI_LO] = row[UNI_HI] = nl;
         if (!k) continue;
-        bitgen_t *bg = (bitgen_t *)bgs[r];
-        double (*next)(void *) = bg->next_double;
-        void *st = bg->state;
+        repro_rng g;
+        repro_rng_load(&g, bgs, seeds, r);
         unsigned char *oc = occ + r * n;
         i64 *pl = pool + r * m, *ps = pos + r * m, *sp = steps + r * m;
         i64 *se = settled + r * m, *od = order + r * m;
@@ -564,15 +726,15 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
             t += 1;
             if ((double)t > budget) { status = -1; break; }
             if (skip) {
-                lane[nl] = next(st);
+                lane[nl] = repro_draw(&g);
                 div[nl++] = logq[k];
             }
-            i64 s = (i64)(next(st) * (double)k);
+            i64 s = (i64)(repro_draw(&g) * (double)k);
             if (s > k - 1) s = k - 1;
             i64 p = pl[s];
             i64 b = indptr[ps[p]];
             i64 d = indptr[ps[p] + 1] - b;
-            i64 off = (i64)(next(st) * (double)d);
+            i64 off = (i64)(repro_draw(&g) * (double)d);
             if (off > d - 1) off = d - 1;
             i64 v = indices[b + off];
             ps[p] = v;
@@ -586,6 +748,7 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         }
         row[UNI_K] = k; row[UNI_NO] = no; row[UNI_TICKS] = t;
         row[UNI_HI] = nl; row[UNI_EVENTS] = nev;
+        repro_rng_store(&g);
         if (status != 1) *which = r;
     }
     return status;
@@ -599,11 +762,11 @@ enum { PAR_K, PAR_T, PAR_FREE, PAR_EVENTS, PAR_STATE };
  * repetitions, one after another, each from its state after the round-0
  * settlement pass.  Repetition r owns occ[r*n ..], the rows act, pos,
  * prio, steps, settled, round [r*m ..], the state row
- * state[r*PAR_STATE ..], its bit generator bgs[r] and, when recording,
- * the sink evs[r] of caps[r] events; act[0..k) holds its unsettled
- * particles ascending and pos[0..k) their vertices.  Each round steps
- * every active particle in active-list order, drawing one next_double
- * call per double, in the serial order.  The wide draw (k > thr) takes k
+ * state[r*PAR_STATE ..], its draw source (bgs, seeds) and, when
+ * recording, the sink evs[r] of caps[r] events; act[0..k) holds its
+ * unsettled particles ascending and pos[0..k) their vertices.  Each round
+ * steps every active particle in active-list order, drawing its doubles
+ * in the serial order.  The wide draw (k > thr) takes k
  * doubles; with `lazy` it first takes the k hold gates into `hold` (m
  * doubles of scratch), then one step double per particle, held or not --
  * the order of rng.random(2k).  The narrow draw takes one double per
@@ -625,8 +788,8 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        unsigned char *occ, i64 *act, i64 *pos,
                        const i64 *prio, i64 *best, i64 *steps,
                        i64 *settled, i64 *round, const uintptr_t *bgs,
-                       double *hold, i64 *state, i64 R, i64 n, i64 m,
-                       i64 lazy, i64 thr, double budget,
+                       uint64_t *seeds, double *hold, i64 *state, i64 R,
+                       i64 n, i64 m, i64 lazy, i64 thr, double budget,
                        const uintptr_t *evs, const i64 *caps, i64 *which)
 {
     i64 status = 1;
@@ -634,9 +797,8 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
         i64 *row = state + r * PAR_STATE;
         i64 k = row[PAR_K], t = row[PAR_T], fr = row[PAR_FREE];
         i64 nev = row[PAR_EVENTS];
-        bitgen_t *bg = (bitgen_t *)bgs[r];
-        double (*next)(void *) = bg->next_double;
-        void *st = bg->state;
+        repro_rng g;
+        repro_rng_load(&g, bgs, seeds, r);
         unsigned char *oc = occ + r * n;
         i64 *ac = act + r * m, *ps = pos + r * m, *sp = steps + r * m;
         i64 *se = settled + r * m, *rd = round + r * m;
@@ -649,9 +811,9 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
             t += 1;
             if ((double)t > budget) { status = -1; break; }
             if (lazy && wide)
-                for (i64 j = 0; j < k; j++) hold[j] = next(st);
+                for (i64 j = 0; j < k; j++) hold[j] = repro_draw(&g);
             for (i64 j = 0; j < k; j++) {
-                double u = next(st);
+                double u = repro_draw(&g);
                 i64 v = ps[j];
                 int move = 1;
                 if (lazy) {
@@ -695,6 +857,7 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
             for (i64 j = 0; j < k; j++) sp[ac[j]] = t;
         row[PAR_K] = k; row[PAR_T] = t; row[PAR_FREE] = fr;
         row[PAR_EVENTS] = nev;
+        repro_rng_store(&g);
         if (status != 1) *which = r;
     }
     return status;

@@ -39,6 +39,8 @@ import subprocess
 import tempfile
 from types import SimpleNamespace
 
+import numpy as np
+
 from repro.kernels._csource import C_SOURCE, CDEF
 
 
@@ -149,6 +151,11 @@ def load() -> SimpleNamespace:
     so_path = _ensure_built()
     ffi = _import_ffi(_ensure_ffi_module())
     lib = ffi.dlopen(so_path)
+    # the loops draw inline from a numpy PCG64, which they recognise by
+    # its next_double function (read while `pcg64` holds its bitgen_t)
+    pcg64 = np.random.PCG64(0)
+    address = pcg64.ctypes.bit_generator.value
+    lib.repro_pcg64_register(ffi.cast("bitgen_t *", address))
     # typed from_buffer views decay to pointers at the call boundary and
     # cost ~4x less per argument than cast("i64 *", a.ctypes.data) — at
     # kernel call rates the marshalling is a measurable slice of the
@@ -169,6 +176,9 @@ def load() -> SimpleNamespace:
 
     def pp(a):  # uintp addresses
         return from_buffer("uintptr_t[]", a)
+
+    def pq(a):  # uint64 PCG64 seed rows
+        return from_buffer("uint64_t[]", a)
 
     def opt(view, a):  # None is NULL
         return ffi.NULL if a is None else view(a)
@@ -207,13 +217,14 @@ def load() -> SimpleNamespace:
             )
         ),
         # `bitgens` holds each row's bitgen_t address (numpy's or a prefix
+        # one; 0: the row's PCG64 state in `seeds`, None when no row has
         # one), `evs` each row's sink address (None: no recording)
         finish_seq=lambda indptr, indices, occ, starts, steps, settled,
-        bitgens, state, R, n, m, lazy, budget, evs, caps, which: (
+        bitgens, seeds, state, R, n, m, lazy, budget, evs, caps, which: (
             lib.repro_finish_seq(
                 pi(indptr), pi(indices), pu(occ), pi(starts), pi(steps),
-                pi(settled), pp(bitgens), pi(state), R, n, m, lazy, budget,
-                opt(pp, evs), opt(pi, caps), pi(which),
+                pi(settled), pp(bitgens), opt(pq, seeds), pi(state), R, n, m,
+                lazy, budget, opt(pp, evs), opt(pi, caps), pi(which),
             )
         ),
         finish_par1=lambda indptr, indices, occ, buf, nbuf, state, lazy,
@@ -233,37 +244,45 @@ def load() -> SimpleNamespace:
                 pi(state), limit,
             )
         ),
-        # `bitgens` holds each row's bitgen_t address, `evs` each row's
-        # sink address (None: no recording); `lane` holds 2 * lane_cap
-        # doubles
+        # `bitgens` and `seeds` as for finish_seq, `evs` each row's sink
+        # address (None: no recording); `lane` holds 2 * lane_cap doubles
         run_ctu=lambda indptr, indices, occ, pool, pos, steps, settled,
-        sclock, order, bitgens, lane, lane_cap, state, R, n, m, rate, evs,
-        caps, which: lib.repro_run_ctu(
+        sclock, order, bitgens, seeds, lane, lane_cap, state, R, n, m, rate,
+        evs, caps, which: lib.repro_run_ctu(
             pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
-            pi(settled), pd(sclock), pi(order), pp(bitgens), pd(lane),
-            lane_cap, pi(state), R, n, m, rate, opt(pp, evs), opt(pi, caps),
-            pi(which),
+            pi(settled), pd(sclock), pi(order), pp(bitgens), opt(pq, seeds),
+            pd(lane), lane_cap, pi(state), R, n, m, rate, opt(pp, evs),
+            opt(pi, caps), pi(which),
         ),
         run_uniform=lambda indptr, indices, occ, pool, pos, steps, settled,
-        order, bitgens, lane, lane_cap, logq, pool_size, state, R, n, m,
-        budget, evs, caps, which: lib.repro_run_uniform(
+        order, bitgens, seeds, lane, lane_cap, logq, pool_size, state, R, n,
+        m, budget, evs, caps, which: lib.repro_run_uniform(
             pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
-            pi(settled), pi(order), pp(bitgens), pd(lane), lane_cap,
-            pd(logq), pool_size, pi(state), R, n, m, budget, opt(pp, evs),
-            opt(pi, caps), pi(which),
+            pi(settled), pi(order), pp(bitgens), opt(pq, seeds), pd(lane),
+            lane_cap, pd(logq), pool_size, pi(state), R, n, m, budget,
+            opt(pp, evs), opt(pi, caps), pi(which),
         ),
         # `prio` is None (NULL: the particle index) or one row per
         # repetition; `hold` is None (NULL) unless lazy
         run_parallel=lambda indptr, indices, occ, act, pos, prio, best, steps,
-        settled, rounds, bitgens, hold, state, R, n, m, lazy, thr, budget,
-        evs, caps, which: lib.repro_run_parallel(
+        settled, rounds, bitgens, seeds, hold, state, R, n, m, lazy, thr,
+        budget, evs, caps, which: lib.repro_run_parallel(
             pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), opt(pi, prio),
             pi(best), pi(steps), pi(settled), pi(rounds), pp(bitgens),
-            opt(pd, hold), pi(state), R, n, m, lazy, thr, budget,
-            opt(pp, evs), opt(pi, caps), pi(which),
+            opt(pq, seeds), opt(pd, hold), pi(state), R, n, m, lazy, thr,
+            budget, opt(pp, evs), opt(pi, caps), pi(which),
         ),
         scatter_events=lambda ev, nev, cursor, flat: lib.repro_scatter_events(
             pe(ev), nev, pi(cursor), pe(flat)
         ),
         prefix_bitgen=prefix_bitgen,
+        draw_doubles=lambda bitgens, seeds, R, n, out: lib.repro_draw_doubles(
+            pp(bitgens), opt(pq, seeds), R, n, pd(out)
+        ),
+        # `pre` (uint32) ends with the parent's spawn key; one (4,) uint64
+        # row of `seeds` per child
+        seed_pcg64=lambda pre, start, count, seeds: lib.repro_seed_pcg64(
+            from_buffer("uint32_t[]", pre), pre.shape[0], start, count,
+            pq(seeds),
+        ),
     )

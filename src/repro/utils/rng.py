@@ -12,6 +12,7 @@ generator created by :func:`spawn_generators`).
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "as_seed_sequence",
     "spawn_seed_sequences",
     "spawn_generators",
+    "SeedChildren",
+    "SpawnRange",
     "stable_seed",
     "UniformStream",
     "UniformStreams",
@@ -109,6 +112,121 @@ def spawn_generators(seed, n: int) -> list[np.random.Generator]:
     pattern for parallel Monte Carlo (one child per worker / repetition).
     """
     return [np.random.default_rng(child) for child in spawn_seed_sequences(seed, n)]
+
+
+#: The pool size of numpy's default ``SeedSequence``, the only one the
+#: compiled seeding (:meth:`repro.kernels.CompiledKernels.pcg64_seeds`)
+#: reproduces.
+_POOL_WORDS = 4
+
+
+class SpawnRange:
+    """Children ``start .. stop-1`` of a parent ``SeedSequence``, made on
+    demand.
+
+    ``parent.spawn`` builds a ``SeedSequence`` object per child.  The
+    compiled route seeds its PCG64 rows in C from the parent's entropy
+    and the child indices alone (:meth:`entropy_words`), so it needs none
+    of them.  Indexing yields the ``SeedSequence`` ``parent.spawn`` gives
+    for that child, slicing a sub-range without building any, and a range
+    pickles as its parent and bounds.  The parent's spawn counter does not
+    move: :class:`SeedChildren` hands out ranges only of parents that no
+    other code spawns from.
+
+    Examples
+    --------
+    >>> parent = np.random.SeedSequence(7)
+    >>> kids = SpawnRange(parent, 0, 4)
+    >>> len(kids[1:3]), kids[2].spawn_key
+    (2, (2,))
+    >>> spawned = parent.spawn(4)
+    >>> bool((kids[2].generate_state(2) == spawned[2].generate_state(2)).all())
+    True
+    """
+
+    __slots__ = ("parent", "start", "stop")
+
+    def __init__(self, parent: np.random.SeedSequence, start: int, stop: int):
+        if not 0 <= start <= stop:
+            raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
+        self.parent = parent
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            a, b, step = i.indices(len(self))
+            if step != 1:
+                return [self[j] for j in range(a, b, step)]
+            return SpawnRange(self.parent, self.start + a, self.start + max(a, b))
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("SpawnRange index out of range")
+        p = self.parent
+        return np.random.SeedSequence(
+            p.entropy, spawn_key=(*p.spawn_key, self.start + i), pool_size=p.pool_size
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __reduce__(self):
+        return (SpawnRange, (self.parent, self.start, self.stop))
+
+    def __repr__(self) -> str:
+        return f"SpawnRange({self.parent!r}, {self.start}, {self.stop})"
+
+    def entropy_words(self) -> np.ndarray | None:
+        """What every child's assembled entropy starts with, as ``uint32``:
+        the parent's entropy words, zero-padded to the pool size, then
+        its spawn key's; the child's index follows.  ``None`` for a
+        parent whose pool size is not numpy's default."""
+        from numpy.random.bit_generator import _coerce_to_uint32_array
+
+        p = self.parent
+        if p.pool_size != _POOL_WORDS:
+            return None
+        run = _coerce_to_uint32_array(p.entropy)
+        key = _coerce_to_uint32_array(p.spawn_key)
+        head = max(run.shape[0], _POOL_WORDS)
+        words = np.zeros(head + key.shape[0], dtype=np.uint32)
+        words[: run.shape[0]] = run
+        words[head:] = key
+        return words
+
+
+class SeedChildren:
+    """Consecutive children of one parent ``SeedSequence``, handed out
+    in blocks by :meth:`take`.
+
+    A parent the caller passed in (a ``SeedSequence``, or a ``Generator``
+    carrying one) is spawned from, so its spawn counter advances as it
+    always has.  A parent made here from an ``int``, a list or ``None``
+    is seen by no other code: its children come as :class:`SpawnRange`
+    blocks, with the offset kept here, and no ``SeedSequence`` is built
+    until someone indexes one.  Either way block after block yields the
+    children one ``spawn`` of the total would.
+    """
+
+    __slots__ = ("parent", "_next")
+
+    def __init__(self, seed=None):
+        self.parent = as_seed_sequence(seed)
+        owned = not isinstance(seed, (np.random.SeedSequence, np.random.Generator))
+        self._next = self.parent.n_children_spawned if owned else None
+
+    def take(self, n: int):
+        """The next ``n`` children."""
+        if self._next is None:
+            return self.parent.spawn(n)
+        start = self._next
+        self._next += n
+        return SpawnRange(self.parent, start, self._next)
 
 
 class UniformStream:

@@ -56,6 +56,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.batched as batched_mod
 import repro.core.continuous as continuous_mod
@@ -85,7 +86,12 @@ from repro.kernels import (
     csr_arrays,
     get_kernels,
 )
-from repro.utils.rng import UniformStream, as_generator, spawn_seed_sequences
+from repro.utils.rng import (
+    SpawnRange,
+    UniformStream,
+    as_generator,
+    spawn_seed_sequences,
+)
 from repro.walks.single import random_walk, walk_until_hit
 
 AVAILABLE = available_kernels()
@@ -1512,3 +1518,367 @@ def test_take_block_consumes_initial_prefix_first():
     assert s.drawn == 0  # the prefix was already drawn by the caller
     assert s.take_block().tolist() == as_generator(5).random(4).tolist()
     assert s.drawn == 4
+
+
+# ---------------------------------------------------------------------------
+# draw sources: the inline PCG64, C seeding, every other bit generator
+
+#: numpy's PCG64 multiplier (numpy/random/src/pcg64).
+_PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
+_U128 = (1 << 128) - 1
+
+
+def _seeded(child):
+    """``(state, inc)`` of ``PCG64(child)``, from
+    ``child.generate_state(4, uint64)`` by PCG64's seeding recipe."""
+    s0, s1, s2, s3 = (int(w) for w in child.generate_state(4, np.uint64))
+    inc = (((s2 << 64 | s3) << 1) | 1) & _U128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _U128, inc
+
+
+def _row_state(row):
+    """``(state, inc)`` of a C seed row (two native 128-bit words)."""
+    w = [int(x) for x in row]
+    return w[1] << 64 | w[0], w[3] << 64 | w[2]
+
+
+_ENTROPY = st.one_of(
+    st.just(0),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**64, 2**200),
+    st.lists(st.integers(0, 2**70), max_size=6),
+)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@settings(max_examples=150, deadline=None)
+@given(
+    entropy=_ENTROPY,
+    key=st.lists(st.integers(0, 2**40), max_size=3),
+    start=st.one_of(st.integers(0, 40), st.integers(2**32 - 3, 2**33)),
+    count=st.integers(1, 5),
+)
+def test_c_seeding_matches_numpy(provider, entropy, key, start, count):
+    """Each C-seeded row is the PCG64 state numpy seeds from that
+    SeedSequence child: ``generate_state(4, uint64)`` through PCG64's
+    seeding recipe, and ``PCG64(child).state`` itself, for ints above
+    2**64, lists, nested spawn keys and child indices from 2**32 (past
+    what ``spawn`` reaches, as ``SeedSequence(entropy, spawn_key=key +
+    (i,))``)."""
+    ks = get_kernels(provider)
+    parent = np.random.SeedSequence(entropy, spawn_key=key)
+    children = SpawnRange(parent, start, start + count)
+    seeds = ks.pcg64_seeds(children)
+    assert seeds.shape == (count, 4) and seeds.dtype == np.uint64
+    for i, row in enumerate(seeds):
+        child = np.random.SeedSequence(entropy, spawn_key=(*key, start + i))
+        state = np.random.PCG64(child).state["state"]
+        assert _row_state(row) == _seeded(child) == (state["state"], state["inc"])
+    # and the rows draw what the children's generators draw
+    drawn = ks.draw_doubles([None] * count, 3, seeds=seeds)
+    for row, child in zip(drawn, children):
+        assert row.tolist() == np.random.default_rng(child).random(3).tolist()
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("process", ["sequential", "parallel", "uniform", "ctu"])
+def test_route_seeds_default_pool_children_in_c(provider, process, monkeypatch):
+    """A range of default-pool children takes C-seeded rows, and the
+    route builds no generator for them; a parent of another pool size
+    takes numpy generators, which C seeding would not reproduce.  Both
+    equal the serial driver."""
+    import repro.core.route as route_mod
+
+    serial = {
+        "sequential": sequential_idla, "parallel": parallel_idla,
+        "uniform": uniform_idla, "ctu": ctu_idla,
+    }[process]
+    g = grid_graph(3, 4)
+    made = []
+    real_gen = route_mod.as_generator
+
+    def generator(s):
+        made.append(s)
+        return real_gen(s)
+
+    monkeypatch.setattr(route_mod, "as_generator", generator)
+    for pool_size, seeded in ((4, True), (8, False)):
+        parent = np.random.SeedSequence(11, pool_size=pool_size)
+        children = SpawnRange(parent, 3, 8)
+        assert (get_kernels(provider).pcg64_seeds(children) is None) is not seeded
+        made.clear()
+        got = run_reps(process, g, children, 0, kernels=provider)
+        assert len(made) == (0 if seeded else 5)
+        for res, child in zip(got, children):
+            ref = serial(g, 0, seed=child)
+            assert ref.dispersion_time == res.dispersion_time
+            assert np.array_equal(ref.steps, res.steps)
+            assert np.array_equal(ref.settle_order, res.settle_order)
+
+
+def _same_state(a, b) -> bool:
+    """Two ``bit_generator.state`` dicts hold the same values."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+#: The serial drivers of the four shard loops.
+SHARD_SERIALS = {
+    "sequential": sequential_idla,
+    "parallel": parallel_idla,
+    "uniform": uniform_idla,
+    "ctu": ctu_idla,
+}
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+@pytest.mark.parametrize("process", sorted(SHARD_SERIALS))
+@pytest.mark.parametrize(
+    "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
+)
+def test_shard_loops_mix_every_draw_source(provider, record, process, g, monkeypatch):
+    """One shard of nine rows: two C-seeded, a numpy PCG64 (stepped
+    inline), PCG64DXSM, MT19937, Philox and SFC64 (the generic call) and
+    two prefix bit generators (two doubles, then a PCG64 or an MT19937
+    behind them).  Every row must equal the serial driver on a twin of
+    its stream, and end right after the doubles it consumed: a numpy
+    generator's state, a C-seeded row's state and the generator behind a
+    prefix are those of the twin after as many draws."""
+    import repro.core.route as route_mod
+
+    ks = get_kernels(provider)
+    parent = np.random.SeedSequence(2024)
+    children = SpawnRange(parent, 0, 9)
+    families = [None, None, np.random.PCG64, np.random.PCG64DXSM,
+                np.random.MT19937, np.random.Philox, np.random.SFC64,
+                np.random.PCG64, np.random.MT19937]
+
+    def twin(r):
+        if families[r] is None:
+            return np.random.default_rng(children[r])
+        return np.random.Generator(families[r](children[r]))
+
+    gens = [None if f is None else twin(r) for r, f in enumerate(families)]
+    for r in (7, 8):  # the prefix rows: two doubles of their own stream first
+        gens[r] = kernels_mod._ArrayGenerator(ks, gens[r].random(2), rest=gens[r])
+    seeds = ks.pcg64_seeds(children)
+    # the serial runs, counting each one's doubles
+    module = uniform_mod if process == "uniform" else continuous_mod
+    counts = _count_draws(monkeypatch, module)
+    ref, used = [], []
+    for r in range(9):
+        before = dict(counts)
+        ref.append(SHARD_SERIALS[process](g, 0, seed=twin(r), record=record))
+        used.append({
+            "sequential": ref[-1].total_steps,
+            "parallel": ref[-1].total_steps,
+            "uniform": sum(counts.values()) - sum(before.values()),
+            "ctu": sum(counts.values()) - sum(before.values()),
+        }[process])
+    got = route_mod._RUNNERS[process](g, gens, seeds, 0, ks, record)
+    for r, (s, b) in enumerate(zip(ref, got)):
+        assert s.dispersion_time == b.dispersion_time, r
+        assert s.total_steps == b.total_steps, r
+        assert np.array_equal(s.steps, b.steps), r
+        assert np.array_equal(s.settled_at, b.settled_at), r
+        assert np.array_equal(s.settle_order, b.settle_order), r
+        assert s.trajectories == b.trajectories, r
+        after = twin(r)
+        after.random(used[r])
+        if families[r] is None:
+            state = after.bit_generator.state["state"]
+            assert _row_state(seeds[r]) == (state["state"], state["inc"]), r
+        else:
+            gen = gens[r].bit_generator._keep[1] if r >= 7 else gens[r]
+            assert _same_state(gen.bit_generator.state, after.bit_generator.state), r
+
+
+# ---------------------------------------------------------------------------
+# wrapper fuzz: every bad shard raises before any draw
+
+#: Row sets of the four shard wrappers on C5 for ``R`` repetitions:
+#: particle 0 settled at vertex 0, particles 1..4 to walk from 0.
+def _shard_rows(loop, R):
+    rows = {
+        "occ": np.tile(np.array([1, 0, 0, 0, 0], dtype=np.uint8), R),
+        "steps": np.zeros((R, 5), dtype=np.int64),
+        "settled": _tiled([0, -1, -1, -1, -1], R=R),
+    }
+    if loop == "finish_sequential":
+        rows.update(starts=np.zeros((R, 5), dtype=np.int64), walker=[1] * R)
+    elif loop == "finish_parallel":
+        rows.update(
+            act=_tiled([1, 2, 3, 4, 0], R=R), pos=np.zeros((R, 5), dtype=np.int64),
+            prio=_tiled(range(5), R=R), best=np.full(5, -1, dtype=np.int64),
+            rounds=np.full((R, 5), -1, dtype=np.int64), k=[4] * R,
+        )
+    else:
+        rows.update(
+            pool=_tiled([1, 2, 3, 4, 0], R=R), pos=np.zeros((R, 5), dtype=np.int64),
+            order=np.zeros((R, 5), dtype=np.int64), k=[4] * R, norder=[1] * R,
+        )
+        if loop == "finish_ctu":
+            rows["clock"] = np.zeros((R, 5))
+        else:
+            rows["logq"] = np.log1p(-(np.arange(4) / 4))
+    return rows
+
+
+def _shard_call(ks, loop, rows, rngs, seeds):
+    indptr, indices = csr_arrays(cycle_graph(5))
+    if loop == "finish_sequential":
+        return ks.finish_sequential(
+            indptr, indices, rows["occ"], rows["starts"], rngs,
+            walker=rows["walker"], lazy=False, budget=float("inf"),
+            limit_msg="limit", steps=rows["steps"], settled=rows["settled"],
+            seeds=seeds,
+        )
+    if loop == "finish_parallel":
+        return ks.finish_parallel(
+            indptr, indices, rows["occ"], rows["act"], rows["pos"],
+            rows["prio"], rows["best"], rows["steps"], rows["settled"],
+            rows["rounds"], rngs, k=rows["k"], free=4, lazy=False,
+            scalar_threshold=16, budget=float("inf"), max_rounds=None,
+            seeds=seeds,
+        )
+    common = (
+        indptr, indices, rows["occ"], rows["pool"], rows["pos"], rows["steps"],
+        rows["settled"],
+    )
+    if loop == "finish_ctu":
+        return ks.finish_ctu(
+            *common, rows["clock"], rows["order"], rngs, k=rows["k"],
+            norder=rows["norder"], rate=1.0, seeds=seeds,
+        )
+    return ks.finish_uniform(
+        *common, rows["order"], rngs, k=rows["k"], norder=rows["norder"],
+        logq=rows["logq"], budget=float("inf"), limit_msg="limit", seeds=seeds,
+    )
+
+
+#: Per wrapper: its index rows with their bound (a particle below m = 5,
+#: a vertex below n = 5) and its per-row counts with a value each cannot
+#: take.
+_INDEX_ROWS = {
+    "finish_sequential": {"starts": 5},
+    "finish_parallel": {"act": 5, "pos": 5},
+    "finish_ctu": {"pool": 5, "pos": 5},
+    "finish_uniform": {"pool": 5, "pos": 5},
+}
+_BAD_COUNTS = {
+    "finish_sequential": {"walker": [-1, 6]},
+    "finish_parallel": {"k": [-1, 6]},
+    "finish_ctu": {"k": [-1, 5], "norder": [-1, 2]},
+    "finish_uniform": {"k": [-1, 5], "norder": [-1, 2]},
+}
+
+
+@st.composite
+def _bad_shards(draw, loop):
+    """A shard of 1-3 rows (each a numpy PCG64, an SFC64 or a C-seeded
+    row) with one defect: a row array of another dtype, strided, short
+    or of the wrong row count, an index outside its bound, a bad
+    per-row count, bad seeds for the C-seeded rows, or one generator for
+    two rows."""
+    R = draw(st.integers(1, 3))
+    rows = _shard_rows(loop, R)
+    kinds = [draw(st.sampled_from(["pcg64", "sfc64", "seeded"])) for _ in range(R)]
+    defect = draw(st.sampled_from(
+        ["dtype", "strided", "short", "index", "count", "seeds", "twice"]
+    ))
+    arrays = sorted(k for k, v in rows.items() if isinstance(v, np.ndarray))
+    seeds_bad = None
+    if defect == "twice" and R == 1:
+        defect = "count"
+    if defect == "seeds":
+        kinds[draw(st.integers(0, R - 1))] = "seeded"
+        seeds_bad = draw(st.sampled_from(["dtype", "shape", "strided", "none"]))
+    if defect == "twice":
+        kinds[0] = kinds[1] = "pcg64"
+    key = None
+    if defect in ("dtype", "strided", "short"):
+        key = draw(st.sampled_from(
+            [k for k in arrays if not (defect == "short" and k == "logq")]
+        ))
+        a = rows[key]
+        if defect == "dtype":
+            bad = [np.int32, np.float32, np.int64, np.float64]
+            if a.dtype == np.uint8:
+                bad = [np.int64, np.int32]
+            new = draw(st.sampled_from([d for d in bad if d != a.dtype]))
+            rows[key] = a.astype(new)
+        elif defect == "strided":
+            rows[key] = np.repeat(a, 2, axis=-1)[..., ::2]
+        elif a.ndim == 2:
+            short = [a[:, :-1], a[:-1], np.vstack([a, a[:1]])]
+            rows[key] = np.ascontiguousarray(draw(st.sampled_from(short)))
+        else:
+            rows[key] = a[:-1].copy()
+    elif defect == "index":
+        key, bound = draw(st.sampled_from(sorted(_INDEX_ROWS[loop].items())))
+        r, j = draw(st.integers(0, R - 1)), draw(st.integers(0, 4))
+        rows[key][r, j] = draw(st.sampled_from([-1, bound, bound + 3, -(2**40), 2**40]))
+    elif defect == "count":
+        key, values = draw(st.sampled_from(sorted(_BAD_COUNTS[loop].items())))
+        rows[key][draw(st.integers(0, R - 1))] = draw(st.sampled_from(values))
+    return rows, kinds, defect, seeds_bad, key
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize(
+    "loop", ["finish_sequential", "finish_parallel", "finish_ctu", "finish_uniform"]
+)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shard_wrappers_reject_bad_shards_before_any_draw(provider, loop, data):
+    """Hypothesis over the four wrappers' row shapes, dtypes, values,
+    per-row counts and seed rows: every bad shard raises ``ValueError``
+    naming the wrapper, and no generator and no C-seeded row has moved."""
+    ks = get_kernels(provider)
+    rows, kinds, defect, seeds_bad, key = data.draw(_bad_shards(loop))
+    R = len(kinds)
+    bits = {"pcg64": np.random.PCG64, "sfc64": np.random.SFC64}
+    rngs = [None if k == "seeded" else np.random.Generator(bits[k](r))
+            for r, k in enumerate(kinds)]
+    if defect == "twice":
+        rngs[1] = rngs[0]
+    seeds = ks.pcg64_seeds(SpawnRange(np.random.SeedSequence(3), 0, R))
+    if seeds_bad == "dtype":
+        seeds = seeds.view(np.int64)
+    elif seeds_bad == "shape":
+        seeds = np.ascontiguousarray(seeds[:, :3] if R == 1 else seeds[:-1])
+    elif seeds_bad == "strided":
+        seeds = np.repeat(seeds, 2, axis=1)[:, ::2]
+    elif seeds_bad == "none":
+        seeds = None
+    before = None if seeds is None else seeds.copy()
+    with pytest.raises(ValueError, match=loop):
+        _shard_call(ks, loop, rows, rngs, seeds)
+    for r, (rng, kind) in enumerate(zip(rngs, kinds)):
+        if rng is not None and not (defect == "twice" and r == 1):
+            fresh = np.random.Generator(bits[kind](r))
+            assert rng.random() == fresh.random(), (defect, key, r)
+    if before is not None:
+        assert np.array_equal(seeds, before), (defect, key)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize(
+    "loop", ["finish_sequential", "finish_parallel", "finish_ctu", "finish_uniform"]
+)
+def test_shard_wrappers_run_the_fuzzed_shards_when_sound(provider, loop):
+    """The fuzz's row sets without a defect run: C-seeded rows beside
+    PCG64 and SFC64 rows each draw their own doubles."""
+    ks = get_kernels(provider)
+    rngs = [np.random.Generator(np.random.PCG64(0)), None,
+            np.random.Generator(np.random.SFC64(2))]
+    seeds = ks.pcg64_seeds(SpawnRange(np.random.SeedSequence(3), 0, 3))
+    before = seeds.copy()
+    rows = _shard_rows(loop, 3)
+    _shard_call(ks, loop, rows, rngs, seeds)
+    assert not np.array_equal(seeds[1], before[1])
+    assert np.array_equal(np.delete(seeds, 1, axis=0), np.delete(before, 1, axis=0))
+    assert rngs[0].random() != np.random.Generator(np.random.PCG64(0)).random()
+    assert (rows["settled"] >= 0).all()

@@ -11,7 +11,11 @@ caps, recording with tiny event sinks, tiny log lanes and 1-9
 repetitions, so the sequential loop's lanes are often only partly
 filled and one log lane often spans several repetitions; every
 repetition must equal the serial oracle bit for bit, and a cap must
-raise the serial oracle's error.
+raise the serial oracle's error.  The repetitions' seeds are spawned
+children or a lazy range of them (:class:`~repro.utils.rng.SpawnRange`,
+as the runner hands them out), whose rows the route seeds in C
+whenever no row draws in Python.  The lazy ranges themselves must
+slice, pickle and hand out rounds of the very children ``spawn`` gives.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.core.sequential import sequential_idla
 from repro.core.uniform import uniform_idla
 from repro.graphs import Graph
 from repro.kernels import available_kernels
-from repro.utils.rng import spawn_seed_sequences
+from repro.utils.rng import SeedChildren, SpawnRange, spawn_seed_sequences
 
 pytestmark = pytest.mark.skipif(
     not available_kernels().get("cffi"), reason="no compiled kernel provider"
@@ -69,7 +73,13 @@ def requests(draw, surplus=False):
         )
     )
     reps = draw(st.integers(min_value=1, max_value=9))
-    seeds = spawn_seed_sequences(draw(st.integers(0, 2**32 - 1)), reps)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        seeds = spawn_seed_sequences(seed, reps)
+    else:  # a lazy range, past the children of an earlier round
+        children = SeedChildren(seed)
+        children.take(draw(st.integers(0, 5)))
+        seeds = children.take(reps)
     return g, origin, m, seeds
 
 
@@ -222,3 +232,63 @@ def test_parallel_route_matches_serial_on_random_graphs(
         return
     got = _route("parallel", g, origin, seeds, sink, None, max_rounds=cap, **kwargs)
     _check(ref, got)
+
+
+def _same_children(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.entropy == b.entropy and a.spawn_key == b.spawn_key
+        assert a.pool_size == b.pool_size
+        assert a.generate_state(4).tolist() == b.generate_state(4).tolist()
+
+
+_ENTROPY = st.one_of(
+    st.integers(0, 2**130), st.lists(st.integers(0, 2**70), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entropy=_ENTROPY, key=st.lists(st.integers(0, 2**40), max_size=2),
+    n=st.integers(0, 12), data=st.data(),
+)
+def test_spawn_range_slices_and_pickles_to_the_spawned_children(entropy, key, n, data):
+    """A range of children ``0 .. n`` is ``spawn(n)`` child for child;
+    a slice of it (any bounds, any step) is that slice of the list, and
+    a pickled range comes back as the same children."""
+    import pickle
+
+    parent = np.random.SeedSequence(entropy, spawn_key=key)
+    spawned = np.random.SeedSequence(entropy, spawn_key=key).spawn(n)
+    lazy = SpawnRange(parent, 0, n)
+    _same_children(list(lazy), spawned)
+    bounds = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+    step = data.draw(st.sampled_from([None, 1, 2, -1]))
+    part = slice(data.draw(bounds), data.draw(bounds), step)
+    _same_children(list(lazy[part]), spawned[part])
+    if part.step in (None, 1):
+        assert isinstance(lazy[part], SpawnRange)  # nothing materialised
+    _same_children(list(pickle.loads(pickle.dumps(lazy[part]))), spawned[part])
+    if n:
+        i = data.draw(st.integers(-n, n - 1))
+        _same_children([lazy[i]], [spawned[i]])
+    assert parent.n_children_spawned == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**70), st.lists(st.integers(0, 2**33), max_size=4)),
+    rounds=st.lists(st.integers(0, 6), max_size=5),
+)
+def test_seed_children_rounds_are_one_spawn(seed, rounds):
+    """Round after round, a runner-made parent hands out lazy ranges at
+    its own offset, and a caller's ``SeedSequence`` is spawned from (its
+    counter moves as before); either way the rounds' children are those
+    of one ``spawn`` of the total."""
+    want = np.random.SeedSequence(seed).spawn(sum(rounds))
+    for own in (seed, np.random.SeedSequence(seed)):
+        children = SeedChildren(own)
+        got = [c for n in rounds for c in children.take(n)]
+        _same_children(got, want)
+        if isinstance(own, np.random.SeedSequence):
+            assert own.n_children_spawned == sum(rounds)
