@@ -20,6 +20,10 @@ Subpackages
 ``repro.experiments``
     Monte-Carlo runner, sweeps, scaling fits and table rendering.
 
+``import repro`` imports none of them: each subpackage, and each name
+of ``repro.core``, ``repro.experiments``, ``repro.graphs`` and
+``repro.walks``, is imported on first access (:mod:`repro._lazy`).
+
 Quick start
 -----------
 >>> from repro import graphs, core
@@ -29,9 +33,9 @@ Quick start
 True
 """
 
-from repro import bounds, core, experiments, graphs, markov, theory, utils, walks
+from repro._lazy import lazy_exports
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "graphs",
@@ -44,3 +48,8 @@ __all__ = [
     "utils",
     "__version__",
 ]
+
+#: Each subpackage is imported on first access (:mod:`repro._lazy`).
+_EXPORTS = {f"repro.{name}": (name,) for name in __all__ if name != "__version__"}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

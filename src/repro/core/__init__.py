@@ -23,94 +23,65 @@ plus the block/Cut & Paste machinery of §4 (``Block``,
 Proposition A.1.
 """
 
-from repro.core.aggregate import (
-    ShapeStats,
-    aggregate_after,
-    euclidean_shape_stats,
-    grid_coordinates,
-)
-from repro.core.algorithms import (
-    UniformReadResult,
-    parallel_to_sequential,
-    parallel_to_uniform,
-    sequential_to_parallel,
-)
-from repro.core.anytime import (
-    AdaptiveInfo,
-    AnytimeKS,
-    KSVerdict,
-    Precision,
-    TauAccumulator,
-    anytime_halfwidth,
-    ks_statistic,
-)
-from repro.core.batched import batched_parallel_idla, batched_sequential_idla
-from repro.core.batched_continuous import (
-    batched_continuous_sequential_idla,
-    batched_ctu_idla,
-    batched_uniform_idla,
-)
-from repro.core.budget import (
-    BudgetPlan,
-    StateBudget,
-    parse_state_budget,
-    plan_state,
-)
-from repro.core.origins import resolve_origins
-from repro.core.blocks import (
-    Block,
-    is_valid_parallel_block,
-    is_valid_sequential_block,
-    is_valid_uniform_block,
-)
-from repro.core.continuous import continuous_sequential_idla, ctu_idla
-from repro.core.parallel import parallel_idla
-from repro.core.results import DispersionResult
-from repro.core.sequential import sequential_idla
-from repro.core.stopping_rules import DelayedRule, HairRule, StoppingRule, standard_rule
-from repro.core.trajectory import TrajectoryArrays
-from repro.core.uniform import sample_schedule, uniform_idla
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DispersionResult",
-    "sequential_idla",
-    "parallel_idla",
-    "uniform_idla",
-    "ctu_idla",
-    "continuous_sequential_idla",
-    "batched_parallel_idla",
-    "batched_sequential_idla",
-    "batched_ctu_idla",
-    "batched_uniform_idla",
-    "batched_continuous_sequential_idla",
-    "StateBudget",
-    "BudgetPlan",
-    "parse_state_budget",
-    "plan_state",
-    "TrajectoryArrays",
-    "Block",
-    "is_valid_sequential_block",
-    "is_valid_parallel_block",
-    "is_valid_uniform_block",
-    "sequential_to_parallel",
-    "parallel_to_sequential",
-    "parallel_to_uniform",
-    "UniformReadResult",
-    "StoppingRule",
-    "standard_rule",
-    "HairRule",
-    "DelayedRule",
-    "Precision",
-    "TauAccumulator",
-    "AdaptiveInfo",
-    "anytime_halfwidth",
-    "AnytimeKS",
-    "KSVerdict",
-    "ks_statistic",
-    "sample_schedule",
-    "aggregate_after",
-    "euclidean_shape_stats",
-    "grid_coordinates",
-    "ShapeStats",
-    "resolve_origins",
-]
+#: Module -> the names this package takes from it; each name's
+#: module is imported on first access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "repro.core.aggregate": (
+        "ShapeStats",
+        "aggregate_after",
+        "euclidean_shape_stats",
+        "grid_coordinates",
+    ),
+    "repro.core.algorithms": (
+        "UniformReadResult",
+        "parallel_to_sequential",
+        "parallel_to_uniform",
+        "sequential_to_parallel",
+    ),
+    "repro.core.anytime": (
+        "AdaptiveInfo",
+        "AnytimeKS",
+        "KSVerdict",
+        "Precision",
+        "TauAccumulator",
+        "anytime_halfwidth",
+        "ks_statistic",
+    ),
+    "repro.core.batched": ("batched_parallel_idla", "batched_sequential_idla"),
+    "repro.core.batched_continuous": (
+        "batched_continuous_sequential_idla",
+        "batched_ctu_idla",
+        "batched_uniform_idla",
+    ),
+    "repro.core.budget": (
+        "BudgetPlan",
+        "StateBudget",
+        "parse_state_budget",
+        "plan_state",
+    ),
+    "repro.core.origins": ("resolve_origins",),
+    "repro.core.blocks": (
+        "Block",
+        "is_valid_parallel_block",
+        "is_valid_sequential_block",
+        "is_valid_uniform_block",
+    ),
+    "repro.core.continuous": ("continuous_sequential_idla", "ctu_idla"),
+    "repro.core.parallel": ("parallel_idla",),
+    "repro.core.results": ("DispersionResult",),
+    "repro.core.sequential": ("sequential_idla",),
+    "repro.core.stopping_rules": (
+        "DelayedRule",
+        "HairRule",
+        "StoppingRule",
+        "standard_rule",
+    ),
+    "repro.core.trajectory": ("TrajectoryArrays",),
+    "repro.core.uniform": ("sample_schedule", "uniform_idla"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

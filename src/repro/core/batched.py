@@ -85,8 +85,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.budget import cohort_slices, plan_state
-from repro.core.origins import resolve_origins
-from repro.core.results import DispersionResult, ShardResults
+from repro.core.results import DispersionResult
+from repro.core.route import (
+    _parallel_checks,
+    _parallel_prelude,
+    _parallel_results,
+    _particle_count,
+    _sequential_prelude,
+    _sequential_results,
+)
 from repro.core.sequential import _BLOCK as _SERIAL_SEQ_BLOCK
 from repro.core.settlement import (
     chunked_vacancies,
@@ -222,16 +229,6 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")
     return spawn_generators(seed, reps)
-
-
-def _particle_count(g: Graph, num_particles, label: str) -> int:
-    """Validated particle count ``m`` of a process that needs ``m <= n``."""
-    m = g.n if num_particles is None else check_integer("num_particles", num_particles)
-    if not 1 <= m <= g.n:
-        raise ValueError(
-            f"{label} IDLA needs 1 <= num_particles <= n, got {m} (n={g.n})"
-        )
-    return m
 
 
 def _in_cohorts(driver, g, origin, gens, cohort_reps, **kwargs):
@@ -865,129 +862,6 @@ def batched_parallel_idla(
     )
 
 
-def _parallel_checks(g, num_particles, tie_break, scalar_threshold, max_rounds):
-    """Validated ``(m, scalar_threshold, budget)`` of a Parallel-IDLA batch."""
-    m = g.n if num_particles is None else check_integer("num_particles", num_particles)
-    if m < 1:
-        raise ValueError(f"num_particles must be >= 1, got {m}")
-    if tie_break not in ("index", "random"):
-        raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
-    scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
-    return m, scalar_threshold, check_limit("max_rounds", max_rounds)
-
-
-def _vertex_origin(origin) -> bool:
-    """``origin`` names one start vertex for every particle."""
-    return not isinstance(origin, str) and np.isscalar(origin)
-
-
-def _resolve_starts(g, origin, m, gens) -> np.ndarray:
-    """Each repetition's start vertices, ``(R, m)``.  A vertex origin
-    fills them in one operation; ``"uniform"`` and explicit origins are
-    resolved one repetition at a time, in order, since they may draw."""
-    R = len(gens)
-    if R and _vertex_origin(origin):
-        return np.full((R, m), resolve_origins(g, origin, 1, None)[0])
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-    return starts2d
-
-
-def _time0(origin, starts2d, n, prio2d=None):
-    """The time-0 settlement of every repetition in one numpy pass: per
-    (repetition, start vertex) cell the particle of smallest priority
-    (``None``: its index) settles there.
-
-    Returns the occupancy (``R * n``) and the ``(R, m)`` mask of the
-    particles that settled."""
-    R, m = starts2d.shape
-    occ = np.zeros(R * n, dtype=bool)
-    first = np.zeros((R, m), dtype=bool)
-    if _vertex_origin(origin):
-        # one shared start: particle 0, first under either tie-break
-        first[:, 0] = True
-        occ[np.arange(R) * n + starts2d[:, 0]] = True
-        return occ, first
-    cells = (np.arange(R, dtype=np.int64)[:, None] * n + starts2d).reshape(-1)
-    if prio2d is None:  # the first particle on each cell
-        winners = np.unique(cells, return_index=True)[1]
-    else:
-        winners = select_settlers(cells, prio2d.reshape(-1))
-    first.reshape(-1)[winners] = True
-    occ[cells[winners]] = True
-    return occ, first
-
-
-def _parallel_prelude(g, origin, m, gens, tie_break):
-    """Each repetition's initial draws, in the serial driver's order,
-    then the round-0 settlement pass of every repetition at once.
-
-    Returns ``(starts2d, prio2d, occ, free, steps2d, settled2d,
-    round2d)``.  With the default "index" tie-break the priority of
-    particle p is p itself, so ``prio2d`` is ``None``.
-    """
-    starts2d = _resolve_starts(g, origin, m, gens)
-    R = len(gens)
-    prio2d = None
-    if tie_break != "index":
-        prio2d = np.empty((R, m), dtype=np.int64)
-        # σ(1) = 1 as in the serial driver: particle 0 keeps top priority
-        prio2d[:, 0] = 0
-        for r, gen in enumerate(gens):
-            prio2d[r, 1:] = 1 + gen.permutation(m - 1)
-    occ, first = _time0(origin, starts2d, g.n, prio2d)
-    settled2d = np.where(first, starts2d, -1)
-    round2d = np.full((R, m), -1, dtype=np.int64)
-    round2d[first] = 0
-    free = g.n - np.count_nonzero(first, axis=1)
-    steps2d = np.zeros((R, m), dtype=np.int64)
-    return starts2d, prio2d, occ, free, steps2d, settled2d, round2d
-
-
-def _parallel_results(
-    g, process, starts2d, steps2d, settled2d, round2d, prio2d, traj_all
-) -> ShardResults:
-    """Assemble the per-repetition results of a batched parallel run;
-    the settle order is the serial ``(round, priority)`` order, from one
-    argsort of every row's ``round * m + priority`` (priorities are
-    distinct, so the keys are; unsettled particles sort last)."""
-    m = steps2d.shape[1]
-    settled = settled2d >= 0
-    key = round2d * m
-    key += np.arange(m) if prio2d is None else prio2d
-    key[~settled] = np.iinfo(np.int64).max
-    ranked = np.argsort(key, axis=1)
-    orders = [row[:c] for row, c in zip(ranked, np.count_nonzero(settled, axis=1))]
-    return _results(
-        g, process, starts2d[:, 0], steps2d, settled2d, orders, traj_all,
-        dispersion=steps2d.max(axis=1, where=settled, initial=0),
-    )
-
-
-def _results(
-    g, process, origins, steps2d, settled2d, orders, traj_all, *,
-    dispersion=None, ticks=None, **extras,
-) -> ShardResults:
-    """The shard's :class:`ShardResults` from ``origins[r]``, ``orders[r]``
-    (an int64 array or row) and row ``r`` of the ``(R, m)`` arrays.
-
-    The totals and (unless ``dispersion`` gives them) the dispersion
-    times, each repetition's longest walk, come from one reduction each;
-    ``ticks``, when given, holds one value per repetition, and row ``r``
-    of each of ``extras`` is attached to result ``r`` as that attribute."""
-    R, m = steps2d.shape
-    if dispersion is None:
-        dispersion = steps2d.max(axis=1)
-    if ticks is not None:
-        ticks = np.asarray(ticks, dtype=float)
-    return ShardResults(
-        process, g.name, g.n, None if m == g.n else m, origins, dispersion,
-        steps2d.sum(axis=1), steps2d, settled2d, orders, ticks, traj_all,
-        extras,
-    )
-
-
 # ----------------------------------------------------------------------
 # Sequential-IDLA
 # ----------------------------------------------------------------------
@@ -1279,48 +1153,4 @@ def batched_sequential_idla(
         _sequential_results(
             g, lazy, starts2d, steps2d, settled2d, _finalize(store)
         )
-    )
-
-
-def _sequential_prelude(g, origin, m, gens):
-    """Each repetition's starts, then its release chain from particle 0
-    (vacant starts settle instantly).
-
-    Returns ``(starts2d, occ, steps2d, settled2d, walker)``, where
-    ``walker[r]`` is repetition ``r``'s first walking particle, ``m``
-    when every particle settled at its start.
-    """
-    n, R = g.n, len(gens)
-    starts2d = _resolve_starts(g, origin, m, gens)
-    steps2d = np.zeros((R, m), dtype=np.int64)
-    if _vertex_origin(origin):
-        # particle 0 settles on the shared start, and particle 1 walks
-        # (or, with m = 1, none is left)
-        occ, first = _time0(origin, starts2d, n)
-        settled2d = np.where(first, starts2d, -1)
-        return starts2d, occ, steps2d, settled2d, np.ones(R, dtype=np.int64)
-    occ = np.zeros(R * n, dtype=bool)
-    settled2d = np.full((R, m), -1, dtype=np.int64)
-    walker = np.empty(R, dtype=np.int64)
-    for r in range(R):
-        walker[r] = instant_settle_chain(
-            occ[r * n : (r + 1) * n], starts2d[r], 0, steps2d[r], settled2d[r]
-        )
-    return starts2d, occ, steps2d, settled2d, walker
-
-
-def _index_orders(R: int, m: int) -> np.ndarray:
-    """``R`` rows of the settle order ``0 .. m-1``."""
-    return np.tile(np.arange(m, dtype=np.int64), (R, 1))
-
-
-def _sequential_results(
-    g, lazy, starts2d, steps2d, settled2d, traj_all
-) -> ShardResults:
-    """Assemble the per-repetition results of a batched sequential run;
-    particles settle in index order."""
-    R, m = steps2d.shape
-    return _results(
-        g, "sequential-lazy" if lazy else "sequential", starts2d[:, 0],
-        steps2d, settled2d, _index_orders(R, m), traj_all,
     )

@@ -60,16 +60,19 @@ import numpy as np
 from repro.core.batched import (
     _finalize,
     _in_cohorts,
-    _index_orders,
-    _particle_count,
     _resolve_generators,
-    _resolve_starts,
-    _results,
-    _time0,
     batched_sequential_idla,
 )
 from repro.core.budget import plan_state
-from repro.core.results import DispersionResult, ShardResults
+from repro.core.results import DispersionResult
+from repro.core.route import (
+    _ctu_results,
+    _particle_count,
+    _poissonised,
+    _resolve_starts,
+    _time0,
+    _uniform_results,
+)
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
@@ -352,17 +355,6 @@ def batched_ctu_idla(
 
 def _order_arrays(orders: list[list[int]]) -> list[np.ndarray]:
     return [np.asarray(order, dtype=np.int64) for order in orders]
-
-
-def _ctu_results(
-    g, starts2d, steps2d, settled2d, orders, final_clock, settle_clock, traj_all
-) -> ShardResults:
-    """Per-repetition result assembly of the CTU-IDLA drivers, from
-    ``(R, m)`` rows."""
-    return _results(
-        g, "ctu", starts2d[:, 0], steps2d, settled2d, orders, traj_all,
-        dispersion=final_clock, ticks=final_clock, settle_clock=settle_clock,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -693,18 +685,6 @@ def batched_uniform_idla(
     )
 
 
-def _uniform_results(
-    g, starts2d, steps2d, settled2d, orders, final_ticks, traj_all, schedules
-) -> ShardResults:
-    """Per-repetition result assembly of the Uniform-IDLA drivers, from
-    ``(R, m)`` rows."""
-    extras = {} if schedules is None else {"schedule": schedules}
-    return _results(
-        g, "uniform", starts2d[:, 0], steps2d, settled2d, orders, traj_all,
-        ticks=final_ticks, **extras,
-    )
-
-
 # ----------------------------------------------------------------------
 # Poissonised Sequential-IDLA
 # ----------------------------------------------------------------------
@@ -752,30 +732,4 @@ def batched_continuous_sequential_idla(
             np.array([res.settled_at for res in walks]),
             [res.trajectories for res in walks], gens, rate,
         )
-    )
-
-
-def _poissonised(
-    g, origins, steps2d, settled2d, traj_all, gens, rate
-) -> ShardResults:
-    """c-sequential results from Sequential-IDLA rows whose generators
-    stand where the serial driver's walk leaves them: each repetition's
-    ``Gamma(ρ_i, 1/rate)`` durations come from the very call
-    :func:`~repro.walks.continuous.poissonise_steps` makes, one per
-    repetition."""
-    walked = steps2d > 0
-    shapes = steps2d[walked].astype(np.float64)
-    ends = np.cumsum(np.count_nonzero(walked, axis=1)).tolist()
-    durations = np.zeros(steps2d.shape)
-    draws = [
-        gen.gamma(shape=shapes[a:b], scale=1.0 / rate)
-        for gen, a, b in zip(gens, [0, *ends], ends)
-    ]
-    if draws:
-        durations[walked] = np.concatenate(draws)
-    longest = durations.max(axis=1)
-    R, m = steps2d.shape
-    return _results(
-        g, "c-sequential", origins, steps2d, settled2d, _index_orders(R, m),
-        traj_all, dispersion=longest, ticks=longest, durations=durations,
     )

@@ -3,15 +3,19 @@
 The runner is the single entry point benches and examples use to estimate
 ``E[τ]``.  Repetitions receive independent child generators via
 ``SeedSequence.spawn`` (never a shared stream), so results are identical
-across the three execution modes:
+across the execution modes:
 
-* **batched** (the default for every process at sufficient repetition
-  counts) — all repetitions advance in lock-step through the drivers in
-  :mod:`repro.core.batched` (synchronous processes) and
-  :mod:`repro.core.batched_continuous` (tick-scheduled processes),
-  amortising the per-round NumPy dispatch cost across the whole batch;
+* **route** (the default whenever a compiled kernel provider is present)
+  — each shard of repetitions runs in one compiled call on the
+  per-repetition route of :mod:`repro.core.route`;
+* **lock-step** (the numpy provider, implicit graphs and the options the
+  route turns away, at sufficient repetition counts) — all repetitions
+  advance in lock-step through the drivers in :mod:`repro.core.batched`
+  (synchronous processes) and :mod:`repro.core.batched_continuous`
+  (tick-scheduled processes), imported on first use
+  (``BATCHED_DRIVERS``);
 * **serial** — one repetition at a time through the classic drivers; the
-  reference oracle the batched drivers are bit-identical to;
+  reference oracle the other modes are bit-identical to;
 * **fan-out** (``n_jobs > 1``) — contiguous repetition *shards* run
   through the batched drivers where profitable (see
   :mod:`repro.experiments.fanout`); batching × workers compose.  On the
@@ -34,17 +38,10 @@ import inspect
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.anytime import AdaptiveInfo, Precision, TauAccumulator
-from repro.core.batched import batched_parallel_idla, batched_sequential_idla
-from repro.core.batched_continuous import (
-    batched_continuous_sequential_idla,
-    batched_ctu_idla,
-    batched_uniform_idla,
-)
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
 from repro.core.parallel import parallel_idla
 from repro.core.results import DispersionResult
@@ -58,6 +55,9 @@ from repro.graphs.csr import Graph
 from repro.kernels import check_kernels
 from repro.utils.rng import SeedChildren, stable_seed
 from repro.utils.validation import check_integer, check_limit, check_record
+
+if TYPE_CHECKING:
+    from repro.core.anytime import AdaptiveInfo, Precision
 
 __all__ = [
     "PROCESS_DRIVERS",
@@ -78,14 +78,39 @@ PROCESS_DRIVERS: dict[str, Callable[..., DispersionResult]] = {
     "c-sequential": continuous_sequential_idla,
 }
 
-#: Name -> lock-step driver for processes with a batched implementation.
-BATCHED_DRIVERS: dict[str, Callable[..., list[DispersionResult]]] = {
-    "sequential": batched_sequential_idla,
-    "parallel": batched_parallel_idla,
-    "uniform": batched_uniform_idla,
-    "ctu": batched_ctu_idla,
-    "c-sequential": batched_continuous_sequential_idla,
-}
+
+def _batched_drivers() -> dict[str, Callable[..., list[DispersionResult]]]:
+    """``BATCHED_DRIVERS``: name -> lock-step driver, one per process.
+
+    The lock-step modules are imported on the first call (an estimate on
+    the per-repetition route never needs them) and the dict is kept as
+    the module attribute, so the lock-step branch, ``runner.BATCHED_DRIVERS``
+    and anything that patches it share one registry.
+    """
+    drivers = globals().get("BATCHED_DRIVERS")
+    if drivers is None:
+        from repro.core.batched import batched_parallel_idla, batched_sequential_idla
+        from repro.core.batched_continuous import (
+            batched_continuous_sequential_idla,
+            batched_ctu_idla,
+            batched_uniform_idla,
+        )
+
+        drivers = globals()["BATCHED_DRIVERS"] = {
+            "sequential": batched_sequential_idla,
+            "parallel": batched_parallel_idla,
+            "uniform": batched_uniform_idla,
+            "ctu": batched_ctu_idla,
+            "c-sequential": batched_continuous_sequential_idla,
+        }
+    return drivers
+
+
+def __getattr__(name: str):
+    if name == "BATCHED_DRIVERS":
+        return _batched_drivers()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Processes whose drivers accept ``lazy=True`` (the tick-scheduled
 #: processes schedule one particle per tick and have no lazy variant).
@@ -239,7 +264,7 @@ _PURE_RULE_TYPES = (StoppingRule, HairRule, DelayedRule)
 
 def _validate_forced_batched(process: str, kwargs) -> None:
     """Raise if ``batched=True`` cannot be honoured for this request."""
-    if process not in BATCHED_DRIVERS:
+    if process not in _BATCHED_KWARGS:
         raise ValueError(f"no batched driver for process {process!r}")
     if not set(kwargs) <= _BATCHED_KWARGS[process]:
         unsupported = sorted(set(kwargs) - _BATCHED_KWARGS[process])
@@ -261,7 +286,7 @@ def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched
     """
     if batched not in (True, False, "auto"):
         raise ValueError(f"batched must be True, False or 'auto', got {batched!r}")
-    if batched is False or process not in BATCHED_DRIVERS:
+    if batched is False or process not in _BATCHED_KWARGS:
         if batched is True:
             raise ValueError(f"no batched driver for process {process!r}")
         return False
@@ -390,7 +415,9 @@ def _shard_outcomes(
             run_reps(process, g, children, origin, **{**kwargs, "kernels": kern})
         )
     if _use_batched(process, g, len(children), 1, kwargs, batched):
-        batch = BATCHED_DRIVERS[process](g, origin, seeds=list(children), **kwargs)
+        batch = _batched_drivers()[process](
+            g, origin, seeds=list(children), **kwargs
+        )
         return [outcome_of(r) for r in batch]
     skwargs = serial_kwargs(process, kwargs)
     return [_one_run((process, g, origin, s, skwargs)) for s in children]
@@ -484,6 +511,8 @@ def _adaptive_outcomes(
     the next round is sized from the width still missing, capped by
     ``precision.growth`` and ``precision.max_reps``.
     """
+    from repro.core.anytime import AdaptiveInfo, TauAccumulator
+
     acc = TauAccumulator()
     outcomes: list[tuple[float, int, object, object]] = []
     rounds: list[int] = []
@@ -591,15 +620,17 @@ def estimate_dispersion(
         after every round does not inflate the miscoverage.
     n_jobs:
         ``1`` (default) runs in-process; ``> 1`` fans contiguous
-        repetition *shards* out over ``n_jobs`` workers, each running the
-        batched driver on its shard where profitable
-        (:mod:`repro.experiments.fanout`).  When every repetition runs in
-        one compiled loop (:mod:`repro.core.route`; ``batched`` not
-        ``False``) the workers are threads sharing the graph in place;
-        the loops release the GIL.  Everything else
-        forks a process pool: the graph is exported once into shared
-        memory, and implicit families ship a ``(family, params)``
-        descriptor instead of a segment.
+        repetition *shards* out over ``n_jobs`` workers
+        (:mod:`repro.experiments.fanout`).  On the per-repetition C route
+        (:mod:`repro.core.route`; the default whenever a compiled
+        provider runs on a CSR graph, ``batched`` not ``False``) the
+        workers are threads sharing the graph in place, each running its
+        shard in one compiled call; the loops release the GIL.
+        Everything else forks a process pool that runs each shard through
+        the lock-step driver where profitable, else the serial oracle:
+        the graph is exported once into shared memory, and implicit
+        families ship a ``(family, params)`` descriptor instead of a
+        segment.
         Worker counts above the round's repetition count are clamped
         (surplus workers could only receive empty shards; ``reps=1``
         therefore always runs in-process).  Seeds are spawned
@@ -608,18 +639,23 @@ def estimate_dispersion(
         additionally capped near ``0.5 s`` of observed per-rep cost, so
         stragglers shrink and drain over the pool.
     batched:
-        ``"auto"`` (default) routes estimates through the lock-step
-        drivers of :mod:`repro.core.batched` /
-        :mod:`repro.core.batched_continuous` whenever the
-        repetition count and kwargs make that profitable; ``True`` forces
-        batching (raising if unsupported), ``False`` forces the serial
-        reference path.  With ``n_jobs > 1`` the mode applies *per
-        shard*: ``"auto"`` re-decides with each worker's repetition
-        count, ``True`` forces every shard through the batched driver.
-        Auto dispatch never changes the numbers — batched replay is
-        bit-identical to the serial loop, and rules it cannot prove pure
-        fall back to serial.  ``batched=True`` skips that purity guard
-        and trusts the caller's rule to be stateless.
+        ``"auto"`` (default) runs every repetition on the per-repetition
+        C route (:mod:`repro.core.route`) whenever a compiled kernel
+        provider is present and the request passes
+        :func:`~repro.core.route.route_kernels` (a CSR graph, the default
+        rule and scheduler, no explicit ``tail_threshold``), at any
+        repetition count.  Otherwise it takes the lock-step drivers of
+        :mod:`repro.core.batched` / :mod:`repro.core.batched_continuous`
+        where the repetition count and kwargs make them profitable, and
+        the serial oracle below that.  ``True`` forces batching (the
+        route where it passes, else the lock-step driver; raising if
+        unsupported), ``False`` forces the serial reference path.  With
+        ``n_jobs > 1`` the mode applies *per shard*: ``"auto"``
+        re-decides with each worker's repetition count.  Auto dispatch
+        never changes the numbers — every path is bit-identical to the
+        serial loop, and rules it cannot prove pure fall back to serial.
+        ``batched=True`` skips that purity guard and trusts the caller's
+        rule to be stateless.
     kwargs:
         Driver options (``lazy=True``, ``rule=…``, ``record=True``, …),
         validated up front against the process's accepted surface

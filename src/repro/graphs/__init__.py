@@ -7,77 +7,49 @@ Quick start::
     g.n, g.num_edges, g.is_regular()
 """
 
-from repro.graphs.convert import from_networkx, to_networkx
-from repro.graphs.csr import Graph, check_spec_counts, neighbor_kernel
-from repro.graphs.implicit import (
-    ImplicitGraph,
-    ImplicitGraphSpec,
-    implicit_graph,
-)
-from repro.graphs.generators import (
-    barbell_graph,
-    binary_tree_with_path,
-    clique_with_hair,
-    clique_with_hair_on_pimple,
-    comb_graph,
-    complete_binary_tree,
-    complete_graph,
-    cycle_graph,
-    double_star,
-    erdos_renyi_graph,
-    grid_graph,
-    hypercube_graph,
-    largest_component,
-    lollipop_connector,
-    lollipop_graph,
-    path_graph,
-    random_regular_graph,
-    star_graph,
-    torus_graph,
-)
-from repro.graphs.properties import (
-    bfs_distances,
-    degree_histogram,
-    diameter,
-    eccentricity,
-    is_tree,
-    leaves,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "check_spec_counts",
-    "neighbor_kernel",
-    "ImplicitGraph",
-    "ImplicitGraphSpec",
-    "implicit_graph",
-    "from_networkx",
-    "to_networkx",
-    # generators
-    "path_graph",
-    "cycle_graph",
-    "complete_graph",
-    "star_graph",
-    "complete_binary_tree",
-    "binary_tree_with_path",
-    "comb_graph",
-    "double_star",
-    "grid_graph",
-    "torus_graph",
-    "hypercube_graph",
-    "lollipop_graph",
-    "lollipop_connector",
-    "clique_with_hair",
-    "clique_with_hair_on_pimple",
-    "barbell_graph",
-    "random_regular_graph",
-    "erdos_renyi_graph",
-    "largest_component",
-    # properties
-    "bfs_distances",
-    "diameter",
-    "eccentricity",
-    "is_tree",
-    "degree_histogram",
-    "leaves",
-]
+#: Module -> the names this package takes from it; each name's
+#: module is imported on first access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "repro.graphs.convert": ("from_networkx", "to_networkx"),
+    "repro.graphs.csr": ("Graph", "check_spec_counts", "neighbor_kernel"),
+    "repro.graphs.implicit": (
+        "ImplicitGraph",
+        "ImplicitGraphSpec",
+        "implicit_graph",
+    ),
+    "repro.graphs.generators": (
+        "barbell_graph",
+        "binary_tree_with_path",
+        "clique_with_hair",
+        "clique_with_hair_on_pimple",
+        "comb_graph",
+        "complete_binary_tree",
+        "complete_graph",
+        "cycle_graph",
+        "double_star",
+        "erdos_renyi_graph",
+        "grid_graph",
+        "hypercube_graph",
+        "largest_component",
+        "lollipop_connector",
+        "lollipop_graph",
+        "path_graph",
+        "random_regular_graph",
+        "star_graph",
+        "torus_graph",
+    ),
+    "repro.graphs.properties": (
+        "bfs_distances",
+        "degree_histogram",
+        "diameter",
+        "eccentricity",
+        "is_tree",
+        "leaves",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -35,8 +35,6 @@ import hashlib
 import importlib.util
 import os
 import shlex
-import subprocess
-import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +46,8 @@ def _cache_dir() -> str:
     override = os.environ.get("REPRO_KERNELS_CACHE")
     if override:
         return override
+    import tempfile
+
     uid = getattr(os, "getuid", lambda: 0)()
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
 
@@ -70,6 +70,10 @@ def _ensure_built() -> str:
     so_path = os.path.join(cache, f"repro_kernels_{_digest(C_SOURCE, *argv)}.so")
     if os.path.exists(so_path):
         return so_path
+    # only a build needs these: a warm load never imports them
+    import subprocess
+    import tempfile
+
     os.makedirs(cache, exist_ok=True)
     fd, c_path = tempfile.mkstemp(dir=cache, suffix=".c")
     try:
@@ -109,6 +113,8 @@ def _ensure_ffi_module() -> str:
     py_path = _ffi_module_path()
     if os.path.exists(py_path):
         return py_path
+    import tempfile
+
     import cffi
     from cffi.recompiler import make_py_source
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import os
 import pickle
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -238,13 +239,14 @@ def test_cache_key_covers_the_compile_command(fresh_registry):
     if cc is None:
         pytest.skip("no C compiler on PATH")
     argvs = []
-    run = cffi_impl.subprocess.run
+    # the compile path imports subprocess when it builds
+    run = subprocess.run
 
     def recording_run(argv, **kwargs):
         argvs.append(list(argv))
         return run(argv, **kwargs)
 
-    fresh_registry.setattr(cffi_impl.subprocess, "run", recording_run)
+    fresh_registry.setattr(subprocess, "run", recording_run)
     paths = []
     for flags in ("-std=c99", "-std=gnu99"):
         fresh_registry.setenv("CC", f"{cc} {flags}")
