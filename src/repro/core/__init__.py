@@ -70,7 +70,7 @@ _EXPORTS = {
     ),
     "repro.core.continuous": ("continuous_sequential_idla", "ctu_idla"),
     "repro.core.parallel": ("parallel_idla",),
-    "repro.core.results": ("DispersionResult",),
+    "repro.core.results": ("DispersionResult", "TrajectoryArrays"),
     "repro.core.sequential": ("sequential_idla",),
     "repro.core.stopping_rules": (
         "DelayedRule",
@@ -78,7 +78,6 @@ _EXPORTS = {
         "StoppingRule",
         "standard_rule",
     ),
-    "repro.core.trajectory": ("TrajectoryArrays",),
     "repro.core.uniform": ("sample_schedule", "uniform_idla"),
 }
 

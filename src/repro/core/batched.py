@@ -71,7 +71,7 @@ discrete walks, so the fetch grid matters there, not just the values.
 
 ``record=True`` routes the flat per-round state into the chunked
 :class:`repro.core.trajectory.TrajectoryStore` — one slice append per
-round, finalised into :class:`~repro.core.trajectory.TrajectoryArrays`
+round, finalised into :class:`~repro.core.results.TrajectoryArrays`
 equal to the serial drivers' trajectories, with straggler repetitions
 handed to the finisher via :meth:`TrajectoryStore.handoff` so the scalar
 micro-loops keep appending to the recorded prefix.  The runner

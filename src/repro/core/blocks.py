@@ -42,7 +42,7 @@ class Block:
     rows:
         ``rows[i]`` is the trajectory of particle ``i`` (sequence of
         vertices, first entry is the origin).  Rows are copied; the
-        recorded :class:`repro.core.trajectory.TrajectoryArrays`, a
+        recorded :class:`repro.core.results.TrajectoryArrays`, a
         ``list[list[int]]`` and any iterable of integer arrays are all
         accepted — array rows are converted to plain-int lists, so
         Cut & Paste always mutates Python lists.

@@ -30,10 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.origins import resolve_origins
-from repro.core.results import DispersionResult
+from repro.core.results import DispersionResult, TrajectoryArrays
 from repro.core.settlement import select_settlers, settle_vacant_starts
 from repro.core.stopping_rules import StoppingRule, standard_rule
-from repro.core.trajectory import TrajectoryArrays
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_integer, check_limit, check_record

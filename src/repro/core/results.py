@@ -1,16 +1,134 @@
-"""Result container shared by every dispersion-process driver."""
+"""Result containers shared by every dispersion-process driver, and the
+one shape of a recorded run's trajectories (:class:`TrajectoryArrays`)."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.blocks import Block
-from repro.core.trajectory import TrajectoryArrays
 
-__all__ = ["DispersionResult", "ShardResults"]
+__all__ = ["DispersionResult", "ShardResults", "TrajectoryArrays"]
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause garbage collection around bulk Python-list materialisation.
+
+    Listing a big run creates hundreds of millions of ints and lists;
+    none of them can participate in a reference cycle, but every
+    generational collection the allocations trigger still scans the
+    ever-growing heap — a quadratic tax on a pass that should be linear.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TrajectoryArrays:
+    """One repetition's trajectories as a ragged array pair, zero-copy rows.
+
+    The shape ``record=True`` returns on every route: one flat ``int32``
+    vertex array plus an ``(m + 1,)`` ``int64`` offset array, with
+    :meth:`row` returning a **view** (no copy, no Python ints) of
+    particle ``p``'s vertex sequence.  Indexing follows a list's rules:
+    negative indices wrap, an out-of-range index raises ``IndexError``
+    and a slice returns the selected rows as a new container.
+    :meth:`to_lists` builds the ``list[list[int]]`` shape for callers
+    that need mutable rows.
+
+    Equality is by content against either another :class:`TrajectoryArrays`
+    or the ``list[list[int]]`` shape (``lists == arrays`` also works —
+    Python's reflected ``__eq__`` lands here).
+    :class:`repro.core.blocks.Block` accepts either shape as rows.
+    """
+
+    __slots__ = ("offsets", "flat")
+
+    def __init__(self, offsets: np.ndarray, flat: np.ndarray):
+        self.offsets = offsets
+        self.flat = flat
+
+    @classmethod
+    def from_lists(cls, rows) -> TrajectoryArrays:
+        """Seal a ``list[list[int]]`` (the serial drivers' walk-time shape)."""
+        lens = np.fromiter(
+            (len(row) for row in rows), dtype=np.int64, count=len(rows)
+        )
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        flat = np.fromiter(
+            itertools.chain.from_iterable(rows),
+            dtype=np.int32,
+            count=int(offsets[-1]),
+        )
+        return cls(offsets, flat)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def row(self, p: int) -> np.ndarray:
+        """Particle ``p``'s vertex sequence — a zero-copy view."""
+        return self.flat[self.offsets[p] : self.offsets[p + 1]]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            picked = np.arange(len(self), dtype=np.int64)[key]
+            first = self.offsets[picked]
+            lens = self.offsets[picked + 1] - first
+            offsets = np.zeros(picked.size + 1, dtype=np.int64)
+            np.cumsum(lens, out=offsets[1:])
+            shift = np.repeat(first - offsets[:-1], lens)
+            return TrajectoryArrays(
+                offsets, self.flat[shift + np.arange(offsets[-1])]
+            )
+        p = operator.index(key)
+        if p < 0:
+            p += len(self)
+        if not 0 <= p < len(self):
+            raise IndexError(f"row {key} out of range for {len(self)} rows")
+        return self.row(p)
+
+    def __iter__(self):
+        for p in range(len(self)):
+            yield self.row(p)
+
+    def to_lists(self) -> list[list[int]]:
+        """The ``list[list[int]]`` shape: one Python int per vertex."""
+        with _gc_paused():
+            return [self.row(p).tolist() for p in range(len(self))]
+
+    def __eq__(self, other):
+        if isinstance(other, TrajectoryArrays):
+            return np.array_equal(self.offsets, other.offsets) and np.array_equal(
+                self.flat, other.flat
+            )
+        if isinstance(other, (list, tuple)):
+            if len(other) != len(self):
+                return False
+            return all(
+                self.row(p).tolist() == list(other[p]) for p in range(len(self))
+            )
+        return NotImplemented
+
+    __hash__ = None  # mutable array content
+
+    def __repr__(self) -> str:
+        return (
+            f"TrajectoryArrays(particles={len(self)}, "
+            f"events={self.flat.size})"
+        )
+
 
 
 @dataclass(frozen=True)
@@ -44,7 +162,7 @@ class DispersionResult:
         (Uniform-IDLA ticks, CTU continuous time); ``None`` otherwise.
     trajectories:
         Full per-particle vertex sequences as
-        :class:`~repro.core.trajectory.TrajectoryArrays` when the driver
+        :class:`~repro.core.results.TrajectoryArrays` when the driver
         was called with ``record=True``, ``None`` otherwise.  It compares
         equal by content to the ``list[list[int]]`` shape; call
         ``to_lists()`` for mutable rows.

@@ -22,8 +22,10 @@ CPU overlaps their dependent steps; the others run the repetitions one
 after another.  Every loop draws each double inside C, in the serial
 driver's order, so each generator ends right after the last double
 consumed (the serial oracle and the lock-step body may leave it further
-on); c-sequential then draws up to the serial driver's block grid before
-its Gamma durations.  Where no repetition draws in Python (a vertex
+on); c-sequential then brings each generator up to the serial driver's
+block grid before its Gamma durations, by jumping a ``PCG64``'s LCG
+(:func:`_jumps`) or drawing the block's remainder from any other.
+Where no repetition draws in Python (a vertex
 origin, Parallel-IDLA's index tie-break, not c-sequential) and the seeds
 are a :class:`~repro.utils.rng.SpawnRange` of a default-pool parent, as
 the runner hands them out, C seeds each repetition's PCG64 state from
@@ -32,9 +34,11 @@ built.  Otherwise each repetition gets its numpy ``Generator``; C steps
 a ``PCG64`` inline all the same, storing its state back, and calls any
 other bit generator's ``next_double``.  The tick loops (Uniform, CTU)
 take no logarithm in C: the doubles the serial driver takes
-``log1p(-u)`` of go to a log lane shared by the shard,
-which the wrapper folds with numpy's ``log1p``, as the serial driver's
-:class:`~repro.utils.rng.UniformStream` does.  Last, the results are
+``log1p(-u)`` of go, negated, to a log lane shared by the shard; after
+every return the wrapper takes numpy's ``log1p`` over it in place, as
+the serial driver's :class:`~repro.utils.rng.UniformStream` does, and
+one compiled call folds it into the clocks or tick counts.  Last, the
+results are
 assembled with one reduction per statistic over the shard,
 bit-identical to the serial oracle, into one
 :class:`~repro.core.results.ShardResults` of columns: the runner reads
@@ -46,7 +50,7 @@ import them from this module, so a route estimate never imports a
 lock-step engine.
 ``record`` hands each repetition an event sink
 (:meth:`~repro.kernels.CompiledKernels.event_sink`), whose events become
-the repetition's :class:`~repro.core.trajectory.TrajectoryArrays` as is.
+the repetition's :class:`~repro.core.results.TrajectoryArrays` as is.
 A ``state_budget`` is ignored: the route keeps no stream buffers or
 round transients, only the result rows and the occupancy.
 """
@@ -473,8 +477,24 @@ def _c_sequential(g, gens, seeds, origin, kern, record, *, rate=1.0):
         # the loop drew `total` doubles; the serial driver fetches whole
         # blocks, the first before its release loop, so finish the last
         # one (as align_to_serial does)
-        gen.random(out=spill[: -total % block if total else block])
+        rem = -total % block if total else block
+        if _jumps(gen.bit_generator):
+            gen.bit_generator.advance(rem)
+        else:
+            gen.random(out=spill[:rem])
     return _poissonised(g, starts[:, 0], steps, settled, traj, gens, rate)
+
+
+def _jumps(bitgen) -> bool:
+    """Whether ``bitgen.advance(n)`` leaves ``bitgen`` exactly as ``n``
+    doubles drawn would: a ``PCG64`` takes one output a double, and
+    ``advance`` jumps its LCG in O(log n), but it also clears the
+    buffered ``uint32`` half of an output, so only one with none buffered
+    (and no stale one kept) qualifies."""
+    if type(bitgen) is not np.random.PCG64:
+        return False
+    state = bitgen.state
+    return not state["has_uint32"] and not state["uinteger"]
 
 
 def _tick_prelude(g, origin, m, gens):

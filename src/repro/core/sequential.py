@@ -22,10 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.origins import resolve_origins
-from repro.core.results import DispersionResult
+from repro.core.results import DispersionResult, TrajectoryArrays
 from repro.core.settlement import instant_settle_chain
 from repro.core.stopping_rules import StoppingRule, standard_rule
-from repro.core.trajectory import TrajectoryArrays
 from repro.graphs.csr import Graph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_integer, check_limit, check_record
@@ -63,7 +62,7 @@ def sequential_idla(
         RNG seed / generator.
     record:
         Keep full trajectories as
-        :class:`~repro.core.trajectory.TrajectoryArrays` (enables
+        :class:`~repro.core.results.TrajectoryArrays` (enables
         ``result.block()``); memory is ``O(total steps)``.
     rule:
         Settling rule; defaults to the standard "first vacant vertex".

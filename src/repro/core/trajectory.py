@@ -1,11 +1,12 @@
 """Recorded trajectories: the one result shape and the lock-step store.
 
 ``record=True`` asks a driver for the full vertex sequence of every
-particle.  Every route returns it as one :class:`TrajectoryArrays` per
-repetition: a flat ``int32`` vertex array plus ``m + 1`` ``int64``
-offsets, with zero-copy row views.  The route's C shard loops build it
-from their event sinks, the serial drivers seal their per-step Python
-lists into it once, and the lock-step drivers build it with the
+particle.  Every route returns it as one
+:class:`~repro.core.results.TrajectoryArrays` per repetition (re-exported
+here): a flat ``int32`` vertex array plus ``m + 1`` ``int64`` offsets,
+with zero-copy row views.  The route's C shard loops build it from their
+event sinks, the serial drivers seal their per-step Python lists into it
+once, and the lock-step drivers build it with the
 :class:`TrajectoryStore` here.
 
 The store keeps recording on the vector path.  Each round the driver
@@ -40,32 +41,14 @@ per tick per live repetition.
 
 from __future__ import annotations
 
-import contextlib
-import gc
-import itertools
-import operator
-
 import numpy as np
+
+# TrajectoryArrays lives with the results, so the per-repetition route
+# (which builds no store) never imports this module; re-exported here
+from repro.core.results import TrajectoryArrays, _gc_paused
 
 __all__ = ["TrajectoryArrays", "TrajectoryStore", "ScheduleStore"]
 
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause garbage collection around bulk Python-list materialisation.
-
-    Listing a big run creates hundreds of millions of ints and lists;
-    none of them can participate in a reference cycle, but every
-    generational collection the allocations trigger still scans the
-    ever-growing heap — a quadratic tax on a pass that should be linear.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 #: Events per chunk.  Chunks are linked, not reallocated: growing the log
 #: never copies what was already recorded.
@@ -151,101 +134,6 @@ def _narrow_dtype(max_value: int):
     if max_value <= np.iinfo(np.int32).max:
         return np.int32
     return np.int64
-
-
-class TrajectoryArrays:
-    """One repetition's trajectories as a ragged array pair, zero-copy rows.
-
-    The shape ``record=True`` returns on every route: one flat ``int32``
-    vertex array plus an ``(m + 1,)`` ``int64`` offset array, with
-    :meth:`row` returning a **view** (no copy, no Python ints) of
-    particle ``p``'s vertex sequence.  Indexing follows a list's rules:
-    negative indices wrap, an out-of-range index raises ``IndexError``
-    and a slice returns the selected rows as a new container.
-    :meth:`to_lists` builds the ``list[list[int]]`` shape for callers
-    that need mutable rows.
-
-    Equality is by content against either another :class:`TrajectoryArrays`
-    or the ``list[list[int]]`` shape (``lists == arrays`` also works —
-    Python's reflected ``__eq__`` lands here).
-    :class:`repro.core.blocks.Block` accepts either shape as rows.
-    """
-
-    __slots__ = ("offsets", "flat")
-
-    def __init__(self, offsets: np.ndarray, flat: np.ndarray):
-        self.offsets = offsets
-        self.flat = flat
-
-    @classmethod
-    def from_lists(cls, rows) -> TrajectoryArrays:
-        """Seal a ``list[list[int]]`` (the serial drivers' walk-time shape)."""
-        lens = np.fromiter(
-            (len(row) for row in rows), dtype=np.int64, count=len(rows)
-        )
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        flat = np.fromiter(
-            itertools.chain.from_iterable(rows),
-            dtype=np.int32,
-            count=int(offsets[-1]),
-        )
-        return cls(offsets, flat)
-
-    def __len__(self) -> int:
-        return self.offsets.size - 1
-
-    def row(self, p: int) -> np.ndarray:
-        """Particle ``p``'s vertex sequence — a zero-copy view."""
-        return self.flat[self.offsets[p] : self.offsets[p + 1]]
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            picked = np.arange(len(self), dtype=np.int64)[key]
-            first = self.offsets[picked]
-            lens = self.offsets[picked + 1] - first
-            offsets = np.zeros(picked.size + 1, dtype=np.int64)
-            np.cumsum(lens, out=offsets[1:])
-            shift = np.repeat(first - offsets[:-1], lens)
-            return TrajectoryArrays(
-                offsets, self.flat[shift + np.arange(offsets[-1])]
-            )
-        p = operator.index(key)
-        if p < 0:
-            p += len(self)
-        if not 0 <= p < len(self):
-            raise IndexError(f"row {key} out of range for {len(self)} rows")
-        return self.row(p)
-
-    def __iter__(self):
-        for p in range(len(self)):
-            yield self.row(p)
-
-    def to_lists(self) -> list[list[int]]:
-        """The ``list[list[int]]`` shape: one Python int per vertex."""
-        with _gc_paused():
-            return [self.row(p).tolist() for p in range(len(self))]
-
-    def __eq__(self, other):
-        if isinstance(other, TrajectoryArrays):
-            return np.array_equal(self.offsets, other.offsets) and np.array_equal(
-                self.flat, other.flat
-            )
-        if isinstance(other, (list, tuple)):
-            if len(other) != len(self):
-                return False
-            return all(
-                self.row(p).tolist() == list(other[p]) for p in range(len(self))
-            )
-        return NotImplemented
-
-    __hash__ = None  # mutable array content
-
-    def __repr__(self) -> str:
-        return (
-            f"TrajectoryArrays(particles={len(self)}, "
-            f"events={self.flat.size})"
-        )
 
 
 class TrajectoryStore:

@@ -40,9 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.origins import resolve_origins
-from repro.core.results import DispersionResult
+from repro.core.results import DispersionResult, TrajectoryArrays
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
-from repro.core.trajectory import TrajectoryArrays
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
 from repro.utils.validation import check_integer, check_limit, check_record

@@ -282,7 +282,7 @@ def run_shard(
     ``(dispersion_time, total_steps, trajectories, schedule)`` — per
     repetition, in repetition order, bit-identical to the in-process
     paths over the same children; each repetition's trajectories are one
-    :class:`~repro.core.trajectory.TrajectoryArrays` (two arrays to
+    :class:`~repro.core.results.TrajectoryArrays` (two arrays to
     pickle), so the parent concatenates shard payloads in
     ``SeedSequence``-child order and recording survives the process
     boundary unchanged.

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.trajectory import TrajectoryArrays
+from repro.core.results import TrajectoryArrays
 
 __all__ = ["to_jsonable", "save_json", "load_json"]
 
@@ -24,7 +24,7 @@ def to_jsonable(obj):
     That lossy mapping is the documented round-trip contract with
     :func:`load_json`: a reader sees ``None`` wherever a measurement was
     undefined.  Recorded trajectories
-    (:class:`~repro.core.trajectory.TrajectoryArrays`) serialise as one
+    (:class:`~repro.core.results.TrajectoryArrays`) serialise as one
     list of vertices per particle.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -44,11 +44,10 @@ import numpy as np
 
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
 from repro.core.parallel import parallel_idla
-from repro.core.results import DispersionResult
+from repro.core.results import DispersionResult, TrajectoryArrays
 from repro.core.route import route_kernels, run_reps
 from repro.core.sequential import sequential_idla
 from repro.core.stopping_rules import DelayedRule, HairRule, StoppingRule
-from repro.core.trajectory import TrajectoryArrays
 from repro.core.uniform import uniform_idla
 from repro.experiments.stats import SummaryStats, summarize
 from repro.graphs.csr import Graph
@@ -327,7 +326,7 @@ class DispersionEstimate:
     """Samples + summary for one (graph, process, origin) configuration.
 
     ``trajectories`` (with ``record=True``) holds one
-    :class:`~repro.core.trajectory.TrajectoryArrays` per repetition —
+    :class:`~repro.core.results.TrajectoryArrays` per repetition —
     repetition ``r``'s per-particle vertex sequences, exactly
     ``run_process(..., record=True).trajectories`` — and
     ``schedules`` (Uniform-IDLA with ``faithful_r=True``) one realised
@@ -662,7 +661,7 @@ def estimate_dispersion(
         (:func:`driver_kwargs`) — unknown keys raise ``TypeError``
         naming the options instead of reaching the driver.
         ``record=True`` surfaces per-repetition trajectories on the
-        estimate, one :class:`~repro.core.trajectory.TrajectoryArrays`
+        estimate, one :class:`~repro.core.results.TrajectoryArrays`
         each (``faithful_r=True`` likewise the realised
         Uniform-IDLA schedules); both batch and fan out like every
         other mode — dispatch stays purely a performance decision.

@@ -30,7 +30,7 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  A provider passes a load-time
-self-check (:func:`_self_check`) exercising all fourteen entry points before
+self-check (:func:`_self_check`) exercising all sixteen entry points before
 it can be selected, so a miscompiled or mis-installed provider fails at
 resolution, not mid-run.
 """
@@ -76,11 +76,16 @@ _SINK_EVENTS = 1 << 15
 #: Doubles a tick loop's log lane holds (CTU: one per tick, Uniform: one
 #: per geometric skip) before the loop returns "lane full" and the
 #: wrapper takes their logarithms with numpy.  No result depends on it.
-#: Each re-entry costs a compiled call and a fold: on a 2-core x86-64 VM
-#: (best of 30 interleaved runs of 16-repetition estimates on cycle-64 and
-#: grid-10x10, ~8-23k ticks a repetition), lanes of 4096 took ~10% longer
-#: than lanes of 16384 or 65536, which measured alike.
-_LANE = 1 << 14
+#: Each re-entry costs a compiled call, a numpy log1p and a compiled
+#: fold, ~15 us of fixed cost: on a 2-core x86-64 VM (best of 30 runs,
+#: lane sizes interleaved in one process, of the four 16-repetition
+#: Uniform and CTU estimates on cycle-64 and grid-10x10, ~8-23k ticks a
+#: repetition), the four took 18.3 ms together at 4096 slots, 15.9-16.5
+#: ms at 16384, 15.8-16.0 ms at 32768 and 15.7-16.0 ms at 65536.  32768
+#: (512 KiB with the divisors) takes the gain within the transient
+#: memory the numpy fold took at 16384: its 256 KiB lane plus two
+#: 128 KiB temporaries.
+_LANE = 1 << 15
 
 
 #: The name numpy gives the capsule of a BitGenerator's ``bitgen_t``.
@@ -355,11 +360,11 @@ class EventSink:
 
     def close(self, count: int = 0):
         """Seal the last ``count`` events and set :attr:`trajectories` to
-        all of them as :class:`~repro.core.trajectory.TrajectoryArrays`:
+        all of them as :class:`~repro.core.results.TrajectoryArrays`:
         particle ``p``'s row is ``starts[p]`` followed by its recorded
         vertices in order.  The buffers are freed; returns the
         trajectories."""
-        from repro.core.trajectory import TrajectoryArrays
+        from repro.core.results import TrajectoryArrays
 
         self.seal(count, reopen=False)
         starts = self.starts
@@ -649,12 +654,13 @@ class CompiledKernels(KernelSet):
             raise RuntimeError(limit_msg)
         return state[:, 3].copy()
 
-    # The tick loops (CTU, Uniform) write the doubles the serial driver
-    # takes log1p(-u) of to a lane of _LANE slots shared by the shard's
-    # repetitions, with their divisors; each row records its segment
-    # [LO, HI).  After every return, the fold takes one log1p and one
-    # divide over the used lane, as the serial driver's UniformStream
-    # takes numpy's log1p, then splits the results per repetition.
+    # The tick loops (CTU, Uniform) write -u for each double u the serial
+    # driver takes log1p(-u) of to a lane of _LANE slots shared by the
+    # shard's repetitions, with their divisors; each row records its
+    # segment [LO, HI).  After every return the wrapper takes numpy's
+    # log1p over the used lane in place, as the serial driver's
+    # UniformStream takes numpy's log1p, and one compiled fold call splits
+    # the logarithms per repetition.
     def finish_ctu(
         self, indptr, indices, occ, pool, pos, steps, settled, clock, order,
         rngs, *, k, norder, rate, sinks=None, seeds=None,
@@ -678,37 +684,15 @@ class CompiledKernels(KernelSet):
         lane = np.empty(2 * cap)
         clocks = np.zeros(R)
         folded = state[:, 1].copy()  # each row's settle order at the last fold
-        cols = np.arange(m)
         which = np.zeros(1, dtype=np.int64)
 
         def fold(status):
-            # the serial clock += -log1p(-u) / (k * rate), tick by tick,
-            # which is clock - log1p(-u) / (k * rate) bit for bit
-            lo, hi = state[:, 2], state[:, 3]
-            seg = np.flatnonzero(hi > lo)
-            if not seg.size:
-                return status
-            nl = int(hi[seg[-1]])
-            # vals[i + 1] is lane slot i's log1p(-u) / (k * rate); each
-            # segment [a, b) accumulates in place from vals[a], which
-            # then holds its carried clock (the segments lie in row order,
-            # so vals[a] is the one before's final clock, saved by then)
-            vals = np.empty(nl + 1)
-            np.log1p(-lane[:nl], out=vals[1:])
-            vals[1:] /= lane[cap : cap + nl]
-            for r, a, b in zip(seg.tolist(), lo[seg].tolist(), hi[seg].tolist()):
-                acc = vals[a : b + 1]
-                acc[0] = clocks[r]
-                np.subtract.accumulate(acc, out=acc)
-                clocks[r] = acc[-1]
-            # a particle settled since the last fold holds the lane length
-            # g after its tick: its clock is vals[g], or its row's final
-            # clock if the next segment's start took that slot
-            rr, cc = np.nonzero((cols >= folded[:, None]) & (cols < state[:, 1:2]))
-            p = order[rr, cc]
-            g = clock[rr, p].astype(np.int64)
-            clock[rr, p] = np.where(g == hi[rr], clocks[rr], vals[g])
-            folded[:] = state[:, 1]
+            # the rows' segments tile the lane in row order
+            used = lane[: state[:, 3].max(initial=0)]
+            np.log1p(used, out=used)
+            self._impl.fold_ctu(
+                lane, cap, state, R, m, clock, order, folded, clocks
+            )
             return status
 
         self._draw(
@@ -746,17 +730,11 @@ class CompiledKernels(KernelSet):
         which = np.zeros(1, dtype=np.int64)
 
         def fold(status):
-            # the serial ticks += int(log1p(-u) / logq[k]), skip by skip;
-            # ticks only grow, so a final count exceeds the budget
-            # exactly when the serial driver raises
-            lo, hi = state[:, 3], state[:, 4]
-            seg = np.flatnonzero(hi > lo)
-            if seg.size:
-                nl = int(hi[seg[-1]])
-                skips = np.log1p(-lane[:nl])
-                skips /= lane[cap : cap + nl]
-                # the segments tile the lane in row order
-                state[seg, 2] += np.add.reduceat(skips.astype(np.int64), lo[seg])
+            used = lane[: state[:, 4].max(initial=0)]
+            np.log1p(used, out=used)
+            self._impl.fold_uniform(lane, cap, state, R)
+            # ticks only grow, so a final count exceeds the budget exactly
+            # when the serial driver raises
             return -1 if (state[:, 2] > budget).any() else status
 
         status = self._draw(
@@ -1117,12 +1095,13 @@ def _self_check(ks: CompiledKernels) -> None:
 
     # the same runs with a one-slot lane: before each tick that needs a
     # slot once it is taken, the loop returns 3 ("lane full"); every
-    # return leaves the tick's log double and its divisor in the lane.
-    # Two rows share the lane: row 1 finds it holding row 0's last double
+    # return leaves the tick's log double, negated, and its divisor in the
+    # lane.  Two rows share the lane: row 1 finds it holding row 0's last
+    # double
     half = float(logq[1])
     full = {
-        "ctu": [(3, 0.5, 2.0), (3, 0.5, 1.0), (1, 0.5, 1.0)],
-        "uniform": [(3, 0.8, half), (1, 0.0, half)],
+        "ctu": [(3, -0.5, 2.0), (3, -0.5, 1.0), (1, -0.5, 1.0)],
+        "uniform": [(3, -0.8, half), (1, -0.0, half)],
     }
     lane = np.empty(2)
     for (loop, seen), R in product(full.items(), (1, 2)):
@@ -1156,6 +1135,35 @@ def _self_check(ks: CompiledKernels) -> None:
         expect = [*seen[:-1], (3, *seen[-1][1:])] * (R - 1) + seen
         assert got == expect, got
         tick_ends(R, rngs, loop, rows, None)
+
+    # the folds on a fixed lane of logarithms against the serial double
+    # arithmetic, slot by slot: three rows, the middle one's segment
+    # empty; CTU row 0's particle 1 settled on its segment's last slot,
+    # row 2's particle 0 on its first, after a fold that left row 2's
+    # clock at 0.5 and its settle order at 1
+    logs = [float(np.log1p(-0.5)), -0.0, float(np.log1p(-0.25)), float(np.log1p(-0.9))]
+    divs = [2.0, 3.0, 0.75, 1.5]
+    lane = np.array(logs + divs)
+    span = [(0, 2), (2, 2), (2, 4)]
+    state = np.array([[0, 1, a, b, 0] for a, b in span], dtype=np.int64)
+    state[2, 1] = 2
+    sclock = np.array([[0.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
+    order = np.array([[1, 0], [0, 0], [1, 0]], dtype=np.int64)
+    folded, clocks = np.array([0, 1, 1], dtype=np.int64), np.array([0.0, 0.0, 0.5])
+    ks._impl.fold_ctu(lane, 4, state, 3, 2, sclock, order, folded, clocks)
+    ends = []
+    for (a, b), c in zip(span, (0.0, 0.0, 0.5)):
+        for i in range(a, b):
+            c = c - logs[i] / divs[i]
+            ends.append(c)
+    assert clocks.tolist() == [ends[1], 0.0, ends[3]], clocks
+    assert sclock.tolist() == [[0.0, ends[1]], [0.0, 0.0], [ends[2], 0.0]], sclock
+    assert folded.tolist() == [1, 1, 2] and lane[:4].tolist() == ends, lane
+    lane = np.array(logs + [-1e-3, half, half, -1e-9])
+    state = np.array([[0, 0, 7, a, b, 0] for a, b in span], dtype=np.int64)
+    ks._impl.fold_uniform(lane, 4, state, 3)
+    skips = [int(x / d) for x, d in zip(logs, lane[4:].tolist())]
+    assert state[:, 2].tolist() == [7 + skips[0] + skips[1], 7, 7 + skips[2] + skips[3]]
 
     # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
     # 0 -> 1, where particle 2 wins on priority; round 2 moves particle 1

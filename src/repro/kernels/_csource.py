@@ -40,10 +40,11 @@ their dependent steps; the other three run the repetitions one after
 another.  Either way every repetition's draws and updates are those of
 the loop run on its own.  The tick loops need ``log1p(-u)`` of some
 doubles (CTU's clock, Uniform's geometric skip), which C never takes:
-they write those doubles to a *log lane* shared by the call's
-repetitions, with their divisors, and the wrapper folds the lane with
-numpy's ``log1p`` after every return (status ``3``: the lane is
-full).
+they write those doubles, negated, to a *log lane* shared by the
+call's repetitions, with their divisors.  After every return (status
+``3``: the lane is full) the wrapper takes numpy's ``log1p`` over the
+used lane in place, and ``repro_fold_ctu`` / ``repro_fold_uniform``
+fold it into the clocks and tick counts.
 
 The shard loops take an optional *event sink* per repetition: an
 ``int`` array of ``caps[r]`` ``(particle, vertex)`` pairs at address
@@ -122,6 +123,10 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                        uint64_t *seeds, double *hold, i64 *state, i64 R,
                        i64 n, i64 m, i64 lazy, i64 thr, double budget,
                        const uintptr_t *evs, const i64 *caps, i64 *which);
+void repro_fold_ctu(double *lane, i64 lane_cap, const i64 *state, i64 R,
+                    i64 m, double *sclock, const i64 *order, i64 *folded,
+                    double *clocks);
+void repro_fold_uniform(const double *lane, i64 lane_cap, i64 *state, i64 R);
 void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
 void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
 """
@@ -593,16 +598,19 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
 
 /* The tick loops run the R repetitions of a shard in one call, one after
  * another (a repetition runs to completion, then the next starts), and
- * share one log lane: lane[0..cap) holds the doubles whose log1p(-u)
- * the serial driver takes, lane[cap..2cap) each one's divisor.  No
- * logarithm is taken in C (libm's log1p is not bit-identical to
- * numpy's): the wrapper folds the lane with numpy's log1p after every
- * return and the next call starts with it empty.  Each repetition's
- * doubles are one contiguous segment of the lane, [LO, HI) in its state
- * row.  A loop returns 3 ("lane full") before a tick that needs a slot
- * in a full lane.  Interleaving repetitions, as repro_finish_seq does,
- * does not pay here: a tick picks a random particle, so consecutive
- * ticks of one repetition already overlap in the CPU.  A prototype
+ * share one log lane: lane[0..cap) holds -u for each double u whose
+ * log1p(-u) the serial driver takes (negation is exact), lane[cap..2cap)
+ * each one's divisor.  No logarithm is taken in C (libm's log1p is not
+ * bit-identical to numpy's, and at 13-24 ns a call it is ~10x numpy's
+ * vectorised one): after every return the wrapper takes numpy's log1p
+ * over the used lane in place, then folds it with repro_fold_ctu or
+ * repro_fold_uniform, and the next call starts with the lane empty.
+ * Each repetition's doubles are one contiguous segment of the lane,
+ * [LO, HI) in its state row.  A loop returns 3 ("lane full") before a
+ * tick that needs a slot in a full lane.  Interleaving repetitions, as
+ * repro_finish_seq does, does not pay here: a tick picks a random
+ * particle, so consecutive ticks of one repetition already overlap in
+ * the CPU.  A prototype
  * 4-lane round-robin CTU loop gave the same rows but took 24.8 ns a tick
  * on the 64-cycle and 24.6 on the 10x10 grid, against 20.7 and 23.0 ns
  * one repetition at a time (2-core x86-64 VM). */
@@ -622,13 +630,13 @@ enum { UNI_K, UNI_NO, UNI_TICKS, UNI_LO, UNI_HI, UNI_EVENTS, UNI_STATE };
  * doubles from its draw source, in the serial order: the clock double,
  * written to the lane with its divisor (double)k*rate (the clock advance
  * is -log1p(-u)/divisor), the clamped pool slot, the clamped step.  A
- * particle that settles gets sclock[p] =
- * the lane length after its tick's advance, which the wrapper's fold
- * replaces with the clock.  Returns 1 when every repetition is done, 2
- * before a tick the sink of repetition *which has no room for (resume
- * with an empty one), 3 before a tick of repetition *which when the lane
- * is full; on any return every visited row is written back.  With a
- * sink, each tick records (particle, new vertex). */
+ * particle that settles gets sclock[p] = the lane length after its
+ * tick's advance, which repro_fold_ctu replaces with the clock.  Returns
+ * 1 when every repetition is done, 2 before a tick the sink of
+ * repetition *which has no room for (resume with an empty one), 3 before
+ * a tick of repetition *which when the lane is full; on any return every
+ * visited row is written back.  With a sink, each tick records
+ * (particle, new vertex). */
 i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
                   i64 *pool, i64 *pos, i64 *steps, i64 *settled,
                   double *sclock, i64 *order, const uintptr_t *bgs,
@@ -654,7 +662,7 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         while (k) {
             if (nl >= lane_cap) { status = 3; break; }
             if (evs && nev >= cap) { status = 2; break; }
-            lane[nl] = repro_draw(&g);
+            lane[nl] = -repro_draw(&g);
             den[nl++] = (double)k * rate;
             i64 s = (i64)(repro_draw(&g) * (double)k);
             if (s > k - 1) s = k - 1;
@@ -689,12 +697,13 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
  * with its divisor logq[k] (the caller's numpy log1p(-k/pool_size)),
  * then the clamped pool slot and the clamped step: 2-3 doubles from the
  * repetition's draw source, in the serial order.  The skips
- * (i64)(log1p(-u)/logq[k]) are the wrapper's to add when it folds the
- * lane, so a row's tick count here is a lower bound of the serial one: the loop returns -1 once it exceeds the budget
- * (repetition *which), and the wrapper checks the budget exactly after
- * each fold.  Returns 1 when every repetition is done, 2 before a tick
- * the sink of repetition *which has no room for, 3 before a skip tick
- * of repetition *which when the lane is full.  With a sink, each tick
+ * (i64)(log1p(-u)/logq[k]) are added by repro_fold_uniform, so a row's
+ * tick count here is a lower bound of the serial one: the loop returns
+ * -1 once it exceeds the budget (repetition *which), and the wrapper
+ * checks the budget exactly after each fold.  Returns 1 when every
+ * repetition is done, 2 before a tick the sink of repetition *which has
+ * no room for, 3 before a skip tick of repetition *which when the lane
+ * is full.  With a sink, each tick
  * that steps records (particle, new vertex); wasted ticks record none. */
 i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
@@ -726,7 +735,7 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
             t += 1;
             if ((double)t > budget) { status = -1; break; }
             if (skip) {
-                lane[nl] = repro_draw(&g);
+                lane[nl] = -repro_draw(&g);
                 div[nl++] = logq[k];
             }
             i64 s = (i64)(repro_draw(&g) * (double)k);
@@ -752,6 +761,54 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         if (status != 1) *which = r;
     }
     return status;
+}
+
+/* The folds of a tick loop's lane, once lane[i] holds numpy's
+ * log1p(-u) (the wrapper's, in place) for every used slot i.  Each
+ * visits every row's segment [LO, HI); a row the loop did not reach has
+ * an empty one.  No division is fused or reordered (-ffp-contract=off),
+ * so each is the serial driver's double arithmetic, slot by slot. */
+
+/* CTU: the serial clock += -log1p(-u) / (k * rate), tick by tick, which
+ * is c = c - lane[i] / den[i] bit for bit, starting from the row's
+ * carried clock clocks[r].  Each slot's clock is written back into the
+ * slot.  A particle settled since the last fold (order[folded[r] ..
+ * NO) of its row) holds in sclock the lane length g after its tick, so
+ * its clock is slot g - 1's.  Updates clocks[r] and folded[r]. */
+void repro_fold_ctu(double *lane, i64 lane_cap, const i64 *state, i64 R,
+                    i64 m, double *sclock, const i64 *order, i64 *folded,
+                    double *clocks)
+{
+    const double *den = lane + lane_cap;
+    for (i64 r = 0; r < R; r++) {
+        const i64 *row = state + r * CTU_STATE;
+        double c = clocks[r];
+        for (i64 i = row[CTU_LO]; i < row[CTU_HI]; i++) {
+            c = c - lane[i] / den[i];
+            lane[i] = c;
+        }
+        clocks[r] = c;
+        double *sc = sclock + r * m;
+        const i64 *od = order + r * m;
+        for (i64 j = folded[r]; j < row[CTU_NO]; j++) {
+            i64 p = od[j];
+            sc[p] = lane[(i64)sc[p] - 1];
+        }
+        folded[r] = row[CTU_NO];
+    }
+}
+
+/* Uniform: the serial ticks += (i64)(log1p(-u) / logq[k]), skip by
+ * skip; each row's skips are added to its tick count. */
+void repro_fold_uniform(const double *lane, i64 lane_cap, i64 *state, i64 R)
+{
+    const double *div = lane + lane_cap;
+    for (i64 r = 0; r < R; r++) {
+        i64 *row = state + r * UNI_STATE, t = 0;
+        for (i64 i = row[UNI_LO]; i < row[UNI_HI]; i++)
+            t += (i64)(lane[i] / div[i]);
+        row[UNI_TICKS] += t;
+    }
 }
 
 /* State row of repro_run_parallel: active count, round, vacant-vertex

@@ -251,7 +251,8 @@ def load() -> SimpleNamespace:
             )
         ),
         # `bitgens` and `seeds` as for finish_seq, `evs` each row's sink
-        # address (None: no recording); `lane` holds 2 * lane_cap doubles
+        # address (None: no recording); `lane` holds 2 * lane_cap doubles,
+        # -u then the divisors
         run_ctu=lambda indptr, indices, occ, pool, pos, steps, settled,
         sclock, order, bitgens, seeds, lane, lane_cap, state, R, n, m, rate,
         evs, caps, which: lib.repro_run_ctu(
@@ -267,6 +268,16 @@ def load() -> SimpleNamespace:
             pi(settled), pi(order), pp(bitgens), opt(pq, seeds), pd(lane),
             lane_cap, pd(logq), pool_size, pi(state), R, n, m, budget,
             opt(pp, evs), opt(pi, caps), pi(which),
+        ),
+        # the lane folds: `lane` as run_ctu / run_uniform left it, with
+        # numpy's log1p taken in place over its used slots
+        fold_ctu=lambda lane, lane_cap, state, R, m, sclock, order, folded,
+        clocks: lib.repro_fold_ctu(
+            pd(lane), lane_cap, pi(state), R, m, pd(sclock), pi(order),
+            pi(folded), pd(clocks),
+        ),
+        fold_uniform=lambda lane, lane_cap, state, R: lib.repro_fold_uniform(
+            pd(lane), lane_cap, pi(state), R
         ),
         # `prio` is None (NULL: the particle index) or one row per
         # repetition; `hold` is None (NULL) unless lazy

@@ -54,6 +54,7 @@ ROUTE_NEVER_LOADS = (
     "repro.experiments.fanout",
     "repro.core.batched",
     "repro.core.batched_continuous",
+    "repro.core.trajectory",
     "repro.core.aggregate",
     "repro.core.algorithms",
     "repro.core.anytime",

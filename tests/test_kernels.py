@@ -26,8 +26,8 @@ layer's own contracts:
   ``sequential_idla`` / ``ctu_idla`` / ``uniform_idla`` on every numpy
   BitGenerator family (across Parallel's wide -> narrow draw switch),
   the generator position the Parallel and Sequential loops leave behind,
-  c-sequential's durations after the sequential loop, and the lock-step
-  sequential tail's prefix handoff;
+  c-sequential's durations and whole generator state after the
+  sequential loop, and the lock-step sequential tail's prefix handoff;
 * the Sequential-IDLA loop's lanes (several repetitions in flight per
   call): 1-65 repetitions, repetitions done at time 0 beside walking
   ones, a budget excess past the first lane, one-event sinks that make
@@ -37,6 +37,8 @@ layer's own contracts:
   walking ones, one log lane spanning several repetitions, a later
   row's full sink and tick cap, one particle and one vertex, and the
   row checks of every shard loop on ``(R, m)`` arrays;
+* the compiled lane folds against the numpy fold they replaced, bit for
+  bit, on Hypothesis lanes;
 * recording: every per-repetition loop at tiny event sinks against the
   serial trajectories, and the sink's grouping pass;
 * the build cache: the library keyed on the whole compile command, the
@@ -761,24 +763,56 @@ def test_tick_loops_match_serial_on_every_bit_generator(
         assert b.trajectories == s.trajectories
 
 
+def _same_state(a, b) -> bool:
+    """Bit-generator ``state`` dicts equal, arrays (Philox's) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _buffered(n_uint32):
+    """PCG64 generators that drew ``n_uint32`` bounded ``uint32`` values
+    first: one leaves half an output buffered (``has_uint32 = 1``), two
+    leave none but keep the spent half in ``uinteger``."""
+    def family(seed):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        gen.integers(0, 10, size=n_uint32, dtype=np.uint32)
+        return gen.bit_generator
+    family.__name__ = f"PCG64-after-{n_uint32}-uint32"
+    return family
+
+
 @pytest.mark.parametrize("provider", COMPILED)
-@pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "family", [*BIT_GENERATORS, _buffered(1), _buffered(2)],
+    ids=lambda f: f.__name__,
+)
 @pytest.mark.parametrize("block", [None, 1, 5, 64])
 def test_c_sequential_durations_match_serial_on_every_bit_generator(
     provider, family, block, monkeypatch
 ):
     """The Gamma durations read each generator after the walk, so the
     route must land it where the serial driver's block fetches leave
-    it, at the default fetch block and at tiny ones."""
+    it, at the default fetch block and at tiny ones (a PCG64 by jumping
+    its LCG, any other by drawing): the samples and each generator's
+    whole ``bit_generator.state`` must be the serial driver's, for every
+    BitGenerator family and for a PCG64 holding a buffered ``uint32``
+    (which a jump would clear) or a spent one."""
     if block is not None:
         monkeypatch.setattr(sequential_mod, "_BLOCK", block)
     g = grid_graph(3, 4)
-    ref = [continuous_sequential_idla(g, 0, seed=gen) for gen in _generators(family)]
-    got = run_reps("c-sequential", g, _generators(family), 0, kernels=provider)
-    for s, b in zip(ref, got):
+    ref_gens, route_gens = _generators(family), _generators(family)
+    if family.__name__.endswith("-1-uint32"):
+        assert route_gens[0].bit_generator.state["has_uint32"] == 1
+    ref = [continuous_sequential_idla(g, 0, seed=gen) for gen in ref_gens]
+    got = run_reps("c-sequential", g, route_gens, 0, kernels=provider)
+    for s, b, a, c in zip(ref, got, ref_gens, route_gens):
         assert np.array_equal(s.steps, b.steps)
         assert np.array_equal(s.durations, b.durations)
         assert s.dispersion_time == b.dispersion_time
+        assert _same_state(a.bit_generator.state, c.bit_generator.state)
 
 
 @pytest.mark.parametrize("provider", COMPILED)
@@ -1076,6 +1110,135 @@ def test_one_log_lane_spans_several_repetitions(provider, lane, monkeypatch):
     spans = [int((state[:, 3] > state[:, 2]).sum()) for _, _, state in returns]
     assert [status for status, _, _ in returns] == [3] * (len(returns) - 1) + [1]
     assert max(spans) == lane and len(returns) == -(-9 // lane), spans
+
+
+# the lane folds against the numpy fold they replaced
+def _fold_ctu_reference(u, den, state, sclock, order, folded, clocks):
+    """The numpy CTU fold: ``u`` and ``den`` are the lane's doubles and
+    divisors, the other arrays as :func:`repro_fold_ctu` takes them."""
+    lo, hi = state[:, 2], state[:, 3]
+    seg = np.flatnonzero(hi > lo)
+    if not seg.size:
+        return
+    nl = int(hi[seg[-1]])
+    vals = np.empty(nl + 1)
+    np.log1p(-u[:nl], out=vals[1:])
+    vals[1:] /= den[:nl]
+    for r, a, b in zip(seg.tolist(), lo[seg].tolist(), hi[seg].tolist()):
+        acc = vals[a : b + 1]
+        acc[0] = clocks[r]
+        np.subtract.accumulate(acc, out=acc)
+        clocks[r] = acc[-1]
+    cols = np.arange(sclock.shape[1])
+    rr, cc = np.nonzero((cols >= folded[:, None]) & (cols < state[:, 1:2]))
+    p = order[rr, cc]
+    g = sclock[rr, p].astype(np.int64)
+    sclock[rr, p] = np.where(g == hi[rr], clocks[rr], vals[g])
+    folded[:] = state[:, 1]
+
+
+def _fold_uniform_reference(u, div, state):
+    """The numpy Uniform fold: each row's skips added to its ticks."""
+    lo, hi = state[:, 3], state[:, 4]
+    seg = np.flatnonzero(hi > lo)
+    if seg.size:
+        nl = int(hi[seg[-1]])
+        skips = np.log1p(-u[:nl])
+        skips /= div[:nl]
+        state[seg, 2] += np.add.reduceat(skips.astype(np.int64), lo[seg])
+
+
+#: Lane doubles: 0 (whose -u is -0.0), the largest double below 1 (the
+#: longest skip) and a spread.
+_LANE_U = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2.0**-53, 0.5]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@st.composite
+def _lanes(draw, process):
+    """A shard's lane as a tick loop leaves it: rows whose segments tile
+    the lane in row order (some empty), with their doubles and divisors
+    and, for CTU, the particles settled since the last fold, some on
+    their segment's last slot."""
+    lens = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    R, nl = len(lens), sum(lens)
+    cap = nl + draw(st.integers(0, 3))
+    u = np.array(draw(st.lists(_LANE_U, min_size=nl, max_size=nl)))
+    if process == "ctu":
+        div = st.floats(1e-3, 1e3)  # (double)k * rate
+    else:  # logq[k] = log1p(-k / pool_size): from tiny to log1p(-1/2)
+        div = st.one_of(
+            st.sampled_from([-1e-15, float(np.log1p(-0.5))]),
+            st.floats(-0.7, -1e-15),
+        )
+    div = np.array(draw(st.lists(div, min_size=nl, max_size=nl)))
+    lo = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
+    m = max(lens) + 2
+    state = np.zeros((R, 5 if process == "ctu" else 6), dtype=np.int64)
+    state[:, 2 if process == "ctu" else 3] = lo
+    state[:, 3 if process == "ctu" else 4] = lo + lens
+    extra = {}
+    if process == "ctu":
+        sclock = np.zeros((R, m))
+        order = np.zeros((R, m), dtype=np.int64)
+        folded = np.zeros(R, dtype=np.int64)
+        for r, n in enumerate(lens):
+            # particles settled before the last fold keep their clocks
+            old = draw(st.integers(0, 2))
+            new = draw(st.lists(st.integers(1, max(n, 1)), unique=True, max_size=n))
+            perm = draw(st.permutations(range(m)))
+            settled = perm[: old + len(new)]
+            order[r, : len(settled)] = settled
+            for j, p in enumerate(settled):
+                sclock[r, p] = 1.5 * j if j < old else lo[r] + new[j - old]
+            folded[r], state[r, 1] = old, len(settled)
+        clocks = np.array(draw(st.lists(
+            st.floats(0.0, 1e6), min_size=R, max_size=R
+        )))
+        extra = dict(sclock=sclock, order=order, folded=folded, clocks=clocks)
+    else:
+        state[:, 2] = draw(st.lists(st.integers(0, 2**40), min_size=R, max_size=R))
+    return cap, u, div, state, extra
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("process", ["ctu", "uniform"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lane_folds_match_the_numpy_fold(provider, process, data):
+    """Each compiled fold, after numpy's log1p over the used lane in
+    place (as the wrapper takes it), gives what the numpy fold gave, bit
+    for bit: every row's clock or tick count and every new settle clock,
+    with empty segments, ``u = 0`` (-0.0), ``u`` next to 1 against tiny
+    divisors (skips past 2**50) and settles on a segment's last slot."""
+    impl = get_kernels(provider)._impl
+    cap, u, div, state, extra = data.draw(_lanes(process))
+    R, nl = state.shape[0], u.shape[0]
+    lane = np.full(2 * cap, np.nan)  # slots past the used lane are unread
+    lane[:nl], lane[cap : cap + nl] = -u, div
+    np.log1p(lane[:nl], out=lane[:nl])
+    ref_state = state.copy()
+    if process == "uniform":
+        _fold_uniform_reference(u, div, ref_state)
+        impl.fold_uniform(lane, cap, state, R)
+        assert np.array_equal(state, ref_state)
+        return
+    ref = {name: a.copy() for name, a in extra.items()}
+    _fold_ctu_reference(
+        u, div, ref_state, ref["sclock"], ref["order"], ref["folded"],
+        ref["clocks"],
+    )
+    impl.fold_ctu(
+        lane, cap, state, R, extra["sclock"].shape[1], extra["sclock"],
+        extra["order"], extra["folded"], extra["clocks"],
+    )
+    assert np.array_equal(state, ref_state)
+    for name in ("sclock", "clocks"):
+        bits, want = extra[name].view(np.int64), ref[name].view(np.int64)
+        assert np.array_equal(bits, want), name
+    assert np.array_equal(extra["folded"], ref["folded"])
 
 
 @pytest.mark.parametrize("provider", COMPILED)
