@@ -6,9 +6,9 @@ times.  The serial runner replays the full per-round NumPy dispatch cost
 ``Θ(n² log n)`` rounds on a handful of stragglers) that overhead dwarfs
 the useful element work.  The drivers here advance **all repetitions in
 lock-step** instead: one flat state vector concatenates every
-repetition's unsettled particles, one :func:`repro.walks.engine
-.neighbor_step` call advances them together through the graph's slot
-kernel, and one lexsort resolves settlement per
+repetition's unsettled particles, one walk step of
+:func:`repro.walks.engine.make_stepper` advances them together, and one
+lexsort resolves settlement per
 ``(repetition, vertex)`` cell.  Per-repetition completion masks drop
 finished repetitions from the flat state, so round ``t`` costs
 ``O(live particles at t)`` plus a constant number of NumPy calls — the
@@ -102,7 +102,7 @@ from repro.core.settlement import (
 )
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.core.trajectory import TrajectoryStore
-from repro.graphs.csr import Graph, neighbor_kernel
+from repro.graphs.csr import Graph
 from repro.kernels import csr_arrays, get_kernels
 from repro.utils.validation import check_integer, check_limit, check_record
 from repro.utils.rng import (
@@ -112,7 +112,7 @@ from repro.utils.rng import (
     resolve_stream_block,
     spawn_generators,
 )
-from repro.walks.engine import neighbor_step
+from repro.walks.engine import make_stepper
 
 __all__ = [
     "batched_parallel_idla",
@@ -646,30 +646,13 @@ def batched_parallel_idla(
         )
 
     rebuild()
-    kernel = neighbor_kernel(g)
-    degrees_g = g.degrees
-    # compiled inner-loop layer: the step/finisher need a materialised
-    # host CSR; the settlement kernel needs none, so it serves implicit
+    step = make_stepper(g, kern)
+    # compiled inner-loop layer: the finisher needs a materialised host
+    # CSR; the settlement kernel needs none, so it serves implicit
     # families too.
     compiled = kern.compiled
-    fused = kern.stepper(g)
     csr = csr_arrays(g) if compiled else None
     settle_scratch = kern.make_settle_scratch(n) if compiled else None
-    # narrow rounds (the settlement tail) keep the numpy expressions: the
-    # compiled call overhead only pays for itself from min_width lanes up
-    minw = kern.min_width
-    # regular graphs (most of Table 1): constant degree turns the degree
-    # gathers into scalar arithmetic — the round body drops to the uniform
-    # lookup, the slot kernel and the occupancy probe.  The O(n) helper
-    # arrays exist only on the irregular path, so implicit regular
-    # families keep their O(1)-in-m footprint.
-    regular = n > 0 and g.is_regular()
-    if regular:
-        c_int = int(degrees_g[0])
-        c_float = float(c_int)
-    else:
-        degm1 = degrees_g - 1
-        degf = degrees_g.astype(np.float64)
     t = 0
     handoff = tail_ready()
 
@@ -731,72 +714,24 @@ def batched_parallel_idla(
         if rounds_buffered <= 0:
             refill()
         rounds_buffered -= 1
-        if step_chunk is not None and step_chunk < rep_ids.size:
-            # budgeted round body: identical elementwise work over
-            # `step_chunk`-sized slices of the flat state, so the per-round
-            # scratch (uniform gathers, offsets, `where` temps) is bounded
-            # by the chunk instead of the walker count.  Elementwise ufuncs
-            # are slice-invariant, so every double lands exactly where the
-            # one-shot body would put it.
-            for a in range(0, rep_ids.size, step_chunk):
-                sl = slice(a, min(a + step_chunk, rep_ids.size))
-                wide_enough = fused is not None and sl.stop - sl.start >= minw
-                if lazy:
-                    we = wide_exp[sl]
-                    u = buf_flat[bidx[sl]]
-                    u2 = buf_flat[bidx[sl] + np.where(we, k_exp[sl], 0)]
-                    move = u >= 0.5
-                    ustep = np.where(we, u2, 2.0 * (u - 0.5))
-                    if wide_enough:
-                        new = fused(pos[sl], ustep)
-                    else:
-                        new = neighbor_step(kernel, degrees_g, pos[sl], ustep)
-                    pos[sl] = np.where(move, new, pos[sl])
-                elif wide_enough:
-                    pos[sl] = fused(pos[sl], buf_flat[bidx[sl]])
-                elif regular:
-                    u = buf_flat[bidx[sl]]
-                    offsets = (u * c_float).astype(np.int64)
-                    np.minimum(offsets, c_int - 1, out=offsets)
-                    pos[sl] = kernel(pos[sl], offsets)
-                else:
-                    u = buf_flat[bidx[sl]]
-                    deg = degf[pos[sl]]
-                    offsets = (u * deg).astype(np.int64)
-                    np.minimum(offsets, degm1[pos[sl]], out=offsets)
-                    pos[sl] = kernel(pos[sl], offsets)
-        elif lazy:
-            u = buf_flat[bidx]
-            u2 = buf_flat[bidx + np.where(wide_exp, k_exp, 0)]
-            move = u >= 0.5
-            # wide phase: independent step uniform; scalar tail: upper half
-            ustep = np.where(wide_exp, u2, 2.0 * (u - 0.5))
-            if fused is not None and pos.size >= minw:
-                new = fused(pos, ustep)
+        # the round body runs over `step_chunk`-sized slices of the flat
+        # state (one slice when no chunk is set), so a budget bounds the
+        # per-round scratch (uniform gathers, offsets, `where` temps) by
+        # the chunk instead of the walker count.  Elementwise ufuncs are
+        # slice-invariant, so every double lands where one slice puts it.
+        chunk = step_chunk or rep_ids.size
+        for a in range(0, rep_ids.size, chunk):
+            sl = slice(a, a + chunk)
+            p = pos[sl]
+            if lazy:
+                we = wide_exp[sl]
+                u = buf_flat[bidx[sl]]
+                u2 = buf_flat[bidx[sl] + np.where(we, k_exp[sl], 0)]
+                # wide phase: independent step uniform; scalar tail: upper half
+                ustep = np.where(we, u2, 2.0 * (u - 0.5))
+                np.copyto(p, step(p, ustep), where=u >= 0.5)
             else:
-                new = neighbor_step(kernel, degrees_g, pos, ustep)
-            pos = np.where(move, new, pos)
-        elif fused is not None and pos.size >= minw:
-            # one C pass fuses the degree gather, offset truncation and
-            # slot gather — no walker-sized transients
-            pos = fused(pos, buf_flat[bidx])
-        elif regular:
-            # constant degree: offsets come from scalar arithmetic and the
-            # slot kernel resolves them (one CSR hop, or pure arithmetic
-            # on implicit families)
-            u = buf_flat[bidx]
-            offsets = (u * c_float).astype(np.int64)
-            np.minimum(offsets, c_int - 1, out=offsets)
-            pos = kernel(pos, offsets)
-        else:
-            # neighbor_step inlined with precomputed float degrees /
-            # degrees-1 arrays: the fast path is these vector ops plus the
-            # occupancy probe
-            u = buf_flat[bidx]
-            deg = degf[pos]
-            offsets = (u * deg).astype(np.int64)
-            np.minimum(offsets, degm1[pos], out=offsets)
-            pos = kernel(pos, offsets)
+                step(p, buf_flat[bidx[sl]], out=p)
         if store is not None:
             # one vertex per active particle per round, holds included —
             # the serial record shape, appended as one chunked slice
@@ -805,11 +740,11 @@ def batched_parallel_idla(
         bidx += counts_exp
         if (
             settle_scratch is not None
-            and rep_ids.size >= minw
+            and rep_ids.size >= kern.min_width
             and use_default_rule
             and (step_chunk is None or step_chunk >= rep_ids.size)
         ):
-            # fused probe + per-(repetition, vertex) contest in one pass;
+            # vacancy probe + per-(repetition, vertex) contest in one C pass;
             # winner set and order identical to the lexsort path below
             # (budgeted chunked probes keep the numpy path: the compiled
             # probe's single pass would defeat the transient cap)
@@ -957,7 +892,8 @@ def batched_sequential_idla(
 
     Each repetition has exactly one walking particle at a time, so the
     flat state is one position per live repetition and every tick
-    advances all of them with a single :func:`neighbor_step`.  Repetition
+    advances all of them with one walk step (:func:`repro.walks.engine
+    .make_stepper`).  Repetition
     streams, settlement and the instant-settle release chain follow the
     serial driver exactly — entry ``r`` of the result is bit-identical to
     ``sequential_idla(g, origin, seed=seeds[r], ...)``, and every
@@ -1023,10 +959,7 @@ def batched_sequential_idla(
     vert_off = live * n
     pstep = np.zeros(live.size, dtype=np.int64)  # current particle's step count
     adj = None  # built lazily when the finisher engages
-    kernel = neighbor_kernel(g)
-    degrees_g = g.degrees
-    fused = kern.stepper(g)
-    minw = kern.min_width  # narrow ticks keep the numpy expressions
+    step = make_stepper(g, kern)
     ticks = 0
 
     while live.size:
@@ -1098,18 +1031,10 @@ def batched_sequential_idla(
             raise RuntimeError(limit_msg)
         if lazy:
             move = u >= 0.5
-            ustep = 2.0 * (u - 0.5)
-            if fused is not None and pos.size >= minw:
-                new = fused(pos, ustep)
-            else:
-                new = neighbor_step(kernel, degrees_g, pos, ustep)
-            pos = np.where(move, new, pos)
+            np.copyto(pos, step(pos, 2.0 * (u - 0.5)), where=move)
             settling = move & ~occ[vert_off + pos]
         else:
-            if fused is not None and pos.size >= minw:
-                pos = fused(pos, u)
-            else:
-                pos = neighbor_step(kernel, degrees_g, pos, u)
+            step(pos, u, out=pos)
             settling = ~occ[vert_off + pos]
         if store is not None:
             # each live repetition's walker appends its post-tick position

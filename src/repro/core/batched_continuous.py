@@ -75,10 +75,11 @@ from repro.core.route import (
 )
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
-from repro.graphs.csr import Graph, neighbor_kernel
+from repro.graphs.csr import Graph
 from repro.kernels import get_kernels
 from repro.utils.rng import UniformStreams, resolve_stream_block
 from repro.utils.validation import check_limit, check_positive_finite, check_record
+from repro.walks.engine import make_stepper
 
 __all__ = [
     "batched_ctu_idla",
@@ -148,54 +149,6 @@ def _init_lanes(g, origin, m, gens):
         starts2d, occ, posflat, np.zeros(len(gens) * m, dtype=np.int64),
         settledflat, orders, unsflat, lanes_list, ks[lanes_list].tolist(),
     )
-
-
-def _make_stepper(g: Graph, kernels):
-    """One-walk-step kernel ``(positions, u) -> new positions``.
-
-    The inlined :func:`repro.walks.engine.neighbor_step` with precomputed
-    degree arrays, resolving slots through the graph's ``neighbor_slots``
-    kernel (CSR gather or implicit arithmetic); regular graphs (most of
-    Table 1) reduce the degree gathers to scalar arithmetic and allocate
-    no O(n) helpers.  ``kernels`` is the caller's resolved provider; for
-    a compiled one the fused offset+gather (bit-identical by
-    construction) replaces both closures whenever the graph exposes CSR
-    arrays and the call is at least ``kernels.min_width`` lanes wide —
-    the tick-scheduled drivers step one lane-sized batch at a time, so
-    narrow runs (few repetitions) stay on the numpy path where they are
-    faster.
-    """
-    kernel = neighbor_kernel(g)
-    degrees = g.degrees
-    if g.n > 0 and g.is_regular():
-        c_int = int(degrees[0])
-        c_float = float(c_int)
-
-        def step(pos, u):
-            off = (u * c_float).astype(np.int64)
-            np.minimum(off, c_int - 1, out=off)
-            return kernel(pos, off)
-
-    else:
-        degf = degrees.astype(np.float64)
-        degm1 = degrees - 1
-
-        def step(pos, u):
-            off = (u * degf[pos]).astype(np.int64)
-            np.minimum(off, degm1[pos], out=off)
-            return kernel(pos, off)
-
-    fused = kernels.stepper(g)
-    if fused is not None:
-        minw = kernels.min_width
-        numpy_step = step
-
-        def step(pos, u):
-            if pos.shape[0] >= minw:
-                return fused(pos, u)
-            return numpy_step(pos, u)
-
-    return step
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +240,7 @@ def batched_ctu_idla(
     block = streams.block
     buf = streams.buf
     cursor = block  # forces the initial fill
-    step = _make_stepper(g, kern)
+    step = make_stepper(g, kern)
 
     # Every live lane consumes exactly 3 doubles per tick and all lanes
     # join at tick 0, so one shared cursor serves every buffer row; the
@@ -526,7 +479,7 @@ def batched_uniform_idla(
     bufflat = streams.flat
     bptrL = np.zeros(lanes.size, dtype=np.int64)
     refill_countdown = block // 3
-    step = _make_stepper(g, kern)
+    step = make_stepper(g, kern)
 
     schedules: list[np.ndarray] | None = None
     if faithful_r:

@@ -15,9 +15,9 @@ pass at round 0 covering vacant starts.
 
 Implementation
 --------------
-The round body is vectorised over the unsettled particles (one
-:class:`~repro.walks.engine.WalkEngine` step + a lexsort-based settlement
-resolution).  Long tails — e.g. the cycle spends ``Θ(n² log n)`` rounds
+The round body is vectorised over the unsettled particles (one walk
+step from :func:`~repro.walks.engine.make_stepper` + a lexsort-based
+settlement resolution).  Long tails — e.g. the cycle spends ``Θ(n² log n)`` rounds
 with a handful of stragglers — would be dominated by NumPy call overhead,
 so below ``scalar_threshold`` active particles the driver switches to a
 plain-Python micro-loop with block-buffered uniforms (the same hybrid
@@ -34,9 +34,10 @@ from repro.core.results import DispersionResult, TrajectoryArrays
 from repro.core.settlement import select_settlers, settle_vacant_starts
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.graphs.csr import Graph
+from repro.kernels import get_kernels
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_integer, check_limit, check_record
-from repro.walks.engine import WalkEngine
+from repro.walks.engine import make_stepper
 
 __all__ = ["parallel_idla"]
 
@@ -111,7 +112,7 @@ def parallel_idla(
         priority[0] = 0
         priority[1:] = 1 + rng.permutation(m - 1)
 
-    eng = WalkEngine(g, rng)
+    step = make_stepper(g, get_kernels())
     adj = g.adjacency_lists()  # scalar phase
     occupied = np.zeros(n, dtype=bool)
     free_count = n
@@ -145,9 +146,11 @@ def parallel_idla(
         if t > budget:
             raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
         if lazy:
-            pos = eng.step_lazy(pos)
+            # hold w.p. 1/2; the step's uniforms are drawn after the holds'
+            move = rng.random(pos.shape[0]) >= 0.5
+            pos = np.where(move, step(pos, rng.random(pos.shape[0])), pos)
         else:
-            pos = eng.step(pos, out=pos)
+            pos = step(pos, rng.random(pos.shape[0]), out=pos)
         if record:
             for p, v in zip(active, pos):
                 trajectories[p].append(int(v))

@@ -271,12 +271,6 @@ class KernelSet:
     def __reduce__(self):
         return (get_kernels, (self.name,))
 
-    # ------------------------------------------------------------------
-    def stepper(self, g):
-        """Fused-step closure ``step(pos, u, out=None)`` for ``g``, or
-        ``None`` when this provider (or this graph) keeps the numpy path."""
-        return None
-
 
 class NumpyKernels(KernelSet):
     """Reference provider: the kernels' semantics in plain numpy.
@@ -418,23 +412,17 @@ class CompiledKernels(KernelSet):
 
     # ---- array kernels -----------------------------------------------
     def csr_step(self, indptr, indices, pos, u, out=None):
-        pos = _i64(pos)
+        pos, u = _i64(pos), _f64(u)
+        # C reads len(pos) entries of pos and u and writes as many of out
+        if pos.ndim != 1 or u.shape != pos.shape:
+            raise ValueError("csr_step needs 1-D pos and u of one length")
         k = pos.shape[0]
         if out is None:
             out = np.empty(k, dtype=np.int64)
-        self._impl.csr_step(indptr, indices, pos, _f64(u), out, k)
+        elif out.dtype != _I64 or not out.flags.c_contiguous or out.shape != pos.shape:
+            raise ValueError(f"csr_step needs a C-contiguous int64 out of length {k}")
+        self._impl.csr_step(indptr, indices, pos, u, out, k)
         return out
-
-    def stepper(self, g):
-        csr = csr_arrays(g)
-        if csr is None:
-            return None
-        indptr, indices = csr
-
-        def step(pos, u, out=None, _self=self, _ip=indptr, _ix=indices):
-            return _self.csr_step(_ip, _ix, pos, u, out)
-
-        return step
 
     def vacant_candidates(self, occupied, rep_off, pos):
         pos = _i64(pos)

@@ -408,9 +408,8 @@ TICK_ROUTE = ("uniform", "ctu")
 
 @pytest.fixture
 def route_calls(monkeypatch):
-    """Count the compiled loops, the fused step and the numpy steppers
-    (``neighbor_step`` of the synchronous drivers, the tick drivers'
-    ``_make_stepper``)."""
+    """Count the compiled loops, the compiled step and the lock-step
+    drivers' walk steps (each builds one through ``make_stepper``)."""
     import repro.core.batched as batched
     import repro.core.batched_continuous as batched_continuous
     from repro.kernels import CompiledKernels
@@ -423,8 +422,7 @@ def route_calls(monkeypatch):
         "finish_parallel_single": 0,
         "csr_step": 0,
         "settle_round": 0,
-        "neighbor_step": 0,
-        "_make_stepper": 0,
+        "make_stepper": 0,
     }
 
     def counted(owner, name):
@@ -443,8 +441,8 @@ def route_calls(monkeypatch):
     counted(CompiledKernels, "finish_parallel_single")
     counted(CompiledKernels, "csr_step")
     counted(CompiledKernels, "settle_round")
-    counted(batched, "neighbor_step")
-    counted(batched_continuous, "_make_stepper")
+    counted(batched, "make_stepper")
+    counted(batched_continuous, "make_stepper")
     return calls
 
 
@@ -597,7 +595,7 @@ def test_tick_lockstep_body_keeps_its_cases(process, kernels, route_calls):
         for s, b in zip(oracle, batch):
             assert_result_identical(s, b, extras)
     assert route_calls["finish_uniform"] == route_calls["finish_ctu"] == 0
-    assert route_calls["_make_stepper"] == len(cases)
+    assert route_calls["make_stepper"] == len(cases)
 
 
 #: Parallel-IDLA variants of the per-repetition route: lazy with
@@ -706,6 +704,7 @@ def test_parallel_lockstep_body_keeps_its_cases(kernels, route_calls):
         for s, b in zip(oracle, batch):
             assert_result_identical(s, b)
     assert route_calls["finish_parallel"] == 0
+    assert route_calls["make_stepper"] == len(cases)
 
 
 @pytest.mark.parametrize("kernels", COMPILED_PROVIDERS)

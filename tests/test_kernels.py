@@ -434,15 +434,34 @@ def test_csr_step_matches_reference(provider, g):
         assert np.array_equal(ks.csr_step(indptr, indices, pos, u), expect)
         out = np.empty(pos.size, dtype=np.int64)
         assert np.array_equal(ks.csr_step(indptr, indices, pos, u, out), expect)
-        # the fused per-graph closure is the same kernel
-        fused = ks.stepper(g)
-        assert fused is not None
-        assert np.array_equal(fused(pos, u), expect)
+
+
+#: ``(pos, u, out)`` that C would misread or write past: pos and u not
+#: 1-D or of two lengths, out of another dtype, strided or length.
+BAD_CSR_STEP = {
+    "short-out": (np.zeros(5, np.int64), np.full(5, 0.9), np.empty(2, np.int64)),
+    "long-out": (np.zeros(5, np.int64), np.full(5, 0.9), np.empty(9, np.int64)),
+    "int32-out": (np.zeros(5, np.int64), np.full(5, 0.9), np.empty(5, np.int32)),
+    "strided-out": (
+        np.zeros(5, np.int64), np.full(5, 0.9), np.empty(10, np.int64)[::2]
+    ),
+    "2d-out": (np.zeros(4, np.int64), np.full(4, 0.9), np.empty((2, 2), np.int64)),
+    "short-u": (np.zeros(5, np.int64), np.full(2, 0.9), None),
+    "2d-pos": (np.zeros((2, 3), np.int64), np.full(6, 0.9), None),
+    "2d-u": (np.zeros(6, np.int64), np.full((2, 3), 0.9), None),
+    "0d-pos": (np.int64(0), np.full(1, 0.9), None),
+}
 
 
 @pytest.mark.parametrize("provider", COMPILED)
-def test_stepper_stands_down_without_csr(provider):
-    assert get_kernels(provider).stepper(cycle_graph(12, implicit=True)) is None
+@pytest.mark.parametrize("case", BAD_CSR_STEP)
+def test_csr_step_rejects_what_c_would_overrun(provider, case):
+    """The wrapper checks shapes before C runs: unchecked, a short
+    ``out`` corrupts the heap and an int32 one reads back garbage."""
+    indptr, indices = csr_arrays(cycle_graph(8))
+    pos, u, out = BAD_CSR_STEP[case]
+    with pytest.raises(ValueError, match="csr_step needs"):
+        get_kernels(provider).csr_step(indptr, indices, pos, u, out)
 
 
 @pytest.mark.parametrize("provider", COMPILED)

@@ -3,9 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.graphs import complete_graph, path_graph, star_graph
+from repro.graphs import (
+    complete_binary_tree,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+)
+from repro.graphs.csr import neighbor_kernel
+from repro.kernels import get_kernels
 from repro.markov import stationary_distribution, transition_matrix
 from repro.walks import SingleWalkKernel, WalkEngine, random_walk, walk_until_hit
+from repro.walks.engine import make_stepper, neighbor_step
+
+from test_differential_drivers import KERNEL_PROVIDERS as PROVIDERS
 
 
 class TestWalkEngineStep:
@@ -126,3 +138,148 @@ class TestSingleWalker:
     def test_walk_until_hit_empty_set(self, c8):
         with pytest.raises(ValueError):
             walk_until_hit(c8, 0, [])
+
+
+# ----------------------------------------------------------------------
+# make_stepper: the one step decision
+# ----------------------------------------------------------------------
+#: A regular and two irregular CSR graphs, and implicit families of
+#: both kinds.
+STEP_GRAPHS = {
+    "cycle": lambda: cycle_graph(17),
+    "btree": lambda: complete_binary_tree(4),
+    "star": lambda: star_graph(20),
+    "implicit-cycle": lambda: cycle_graph(17, implicit=True),
+    "implicit-grid": lambda: grid_graph(5, 4, implicit=True),
+}
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("graph", STEP_GRAPHS)
+def test_make_stepper_equals_neighbor_step(graph, provider, monkeypatch):
+    """Every width around the provider's gate and every ``out`` mode
+    steps bit for bit as :func:`neighbor_step`; the compiled step runs
+    from ``min_width`` lanes up on CSR graphs and never on implicit
+    ones."""
+    g = STEP_GRAPHS[graph]()
+    ks = get_kernels(provider)
+    calls = []
+    inner = type(ks).csr_step
+
+    def counted(self, indptr, indices, pos, u, out=None):
+        calls.append(len(pos))
+        return inner(self, indptr, indices, pos, u, out)
+
+    monkeypatch.setattr(type(ks), "csr_step", counted)
+    step = make_stepper(g, ks)
+    kernel = neighbor_kernel(g)
+    rng = np.random.default_rng(7)
+    mw = ks.min_width
+    widths = sorted({1, max(mw - 1, 1), max(mw, 1), 257})
+    compiled_widths = []
+    for k in widths:
+        pos = rng.integers(0, g.n, size=k)
+        u = rng.random(k)
+        # the offset clamp at u -> 1 and the exact-0 edge
+        u[: min(k, 2)] = [np.nextafter(1.0, 0.0), 0.0][: min(k, 2)]
+        expect = neighbor_step(kernel, g.degrees, pos, u)
+        assert np.array_equal(step(pos, u), expect)
+        out = np.empty(k, dtype=np.int64)
+        assert step(pos, u, out) is out
+        assert np.array_equal(out, expect)
+        alias = pos.copy()
+        assert step(alias, u, out=alias) is alias
+        assert np.array_equal(alias, expect)
+        if ks.compiled and not graph.startswith("implicit") and k >= mw:
+            compiled_widths += [k] * 3
+    assert calls == compiled_widths
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_make_stepper_compiled_from_forced_zero_width(provider, monkeypatch):
+    """``min_width`` is read from the provider's class, so forcing it to
+    0 sends even one lane through the compiled step."""
+    from repro.kernels import CompiledKernels
+
+    monkeypatch.setattr(CompiledKernels, "min_width", 0)
+    ks = get_kernels(provider)
+    calls = []
+    inner = type(ks).csr_step
+
+    def counted(self, *args):
+        calls.append(1)
+        return inner(self, *args)
+
+    monkeypatch.setattr(type(ks), "csr_step", counted)
+    g = complete_binary_tree(3)
+    pos = np.array([3], dtype=np.int64)
+    u = np.array([0.7])
+    got = make_stepper(g, ks)(pos, u)
+    assert np.array_equal(got, neighbor_step(neighbor_kernel(g), g.degrees, pos, u))
+    assert len(calls) == int(ks.compiled)
+
+
+# ----------------------------------------------------------------------
+# WalkEngine input checks: one ValueError on every provider
+# ----------------------------------------------------------------------
+#: ``(method, positions, out, message)``; the cycle has 8 vertices.
+BAD_INPUT = {
+    "step-too-large": ("step", [100000, 1], None, r"in \[0, 8\)"),
+    "step-negative": ("step", [1, -3], None, r"in \[0, 8\)"),
+    "step-just-past": ("step", [8], None, r"in \[0, 8\)"),
+    "step-float": ("step", [1.0, 2.0], None, "integer"),
+    "step-bool": ("step", [True, False], None, "integer"),
+    "step-2d": ("step", np.zeros((3, 2), dtype=np.int64), None, "1-D"),
+    "step-0d": ("step", np.int64(3), None, "1-D"),
+    "step-int32-out": (
+        "step", np.zeros(5, dtype=np.int64), np.empty(5, np.int32), "int64"
+    ),
+    "step-short-out": (
+        "step", np.zeros(5, dtype=np.int64), np.empty(2, np.int64), "out must match"
+    ),
+    "batch-too-large": (
+        "step_batch", np.full((2, 3), 100000), None, r"in \[0, 8\)"
+    ),
+    "batch-negative": ("step_batch", np.full((2, 3), -1), None, r"in \[0, 8\)"),
+    "batch-float": ("step_batch", np.zeros((2, 3)), None, "integer"),
+    "batch-int32-out": (
+        "step_batch", np.zeros((2, 3), np.int64), np.empty((2, 3), np.int32),
+        "int64",
+    ),
+    "lazy-too-large": ("step_lazy", [100000, -3], None, r"in \[0, 8\)"),
+    "lazy-2d": ("step_lazy", np.zeros((3, 2), dtype=np.int64), None, "1-D"),
+}
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_engine_rejects_bad_positions_on_every_provider(case, provider):
+    """Out-of-range vertices made C read past ``indptr`` (a crash) and
+    numpy wrap -3 to vertex n-3; a 2-D array made C step only its first
+    rows.  Both providers now raise the same error, before any draw."""
+    method, positions, out, message = BAD_INPUT[case]
+    eng = WalkEngine(cycle_graph(8), seed=0, kernels=provider)
+    before = eng.rng.bit_generator.state
+    variants = [positions]
+    if out is None and np.ndim(positions) == 1:
+        # also wide enough for the compiled step
+        variants.append(np.resize(positions, 64))
+    for bad in variants:
+        with pytest.raises(ValueError, match=message):
+            getattr(eng, method)(bad, out=out)
+    assert eng.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("graph", ["cycle", "btree"])
+def test_engine_accepts_any_integer_dtype(graph, provider):
+    """int32 and unsigned vertices step exactly as int64 ones (uint64
+    ones used to fail on the numpy step of a regular CSR graph)."""
+    g = cycle_graph(15) if graph == "cycle" else complete_binary_tree(3)
+    pos = np.arange(g.n)
+    want = WalkEngine(g, seed=3, kernels=provider).step_batch(pos.reshape(3, 5))
+    for dtype in (np.int32, np.uint16, np.uint64):
+        got = WalkEngine(g, seed=3, kernels=provider).step_batch(
+            pos.astype(dtype).reshape(3, 5)
+        )
+        assert got.dtype == np.int64 and np.array_equal(got, want)
