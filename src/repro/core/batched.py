@@ -314,17 +314,17 @@ def _finish_parallel_rep(
             p = pids[0]
             v = positions[0]
             row = traj_rows[p] if rec else None
-            guard = k > scalar_threshold  # serial wide phase uses the vector step
             if kern is not None:
                 v, t = kern.finish_parallel_single(
                     csr[0], csr[1], occl, tail,
-                    v=v, t=t, lazy=lazy, guard=guard, budget=budget,
+                    v=v, t=t, lazy=lazy, budget=budget,
                     limit_msg=f"parallel IDLA exceeded max_rounds={max_rounds}",
                 )
                 steps_row[p] = t
                 settled_row[p] = v
                 round_row[p] = t
                 return
+            guard = k > scalar_threshold  # serial wide phase uses the vector step
             while True:
                 t += 1
                 if t > budget:

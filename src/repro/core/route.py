@@ -423,8 +423,8 @@ def _parallel(
     sinks = _sinks(kern, record, starts, opened=False, counts=k.tolist())
     if ((k > 0) & (free > 0)).any():  # else surplus particles walk 0 steps
         kern.finish_parallel(
-            *csr_arrays(g), occ, *_active_rows(starts, settled), prio,
-            np.full(g.n, -1, dtype=np.int64), steps, settled, rounds, gens,
+            *csr_arrays(g), occ, *_active_rows(starts, settled), prio, steps,
+            settled, rounds, gens,
             k=k, free=free, lazy=lazy, scalar_threshold=scalar_threshold,
             budget=budget, max_rounds=max_rounds, sinks=sinks, seeds=seeds,
         )

@@ -30,9 +30,10 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  A provider passes a load-time
-self-check (:func:`_self_check`) exercising all sixteen entry points before
-it can be selected, so a miscompiled or mis-installed provider fails at
-resolution, not mid-run.
+self-check (:mod:`repro.kernels._selfcheck`) exercising every function
+:data:`~repro.kernels._csource.CDEF` exports before it can be selected,
+so a miscompiled or mis-installed provider fails at resolution, not
+mid-run.
 """
 
 from __future__ import annotations
@@ -40,11 +41,8 @@ from __future__ import annotations
 import ctypes
 import os
 import shlex
-import threading
 import warnings
 from importlib.util import find_spec
-from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -91,14 +89,11 @@ _LANE = 1 << 15
 #: The name numpy gives the capsule of a BitGenerator's ``bitgen_t``.
 _CAPSULE = b"BitGenerator"
 
-# with prototypes of their own: the shared ctypes.pythonapi functions
-# are left as other code may have set them
+# with a prototype of its own: the shared ctypes.pythonapi function is
+# left as other code may have set it
 _capsule_pointer = ctypes.PYFUNCTYPE(
     ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
 )(("PyCapsule_GetPointer", ctypes.pythonapi))
-_capsule_new = ctypes.PYFUNCTYPE(
-    ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
-)(("PyCapsule_New", ctypes.pythonapi))
 
 
 def _bitgen_address(bit_generator) -> int:
@@ -151,18 +146,6 @@ def _u8(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.uint8 else np.ascontiguousarray(a, dtype=np.uint8)
 
 
-# The shard loops write through raw pointers, so their wrappers
-# refuse, before any draw, what C would misread or overrun: a row of
-# another dtype or a strided view (reinterpreted, or silently copied so
-# the update is lost), a row too short, an index outside its row.
-def _check_rows(name: str, dtype, length: int, *rows) -> None:
-    for a in rows:
-        if a.dtype != dtype or not a.flags.c_contiguous:
-            raise ValueError(f"{name} needs C-contiguous {dtype} rows")
-        if a.shape[0] < length:
-            raise ValueError(f"{name}: a row is shorter than {length}")
-
-
 def _check_range(name: str, what: str, values: np.ndarray, hi: int) -> None:
     # int64 values: seen as uint64 a negative one is huge, so one max()
     # tests both ends of [0, hi)
@@ -170,75 +153,9 @@ def _check_range(name: str, what: str, values: np.ndarray, hi: int) -> None:
         raise ValueError(f"{name}: {what} outside [0, {hi})")
 
 
-def _occ_row(name: str, occ_row: np.ndarray, n: int) -> np.ndarray:
-    """``occ_row`` as the ``uint8`` view a loop updates in place."""
-    if occ_row.dtype not in (np.bool_, np.uint8) or not occ_row.flags.c_contiguous:
-        raise ValueError(f"{name} needs a C-contiguous bool or uint8 occ_row")
-    if occ_row.shape[0] < n:
-        raise ValueError(f"{name}: occ_row is shorter than the graph")
-    return occ_row.view(np.uint8)
-
-
-def _shard_rows(name: str, dtype, R: int, m: int, *rows) -> None:
-    """Each of ``rows`` is a C-contiguous ``(R, m)`` array of ``dtype``."""
-    for a in rows:
-        if a.dtype != dtype or not a.flags.c_contiguous or a.shape != (R, m):
-            raise ValueError(f"{name} needs C-contiguous {dtype} rows of {m}")
-
-
-def _row_width(a: np.ndarray) -> int:
-    """``m`` of an ``(R, m)`` array (-1, which no row check passes,
-    for any other shape)."""
-    return a.shape[1] if a.ndim == 2 else -1
-
-
-def _check_shard(name: str, rngs, sinks, seeds):
-    """One generator or ``None``, and with ``sinks`` one sink, per row;
-    the rows without a generator draw from their row of ``seeds``.
-    Returns ``seeds`` as C reads it: ``None`` when every row has a
-    generator."""
-    gens = [rng for rng in rngs if rng is not None]
-    if len({id(rng.bit_generator) for rng in gens}) < len(gens):
-        # its lock would be taken twice, and interleaved draws would
-        # break every row's bit-identity
-        raise ValueError(f"{name}: a generator is passed for two rows")
-    if sinks is not None and len(sinks) != len(rngs):
-        raise ValueError(f"{name}: prefixes and sinks need one per row")
-    if len(gens) == len(rngs):
-        return None
-    if (
-        not isinstance(seeds, np.ndarray)
-        or seeds.dtype != np.uint64
-        or not seeds.flags.c_contiguous
-        or seeds.shape != (len(rngs), 4)
-    ):
-        raise ValueError(
-            f"{name}: rows without a generator need C-contiguous uint64 "
-            f"seeds of shape ({len(rngs)}, 4)"
-        )
-    return seeds
-
-
-def _tick_state(
-    name, indptr, occ, pool, rows, rngs, seeds, k, norder, sinks, width
-):
-    """A tick shard's checks, before any draw (``rows[0]`` is ``pos``);
-    returns ``occ`` as ``uint8``, the state rows, ``k`` and ``norder``
-    filled in, and the seeds C reads."""
-    n = indptr.shape[0] - 1
-    R, m = len(rngs), _row_width(rows[0])
-    _shard_rows(name, _I64, R, m, pool, *rows)
-    occ = _occ_row(name, occ, R * n)
-    seeds = _check_shard(name, rngs, sinks, seeds)
-    _check_range(name, "a pool entry", pool, m)
-    _check_range(name, "a particle's vertex", rows[0], n)
-    state = np.zeros((R, width), dtype=np.int64)
-    state[:, 0] = k
-    state[:, 1] = norder
-    k, norder = state[:, 0], state[:, 1]
-    if R and (min(k.min(), norder.min()) < 0 or (k + norder).max() > m):
-        raise ValueError(f"{name}: k and norder must be >= 0, k + norder <= m")
-    return occ, state, seeds
+def _check_flat(name: str, what: str, a: np.ndarray) -> None:
+    if a.dtype != _F64 or not a.flags.c_contiguous:
+        raise ValueError(f"{name} needs a C-contiguous float64 {what}")
 
 
 class KernelSet:
@@ -378,6 +295,183 @@ class EventSink:
         return self.trajectories
 
 
+class Shard:
+    """One shard of a compiled loop: its arrays, checked once before any
+    draw, and the C ``repro_shard`` (:attr:`c`) that points into them.
+
+    Repetition ``r`` owns row ``r`` of every ``(R, m)`` array of
+    ``rows``, ``occ[r*n : (r+1)*n]`` of ``graph = (indptr, indices,
+    occ)`` and row ``r`` of :attr:`state`, whose last column counts its
+    recorded events.  It draws each double in C from ``rngs[r]``
+    (``None``: the PCG64 state in its row of ``seeds``), after the
+    float64 ``prefixes[r]`` when given, and with ``sinks`` it records
+    into ``sinks[r]``.  ``counts`` (column: per-row value) start the
+    state rows; the values must be ``>= 0`` and sum to at most ``m``.
+    The loops write through raw pointers, so the builder refuses, with
+    ``ValueError`` naming the wrapper, whatever C would misread or
+    overrun: a row of another dtype or a strided view (reinterpreted, or
+    silently copied so the update is lost), a row of another shape, an
+    entry of a ``particles`` row outside ``[0, m)`` or of a ``vertices``
+    row outside ``[0, n)``, a count outside its range, one generator for
+    two rows (its lock would be taken twice, and interleaved draws would
+    break every row's bit-identity) and seeds C cannot read.  ``fields``
+    go to the struct as they are.
+    """
+
+    __slots__ = (
+        "name", "R", "n", "m", "state", "c", "bgs", "evs", "caps", "_rngs",
+        "_sinks", "_prefixes", "_impl", "_keep",
+    )
+
+    def __init__(
+        self, impl, name, rngs, *, graph=None, rows=None, particles=(),
+        vertices=(), counts=None, width=1, sinks=None, seeds=None,
+        prefixes=None, **fields,
+    ):
+        R = len(rngs)
+        rows = {key: a for key, a in (rows or {}).items() if a is not None}
+        first = next(iter(rows.values()), None)
+        m = 0 if first is None else first.shape[-1]
+        for key, a in rows.items():
+            dtype = _F64 if key == "sclock" else _I64
+            if a.dtype != dtype or not a.flags.c_contiguous or a.shape != (R, m):
+                raise ValueError(
+                    f"{name} needs C-contiguous {dtype} rows of shape ({R}, {m}): "
+                    f"{key} is not"
+                )
+        n = 0
+        if graph is not None:
+            indptr, indices, occ = graph
+            n = indptr.shape[0] - 1
+            if occ.dtype not in (np.bool_, np.uint8) or not occ.flags.c_contiguous:
+                raise ValueError(f"{name} needs a C-contiguous bool or uint8 occ")
+            if occ.shape[0] < R * n:
+                raise ValueError(f"{name}: occ is shorter than {R} copies of the graph")
+            fields.update(indptr=indptr, indices=indices, occ=occ.view(np.uint8))
+        for keys, hi in ((particles, m), (vertices, n)):
+            for key in keys:
+                _check_range(name, f"a {key} entry", rows[key], hi)
+        gens = [rng for rng in rngs if rng is not None]
+        if len({id(rng.bit_generator) for rng in gens}) < len(gens):
+            raise ValueError(f"{name}: a generator is passed for two rows")
+        for extra in (sinks, prefixes):
+            if extra is not None and len(extra) != R:
+                raise ValueError(f"{name}: prefixes and sinks need one per row")
+        for rng, prefix in zip(rngs, prefixes or ()):
+            if prefix is not None:
+                _check_flat(name, "prefix", prefix)
+                if rng is None:
+                    raise ValueError(f"{name}: a prefix needs a generator behind it")
+        if len(gens) == R:
+            seeds = None  # C reads no seeds
+        elif (
+            not isinstance(seeds, np.ndarray)
+            or seeds.dtype != np.uint64
+            or not seeds.flags.c_contiguous
+            or seeds.shape != (R, 4)
+        ):
+            raise ValueError(
+                f"{name}: rows without a generator need C-contiguous uint64 "
+                f"seeds of shape ({R}, 4)"
+            )
+        self.state = np.zeros((R, width), dtype=np.int64)
+        if counts:
+            for col, value in counts.items():
+                self.state[:, col] = value
+            used = self.state[:, list(counts)]
+            if R and (used.min() < 0 or used.sum(axis=1).max() > m):
+                raise ValueError(f"{name}: a per-row count outside [0, {m}]")
+        self.bgs = np.zeros(R, dtype=np.uintp)
+        self.evs = self.caps = None
+        if sinks is not None:
+            self.evs = np.array([s.buf.ctypes.data for s in sinks], dtype=np.uintp)
+            self.caps = np.array([s.buf.shape[0] // 2 for s in sinks], dtype=np.int64)
+        self.name, self.R, self.n, self.m = name, R, n, m
+        self._rngs, self._sinks, self._prefixes = rngs, sinks, prefixes
+        self._impl = impl
+        self.c, self._keep = impl.shard(
+            R=R, n=n, m=m, bgs=self.bgs, seeds=seeds, evs=self.evs,
+            caps=self.caps, state=self.state, **rows, **fields,
+        )
+
+    @property
+    def which(self) -> int:
+        """The row the last status other than 1 names."""
+        return int(self.c.which)
+
+    def enter(self, loop) -> int:
+        """One compiled call of ``loop`` on this shard; its status."""
+        return loop(self.c)
+
+    def run(self, loop, fold=None) -> int:
+        """Run ``loop`` to its final status, holding every generator's
+        lock.
+
+        C steps a numpy ``PCG64`` inline and stores its state back on
+        every return; it calls every other bit generator's
+        ``next_double``.  ``fold(status)``, when given, runs after every
+        return and gives the status to act on.  Status 2 (the sink of
+        row :attr:`which` is full) seals that sink, or opens it if
+        unopened, and re-enters with the same struct, as does 3 (the log
+        lane is full).  A "full" open sink holding no event would make
+        the loop re-enter forever, so it raises.  When the loop is done
+        every sink is closed, into its repetition's trajectories."""
+        state, sinks, bgs = self.state, self._sinks, self.bgs
+        fronts = []  # the prefix bit generators C reads through
+        bitgens = [None if rng is None else rng.bit_generator for rng in self._rngs]
+        locks = [bitgen.lock for bitgen in bitgens if bitgen is not None]
+        closed = 0  # the sinks of rows [0, closed) are closed
+        held = 0
+        try:
+            for lock in locks:
+                lock.acquire()
+                held += 1
+            for r, bitgen in enumerate(bitgens):
+                if bitgen is None:
+                    continue
+                address = _bitgen_address(bitgen)
+                prefix = None if self._prefixes is None else self._prefixes[r]
+                if prefix is not None and prefix.shape[0]:
+                    fronts.append(self._impl.prefix_bitgen(prefix, address))
+                    address = fronts[-1].address
+                bgs[r] = address
+            while True:
+                status = self.enter(loop)
+                if fold is not None:
+                    status = fold(status)
+                if status == 2:
+                    row = self.which
+                    sink = sinks[row]
+                    if not sink.buf.shape[0]:
+                        # the row's first event: only a loop that runs its
+                        # rows in order takes unopened sinks, so every row
+                        # before it is done
+                        for q in range(closed, row):
+                            sinks[q].close(int(state[q, -1]))
+                        closed = row
+                        sink.open()
+                    elif state[row, -1]:
+                        sink.seal(int(state[row, -1]))
+                    else:
+                        raise RuntimeError(
+                            "compiled loop: 'sink full' on an empty sink"
+                        )
+                    state[row, -1] = 0
+                    # the room of the buffer actually passed, so C never
+                    # writes past it
+                    self.evs[row] = sink.buf.ctypes.data
+                    self.caps[row] = sink.buf.shape[0] // 2
+                elif status != 3:
+                    break
+        finally:
+            for lock in locks[:held]:
+                lock.release()
+        if status == 1 and sinks is not None:
+            for q in range(closed, len(sinks)):
+                sinks[q].close(int(state[q, -1]))
+        return status
+
+
 class CompiledKernels(KernelSet):
     """Wrapper over the low-level provider namespace (:mod:`cffi_impl`).
 
@@ -389,14 +483,16 @@ class CompiledKernels(KernelSet):
     of the serial scalar loops, so generator positions stay where the
     serial drivers leave them.  The four shard loops
     (:meth:`finish_sequential`, :meth:`finish_parallel`,
-    :meth:`finish_ctu`, :meth:`finish_uniform`) instead run every
-    repetition of a shard in one compiled call, each repetition drawing
-    inside C (:meth:`_draw`): a numpy ``PCG64`` or a row of C-seeded
-    states (:meth:`pcg64_seeds`) stepped inline, any other bit generator
-    through its ``bitgen_t``.  They
+    :meth:`finish_ctu`, :meth:`finish_uniform`) instead each build one
+    :class:`Shard`, which checks the shard and fills the C struct the
+    loop takes, and run every repetition of it in one compiled call,
+    each repetition drawing inside C (:meth:`Shard.run`): a numpy
+    ``PCG64`` or a row of C-seeded states (:meth:`pcg64_seeds`) stepped
+    inline, any other bit generator through its ``bitgen_t``.  They
     return early only when an event sink fills or, for the tick loops,
     when the shared log lane fills; the wrapper then seals the sink or
-    takes the lane's logarithms with numpy, and re-enters.
+    takes the lane's logarithms with numpy, and re-enters with the same
+    struct.
 
     The shard loops take an optional event sink per repetition
     (:meth:`event_sink`) that records its trajectories.
@@ -472,7 +568,9 @@ class CompiledKernels(KernelSet):
         if words is None:
             return None
         seeds = np.empty((len(children), 4), dtype=np.uint64)
-        self._impl.seed_pcg64(words, children.start, len(children), seeds)
+        self._impl.seed_pcg64(
+            words, words.shape[0], children.start, len(children), seeds
+        )
         return seeds
 
     def draw_doubles(self, rngs, n: int, *, seeds=None) -> np.ndarray:
@@ -480,106 +578,27 @@ class CompiledKernels(KernelSet):
         its row of ``seeds``), as the shard loops draw them: each row
         equals ``rngs[r].random(n)`` and leaves the generator where that
         call would."""
-        R = len(rngs)
-        seeds = _check_shard("draw_doubles", rngs, None, seeds)
-        out = np.empty((R, n))
-        state = np.zeros((R, 1), dtype=np.int64)
+        shard = Shard(self._impl, "draw_doubles", rngs, seeds=seeds)
+        out = np.empty((len(rngs), n))
 
-        def run(bgs, evs, caps):
-            self._impl.draw_doubles(bgs, seeds, R, n, out)
-            return 1, 0
+        def draw(c):
+            self._impl.draw_doubles(c, n, out)
+            return 1
 
-        self._draw(run, rngs, state, None, events=0)
+        shard.run(draw)
         return out
 
-    def _draw(self, run, rngs, state, sinks, *, events, prefixes=None, fold=None):
-        """Drive a shard loop whose row ``r`` draws from the bit generator
-        of ``rngs[r]`` (``None``: from its row of the seeds C was handed),
-        holding every generator's lock, and return its final status.
-
-        ``run(bgs, evs, caps)`` enters the loop once with each row's
-        ``bitgen_t`` address (``uintp``; 0 for a row without a generator)
-        and, with ``sinks``, each row's sink buffer address and room (else
-        ``None``), and returns ``(status, row)``.  C steps a numpy
-        ``PCG64`` inline and stores its state back on every return; it
-        calls every other bit generator's ``next_double``.
-        ``fold(status)``, when given, runs after every return and gives
-        the status to act on.  Status 2 (the sink of
-        ``row`` is full) seals that sink, or opens it if unopened, and
-        re-enters, as does 3 (the log lane is full).  A "full" open sink
-        holding no event would make the loop re-enter forever, so it
-        raises.  When the loop is done every sink is closed, into its
-        repetition's trajectories.  ``prefixes[r]`` (float64), when given,
-        is served before row ``r``'s generator."""
-        bgs = np.zeros(len(rngs), dtype=np.uintp)
-        evs = caps = None
-        if sinks is not None:
-            evs = np.array([s.buf.ctypes.data for s in sinks], dtype=np.uintp)
-            caps = np.array([s.buf.shape[0] // 2 for s in sinks], dtype=np.int64)
-        fronts = []  # the prefix bit generators C reads through
-        bitgens = [None if rng is None else rng.bit_generator for rng in rngs]
-        locks = [bitgen.lock for bitgen in bitgens if bitgen is not None]
-        closed = 0  # the sinks of rows [0, closed) are closed
-        held = 0
-        try:
-            for lock in locks:
-                lock.acquire()
-                held += 1
-            for r, bitgen in enumerate(bitgens):
-                if bitgen is None:
-                    continue
-                address = _bitgen_address(bitgen)
-                prefix = None if prefixes is None else prefixes[r]
-                if prefix is not None and prefix.shape[0]:
-                    fronts.append(self._impl.prefix_bitgen(prefix, address))
-                    address = fronts[-1].address
-                bgs[r] = address
-            while True:
-                status, row = run(bgs, evs, caps)
-                if fold is not None:
-                    status = fold(status)
-                if status == 2:
-                    sink = sinks[row]
-                    if not sink.buf.shape[0]:
-                        # the row's first event: only a loop that runs its
-                        # rows in order takes unopened sinks, so every row
-                        # before it is done
-                        for q in range(closed, row):
-                            sinks[q].close(int(state[q, events]))
-                        closed = row
-                        sink.open()
-                    elif state[row, events]:
-                        sink.seal(int(state[row, events]))
-                    else:
-                        raise RuntimeError(
-                            "compiled loop: 'sink full' on an empty sink"
-                        )
-                    state[row, events] = 0
-                    # the room of the buffer actually passed, so C never
-                    # writes past it
-                    evs[row] = sink.buf.ctypes.data
-                    caps[row] = sink.buf.shape[0] // 2
-                elif status != 3:
-                    break
-        finally:
-            for lock in locks[:held]:
-                lock.release()
-        if status == 1 and sinks is not None:
-            for q in range(closed, len(sinks)):
-                sinks[q].close(int(state[q, events]))
-        return status
-
     # ---- the shard loops -----------------------------------------------
-    # Each runs every repetition of a shard in one compiled call (plus one
-    # per "sink full" or "lane full" re-entry): row r of the (R, m) arrays
-    # and occ[r*n : (r+1)*n] belong to repetition r, which draws each
-    # double from the bit generator of rngs[r] in C, in its serial
-    # driver's order, so each generator ends right after the last double
-    # its row consumed.  A row whose rngs[r] is None draws from the PCG64
-    # state in row r of `seeds` (pcg64_seeds), which C advances in place.
-    # Every row is checked once, before any draw; one generator passed
-    # for two rows raises ValueError.  With sinks, one per row, every step
-    # is recorded into its row's sink.
+    # Each builds one Shard, which checks every row before any draw, and
+    # runs every repetition of it in one compiled call (plus one per
+    # "sink full" or "lane full" re-entry, on the same struct): row r of
+    # the (R, m) arrays and occ[r*n : (r+1)*n] belong to repetition r,
+    # which draws each double from the bit generator of rngs[r] in C, in
+    # its serial driver's order, so each generator ends right after the
+    # last double its row consumed.  A row whose rngs[r] is None draws
+    # from the PCG64 state in row r of `seeds` (pcg64_seeds), which C
+    # advances in place.  With sinks, one per row, every step is
+    # recorded into its row's sink.
     def finish_sequential(
         self, indptr, indices, occ, starts, rngs, *, prefixes=None,
         walker, pos=None, pstep=0, total=0, lazy, budget, limit_msg,
@@ -599,46 +618,22 @@ class CompiledKernels(KernelSet):
         float64 row or ``None`` (the unconsumed doubles of a lock-step
         stream row), is served before generator ``r``."""
         name = "finish_sequential"
-        n = indptr.shape[0] - 1
-        R = len(rngs)
-        if starts.ndim != 2 or starts.shape[0] != R:
-            raise ValueError(f"{name}: starts needs one row per generator")
-        m = starts.shape[1]
-        _shard_rows(name, _I64, R, m, starts, steps, settled)
-        occ = _occ_row(name, occ, R * n)
-        _check_range(name, "a start", starts, n)
-        seeds = _check_shard(name, rngs, sinks, seeds)
-        if prefixes is not None and len(prefixes) != R:
-            raise ValueError(f"{name}: prefixes and sinks need one per row")
-        for rng, prefix in zip(rngs, prefixes or ()):
-            if prefix is not None:
-                _check_rows(name, _F64, 0, prefix)
-                if rng is None:
-                    raise ValueError(f"{name}: a prefix needs a generator behind it")
-        state = np.zeros((R, 5), dtype=np.int64)
-        state[:, 0] = walker
-        walking = state[:, 0] < m
-        if ((state[:, 0] < 0) | (state[:, 0] > m)).any():
-            raise ValueError(f"{name}: walker out of range")
+        shard = Shard(
+            self._impl, name, rngs, graph=(indptr, indices, occ),
+            rows={"starts": starts, "steps": steps, "settled": settled},
+            vertices=("starts",), counts={0: walker}, width=5, sinks=sinks,
+            seeds=seeds, prefixes=prefixes, lazy=int(bool(lazy)), budget=budget,
+        )
+        state = shard.state
+        walking = state[:, 0] < shard.m
         state[walking, 1] = (
             starts[walking, state[walking, 0]] if pos is None
-            else np.broadcast_to(pos, (R,))[walking]
+            else np.broadcast_to(pos, (shard.R,))[walking]
         )
-        _check_range(name, "a pos", state[walking, 1], n)
+        _check_range(name, "a pos", state[walking, 1], shard.n)
         state[:, 2] = pstep
         state[:, 3] = total
-        which = np.zeros(1, dtype=np.int64)
-        lz = 1 if lazy else 0
-
-        def run(bgs, evs, caps):
-            status = self._impl.finish_seq(
-                indptr, indices, occ, starts, steps, settled, bgs, seeds,
-                state, R, n, m, lz, budget, evs, caps, which,
-            )
-            return status, int(which[0])
-
-        status = self._draw(run, rngs, state, sinks, events=4, prefixes=prefixes)
-        if status < 0:
+        if shard.run(self._impl.finish_seq) < 0:
             raise RuntimeError(limit_msg)
         return state[:, 3].copy()
 
@@ -662,35 +657,27 @@ class CompiledKernels(KernelSet):
         ``order[r, :norder[r]]`` its settle order so far; every entry of
         ``pool`` must be a particle, every entry of ``pos`` a vertex.  Each
         tick draws 3 doubles, in the serial order."""
-        occ, state, seeds = _tick_state(
-            "finish_ctu", indptr, occ, pool, (pos, steps, settled, order),
-            rngs, seeds, k, norder, sinks, 5,
+        lane = np.empty(2 * _LANE)
+        shard = Shard(
+            self._impl, "finish_ctu", rngs, graph=(indptr, indices, occ),
+            rows={"pool": pool, "pos": pos, "steps": steps, "settled": settled,
+                  "order": order, "sclock": clock},
+            particles=("pool",), vertices=("pos",), counts={0: k, 1: norder},
+            width=5, sinks=sinks, seeds=seeds, lane=lane, lane_cap=_LANE,
+            rate=float(rate),
         )
-        R, m = pos.shape
-        _shard_rows("finish_ctu", _F64, R, m, clock)
-        cap = _LANE
-        lane = np.empty(2 * cap)
-        clocks = np.zeros(R)
+        state = shard.state
+        clocks = np.zeros(shard.R)
         folded = state[:, 1].copy()  # each row's settle order at the last fold
-        which = np.zeros(1, dtype=np.int64)
 
         def fold(status):
             # the rows' segments tile the lane in row order
             used = lane[: state[:, 3].max(initial=0)]
             np.log1p(used, out=used)
-            self._impl.fold_ctu(
-                lane, cap, state, R, m, clock, order, folded, clocks
-            )
+            self._impl.fold_ctu(shard.c, folded, clocks)
             return status
 
-        self._draw(
-            lambda bgs, evs, caps: (self._impl.run_ctu(
-                indptr, indices, occ, pool, pos, steps, settled, clock, order,
-                bgs, seeds, lane, cap, state, R, indptr.shape[0] - 1, m,
-                float(rate), evs, caps, which,
-            ), int(which[0])),
-            rngs, state, sinks, events=4, fold=fold,
-        )
+        shard.run(self._impl.run_ctu, fold)
         return clocks
 
     def finish_uniform(
@@ -707,40 +694,34 @@ class CompiledKernels(KernelSet):
         doubles, plus 1 per skip, in the serial order.  A tick count past
         ``budget`` raises ``RuntimeError(limit_msg)``, as the serial
         driver does."""
-        occ, state, seeds = _tick_state(
-            "finish_uniform", indptr, occ, pool, (pos, steps, settled, order),
-            rngs, seeds, k, norder, sinks, 6,
+        _check_flat("finish_uniform", "logq", logq)
+        lane = np.empty(2 * _LANE)
+        shard = Shard(
+            self._impl, "finish_uniform", rngs, graph=(indptr, indices, occ),
+            rows={"pool": pool, "pos": pos, "steps": steps, "settled": settled,
+                  "order": order},
+            particles=("pool",), vertices=("pos",), counts={0: k, 1: norder},
+            width=6, sinks=sinks, seeds=seeds, lane=lane, lane_cap=_LANE,
+            logq=logq, pool_size=logq.shape[0], budget=budget,
         )
-        _check_rows("finish_uniform", _F64, 0, logq)
-        R, m = pos.shape
-        cap = _LANE
-        lane = np.empty(2 * cap)
-        which = np.zeros(1, dtype=np.int64)
+        state = shard.state
 
         def fold(status):
             used = lane[: state[:, 4].max(initial=0)]
             np.log1p(used, out=used)
-            self._impl.fold_uniform(lane, cap, state, R)
+            self._impl.fold_uniform(shard.c)
             # ticks only grow, so a final count exceeds the budget exactly
             # when the serial driver raises
             return -1 if (state[:, 2] > budget).any() else status
 
-        status = self._draw(
-            lambda bgs, evs, caps: (self._impl.run_uniform(
-                indptr, indices, occ, pool, pos, steps, settled, order, bgs,
-                seeds, lane, cap, logq, logq.shape[0], state, R,
-                indptr.shape[0] - 1, m, budget, evs, caps, which,
-            ), int(which[0])),
-            rngs, state, sinks, events=5, fold=fold,
-        )
-        if status < 0:
+        if shard.run(self._impl.run_uniform, fold) < 0:
             raise RuntimeError(limit_msg)
         return state[:, 2].copy()
 
     def finish_parallel(
-        self, indptr, indices, occ, act, pos, prio, best, steps, settled,
-        rounds, rngs, *, k, free, lazy, scalar_threshold, budget,
-        max_rounds, sinks=None, seeds=None,
+        self, indptr, indices, occ, act, pos, prio, steps, settled, rounds,
+        rngs, *, k, free, lazy, scalar_threshold, budget, max_rounds,
+        sinks=None, seeds=None,
     ) -> np.ndarray:
         """Compiled :func:`repro.core.parallel.parallel_idla` round loop
         for ``R = len(rngs)`` repetitions; returns each one's final round.
@@ -751,64 +732,44 @@ class CompiledKernels(KernelSet):
         its vacant-vertex count; every entry of ``act`` must be a
         particle, every entry of ``pos`` a vertex.  ``prio`` is ``None``
         (a particle's priority is its index) or ``(R, m)``, like ``act``,
-        ``pos``, ``steps``, ``settled`` and ``rounds``; ``best`` is an all
-        ``-1`` scratch of size ``n``, restored on return.  A sink must hold
+        ``pos``, ``steps``, ``settled`` and ``rounds``.  A sink must hold
         at least one round: ``k[r]`` events."""
         name = "finish_parallel"
-        n = indptr.shape[0] - 1
-        R, m = len(rngs), _row_width(steps)
-        _shard_rows(
-            name, _I64, R, m, act, pos, steps, settled, rounds,
-            *(() if prio is None else (prio,)),
+        m = act.shape[-1]
+        shard = Shard(
+            self._impl, name, rngs, graph=(indptr, indices, occ),
+            rows={"pool": act, "pos": pos, "prio": prio, "steps": steps,
+                  "settled": settled, "round": rounds},
+            particles=("pool",), vertices=("pos",), counts={0: k}, width=4,
+            sinks=sinks, seeds=seeds, lazy=int(bool(lazy)),
+            # k only shrinks and never passes m, so clamping keeps every
+            # `k > threshold` test
+            thr=max(-1, min(scalar_threshold, m)), budget=budget,
+            best=np.full(indptr.shape[0] - 1, -1, dtype=np.int64),
+            hold=np.empty(m) if lazy else None,
         )
-        _check_rows(name, _I64, n, best)
-        occ = _occ_row(name, occ, R * n)
-        seeds = _check_shard(name, rngs, sinks, seeds)
-        _check_range(name, "an act entry", act, m)
-        _check_range(name, "a pos entry", pos, n)
-        state = np.zeros((R, 4), dtype=np.int64)
-        state[:, 0] = k
-        state[:, 2] = free
-        k = state[:, 0]
-        if R and (k.min() < 0 or k.max() > m):
-            raise ValueError(f"{name}: an active count outside [0, {m}]")
+        state = shard.state
         if sinks is not None and any(
-            s.capacity < kr for s, kr in zip(sinks, k.tolist())
+            s.capacity < kr for s, kr in zip(sinks, state[:, 0].tolist())
         ):
             raise ValueError(f"{name}: a sink holds less than one round")
-        # k only shrinks and never passes m, so clamping keeps every
-        # `k > threshold` test
-        thr = max(-1, min(scalar_threshold, m))
-        hold = np.empty(m) if lazy else None
-        lz = 1 if lazy else 0
-        which = np.zeros(1, dtype=np.int64)
-        status = self._draw(
-            lambda bgs, evs, caps: (self._impl.run_parallel(
-                indptr, indices, occ, act, pos, prio, best, steps, settled,
-                rounds, bgs, seeds, hold, state, R, n, m, lz, thr, budget, evs,
-                caps, which,
-            ), int(which[0])),
-            rngs, state, sinks, events=3,
-        )
-        if status < 0:
+        state[:, 2] = free
+        if shard.run(self._impl.run_parallel) < 0:
             raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
         return state[:, 1].copy()
 
     # ---- scalar-tail finisher loop ----------------------------------
     def finish_parallel_single(
-        self, indptr, indices, occ_arr, tail, *,
-        v, t, lazy, guard, budget, limit_msg,
+        self, indptr, indices, occ_arr, tail, *, v, t, lazy, budget, limit_msg,
     ) -> tuple[int, int]:
         """Compiled single-straggler loop; returns ``(vertex, round)``."""
         state = np.array([v, t], dtype=np.int64)
         occ = _u8(occ_arr)
         lz = 1 if lazy else 0
-        gd = 1 if guard else 0
         buf = tail.take_block()
         while True:
             status = self._impl.finish_par1(
-                indptr, indices, occ, _f64(buf), buf.shape[0], state,
-                lz, gd, budget,
+                indptr, indices, occ, _f64(buf), buf.shape[0], state, lz, budget,
             )
             if status == 1:
                 return int(state[0]), int(state[1])
@@ -854,341 +815,6 @@ class CompiledKernels(KernelSet):
 
 
 # ----------------------------------------------------------------------
-# load-time self-check
-# ----------------------------------------------------------------------
-class _BlockFeeder:
-    """Fixed block sequence standing in for a stream (self-check only)."""
-
-    def __init__(self, blocks):
-        self._blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-        self.drawn = 0
-
-    def take_block(self) -> np.ndarray:
-        if not self._blocks:
-            raise AssertionError("kernel self-check over-consumed its stream")
-        return self._blocks.pop(0)
-
-    def random(self, n: int) -> np.ndarray:  # stub generator for the walks
-        out = self.take_block()
-        if out.shape[0] != n:
-            raise AssertionError("kernel self-check block size mismatch")
-        return out
-
-
-class _ArrayGenerator:
-    """Generator stand-in over a fixed double sequence.
-
-    Its ``bit_generator`` has what the bit-generator loops read of
-    numpy's: a ``lock`` and the ``bitgen_t`` capsule, here of the C
-    source's prefix bit generator, whose ``drawn()`` counts every double
-    the loop asked for.  Past the array it serves the doubles of the
-    numpy generator ``rest``, or (the self-check) ``0.0`` with none.
-    """
-
-    def __init__(self, ks: CompiledKernels, doubles, rest=None):
-        bitgen = ks._impl.prefix_bitgen(
-            np.asarray(doubles, dtype=np.float64),
-            None if rest is None else _bitgen_address(rest.bit_generator),
-        )
-        self.drawn = bitgen.drawn
-        self.bit_generator = SimpleNamespace(
-            lock=threading.Lock(),
-            capsule=_capsule_new(bitgen.address, _CAPSULE, None),
-            _keep=(bitgen, rest),
-        )
-
-
-def _self_check(ks: CompiledKernels) -> None:
-    """Exercise every kernel on the path graph P3 and assert the answers.
-
-    Catches toolchain miscompiles at selection time, loudly.  Every
-    shard loop runs several rows in one call, the recorded runs fill
-    their event sinks, and the tick loops also run with a one-slot log
-    lane, so the row offsets and the resume protocols are checked too.
-    """
-    indptr = np.array([0, 1, 3, 4], dtype=np.int64)
-    indices = np.array([1, 0, 2, 1], dtype=np.int64)
-
-    # the draw contract: C steps a numpy PCG64 inline (its pcg64_state
-    # read through bitgen_t.state) and stores the state back (the other
-    # bit generators' generic call is the prefix bit generator's, below);
-    # each row of the C-seeded states is the one numpy.random.PCG64 seeds
-    # from that SeedSequence child (an entropy of three words and a
-    # nested spawn key with a word above 2**32)
-    from repro.utils.rng import SpawnRange
-
-    rng, twin = (np.random.Generator(np.random.PCG64(20260)) for _ in range(2))
-    drawn = ks.draw_doubles([rng], 5)
-    assert drawn.tolist() == [twin.random(5).tolist()], drawn
-    assert rng.bit_generator.state == twin.bit_generator.state
-    children = SpawnRange(np.random.SeedSequence(2**70 + 9, spawn_key=(1, 2**33)), 0, 2)
-    for row, child in zip(ks.pcg64_seeds(children).tolist(), children):
-        state = np.random.PCG64(child).state["state"]
-        assert row == [
-            word >> shift & 0xFFFFFFFFFFFFFFFF
-            for word in (state["state"], state["inc"])
-            for shift in (0, 64)
-        ], row
-
-    stepped = ks.csr_step(
-        indptr, indices,
-        np.array([0, 1, 1, 2], dtype=np.int64),
-        np.array([0.99, 0.0, 0.51, 0.2]),
-    )
-    assert stepped.tolist() == [1, 0, 2, 1], stepped
-
-    occ2 = np.array([1, 0, 0, 1, 1, 0], dtype=bool)
-    cand = ks.vacant_candidates(
-        occ2,
-        np.array([0, 0, 3, 3], dtype=np.int64),
-        np.array([1, 0, 2, 0], dtype=np.int64),
-    )
-    assert cand.tolist() == [0, 2], cand
-
-    winners = ks.settle_round(
-        occ2,
-        np.array([0, 0, 1, 1], dtype=np.int64),
-        np.array([1, 1, 2, 2], dtype=np.int64),
-        np.array([5, 3, 7, 9], dtype=np.int64),
-        3,
-    )
-    assert winners.tolist() == [1, 2], winners
-
-    occ = np.zeros(3, dtype=bool)
-    occ[0] = True
-    vertex, rounds = ks.finish_parallel_single(
-        indptr, indices, occ, _BlockFeeder([[0.9]]),
-        v=0, t=0, lazy=False, guard=False, budget=float("inf"),
-        limit_msg="self-check",
-    )
-    assert (vertex, rounds) == (1, 1) and bool(occ[1])
-
-    # recorded runs use one-event sinks (a Parallel-IDLA sink: one round),
-    # so every loop also re-enters after "sink full"; the loops that run
-    # their rows in order take them unopened, as the route hands them
-    def sink(starts, capacity=1, opened=True):
-        return EventSink(ks._impl.scatter_events, capacity, starts, opened=opened)
-
-    # Sequential-IDLA in one call of ten rows, two particles each, vertex
-    # 0 taken: row 0 settled both at time 0; row 1 resumes particle 0 one
-    # step (and one double) in, reading two doubles from a prefix, then
-    # one from its generator; rows 2-9 walk from time 0, more rows than
-    # the loop has lanes, so lanes take new rows.  Each walking particle
-    # holds once, then steps.  The 4-step budget stops a loop that
-    # over-draws: past its doubles a generator yields 0.0, a hold.  The
-    # recorded run's one-event sinks make every lane re-enter
-    walk_a = ([1, 2], [0.2, 0.9, 0.1, 0.6], [2, 1], [[1, 1, 2], [2, 2, 1]])
-    walk_b = ([2, 1], [0.2, 0.9, 0.1, 0.9], [1, 2], [[2, 2, 1], [1, 1, 2]])
-    walks = [walk_a, walk_b] * 4
-    for rec in (False, True):
-        starts = np.array([[0, 2], [1, 2]] + [w[0] for w in walks], dtype=np.int64)
-        R = starts.shape[0]
-        occ = np.zeros((R, 3), dtype=bool)
-        occ[:, 0] = occ[0, 2] = True
-        steps = np.zeros((R, 2), dtype=np.int64)
-        settled = np.full((R, 2), -1, dtype=np.int64)
-        settled[0] = [0, 2]
-        rngs = [_ArrayGenerator(ks, d) for d in [[], [0.6]] + [w[1] for w in walks]]
-        sinks = [sink(row) for row in starts] if rec else None
-        consumed = ks.finish_sequential(
-            indptr, indices, occ.reshape(-1), starts, rngs,
-            prefixes=[None, np.array([0.9, 0.1])] + [None] * (R - 2),
-            walker=[2] + [0] * (R - 1), pstep=[0, 1] + [0] * (R - 2),
-            total=[0, 1] + [0] * (R - 2), lazy=True, budget=4.0,
-            limit_msg="self-check", steps=steps, settled=settled, sinks=sinks,
-        )
-        drawn = [rng.drawn() for rng in rngs]
-        assert consumed.tolist() == [0] + [4] * (R - 1), consumed
-        assert drawn == [0, 1] + [4] * (R - 2), drawn
-        assert settled.tolist() == [[0, 2], [2, 1]] + [w[2] for w in walks]
-        assert steps.tolist() == [[0, 0]] + [[2, 2]] * (R - 1), steps
-        if rec:
-            traj = [sk.trajectories.to_lists() for sk in sinks]
-            assert traj == [[[0], [2]], [[1, 2], [2, 2, 1]]] + [
-                w[3] for w in walks
-            ], traj
-
-    out = np.empty(3, dtype=np.int64)
-    out[0] = 0
-    ks.walk_positions(indptr, indices, out, _BlockFeeder([[0.5, 0.5]]), 2)
-    assert out.tolist() == [0, 1, 2], out
-
-    hits = ks.walk_until_hit(
-        indptr, indices, np.array([0, 0, 1], dtype=np.uint8), 0,
-        _BlockFeeder([[0.9, 0.9]]), 2, float("inf"), "self-check",
-    )
-    assert hits == 2, hits
-
-    # three particles from vertex 0, particle 0 settled at time 0: particle
-    # 2 steps to 1 and settles, particle 1 steps to 1, then on to 2.  Each
-    # loop also runs two such rows in one call, each with its own
-    # generator of the same doubles, and ends them alike
-    def tick_rows(R):
-        occ = np.tile(np.array([1, 0, 0], dtype=np.uint8), R)
-        rows = [np.tile(np.array(a, dtype=np.int64), (R, 1)) for a in (
-            [1, 2, 0], [0, 0, 0], [0, 0, 0], [0, -1, -1], [0, -1, -1],
-        )]
-        return occ, rows
-
-    # CTU: 3 doubles a tick; Uniform: 2 a tick, plus a skip double on
-    # ticks 2 and 3 (skips int(log1p(-0.8) / log1p(-0.5)) = 2, then 0)
-    draws = {
-        "ctu": [0.5, 0.9, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.9],
-        "uniform": [0.9, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.9],
-    }
-    logq = np.log1p(-(np.arange(2) / 2))
-    # every recorded loop below ends in the same trajectories: particle 0
-    # settled at its start, particle 2 stepped once, particle 1 twice
-    walked = [[0], [0, 1, 2], [0, 1]]
-    starts = np.zeros(3, dtype=np.int64)
-    dt = -float(np.log1p(-0.5))
-    clock = dt / 2.0 + dt + dt
-
-    def tick_ends(R, rngs, loop, rows, sinks):
-        _, pos, steps_row, settled_row, order = rows
-        assert [rng.drawn() for rng in rngs] == [len(draws[loop])] * R
-        assert settled_row.tolist() == order.tolist() == [[0, 2, 1]] * R
-        assert steps_row.tolist() == pos.tolist() == [[0, 2, 1]] * R
-        for rec in sinks or ():
-            assert rec.trajectories == walked
-
-    def tick_sinks(R, rec):
-        return [sink(starts, opened=False) for _ in range(R)] if rec else None
-
-    for R, rec in ((1, False), (1, True), (2, False), (2, True)):
-        occ, rows = tick_rows(R)
-        pool, pos, steps_row, settled_row, order = rows
-        clock_rows = np.zeros((R, 3))
-        rngs = [_ArrayGenerator(ks, draws["ctu"]) for _ in range(R)]
-        sinks = tick_sinks(R, rec)
-        clocks = ks.finish_ctu(
-            indptr, indices, occ, pool, pos, steps_row, settled_row,
-            clock_rows, order, rngs, k=2, norder=1, rate=1.0, sinks=sinks,
-        )
-        assert clocks.tolist() == [clock] * R, clocks
-        assert clock_rows.tolist() == [[0.0, clock, dt / 2.0]] * R, clock_rows
-        tick_ends(R, rngs, "ctu", rows, sinks)
-
-        occ, rows = tick_rows(R)
-        pool, pos, steps_row, settled_row, order = rows
-        rngs = [_ArrayGenerator(ks, draws["uniform"]) for _ in range(R)]
-        sinks = tick_sinks(R, rec)
-        ticks = ks.finish_uniform(
-            indptr, indices, occ, pool, pos, steps_row, settled_row, order,
-            rngs, k=2, norder=1, logq=logq, budget=float("inf"),
-            limit_msg="self-check", sinks=sinks,
-        )
-        assert ticks.tolist() == [5] * R, ticks
-        tick_ends(R, rngs, "uniform", rows, sinks)
-
-    # the same runs with a one-slot lane: before each tick that needs a
-    # slot once it is taken, the loop returns 3 ("lane full"); every
-    # return leaves the tick's log double, negated, and its divisor in the
-    # lane.  Two rows share the lane: row 1 finds it holding row 0's last
-    # double
-    half = float(logq[1])
-    full = {
-        "ctu": [(3, -0.5, 2.0), (3, -0.5, 1.0), (1, -0.5, 1.0)],
-        "uniform": [(3, -0.8, half), (1, -0.0, half)],
-    }
-    lane = np.empty(2)
-    for (loop, seen), R in product(full.items(), (1, 2)):
-        occ, rows = tick_rows(R)
-        rngs = [_ArrayGenerator(ks, draws[loop]) for _ in range(R)]
-        bgs = np.array(
-            [_bitgen_address(rng.bit_generator) for rng in rngs], dtype=np.uintp
-        )
-        which = np.zeros(1, dtype=np.int64)
-        pool, pos, steps_row, settled_row, order = rows
-        front = (indptr, indices, occ, pool, pos, steps_row, settled_row)
-        if loop == "ctu":
-            state, hi = np.zeros((R, 5), dtype=np.int64), 3
-            args = (
-                *front, np.zeros((R, 3)), order, bgs, None, lane, 1, state, R,
-                3, 3, 1.0,
-            )
-        else:
-            state, hi = np.zeros((R, 6), dtype=np.int64), 4
-            args = (
-                *front, order, bgs, None, lane, 1, logq, 2, state, R, 3, 3,
-                float("inf"),
-            )
-        state[:, :2] = [2, 1]
-        run = getattr(ks._impl, f"run_{loop}")
-        got = []
-        while not got or got[-1][0] == 3:
-            status = run(*args, None, None, which)
-            assert state[:, hi].max() == 1, state
-            got.append((status, float(lane[0]), float(lane[1])))
-        expect = [*seen[:-1], (3, *seen[-1][1:])] * (R - 1) + seen
-        assert got == expect, got
-        tick_ends(R, rngs, loop, rows, None)
-
-    # the folds on a fixed lane of logarithms against the serial double
-    # arithmetic, slot by slot: three rows, the middle one's segment
-    # empty; CTU row 0's particle 1 settled on its segment's last slot,
-    # row 2's particle 0 on its first, after a fold that left row 2's
-    # clock at 0.5 and its settle order at 1
-    logs = [float(np.log1p(-0.5)), -0.0, float(np.log1p(-0.25)), float(np.log1p(-0.9))]
-    divs = [2.0, 3.0, 0.75, 1.5]
-    lane = np.array(logs + divs)
-    span = [(0, 2), (2, 2), (2, 4)]
-    state = np.array([[0, 1, a, b, 0] for a, b in span], dtype=np.int64)
-    state[2, 1] = 2
-    sclock = np.array([[0.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
-    order = np.array([[1, 0], [0, 0], [1, 0]], dtype=np.int64)
-    folded, clocks = np.array([0, 1, 1], dtype=np.int64), np.array([0.0, 0.0, 0.5])
-    ks._impl.fold_ctu(lane, 4, state, 3, 2, sclock, order, folded, clocks)
-    ends = []
-    for (a, b), c in zip(span, (0.0, 0.0, 0.5)):
-        for i in range(a, b):
-            c = c - logs[i] / divs[i]
-            ends.append(c)
-    assert clocks.tolist() == [ends[1], 0.0, ends[3]], clocks
-    assert sclock.tolist() == [[0.0, ends[1]], [0.0, 0.0], [ends[2], 0.0]], sclock
-    assert folded.tolist() == [1, 1, 2] and lane[:4].tolist() == ends, lane
-    lane = np.array(logs + [-1e-3, half, half, -1e-9])
-    state = np.array([[0, 0, 7, a, b, 0] for a, b in span], dtype=np.int64)
-    ks._impl.fold_uniform(lane, 4, state, 3)
-    skips = [int(x / d) for x, d in zip(logs, lane[4:].tolist())]
-    assert state[:, 2].tolist() == [7 + skips[0] + skips[1], 7, 7 + skips[2] + skips[3]]
-
-    # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
-    # 0 -> 1, where particle 2 wins on priority; round 2 moves particle 1
-    # on to 2.  A second row ranks particle 1 first, so there particle 1
-    # settles at 1 and particle 2 moves on.  Six doubles a row, none
-    # drawn past them.  The 2-round budget stops a loop that over-draws:
-    # past its end the array yields 0.0, a hold gate, on which the walker
-    # would stay forever
-    ends = [([0, 2, 1], walked), ([0, 1, 2], [[0], [0, 1], [0, 1, 2]])]
-    for R, rec in ((1, False), (1, True), (2, False), (2, True)):
-        rngs = [
-            _ArrayGenerator(ks, [0.9, 0.9, 0.5, 0.5, 0.9, 0.9]) for _ in range(R)
-        ]
-        occ = np.tile(np.array([1, 0, 0], dtype=np.uint8), R)
-        act = np.tile(np.array([1, 2, 0], dtype=np.int64), (R, 1))
-        pos = np.zeros((R, 3), dtype=np.int64)
-        prio = np.array([[0, 2, 1], [0, 1, 2]][:R], dtype=np.int64)
-        best = np.full(3, -1, dtype=np.int64)
-        steps_row = np.zeros((R, 3), dtype=np.int64)
-        settled_row = np.tile(np.array([0, -1, -1], dtype=np.int64), (R, 1))
-        round_row = settled_row.copy()
-        sinks = [sink(starts, 2, False) for _ in range(R)] if rec else None
-        rounds = ks.finish_parallel(
-            indptr, indices, occ, act, pos, prio, best, steps_row,
-            settled_row, round_row, rngs, k=2, free=2, lazy=True,
-            scalar_threshold=0, budget=2.0, max_rounds=None, sinks=sinks,
-        )
-        settled_at = [row for row, _ in ends[:R]]
-        assert rounds.tolist() == [2] * R, rounds
-        assert [rng.drawn() for rng in rngs] == [6] * R
-        assert settled_row.tolist() == steps_row.tolist() == settled_at
-        assert round_row.tolist() == settled_at and best.tolist() == [-1] * 3
-        for rec, (_, paths) in zip(sinks or (), ends):
-            assert rec.trajectories == paths
-
-
-# ----------------------------------------------------------------------
 # registry / resolution
 # ----------------------------------------------------------------------
 _CACHE: dict[str, KernelSet] = {}
@@ -1217,10 +843,10 @@ def _load(name: str) -> KernelSet:
         ks: KernelSet = NumpyKernels()
     else:
         try:
-            from repro.kernels import cffi_impl
+            from repro.kernels import _selfcheck, cffi_impl
 
             ks = CompiledKernels(name, cffi_impl.load())
-            _self_check(ks)
+            _selfcheck.self_check(ks)
         except Exception as exc:
             _FAILED[name] = f"{type(exc).__name__}: {exc}"
             raise KernelsUnavailableError(

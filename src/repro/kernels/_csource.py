@@ -4,14 +4,21 @@ One translation unit, compiled with plain ``-O2 -ffp-contract=off``
 (never ``-ffast-math``: the offset computation ``(i64)(u * (double)deg)``
 and the CTU clock divisor ``(double)k * rate`` must be the same IEEE
 double operations the numpy path performs, or the bit-identity contract of
-:mod:`repro.kernels` breaks).  The functions mirror, line for
-line, the numpy round bodies in :mod:`repro.core.batched` and the scalar
-micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
+:mod:`repro.kernels` breaks).  :data:`C_SOURCE` is the includes, then
+:data:`CDEF` -- the one place each shared typedef and exported prototype
+is written, which cffi parses too -- then the function bodies, so the
+compiler checks every definition against its declaration.
+
+The functions mirror, line for line, the numpy round bodies in
+:mod:`repro.core.batched` and the scalar micro-loops in
+``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
 :mod:`repro.walks.single`, the tick loops of ``ctu_idla`` /
-``uniform_idla`` and the round loops of ``parallel_idla`` — every
-behavioural quirk (the *unclamped* ``int(u * deg)`` of the scalar loops,
-the clamped vector step, the draw order around the budget checks) is
-deliberate and pinned by ``tests/test_differential_drivers.py``.
+``uniform_idla`` and the round loops of ``parallel_idla`` -- every
+behavioural quirk (the draw order around the budget checks, the clamped
+pool slot of the tick loops) is deliberate and pinned by
+``tests/test_differential_drivers.py``.  Every walk step is one
+``repro_neighbor``: slot ``min((i64)(u*d), d - 1)``, which equals the
+serial loops' unclamped ``int(u * deg)`` for every ``u < 1``.
 
 The walk loops (``repro_finish_par1``, ``repro_walk_fill``,
 ``repro_walk_hit``) consume uniforms from a caller-provided buffer and
@@ -20,122 +27,55 @@ return ``0`` when it runs dry; the Python wrapper refills (see
 wherever a later consumer reads the generator, so those fetch positions
 stay on the serial grid.  The four shard loops (``repro_finish_seq``,
 ``repro_run_parallel``, ``repro_run_ctu``, ``repro_run_uniform``) instead
-run every repetition of a shard in one call, each repetition with its
-own state row, rows of the shard's ``(R, m)`` arrays and draw source,
-from which it draws each double in the serial order, so every generator
-ends right after the last double its repetition consumed.  A draw
-source (``repro_rng``, one helper ``repro_draw`` for all four loops) is
-either an inline PCG64 -- numpy's default bit generator, stepped in
-registers -- or the generic ``next_double`` call of a ``bitgen_t``
-(``numpy/random/bitgen.h``, declared here with the same layout).  Row
-``r``'s source is the ``bitgen_t`` at ``bgs[r]``: a numpy ``PCG64``,
-recognised by its ``next_double`` pointer, is loaded into the inline
-state and stored back on every return; any other takes the call.  A
-row with ``bgs[r] == 0`` steps the PCG64 state in row ``r`` of
-``seeds``, which ``repro_seed_pcg64`` computes from a ``SeedSequence``
-child as numpy does, so a repetition whose doubles are all drawn here
-needs no numpy generator at all.  ``repro_finish_seq`` keeps
-``REPRO_LANES`` repetitions in flight round-robin, so the CPU overlaps
-their dependent steps; the other three run the repetitions one after
-another.  Either way every repetition's draws and updates are those of
-the loop run on its own.  The tick loops need ``log1p(-u)`` of some
-doubles (CTU's clock, Uniform's geometric skip), which C never takes:
-they write those doubles, negated, to a *log lane* shared by the
-call's repetitions, with their divisors.  After every return (status
-``3``: the lane is full) the wrapper takes numpy's ``log1p`` over the
-used lane in place, and ``repro_fold_ctu`` / ``repro_fold_uniform``
-fold it into the clocks and tick counts.
+take one ``repro_shard``: every repetition of a shard, each with its own
+state row, rows of the shard's ``(R, m)`` arrays and draw source, from
+which it draws each double in the serial order, so every generator ends
+right after the last double its repetition consumed.  So do the lane
+folds and ``repro_draw_doubles``.  A draw source (``repro_rng``, one
+helper ``repro_draw`` for all four loops) is either an inline PCG64 --
+numpy's default bit generator, stepped in registers -- or the generic
+``next_double`` call of a ``bitgen_t`` (``numpy/random/bitgen.h``,
+declared here with the same layout).  Row ``r``'s source is the
+``bitgen_t`` at ``bgs[r]``: a numpy ``PCG64``, recognised by its
+``next_double`` pointer, is loaded into the inline state and stored back
+on every return; any other takes the call.  A row with ``bgs[r] == 0``
+steps the PCG64 state in row ``r`` of ``seeds``, which
+``repro_seed_pcg64`` computes from a ``SeedSequence`` child as numpy
+does, so a repetition whose doubles are all drawn here needs no numpy
+generator at all.  ``repro_finish_seq`` keeps ``REPRO_LANES``
+repetitions in flight round-robin, so the CPU overlaps their dependent
+steps; the other three run the repetitions one after another.  Either
+way every repetition's draws and updates are those of the loop run on
+its own.  The tick loops need ``log1p(-u)`` of some doubles (CTU's
+clock, Uniform's geometric skip), which C never takes: they write those
+doubles, negated, to a *log lane* shared by the shard's repetitions, with
+their divisors.  After every return (status ``3``: the lane is full) the
+wrapper takes numpy's ``log1p`` over the used lane in place, and
+``repro_fold_ctu`` / ``repro_fold_uniform`` fold it into the clocks and
+tick counts.
 
-The shard loops take an optional *event sink* per repetition: an
+A shard records into an optional *event sink* per repetition: an
 ``int`` array of ``caps[r]`` ``(particle, vertex)`` pairs at address
 ``evs[r]``, ``evs`` ``NULL`` when the run does not record.  Each
 particle-step (holds included) appends one pair -- the shape the serial
 drivers record.  Before a step or round that would overflow a sink the
-loop returns ``2`` ("sink full") and names the repetition in
-``*which``; the wrapper keeps the filled sink and re-enters with an
-empty one.  A sink of room 0 is full before its repetition's first
-event: the loops that run repetitions one after another get such
-unopened sinks, so the wrapper can group each finished repetition's
-events before the next one opens its sink.  ``repro_scatter_events``
-groups the events by particle afterwards, and ``repro_prefix_bitgen``
-makes a ``bitgen_t`` that serves a fixed array of doubles before those
-of another ``bitgen_t``: the leftover of a lock-step stream row, or
-(with none behind it) the load-time self-check's fixed draws.
+loop returns ``2`` ("sink full") and names the repetition in ``which``;
+the wrapper keeps the filled sink and re-enters with an empty one.  A
+sink of room 0 is full before its repetition's first event: the loops
+that run repetitions one after another get such unopened sinks, so the
+wrapper can group each finished repetition's events before the next one
+opens its sink.  ``repro_scatter_events`` groups the events by particle
+afterwards, and ``repro_prefix_bitgen`` makes a ``bitgen_t`` that serves
+a fixed array of doubles before those of another ``bitgen_t``: the
+leftover of a lock-step stream row, or (with none behind it) the
+load-time self-check's fixed draws.
 """
 
 from __future__ import annotations
 
-#: Prototypes for ``cffi.FFI.cdef`` — keep in sync with :data:`C_SOURCE`.
+#: The typedefs and exported prototypes, for ``cffi.FFI.cdef`` and as the
+#: head of :data:`C_SOURCE`.
 CDEF = """
-typedef long long i64;
-typedef struct bitgen {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-typedef struct {
-    const double *buf; i64 n; i64 i; bitgen_t *rest;
-} repro_prefix_rng;
-void repro_pcg64_register(const bitgen_t *pcg64);
-void repro_draw_doubles(const uintptr_t *bgs, uint64_t *seeds, i64 R,
-                        i64 n, double *out);
-void repro_seed_pcg64(const uint32_t *pre, i64 npre, uint64_t start,
-                      i64 count, uint64_t *seeds);
-void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
-                    const double *u, i64 *out, i64 k);
-i64 repro_vacant(const unsigned char *occ, const i64 *rep_off,
-                 const i64 *pos, i64 k, i64 *out);
-i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
-                       const i64 *pos, const i64 *prio, i64 k, i64 n,
-                       i64 *best, i64 *touched, i64 *winners);
-i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
-                     unsigned char *occ, const i64 *starts, i64 *steps,
-                     i64 *settled, const uintptr_t *bgs, uint64_t *seeds,
-                     i64 *state, i64 R, i64 n, i64 m, i64 lazy, double budget,
-                     const uintptr_t *evs, const i64 *caps, i64 *which);
-i64 repro_finish_par1(const i64 *indptr, const i64 *indices,
-                      unsigned char *occ, const double *buf, i64 nbuf,
-                      i64 *state, i64 lazy, i64 guard, double budget);
-i64 repro_walk_fill(const i64 *indptr, const i64 *indices, i64 *out,
-                    i64 steps, const double *buf, i64 nbuf, i64 *state);
-i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
-                   const unsigned char *hit, const double *buf, i64 nbuf,
-                   i64 *state, double limit);
-i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
-                  i64 *pool, i64 *pos, i64 *steps, i64 *settled,
-                  double *sclock, i64 *order, const uintptr_t *bgs,
-                  uint64_t *seeds, double *lane, i64 lane_cap, i64 *state,
-                  i64 R, i64 n, i64 m, double rate, const uintptr_t *evs,
-                  const i64 *caps, i64 *which);
-i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
-                      unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
-                      i64 *settled, i64 *order, const uintptr_t *bgs,
-                      uint64_t *seeds, double *lane, i64 lane_cap,
-                      const double *logq, i64 pool_size, i64 *state, i64 R,
-                      i64 n, i64 m, double budget, const uintptr_t *evs,
-                      const i64 *caps, i64 *which);
-i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
-                       unsigned char *occ, i64 *act, i64 *pos,
-                       const i64 *prio, i64 *best, i64 *steps,
-                       i64 *settled, i64 *round, const uintptr_t *bgs,
-                       uint64_t *seeds, double *hold, i64 *state, i64 R,
-                       i64 n, i64 m, i64 lazy, i64 thr, double budget,
-                       const uintptr_t *evs, const i64 *caps, i64 *which);
-void repro_fold_ctu(double *lane, i64 lane_cap, const i64 *state, i64 R,
-                    i64 m, double *sclock, const i64 *order, i64 *folded,
-                    double *clocks);
-void repro_fold_uniform(const double *lane, i64 lane_cap, i64 *state, i64 R);
-void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
-void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
-"""
-
-C_SOURCE = """
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
-
 typedef long long i64;
 
 /* numpy's bitgen_t (numpy/random/bitgen.h), field for field. */
@@ -146,6 +86,95 @@ typedef struct bitgen {
     double (*next_double)(void *st);
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
+
+/* The state of repro_prefix_bitgen's bit generator. */
+typedef struct {
+    const double *buf; i64 n; i64 i; bitgen_t *rest;
+} repro_prefix_rng;
+
+/* One shard: R repetitions of m particles on the CSR graph (indptr,
+ * indices) of n vertices.  Repetition r owns occ[r*n ..], row r (r*m ..)
+ * of each (R, m) array a loop uses, its state row, its draw source (the
+ * bitgen_t at bgs[r], or row r of seeds when that is 0) and, when
+ * recording (evs not NULL), the event sink evs[r] of caps[r] events.
+ * `which` names the repetition a status other than 1 stops at.  The
+ * scalars and scratch below the state rows serve the loops that name
+ * them; a loop leaves the others alone. */
+typedef struct {
+    i64 R, n, m;
+    const i64 *indptr, *indices;
+    unsigned char *occ;
+    const i64 *starts, *prio;
+    i64 *pool, *pos, *steps, *settled, *order, *round;
+    double *sclock;
+    const uintptr_t *bgs;
+    uint64_t *seeds;
+    const uintptr_t *evs;
+    const i64 *caps;
+    i64 which;
+    i64 *state;
+    i64 lazy, thr, lane_cap, pool_size;
+    double budget, rate;
+    i64 *best;
+    double *hold, *lane;
+    const double *logq;
+} repro_shard;
+
+void repro_pcg64_register(const bitgen_t *pcg64);
+void repro_draw_doubles(repro_shard *sh, i64 n, double *out);
+void repro_seed_pcg64(const uint32_t *pre, i64 npre, uint64_t start,
+                      i64 count, uint64_t *seeds);
+void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
+                    const double *u, i64 *out, i64 k);
+i64 repro_vacant(const unsigned char *occ, const i64 *rep_off,
+                 const i64 *pos, i64 k, i64 *out);
+i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
+                       const i64 *pos, const i64 *prio, i64 k, i64 n,
+                       i64 *best, i64 *touched, i64 *winners);
+i64 repro_finish_seq(repro_shard *sh);
+i64 repro_finish_par1(const i64 *indptr, const i64 *indices,
+                      unsigned char *occ, const double *buf, i64 nbuf,
+                      i64 *state, i64 lazy, double budget);
+i64 repro_walk_fill(const i64 *indptr, const i64 *indices, i64 *out,
+                    i64 steps, const double *buf, i64 nbuf, i64 *state);
+i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
+                   const unsigned char *hit, const double *buf, i64 nbuf,
+                   i64 *state, double limit);
+i64 repro_run_ctu(repro_shard *sh);
+i64 repro_run_uniform(repro_shard *sh);
+i64 repro_run_parallel(repro_shard *sh);
+void repro_fold_ctu(repro_shard *sh, i64 *folded, double *clocks);
+void repro_fold_uniform(repro_shard *sh);
+void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
+void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
+"""
+
+C_SOURCE = """
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+""" + CDEF + """
+/* The largest double below 1. */
+#define REPRO_U_MAX 0x1.fffffffffffffp-1
+
+/* The simple random walk's step from v with u >= 0: slot
+ * min((i64)(u*d), d-1) of v's d neighbours, bit-identical to the numpy
+ * chain  deg = indptr[pos+1]-indptr[pos]; off = (u*deg).astype(int64);
+ * minimum(off, deg-1); indices[indptr[pos]+off].  For u <= REPRO_U_MAX =
+ * 1 - 2^-53 and d <= 2^53, fl(u*d) < d (rounding is monotone, and
+ * d*2^-53 is at least half an ulp of d), so for every u < 1 the clamp
+ * never binds -- the serial loops' unclamped int(u * deg) takes the same
+ * slot -- and for u >= 1 clamping u to REPRO_U_MAX gives slot d-1.  It
+ * clamps u, not the offset: u does not depend on the walker's position,
+ * so its clamp stays off the chain of dependent loads from step to step,
+ * where an offset clamp cost the sequential lane loop ~9% a step. */
+static inline i64 repro_neighbor(const i64 *indptr, const i64 *indices,
+                                 i64 v, double u)
+{
+    i64 s = indptr[v], d = indptr[v + 1] - s;
+    if (!(u < REPRO_U_MAX)) u = REPRO_U_MAX;
+    return indices[s + (i64)(u * (double)d)];
+}
 
 /* ---- the draw source of a shard row ----------------------------------
  * A row draws from an inline PCG64 or through the generic bitgen_t call.
@@ -190,14 +219,13 @@ static inline double repro_draw(repro_rng *g)
 
 /* Row r's source: seeds[4r .. 4r+4) when bgs[r] is 0, else the bitgen_t
  * at address bgs[r]. */
-static inline void repro_rng_load(repro_rng *g, const uintptr_t *bgs,
-                                  uint64_t *seeds, i64 r)
+static inline void repro_rng_load(repro_rng *g, const repro_shard *sh, i64 r)
 {
-    bitgen_t *bg = (bitgen_t *)bgs[r];
+    bitgen_t *bg = (bitgen_t *)sh->bgs[r];
     g->s = g->inc = 0;
     g->next = NULL;
     g->st = NULL;
-    if (!bg) g->home = seeds + 4 * r;
+    if (!bg) g->home = sh->seeds + 4 * r;
     else if (repro_pcg64_double && bg->next_double == repro_pcg64_double)
         g->home = *(void **)bg->state;
     else {
@@ -215,14 +243,14 @@ static inline void repro_rng_store(const repro_rng *g)
     if (g->home) memcpy(g->home, &g->s, sizeof g->s);
 }
 
-/* Row r draws n doubles into out[r*n ..] from its source, for each of R
- * rows, and stores its state back: the draw contract on its own. */
-void repro_draw_doubles(const uintptr_t *bgs, uint64_t *seeds, i64 R,
-                        i64 n, double *out)
+/* Row r draws n doubles into out[r*n ..] from its source, for each of
+ * the shard's R rows, and stores its state back: the draw contract on
+ * its own. */
+void repro_draw_doubles(repro_shard *sh, i64 n, double *out)
 {
-    for (i64 r = 0; r < R; r++) {
+    for (i64 r = 0; r < sh->R; r++) {
         repro_rng g;
-        repro_rng_load(&g, bgs, seeds, r);
+        repro_rng_load(&g, sh, r);
         for (i64 j = 0; j < n; j++) out[r * n + j] = repro_draw(&g);
         repro_rng_store(&g);
     }
@@ -299,28 +327,18 @@ void repro_seed_pcg64(const uint32_t *pre, i64 npre, uint64_t start,
 
 /* Append the event (particle p, vertex v) to the event sink `ev` of the
  * enclosing loop (NULL when it does not record); `nev` counts events. */
-#define REPRO_EVENT(p, v) do { if (ev) { \
+#define REPRO_EVENT(p, v) do { if (ev) { \\
     ev[2 * nev] = (int)(p); ev[2 * nev + 1] = (int)(v); nev++; } } while (0)
 
-/* Fused CSR step: deg gather, offset truncation, clamp, slot gather.
- * Bit-identical to the numpy chain
- *     deg = indptr[pos+1]-indptr[pos]; off = (u*deg).astype(int64);
- *     minimum(off, deg-1); indices[indptr[pos]+off]
+/* The fused step for k walkers: out[i] = pos[i]'s neighbour by u[i].
  * Negative u (the lazy drivers pass 2*(u-0.5) for *hold* walkers whose
- * result is discarded by `where`) clamps to slot 0 instead of numpy's
+ * result is discarded by `where`) takes slot 0 instead of numpy's
  * harmless wraparound gather -- any in-range slot works, OOB does not. */
 void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
                     const double *u, i64 *out, i64 k)
 {
-    for (i64 i = 0; i < k; i++) {
-        i64 p = pos[i];
-        i64 s = indptr[p];
-        i64 d = indptr[p + 1] - s;
-        i64 off = (i64)(u[i] * (double)d);
-        if (off > d - 1) off = d - 1;
-        if (off < 0) off = 0;
-        out[i] = indices[s + off];
-    }
+    for (i64 i = 0; i < k; i++)
+        out[i] = repro_neighbor(indptr, indices, pos[i], u[i] < 0 ? 0 : u[i]);
 }
 
 /* Occupancy probe: indices i with occ[rep_off[i] + pos[i]] == 0,
@@ -430,11 +448,7 @@ repro_seq_pass(repro_seq_lane *lane, i64 *nl, const i64 *indptr,
             }
             u = 2.0 * (u - 0.5);
         }
-        {
-            i64 s = indptr[pos];
-            i64 d = indptr[pos + 1] - s;
-            pos = indices[s + (i64)(u * (double)d)];
-        }
+        pos = repro_neighbor(indptr, indices, pos, u);
         if (rec) { REPRO_EVENT(L->particle, pos); L->nev = nev; }
         L->pos = pos;
         if (L->occ[pos]) continue;
@@ -464,30 +478,28 @@ repro_seq_pass(repro_seq_lane *lane, i64 *nl, const i64 *indptr,
     return 0;
 }
 
-/* _finish_sequential_rep's inner loop for R repetitions, REPRO_LANES of
- * them in flight, round-robin, one step per lane per pass; a lane whose
- * repetition settles its last particle takes the next unstarted one.
- * Repetition r owns rows occ[r*n ..], starts/steps/settled[r*m ..], the
- * state row state[r*SEQ_STATE ..] = [particle, pos, t, total, events]
- * (particle == m: done) and the draw source of row r (bgs, seeds), from
- * which it draws one double per step.  When recording,
- * evs[r] is its event sink of caps[r] events (evs NULL: no recording).
- * Returns 1 when every repetition is done (state[..TOTAL] = consumed
- * doubles), 2 when the sink of repetition *which is full (resume with an
- * empty one), -1 when repetition *which exceeds the budget; on any
- * return every lane writes its state row back, so a re-entry resumes
- * exactly where it stopped.  Per repetition, the draws and updates are
- * those of the serial loop run on its own: u is drawn *before* the
- * budget check and nbrs indexed *unclamped*.  With a sink, every step
- * (holds included) records (particle, position after the step). */
-#define SEQ_PASS(rec, lz) repro_seq_pass(lane, &nl, indptr, indices, \
-                                         state, m, budget, which, rec, lz)
-i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
-                     unsigned char *occ, const i64 *starts, i64 *steps,
-                     i64 *settled, const uintptr_t *bgs, uint64_t *seeds,
-                     i64 *state, i64 R, i64 n, i64 m, i64 lazy, double budget,
-                     const uintptr_t *evs, const i64 *caps, i64 *which)
+/* _finish_sequential_rep's inner loop for the R repetitions of a shard,
+ * REPRO_LANES of them in flight, round-robin, one step per lane per
+ * pass; a lane whose repetition settles its last particle takes the next
+ * unstarted one.  Repetition r walks on occ, starts, steps and settled
+ * from its state row [particle, pos, t, total, events] (particle == m:
+ * done), one double a step.  Returns 1 when every repetition is done
+ * (TOTAL = consumed doubles), 2 when the sink of repetition `which` is
+ * full (resume with an empty one), -1 when repetition `which` exceeds
+ * the budget; on any return every lane writes its state row back, so a
+ * re-entry resumes exactly where it stopped.  Per repetition, the draws
+ * and updates are those of the serial loop run on its own: u is drawn
+ * *before* the budget check.  With a sink, every step (holds included)
+ * records (particle, position after the step). */
+#define SEQ_PASS(rec, lz) repro_seq_pass(lane, &nl, indptr, indices, \\
+                                         state, m, budget, &which, rec, lz)
+i64 repro_finish_seq(repro_shard *sh)
 {
+    const i64 *indptr = sh->indptr, *indices = sh->indices;
+    const uintptr_t *evs = sh->evs;
+    i64 *state = sh->state, R = sh->R, n = sh->n, m = sh->m;
+    i64 lazy = sh->lazy, which = 0;
+    double budget = sh->budget;
     repro_seq_lane lane[REPRO_LANES];
     i64 nl = 0, next_r = 0, status = 0;
     while (!status) {
@@ -502,13 +514,13 @@ i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
             L->t = row[SEQ_T];
             L->total = row[SEQ_TOTAL];
             L->nev = row[SEQ_EVENTS];
-            repro_rng_load(&L->g, bgs, seeds, r);
-            L->occ = occ + r * n;
-            L->starts = starts + r * m;
-            L->steps = steps + r * m;
-            L->settled = settled + r * m;
+            repro_rng_load(&L->g, sh, r);
+            L->occ = sh->occ + r * n;
+            L->starts = sh->starts + r * m;
+            L->steps = sh->steps + r * m;
+            L->settled = sh->settled + r * m;
             L->ev = evs ? (int *)evs[r] : NULL;
-            L->cap = evs ? caps[r] : 0;
+            L->cap = evs ? sh->caps[r] : 0;
         }
         if (!nl) return 1;
         if (evs && lazy) status = SEQ_PASS(1, 1);
@@ -517,17 +529,16 @@ i64 repro_finish_seq(const i64 *indptr, const i64 *indices,
         else status = SEQ_PASS(0, 0);
     }
     for (i64 l = 0; l < nl; l++) repro_seq_save(state, &lane[l]);
+    sh->which = which;
     return status;
 }
 #undef SEQ_PASS
 
 /* The k == 1 branch of _finish_parallel_rep: one straggler particle, no
- * contest.  state = [v, t]; returns 1 settled, 0 buffer dry, -1 budget.
- * `guard` is the serial wide-phase flag (k > scalar_threshold): clamped
- * vector-step offsets when set, the raw scalar truncation otherwise. */
+ * contest.  state = [v, t]; returns 1 settled, 0 buffer dry, -1 budget. */
 i64 repro_finish_par1(const i64 *indptr, const i64 *indices,
                       unsigned char *occ, const double *buf, i64 nbuf,
-                      i64 *state, i64 lazy, i64 guard, double budget)
+                      i64 *state, i64 lazy, double budget)
 {
     i64 v = state[0], t = state[1], i = 0;
     for (;;) {
@@ -539,13 +550,7 @@ i64 repro_finish_par1(const i64 *indptr, const i64 *indices,
             if (u < 0.5) continue;
             u = 2.0 * (u - 0.5);
         }
-        {
-            i64 s = indptr[v];
-            i64 d = indptr[v + 1] - s;
-            i64 off = (i64)(u * (double)d);
-            if (guard && off >= d) off = d - 1;
-            v = indices[s + off];
-        }
+        v = repro_neighbor(indptr, indices, v, u);
         if (occ[v]) continue;
         occ[v] = 1;
         state[0] = v;
@@ -562,10 +567,7 @@ i64 repro_walk_fill(const i64 *indptr, const i64 *indices, i64 *out,
     i64 t = state[0], pos = state[1], i = 0;
     while (t < steps) {
         if (i >= nbuf) { state[0] = t; state[1] = pos; return 0; }
-        double u = buf[i++];
-        i64 s = indptr[pos];
-        i64 d = indptr[pos + 1] - s;
-        pos = indices[s + (i64)(u * (double)d)];
+        pos = repro_neighbor(indptr, indices, pos, buf[i++]);
         t += 1;
         out[t] = pos;
     }
@@ -583,10 +585,7 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
     i64 steps = state[0], pos = state[1], i = 0;
     for (;;) {
         if (i >= nbuf) { state[0] = steps; state[1] = pos; return 0; }
-        double u = buf[i++];
-        i64 s = indptr[pos];
-        i64 d = indptr[pos + 1] - s;
-        pos = indices[s + (i64)(u * (double)d)];
+        pos = repro_neighbor(indptr, indices, pos, buf[i++]);
         steps += 1;
         if (hit[pos]) { state[0] = steps; state[1] = pos; return 1; }
         if ((double)steps >= limit) {
@@ -621,30 +620,26 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
 enum { CTU_K, CTU_NO, CTU_LO, CTU_HI, CTU_EVENTS, CTU_STATE };
 enum { UNI_K, UNI_NO, UNI_TICKS, UNI_LO, UNI_HI, UNI_EVENTS, UNI_STATE };
 
-/* CTU-IDLA (ctu_idla's tick loop) for R repetitions, each from its
- * state row state[r*CTU_STATE ..]: repetition r owns occ[r*n ..], the
- * rows pool, pos, steps, settled, sclock, order [r*m ..], its draw
- * source (bgs, seeds) and, when recording (evs not NULL), the event sink
- * evs[r] of caps[r] events.  pool[0..k) holds its unsettled particles
- * (swap-remove order), order[] its settle order so far.  Per tick, three
- * doubles from its draw source, in the serial order: the clock double,
- * written to the lane with its divisor (double)k*rate (the clock advance
- * is -log1p(-u)/divisor), the clamped pool slot, the clamped step.  A
- * particle that settles gets sclock[p] = the lane length after its
- * tick's advance, which repro_fold_ctu replaces with the clock.  Returns
- * 1 when every repetition is done, 2 before a tick the sink of
- * repetition *which has no room for (resume with an empty one), 3 before
- * a tick of repetition *which when the lane is full; on any return every
- * visited row is written back.  With a sink, each tick records
- * (particle, new vertex). */
-i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
-                  i64 *pool, i64 *pos, i64 *steps, i64 *settled,
-                  double *sclock, i64 *order, const uintptr_t *bgs,
-                  uint64_t *seeds, double *lane, i64 lane_cap, i64 *state,
-                  i64 R, i64 n, i64 m, double rate, const uintptr_t *evs,
-                  const i64 *caps, i64 *which)
+/* CTU-IDLA (ctu_idla's tick loop) for the R repetitions of a shard, each
+ * from its state row, on its rows pool, pos, steps, settled, sclock and
+ * order.  pool[0..k) holds its unsettled particles (swap-remove order),
+ * order[] its settle order so far.  Per tick, three doubles from its
+ * draw source, in the serial order: the clock double, written to the
+ * lane with its divisor (double)k*rate (the clock advance is
+ * -log1p(-u)/divisor), the clamped pool slot, the step.  A particle that
+ * settles gets sclock[p] = the lane length after its tick's advance,
+ * which repro_fold_ctu replaces with the clock.  Returns 1 when every
+ * repetition is done, 2 before a tick the sink of repetition `which` has
+ * no room for (resume with an empty one), 3 before a tick of repetition
+ * `which` when the lane is full; on any return every visited row is
+ * written back.  With a sink, each tick records (particle, new vertex). */
+i64 repro_run_ctu(repro_shard *sh)
 {
-    double *den = lane + lane_cap;
+    const i64 *indptr = sh->indptr, *indices = sh->indices;
+    const uintptr_t *evs = sh->evs;
+    i64 *state = sh->state, R = sh->R, n = sh->n, m = sh->m;
+    i64 lane_cap = sh->lane_cap;
+    double *lane = sh->lane, *den = lane + lane_cap, rate = sh->rate;
     i64 nl = 0, status = 1;
     for (i64 r = 0; r < R && status == 1; r++) {
         i64 *row = state + r * CTU_STATE;
@@ -652,13 +647,14 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         row[CTU_LO] = row[CTU_HI] = nl;
         if (!k) continue;
         repro_rng g;
-        repro_rng_load(&g, bgs, seeds, r);
-        unsigned char *oc = occ + r * n;
-        i64 *pl = pool + r * m, *ps = pos + r * m, *sp = steps + r * m;
-        i64 *se = settled + r * m, *od = order + r * m;
-        double *sc = sclock + r * m;
+        repro_rng_load(&g, sh, r);
+        unsigned char *oc = sh->occ + r * n;
+        i64 *pl = sh->pool + r * m, *ps = sh->pos + r * m;
+        i64 *sp = sh->steps + r * m, *se = sh->settled + r * m;
+        i64 *od = sh->order + r * m;
+        double *sc = sh->sclock + r * m;
         int *ev = evs ? (int *)evs[r] : NULL;
-        i64 cap = evs ? caps[r] : 0;
+        i64 cap = evs ? sh->caps[r] : 0;
         while (k) {
             if (nl >= lane_cap) { status = 3; break; }
             if (evs && nev >= cap) { status = 2; break; }
@@ -667,11 +663,7 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
             i64 s = (i64)(repro_draw(&g) * (double)k);
             if (s > k - 1) s = k - 1;
             i64 p = pl[s];
-            i64 b = indptr[ps[p]];
-            i64 d = indptr[ps[p] + 1] - b;
-            i64 off = (i64)(repro_draw(&g) * (double)d);
-            if (off > d - 1) off = d - 1;
-            i64 v = indices[b + off];
+            i64 v = repro_neighbor(indptr, indices, ps[p], repro_draw(&g));
             ps[p] = v;
             sp[p] += 1;
             REPRO_EVENT(p, v);
@@ -685,35 +677,34 @@ i64 repro_run_ctu(const i64 *indptr, const i64 *indices, unsigned char *occ,
         row[CTU_K] = k; row[CTU_NO] = no; row[CTU_HI] = nl;
         row[CTU_EVENTS] = nev;
         repro_rng_store(&g);
-        if (status != 1) *which = r;
+        if (status != 1) sh->which = r;
     }
     return status;
 }
 
-/* Uniform-IDLA (uniform_idla's default-mode tick loop) for R
- * repetitions, laid out as in repro_run_ctu, with the tick count in each
- * state row.  Per tick: ticks += 1 and the budget check, then -- only
- * while k < pool_size -- the geometric-skip double, written to the lane
- * with its divisor logq[k] (the caller's numpy log1p(-k/pool_size)),
- * then the clamped pool slot and the clamped step: 2-3 doubles from the
- * repetition's draw source, in the serial order.  The skips
- * (i64)(log1p(-u)/logq[k]) are added by repro_fold_uniform, so a row's
- * tick count here is a lower bound of the serial one: the loop returns
- * -1 once it exceeds the budget (repetition *which), and the wrapper
- * checks the budget exactly after each fold.  Returns 1 when every
- * repetition is done, 2 before a tick the sink of repetition *which has
- * no room for, 3 before a skip tick of repetition *which when the lane
- * is full.  With a sink, each tick
- * that steps records (particle, new vertex); wasted ticks record none. */
-i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
-                      unsigned char *occ, i64 *pool, i64 *pos, i64 *steps,
-                      i64 *settled, i64 *order, const uintptr_t *bgs,
-                      uint64_t *seeds, double *lane, i64 lane_cap,
-                      const double *logq, i64 pool_size, i64 *state, i64 R,
-                      i64 n, i64 m, double budget, const uintptr_t *evs,
-                      const i64 *caps, i64 *which)
+/* Uniform-IDLA (uniform_idla's default-mode tick loop) for the R
+ * repetitions of a shard, laid out as in repro_run_ctu less the clocks,
+ * with the tick count in each state row.  Per tick: ticks += 1 and the
+ * budget check, then -- only while k < pool_size -- the geometric-skip
+ * double, written to the lane with its divisor logq[k] (the caller's
+ * numpy log1p(-k/pool_size)), then the clamped pool slot and the step:
+ * 2-3 doubles from the repetition's draw source, in the serial order.
+ * The skips (i64)(log1p(-u)/logq[k]) are added by repro_fold_uniform, so
+ * a row's tick count here is a lower bound of the serial one: the loop
+ * returns -1 once it exceeds the budget (repetition `which`), and the
+ * wrapper checks the budget exactly after each fold.  Returns 1 when
+ * every repetition is done, 2 before a tick the sink of repetition
+ * `which` has no room for, 3 before a skip tick of repetition `which`
+ * when the lane is full.  With a sink, each tick that steps records
+ * (particle, new vertex); wasted ticks record none. */
+i64 repro_run_uniform(repro_shard *sh)
 {
-    double *div = lane + lane_cap;
+    const i64 *indptr = sh->indptr, *indices = sh->indices;
+    const uintptr_t *evs = sh->evs;
+    const double *logq = sh->logq;
+    i64 *state = sh->state, R = sh->R, n = sh->n, m = sh->m;
+    i64 lane_cap = sh->lane_cap, pool_size = sh->pool_size;
+    double *lane = sh->lane, *div = lane + lane_cap, budget = sh->budget;
     i64 nl = 0, status = 1;
     for (i64 r = 0; r < R && status == 1; r++) {
         i64 *row = state + r * UNI_STATE;
@@ -722,12 +713,13 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         row[UNI_LO] = row[UNI_HI] = nl;
         if (!k) continue;
         repro_rng g;
-        repro_rng_load(&g, bgs, seeds, r);
-        unsigned char *oc = occ + r * n;
-        i64 *pl = pool + r * m, *ps = pos + r * m, *sp = steps + r * m;
-        i64 *se = settled + r * m, *od = order + r * m;
+        repro_rng_load(&g, sh, r);
+        unsigned char *oc = sh->occ + r * n;
+        i64 *pl = sh->pool + r * m, *ps = sh->pos + r * m;
+        i64 *sp = sh->steps + r * m, *se = sh->settled + r * m;
+        i64 *od = sh->order + r * m;
         int *ev = evs ? (int *)evs[r] : NULL;
-        i64 cap = evs ? caps[r] : 0;
+        i64 cap = evs ? sh->caps[r] : 0;
         while (k) {
             i64 skip = k < pool_size;
             if (skip && nl >= lane_cap) { status = 3; break; }
@@ -741,11 +733,7 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
             i64 s = (i64)(repro_draw(&g) * (double)k);
             if (s > k - 1) s = k - 1;
             i64 p = pl[s];
-            i64 b = indptr[ps[p]];
-            i64 d = indptr[ps[p] + 1] - b;
-            i64 off = (i64)(repro_draw(&g) * (double)d);
-            if (off > d - 1) off = d - 1;
-            i64 v = indices[b + off];
+            i64 v = repro_neighbor(indptr, indices, ps[p], repro_draw(&g));
             ps[p] = v;
             sp[p] += 1;
             REPRO_EVENT(p, v);
@@ -758,7 +746,7 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
         row[UNI_K] = k; row[UNI_NO] = no; row[UNI_TICKS] = t;
         row[UNI_HI] = nl; row[UNI_EVENTS] = nev;
         repro_rng_store(&g);
-        if (status != 1) *which = r;
+        if (status != 1) sh->which = r;
     }
     return status;
 }
@@ -775,21 +763,21 @@ i64 repro_run_uniform(const i64 *indptr, const i64 *indices,
  * slot.  A particle settled since the last fold (order[folded[r] ..
  * NO) of its row) holds in sclock the lane length g after its tick, so
  * its clock is slot g - 1's.  Updates clocks[r] and folded[r]. */
-void repro_fold_ctu(double *lane, i64 lane_cap, const i64 *state, i64 R,
-                    i64 m, double *sclock, const i64 *order, i64 *folded,
-                    double *clocks)
+void repro_fold_ctu(repro_shard *sh, i64 *folded, double *clocks)
 {
-    const double *den = lane + lane_cap;
-    for (i64 r = 0; r < R; r++) {
-        const i64 *row = state + r * CTU_STATE;
+    double *lane = sh->lane;
+    const double *den = lane + sh->lane_cap;
+    i64 m = sh->m;
+    for (i64 r = 0; r < sh->R; r++) {
+        const i64 *row = sh->state + r * CTU_STATE;
         double c = clocks[r];
         for (i64 i = row[CTU_LO]; i < row[CTU_HI]; i++) {
             c = c - lane[i] / den[i];
             lane[i] = c;
         }
         clocks[r] = c;
-        double *sc = sclock + r * m;
-        const i64 *od = order + r * m;
+        double *sc = sh->sclock + r * m;
+        const i64 *od = sh->order + r * m;
         for (i64 j = folded[r]; j < row[CTU_NO]; j++) {
             i64 p = od[j];
             sc[p] = lane[(i64)sc[p] - 1];
@@ -800,11 +788,11 @@ void repro_fold_ctu(double *lane, i64 lane_cap, const i64 *state, i64 R,
 
 /* Uniform: the serial ticks += (i64)(log1p(-u) / logq[k]), skip by
  * skip; each row's skips are added to its tick count. */
-void repro_fold_uniform(const double *lane, i64 lane_cap, i64 *state, i64 R)
+void repro_fold_uniform(repro_shard *sh)
 {
-    const double *div = lane + lane_cap;
-    for (i64 r = 0; r < R; r++) {
-        i64 *row = state + r * UNI_STATE, t = 0;
+    const double *lane = sh->lane, *div = lane + sh->lane_cap;
+    for (i64 r = 0; r < sh->R; r++) {
+        i64 *row = sh->state + r * UNI_STATE, t = 0;
         for (i64 i = row[UNI_LO]; i < row[UNI_HI]; i++)
             t += (i64)(lane[i] / div[i]);
         row[UNI_TICKS] += t;
@@ -815,53 +803,49 @@ void repro_fold_uniform(const double *lane, i64 lane_cap, i64 *state, i64 R)
  * count, events. */
 enum { PAR_K, PAR_T, PAR_FREE, PAR_EVENTS, PAR_STATE };
 
-/* Parallel-IDLA (parallel_idla's wide and narrow round loops) for R
- * repetitions, one after another, each from its state after the round-0
- * settlement pass.  Repetition r owns occ[r*n ..], the rows act, pos,
- * prio, steps, settled, round [r*m ..], the state row
- * state[r*PAR_STATE ..], its draw source (bgs, seeds) and, when
- * recording, the sink evs[r] of caps[r] events; act[0..k) holds its
- * unsettled particles ascending and pos[0..k) their vertices.  Each round
- * steps every active particle in active-list order, drawing its doubles
- * in the serial order.  The wide draw (k > thr) takes k
- * doubles; with `lazy` it first takes the k hold gates into `hold` (m
- * doubles of scratch), then one step double per particle, held or not --
- * the order of rng.random(2k).  The narrow draw takes one double per
- * particle (lazy: hold below 1/2, else step with 2(u - 1/2)).  Offsets
- * are clamped: the narrow phase's raw truncation never reaches d, so one
- * expression serves both phases.  The contest rides the step pass: per
- * vacant vertex the slot with the smallest priority settles (first on
- * ties; prio NULL: the particle index, so the first claim always wins),
- * and a round in which no walker claims a vacant vertex skips the
- * compaction pass.  `best` (n cells) is all -1 on entry and on return.
- * Returns 1 when every repetition is done (the surplus particles of
- * m > n get steps = their last round), 2 before a round the sink of
- * repetition *which has no room for (k events; resume with an empty
- * sink), -1 when the round of repetition *which exceeds the budget; on
- * any return every visited row is written back.  With a sink, each round
- * records (particle, vertex) for every active particle after its step,
- * holds included. */
-i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
-                       unsigned char *occ, i64 *act, i64 *pos,
-                       const i64 *prio, i64 *best, i64 *steps,
-                       i64 *settled, i64 *round, const uintptr_t *bgs,
-                       uint64_t *seeds, double *hold, i64 *state, i64 R,
-                       i64 n, i64 m, i64 lazy, i64 thr, double budget,
-                       const uintptr_t *evs, const i64 *caps, i64 *which)
+/* Parallel-IDLA (parallel_idla's wide and narrow round loops) for the R
+ * repetitions of a shard, one after another, each from its state after
+ * the round-0 settlement pass, on its rows pool (the active list), pos,
+ * prio, steps, settled and round; pool[0..k) holds its unsettled
+ * particles ascending and pos[0..k) their vertices.  Each round steps
+ * every active particle in active-list order, drawing its doubles in the
+ * serial order.  The wide draw (k > thr) takes k doubles; with `lazy` it
+ * first takes the k hold gates into `hold` (m doubles of scratch), then
+ * one step double per particle, held or not -- the order of
+ * rng.random(2k).  The narrow draw takes one double per particle (lazy:
+ * hold below 1/2, else step with 2(u - 1/2)).  The contest rides the
+ * step pass: per vacant vertex the slot with the smallest priority
+ * settles (first on ties; prio NULL: the particle index, so the first
+ * claim always wins), and a round in which no walker claims a vacant
+ * vertex skips the compaction pass.  `best` (n cells) is all -1 on entry
+ * and on return.  Returns 1 when every repetition is done (the surplus
+ * particles of m > n get steps = their last round), 2 before a round the
+ * sink of repetition `which` has no room for (k events; resume with an
+ * empty sink), -1 when the round of repetition `which` exceeds the
+ * budget; on any return every visited row is written back.  With a
+ * sink, each round records (particle, vertex) for every active particle
+ * after its step, holds included. */
+i64 repro_run_parallel(repro_shard *sh)
 {
+    const i64 *indptr = sh->indptr, *indices = sh->indices;
+    const uintptr_t *evs = sh->evs;
+    i64 *state = sh->state, R = sh->R, n = sh->n, m = sh->m;
+    i64 lazy = sh->lazy, thr = sh->thr, *best = sh->best;
+    double budget = sh->budget, *hold = sh->hold;
     i64 status = 1;
     for (i64 r = 0; r < R && status == 1; r++) {
         i64 *row = state + r * PAR_STATE;
         i64 k = row[PAR_K], t = row[PAR_T], fr = row[PAR_FREE];
         i64 nev = row[PAR_EVENTS];
         repro_rng g;
-        repro_rng_load(&g, bgs, seeds, r);
-        unsigned char *oc = occ + r * n;
-        i64 *ac = act + r * m, *ps = pos + r * m, *sp = steps + r * m;
-        i64 *se = settled + r * m, *rd = round + r * m;
-        const i64 *pr = prio ? prio + r * m : NULL;
+        repro_rng_load(&g, sh, r);
+        unsigned char *oc = sh->occ + r * n;
+        i64 *ac = sh->pool + r * m, *ps = sh->pos + r * m;
+        i64 *sp = sh->steps + r * m, *se = sh->settled + r * m;
+        i64 *rd = sh->round + r * m;
+        const i64 *pr = sh->prio ? sh->prio + r * m : NULL;
         int *ev = evs ? (int *)evs[r] : NULL;
-        i64 cap = evs ? caps[r] : 0;
+        i64 cap = evs ? sh->caps[r] : 0;
         while (k && fr) {
             i64 wide = k > thr, claims = 0;
             if (evs && nev + k > cap) { status = 2; break; }
@@ -879,11 +863,7 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
                     else u = 2.0 * (u - 0.5);
                 }
                 if (move) {
-                    i64 b = indptr[v];
-                    i64 d = indptr[v + 1] - b;
-                    i64 off = (i64)(u * (double)d);
-                    if (off > d - 1) off = d - 1;
-                    v = indices[b + off];
+                    v = repro_neighbor(indptr, indices, v, u);
                     ps[j] = v;
                 }
                 REPRO_EVENT(ac[j], v);
@@ -915,7 +895,7 @@ i64 repro_run_parallel(const i64 *indptr, const i64 *indices,
         row[PAR_K] = k; row[PAR_T] = t; row[PAR_FREE] = fr;
         row[PAR_EVENTS] = nev;
         repro_rng_store(&g);
-        if (status != 1) *which = r;
+        if (status != 1) sh->which = r;
     }
     return status;
 }
@@ -934,10 +914,6 @@ void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat)
  * of the bit generator `rest` -- or, with no `rest` (the load-time
  * self-check), 0.0 once past the end.  `i` counts every draw of either
  * kind, so a loop that over-consumes its doubles shows in it. */
-typedef struct {
-    const double *buf; i64 n; i64 i; bitgen_t *rest;
-} repro_prefix_rng;
-
 static double repro_prefix_next_double(void *st)
 {
     repro_prefix_rng *a = (repro_prefix_rng *)st;

@@ -18,7 +18,15 @@ below the system temp dir):
 The first process parses ``CDEF`` (cffi imports pycparser for that) and
 writes both files atomically; later processes import the generated
 module and ``dlopen`` the ``.so`` without recompiling, importing
-pycparser or parsing ``CDEF``.
+pycparser or parsing ``CDEF``.  ``CDEF`` is also the head of
+``C_SOURCE``, so the declarations cffi calls through are the ones the
+compiler checked.
+
+Marshalling follows the declarations too: each exported function is
+wrapped once, from its ``CDEF`` prototype, to take numpy arrays for its
+pointers to numbers, and one ``shard(**fields)`` fills a
+``repro_shard`` struct the same way, once per shard; the shard loops
+take that struct and nothing else, so a re-entry marshals no argument.
 
 Only ``-O2 -ffp-contract=off`` is added to ``$CC`` (see the bit-identity
 note in ``_csource``); the explicit ``-ffp-contract=off`` keeps FMA
@@ -148,11 +156,14 @@ def _import_ffi(py_path: str):
 def load() -> SimpleNamespace:
     """Build/open the library and return the low-level impl namespace.
 
-    The returned callables follow the provider protocol the
-    ``CompiledKernels`` wrapper speaks: numpy arrays in, scalar status
-    codes out.  Arrays must be C-contiguous with the protocol dtypes (``int64``
-    walkers/CSR, ``float64`` uniforms, ``uint8`` occupancy) — the
-    ``KernelSet`` wrappers in the package root guarantee that.
+    Every exported ``repro_<name>`` is there as ``<name>``, taking numpy
+    arrays (C-contiguous, of the protocol dtypes: ``int64`` walkers/CSR,
+    ``float64`` uniforms, ``uint8`` occupancy; ``None`` is ``NULL``) for
+    its pointers to numbers and Python scalars for the rest, and
+    returning the C result.  ``shard(**fields)`` fills one
+    ``repro_shard`` the same way; the shard loops, the lane folds and
+    ``draw_doubles`` take it.  The ``CompiledKernels`` wrappers in the
+    package root check every array before it gets here.
     """
     so_path = _ensure_built()
     ffi = _import_ffi(_ensure_ffi_module())
@@ -166,140 +177,61 @@ def load() -> SimpleNamespace:
     # cost ~4x less per argument than cast("i64 *", a.ctypes.data) — at
     # kernel call rates the marshalling is a measurable slice of the
     # min_width crossover
-    from_buffer = ffi.from_buffer
+    from_buffer, NULL = ffi.from_buffer, ffi.NULL
 
-    def pi(a):
-        return from_buffer("i64[]", a)
+    def view(ctype):
+        """How a value becomes a ``ctype``: a numpy array's view for a
+        pointer to numbers, ``None`` (taken as is) for anything else."""
+        if ctype.kind != "pointer" or ctype.item.kind != "primitive":
+            return None
+        array = ffi.typeof(ctype.item.cname + "[]")
+        return lambda a: NULL if a is None else from_buffer(array, a)
 
-    def pd(a):
-        return from_buffer("double[]", a)
+    def marshal(fn):
+        views = [view(t) for t in ffi.typeof(fn).args]
+        if not any(views):
+            return fn
 
-    def pu(a):
-        return from_buffer("unsigned char[]", a)
+        def call(*args):
+            return fn(*[a if v is None else v(a) for v, a in zip(views, args)])
 
-    def pe(a):  # int32 events; None is NULL, a loop that does not record
-        return ffi.NULL if a is None else from_buffer("int[]", a)
+        return call
 
-    def pp(a):  # uintp addresses
-        return from_buffer("uintptr_t[]", a)
+    fields = {name: view(f.type) for name, f in ffi.typeof("repro_shard").fields}
 
-    def pq(a):  # uint64 PCG64 seed rows
-        return from_buffer("uint64_t[]", a)
-
-    def opt(view, a):  # None is NULL
-        return ffi.NULL if a is None else view(a)
-
-    cast = ffi.cast
+    def shard(**values):
+        """A ``repro_shard`` holding ``values`` (the fields not named are
+        0 or ``NULL``), and the views it points through, which must
+        outlive it."""
+        c = ffi.new("repro_shard *")
+        keep = []
+        for name, value in values.items():
+            if fields[name] is not None:  # a pointer: the array's view
+                value = fields[name](value)
+                keep.append(value)
+            setattr(c, name, value)
+        return c, keep
 
     def prefix_bitgen(buf, rest=None):
         """A bitgen_t serving the float64 array ``buf``, then the
         bitgen_t at address ``rest`` (``None``: 0.0 past the end): its
         ``address`` and ``drawn()``, the next_double calls so far."""
-        data = pd(buf)
+        data = from_buffer("double[]", buf)
         rng = ffi.new("repro_prefix_rng *", {
             "buf": data, "n": buf.shape[0],
-            "rest": ffi.NULL if rest is None else cast("bitgen_t *", rest),
+            "rest": NULL if rest is None else ffi.cast("bitgen_t *", rest),
         })
         bg = ffi.new("bitgen_t *")
         lib.repro_prefix_bitgen(bg, rng)
         return SimpleNamespace(
-            address=int(cast("uintptr_t", bg)),
+            address=int(ffi.cast("uintptr_t", bg)),
             drawn=lambda: int(rng.i),
             _keep=(buf, data, rng, bg),  # C holds raw pointers to these
         )
 
-    return SimpleNamespace(
-        name="cffi",
-        csr_step=lambda indptr, indices, pos, u, out, k: lib.repro_csr_step(
-            pi(indptr), pi(indices), pi(pos), pd(u), pi(out), k
-        ),
-        vacant=lambda occ, rep_off, pos, k, out: lib.repro_vacant(
-            pu(occ), pi(rep_off), pi(pos), k, pi(out)
-        ),
-        settle_round=lambda occ, rep, pos, prio, k, n, best, touched, winners: (
-            lib.repro_settle_round(
-                pu(occ), pi(rep), pi(pos), pi(prio), k, n,
-                pi(best), pi(touched), pi(winners),
-            )
-        ),
-        # `bitgens` holds each row's bitgen_t address (numpy's or a prefix
-        # one; 0: the row's PCG64 state in `seeds`, None when no row has
-        # one), `evs` each row's sink address (None: no recording)
-        finish_seq=lambda indptr, indices, occ, starts, steps, settled,
-        bitgens, seeds, state, R, n, m, lazy, budget, evs, caps, which: (
-            lib.repro_finish_seq(
-                pi(indptr), pi(indices), pu(occ), pi(starts), pi(steps),
-                pi(settled), pp(bitgens), opt(pq, seeds), pi(state), R, n, m,
-                lazy, budget, opt(pp, evs), opt(pi, caps), pi(which),
-            )
-        ),
-        finish_par1=lambda indptr, indices, occ, buf, nbuf, state, lazy,
-        guard, budget: lib.repro_finish_par1(
-            pi(indptr), pi(indices), pu(occ), pd(buf), nbuf,
-            pi(state), lazy, guard, budget,
-        ),
-        walk_fill=lambda indptr, indices, out, steps, buf, nbuf, state: (
-            lib.repro_walk_fill(
-                pi(indptr), pi(indices), pi(out), steps, pd(buf), nbuf,
-                pi(state),
-            )
-        ),
-        walk_hit=lambda indptr, indices, hit, buf, nbuf, state, limit: (
-            lib.repro_walk_hit(
-                pi(indptr), pi(indices), pu(hit), pd(buf), nbuf,
-                pi(state), limit,
-            )
-        ),
-        # `bitgens` and `seeds` as for finish_seq, `evs` each row's sink
-        # address (None: no recording); `lane` holds 2 * lane_cap doubles,
-        # -u then the divisors
-        run_ctu=lambda indptr, indices, occ, pool, pos, steps, settled,
-        sclock, order, bitgens, seeds, lane, lane_cap, state, R, n, m, rate,
-        evs, caps, which: lib.repro_run_ctu(
-            pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
-            pi(settled), pd(sclock), pi(order), pp(bitgens), opt(pq, seeds),
-            pd(lane), lane_cap, pi(state), R, n, m, rate, opt(pp, evs),
-            opt(pi, caps), pi(which),
-        ),
-        run_uniform=lambda indptr, indices, occ, pool, pos, steps, settled,
-        order, bitgens, seeds, lane, lane_cap, logq, pool_size, state, R, n,
-        m, budget, evs, caps, which: lib.repro_run_uniform(
-            pi(indptr), pi(indices), pu(occ), pi(pool), pi(pos), pi(steps),
-            pi(settled), pi(order), pp(bitgens), opt(pq, seeds), pd(lane),
-            lane_cap, pd(logq), pool_size, pi(state), R, n, m, budget,
-            opt(pp, evs), opt(pi, caps), pi(which),
-        ),
-        # the lane folds: `lane` as run_ctu / run_uniform left it, with
-        # numpy's log1p taken in place over its used slots
-        fold_ctu=lambda lane, lane_cap, state, R, m, sclock, order, folded,
-        clocks: lib.repro_fold_ctu(
-            pd(lane), lane_cap, pi(state), R, m, pd(sclock), pi(order),
-            pi(folded), pd(clocks),
-        ),
-        fold_uniform=lambda lane, lane_cap, state, R: lib.repro_fold_uniform(
-            pd(lane), lane_cap, pi(state), R
-        ),
-        # `prio` is None (NULL: the particle index) or one row per
-        # repetition; `hold` is None (NULL) unless lazy
-        run_parallel=lambda indptr, indices, occ, act, pos, prio, best, steps,
-        settled, rounds, bitgens, seeds, hold, state, R, n, m, lazy, thr,
-        budget, evs, caps, which: lib.repro_run_parallel(
-            pi(indptr), pi(indices), pu(occ), pi(act), pi(pos), opt(pi, prio),
-            pi(best), pi(steps), pi(settled), pi(rounds), pp(bitgens),
-            opt(pq, seeds), opt(pd, hold), pi(state), R, n, m, lazy, thr,
-            budget, opt(pp, evs), opt(pi, caps), pi(which),
-        ),
-        scatter_events=lambda ev, nev, cursor, flat: lib.repro_scatter_events(
-            pe(ev), nev, pi(cursor), pe(flat)
-        ),
-        prefix_bitgen=prefix_bitgen,
-        draw_doubles=lambda bitgens, seeds, R, n, out: lib.repro_draw_doubles(
-            pp(bitgens), opt(pq, seeds), R, n, pd(out)
-        ),
-        # `pre` (uint32) ends with the parent's spawn key; one (4,) uint64
-        # row of `seeds` per child
-        seed_pcg64=lambda pre, start, count, seeds: lib.repro_seed_pcg64(
-            from_buffer("uint32_t[]", pre), pre.shape[0], start, count,
-            pq(seeds),
-        ),
-    )
+    impl = {
+        name[len("repro_"):]: marshal(getattr(lib, name))
+        for name in dir(lib) if name.startswith("repro_")
+    }
+    impl.update(name="cffi", shard=shard, prefix_bitgen=prefix_bitgen)
+    return SimpleNamespace(**impl)

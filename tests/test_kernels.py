@@ -66,6 +66,7 @@ import repro.core.continuous as continuous_mod
 import repro.core.sequential as sequential_mod
 import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
+import repro.kernels._selfcheck as selfcheck_mod
 from repro.core.batched import batched_sequential_idla
 from repro.core.route import _skip_log_table, run_reps
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
@@ -348,8 +349,9 @@ def test_ffi_module_key_covers_cdef_and_cffi_version(fresh_registry):
 _NO_PARSER_LOAD = """
 import sys
 import repro.kernels as k
-check, ran = k._self_check, []
-k._self_check = lambda ks: (ran.append(ks.name), check(ks))
+import repro.kernels._selfcheck as sc
+check, ran = sc.self_check, []
+sc.self_check = lambda ks: (ran.append(ks.name), check(ks))
 assert k.get_kernels("cffi").name == "cffi"
 assert ran == ["cffi"], ran
 assert "pycparser" not in sys.modules
@@ -416,8 +418,8 @@ GRAPHS = [complete_binary_tree(4), star_graph(20), cycle_graph(17)]
 def _positions_and_uniforms(g, rng, k=257):
     pos = rng.integers(0, g.n, size=k)
     u = rng.random(k)
-    # force the off == deg clamp edge and the exact-0 edge
-    u[:3] = [np.nextafter(1.0, 0.0), 0.0, 0.5]
+    # force the off == deg clamp edge (u = 1 past it) and the exact-0 edge
+    u[:4] = [np.nextafter(1.0, 0.0), 0.0, 0.5, 1.0]
     return pos, u
 
 
@@ -434,6 +436,20 @@ def test_csr_step_matches_reference(provider, g):
         assert np.array_equal(ks.csr_step(indptr, indices, pos, u), expect)
         out = np.empty(pos.size, dtype=np.int64)
         assert np.array_equal(ks.csr_step(indptr, indices, pos, u, out), expect)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=st.one_of(
+    st.integers(1, 2**24), st.integers(1, 2**53), st.sampled_from([2**53, 2**53 - 1])
+))
+def test_largest_uniform_stays_below_every_degree(d):
+    """Every C walk step clamps ``u`` to the largest double below 1 and
+    the serial loops' ``int(u * deg)`` does not; they take the same slot
+    because that double times a degree up to 2**53 truncates below the
+    degree (rounding is monotone, and ``d * 2**-53`` is at least half an
+    ulp of ``d``), and for ``u >= 1`` the clamp gives slot ``d - 1``, as
+    the numpy step's ``minimum(off, deg - 1)`` does."""
+    assert int(np.nextafter(1.0, 0.0) * d) == d - 1
 
 
 #: ``(pos, u, out)`` that C would misread or write past: pos and u not
@@ -631,6 +647,33 @@ def _generators(family, n=4):
     return [np.random.Generator(family(s)) for s in spawn_seed_sequences(7, n)]
 
 
+def _returns(process, monkeypatch) -> list:
+    """Spy on the compiled calls of ``process``'s shard loop:
+    ``(status, which, state)`` after every return, read from the shard."""
+    seen = []
+    enter = kernels_mod.Shard.enter
+
+    def spied(shard, loop):
+        status = enter(shard, loop)
+        if shard.name == f"finish_{process}":
+            seen.append((status, shard.which, shard.state.copy()))
+        return status
+
+    monkeypatch.setattr(kernels_mod.Shard, "enter", spied)
+    return seen
+
+
+def _assert_returns(returns, record):
+    """An unrecorded shard is one compiled call, which ends it and counts
+    no event (the last state column); a recorded one returns only "sink
+    full" before its last return."""
+    statuses = [status for status, _, _ in returns]
+    assert statuses[-1:] == [1] and set(statuses[:-1]) <= {2}, statuses
+    if not record:
+        assert len(returns) == 1
+        assert not returns[0][2][:, -1].any()
+
+
 @pytest.mark.parametrize("provider", COMPILED)
 @pytest.mark.parametrize("family", BIT_GENERATORS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
@@ -648,20 +691,11 @@ def test_parallel_loop_matches_serial_on_every_bit_generator(
     Unrecorded, the whole shard is one compiled call."""
     kwargs = {"lazy": lazy, "scalar_threshold": 3, "record": record}
     ref = [parallel_idla(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
-    ks = get_kernels(provider)
-    calls = []
-    inner = ks._impl.run_parallel
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(ks._impl, "run_parallel", counted)
+    returns = _returns("parallel", monkeypatch)
     got = run_reps(
         "parallel", g, _generators(family), 0, kernels=provider, **kwargs
     )
-    if not record:
-        assert len(calls) == 1
+    _assert_returns(returns, record)
     for s, b in zip(ref, got):
         assert s.dispersion_time == b.dispersion_time
         assert s.total_steps == b.total_steps
@@ -703,20 +737,11 @@ def test_sequential_loop_matches_serial_on_every_bit_generator(
     the whole shard is one compiled call."""
     kwargs = {"lazy": lazy, "record": record}
     ref = [sequential_idla(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
-    ks = get_kernels(provider)
-    calls = []
-    inner = ks._impl.finish_seq
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(ks._impl, "finish_seq", counted)
+    returns = _returns("sequential", monkeypatch)
     got = run_reps(
         "sequential", g, _generators(family), 0, kernels=provider, **kwargs
     )
-    if not record:
-        assert len(calls) == 1
+    _assert_returns(returns, record)
     for s, b in zip(ref, got):
         assert s.dispersion_time == b.dispersion_time
         assert s.total_steps == b.total_steps
@@ -760,18 +785,9 @@ def test_tick_loops_match_serial_on_every_bit_generator(
     serial, _, extras = TICK_DRIVERS[process]
     kwargs = {"num_particles": 7, "record": record}
     ref = [serial(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
-    ks = get_kernels(provider)
-    calls = []
-    inner = getattr(ks._impl, f"run_{process}")
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(ks._impl, f"run_{process}", counted)
+    returns = _returns(process, monkeypatch)
     got = run_reps(process, g, _generators(family), 0, kernels=provider, **kwargs)
-    if not record:
-        assert len(calls) == 1
+    _assert_returns(returns, record)
     for s, b in zip(ref, got):
         assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
         assert np.array_equal(s.steps, b.steps)
@@ -880,18 +896,6 @@ def test_lockstep_sequential_tail_hands_its_row_prefix_to_the_loop(
 # the Sequential-IDLA lane loop: several repetitions in flight per call
 
 
-def _count_sequential_calls(ks, monkeypatch) -> list:
-    calls = []
-    inner = ks._impl.finish_seq
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(ks._impl, "finish_seq", counted)
-    return calls
-
-
 def _assert_sequential_identical(ref, got):
     assert len(ref) == len(got)
     for s, b in zip(ref, got):
@@ -910,12 +914,12 @@ def test_sequential_lanes_match_serial_at_every_fill(provider, reps, monkeypatch
     serial oracle, and each generator ends right after its last
     double."""
     g = grid_graph(3, 4)
-    calls = _count_sequential_calls(get_kernels(provider), monkeypatch)
+    returns = _returns("sequential", monkeypatch)
     seeds = spawn_seed_sequences(11, reps)
     ref = [sequential_idla(g, 0, seed=s) for s in seeds]
     gens = [as_generator(s) for s in seeds]
     got = run_reps("sequential", g, gens, 0, kernels=provider)
-    assert len(calls) == 1
+    _assert_returns(returns, record=False)
     _assert_sequential_identical(ref, got)
     for res, gen, s in zip(got, gens, seeds):
         twin = as_generator(s)
@@ -1039,22 +1043,6 @@ SHARD_LOOPS = {
     "ctu": (ctu_idla, ("ticks", "settle_clock")),
 }
 
-def _returns(ks, process, monkeypatch) -> list:
-    """Spy on the compiled shard loop: ``(status, which, state)`` after
-    every return."""
-    seen = []
-    inner = getattr(ks._impl, f"run_{process}")
-
-    def spied(*args):
-        status = inner(*args)
-        state, which = args[-10 if process == "parallel" else -8], args[-1]
-        seen.append((status, int(which[0]), state.copy()))
-        return status
-
-    monkeypatch.setattr(ks._impl, f"run_{process}", spied)
-    return seen
-
-
 def _assert_rows_identical(ref, got, extras):
     assert len(ref) == len(got)
     for s, b in zip(ref, got):
@@ -1097,7 +1085,7 @@ def test_shard_loops_match_serial_beside_idle_rows(
     ref = [serial(g, "uniform", seed=s, **kwargs) for s in seeds]
     walking = [res.total_steps > 0 for res in ref]
     assert walking[:5] == [False, True, False, False, True][:R], "the mix moved"
-    returns = _returns(get_kernels(provider), process, monkeypatch)
+    returns = _returns(process, monkeypatch)
     gens = [as_generator(s) for s in seeds]
     got = run_reps(process, g, gens, "uniform", kernels=provider, **kwargs)
     _assert_rows_identical(ref, got, extras)
@@ -1122,7 +1110,7 @@ def test_one_log_lane_spans_several_repetitions(provider, lane, monkeypatch):
     g, kwargs = star_graph(9), {"num_particles": 2}
     seeds = spawn_seed_sequences(5, 9)
     ref = [ctu_idla(g, 0, seed=s, **kwargs) for s in seeds]
-    returns = _returns(get_kernels(provider), "ctu", monkeypatch)
+    returns = _returns("ctu", monkeypatch)
     got = run_reps("ctu", g, seeds, 0, kernels=provider, **kwargs)
     _assert_rows_identical(ref, got, SHARD_LOOPS["ctu"][1])
     # a CTU state row records its lane segment [LO, HI) in columns 2, 3
@@ -1241,7 +1229,8 @@ def test_lane_folds_match_the_numpy_fold(provider, process, data):
     ref_state = state.copy()
     if process == "uniform":
         _fold_uniform_reference(u, div, ref_state)
-        impl.fold_uniform(lane, cap, state, R)
+        shard, views = impl.shard(R=R, lane=lane, lane_cap=cap, state=state)
+        impl.fold_uniform(shard)
         assert np.array_equal(state, ref_state)
         return
     ref = {name: a.copy() for name, a in extra.items()}
@@ -1249,10 +1238,11 @@ def test_lane_folds_match_the_numpy_fold(provider, process, data):
         u, div, ref_state, ref["sclock"], ref["order"], ref["folded"],
         ref["clocks"],
     )
-    impl.fold_ctu(
-        lane, cap, state, R, extra["sclock"].shape[1], extra["sclock"],
-        extra["order"], extra["folded"], extra["clocks"],
+    shard, views = impl.shard(
+        R=R, m=extra["sclock"].shape[1], lane=lane, lane_cap=cap, state=state,
+        sclock=extra["sclock"], order=extra["order"],
     )
+    impl.fold_ctu(shard, extra["folded"], extra["clocks"])
     assert np.array_equal(state, ref_state)
     for name in ("sclock", "clocks"):
         bits, want = extra[name].view(np.int64), ref[name].view(np.int64)
@@ -1273,7 +1263,7 @@ def test_shard_loops_reenter_on_a_later_rows_full_sink(provider, process, monkey
     # up to four steps
     seeds = spawn_seed_sequences(13, 9)
     ref = [serial(g, "uniform", seed=s, **kwargs) for s in seeds]
-    returns = _returns(get_kernels(provider), process, monkeypatch)
+    returns = _returns(process, monkeypatch)
     got = run_reps(process, g, seeds, "uniform", kernels=provider, **kwargs)
     _assert_rows_identical(ref, got, extras)
     assert ref[0].total_steps == 0, "row 0 walks"
@@ -1330,7 +1320,7 @@ def test_shard_loops_with_one_particle_or_one_vertex(
     serial, extras = SHARD_LOOPS[process]
     seeds = spawn_seed_sequences(2, 3)
     ref = [serial(g, 0, seed=s, num_particles=m) for s in seeds]
-    returns = _returns(get_kernels(provider), process, monkeypatch)
+    returns = _returns(process, monkeypatch)
     got = run_reps(process, g, seeds, 0, kernels=provider, num_particles=m)
     _assert_rows_identical(ref, got, extras)
     assert returns == []
@@ -1367,7 +1357,6 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
             "act": _tiled([1, 2, 3, 4, 0]),
             "pos": np.zeros((2, 5), dtype=np.int64),
             "prio": _tiled(range(5)),
-            "best": np.full(5, -1, dtype=np.int64),
             "steps": np.zeros((2, 5), dtype=np.int64),
             "settled": np.full((2, 5), -1, dtype=np.int64),
             "rounds": np.full((2, 5), -1, dtype=np.int64),
@@ -1376,9 +1365,9 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
         rows.update(override)
         return ks.finish_parallel(
             indptr, indices, rows["occ"], rows["act"], rows["pos"],
-            rows["prio"], rows["best"], rows["steps"], rows["settled"],
-            rows["rounds"], rngs, k=rows["k"], free=4, lazy=False,
-            scalar_threshold=16, budget=float("inf"), max_rounds=None,
+            rows["prio"], rows["steps"], rows["settled"], rows["rounds"], rngs,
+            k=rows["k"], free=4, lazy=False, scalar_threshold=16,
+            budget=float("inf"), max_rounds=None,
         )
 
     assert (run(_generator_rows(2)) > 0).all()
@@ -1386,7 +1375,6 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
         {"act": _tiled([1, 2, 3, 4, 0], np.int32)},
         {"pos": np.zeros((2, 10), dtype=np.int64)[:, ::2]},
         {"pos": np.zeros((2, 3), dtype=np.int64)},
-        {"best": np.full(4, -1, dtype=np.int64)},
         {"occ": np.tile(np.array([1, 0, 0, 0], dtype=np.uint8), 2)},
         {"prio": _tiled(range(4))},
         {"steps": np.zeros((2, 4), dtype=np.int64)},
@@ -1657,7 +1645,7 @@ def test_parallel_loop_rejects_a_sink_smaller_than_a_round(provider):
         ks.finish_parallel(
             indptr, indices, np.tile(np.array([1, 0, 0, 0, 0], dtype=np.uint8), 2),
             _tiled([1, 2, 3, 4, 0]), np.zeros((2, 5), dtype=np.int64), None,
-            np.full(5, -1, dtype=np.int64), np.zeros((2, 5), dtype=np.int64),
+            np.zeros((2, 5), dtype=np.int64),
             np.full((2, 5), -1, dtype=np.int64),
             np.full((2, 5), -1, dtype=np.int64), rngs, k=[2, 4], free=4,
             lazy=False, scalar_threshold=16, budget=float("inf"),
@@ -1846,7 +1834,7 @@ def test_shard_loops_mix_every_draw_source(provider, record, process, g, monkeyp
 
     gens = [None if f is None else twin(r) for r, f in enumerate(families)]
     for r in (7, 8):  # the prefix rows: two doubles of their own stream first
-        gens[r] = kernels_mod._ArrayGenerator(ks, gens[r].random(2), rest=gens[r])
+        gens[r] = selfcheck_mod._ArrayGenerator(ks, gens[r].random(2), rest=gens[r])
     seeds = ks.pcg64_seeds(children)
     # the serial runs, counting each one's doubles
     module = uniform_mod if process == "uniform" else continuous_mod
@@ -1895,8 +1883,7 @@ def _shard_rows(loop, R):
     elif loop == "finish_parallel":
         rows.update(
             act=_tiled([1, 2, 3, 4, 0], R=R), pos=np.zeros((R, 5), dtype=np.int64),
-            prio=_tiled(range(5), R=R), best=np.full(5, -1, dtype=np.int64),
-            rounds=np.full((R, 5), -1, dtype=np.int64), k=[4] * R,
+            prio=_tiled(range(5), R=R), rounds=np.full((R, 5), -1, dtype=np.int64), k=[4] * R,
         )
     else:
         rows.update(
@@ -1922,10 +1909,9 @@ def _shard_call(ks, loop, rows, rngs, seeds):
     if loop == "finish_parallel":
         return ks.finish_parallel(
             indptr, indices, rows["occ"], rows["act"], rows["pos"],
-            rows["prio"], rows["best"], rows["steps"], rows["settled"],
-            rows["rounds"], rngs, k=rows["k"], free=4, lazy=False,
-            scalar_threshold=16, budget=float("inf"), max_rounds=None,
-            seeds=seeds,
+            rows["prio"], rows["steps"], rows["settled"], rows["rounds"], rngs,
+            k=rows["k"], free=4, lazy=False, scalar_threshold=16,
+            budget=float("inf"), max_rounds=None, seeds=seeds,
         )
     common = (
         indptr, indices, rows["occ"], rows["pool"], rows["pos"], rows["steps"],
