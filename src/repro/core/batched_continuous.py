@@ -12,28 +12,26 @@ the serial drivers pay once per ring.
 Bit-identical replay
 --------------------
 The serial drivers (:mod:`repro.core.uniform`,
-:mod:`repro.core.continuous`) consume *nothing but uniform doubles* from
-a block-buffered :class:`repro.utils.rng.UniformStream` — exponential
-clocks, geometric skips and scheduler picks are inverse-CDF transforms of
-that one stream (see the "draw contract" in their module docstrings).
-NumPy double streams are chunk-invariant (``random(a)`` then ``random(b)``
-equals ``random(a + b)`` split), so the per-repetition buffers here can
-be refilled on any schedule whatsoever: only the consumption *order*
-matters, and every tick consumes each live repetition's doubles in the
-serial order.  That is what lets the buffers come from the bounded
-:class:`repro.utils.rng.UniformStreams` scheme (the refill chunk shrinks
-as the repetition count grows, so the allocation never outgrows a fixed
-budget — no more ``_BATCHED_MAX_BUFFER_DOUBLES`` dispatch decline).
-The transforms use the same NumPy ufuncs (``np.log1p`` is
-elementwise-deterministic across array shapes and strides but *not*
-bit-identical to ``math.log1p`` — hence the shared log lane in
-``UniformStream``), the same truncations and the same division operand
-order, making every result field bit-identical::
+:mod:`repro.core.continuous`) walk one jump chain that consumes *nothing
+but uniform doubles*, two a tick, from a block-buffered
+:class:`repro.utils.rng.UniformStream` (see the "draw contract" in their
+module docstrings), then draw each level's clock from the generator
+where the stream's last block fetch leaves it.  NumPy double streams are
+chunk-invariant (``random(a)`` then ``random(b)`` equals ``random(a + b)``
+split), so the per-repetition buffers here can be refilled on any
+schedule whose fetches stay on the serial block grid: every tick
+consumes each live repetition's doubles in the serial order, and the
+bounded :class:`repro.utils.rng.UniformStreams` scheme sizes its chunks
+to divide the serial block (the allocation never outgrows a fixed
+budget), so :meth:`~repro.utils.rng.UniformStreams.align_to_serial` can
+bring a finished repetition's generator to the serial position before
+its ``Generator.gamma`` / ``negative_binomial`` level draws -- the very
+calls the serial drivers make.  Every result field is bit-identical::
 
     batched_ctu_idla(g, seeds=seeds) ==
         [ctu_idla(g, seed=s) for s in seeds]           # bit for bit
 
-and likewise for ``batched_uniform_idla`` (default scheduler mode) and
+and likewise for ``batched_uniform_idla`` (both scheduler modes) and
 ``batched_continuous_sequential_idla`` — enforced by
 ``tests/test_core_batched_continuous.py``.  Time-0 settlement is the
 serial drivers' in-order pass (:func:`repro.core.settlement
@@ -57,6 +55,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import continuous as _ctu_mod
+from repro.core import uniform as _uniform_mod
 from repro.core.batched import (
     _finalize,
     _in_cohorts,
@@ -64,6 +64,7 @@ from repro.core.batched import (
     batched_sequential_idla,
 )
 from repro.core.budget import plan_state
+from repro.core.continuous import level_clocks
 from repro.core.results import DispersionResult
 from repro.core.route import (
     _ctu_results,
@@ -75,10 +76,12 @@ from repro.core.route import (
 )
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
+from repro.core.uniform import wasted_ticks
 from repro.graphs.csr import Graph
 from repro.kernels import get_kernels
 from repro.utils.rng import UniformStreams, resolve_stream_block
 from repro.utils.validation import check_limit, check_positive_finite, check_record
+from repro.walks.continuous import poissonise_steps
 from repro.walks.engine import make_stepper
 
 __all__ = [
@@ -90,17 +93,25 @@ __all__ = [
 
 #: Test override for the streaming refill chunk (doubles per repetition);
 #: ``None`` auto-sizes through :func:`repro.utils.rng.resolve_stream_block`.
-#: Any value >= 3 (one tick's worst-case consumption) yields the same
-#: results — chunk-invariance of the double stream is exactly what the
-#: equivalence tests vary this for.
+#: Any power of two from 2 (one tick's worst-case consumption) up to the
+#: serial fetch block yields the same results — chunk-invariance of the
+#: double stream is exactly what the equivalence tests vary this for.
 _BLOCK: int | None = None
 
 
-def _lane_streams(gens, budget_doubles=None) -> UniformStreams:
-    """Streams for the tick-scheduled drivers: <= 3 doubles per tick."""
+def _serial_block(process: str) -> int:
+    """The fetch block of ``process``'s serial driver, which the lock-step
+    chunks divide."""
+    return (_ctu_mod if process == "ctu" else _uniform_mod)._BLOCK
+
+
+def _lane_streams(process, gens, budget_doubles=None) -> UniformStreams:
+    """Streams for the tick-scheduled drivers: <= 2 doubles per tick, in
+    chunks that divide the serial fetch block of ``process``."""
     return UniformStreams(
         gens,
-        per_rep_min=3,
+        per_rep_min=2,
+        align=_serial_block(process),
         block=_BLOCK,
         budget_doubles=budget_doubles,
     )
@@ -122,7 +133,9 @@ def stream_block(process: str, reps: int, num_particles: int | None = None) -> i
 
         return sync_stream_block("sequential", reps, num_particles)
     if process in ("ctu", "uniform"):
-        return resolve_stream_block(reps, per_rep_min=3, block=_BLOCK)
+        return resolve_stream_block(
+            reps, per_rep_min=2, align=_serial_block(process), block=_BLOCK
+        )
     raise ValueError(f"no tick-scheduled batched driver for process {process!r}")
 
 
@@ -218,52 +231,78 @@ def batched_ctu_idla(
             state_budget=state_budget, kernels=kern,
         )
 
+    starts2d, steps2d, settled2d, orders, ends, store, streams = _jump_chain(
+        g, origin, m, gens, kern, plan, record, "ctu"
+    )
+    settle_clock = np.zeros((R, m), dtype=np.float64)
+    final_clock = np.zeros(R, dtype=np.float64)
+    for r, gen in enumerate(gens):
+        if ends[r]:
+            streams.align_to_serial(r, 2 * ends[r][-1])
+            clocks = level_clocks(gen, ends[r], rate)
+            settle_clock[r, orders[r][m - len(ends[r]):]] = clocks
+            final_clock[r] = clocks[-1]
+    return list(
+        _ctu_results(
+            g, starts2d, steps2d, settled2d, _order_arrays(orders), final_clock,
+            settle_clock, _finalize(store),
+        )
+    )
+
+
+def _jump_chain(g, origin, m, gens, kern, plan, record, process,
+                budget=float("inf"), limit_msg=""):
+    """The jump chain of every repetition in lock-step, as
+    :func:`repro.core.uniform.jump_chain` walks each: per tick, each live
+    repetition's scheduler pick (a uniform slot of its unsettled pool)
+    and walk step, two doubles.  A tick count past ``budget`` raises
+    ``RuntimeError(limit_msg)``.
+
+    Returns ``(starts2d, steps2d, settled2d, orders, ends, store,
+    streams)``: ``ends[r]`` lists the ticks at which repetition ``r``'s
+    levels ended, and ``streams`` holds the generators, ready to be
+    aligned to the block grid of ``process``'s serial driver."""
+    n, R = g.n, len(gens)
     (
         starts2d, occ, posflat, stepsflat, settledflat, orders, unsflat,
         lanes_list, k_list,
     ) = _init_lanes(g, origin, m, gens)
-    settle_clock = np.zeros(R * m, dtype=np.float64)
-    final_clock = np.zeros(R, dtype=np.float64)
     store = TrajectoryStore(starts2d, n) if record else None
+    ends: list[list[int]] = [[] for _ in range(R)]
 
     # ---- per-lane compact state (one lane per live repetition)
     lanes = np.asarray(lanes_list, dtype=np.int64)
     kL = np.asarray(k_list, dtype=np.int64)
     kfL = kL.astype(np.float64)
     km1L = kL - 1
-    denomL = kfL * rate
-    clockL = np.zeros(lanes.size, dtype=np.float64)
     laneM = lanes * m
     laneN = lanes * n
 
-    streams = _lane_streams(gens, plan.stream_budget_doubles)
+    streams = _lane_streams(process, gens, plan.stream_budget_doubles)
     block = streams.block
     buf = streams.buf
     cursor = block  # forces the initial fill
     step = make_stepper(g, kern)
 
-    # Every live lane consumes exactly 3 doubles per tick and all lanes
-    # join at tick 0, so one shared cursor serves every buffer row; the
-    # remainder copy keeps already-drawn doubles when a tick straddles a
-    # refill (the serial stream has no block boundaries to respect).
+    # Every live lane consumes exactly 2 doubles per tick and all lanes
+    # join at tick 0, so one shared cursor serves every buffer row, and
+    # since the chunk is a power of two a tick never straddles a refill
+    t = 0
     while lanes.size:
-        if cursor + 3 > block:
-            for r in lanes.tolist():
-                streams.refill_tail(r, cursor)
+        t += 1
+        if t > budget:
+            raise RuntimeError(limit_msg)
+        if cursor == block:
+            streams.fill(lanes.tolist())
             cursor = 0
-        u3 = buf[lanes, cursor : cursor + 3]
-        cursor += 3
-        # exponential clock by inversion: clock += -log1p(-u) / (k·rate)
-        dt = np.log1p(-u3[:, 0])
-        np.negative(dt, out=dt)
-        dt /= denomL
-        clockL += dt
+        u2 = buf[lanes, cursor : cursor + 2]
+        cursor += 2
         # ringer: uniform slot of the unsettled pool
-        i = (u3[:, 1] * kfL).astype(np.int64)
+        i = (u2[:, 0] * kfL).astype(np.int64)
         np.minimum(i, km1L, out=i)
         p = unsflat[laneM + i]
         cell = laneM + p
-        vnew = step(posflat[cell], u3[:, 2])
+        vnew = step(posflat[cell], u2[:, 1])
         posflat[cell] = vnew
         stepsflat[cell] += 1
         if store is not None:
@@ -271,38 +310,26 @@ def batched_ctu_idla(
         occv = occ[laneN + vnew]
         if occv.all():
             continue
-        finished = False
         for li in np.flatnonzero(~occv).tolist():
             r = int(lanes[li])
             pp = int(p[li])
             occ[r * n + int(vnew[li])] = True
-            cellr = r * m + pp
-            settledflat[cellr] = vnew[li]
-            settle_clock[cellr] = clockL[li]
+            settledflat[r * m + pp] = vnew[li]
             orders[r].append(pp)
+            ends[r].append(t)
             kk = int(kL[li]) - 1
             # swap-remove, as UnsettledPool does in the serial driver
             unsflat[r * m + int(i[li])] = unsflat[r * m + kk]
             kL[li] = kk
-            if kk:
-                kfL[li] = kk
-                km1L[li] = kk - 1
-                denomL[li] = float(kk) * rate
-            else:
-                final_clock[r] = clockL[li]
-                finished = True
-        if finished:
-            keep = kL > 0
-            lanes, kL, kfL = lanes[keep], kL[keep], kfL[keep]
-            km1L, denomL, clockL = km1L[keep], denomL[keep], clockL[keep]
+            kfL[li] = kk
+            km1L[li] = kk - 1
+        keep = kL > 0
+        if not keep.all():
+            lanes, kL, kfL, km1L = lanes[keep], kL[keep], kfL[keep], km1L[keep]
             laneM, laneN = laneM[keep], laneN[keep]
-
-    return list(
-        _ctu_results(
-            g, starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
-            _order_arrays(orders), final_clock, settle_clock.reshape(R, m),
-            _finalize(store),
-        )
+    return (
+        starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m), orders,
+        ends, store, streams,
     )
 
 
@@ -415,7 +442,7 @@ def batched_uniform_idla(
     """Run ``R`` independent Uniform-IDLA realisations in lock-step.
 
     Both scheduler modes of :func:`repro.core.uniform.uniform_idla` run
-    in lock-step: the default (geometric-skip) mode, and the
+    in lock-step: the default (per-level wasted-tick) mode, and the
     ``faithful_r=True`` mode that draws the literal i.i.d. schedule —
     one scheduler pick per live repetition per tick (wasted ticks consume
     exactly that one double), recorded per repetition and attached as
@@ -424,9 +451,10 @@ def batched_uniform_idla(
     wasted-tick clock in ``result.ticks`` (and trajectories under
     ``record=True``).
 
-    Unlike the CTU driver, per-tick consumption varies per lane (the
-    geometric skip and the wasted-tick short-circuit make it 1–3
-    doubles), so each lane keeps its own buffer pointer; a conservative
+    The default mode runs CTU-IDLA's lock-step jump chain, then each
+    repetition's per-level wasted ticks.  In ``faithful_r`` mode per-tick
+    consumption varies per lane (a wasted tick takes 1 double, a useful
+    one 2), so each lane keeps its own buffer pointer; a conservative
     shared countdown batches the refill checks.
     """
     n = g.n
@@ -446,189 +474,133 @@ def batched_uniform_idla(
             max_ticks=max_ticks, state_budget=state_budget, kernels=kern,
         )
     limit_msg = f"uniform IDLA exceeded max_ticks={max_ticks}"
-    check_budget = max_ticks is not None
+    if not faithful_r:
+        starts2d, steps2d, settled2d, orders, ends, store, streams = _jump_chain(
+            g, origin, m, gens, kern, plan, record, "uniform", budget,
+            limit_msg,
+        )
+        final_ticks = np.zeros(R, dtype=np.int64)
+        for r, gen in enumerate(gens):
+            if ends[r]:
+                streams.align_to_serial(r, 2 * ends[r][-1])
+                final_ticks[r] = ends[r][-1] + wasted_ticks(gen, ends[r], m)
+                if final_ticks[r] > budget:
+                    raise RuntimeError(limit_msg)
+        return list(
+            _uniform_results(
+                g, starts2d, steps2d, settled2d, _order_arrays(orders),
+                final_ticks, _finalize(store), None,
+            )
+        )
 
+    # ---- literal-schedule mode: one i.i.d. pick over particles
+    # ``1..m-1`` per live repetition per tick (the paper's R), drawn
+    # whether or not the tick is wasted; only non-wasted ticks draw the
+    # walk-step double.  The unsettled pool is never consulted — exactly
+    # the serial driver's ``faithful_r`` branch.
+    check_budget = max_ticks is not None
     (
         starts2d, occ, posflat, stepsflat, settledflat, orders, unsflat,
         lanes_list, k_list,
     ) = _init_lanes(g, origin, m, gens)
     final_ticks = np.zeros(R, dtype=np.int64)
-    pool_size = max(m - 1, 1)
     store = TrajectoryStore(starts2d, n) if record else None
-
-    def logq_for(k: int) -> float:
-        # same scalar np.log1p computation as the serial driver's cache;
-        # -inf parks lanes with k == pool_size (ratio 0, masked anyway)
-        if k < pool_size:
-            return float(np.log1p(-(k / pool_size)))
-        return float("-inf")
-
     lanes = np.asarray(lanes_list, dtype=np.int64)
     kL = np.asarray(k_list, dtype=np.int64)
-    kfL = kL.astype(np.float64)
-    km1L = kL - 1
-    logqL = np.asarray([logq_for(int(k)) for k in kL], dtype=np.float64)
     ticksL = np.zeros(lanes.size, dtype=np.int64)
     laneM = lanes * m
     laneN = lanes * n
 
-    streams = _lane_streams(gens, plan.stream_budget_doubles)
+    # aligned though it never aligns: stream_block reports one chunk
+    # for both scheduler modes
+    streams = _lane_streams("uniform", gens, plan.stream_budget_doubles)
     block = streams.block
     laneB = lanes * block
     streams.fill(lanes_list)
     bufflat = streams.flat
     bptrL = np.zeros(lanes.size, dtype=np.int64)
-    refill_countdown = block // 3
     step = make_stepper(g, kern)
-
-    schedules: list[np.ndarray] | None = None
-    if faithful_r:
-        # ---- literal-schedule mode: one i.i.d. pick over particles
-        # ``1..m-1`` per live repetition per tick (the paper's R), drawn
-        # whether or not the tick is wasted; only non-wasted ticks draw
-        # the walk-step double.  The unsettled pool is never consulted —
-        # exactly the serial driver's ``faithful_r`` branch.
-        schedule_store = ScheduleStore(R)
-        pickf = float(m - 1)
-        pick_cap = m - 2
-        refill_countdown = block // 2
-        while lanes.size:
-            if lanes.size == 1 and not check_budget:
-                # single lane left (or a budget forced 1-rep cohorts):
-                # switch to the bulk wasted-tick scanner — late-run
-                # faithful_r time is dominated by wasted schedule picks,
-                # which it consumes a whole buffer at a time
-                r = int(lanes[0])
-                final_ticks[r] = _finish_faithful_lane(
-                    r,
-                    bufflat[r * block : (r + 1) * block],
-                    int(bptrL[0]),
-                    int(ticksL[0]),
-                    int(kL[0]),
-                    streams,
-                    m,
-                    n,
-                    pickf,
-                    pick_cap,
-                    step,
-                    posflat,
-                    stepsflat,
-                    settledflat,
-                    occ,
-                    orders[r],
-                    schedule_store,
-                    store,
-                )
-                lanes = lanes[:0]  # run complete; skip the default-mode loop
-                break
-            if refill_countdown <= 0:
-                for li in np.flatnonzero(bptrL + 2 > block).tolist():
-                    streams.refill_tail(int(lanes[li]), int(bptrL[li]))
-                    bptrL[li] = 0
-                # conservative: assumes every lane consumes 2 per tick
-                refill_countdown = int(((block - bptrL) // 2).min())
-            refill_countdown -= 1
-            base = laneB + bptrL
-            s = (bufflat[base] * pickf).astype(np.int64)
-            np.minimum(s, pick_cap, out=s)
-            p = s + 1
-            schedule_store.append(lanes, p)
-            ticksL += 1
-            if check_budget and (ticksL > budget).any():
-                raise RuntimeError(limit_msg)
-            bptrL += 1
-            act = np.flatnonzero(settledflat[laneM + p] < 0)
-            if act.size == 0:
-                continue  # every live lane wasted this tick
-            cell = laneM[act] + p[act]
-            vnew = step(posflat[cell], bufflat[base[act] + 1])
-            posflat[cell] = vnew
-            stepsflat[cell] += 1
-            bptrL[act] += 1
-            if store is not None:
-                store.append(lanes[act], p[act], vnew)
-            occv = occ[laneN[act] + vnew]
-            if occv.all():
-                continue
-            finished = False
-            for j in np.flatnonzero(~occv).tolist():
-                li = int(act[j])
-                r = int(lanes[li])
-                pp = int(p[li])
-                occ[r * n + int(vnew[j])] = True
-                settledflat[r * m + pp] = vnew[j]
-                orders[r].append(pp)
-                kk = int(kL[li]) - 1
-                kL[li] = kk
-                if not kk:
-                    final_ticks[r] = ticksL[li]
-                    finished = True
-            if finished:
-                keep = kL > 0
-                lanes, kL, ticksL = lanes[keep], kL[keep], ticksL[keep]
-                bptrL = bptrL[keep]
-                laneM, laneN, laneB = laneM[keep], laneN[keep], laneB[keep]
-        schedules = schedule_store.finalize()
-
+    schedule_store = ScheduleStore(R)
+    pickf = float(m - 1)
+    pick_cap = m - 2
+    refill_countdown = block // 2
     while lanes.size:
+        if lanes.size == 1 and not check_budget:
+            # single lane left (or a budget forced 1-rep cohorts):
+            # switch to the bulk wasted-tick scanner — late-run
+            # faithful_r time is dominated by wasted schedule picks,
+            # which it consumes a whole buffer at a time
+            r = int(lanes[0])
+            final_ticks[r] = _finish_faithful_lane(
+                r,
+                bufflat[r * block : (r + 1) * block],
+                int(bptrL[0]),
+                int(ticksL[0]),
+                int(kL[0]),
+                streams,
+                m,
+                n,
+                pickf,
+                pick_cap,
+                step,
+                posflat,
+                stepsflat,
+                settledflat,
+                occ,
+                orders[r],
+                schedule_store,
+                store,
+            )
+            lanes = lanes[:0]  # run complete; skip the default-mode loop
+            break
         if refill_countdown <= 0:
-            for li in np.flatnonzero(bptrL + 3 > block).tolist():
+            for li in np.flatnonzero(bptrL + 2 > block).tolist():
                 streams.refill_tail(int(lanes[li]), int(bptrL[li]))
                 bptrL[li] = 0
-            # conservative: assumes every lane consumes 3 per tick, and
-            # stays a valid lower bound across lane compactions
-            refill_countdown = int(((block - bptrL) // 3).min())
+            # conservative: assumes every lane consumes 2 per tick
+            refill_countdown = int(((block - bptrL) // 2).min())
         refill_countdown -= 1
         base = laneB + bptrL
-        # geometric skip draw, consumed only by lanes with k < pool_size
-        skip = (kL < pool_size).astype(np.int64)
-        lv = np.log1p(-bufflat[base])
-        extra = (lv / logqL).astype(np.int64)
-        extra *= skip
+        s = (bufflat[base] * pickf).astype(np.int64)
+        np.minimum(s, pick_cap, out=s)
+        p = s + 1
+        schedule_store.append(lanes, p)
         ticksL += 1
         if check_budget and (ticksL > budget).any():
             raise RuntimeError(limit_msg)
-        ticksL += extra
-        if check_budget and (ticksL > budget).any():
-            raise RuntimeError(limit_msg)
-        # scheduler pick + walk step
-        sidx = base + skip
-        i = (bufflat[sidx] * kfL).astype(np.int64)
-        np.minimum(i, km1L, out=i)
-        p = unsflat[laneM + i]
-        cell = laneM + p
-        vnew = step(posflat[cell], bufflat[sidx + 1])
+        bptrL += 1
+        act = np.flatnonzero(settledflat[laneM + p] < 0)
+        if act.size == 0:
+            continue  # every live lane wasted this tick
+        cell = laneM[act] + p[act]
+        vnew = step(posflat[cell], bufflat[base[act] + 1])
         posflat[cell] = vnew
         stepsflat[cell] += 1
+        bptrL[act] += 1
         if store is not None:
-            store.append(lanes, p, vnew)
-        bptrL += skip
-        bptrL += 2
-        occv = occ[laneN + vnew]
+            store.append(lanes[act], p[act], vnew)
+        occv = occ[laneN[act] + vnew]
         if occv.all():
             continue
         finished = False
-        for li in np.flatnonzero(~occv).tolist():
+        for j in np.flatnonzero(~occv).tolist():
+            li = int(act[j])
             r = int(lanes[li])
             pp = int(p[li])
-            occ[r * n + int(vnew[li])] = True
-            settledflat[r * m + pp] = vnew[li]
+            occ[r * n + int(vnew[j])] = True
+            settledflat[r * m + pp] = vnew[j]
             orders[r].append(pp)
             kk = int(kL[li]) - 1
-            unsflat[r * m + int(i[li])] = unsflat[r * m + kk]
             kL[li] = kk
-            if kk:
-                kfL[li] = kk
-                km1L[li] = kk - 1
-                logqL[li] = logq_for(kk)
-            else:
+            if not kk:
                 final_ticks[r] = ticksL[li]
                 finished = True
         if finished:
             keep = kL > 0
-            lanes, kL, kfL, km1L = lanes[keep], kL[keep], kfL[keep], km1L[keep]
-            logqL, ticksL, bptrL = logqL[keep], ticksL[keep], bptrL[keep]
+            lanes, kL, ticksL = lanes[keep], kL[keep], ticksL[keep]
+            bptrL = bptrL[keep]
             laneM, laneN, laneB = laneM[keep], laneN[keep], laneB[keep]
+    schedules = schedule_store.finalize()
 
     return list(
         _uniform_results(
@@ -679,10 +651,13 @@ def batched_continuous_sequential_idla(
             # instantly consumes none of it, but the draw still advances
             # the stream the Gamma call reads from.
             gen.random(_SEQ_BLOCK)
+    durations = np.array(
+        [poissonise_steps(res.steps, gen, rate=rate) for res, gen in zip(walks, gens)]
+    )
     return list(
         _poissonised(
             g, [res.origin for res in walks], np.array([res.steps for res in walks]),
             np.array([res.settled_at for res in walks]),
-            [res.trajectories for res in walks], gens, rate,
+            [res.trajectories for res in walks], durations,
         )
     )

@@ -2,8 +2,9 @@
 
 * :func:`ctu_idla` — the continuous-time Uniform-IDLA (CTU-IDLA): every
   unsettled particle carries a rate-1 exponential clock and takes one step
-  per ring.  Simulated with the Gillespie reduction: with ``k`` unsettled
-  particles the next ring is ``Exp(k)`` and the ringer is uniform.
+  per ring.  With ``k`` unsettled particles the next ring is ``Exp(k)``
+  and the ringer is uniform, so the process is Uniform-IDLA's jump chain
+  with holding times attached per level (below).
   Theorem 4.8: ``τ_ctu = (1 + o(1)) τ_par``.
 * :func:`continuous_sequential_idla` — Poissonised Sequential-IDLA: jump
   times are a rate-1 Poisson process, sampled by running the discrete
@@ -12,29 +13,33 @@
 
 Draw contract
 -------------
-``ctu_idla`` consumes nothing but uniform doubles, three per ring, from a
-block-buffered :class:`repro.utils.rng.UniformStream`:
+``ctu_idla`` walks Uniform-IDLA's jump chain
+(:func:`repro.core.uniform.jump_chain`, two uniform doubles a tick), then
+attaches the clocks, the paper's recipe again: while ``k`` particles are
+unsettled every tick waits ``Exp(k·rate)``, so the ``J_k`` ticks of level
+``k`` take ``Gamma(J_k, 1/(k·rate))`` in all.  One ``Generator.gamma``
+draw per level, from the first level down and from the generator the
+chain's block-buffered stream leaves at its last block boundary, summed
+in that order, gives each level's end: the settle clock of the particle
+that ends it.
 
-1. the exponential waiting time, by inversion — ``-log1p(-u) / (k·rate)``;
-2. the ringer — slot ``min(int(u·k), k-1)`` of the unsettled pool;
-3. the walk step — neighbour ``min(int(u·deg), deg-1)``.
-
-Uniform-double streams are chunk-invariant, so
-:func:`repro.core.batched_continuous.batched_ctu_idla` replays these draws
-bit for bit while advancing many repetitions in lock-step; this serial
-driver is the reference oracle it is tested against.
+:func:`repro.core.batched_continuous.batched_ctu_idla` and the compiled
+route (:mod:`repro.core.route`) replay these draws bit for bit; this
+serial driver is the reference oracle they are tested against.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult, TrajectoryArrays
 from repro.core.sequential import sequential_idla
-from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
+from repro.core.uniform import jump_chain, level_jumps
 from repro.graphs.csr import Graph
-from repro.utils.rng import UniformStream, as_generator
+from repro.utils.rng import as_generator
 from repro.utils.validation import (
     check_integer,
     check_positive_finite,
@@ -42,11 +47,11 @@ from repro.utils.validation import (
 )
 from repro.walks.continuous import poissonise_steps
 
-__all__ = ["ctu_idla", "continuous_sequential_idla"]
+__all__ = ["ctu_idla", "continuous_sequential_idla", "level_clocks"]
 
-#: Fetch-block size of :func:`ctu_idla`'s :class:`UniformStream` (its
-#: default).  Like ``repro.core.uniform._BLOCK`` it never influences a
-#: result; it is a module constant so tests can vary it.
+#: Fetch-block size of :func:`ctu_idla`'s :class:`UniformStream`: where
+#: the clock draws start, as ``repro.core.uniform._BLOCK`` is for the
+#: wasted ticks.  A module constant so tests can vary it.
 _BLOCK = 16384
 
 
@@ -84,68 +89,40 @@ def ctu_idla(
     record = check_record(record)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
-    adj = g.adjacency_lists()
-
-    occupied = [False] * n
-    steps = [0] * m
-    settled_at = np.full(m, -1, dtype=np.int64)
-    settle_order: list[int] = []
-    settle_clock = np.zeros(m, dtype=np.float64)
-    pos = [int(v) for v in starts]
-    trajectories: list[list[int]] | None = None
-    if record:
-        trajectories = [[int(v)] for v in starts]
-    # time-0 settlement: vacant starts settle instantly
-    pool = UnsettledPool(
-        settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order)
+    steps, settled_at, settle_order, trajectories, ends, _ = jump_chain(
+        g, starts, rng, block=_BLOCK, record=record, budget=math.inf,
+        limit_msg="",
     )
-    stream = UniformStream(rng, block=_BLOCK)
+    settle_clock = np.zeros(m, dtype=np.float64)
+    clocks = level_clocks(rng, ends, rate)
+    settle_clock[settle_order[m - len(ends):]] = clocks
+    clock = float(clocks[-1]) if ends else 0.0
 
-    clock = 0.0
-    k = len(pool)
-    denom = k * rate
-    while k:
-        clock += -stream.log1mu() / denom
-        i = int(stream.uniform() * k)
-        if i == k:  # floating guard, mirrors the batched np.minimum
-            i = k - 1
-        p = pool.pick(i)
-        nbrs = adj[pos[p]]
-        d = len(nbrs)
-        j = int(stream.uniform() * d)
-        if j == d:
-            j = d - 1
-        v = nbrs[j]
-        pos[p] = v
-        steps[p] += 1
-        if record:
-            trajectories[p].append(v)
-        if not occupied[v]:
-            occupied[v] = True
-            settled_at[p] = v
-            settle_order.append(p)
-            settle_clock[p] = clock
-            pool.remove_at(i)
-            k -= 1
-            denom = k * rate
-
-    steps_arr = np.asarray(steps, dtype=np.int64)
     result = DispersionResult(
         process="ctu",
         graph_name=g.name,
         n=n,
         origin=int(starts[0]),
-        dispersion_time=float(clock),
-        total_steps=int(steps_arr.sum()),
-        steps=steps_arr,
+        dispersion_time=clock,
+        total_steps=int(steps.sum()),
+        steps=steps,
         settled_at=settled_at,
-        settle_order=np.asarray(settle_order, dtype=np.int64),
-        ticks=float(clock),
+        settle_order=settle_order,
+        ticks=clock,
         trajectories=TrajectoryArrays.from_lists(trajectories) if record else None,
         num_particles=None if m == n else m,
     )
     object.__setattr__(result, "settle_clock", settle_clock)
     return result
+
+
+def level_clocks(rng, ends, rate: float) -> np.ndarray:
+    """The clock at the end of each level of a CTU-IDLA chain with level
+    ends ``ends`` (:func:`~repro.core.uniform.jump_chain`'s), first level
+    first: the running sum, in level order, of one ``Gamma(J_k, 1/(k ·
+    rate))`` draw from ``rng`` per level ``k``."""
+    levels, jumps = level_jumps(ends)
+    return np.cumsum(rng.gamma(jumps, 1.0 / (levels * rate)))
 
 
 def continuous_sequential_idla(

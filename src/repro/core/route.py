@@ -15,32 +15,28 @@ explicit origins repetition by repetition, in order, since they may
 draw), Parallel-IDLA's tie-break permutations, then the round-0
 settlement pass, the release chain or the time-0 settlement of every
 repetition at once.  Then one ``CompiledKernels.finish_*`` call runs
-every repetition to completion (plus one per "sink full" or "lane full"
-re-entry; none when no repetition walks).  Sequential-IDLA's loop (and
+every repetition to completion (plus one per "sink full" re-entry; none
+when no repetition walks).  Sequential-IDLA's loop (and
 so c-sequential's) keeps ``REPRO_LANES`` repetitions in flight, so the
 CPU overlaps their dependent steps; the others run the repetitions one
 after another.  Every loop draws each double inside C, in the serial
-driver's order, so each generator ends right after the last double
-consumed (the serial oracle and the lock-step body may leave it further
-on); c-sequential then brings each generator up to the serial driver's
-block grid before its Gamma durations, by jumping a ``PCG64``'s LCG
-(:func:`_jumps`) or drawing the block's remainder from any other.
-Where no repetition draws in Python (a vertex
-origin, Parallel-IDLA's index tie-break, not c-sequential) and the seeds
-are a :class:`~repro.utils.rng.SpawnRange` of a default-pool parent, as
-the runner hands them out, C seeds each repetition's PCG64 state from
-its child and steps it inline: no ``SeedSequence`` or ``Generator`` is
-built.  Otherwise each repetition gets its numpy ``Generator``; C steps
-a ``PCG64`` inline all the same, storing its state back, and calls any
-other bit generator's ``next_double``.  The tick loops (Uniform, CTU)
-take no logarithm in C: the doubles the serial driver takes
-``log1p(-u)`` of go, negated, to a log lane shared by the shard; after
-every return the wrapper takes numpy's ``log1p`` over it in place, as
-the serial driver's :class:`~repro.utils.rng.UniformStream` does, and
-one compiled call folds it into the clocks or tick counts.  Last, the
-results are
-assembled with one reduction per statistic over the shard,
-bit-identical to the serial oracle, into one
+driver's order.  CTU-IDLA and Uniform-IDLA run one jump chain, two
+doubles a tick; then the holding layer, also in C, brings each
+repetition's generator to the serial driver's block grid (the module's
+``_BLOCK``: a PCG64 jumps its LCG, any other bit generator draws and
+discards) and draws the clocks per level (CTU's Gamma times, Uniform's
+negative-binomial wasted ticks), as c-sequential draws its Gamma
+durations after Sequential-IDLA's loop, each with numpy's own sampler,
+so every generator ends where the serial driver leaves it.  Where no
+repetition draws in Python (a vertex origin, Parallel-IDLA's index
+tie-break) and the seeds are a :class:`~repro.utils.rng.SpawnRange` of
+a default-pool parent, as the runner hands them out, C seeds each
+repetition's PCG64 state from its child and steps it inline: no
+``SeedSequence`` or ``Generator`` is built.  Otherwise each repetition
+gets its numpy ``Generator``; C steps a ``PCG64`` inline all the same,
+storing its state back, and calls any other bit generator through its
+``bitgen_t``.  Last, the results are assembled with one reduction per
+statistic over the shard, bit-identical to the serial oracle, into one
 :class:`~repro.core.results.ShardResults` of columns: the runner reads
 its samples from them, and a repetition's
 :class:`~repro.core.results.DispersionResult` is built only when asked
@@ -59,7 +55,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import continuous as _ctu_mod
 from repro.core import sequential as _seq_mod
+from repro.core import uniform as _uniform_mod
 from repro.core.origins import resolve_origins
 from repro.core.results import ShardResults
 from repro.core.settlement import instant_settle_chain, select_settlers
@@ -132,13 +130,10 @@ def run_reps(
 
 
 def _draws_in_python(process: str, origin, opts) -> bool:
-    """Whether a repetition draws from its generator outside the C loop:
-    a random or explicit origin, Parallel-IDLA's random tie-break, and
-    c-sequential's block-grid remainder and Gamma durations."""
-    return (
-        process == "c-sequential"
-        or not _vertex_origin(origin)
-        or (process == "parallel" and opts.get("tie_break", "index") != "index")
+    """Whether a repetition draws from its generator outside C: a random
+    or explicit origin, and Parallel-IDLA's random tie-break."""
+    return not _vertex_origin(origin) or (
+        process == "parallel" and opts.get("tie_break", "index") != "index"
     )
 
 
@@ -159,19 +154,6 @@ def _trajectories(sinks):
     if sinks is None:
         return None
     return [s.close() if s.trajectories is None else s.trajectories for s in sinks]
-
-
-def _skip_log_table(pool_size: int) -> np.ndarray:
-    """``log1p(-(k / pool_size))`` for ``k = 0 .. pool_size-1``.
-
-    The geometric-skip divisors of :func:`repro.core.uniform.uniform_idla`
-    for every pool size ``k`` at which it skips (entry 0 is unused), as
-    the compiled loop reads them: computed by numpy here, never by libm
-    in C, and equal element for element to the serial driver's scalar
-    ``float(np.log1p(-(k / pool_size)))`` (pinned by
-    ``tests/test_kernels.py``).
-    """
-    return np.log1p(-(np.arange(pool_size) / pool_size))
 
 
 # ----------------------------------------------------------------------
@@ -378,24 +360,9 @@ def _ctu_results(
     )
 
 
-def _poissonised(
-    g, origins, steps2d, settled2d, traj_all, gens, rate
-) -> ShardResults:
-    """c-sequential results from Sequential-IDLA rows whose generators
-    stand where the serial driver's walk leaves them: each repetition's
-    ``Gamma(ρ_i, 1/rate)`` durations come from the very call
-    :func:`~repro.walks.continuous.poissonise_steps` makes, one per
-    repetition."""
-    walked = steps2d > 0
-    shapes = steps2d[walked].astype(np.float64)
-    ends = np.cumsum(np.count_nonzero(walked, axis=1)).tolist()
-    durations = np.zeros(steps2d.shape)
-    draws = [
-        gen.gamma(shape=shapes[a:b], scale=1.0 / rate)
-        for gen, a, b in zip(gens, [0, *ends], ends)
-    ]
-    if draws:
-        durations[walked] = np.concatenate(draws)
+def _poissonised(g, origins, steps2d, settled2d, traj_all, durations) -> ShardResults:
+    """c-sequential results from Sequential-IDLA rows and each
+    repetition's ``Gamma(ρ_i, 1/rate)`` durations."""
     longest = durations.max(axis=1)
     R, m = steps2d.shape
     return _results(
@@ -443,24 +410,35 @@ def _active_rows(starts, settled):
 
 def _walk_sequential(
     g, gens, seeds, origin, kern, record, *, lazy=False, num_particles=None,
-    max_total_steps=None,
+    max_total_steps=None, rate=None,
 ):
-    """Sequential-IDLA's walks: ``(starts, steps, settled, traj)``."""
+    """Sequential-IDLA's walks: ``(starts, steps, settled, traj,
+    durations)``; with a ``rate``, each repetition's c-sequential
+    durations, drawn in C after its walk (else ``None``)."""
     m = _particle_count(g, num_particles, "sequential")
     budget = check_limit("max_total_steps", max_total_steps)
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     starts, occ, steps, settled, walker = _sequential_prelude(g, origin, m, gens)
     sinks = _sinks(kern, record, starts)
-    kern.finish_sequential(
+    total = kern.finish_sequential(
         *csr_arrays(g), occ, starts, gens, walker=walker, lazy=lazy,
         budget=budget, limit_msg=limit_msg, steps=steps, settled=settled,
         sinks=sinks, seeds=seeds,
     )
-    return starts, steps, settled, _trajectories(sinks)
+    durations = None
+    if rate is not None:
+        durations = np.zeros(steps.shape)
+        block = _seq_mod._BLOCK
+        # the serial driver fetches its first block before it walks
+        skip = np.where(total > 0, -total % block, block)
+        kern.draw_durations(
+            gens, steps, durations, rate=rate, skip=skip, seeds=seeds
+        )
+    return starts, steps, settled, _trajectories(sinks), durations
 
 
 def _sequential(g, gens, seeds, origin, kern, record, *, lazy=False, **opts):
-    starts, steps, settled, traj = _walk_sequential(
+    starts, steps, settled, traj, _ = _walk_sequential(
         g, gens, seeds, origin, kern, record, lazy=lazy, **opts
     )
     return _sequential_results(g, lazy, starts, steps, settled, traj)
@@ -468,33 +446,10 @@ def _sequential(g, gens, seeds, origin, kern, record, *, lazy=False, **opts):
 
 def _c_sequential(g, gens, seeds, origin, kern, record, *, rate=1.0):
     check_positive_finite("rate", rate)
-    starts, steps, settled, traj = _walk_sequential(
-        g, gens, seeds, origin, kern, record
+    starts, steps, settled, traj, durations = _walk_sequential(
+        g, gens, seeds, origin, kern, record, rate=rate
     )
-    block = _seq_mod._BLOCK
-    spill = np.empty(block)  # one scratch for every repetition's draw
-    for total, gen in zip(steps.sum(axis=1).tolist(), gens):
-        # the loop drew `total` doubles; the serial driver fetches whole
-        # blocks, the first before its release loop, so finish the last
-        # one (as align_to_serial does)
-        rem = -total % block if total else block
-        if _jumps(gen.bit_generator):
-            gen.bit_generator.advance(rem)
-        else:
-            gen.random(out=spill[:rem])
-    return _poissonised(g, starts[:, 0], steps, settled, traj, gens, rate)
-
-
-def _jumps(bitgen) -> bool:
-    """Whether ``bitgen.advance(n)`` leaves ``bitgen`` exactly as ``n``
-    doubles drawn would: a ``PCG64`` takes one output a double, and
-    ``advance`` jumps its LCG in O(log n), but it also clears the
-    buffered ``uint32`` half of an output, so only one with none buffered
-    (and no stale one kept) qualifies."""
-    if type(bitgen) is not np.random.PCG64:
-        return False
-    state = bitgen.state
-    return not state["has_uint32"] and not state["uinteger"]
+    return _poissonised(g, starts[:, 0], steps, settled, traj, durations)
 
 
 def _tick_prelude(g, origin, m, gens):
@@ -526,9 +481,9 @@ def _uniform(
     if k.any():
         ticks = kern.finish_uniform(
             *csr_arrays(g), occ, pool, pos, steps, settled, order, gens, k=k,
-            norder=m - k, logq=_skip_log_table(max(m - 1, 1)), budget=budget,
+            norder=m - k, budget=budget,
             limit_msg=f"uniform IDLA exceeded max_ticks={max_ticks}",
-            sinks=sinks, seeds=seeds,
+            block=_uniform_mod._BLOCK, sinks=sinks, seeds=seeds,
         )
     return _uniform_results(
         g, starts, steps, settled, order, ticks, _trajectories(sinks), None
@@ -547,7 +502,8 @@ def _ctu(g, gens, seeds, origin, kern, record, *, rate=1.0, num_particles=None):
     if k.any():
         clock = kern.finish_ctu(
             *csr_arrays(g), occ, pool, pos, steps, settled, settle_clock,
-            order, gens, k=k, norder=m - k, rate=rate, sinks=sinks, seeds=seeds,
+            order, gens, k=k, norder=m - k, rate=rate, block=_ctu_mod._BLOCK,
+            sinks=sinks, seeds=seeds,
         )
     return _ctu_results(
         g, starts, steps, settled, order, clock, settle_clock,

@@ -71,21 +71,6 @@ _F64 = np.dtype(np.float64)
 #: returns "sink full" (a Parallel-IDLA sink holds at least one round).
 _SINK_EVENTS = 1 << 15
 
-#: Doubles a tick loop's log lane holds (CTU: one per tick, Uniform: one
-#: per geometric skip) before the loop returns "lane full" and the
-#: wrapper takes their logarithms with numpy.  No result depends on it.
-#: Each re-entry costs a compiled call, a numpy log1p and a compiled
-#: fold, ~15 us of fixed cost: on a 2-core x86-64 VM (best of 30 runs,
-#: lane sizes interleaved in one process, of the four 16-repetition
-#: Uniform and CTU estimates on cycle-64 and grid-10x10, ~8-23k ticks a
-#: repetition), the four took 18.3 ms together at 4096 slots, 15.9-16.5
-#: ms at 16384, 15.8-16.0 ms at 32768 and 15.7-16.0 ms at 65536.  32768
-#: (512 KiB with the divisors) takes the gain within the transient
-#: memory the numpy fold took at 16384: its 256 KiB lane plus two
-#: 128 KiB temporaries.
-_LANE = 1 << 15
-
-
 #: The name numpy gives the capsule of a BitGenerator's ``bitgen_t``.
 _CAPSULE = b"BitGenerator"
 
@@ -170,13 +155,14 @@ class KernelSet:
 
     __slots__ = ("name",)
     compiled = False
-    #: Narrowest array width at which the lock-step drivers call the
-    #: compiled array kernels.  Below it the FFI/launch overhead loses to
-    #: numpy's ufunc path (measured crossover ~64 lanes on x86-64), so
-    #: the narrowest rounds — the very end of the settlement tail — keep
-    #: the numpy expressions; the scalar finishers and single-walker
-    #: loops ignore this (they replace per-*step* Python loops, where
-    #: compiled always wins).  Irrelevant when ``compiled`` is ``False``.
+    #: Narrowest round at which the lock-step parallel driver calls the
+    #: compiled settlement round (:meth:`settle_round`) and the vacancy
+    #: probe calls :meth:`vacant_candidates`: below it the settlement
+    #: round's FFI cost loses to the numpy expressions (per-kernel
+    #: timings in ``docs/kernels.md``).  The fused walk step wins at
+    #: every width and has no gate; the scalar finishers and
+    #: single-walker loops replace per-*step* Python loops, where
+    #: compiled always wins.  Irrelevant when ``compiled`` is ``False``.
     min_width = 0
 
     def __init__(self, name: str):
@@ -403,19 +389,19 @@ class Shard:
         """One compiled call of ``loop`` on this shard; its status."""
         return loop(self.c)
 
-    def run(self, loop, fold=None) -> int:
+    def run(self, loop, hold=None) -> int:
         """Run ``loop`` to its final status, holding every generator's
         lock.
 
         C steps a numpy ``PCG64`` inline and stores its state back on
         every return; it calls every other bit generator's
-        ``next_double``.  ``fold(status)``, when given, runs after every
-        return and gives the status to act on.  Status 2 (the sink of
-        row :attr:`which` is full) seals that sink, or opens it if
-        unopened, and re-enters with the same struct, as does 3 (the log
-        lane is full).  A "full" open sink holding no event would make
-        the loop re-enter forever, so it raises.  When the loop is done
-        every sink is closed, into its repetition's trajectories."""
+        ``next_double``.  Status 2 (the sink of row :attr:`which` is
+        full) seals that sink, or opens it if unopened, and re-enters
+        with the same struct.  A "full" open sink holding no event would
+        make the loop re-enter forever, so it raises.  When the loop is
+        done (status 1), ``hold(c)``, when given, draws the holding
+        layer on the struct, the locks still held, and every sink is
+        closed, into its repetition's trajectories."""
         state, sinks, bgs = self.state, self._sinks, self.bgs
         fronts = []  # the prefix bit generators C reads through
         bitgens = [None if rng is None else rng.bit_generator for rng in self._rngs]
@@ -437,8 +423,6 @@ class Shard:
                 bgs[r] = address
             while True:
                 status = self.enter(loop)
-                if fold is not None:
-                    status = fold(status)
                 if status == 2:
                     row = self.which
                     sink = sinks[row]
@@ -461,8 +445,10 @@ class Shard:
                     # writes past it
                     self.evs[row] = sink.buf.ctypes.data
                     self.caps[row] = sink.buf.shape[0] // 2
-                elif status != 3:
+                else:
                     break
+            if status == 1 and hold is not None:
+                hold(self.c)
         finally:
             for lock in locks[:held]:
                 lock.release()
@@ -481,7 +467,7 @@ class CompiledKernels(KernelSet):
     (``UniformStream.take_block`` for the parallel straggler loop, the
     raw generator for the single-walker loops) — the exact fetch cadence
     of the serial scalar loops, so generator positions stay where the
-    serial drivers leave them.  The four shard loops
+    serial drivers leave them.  The shard loops
     (:meth:`finish_sequential`, :meth:`finish_parallel`,
     :meth:`finish_ctu`, :meth:`finish_uniform`) instead each build one
     :class:`Shard`, which checks the shard and fills the C struct the
@@ -489,10 +475,11 @@ class CompiledKernels(KernelSet):
     each repetition drawing inside C (:meth:`Shard.run`): a numpy
     ``PCG64`` or a row of C-seeded states (:meth:`pcg64_seeds`) stepped
     inline, any other bit generator through its ``bitgen_t``.  They
-    return early only when an event sink fills or, for the tick loops,
-    when the shared log lane fills; the wrapper then seals the sink or
-    takes the lane's logarithms with numpy, and re-enters with the same
-    struct.
+    return early only when an event sink fills; the wrapper then seals
+    the sink and re-enters with the same struct.  After its chain, each
+    repetition of CTU and Uniform draws its holding variables in C, with
+    numpy's own samplers (:meth:`finish_ctu`, :meth:`finish_uniform`);
+    :meth:`draw_durations` draws c-sequential's after its walk.
 
     The shard loops take an optional event sink per repetition
     (:meth:`event_sink`) that records its trajectories.
@@ -500,7 +487,7 @@ class CompiledKernels(KernelSet):
 
     __slots__ = ("_impl",)
     compiled = True
-    min_width = 64
+    min_width = 2
 
     def __init__(self, name: str, impl):
         super().__init__(name)
@@ -588,14 +575,39 @@ class CompiledKernels(KernelSet):
         shard.run(draw)
         return out
 
+    def draw_durations(self, rngs, steps, out, *, rate, skip, seeds=None):
+        """:func:`~repro.core.continuous.continuous_sequential_idla`'s
+        holding draws for ``R = len(rngs)`` repetitions whose walks are
+        done: row ``r`` skips ``skip[r]`` doubles, which brings its
+        generator (or its row of ``seeds``) to where the serial walk's
+        block fetches leave it, then draws each walked particle's
+        ``Gamma(steps[r, p], 1/rate)`` duration into ``out[r, p]``, in
+        index order, with numpy's own sampler.  ``steps`` (int64) and
+        ``out`` (float64) are ``(R, m)``."""
+        skip = _i64(skip)
+        if skip.shape != (len(rngs),) or (skip < 0).any():
+            raise ValueError("draw_durations needs one skip >= 0 a row")
+        shard = Shard(
+            self._impl, "draw_durations", rngs,
+            rows={"steps": steps, "sclock": out}, seeds=seeds, rate=float(rate),
+        )
+        kind = self._impl.hold_kind["c-sequential"]
+
+        def hold(c):
+            self._impl.hold(c, kind, skip)
+            return 1
+
+        shard.run(hold)
+
     # ---- the shard loops -----------------------------------------------
     # Each builds one Shard, which checks every row before any draw, and
     # runs every repetition of it in one compiled call (plus one per
-    # "sink full" or "lane full" re-entry, on the same struct): row r of
+    # "sink full" re-entry, on the same struct): row r of
     # the (R, m) arrays and occ[r*n : (r+1)*n] belong to repetition r,
     # which draws each double from the bit generator of rngs[r] in C, in
     # its serial driver's order, so each generator ends right after the
-    # last double its row consumed.  A row whose rngs[r] is None draws
+    # last double its row consumed, or, after a holding layer, where the
+    # serial driver leaves it.  A row whose rngs[r] is None draws
     # from the PCG64 state in row r of `seeds` (pcg64_seeds), which C
     # advances in place.  With sinks, one per row, every step is
     # recorded into its row's sink.
@@ -637,86 +649,96 @@ class CompiledKernels(KernelSet):
             raise RuntimeError(limit_msg)
         return state[:, 3].copy()
 
-    # The tick loops (CTU, Uniform) write -u for each double u the serial
-    # driver takes log1p(-u) of to a lane of _LANE slots shared by the
-    # shard's repetitions, with their divisors; each row records its
-    # segment [LO, HI).  After every return the wrapper takes numpy's
-    # log1p over the used lane in place, as the serial driver's
-    # UniformStream takes numpy's log1p, and one compiled fold call splits
-    # the logarithms per repetition.
+    # The jump chain of CTU and Uniform: one C loop, two doubles a tick,
+    # that records the tick at which each level ends; the holding layer
+    # then draws the clocks of every level from the same generators.
+    def _run_ticks(
+        self, process, indptr, indices, occ, rows, rngs, *, k, norder,
+        block, sinks, seeds, budget=float("inf"), **fields,
+    ) -> tuple[int, np.ndarray]:
+        """Run the jump chain on ``rows`` (pool, pos, steps, settled,
+        order and the rows ``fields`` name), then the holding layer of
+        ``process``; returns the final status (-1: a chain's tick count
+        exceeds ``budget``) and the shard's state, whose column 2 holds
+        the tick counts.  Every row needs ``k + norder = m`` and ``k <
+        m``."""
+        m = rows["pool"].shape[-1]
+        shard = Shard(
+            self._impl, f"finish_{process}", rngs, graph=(indptr, indices, occ),
+            rows={**rows, "jumps": np.zeros((len(rngs), m), dtype=np.int64)},
+            particles=("pool",), vertices=("pos",), counts={0: k, 1: norder},
+            width=4, sinks=sinks, seeds=seeds, budget=float(budget), **fields,
+        )
+        state = shard.state
+        # the chain writes jumps[:, k] for each level k it ends, and the
+        # holding layer reads the order entries the chain wrote
+        left, done = state[:, 0], state[:, 1]
+        if ((left + done != m) | (left >= max(m, 1))).any():
+            raise ValueError(
+                f"finish_{process}: every row needs k + norder = m and k < m"
+            )
+        kind = self._impl.hold_kind[process]
+
+        def hold(c):
+            # two doubles a tick; the serial stream fetches whole blocks
+            self._impl.hold(c, kind, -2 * state[:, 2] % block)
+
+        return shard.run(self._impl.run_ticks, hold), state
+
     def finish_ctu(
         self, indptr, indices, occ, pool, pos, steps, settled, clock, order,
-        rngs, *, k, norder, rate, sinks=None, seeds=None,
+        rngs, *, k, norder, rate, block, sinks=None, seeds=None,
     ) -> np.ndarray:
-        """Compiled :func:`repro.core.continuous.ctu_idla` tick loop for
-        ``R = len(rngs)`` repetitions; returns each one's final clock.
+        """Compiled :func:`repro.core.continuous.ctu_idla` for ``R =
+        len(rngs)`` repetitions; returns each one's final clock.
 
         ``pool``, ``pos``, ``steps``, ``settled``, ``clock`` (float64, the
         settle clocks) and ``order`` are ``(R, m)``: ``pool[r, :k[r]]``
         holds repetition ``r``'s unsettled particles and
-        ``order[r, :norder[r]]`` its settle order so far; every entry of
+        ``order[r, :norder[r]]`` its settle order so far, with ``k[r] +
+        norder[r] = m`` and ``k[r] < m``; every entry of
         ``pool`` must be a particle, every entry of ``pos`` a vertex.  Each
-        tick draws 3 doubles, in the serial order."""
-        lane = np.empty(2 * _LANE)
-        shard = Shard(
-            self._impl, "finish_ctu", rngs, graph=(indptr, indices, occ),
-            rows={"pool": pool, "pos": pos, "steps": steps, "settled": settled,
-                  "order": order, "sclock": clock},
-            particles=("pool",), vertices=("pos",), counts={0: k, 1: norder},
-            width=5, sinks=sinks, seeds=seeds, lane=lane, lane_cap=_LANE,
+        tick draws 2 doubles, in the serial order; each level's
+        ``Gamma(J_k, 1/(k*rate))`` time is then drawn after the
+        generator is brought to the grid of the serial driver's
+        ``block``-double fetches (``1``: right after the chain's
+        doubles); each generator ends where the serial driver leaves it."""
+        self._run_ticks(
+            "ctu", indptr, indices, occ,
+            {"pool": pool, "pos": pos, "steps": steps, "settled": settled,
+             "order": order, "sclock": clock},
+            rngs, k=k, norder=norder, block=block, sinks=sinks, seeds=seeds,
             rate=float(rate),
         )
-        state = shard.state
-        clocks = np.zeros(shard.R)
-        folded = state[:, 1].copy()  # each row's settle order at the last fold
-
-        def fold(status):
-            # the rows' segments tile the lane in row order
-            used = lane[: state[:, 3].max(initial=0)]
-            np.log1p(used, out=used)
-            self._impl.fold_ctu(shard.c, folded, clocks)
-            return status
-
-        shard.run(self._impl.run_ctu, fold)
-        return clocks
+        # clocks only grow: the last settle clock is each row's largest
+        return clock.max(axis=1, initial=0.0)
 
     def finish_uniform(
         self, indptr, indices, occ, pool, pos, steps, settled, order, rngs,
-        *, k, norder, logq, budget, limit_msg, sinks=None, seeds=None,
+        *, k, norder, budget, limit_msg, block, sinks=None, seeds=None,
     ) -> np.ndarray:
-        """Compiled :func:`repro.core.uniform.uniform_idla` tick loop
-        (default scheduler) for ``R = len(rngs)`` repetitions; returns
-        each one's tick count.
+        """Compiled :func:`repro.core.uniform.uniform_idla` (default
+        scheduler) for ``R = len(rngs)`` repetitions; returns each one's
+        tick count.
 
-        The rows are :meth:`finish_ctu`'s, less the clocks.  ``logq[j]``
-        is ``np.log1p(-(j / pool_size))`` for ``j < pool_size =
-        logq.shape[0]``, the geometric-skip divisor.  Each tick draws 2
-        doubles, plus 1 per skip, in the serial order.  A tick count past
-        ``budget`` raises ``RuntimeError(limit_msg)``, as the serial
-        driver does."""
-        _check_flat("finish_uniform", "logq", logq)
-        lane = np.empty(2 * _LANE)
-        shard = Shard(
-            self._impl, "finish_uniform", rngs, graph=(indptr, indices, occ),
-            rows={"pool": pool, "pos": pos, "steps": steps, "settled": settled,
-                  "order": order},
-            particles=("pool",), vertices=("pos",), counts={0: k, 1: norder},
-            width=6, sinks=sinks, seeds=seeds, lane=lane, lane_cap=_LANE,
-            logq=logq, pool_size=logq.shape[0], budget=budget,
+        The rows are :meth:`finish_ctu`'s, less the clocks.  Each tick
+        draws 2 doubles, in the serial order; each level's
+        ``NegBin(J_k, k/pool_size)`` wasted ticks are then drawn as
+        :meth:`finish_ctu` draws its times.  A tick count past ``budget``
+        raises ``RuntimeError(limit_msg)``, as the serial driver does: a
+        chain whose useful ticks exceed it stops at once, and the others
+        are checked with their wasted ticks added."""
+        status, state = self._run_ticks(
+            "uniform", indptr, indices, occ,
+            {"pool": pool, "pos": pos, "steps": steps, "settled": settled,
+             "order": order},
+            rngs, k=k, norder=norder, block=block, sinks=sinks, seeds=seeds,
+            budget=budget,
         )
-        state = shard.state
-
-        def fold(status):
-            used = lane[: state[:, 4].max(initial=0)]
-            np.log1p(used, out=used)
-            self._impl.fold_uniform(shard.c)
-            # ticks only grow, so a final count exceeds the budget exactly
-            # when the serial driver raises
-            return -1 if (state[:, 2] > budget).any() else status
-
-        if shard.run(self._impl.run_uniform, fold) < 0:
+        ticks = state[:, 2]
+        if status < 0 or (ticks > budget).any():
             raise RuntimeError(limit_msg)
-        return state[:, 2].copy()
+        return ticks.copy()
 
     def finish_parallel(
         self, indptr, indices, occ, act, pos, prio, steps, settled, rounds,

@@ -2,20 +2,21 @@
 
 One translation unit, compiled with plain ``-O2 -ffp-contract=off``
 (never ``-ffast-math``: the offset computation ``(i64)(u * (double)deg)``
-and the CTU clock divisor ``(double)k * rate`` must be the same IEEE
-double operations the numpy path performs, or the bit-identity contract of
-:mod:`repro.kernels` breaks).  :data:`C_SOURCE` is the includes, then
-:data:`CDEF` -- the one place each shared typedef and exported prototype
-is written, which cffi parses too -- then the function bodies, so the
-compiler checks every definition against its declaration.
+and the holding layer's scales ``1 / ((double)k * rate)`` must be the
+same IEEE double operations the numpy path performs, or the bit-identity
+contract of :mod:`repro.kernels` breaks) and linked with numpy's
+``libnpyrandom.a`` for its samplers.  :data:`C_SOURCE` is the includes,
+then :data:`CDEF` -- the one place each shared typedef and exported
+prototype is written, which cffi parses too -- then the function bodies,
+so the compiler checks every definition against its declaration.
 
 The functions mirror, line for line, the numpy round bodies in
 :mod:`repro.core.batched` and the scalar micro-loops in
 ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
-:mod:`repro.walks.single`, the tick loops of ``ctu_idla`` /
-``uniform_idla`` and the round loops of ``parallel_idla`` -- every
+:mod:`repro.walks.single`, the jump chain of ``uniform_idla`` /
+``ctu_idla`` and the round loops of ``parallel_idla`` -- every
 behavioural quirk (the draw order around the budget checks, the clamped
-pool slot of the tick loops) is deliberate and pinned by
+pool slot of the jump chain) is deliberate and pinned by
 ``tests/test_differential_drivers.py``.  Every walk step is one
 ``repro_neighbor``: slot ``min((i64)(u*d), d - 1)``, which equals the
 serial loops' unclamped ``int(u * deg)`` for every ``u < 1``.
@@ -25,14 +26,14 @@ The walk loops (``repro_finish_par1``, ``repro_walk_fill``,
 return ``0`` when it runs dry; the Python wrapper refills (see
 ``KernelSet`` in the package root) in the serial drivers' block cadence
 wherever a later consumer reads the generator, so those fetch positions
-stay on the serial grid.  The four shard loops (``repro_finish_seq``,
-``repro_run_parallel``, ``repro_run_ctu``, ``repro_run_uniform``) instead
-take one ``repro_shard``: every repetition of a shard, each with its own
-state row, rows of the shard's ``(R, m)`` arrays and draw source, from
-which it draws each double in the serial order, so every generator ends
-right after the last double its repetition consumed.  So do the lane
-folds and ``repro_draw_doubles``.  A draw source (``repro_rng``, one
-helper ``repro_draw`` for all four loops) is either an inline PCG64 --
+stay on the serial grid.  The three shard loops (``repro_finish_seq``,
+``repro_run_parallel``, ``repro_run_ticks``) instead take one
+``repro_shard``: every repetition of a shard, each with its own state
+row, rows of the shard's ``(R, m)`` arrays and draw source, from which it
+draws each double in the serial order, so every generator ends right
+after the last double its repetition consumed.  So do the holding layer
+``repro_hold`` and ``repro_draw_doubles``.  A draw source (``repro_rng``,
+one helper ``repro_draw`` for all the loops) is either an inline PCG64 --
 numpy's default bit generator, stepped in registers -- or the generic
 ``next_double`` call of a ``bitgen_t`` (``numpy/random/bitgen.h``,
 declared here with the same layout).  Row ``r``'s source is the
@@ -44,15 +45,20 @@ steps the PCG64 state in row ``r`` of ``seeds``, which
 does, so a repetition whose doubles are all drawn here needs no numpy
 generator at all.  ``repro_finish_seq`` keeps ``REPRO_LANES``
 repetitions in flight round-robin, so the CPU overlaps their dependent
-steps; the other three run the repetitions one after another.  Either
-way every repetition's draws and updates are those of the loop run on
-its own.  The tick loops need ``log1p(-u)`` of some doubles (CTU's
-clock, Uniform's geometric skip), which C never takes: they write those
-doubles, negated, to a *log lane* shared by the shard's repetitions, with
-their divisors.  After every return (status ``3``: the lane is full) the
-wrapper takes numpy's ``log1p`` over the used lane in place, and
-``repro_fold_ctu`` / ``repro_fold_uniform`` fold it into the clocks and
-tick counts.
+steps; the other two run the repetitions one after another.  Either way
+every repetition's draws and updates are those of the loop run on its
+own.
+
+CTU-IDLA and Uniform-IDLA share one jump chain, ``repro_run_ticks``, two
+doubles a tick, which records the tick at which each level (``k``
+unsettled particles) ends.  Their clocks follow from the levels alone:
+``repro_hold`` brings each repetition's source to the serial driver's
+block grid (a PCG64 jumps its LCG), then draws, with numpy's own
+``random_gamma`` and ``random_negative_binomial``, CTU's
+``Gamma(J_k, 1/(k*rate))`` level times or Uniform's ``NegBin(J_k,
+k/pool)`` wasted ticks, or c-sequential's ``Gamma(steps, 1/rate)``
+durations after ``repro_finish_seq`` (a shard of its own).  An inline PCG64 reaches the
+samplers through a ``bitgen_t`` shim over its registers.
 
 A shard records into an optional *event sink* per repetition: an
 ``int`` array of ``caps[r]`` ``(particle, vertex)`` pairs at address
@@ -113,12 +119,15 @@ typedef struct {
     const i64 *caps;
     i64 which;
     i64 *state;
-    i64 lazy, thr, lane_cap, pool_size;
+    i64 *jumps;
+    i64 lazy, thr;
     double budget, rate;
     i64 *best;
-    double *hold, *lane;
-    const double *logq;
+    double *hold;
 } repro_shard;
+
+/* The kinds of holding variables repro_hold draws. */
+enum { REPRO_HOLD_SEQ, REPRO_HOLD_CTU, REPRO_HOLD_UNIFORM };
 
 void repro_pcg64_register(const bitgen_t *pcg64);
 void repro_draw_doubles(repro_shard *sh, i64 n, double *out);
@@ -140,11 +149,9 @@ i64 repro_walk_fill(const i64 *indptr, const i64 *indices, i64 *out,
 i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
                    const unsigned char *hit, const double *buf, i64 nbuf,
                    i64 *state, double limit);
-i64 repro_run_ctu(repro_shard *sh);
-i64 repro_run_uniform(repro_shard *sh);
+i64 repro_run_ticks(repro_shard *sh);
+void repro_hold(repro_shard *sh, i64 kind, const i64 *skip);
 i64 repro_run_parallel(repro_shard *sh);
-void repro_fold_ctu(repro_shard *sh, i64 *folded, double *clocks);
-void repro_fold_uniform(repro_shard *sh);
 void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat);
 void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a);
 """
@@ -154,6 +161,11 @@ C_SOURCE = """
 #include <stdlib.h>
 #include <string.h>
 """ + CDEF + """
+/* numpy's samplers (numpy/random/distributions.h, which includes
+ * Python.h), linked from numpy's libnpyrandom.a. */
+double random_gamma(bitgen_t *bitgen_state, double shape, double scale);
+int64_t random_negative_binomial(bitgen_t *bitgen_state, double n, double p);
+
 /* The largest double below 1. */
 #define REPRO_U_MAX 0x1.fffffffffffffp-1
 
@@ -207,14 +219,19 @@ void repro_pcg64_register(const bitgen_t *pcg64)
     repro_pcg64_double = pcg64->next_double;
 }
 
-static inline double repro_draw(repro_rng *g)
+/* The inline PCG64's next 64-bit output. */
+static inline uint64_t repro_pcg64_next(repro_rng *g)
 {
-    if (g->next) return g->next(g->st);
     g->s = g->s * REPRO_PCG_MULT + g->inc;
     uint64_t x = (uint64_t)(g->s >> 64) ^ (uint64_t)g->s;
     unsigned rot = (unsigned)(g->s >> 122);
-    x = (x >> rot) | (x << ((-rot) & 63u));
-    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+    return (x >> rot) | (x << ((-rot) & 63u));
+}
+
+static inline double repro_draw(repro_rng *g)
+{
+    if (g->next) return g->next(g->st);
+    return (double)(repro_pcg64_next(g) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* Row r's source: seeds[4r .. 4r+4) when bgs[r] is 0, else the bitgen_t
@@ -595,141 +612,57 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
     }
 }
 
-/* The tick loops run the R repetitions of a shard in one call, one after
- * another (a repetition runs to completion, then the next starts), and
- * share one log lane: lane[0..cap) holds -u for each double u whose
- * log1p(-u) the serial driver takes (negation is exact), lane[cap..2cap)
- * each one's divisor.  No logarithm is taken in C (libm's log1p is not
- * bit-identical to numpy's, and at 13-24 ns a call it is ~10x numpy's
- * vectorised one): after every return the wrapper takes numpy's log1p
- * over the used lane in place, then folds it with repro_fold_ctu or
- * repro_fold_uniform, and the next call starts with the lane empty.
- * Each repetition's doubles are one contiguous segment of the lane,
- * [LO, HI) in its state row.  A loop returns 3 ("lane full") before a
- * tick that needs a slot in a full lane.  Interleaving repetitions, as
- * repro_finish_seq does, does not pay here: a tick picks a random
- * particle, so consecutive ticks of one repetition already overlap in
- * the CPU.  A prototype
- * 4-lane round-robin CTU loop gave the same rows but took 24.8 ns a tick
- * on the 64-cycle and 24.6 on the 10x10 grid, against 20.7 and 23.0 ns
- * one repetition at a time (2-core x86-64 VM). */
+/* The tick loop runs the R repetitions of a shard in one call, one after
+ * another (a repetition runs to completion, then the next starts).
+ * Interleaving repetitions, as repro_finish_seq does, does not pay here: a
+ * tick picks a random particle, so consecutive ticks of one repetition
+ * already overlap in the CPU.  A prototype 4-lane round-robin CTU loop
+ * gave the same rows but took 24.8 ns a tick on the 64-cycle and 24.6 on
+ * the 10x10 grid, against 20.7 and 23.0 ns one repetition at a time
+ * (2-core x86-64 VM, three doubles a tick). */
 
-/* State rows of the tick loops: the pool size k, the settle-order
- * length, (Uniform) the tick count, the repetition's lane segment and
- * its event count. */
-enum { CTU_K, CTU_NO, CTU_LO, CTU_HI, CTU_EVENTS, CTU_STATE };
-enum { UNI_K, UNI_NO, UNI_TICKS, UNI_LO, UNI_HI, UNI_EVENTS, UNI_STATE };
+/* State row of the tick loop: the pool size k, the settle-order length,
+ * the tick count and the event count. */
+enum { TICK_K, TICK_NO, TICK_T, TICK_EVENTS, TICK_STATE };
 
-/* CTU-IDLA (ctu_idla's tick loop) for the R repetitions of a shard, each
- * from its state row, on its rows pool, pos, steps, settled, sclock and
- * order.  pool[0..k) holds its unsettled particles (swap-remove order),
- * order[] its settle order so far.  Per tick, three doubles from its
- * draw source, in the serial order: the clock double, written to the
- * lane with its divisor (double)k*rate (the clock advance is
- * -log1p(-u)/divisor), the clamped pool slot, the step.  A particle that
- * settles gets sclock[p] = the lane length after its tick's advance,
- * which repro_fold_ctu replaces with the clock.  Returns 1 when every
- * repetition is done, 2 before a tick the sink of repetition `which` has
- * no room for (resume with an empty one), 3 before a tick of repetition
- * `which` when the lane is full; on any return every visited row is
- * written back.  With a sink, each tick records (particle, new vertex). */
-i64 repro_run_ctu(repro_shard *sh)
+/* The jump chain of CTU-IDLA and Uniform-IDLA (the loop of
+ * uniform_idla's jump_chain) for the R repetitions of a shard, each from
+ * its state row, on its rows pool, pos, steps, settled, order and jumps.
+ * pool[0..k) holds its unsettled particles (swap-remove order), order[]
+ * its settle order so far.  Per tick: the tick count and the budget check,
+ * then two doubles from the repetition's draw source, the clamped pool
+ * slot and the step.  When the particle that steps settles, the level of
+ * k unsettled particles ends: jumps[k] = the tick count, so level k took
+ * jumps[k] - jumps[k+1] ticks (jumps[K0+1] = 0 for the first level K0);
+ * levels never entered keep their 0.  Returns 1 when every repetition is
+ * done, 2 before a tick the sink of repetition `which` has no room for
+ * (resume with an empty one), -1 once the tick count of repetition
+ * `which` exceeds the budget; on any return every visited row is written
+ * back.  With a sink, each tick records (particle, new vertex). */
+i64 repro_run_ticks(repro_shard *sh)
 {
     const i64 *indptr = sh->indptr, *indices = sh->indices;
     const uintptr_t *evs = sh->evs;
     i64 *state = sh->state, R = sh->R, n = sh->n, m = sh->m;
-    i64 lane_cap = sh->lane_cap;
-    double *lane = sh->lane, *den = lane + lane_cap, rate = sh->rate;
-    i64 nl = 0, status = 1;
+    double budget = sh->budget;
+    i64 status = 1;
     for (i64 r = 0; r < R && status == 1; r++) {
-        i64 *row = state + r * CTU_STATE;
-        i64 k = row[CTU_K], no = row[CTU_NO], nev = row[CTU_EVENTS];
-        row[CTU_LO] = row[CTU_HI] = nl;
+        i64 *row = state + r * TICK_STATE;
+        i64 k = row[TICK_K], no = row[TICK_NO], t = row[TICK_T];
+        i64 nev = row[TICK_EVENTS];
         if (!k) continue;
         repro_rng g;
         repro_rng_load(&g, sh, r);
         unsigned char *oc = sh->occ + r * n;
         i64 *pl = sh->pool + r * m, *ps = sh->pos + r * m;
         i64 *sp = sh->steps + r * m, *se = sh->settled + r * m;
-        i64 *od = sh->order + r * m;
-        double *sc = sh->sclock + r * m;
+        i64 *od = sh->order + r * m, *ends = sh->jumps + r * m;
         int *ev = evs ? (int *)evs[r] : NULL;
         i64 cap = evs ? sh->caps[r] : 0;
         while (k) {
-            if (nl >= lane_cap) { status = 3; break; }
-            if (evs && nev >= cap) { status = 2; break; }
-            lane[nl] = -repro_draw(&g);
-            den[nl++] = (double)k * rate;
-            i64 s = (i64)(repro_draw(&g) * (double)k);
-            if (s > k - 1) s = k - 1;
-            i64 p = pl[s];
-            i64 v = repro_neighbor(indptr, indices, ps[p], repro_draw(&g));
-            ps[p] = v;
-            sp[p] += 1;
-            REPRO_EVENT(p, v);
-            if (oc[v]) continue;
-            oc[v] = 1;
-            se[p] = v;
-            sc[p] = (double)nl;
-            od[no++] = p;
-            pl[s] = pl[--k];
-        }
-        row[CTU_K] = k; row[CTU_NO] = no; row[CTU_HI] = nl;
-        row[CTU_EVENTS] = nev;
-        repro_rng_store(&g);
-        if (status != 1) sh->which = r;
-    }
-    return status;
-}
-
-/* Uniform-IDLA (uniform_idla's default-mode tick loop) for the R
- * repetitions of a shard, laid out as in repro_run_ctu less the clocks,
- * with the tick count in each state row.  Per tick: ticks += 1 and the
- * budget check, then -- only while k < pool_size -- the geometric-skip
- * double, written to the lane with its divisor logq[k] (the caller's
- * numpy log1p(-k/pool_size)), then the clamped pool slot and the step:
- * 2-3 doubles from the repetition's draw source, in the serial order.
- * The skips (i64)(log1p(-u)/logq[k]) are added by repro_fold_uniform, so
- * a row's tick count here is a lower bound of the serial one: the loop
- * returns -1 once it exceeds the budget (repetition `which`), and the
- * wrapper checks the budget exactly after each fold.  Returns 1 when
- * every repetition is done, 2 before a tick the sink of repetition
- * `which` has no room for, 3 before a skip tick of repetition `which`
- * when the lane is full.  With a sink, each tick that steps records
- * (particle, new vertex); wasted ticks record none. */
-i64 repro_run_uniform(repro_shard *sh)
-{
-    const i64 *indptr = sh->indptr, *indices = sh->indices;
-    const uintptr_t *evs = sh->evs;
-    const double *logq = sh->logq;
-    i64 *state = sh->state, R = sh->R, n = sh->n, m = sh->m;
-    i64 lane_cap = sh->lane_cap, pool_size = sh->pool_size;
-    double *lane = sh->lane, *div = lane + lane_cap, budget = sh->budget;
-    i64 nl = 0, status = 1;
-    for (i64 r = 0; r < R && status == 1; r++) {
-        i64 *row = state + r * UNI_STATE;
-        i64 k = row[UNI_K], no = row[UNI_NO], t = row[UNI_TICKS];
-        i64 nev = row[UNI_EVENTS];
-        row[UNI_LO] = row[UNI_HI] = nl;
-        if (!k) continue;
-        repro_rng g;
-        repro_rng_load(&g, sh, r);
-        unsigned char *oc = sh->occ + r * n;
-        i64 *pl = sh->pool + r * m, *ps = sh->pos + r * m;
-        i64 *sp = sh->steps + r * m, *se = sh->settled + r * m;
-        i64 *od = sh->order + r * m;
-        int *ev = evs ? (int *)evs[r] : NULL;
-        i64 cap = evs ? sh->caps[r] : 0;
-        while (k) {
-            i64 skip = k < pool_size;
-            if (skip && nl >= lane_cap) { status = 3; break; }
             if (evs && nev >= cap) { status = 2; break; }
             t += 1;
             if ((double)t > budget) { status = -1; break; }
-            if (skip) {
-                lane[nl] = -repro_draw(&g);
-                div[nl++] = logq[k];
-            }
             i64 s = (i64)(repro_draw(&g) * (double)k);
             if (s > k - 1) s = k - 1;
             i64 p = pl[s];
@@ -741,61 +674,108 @@ i64 repro_run_uniform(repro_shard *sh)
             oc[v] = 1;
             se[p] = v;
             od[no++] = p;
+            ends[k] = t;
             pl[s] = pl[--k];
         }
-        row[UNI_K] = k; row[UNI_NO] = no; row[UNI_TICKS] = t;
-        row[UNI_HI] = nl; row[UNI_EVENTS] = nev;
+        row[TICK_K] = k; row[TICK_NO] = no; row[TICK_T] = t;
+        row[TICK_EVENTS] = nev;
         repro_rng_store(&g);
         if (status != 1) sh->which = r;
     }
     return status;
 }
 
-/* The folds of a tick loop's lane, once lane[i] holds numpy's
- * log1p(-u) (the wrapper's, in place) for every used slot i.  Each
- * visits every row's segment [LO, HI); a row the loop did not reach has
- * an empty one.  No division is fused or reordered (-ffp-contract=off),
- * so each is the serial driver's double arithmetic, slot by slot. */
-
-/* CTU: the serial clock += -log1p(-u) / (k * rate), tick by tick, which
- * is c = c - lane[i] / den[i] bit for bit, starting from the row's
- * carried clock clocks[r].  Each slot's clock is written back into the
- * slot.  A particle settled since the last fold (order[folded[r] ..
- * NO) of its row) holds in sclock the lane length g after its tick, so
- * its clock is slot g - 1's.  Updates clocks[r] and folded[r]. */
-void repro_fold_ctu(repro_shard *sh, i64 *folded, double *clocks)
+/* ---- the holding layer ------------------------------------------------
+ * After its chain, each repetition draws its holding variables from its
+ * own source with numpy's own samplers, so the serial drivers'
+ * Generator.gamma / Generator.negative_binomial calls give the same bits.
+ * A source reaches them as a bitgen_t: a generic row through its own, an
+ * inline PCG64 through repro_rng_bitgen's shim over its registers. */
+static uint64_t repro_shim_next64(void *st)
 {
-    double *lane = sh->lane;
-    const double *den = lane + sh->lane_cap;
-    i64 m = sh->m;
-    for (i64 r = 0; r < sh->R; r++) {
-        const i64 *row = sh->state + r * CTU_STATE;
-        double c = clocks[r];
-        for (i64 i = row[CTU_LO]; i < row[CTU_HI]; i++) {
-            c = c - lane[i] / den[i];
-            lane[i] = c;
-        }
-        clocks[r] = c;
-        double *sc = sh->sclock + r * m;
-        const i64 *od = sh->order + r * m;
-        for (i64 j = folded[r]; j < row[CTU_NO]; j++) {
-            i64 p = od[j];
-            sc[p] = lane[(i64)sc[p] - 1];
-        }
-        folded[r] = row[CTU_NO];
-    }
+    return repro_pcg64_next((repro_rng *)st);
 }
 
-/* Uniform: the serial ticks += (i64)(log1p(-u) / logq[k]), skip by
- * skip; each row's skips are added to its tick count. */
-void repro_fold_uniform(repro_shard *sh)
+/* numpy buffers the high half for the next call; no sampler used here
+ * asks for 32 bits, and the self-check would show one that did. */
+static uint32_t repro_shim_next32(void *st)
 {
-    const double *lane = sh->lane, *div = lane + sh->lane_cap;
+    return (uint32_t)repro_pcg64_next((repro_rng *)st);
+}
+
+static double repro_shim_next_double(void *st)
+{
+    return repro_draw((repro_rng *)st);
+}
+
+/* Skip `count` doubles of g: an inline PCG64 jumps its LCG in
+ * O(log count) (pcg's advance: count steps of s = s * M + inc), any other
+ * source draws and discards them. */
+static void repro_skip(repro_rng *g, i64 count)
+{
+    if (g->next) {
+        for (i64 i = 0; i < count; i++) g->next(g->st);
+        return;
+    }
+    repro_u128 mult = REPRO_PCG_MULT, plus = g->inc, am = 1, ap = 0;
+    for (uint64_t c = (uint64_t)count; c; c >>= 1) {
+        if (c & 1) {
+            am *= mult;
+            ap = ap * mult + plus;
+        }
+        plus = (mult + 1) * plus;
+        mult *= mult;
+    }
+    g->s = am * g->s + ap;
+}
+
+/* The holding layer for the R repetitions of a shard whose chains are
+ * done.  Row r first skips skip[r] doubles, which brings its source to
+ * where the serial driver's block fetches leave it, then draws, by kind:
+ * REPRO_HOLD_SEQ: each walked particle p's duration
+ *   sclock[p] = Gamma(steps[p], 1/rate), in index order;
+ * REPRO_HOLD_CTU: for each level k (jumps[k] > 0), from the first down to
+ *   k = 1, c += Gamma(J_k, 1/(k*rate)), the particle that ends the level
+ *   (order[m-k]) settling at clock c;
+ * REPRO_HOLD_UNIFORM: for each level k < m-1 (the pool size), from the
+ *   first down, NegBin(J_k, k/(m-1)) wasted ticks, added to the row's tick
+ *   count. */
+void repro_hold(repro_shard *sh, i64 kind, const i64 *skip)
+{
+    i64 m = sh->m;
+    double rate = sh->rate;
     for (i64 r = 0; r < sh->R; r++) {
-        i64 *row = sh->state + r * UNI_STATE, t = 0;
-        for (i64 i = row[UNI_LO]; i < row[UNI_HI]; i++)
-            t += (i64)(lane[i] / div[i]);
-        row[UNI_TICKS] += t;
+        repro_rng g;
+        repro_rng_load(&g, sh, r);
+        repro_skip(&g, skip[r]);
+        bitgen_t shim = {&g, repro_shim_next64, repro_shim_next32,
+                         repro_shim_next_double, repro_shim_next64};
+        bitgen_t *bg = g.next ? (bitgen_t *)sh->bgs[r] : &shim;
+        if (kind == REPRO_HOLD_SEQ) {
+            const i64 *sp = sh->steps + r * m;
+            double *sc = sh->sclock + r * m;
+            for (i64 p = 0; p < m; p++)
+                if (sp[p]) sc[p] = random_gamma(bg, (double)sp[p], 1.0 / rate);
+        } else {
+            const i64 *ends = sh->jumps + r * m;
+            double c = 0.0;
+            i64 prev = 0, wasted = 0;
+            for (i64 k = m - 1; k > 0; k--) {
+                if (!ends[k]) continue;
+                double j = (double)(ends[k] - prev);
+                prev = ends[k];
+                if (kind == REPRO_HOLD_CTU) {
+                    c = c + random_gamma(bg, j, 1.0 / ((double)k * rate));
+                    sh->sclock[r * m + sh->order[r * m + m - k]] = c;
+                } else if (k < m - 1) {
+                    wasted += random_negative_binomial(
+                        bg, j, (double)k / (double)(m - 1));
+                }
+            }
+            if (kind == REPRO_HOLD_UNIFORM)
+                sh->state[r * TICK_STATE + TICK_T] += wasted;
+        }
+        repro_rng_store(&g);
     }
 }
 
@@ -912,8 +892,10 @@ void repro_scatter_events(const int *ev, i64 nev, i64 *cursor, int *flat)
 
 /* A bitgen_t serving the fixed array buf[0..n) first, then the doubles
  * of the bit generator `rest` -- or, with no `rest` (the load-time
- * self-check), 0.0 once past the end.  `i` counts every draw of either
- * kind, so a loop that over-consumes its doubles shows in it. */
+ * self-check), 0.0 once past the end.  `i` counts every double of either
+ * kind, so a loop that over-consumes its doubles shows in it.  Integer
+ * outputs (which numpy's samplers in the holding layer take, after the
+ * chain spent the prefix) come from `rest`, 0 without one. */
 static double repro_prefix_next_double(void *st)
 {
     repro_prefix_rng *a = (repro_prefix_rng *)st;
@@ -922,12 +904,24 @@ static double repro_prefix_next_double(void *st)
     return a->rest ? a->rest->next_double(a->rest->state) : 0.0;
 }
 
+static uint64_t repro_prefix_next_uint64(void *st)
+{
+    bitgen_t *rest = ((repro_prefix_rng *)st)->rest;
+    return rest ? rest->next_uint64(rest->state) : 0;
+}
+
+static uint32_t repro_prefix_next_uint32(void *st)
+{
+    bitgen_t *rest = ((repro_prefix_rng *)st)->rest;
+    return rest ? rest->next_uint32(rest->state) : 0;
+}
+
 void repro_prefix_bitgen(bitgen_t *bg, repro_prefix_rng *a)
 {
     bg->state = a;
-    bg->next_uint64 = NULL;
-    bg->next_uint32 = NULL;
+    bg->next_uint64 = repro_prefix_next_uint64;
+    bg->next_uint32 = repro_prefix_next_uint32;
     bg->next_double = repro_prefix_next_double;
-    bg->next_raw = NULL;
+    bg->next_raw = repro_prefix_next_uint64;
 }
 """

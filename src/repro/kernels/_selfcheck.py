@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.kernels import _CAPSULE, CompiledKernels, EventSink, Shard, _bitgen_address
+from repro.utils.rng import SpawnRange
 
 # with a prototype of its own: the shared ctypes.pythonapi function is
 # left as other code may have set it
@@ -70,9 +71,10 @@ def self_check(ks: CompiledKernels) -> None:
     """Exercise every kernel on the path graph P3 and assert the answers.
 
     Catches toolchain miscompiles at selection time, loudly.  Every
-    shard loop runs several rows in one call, the recorded runs fill
-    their event sinks, and the tick loops also run with a one-slot log
-    lane, so the row offsets and the resume protocols are checked too.
+    shard loop runs several rows in one call and the recorded runs fill
+    their event sinks, so the row offsets and the resume protocols are
+    checked too; the holding layer runs on real bit generators against
+    numpy's own ``Generator.gamma`` and ``negative_binomial``.
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
@@ -83,8 +85,6 @@ def self_check(ks: CompiledKernels) -> None:
     # each row of the C-seeded states is the one numpy.random.PCG64 seeds
     # from that SeedSequence child (an entropy of three words and a
     # nested spawn key with a word above 2**32)
-    from repro.utils.rng import SpawnRange
-
     rng, twin = (np.random.Generator(np.random.PCG64(20260)) for _ in range(2))
     drawn = ks.draw_doubles([rng], 5)
     assert drawn.tolist() == [twin.random(5).tolist()], drawn
@@ -187,135 +187,79 @@ def self_check(ks: CompiledKernels) -> None:
     )
     assert hits == 2, hits
 
-    # three particles from vertex 0, particle 0 settled at time 0: particle
-    # 2 steps to 1 and settles, particle 1 steps to 1, then on to 2.  Each
-    # loop also runs two such rows in one call, each with its own
-    # generator of the same doubles, and ends them alike
-    def tick_rows(R):
-        occ = np.tile(np.array([1, 0, 0], dtype=np.uint8), R)
-        rows = [np.tile(np.array(a, dtype=np.int64), (R, 1)) for a in (
-            [1, 2, 0], [0, 0, 0], [0, 0, 0], [0, -1, -1], [0, -1, -1],
-        )]
-        return occ, rows
-
-    # CTU: 3 doubles a tick; Uniform: 2 a tick, plus a skip double on
-    # ticks 2 and 3 (skips int(log1p(-0.8) / log1p(-0.5)) = 2, then 0)
-    draws = {
-        "ctu": [0.5, 0.9, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.9],
-        "uniform": [0.9, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.9],
-    }
-    logq = np.log1p(-(np.arange(2) / 2))
-    # every recorded loop below ends in the same trajectories: particle 0
-    # settled at its start, particle 2 stepped once, particle 1 twice
+    # the jump chain: three particles from vertex 0, particle 0 settled at
+    # time 0: particle 2 steps to 1 and settles (tick 1 ends level 2),
+    # particle 1 steps to 1, then on to 2 (tick 3 ends level 1); two
+    # doubles a tick.  Each run also has two such rows in one call, each
+    # with its own generator of the same doubles, and ends them alike; a
+    # budget of 2 ticks stops every row before its third tick draws
+    doubles = [0.9, 0.0, 0.0, 0.0, 0.0, 0.9]
     walked = [[0], [0, 1, 2], [0, 1]]
     starts = np.zeros(3, dtype=np.int64)
-    dt = -float(np.log1p(-0.5))
-    clock = dt / 2.0 + dt + dt
-
-    def tick_ends(R, rngs, loop, rows, sinks):
-        _, pos, steps_row, settled_row, order = rows
-        assert [rng.drawn() for rng in rngs] == [len(draws[loop])] * R
-        assert settled_row.tolist() == order.tolist() == [[0, 2, 1]] * R
-        assert steps_row.tolist() == pos.tolist() == [[0, 2, 1]] * R
+    for R, rec, budget in product((1, 2), (False, True), (float("inf"), 2.0)):
+        occ = np.tile(np.array([1, 0, 0], dtype=np.uint8), R)
+        rows = {key: np.tile(np.array(a, dtype=np.int64), (R, 1)) for key, a in (
+            ("pool", [1, 2, 0]), ("pos", [0, 0, 0]), ("steps", [0, 0, 0]),
+            ("settled", [0, -1, -1]), ("order", [0, -1, -1]), ("jumps", [0, 0, 0]),
+        )}
+        rngs = [_ArrayGenerator(ks, doubles) for _ in range(R)]
+        sinks = [sink(starts, opened=False) for _ in range(R)] if rec else None
+        shard = Shard(
+            ks._impl, "run_ticks", rngs, graph=(indptr, indices, occ), rows=rows,
+            counts={0: 2, 1: 1}, width=4, sinks=sinks, budget=budget,
+        )
+        status = shard.run(ks._impl.run_ticks)
+        if budget < 3:
+            assert status == -1 and shard.which == 0, status
+            assert [rng.drawn() for rng in rngs] == [4] + [0] * (R - 1)
+            continue
+        assert status == 1 and shard.state[:, 2].tolist() == [3] * R, shard.state
+        assert [rng.drawn() for rng in rngs] == [6] * R
+        assert rows["jumps"].tolist() == [[0, 3, 1]] * R, rows["jumps"]
+        assert rows["settled"].tolist() == rows["order"].tolist() == [[0, 2, 1]] * R
+        assert rows["steps"].tolist() == rows["pos"].tolist() == [[0, 2, 1]] * R
         for rec in sinks or ():
             assert rec.trajectories == walked
 
-    def tick_sinks(R, rec):
-        return [sink(starts, opened=False) for _ in range(R)] if rec else None
-
-    for R, rec in ((1, False), (1, True), (2, False), (2, True)):
-        occ, rows = tick_rows(R)
-        pool, pos, steps_row, settled_row, order = rows
-        clock_rows = np.zeros((R, 3))
-        rngs = [_ArrayGenerator(ks, draws["ctu"]) for _ in range(R)]
-        sinks = tick_sinks(R, rec)
-        clocks = ks.finish_ctu(
-            indptr, indices, occ, pool, pos, steps_row, settled_row,
-            clock_rows, order, rngs, k=2, norder=1, rate=1.0, sinks=sinks,
-        )
-        assert clocks.tolist() == [clock] * R, clocks
-        assert clock_rows.tolist() == [[0.0, clock, dt / 2.0]] * R, clock_rows
-        tick_ends(R, rngs, "ctu", rows, sinks)
-
-        occ, rows = tick_rows(R)
-        pool, pos, steps_row, settled_row, order = rows
-        rngs = [_ArrayGenerator(ks, draws["uniform"]) for _ in range(R)]
-        sinks = tick_sinks(R, rec)
-        ticks = ks.finish_uniform(
-            indptr, indices, occ, pool, pos, steps_row, settled_row, order,
-            rngs, k=2, norder=1, logq=logq, budget=float("inf"),
-            limit_msg="self-check", sinks=sinks,
-        )
-        assert ticks.tolist() == [5] * R, ticks
-        tick_ends(R, rngs, "uniform", rows, sinks)
-
-    # the same runs with a one-slot lane: before each tick that needs a
-    # slot once it is taken, the loop returns 3 ("lane full"); every
-    # return leaves the tick's log double, negated, and its divisor in the
-    # lane.  Two rows share the lane: row 1 finds it holding row 0's last
-    # double
-    half = float(logq[1])
-    full = {
-        "ctu": [(3, -0.5, 2.0), (3, -0.5, 1.0), (1, -0.5, 1.0)],
-        "uniform": [(3, -0.8, half), (1, -0.0, half)],
-    }
-    lane = np.empty(2)
-    for (loop, seen), R in product(full.items(), (1, 2)):
-        occ, rows = tick_rows(R)
-        rngs = [_ArrayGenerator(ks, draws[loop]) for _ in range(R)]
-        named = dict(zip(("pool", "pos", "steps", "settled", "order"), rows))
-        if loop == "ctu":
-            named["sclock"] = np.zeros((R, 3))
-            extra, hi = {"width": 5, "rate": 1.0}, 3
-        else:
-            extra = {"width": 6, "logq": logq, "pool_size": 2, "budget": float("inf")}
-            hi = 4
-        shard = Shard(
-            ks._impl, loop, rngs, graph=(indptr, indices, occ), rows=named,
-            counts={0: 2, 1: 1}, lane=lane, lane_cap=1, **extra,
-        )
-        shard.bgs[:] = [_bitgen_address(rng.bit_generator) for rng in rngs]
-        got = []
-        while not got or got[-1][0] == 3:
-            status = shard.enter(getattr(ks._impl, f"run_{loop}"))
-            assert shard.state[:, hi].max() == 1, shard.state
-            got.append((status, float(lane[0]), float(lane[1])))
-        expect = [*seen[:-1], (3, *seen[-1][1:])] * (R - 1) + seen
-        assert got == expect, got
-        tick_ends(R, rngs, loop, rows, None)
-
-    # the folds on a fixed lane of logarithms against the serial double
-    # arithmetic, slot by slot: three rows, the middle one's segment
-    # empty; CTU row 0's particle 1 settled on its segment's last slot,
-    # row 2's particle 0 on its first, after a fold that left row 2's
-    # clock at 0.5 and its settle order at 1
-    logs = [float(np.log1p(-0.5)), -0.0, float(np.log1p(-0.25)), float(np.log1p(-0.9))]
-    divs = [2.0, 3.0, 0.75, 1.5]
-    lane = np.array(logs + divs)
-    span = [(0, 2), (2, 2), (2, 4)]
-    state = np.array([[0, 1, a, b, 0] for a, b in span], dtype=np.int64)
-    state[2, 1] = 2
-    sclock = np.array([[0.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
-    order = np.array([[1, 0], [0, 0], [1, 0]], dtype=np.int64)
-    folded, clocks = np.array([0, 1, 1], dtype=np.int64), np.array([0.0, 0.0, 0.5])
-    shard, views = ks._impl.shard(
-        R=3, m=2, lane=lane, lane_cap=4, state=state, sclock=sclock, order=order
-    )
-    ks._impl.fold_ctu(shard, folded, clocks)
-    ends = []
-    for (a, b), c in zip(span, (0.0, 0.0, 0.5)):
-        for i in range(a, b):
-            c = c - logs[i] / divs[i]
-            ends.append(c)
-    assert clocks.tolist() == [ends[1], 0.0, ends[3]], clocks
-    assert sclock.tolist() == [[0.0, ends[1]], [0.0, 0.0], [ends[2], 0.0]], sclock
-    assert folded.tolist() == [1, 1, 2] and lane[:4].tolist() == ends, lane
-    lane = np.array(logs + [-1e-3, half, half, -1e-9])
-    state = np.array([[0, 0, 7, a, b, 0] for a, b in span], dtype=np.int64)
-    shard, views = ks._impl.shard(R=3, lane=lane, lane_cap=4, state=state)
-    ks._impl.fold_uniform(shard)
-    skips = [int(x / d) for x, d in zip(logs, lane[4:].tolist())]
-    assert state[:, 2].tolist() == [7 + skips[0] + skips[1], 7, 7 + skips[2] + skips[3]]
+    # the holding layer against numpy's samplers, three rows: a numpy PCG64
+    # (stepped inline, the samplers reach it through the shim), a C-seeded
+    # PCG64 state and an MT19937 (its own bitgen_t), each skipping to its
+    # block grid first.  Levels 3, 2, 1 took 1, 3 and 5 ticks; their ends
+    # are settled by particles 3, 1, 2
+    child = SpawnRange(np.random.SeedSequence(7), 0, 1)
+    seeds = np.zeros((3, 4), dtype=np.uint64)
+    seeds[1] = ks.pcg64_seeds(child)[0]
+    levels, jumps, rate = np.array([3, 2, 1]), np.array([1, 3, 5]), 0.5
+    skip = np.array([5, 16379, 2], dtype=np.int64)
+    for kind in ("c-sequential", "ctu", "uniform"):
+        rngs = [np.random.Generator(np.random.PCG64(5)), None,
+                np.random.Generator(np.random.MT19937(5))]
+        twins = [np.random.Generator(np.random.PCG64(5)),
+                 np.random.Generator(np.random.PCG64(child[0])),
+                 np.random.Generator(np.random.MT19937(5))]
+        rows = {key: np.tile(np.array(a, dtype=np.int64), (3, 1)) for key, a in (
+            ("steps", [0, 4, 1, 7]), ("jumps", [0, 9, 4, 1]), ("order", [0, 3, 1, 2]),
+        )}
+        rows["sclock"] = np.zeros((3, 4))
+        states = seeds.copy()
+        shard = Shard(ks._impl, "hold", rngs, rows=rows, width=4, seeds=states, rate=rate)
+        shard.state[:, 2] = 9
+        shard.run(lambda c: 1, lambda c: ks._impl.hold(c, ks._impl.hold_kind[kind], skip))
+        expect = np.zeros((3, 4))
+        for r, twin in enumerate(twins):
+            twin.random(skip[r])
+            if kind == "c-sequential":
+                expect[r, 1:] = twin.gamma([4, 1, 7], 1.0 / rate)
+            elif kind == "ctu":
+                expect[r, [3, 1, 2]] = np.cumsum(twin.gamma(jumps, 1.0 / (levels * rate)))
+            else:
+                wasted = twin.negative_binomial(jumps[1:], levels[1:] / 3).sum()
+                assert shard.state[r, 2] == 9 + wasted, (kind, shard.state)
+        assert rows["sclock"].tolist() == expect.tolist(), (kind, rows["sclock"])
+        # and each source ends where its twin does
+        after = [rngs[0].random(2), ks.draw_doubles([None], 2, seeds=states[1:2])[0],
+                 rngs[2].random(2)]
+        assert [a.tolist() for a in after] == [t.random(2).tolist() for t in twins], kind
 
     # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
     # 0 -> 1, where particle 2 wins on priority; round 2 moves particle 1

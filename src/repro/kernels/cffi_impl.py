@@ -7,8 +7,10 @@ opens it in cffi's out-of-line ABI mode.  Both live in one cache
 directory (``$REPRO_KERNELS_CACHE``, defaulting to a per-user directory
 below the system temp dir):
 
-* the ``.so``, keyed on the source *and* the full compiler command, so a
-  library built under one ``$CC`` is never picked up under another;
+* the ``.so``, keyed on the source, the full compiler command and the
+  numpy version and path of the ``libnpyrandom.a`` it links (numpy's own
+  ``random_gamma`` and ``random_negative_binomial``), so a library built
+  under one ``$CC`` or numpy is never picked up under another;
 * the pure-Python ffi module cffi generates from
   :data:`~repro.kernels._csource.CDEF` (``set_source(name, None)`` +
   ``make_py_source``), keyed on the ``.so``'s key, ``CDEF`` and the
@@ -29,8 +31,10 @@ pointers to numbers, and one ``shard(**fields)`` fills a
 take that struct and nothing else, so a re-entry marshals no argument.
 
 Only ``-O2 -ffp-contract=off`` is added to ``$CC`` (see the bit-identity
-note in ``_csource``); the explicit ``-ffp-contract=off`` keeps FMA
-contraction off whatever flags ``$CC`` carries.
+note in ``_csource``), plus the sampler archive and ``-lm`` to link; the
+explicit ``-ffp-contract=off`` keeps FMA contraction off whatever flags
+``$CC`` carries.  A missing archive fails the build like a compiler
+error, naming the file.
 Build failures raise with the compiler's stderr attached; the registry
 turns that into a clean fallback under auto-detection and a loud error
 when the provider was requested explicitly.  So does a cached ffi
@@ -67,17 +71,36 @@ def _compile_command() -> tuple[list[str], list[str]]:
     return cc, [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
+def _npyrandom() -> str:
+    """Path of numpy's static sampler library, ``libnpyrandom.a``."""
+    return os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
+
+
 def _digest(*parts: str) -> str:
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()[:16]
+
+
+def _so_key() -> str:
+    """The ``.so``'s cache key: the source, the compile command and the
+    numpy whose samplers it links, so an upgraded numpy never loads
+    samplers that differ from its ``Generator``'s."""
+    _, argv = _compile_command()
+    return _digest(C_SOURCE, *argv, np.__version__, _npyrandom())
 
 
 def _ensure_built() -> str:
     """Compile the kernel source (once) and return the shared-object path."""
     cc, argv = _compile_command()
     cache = _cache_dir()
-    so_path = os.path.join(cache, f"repro_kernels_{_digest(C_SOURCE, *argv)}.so")
+    so_path = os.path.join(cache, f"repro_kernels_{_so_key()}.so")
     if os.path.exists(so_path):
         return so_path
+    archive = _npyrandom()
+    if not os.path.exists(archive):
+        raise RuntimeError(
+            f"{shlex.join(cc)} cannot build the kernel library: numpy's "
+            f"sampler library {archive} is missing"
+        )
     # only a build needs these: a warm load never imports them
     import subprocess
     import tempfile
@@ -89,7 +112,7 @@ def _ensure_built() -> str:
             fh.write(C_SOURCE)
         tmp_so = c_path[:-2] + ".so"
         proc = subprocess.run(
-            [*argv, "-o", tmp_so, c_path],
+            [*argv, "-o", tmp_so, c_path, archive, "-lm"],
             capture_output=True,
             text=True,
         )
@@ -110,8 +133,7 @@ def _ffi_module_path() -> str:
     """Where the ffi module for :data:`CDEF` and this cffi is cached."""
     import _cffi_backend
 
-    _, argv = _compile_command()
-    digest = _digest(C_SOURCE, *argv, CDEF, _cffi_backend.__version__)
+    digest = _digest(_so_key(), CDEF, _cffi_backend.__version__)
     return os.path.join(_cache_dir(), f"repro_kernels_ffi_{digest}.py")
 
 
@@ -161,8 +183,9 @@ def load() -> SimpleNamespace:
     ``float64`` uniforms, ``uint8`` occupancy; ``None`` is ``NULL``) for
     its pointers to numbers and Python scalars for the rest, and
     returning the C result.  ``shard(**fields)`` fills one
-    ``repro_shard`` the same way; the shard loops, the lane folds and
-    ``draw_doubles`` take it.  The ``CompiledKernels`` wrappers in the
+    ``repro_shard`` the same way; the shard loops, ``hold`` and
+    ``draw_doubles`` take it, and ``hold_kind`` maps a process to the
+    kind of holding variables ``hold`` draws for it.  The ``CompiledKernels`` wrappers in the
     package root check every array before it gets here.
     """
     so_path = _ensure_built()
@@ -233,5 +256,9 @@ def load() -> SimpleNamespace:
         name[len("repro_"):]: marshal(getattr(lib, name))
         for name in dir(lib) if name.startswith("repro_")
     }
-    impl.update(name="cffi", shard=shard, prefix_bitgen=prefix_bitgen)
+    impl.update(
+        name="cffi", shard=shard, prefix_bitgen=prefix_bitgen,
+        hold_kind={"c-sequential": lib.REPRO_HOLD_SEQ, "ctu": lib.REPRO_HOLD_CTU,
+                   "uniform": lib.REPRO_HOLD_UNIFORM},
+    )
     return SimpleNamespace(**impl)

@@ -230,24 +230,19 @@ class SeedChildren:
 
 
 class UniformStream:
-    """Block-buffered uniform doubles with a parallel ``log1p(-u)`` lane.
+    """Block-buffered uniform doubles.
 
-    The serial continuous-time drivers (:mod:`repro.core.uniform`,
-    :mod:`repro.core.continuous`) draw *nothing but* uniform doubles from
-    their generator: exponential clocks, geometric skips and scheduler
-    picks are all inverse-CDF transforms of one ``Generator.random``
-    stream.  Because NumPy double streams are chunk-invariant (``random(a)``
-    then ``random(b)`` equals one ``random(a + b)`` call, double for
-    double), the batched lock-step drivers in
-    :mod:`repro.core.batched_continuous` can replay the very same streams
-    with whatever buffering suits them — the *consumption order* is the
-    whole contract.
-
-    The log lane exists for bit-identity: ``np.log1p`` (used vectorised by
-    the batched drivers) is elementwise-deterministic across array shapes
-    and strides but is **not** bit-identical to ``math.log1p``, so the
-    serial drivers must take their logarithms from NumPy too.  Computing
-    ``log1p(-u)`` once per refilled block keeps the scalar loop fast.
+    The serial tick-scheduled drivers (:mod:`repro.core.uniform`,
+    :mod:`repro.core.continuous`) walk their jump chain on *nothing but*
+    uniform doubles from their generator: scheduler picks and walk steps
+    are inverse-CDF transforms of one ``Generator.random`` stream, read
+    here a block at a time; the per-level clock draws then come from the
+    generator itself, where the last block fetch left it.  Because NumPy
+    double streams are chunk-invariant (``random(a)`` then ``random(b)``
+    equals one ``random(a + b)`` call, double for double), the batched
+    lock-step drivers in :mod:`repro.core.batched_continuous` can replay
+    the very same streams with any buffering whose fetches stay on the
+    block grid — the *consumption order* is the whole contract.
 
     The first block is drawn lazily: a driver whose process finishes at
     time 0 consumes no randomness at all, exactly like its batched replica.
@@ -269,7 +264,7 @@ class UniformStream:
     True
     """
 
-    __slots__ = ("_rng", "_block", "_u", "_log", "_i", "_n", "drawn")
+    __slots__ = ("_rng", "_block", "_u", "_i", "_n", "drawn")
 
     def __init__(
         self, rng: np.random.Generator, block: int = 16384, initial=None
@@ -286,16 +281,12 @@ class UniformStream:
         else:
             self._u: list[float] | None = None
             self._n = 0
-        # the log lane is computed lazily per block on first log1mu() use:
-        # uniform()/take() consumers (the scalar tail finisher) never pay
-        self._log: list[float] | None = None
         self._i = 0
 
     def _refill(self) -> None:
         arr = self._rng.random(self._block)
         self.drawn += self._block
         self._u = arr.tolist()
-        self._log = None
         self._n = self._block
         self._i = 0
 
@@ -307,25 +298,6 @@ class UniformStream:
             i = 0
         self._i = i + 1
         return self._u[i]
-
-    def log1mu(self) -> float:
-        """Consume the next double ``u`` and return ``log1p(-u)`` (≤ 0).
-
-        The inverse-CDF workhorse: ``-log1mu()/λ`` is ``Exp(λ)`` and
-        ``int(log1mu()/log1p(-p)) + 1`` is ``Geometric(p)``, both exactly
-        reproducible from the uniform stream by the batched drivers.
-        """
-        i = self._i
-        if i == self._n:
-            self._refill()
-            i = 0
-        log = self._log
-        if log is None:
-            log = self._log = np.log1p(
-                -np.asarray(self._u, dtype=np.float64)
-            ).tolist()
-        self._i = i + 1
-        return log[i]
 
     def take_block(self) -> np.ndarray:
         """Next contiguous run of the stream as a float64 array.
@@ -467,7 +439,8 @@ class UniformStreams:
     * :meth:`align_to_serial` fast-forwards a finished repetition's
       generator onto the serial driver's fetch grid, so callers that keep
       consuming the generator afterwards (the Poissonised sequential
-      driver's Gamma draws) see exactly the serial stream position.
+      driver's Gamma durations, the tick drivers' per-level clocks) see
+      exactly the serial stream position.
 
     Examples
     --------
@@ -539,14 +512,16 @@ class UniformStreams:
     def align_to_serial(self, r: int, consumed: int, drawn: int = 0) -> None:
         """Fast-forward generator ``r`` onto the serial fetch grid.
 
-        The serial drivers fetch in ``align``-sized blocks (one drawn up
-        front), so after consuming ``consumed`` doubles their generator
-        sits at ``align · max(1, ceil(consumed / align))``.  The streaming
+        The serial drivers fetch in ``align``-sized blocks (Sequential
+        draws one up front; the tick drivers' lazy stream reaches the same
+        position once it consumed any), so after consuming ``consumed``
+        doubles their generator sits at ``align · max(1, ceil(consumed /
+        align))``.  The streaming
         chunks here divide ``align`` and are only fetched on demand, so
         the streamed fetch count never exceeds that position; drawing the
         difference lands the generator exactly where the serial driver
         leaves it — required by callers that keep consuming the generator
-        after the walk (Gamma durations of the Poissonised driver).
+        after the walk (Gamma durations, per-level clocks).
         ``drawn`` counts the doubles a tail finisher took from generator
         ``r`` itself, past this buffer.
         """

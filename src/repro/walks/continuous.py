@@ -7,7 +7,8 @@ holding times to discrete jumps.  Two utilities support that reduction:
   ``Gamma(k, 1)``; sampling it directly avoids simulating every clock ring.
 * :func:`exponential_race` — given ``k`` rate-1 clocks, the time until the
   next ring is ``Exp(k)`` and the ringer is uniform — the Gillespie step
-  used by the CTU-IDLA driver.
+  behind CTU-IDLA, whose driver draws the ringers as a jump chain and
+  the times per level (:func:`repro.core.continuous.level_clocks`).
 """
 
 from __future__ import annotations

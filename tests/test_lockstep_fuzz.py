@@ -13,7 +13,7 @@ scalar tail finisher on (``tail_threshold=None``) or off (``0``), and
 for Parallel-IDLA a particle budget below the walker count, so the round
 runs over several ``step_chunk`` slices.  Each draw runs under every
 provider, the compiled one with its ``min_width`` gate at its default or
-forced to 0 (every step and settlement round compiled).  Every result
+forced to 0 (every settlement round and probe compiled).  Every result
 field must equal the serial oracle's, run on the CSR build of the graph.
 """
 

@@ -2,16 +2,16 @@
 
 The route runs a whole shard of repetitions in one compiled call per
 process: Sequential-IDLA (and c-sequential) keeps several repetitions in
-flight, Parallel-, Uniform- and CTU-IDLA run them one after another, the
-tick loops sharing one log lane whose logarithms numpy takes whenever
-the loop returns.  Hypothesis draws small connected graphs (irregular
-degrees, pendant vertices), origins, particle counts (Parallel's above
-the vertex count too), lazy walks, tie-breaks, CTU rates, round and tick
-caps, recording with tiny event sinks, tiny log lanes and 1-9
-repetitions, so the sequential loop's lanes are often only partly
-filled and one log lane often spans several repetitions; every
-repetition must equal the serial oracle bit for bit, and a cap must
-raise the serial oracle's error.  The repetitions' seeds are spawned
+flight, Parallel-IDLA and the jump chain of Uniform- and CTU-IDLA run
+them one after another, and the holding layer then draws each
+repetition's clocks from its generator.  Hypothesis draws small
+connected graphs (irregular degrees, pendant vertices), origins,
+particle counts (Parallel's above the vertex count too), lazy walks,
+tie-breaks, CTU rates, round and tick caps, recording with tiny event
+sinks, the tick drivers' serial fetch block (where the holding draws
+start) and 1-9 repetitions, so the sequential loop's lanes are often
+only partly filled; every repetition must equal the serial oracle bit
+for bit, and a cap must raise the serial oracle's error.  The repetitions' seeds are spawned
 children or a lazy range of them (:class:`~repro.utils.rng.SpawnRange`,
 as the runner hands them out), whose rows the route seeds in C
 whenever no row draws in Python.  The lazy ranges themselves must
@@ -24,6 +24,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.continuous as continuous_mod
+import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
 from repro.core.parallel import parallel_idla
@@ -132,34 +134,44 @@ def test_c_sequential_route_matches_serial_on_random_graphs(request, record, sin
     _check(ref, got, ("durations",))
 
 
-#: Log-lane capacities of the tick loops: one slot (a fold before nearly
-#: every tick), a few, and the default.
-LANES = st.sampled_from([1, 2, 3, None])
+#: Serial fetch blocks of the tick drivers: where the holding layer's
+#: draws start (1: right after the chain; 3: an odd remainder; the
+#: default).
+BLOCKS = st.sampled_from([1, 3, 64, None])
 
 
-def _route(process, g, origin, seeds, sink, lane, **kwargs):
+def _route(process, g, origin, seeds, sink, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         if sink is not None:
             mp.setattr(kernels_mod, "_SINK_EVENTS", sink)
-        if lane is not None:
-            mp.setattr(kernels_mod, "_LANE", lane)
         return run_reps(process, g, seeds, origin, kernels="cffi", **kwargs)
+
+
+def _serial_block(mp, module, block):
+    if block is not None:
+        mp.setattr(module, "_BLOCK", block)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    request=requests(), record=st.booleans(), sink=SINKS, lane=LANES,
+    request=requests(), record=st.booleans(), sink=SINKS, block=BLOCKS,
     data=st.data(),
 )
 def test_uniform_route_matches_serial_on_random_graphs(
-    request, record, sink, lane, data
+    request, record, sink, block, data
 ):
     """Without a cap the samples and tick counts must be the serial
-    ones.  The loop counts ticks without their geometric skips, which
-    numpy adds at each fold, so caps are drawn at the edges that trip in
-    C (below a repetition's stepping ticks), only at a fold (between its
-    stepping ticks and its ticks) or never; a trip must raise the serial
-    oracle's error."""
+    ones, at any serial fetch block.  The chain counts its useful ticks
+    and the holding layer adds the wasted ones, so caps are drawn at the
+    edges that trip in C (below a repetition's stepping ticks), only
+    after the holding layer (between its stepping ticks and its ticks)
+    or never; a trip must raise the serial oracle's error."""
+    with pytest.MonkeyPatch.context() as mp:
+        _serial_block(mp, uniform_mod, block)
+        _uniform_case(request, record, sink, data)
+
+
+def _uniform_case(request, record, sink, data):
     g, origin, m, seeds = request
     kwargs = {"num_particles": m, "record": record}
     free = [uniform_idla(g, origin, seed=s, **kwargs) for s in seeds]
@@ -178,23 +190,25 @@ def test_uniform_route_matches_serial_on_random_graphs(
         ]
     except RuntimeError as exc:
         with pytest.raises(RuntimeError) as got:
-            _route("uniform", g, origin, seeds, sink, lane, max_ticks=cap, **kwargs)
+            _route("uniform", g, origin, seeds, sink, max_ticks=cap, **kwargs)
         assert str(got.value) == str(exc)
         return
-    got = _route("uniform", g, origin, seeds, sink, lane, max_ticks=cap, **kwargs)
+    got = _route("uniform", g, origin, seeds, sink, max_ticks=cap, **kwargs)
     _check(ref, got, ("ticks",))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    request=requests(), record=st.booleans(), sink=SINKS, lane=LANES,
+    request=requests(), record=st.booleans(), sink=SINKS, block=BLOCKS,
     rate=st.floats(min_value=0.05, max_value=20.0),
 )
-def test_ctu_route_matches_serial_on_random_graphs(request, record, sink, lane, rate):
+def test_ctu_route_matches_serial_on_random_graphs(request, record, sink, block, rate):
     g, origin, m, seeds = request
     kwargs = {"num_particles": m, "record": record, "rate": rate}
-    ref = [ctu_idla(g, origin, seed=s, **kwargs) for s in seeds]
-    got = _route("ctu", g, origin, seeds, sink, lane, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        _serial_block(mp, continuous_mod, block)
+        ref = [ctu_idla(g, origin, seed=s, **kwargs) for s in seeds]
+        got = _route("ctu", g, origin, seeds, sink, **kwargs)
     _check(ref, got, ("settle_clock", "ticks"))
 
 
@@ -227,10 +241,10 @@ def test_parallel_route_matches_serial_on_random_graphs(
         ]
     except RuntimeError as exc:
         with pytest.raises(RuntimeError) as got:
-            _route("parallel", g, origin, seeds, sink, None, max_rounds=cap, **kwargs)
+            _route("parallel", g, origin, seeds, sink, max_rounds=cap, **kwargs)
         assert str(got.value) == str(exc)
         return
-    got = _route("parallel", g, origin, seeds, sink, None, max_rounds=cap, **kwargs)
+    got = _route("parallel", g, origin, seeds, sink, max_rounds=cap, **kwargs)
     _check(ref, got)
 
 

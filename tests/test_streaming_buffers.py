@@ -305,10 +305,10 @@ def test_synchronous_chunk_invariance(monkeypatch, block):
     )
 
 
-@pytest.mark.parametrize("block", [3, 7, 64])
+@pytest.mark.parametrize("block", [2, 8, 64])
 def test_tick_scheduled_chunk_invariance(monkeypatch, block):
-    """The continuous drivers' streaming chunks may be any size >= one
-    tick's worst-case 3 doubles, including sizes that straddle a tick."""
+    """The continuous drivers' streaming chunks may be any power of two
+    from one tick's 2 doubles up to the serial fetch block."""
     g = cycle_graph(24)
     ref_ctu = [ctu_idla(g, seed=s) for s in spawn_seed_sequences(11, 5)]
     ref_uni = [uniform_idla(g, seed=s) for s in spawn_seed_sequences(11, 5)]
@@ -335,9 +335,6 @@ def test_uniform_stream_initial_prefix_continues_stream():
     got = [s.uniform() for _ in range(15)] + s.take(25)
     assert np.array_equal(np.asarray(got), ref)
     assert s.drawn == 32  # four 8-blocks fetched past the prefix
-    s2 = UniformStream(as_generator(42), block=8, initial=None)
-    logs = [s2.log1mu() for _ in range(40)]
-    assert np.array_equal(np.asarray(logs), np.log1p(-ref))
 
 
 def test_uniform_streams_tail_and_refill_roundtrip():
@@ -381,7 +378,7 @@ def test_buffer_doubles_matches_actual_allocation():
         elif process == "sequential":
             streams = batched_mod._sequential_streams(gens)
         else:
-            streams = bc_mod._lane_streams(gens)
+            streams = bc_mod._lane_streams(process, gens)
         assert buffer_doubles(process, reps, m) == streams.buf.size, process
     # c-sequential's allocation is the sequential driver's
     assert buffer_doubles("c-sequential", 640, 64) == buffer_doubles(

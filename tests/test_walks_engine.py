@@ -157,10 +157,9 @@ STEP_GRAPHS = {
 @pytest.mark.parametrize("provider", PROVIDERS)
 @pytest.mark.parametrize("graph", STEP_GRAPHS)
 def test_make_stepper_equals_neighbor_step(graph, provider, monkeypatch):
-    """Every width around the provider's gate and every ``out`` mode
-    steps bit for bit as :func:`neighbor_step`; the compiled step runs
-    from ``min_width`` lanes up on CSR graphs and never on implicit
-    ones."""
+    """Every width and every ``out`` mode steps bit for bit as
+    :func:`neighbor_step`; the compiled step runs at every width on CSR
+    graphs and never on implicit ones."""
     g = STEP_GRAPHS[graph]()
     ks = get_kernels(provider)
     calls = []
@@ -174,8 +173,7 @@ def test_make_stepper_equals_neighbor_step(graph, provider, monkeypatch):
     step = make_stepper(g, ks)
     kernel = neighbor_kernel(g)
     rng = np.random.default_rng(7)
-    mw = ks.min_width
-    widths = sorted({1, max(mw - 1, 1), max(mw, 1), 257})
+    widths = [1, 2, 63, 64, 257]
     compiled_widths = []
     for k in widths:
         pos = rng.integers(0, g.n, size=k)
@@ -190,18 +188,19 @@ def test_make_stepper_equals_neighbor_step(graph, provider, monkeypatch):
         alias = pos.copy()
         assert step(alias, u, out=alias) is alias
         assert np.array_equal(alias, expect)
-        if ks.compiled and not graph.startswith("implicit") and k >= mw:
+        if ks.compiled and not graph.startswith("implicit"):
             compiled_widths += [k] * 3
     assert calls == compiled_widths
 
 
 @pytest.mark.parametrize("provider", PROVIDERS)
-def test_make_stepper_compiled_from_forced_zero_width(provider, monkeypatch):
-    """``min_width`` is read from the provider's class, so forcing it to
-    0 sends even one lane through the compiled step."""
+def test_make_stepper_ignores_the_round_gates(provider, monkeypatch):
+    """The walk step has no width gate: with the round gate raised past
+    any round, one lane still takes the compiled step (``csr_step``
+    beats the numpy step at every width)."""
     from repro.kernels import CompiledKernels
 
-    monkeypatch.setattr(CompiledKernels, "min_width", 0)
+    monkeypatch.setattr(CompiledKernels, "min_width", 1 << 40)
     ks = get_kernels(provider)
     calls = []
     inner = type(ks).csr_step
