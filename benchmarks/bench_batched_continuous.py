@@ -1,14 +1,18 @@
-"""Batched vs serial continuous-time/uniform Monte-Carlo drivers.
+"""``batched=True`` vs serial estimates of the tick-scheduled processes.
 
 The tick-scheduled processes (Uniform-IDLA, CTU-IDLA, Poissonised
-Sequential-IDLA) advance one particle per repetition per tick, so their
-batched drivers in ``repro.core.batched_continuous`` amortise the
-per-ring interpreter cost across one lane per live repetition.  This
+Sequential-IDLA) advance one particle per repetition per tick.  This
 bench runs the acceptance workloads — the 1024-vertex cycle and the
-32×32 grid at ``reps=100`` — through both paths of
-``estimate_dispersion``, checks the samples are bit-identical (batching
-must never change the numbers) and asserts the cycle speedups are at
-least 3×.
+32×32 grid at ``reps=100`` — through ``estimate_dispersion`` with
+``batched=True`` and with ``batched=False``, checks the samples are
+bit-identical (batching must never change the numbers) and asserts the
+cycle speedups are at least 3×.
+
+With a compiled kernel provider, ``batched=True`` runs the compiled
+per-repetition route (:mod:`repro.core.route`, taken before any
+lock-step driver), so that is what the "batched" column times; the
+lock-step drivers of ``repro.core.batched_continuous`` run only without
+a compiled provider.
 
 The serial reference on the full cycle workload takes hours, so the
 serial path is timed on ``BENCH_BC_SERIAL_REPS`` repetitions (default 4)
@@ -90,8 +94,8 @@ def bench_batched_continuous(benchmark, capsys):
     emit(
         capsys,
         "batched_continuous",
-        f"Batched lock-step continuous/uniform drivers vs serial loop — "
-        f"reps={REPS}",
+        f"batched=True (compiled route) vs serial loop, continuous/uniform "
+        f"processes — reps={REPS}",
         ["graph", "process", "serial (s)", "batched (s)", "speedup", "mean tau"],
         [
             [

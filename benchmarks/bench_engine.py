@@ -8,6 +8,7 @@ the vectorised wide-phase stepping and the scalar narrow-phase handoff in
 import numpy as np
 
 from _common import emit, run_once
+import repro.core.parallel as parallel_mod
 from repro.core import parallel_idla
 from repro.graphs import cycle_graph, torus_graph
 from repro.utils.rng import stable_seed
@@ -42,30 +43,39 @@ def bench_engine_scalar_kernel(benchmark):
 
 
 def bench_engine_scalar_threshold_ablation(benchmark, capsys):
-    """Dispersion-time law must be invariant to the hybrid threshold, while
-    the runtime benefits from the scalar tail phase on long-tailed runs."""
+    """Dispersion-time law must be invariant to where ``parallel_idla``
+    switches from vectorised rounds to its scalar loop (the private
+    ``_SCALAR_THRESHOLD``, patched here), while the runtime benefits from
+    the scalar tail phase on long-tailed runs."""
 
     def experiment():
         g = cycle_graph(48)
         rows = []
         means = {}
-        for thr in (0, 16, 10**9):
-            d = [
-                parallel_idla(
-                    g, 0, seed=stable_seed("abl", thr, r), scalar_threshold=thr
-                ).dispersion_time
-                for r in range(40)
-            ]
-            means[thr] = float(np.mean(d))
-            rows.append([thr, round(float(np.mean(d)), 1), round(float(np.std(d)), 1)])
+        default = parallel_mod._SCALAR_THRESHOLD
+        try:
+            for thr in (0, 16, 10**9):
+                parallel_mod._SCALAR_THRESHOLD = thr
+                d = [
+                    parallel_idla(
+                        g, 0, seed=stable_seed("abl", thr, r)
+                    ).dispersion_time
+                    for r in range(40)
+                ]
+                means[thr] = float(np.mean(d))
+                rows.append(
+                    [thr, round(float(np.mean(d)), 1), round(float(np.std(d)), 1)]
+                )
+        finally:
+            parallel_mod._SCALAR_THRESHOLD = default
         return {"rows": rows, "means": means}
 
     out = run_once(benchmark, experiment)
     emit(
         capsys,
         "engine_threshold_ablation",
-        "Ablation — parallel_idla scalar_threshold does not change the law",
-        ["scalar_threshold", "E[τ_par]", "std"],
+        "Ablation — parallel_idla's scalar switch does not change the law",
+        ["_SCALAR_THRESHOLD", "E[τ_par]", "std"],
         out["rows"],
     )
     vals = list(out["means"].values())

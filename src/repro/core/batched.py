@@ -27,8 +27,9 @@ invisible in the results.
 
 The same property permits a mid-stream handoff: once only a few
 **repetitions survive** (for the parallel driver, each additionally down
-to its serial driver's scalar narrow phase — ``scalar_threshold`` live
-particles), the lock-step round (a fixed number of NumPy calls, ~µs
+to its serial driver's scalar narrow phase — at most
+:data:`repro.core.parallel._SCALAR_THRESHOLD` live particles), the
+lock-step round (a fixed number of NumPy calls, ~µs
 each) costs more than scalar work on the stragglers, so each surviving
 repetition is handed to a plain-Python micro-loop (the serial drivers'
 own narrow-phase shape) that continues its uniform stream via
@@ -54,15 +55,12 @@ double, before *and* after the finisher handoff.  Consequently::
 including the lazy variants, random tie-breaking, custom origins and the
 ``m ≠ n`` particle-count variants (enforced by
 ``tests/test_core_batched.py`` and ``tests/test_streaming_buffers.py``).
-Two serial quirks are reproduced deliberately:
-
-* the serial parallel driver's scalar-tail fallback changes the *lazy*
-  draw pattern below ``scalar_threshold`` active particles (two uniforms
-  per particle per round above it, one below); the batched driver — and
-  the finisher — track a per-repetition wide/narrow mode so the streams
-  stay aligned;
-* settling rules are evaluated only on vacant candidates — identical
-  outcomes for the library's (pure) rules, far fewer Python calls.
+A Parallel-IDLA round draws one double per active particle in every
+phase (a lazy particle holds iff it is below 1/2), so a repetition's
+stream position is the same whichever loop runs its round.  One serial
+quirk is reproduced deliberately: settling rules are evaluated only on
+vacant candidates — identical outcomes for the library's (pure) rules,
+far fewer Python calls.
 
 The sequential driver additionally leaves every repetition's generator at
 the **serial stream position** (``UniformStreams.align_to_serial``): the
@@ -84,6 +82,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import parallel as serial_parallel
 from repro.core.budget import cohort_slices, plan_state
 from repro.core.results import DispersionResult
 from repro.core.route import (
@@ -139,10 +138,10 @@ _TAIL_THRESHOLD = 16
 
 
 def _parallel_streams(gens, m: int, budget_doubles=None) -> UniformStreams:
-    """Streams for the parallel driver: one round consumes <= 2·m + 2."""
+    """Streams for the parallel driver: one round consumes <= m doubles."""
     return UniformStreams(
         gens,
-        per_rep_min=2 * m + 2,
+        per_rep_min=m,
         block=_BLOCK,
         budget_doubles=budget_doubles,
     )
@@ -179,7 +178,7 @@ def stream_block(
     if process == "parallel":
         return resolve_stream_block(
             reps,
-            per_rep_min=2 * num_particles + 2,
+            per_rep_min=num_particles,
             block=_BLOCK,
             budget_doubles=budget_doubles,
         )
@@ -271,7 +270,6 @@ def _finish_parallel_rep(
     tail: UniformStream,
     *,
     lazy,
-    scalar_threshold,
     use_default_rule,
     rule,
     budget,
@@ -286,10 +284,9 @@ def _finish_parallel_rep(
     """Run one straggler repetition to completion with the scalar micro-loop.
 
     Continues the repetition's uniform stream through ``tail`` in exactly
-    the serial draw pattern: the lazy wide phase (``k > scalar_threshold``)
-    consumes ``k`` hold gates then ``k`` step uniforms per round, the
-    narrow phase one uniform per particle per round.  Settlement is the
-    serial narrow-phase contest (per vacant vertex, best priority wins).
+    the serial draw pattern: one uniform per particle per round.
+    Settlement is the serial narrow-phase contest (per vacant vertex,
+    best priority wins).
     Mutates the repetition's occupancy / steps / settled / round rows, and
     — when recording — appends to ``traj_rows``, the repetition's
     :meth:`TrajectoryStore.handoff` lists (one vertex per particle per
@@ -308,7 +305,7 @@ def _finish_parallel_rep(
     rec = traj_rows is not None
     k = len(pids)
     while k and free_r > 0:
-        if k == 1 and not (lazy and k > scalar_threshold):
+        if k == 1:
             # the common straggler shape: one particle, no competition —
             # a dedicated micro-loop without the per-round contest
             p = pids[0]
@@ -324,7 +321,6 @@ def _finish_parallel_rep(
                 settled_row[p] = v
                 round_row[p] = t
                 return
-            guard = k > scalar_threshold  # serial wide phase uses the vector step
             while True:
                 t += 1
                 if t > budget:
@@ -339,12 +335,7 @@ def _finish_parallel_rep(
                         continue
                     u = 2.0 * (u - 0.5)
                 nbrs = adj[v]
-                if guard:
-                    d = len(nbrs)
-                    off = int(u * d)
-                    v = nbrs[d - 1 if off >= d else off]
-                else:
-                    v = nbrs[int(u * len(nbrs))]
+                v = nbrs[int(u * len(nbrs))]
                 if rec:
                     row.append(v)
                 if occl[v]:
@@ -359,22 +350,7 @@ def _finish_parallel_rep(
         t += 1
         if t > budget:
             raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
-        if lazy and k > scalar_threshold:
-            # wide draw pattern: k hold gates, then k step uniforms (the
-            # serial eng.step_lazy order); steps use the vector-step guard
-            gates = tail.take(k)
-            steps_u = tail.take(k)
-            for j in range(k):
-                if gates[j] >= 0.5:
-                    nbrs = adj[positions[j]]
-                    d = len(nbrs)
-                    off = int(steps_u[j] * d)
-                    if off >= d:
-                        off = d - 1
-                    positions[j] = nbrs[off]
-                if rec:
-                    traj_rows[pids[j]].append(positions[j])
-        elif lazy:
+        if lazy:
             for j in range(k):
                 u = uniform()
                 if u < 0.5:
@@ -384,17 +360,6 @@ def _finish_parallel_rep(
                 u = 2.0 * (u - 0.5)
                 nbrs = adj[positions[j]]
                 positions[j] = nbrs[int(u * len(nbrs))]
-                if rec:
-                    traj_rows[pids[j]].append(positions[j])
-        elif k > scalar_threshold:
-            for j in range(k):
-                u = uniform()
-                nbrs = adj[positions[j]]
-                d = len(nbrs)
-                off = int(u * d)
-                if off >= d:
-                    off = d - 1
-                positions[j] = nbrs[off]
                 if rec:
                     traj_rows[pids[j]].append(positions[j])
         else:
@@ -447,7 +412,6 @@ def batched_parallel_idla(
     tie_break: str = "index",
     rule: StoppingRule | None = None,
     num_particles: int | None = None,
-    scalar_threshold: int = 16,
     max_rounds: float | None = None,
     tail_threshold: int | None = None,
     state_budget=None,
@@ -462,7 +426,7 @@ def batched_parallel_idla(
         runner passes the children of one ``SeedSequence``) — or ``reps``
         plus an optional parent ``seed`` from which children are spawned
         exactly like :func:`repro.utils.rng.spawn_generators`.
-    lazy, record, tie_break, rule, num_particles, scalar_threshold, max_rounds:
+    lazy, record, tie_break, rule, num_particles, max_rounds:
         As in :func:`repro.core.parallel.parallel_idla`; ``rule`` must be
         a pure predicate (it is evaluated only on vacant candidates).
         ``record=True`` keeps full trajectories, appending one
@@ -473,9 +437,8 @@ def batched_parallel_idla(
     tail_threshold:
         Surviving-repetition count at which the scalar tail finisher
         takes over the stragglers (once each survivor is also down to
-        ``scalar_threshold`` live particles — i.e. inside the serial
-        driver's own scalar narrow phase); ``0`` disables the handoff,
-        ``None`` uses the module default.  A performance knob only —
+        the serial driver's own scalar narrow phase); ``0`` disables the
+        handoff, ``None`` uses the module default.  A performance knob only —
         results are bit-identical either way.
     state_budget:
         Optional :class:`repro.core.budget.StateBudget` (or spec string)
@@ -508,9 +471,7 @@ def batched_parallel_idla(
     [True, True, True]
     """
     n = g.n
-    m, scalar_threshold, budget = _parallel_checks(
-        g, num_particles, tie_break, scalar_threshold, max_rounds
-    )
+    m, budget = _parallel_checks(g, num_particles, tie_break, max_rounds)
     tail_total = _resolve_tail_threshold(tail_threshold)
     record = check_record(record)
     kern = get_kernels(kernels)
@@ -523,8 +484,8 @@ def batched_parallel_idla(
         return _in_cohorts(
             batched_parallel_idla, g, origin, gens, plan.cohort_reps,
             lazy=lazy, record=record, tie_break=tie_break, rule=rule,
-            num_particles=num_particles, scalar_threshold=scalar_threshold,
-            max_rounds=max_rounds, tail_threshold=tail_threshold,
+            num_particles=num_particles, max_rounds=max_rounds,
+            tail_threshold=tail_threshold,
             state_budget=state_budget, kernels=kern,
         )
     step_chunk = plan.step_chunk
@@ -554,32 +515,22 @@ def batched_parallel_idla(
     buf_flat = streams.flat
     bptr = np.zeros(R, dtype=np.int64)
 
-    # per-round flat metadata, recomputed whenever particles leave
-    k = counts = counts_exp = rep_off = prio_flat = bidx = None
-    k_exp = wide_exp = None
+    # per-round flat metadata, recomputed whenever particles leave; a
+    # repetition's k live particles draw k doubles a round
+    k = counts_exp = rep_off = prio_flat = bidx = None
     rounds_buffered = 0
 
     def buffered_rounds() -> int:
         """Rounds the repetition buffers can serve before the next refill."""
-        live = counts > 0
+        live = k > 0
         if not np.any(live):
             return 1
-        return int(np.min((block - bptr[live]) // counts[live]))
+        return int(np.min((block - bptr[live]) // k[live]))
 
     def rebuild():
-        nonlocal k, counts, counts_exp, rep_off, prio_flat, bidx
-        nonlocal k_exp, wide_exp, rounds_buffered
+        nonlocal k, counts_exp, rep_off, prio_flat, bidx, rounds_buffered
         k = np.bincount(rep_ids, minlength=R)
-        if lazy:
-            # the serial driver's wide phase (active > threshold) consumes
-            # 2 uniforms per particle per round, the scalar tail only 1
-            wide = k > scalar_threshold
-            counts = np.where(wide, 2 * k, k)
-            k_exp = k[rep_ids]
-            wide_exp = wide[rep_ids]
-        else:
-            counts = k
-        counts_exp = counts[rep_ids]
+        counts_exp = k[rep_ids]
         rep_off = rep_ids * n
         prio_flat = pid if prio2d is None else prio2d[rep_ids, pid]
         group_start = (np.cumsum(k) - k)[rep_ids]
@@ -599,29 +550,21 @@ def batched_parallel_idla(
         slices rewritten.
         """
         nonlocal rep_ids, pid, pos, counts_exp, rep_off, prio_flat, bidx
-        nonlocal k_exp, wide_exp, rounds_buffered
+        nonlocal rounds_buffered
         rep_ids, pid, pos = rep_ids[keep], pid[keep], pos[keep]
         counts_exp, rep_off, bidx = counts_exp[keep], rep_off[keep], bidx[keep]
         prio_flat = pid if prio2d is None else prio_flat[keep]
-        if lazy:
-            k_exp, wide_exp = k_exp[keep], wide_exp[keep]
         group_start = np.cumsum(k) - k
         for r in affected:
             kr = int(k[r])
-            if lazy:
-                wide_r = kr > scalar_threshold
-                counts[r] = 2 * kr if wide_r else kr
             sl = slice(int(group_start[r]), int(group_start[r]) + kr)
-            counts_exp[sl] = counts[r]
+            counts_exp[sl] = kr
             bidx[sl] = r * block + bptr[r] + np.arange(kr, dtype=np.int64)
-            if lazy:
-                k_exp[sl] = kr
-                wide_exp[sl] = wide_r
         rounds_buffered = buffered_rounds()
 
     def refill():
         nonlocal rounds_buffered
-        for r in np.flatnonzero(bptr + counts > block):
+        for r in np.flatnonzero(bptr + k > block):
             bidx[rep_ids == r] -= bptr[r]
             streams.refill_tail(int(r), int(bptr[r]))
             bptr[r] = 0
@@ -633,8 +576,8 @@ def batched_parallel_idla(
         Hand off when few *repetitions* survive — the lock-step round
         cost is dominated by per-repetition metadata, not particles —
         and every survivor is already inside the serial driver's scalar
-        narrow phase (``<= scalar_threshold`` live particles), so the
-        micro-loop is the regime the serial driver itself would use.
+        narrow phase (at most ``_SCALAR_THRESHOLD`` live particles), so
+        the micro-loop is the regime the serial driver itself would use.
         Counting live particles instead (the old criterion) kept the
         round machinery running through the whole deep settlement tail.
         """
@@ -642,7 +585,7 @@ def batched_parallel_idla(
             return False
         return (
             int(np.count_nonzero(k)) <= tail_total
-            and int(k.max()) <= scalar_threshold
+            and int(k.max()) <= serial_parallel._SCALAR_THRESHOLD
         )
 
     rebuild()
@@ -671,13 +614,10 @@ def batched_parallel_idla(
                 else None
             )
             # the compiled single-straggler loop walks the CSR directly;
-            # adjacency lists are only needed for the Python rounds
-            # (multi-particle stragglers, or the lazy wide shape at k=1)
+            # adjacency lists are only needed for multi-particle rounds
             adj = (
                 None
-                if fin_kern is not None
-                and int(k.max()) == 1
-                and not (lazy and scalar_threshold < 1)
+                if fin_kern is not None and int(k.max()) == 1
                 else g.adjacency_lists()
             )
             for r in np.unique(rep_ids).tolist():
@@ -695,7 +635,6 @@ def batched_parallel_idla(
                     int(free[r]),
                     streams.tail(r, int(bptr[r])),
                     lazy=lazy,
-                    scalar_threshold=scalar_threshold,
                     use_default_rule=use_default_rule,
                     rule=rule,
                     budget=budget,
@@ -724,19 +663,16 @@ def batched_parallel_idla(
             sl = slice(a, a + chunk)
             p = pos[sl]
             if lazy:
-                we = wide_exp[sl]
+                # hold iff u < 1/2; a held lane's step result is discarded
                 u = buf_flat[bidx[sl]]
-                u2 = buf_flat[bidx[sl] + np.where(we, k_exp[sl], 0)]
-                # wide phase: independent step uniform; scalar tail: upper half
-                ustep = np.where(we, u2, 2.0 * (u - 0.5))
-                np.copyto(p, step(p, ustep), where=u >= 0.5)
+                np.copyto(p, step(p, 2.0 * (u - 0.5)), where=u >= 0.5)
             else:
                 step(p, buf_flat[bidx[sl]], out=p)
         if store is not None:
             # one vertex per active particle per round, holds included —
             # the serial record shape, appended as one chunked slice
             store.append(rep_ids, pid, pos)
-        bptr += counts
+        bptr += k
         bidx += counts_exp
         if (
             settle_scratch is not None
@@ -775,7 +711,7 @@ def batched_parallel_idla(
         round2d_flat[w_cell] = t
         w_counts = np.bincount(w_rep, minlength=R)
         free -= w_counts
-        k -= w_counts  # aliases `counts` in the non-lazy case
+        k -= w_counts
         keep = np.ones(rep_ids.size, dtype=bool)
         keep[winners] = False
         if m > n and np.any(free[w_rep] == 0):

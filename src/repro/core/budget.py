@@ -200,7 +200,7 @@ def as_state_budget(budget) -> StateBudget | None:
 #: because its per-repetition floor depends on the process.
 _PER_REP_COEFFS = {
     # starts 8m + outcomes 24m + flat (rep_ids, pid, pos) 24m + round
-    # metadata (counts_exp, rep_off, bidx) 24m + lazy extras ~9m + occ n
+    # metadata (counts_exp, rep_off, bidx, prio_flat) 32m + slack + occ n
     "parallel": (104, 1),
     # starts 8m + steps/settled 16m + O(1) lane state + occ n
     "sequential": (24, 1),
@@ -215,7 +215,7 @@ _PER_REP_COEFFS = {
 def _stream_floor_doubles(process: str, m: int) -> int:
     """Per-repetition worst-case doubles one refill must cover."""
     if process == "parallel":
-        return 2 * m + 2  # one lazy wide round: k hold gates + k steps
+        return m  # one round: one double per active particle
     if process in ("uniform", "ctu"):
         return 3
     return 1  # sequential family: one double per tick

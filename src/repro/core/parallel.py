@@ -15,14 +15,19 @@ pass at round 0 covering vacant starts.
 
 Implementation
 --------------
+Every round draws one double ``u`` per active particle, in active-list
+order.  A particle steps with it; a lazy particle holds iff ``u < 1/2``
+and otherwise steps with ``2(u - 1/2)``.
+
 The round body is vectorised over the unsettled particles (one walk
 step from :func:`~repro.walks.engine.make_stepper` + a lexsort-based
 settlement resolution).  Long tails — e.g. the cycle spends ``Θ(n² log n)`` rounds
 with a handful of stragglers — would be dominated by NumPy call overhead,
-so below ``scalar_threshold`` active particles the driver switches to a
-plain-Python micro-loop with block-buffered uniforms (the same hybrid
-strategy the HPC guide recommends after profiling: vectorise the wide
-phase, specialise the narrow phase).
+so at :data:`_SCALAR_THRESHOLD` active particles or fewer the driver
+switches to a plain-Python micro-loop with block-buffered uniforms
+(vectorise the wide phase, specialise the narrow phase).  Both phases
+draw by the one rule above, so where the switch falls never shows in a
+sample.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ __all__ = ["parallel_idla"]
 
 _BLOCK = 16384
 
+#: Active-particle count at or below which the scalar micro-loop takes
+#: over from the vectorised rounds (a speed choice only; the lock-step
+#: driver's tail handoff reads it too).
+_SCALAR_THRESHOLD = 16
+
 
 def parallel_idla(
     g: Graph,
@@ -54,7 +64,6 @@ def parallel_idla(
     tie_break: str = "index",
     rule: StoppingRule | None = None,
     num_particles: int | None = None,
-    scalar_threshold: int = 16,
     max_rounds: float | None = None,
 ) -> DispersionResult:
     """Run one Parallel-IDLA realisation.
@@ -76,9 +85,6 @@ def parallel_idla(
     num_particles:
         ``m`` (default ``n``); see module docstring for the ``m ≠ n``
         semantics.
-    scalar_threshold:
-        Active-particle count below which the scalar micro-loop takes
-        over; an integer (``2.0`` means 2, ``2.5`` and ``True`` raise).
     record:
         Keep trajectories; the block of a classic ``"index"``-run satisfies
         the parallel property (4) (validated in tests).
@@ -96,7 +102,6 @@ def parallel_idla(
         raise ValueError(f"num_particles must be >= 1, got {m}")
     if tie_break not in ("index", "random"):
         raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
-    scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
     budget = check_limit("max_rounds", max_rounds)
     record = check_record(record)
     rng = as_generator(seed)
@@ -141,16 +146,16 @@ def parallel_idla(
     t = 0
 
     # ------------------------------------------------------------ wide phase
-    while active.size > scalar_threshold and free_count > 0:
+    while active.size > _SCALAR_THRESHOLD and free_count > 0:
         t += 1
         if t > budget:
             raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
+        u = rng.random(pos.shape[0])
         if lazy:
-            # hold w.p. 1/2; the step's uniforms are drawn after the holds'
-            move = rng.random(pos.shape[0]) >= 0.5
-            pos = np.where(move, step(pos, rng.random(pos.shape[0])), pos)
+            # hold iff u < 1/2; a held lane's step result is discarded
+            np.copyto(pos, step(pos, 2.0 * (u - 0.5)), where=u >= 0.5)
         else:
-            pos = step(pos, rng.random(pos.shape[0]), out=pos)
+            pos = step(pos, u, out=pos)
         if record:
             for p, v in zip(active, pos):
                 trajectories[p].append(int(v))

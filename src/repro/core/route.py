@@ -213,15 +213,14 @@ def _time0(origin, starts2d, n, prio2d=None):
     return occ, first
 
 
-def _parallel_checks(g, num_particles, tie_break, scalar_threshold, max_rounds):
-    """Validated ``(m, scalar_threshold, budget)`` of a Parallel-IDLA batch."""
+def _parallel_checks(g, num_particles, tie_break, max_rounds):
+    """Validated ``(m, budget)`` of a Parallel-IDLA batch."""
     m = g.n if num_particles is None else check_integer("num_particles", num_particles)
     if m < 1:
         raise ValueError(f"num_particles must be >= 1, got {m}")
     if tie_break not in ("index", "random"):
         raise ValueError(f"tie_break must be 'index' or 'random', got {tie_break!r}")
-    scalar_threshold = check_integer("scalar_threshold", scalar_threshold)
-    return m, scalar_threshold, check_limit("max_rounds", max_rounds)
+    return m, check_limit("max_rounds", max_rounds)
 
 
 def _parallel_prelude(g, origin, m, gens, tie_break):
@@ -378,11 +377,9 @@ def _poissonised(g, origins, steps2d, settled2d, traj_all, durations) -> ShardRe
 # loop once for the whole shard and assembles the results.
 def _parallel(
     g, gens, seeds, origin, kern, record, *, lazy=False, tie_break="index",
-    num_particles=None, scalar_threshold=16, max_rounds=None,
+    num_particles=None, max_rounds=None,
 ):
-    m, scalar_threshold, budget = _parallel_checks(
-        g, num_particles, tie_break, scalar_threshold, max_rounds
-    )
+    m, budget = _parallel_checks(g, num_particles, tie_break, max_rounds)
     starts, prio, occ, free, steps, settled, rounds = _parallel_prelude(
         g, origin, m, gens, tie_break
     )
@@ -392,8 +389,8 @@ def _parallel(
         kern.finish_parallel(
             *csr_arrays(g), occ, *_active_rows(starts, settled), prio, steps,
             settled, rounds, gens,
-            k=k, free=free, lazy=lazy, scalar_threshold=scalar_threshold,
-            budget=budget, max_rounds=max_rounds, sinks=sinks, seeds=seeds,
+            k=k, free=free, lazy=lazy, budget=budget, max_rounds=max_rounds,
+            sinks=sinks, seeds=seeds,
         )
     return _parallel_results(
         g, "parallel-lazy" if lazy else "parallel", starts, steps, settled,

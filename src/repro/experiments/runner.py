@@ -128,7 +128,6 @@ _BATCHED_KWARGS = {
         "tie_break",
         "rule",
         "num_particles",
-        "scalar_threshold",
         "max_rounds",
         "tail_threshold",
         "state_budget",

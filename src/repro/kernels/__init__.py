@@ -742,7 +742,7 @@ class CompiledKernels(KernelSet):
 
     def finish_parallel(
         self, indptr, indices, occ, act, pos, prio, steps, settled, rounds,
-        rngs, *, k, free, lazy, scalar_threshold, budget, max_rounds,
+        rngs, *, k, free, lazy, budget, max_rounds,
         sinks=None, seeds=None,
     ) -> np.ndarray:
         """Compiled :func:`repro.core.parallel.parallel_idla` round loop
@@ -754,21 +754,19 @@ class CompiledKernels(KernelSet):
         its vacant-vertex count; every entry of ``act`` must be a
         particle, every entry of ``pos`` a vertex.  ``prio`` is ``None``
         (a particle's priority is its index) or ``(R, m)``, like ``act``,
-        ``pos``, ``steps``, ``settled`` and ``rounds``.  A sink must hold
-        at least one round: ``k[r]`` events."""
+        ``pos``, ``steps``, ``settled`` and ``rounds``.  Each round draws
+        one double per active particle, in active-list order: a particle
+        steps with it, a lazy one holds iff it is below 1/2 and otherwise
+        steps with ``2(u - 1/2)``.  A sink must hold at least one round:
+        ``k[r]`` events."""
         name = "finish_parallel"
-        m = act.shape[-1]
         shard = Shard(
             self._impl, name, rngs, graph=(indptr, indices, occ),
             rows={"pool": act, "pos": pos, "prio": prio, "steps": steps,
                   "settled": settled, "round": rounds},
             particles=("pool",), vertices=("pos",), counts={0: k}, width=4,
-            sinks=sinks, seeds=seeds, lazy=int(bool(lazy)),
-            # k only shrinks and never passes m, so clamping keeps every
-            # `k > threshold` test
-            thr=max(-1, min(scalar_threshold, m)), budget=budget,
+            sinks=sinks, seeds=seeds, lazy=int(bool(lazy)), budget=budget,
             best=np.full(indptr.shape[0] - 1, -1, dtype=np.int64),
-            hold=np.empty(m) if lazy else None,
         )
         state = shard.state
         if sinks is not None and any(

@@ -120,10 +120,9 @@ typedef struct {
     i64 which;
     i64 *state;
     i64 *jumps;
-    i64 lazy, thr;
+    i64 lazy;
     double budget, rate;
     i64 *best;
-    double *hold;
 } repro_shard;
 
 /* The kinds of holding variables repro_hold draws. */
@@ -783,17 +782,13 @@ void repro_hold(repro_shard *sh, i64 kind, const i64 *skip)
  * count, events. */
 enum { PAR_K, PAR_T, PAR_FREE, PAR_EVENTS, PAR_STATE };
 
-/* Parallel-IDLA (parallel_idla's wide and narrow round loops) for the R
- * repetitions of a shard, one after another, each from its state after
- * the round-0 settlement pass, on its rows pool (the active list), pos,
- * prio, steps, settled and round; pool[0..k) holds its unsettled
- * particles ascending and pos[0..k) their vertices.  Each round steps
- * every active particle in active-list order, drawing its doubles in the
- * serial order.  The wide draw (k > thr) takes k doubles; with `lazy` it
- * first takes the k hold gates into `hold` (m doubles of scratch), then
- * one step double per particle, held or not -- the order of
- * rng.random(2k).  The narrow draw takes one double per particle (lazy:
- * hold below 1/2, else step with 2(u - 1/2)).  The contest rides the
+/* Parallel-IDLA (parallel_idla's round loop) for the R repetitions of a
+ * shard, one after another, each from its state after the round-0
+ * settlement pass, on its rows pool (the active list), pos, prio, steps,
+ * settled and round; pool[0..k) holds its unsettled particles ascending
+ * and pos[0..k) their vertices.  Each round steps every active particle
+ * in active-list order on one double u of its own (lazy: hold below 1/2,
+ * else step with 2(u - 1/2)) -- the serial order.  The contest rides the
  * step pass: per vacant vertex the slot with the smallest priority
  * settles (first on ties; prio NULL: the particle index, so the first
  * claim always wins), and a round in which no walker claims a vacant
@@ -810,8 +805,8 @@ i64 repro_run_parallel(repro_shard *sh)
     const i64 *indptr = sh->indptr, *indices = sh->indices;
     const uintptr_t *evs = sh->evs;
     i64 *state = sh->state, R = sh->R, n = sh->n, m = sh->m;
-    i64 lazy = sh->lazy, thr = sh->thr, *best = sh->best;
-    double budget = sh->budget, *hold = sh->hold;
+    i64 lazy = sh->lazy, *best = sh->best;
+    double budget = sh->budget;
     i64 status = 1;
     for (i64 r = 0; r < R && status == 1; r++) {
         i64 *row = state + r * PAR_STATE;
@@ -827,23 +822,16 @@ i64 repro_run_parallel(repro_shard *sh)
         int *ev = evs ? (int *)evs[r] : NULL;
         i64 cap = evs ? sh->caps[r] : 0;
         while (k && fr) {
-            i64 wide = k > thr, claims = 0;
+            i64 claims = 0;
             if (evs && nev + k > cap) { status = 2; break; }
             t += 1;
             if ((double)t > budget) { status = -1; break; }
-            if (lazy && wide)
-                for (i64 j = 0; j < k; j++) hold[j] = repro_draw(&g);
             for (i64 j = 0; j < k; j++) {
                 double u = repro_draw(&g);
                 i64 v = ps[j];
-                int move = 1;
-                if (lazy) {
-                    if (wide) move = hold[j] >= 0.5;
-                    else if (u < 0.5) move = 0;
-                    else u = 2.0 * (u - 0.5);
-                }
-                if (move) {
-                    v = repro_neighbor(indptr, indices, v, u);
+                if (!lazy || u >= 0.5) {
+                    v = repro_neighbor(indptr, indices, v,
+                                       lazy ? 2.0 * (u - 0.5) : u);
                     ps[j] = v;
                 }
                 REPRO_EVENT(ac[j], v);

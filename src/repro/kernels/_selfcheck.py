@@ -261,18 +261,19 @@ def self_check(ks: CompiledKernels) -> None:
                  rngs[2].random(2)]
         assert [a.tolist() for a in after] == [t.random(2).tolist() for t in twins], kind
 
-    # lazy Parallel-IDLA, every round wide: round 1 moves both walkers
-    # 0 -> 1, where particle 2 wins on priority; round 2 moves particle 1
-    # on to 2.  A second row ranks particle 1 first, so there particle 1
-    # settles at 1 and particle 2 moves on.  Six doubles a row, none
-    # drawn past them.  The 2-round budget stops a loop that over-draws:
-    # past its end the array yields 0.0, a hold gate, on which the walker
-    # would stay forever
-    ends = [([0, 2, 1], walked), ([0, 1, 2], [[0], [0, 1], [0, 1, 2]])]
+    # lazy Parallel-IDLA, one double per walker per round: round 1 moves
+    # both walkers 0 -> 1, where particle 2 wins on priority; particle 1
+    # holds in round 2 and moves on to 2 in round 3.  A second row ranks
+    # particle 1 first, so there particle 1 settles at 1 and particle 2
+    # holds, then moves on.  Four doubles a row, none drawn past them.
+    # The 3-round budget stops a loop that over-draws: past its end the
+    # array yields 0.0, a hold, on which the walker would stay forever
+    ends = [
+        ([0, 2, 1], [0, 3, 1], [[0], [0, 1, 1, 2], [0, 1]]),
+        ([0, 1, 2], [0, 1, 3], [[0], [0, 1], [0, 1, 1, 2]]),
+    ]
     for R, rec in ((1, False), (1, True), (2, False), (2, True)):
-        rngs = [
-            _ArrayGenerator(ks, [0.9, 0.9, 0.5, 0.5, 0.9, 0.9]) for _ in range(R)
-        ]
+        rngs = [_ArrayGenerator(ks, [0.9, 0.6, 0.3, 0.9]) for _ in range(R)]
         occ = np.tile(np.array([1, 0, 0], dtype=np.uint8), R)
         act = np.tile(np.array([1, 2, 0], dtype=np.int64), (R, 1))
         pos = np.zeros((R, 3), dtype=np.int64)
@@ -283,15 +284,15 @@ def self_check(ks: CompiledKernels) -> None:
         sinks = [sink(starts, 2, False) for _ in range(R)] if rec else None
         rounds = ks.finish_parallel(
             indptr, indices, occ, act, pos, prio, steps_row, settled_row,
-            round_row, rngs, k=2, free=2, lazy=True,
-            scalar_threshold=0, budget=2.0, max_rounds=None, sinks=sinks,
+            round_row, rngs, k=2, free=2, lazy=True, budget=3.0,
+            max_rounds=None, sinks=sinks,
         )
-        settled_at = [row for row, _ in ends[:R]]
-        assert rounds.tolist() == [2] * R, rounds
-        assert [rng.drawn() for rng in rngs] == [6] * R
-        assert settled_row.tolist() == steps_row.tolist() == settled_at
-        assert round_row.tolist() == settled_at
-        for rec, (_, paths) in zip(sinks or (), ends):
+        assert rounds.tolist() == [3] * R, rounds
+        assert [rng.drawn() for rng in rngs] == [4] * R
+        assert settled_row.tolist() == [row for row, _, _ in ends[:R]]
+        assert steps_row.tolist() == round_row.tolist()
+        assert steps_row.tolist() == [row for _, row, _ in ends[:R]]
+        for rec, (_, _, paths) in zip(sinks or (), ends):
             assert rec.trajectories == paths
 
 

@@ -321,31 +321,13 @@ class UniformStream:
         self.drawn += self._block
         return self._rng.random(self._block)
 
-    def take(self, count: int) -> list[float]:
-        """Next ``count`` doubles of the stream, in draw order.
-
-        Used by the scalar tail finisher to replay the batched drivers'
-        contiguous per-round consumption (e.g. the lazy wide phase's
-        ``k`` hold gates followed by ``k`` step uniforms).
-        """
-        out: list[float] = []
-        remaining = count
-        while remaining:
-            if self._i == self._n:
-                self._refill()
-            j = min(self._n - self._i, remaining)
-            out.extend(self._u[self._i : self._i + j])
-            self._i += j
-            remaining -= j
-        return out
-
 
 #: Total doubles the streaming scheme budgets across *all* repetitions of
 #: one batched run (32 MiB of float64).  The per-repetition chunk shrinks
 #: as the repetition count grows, so the allocation never scales past the
 #: budget *except* through the per-repetition floor (one round's
 #: worst-case consumption must fit — for the parallel driver that is
-#: ``2·m + 2`` doubles, the same order as the lock-step particle state
+#: ``m`` doubles, the same order as the lock-step particle state
 #: itself, which no buffer policy can shrink).  This bounded-refill
 #: property is what replaced the old ``_BATCHED_MAX_BUFFER_DOUBLES``
 #: auto-dispatch decline.
@@ -377,7 +359,7 @@ def resolve_stream_block(
         Number of repetitions sharing the budget.
     per_rep_min:
         Worst-case doubles one repetition consumes before it can refill
-        (e.g. ``2·m + 2`` for one Parallel-IDLA round); the chunk never
+        (e.g. ``m`` for one Parallel-IDLA round); the chunk never
         drops below this.
     align:
         Serial fetch-block size (a power of two) the chunk must divide,

@@ -23,7 +23,8 @@ from repro.core import (
     parallel_idla,
     sequential_idla,
 )
-from repro.experiments import estimate_dispersion
+from repro.core import parallel
+from repro.experiments import estimate_dispersion, runner
 from repro.kernels import available_kernels
 from repro.graphs import (
     clique_with_hair,
@@ -68,8 +69,9 @@ PARALLEL_VARIANTS = [
     {"tie_break": "random"},
     {"origin": "uniform"},
     {"num_particles": 9},
-    {"lazy": True, "scalar_threshold": 4},
-    {"lazy": True, "scalar_threshold": 1000},  # all-scalar draw pattern
+    # "switch" patches the serial driver's vector-to-scalar switch
+    pytest.param({"lazy": True, "switch": 4}, id="lazy,switch=4"),
+    pytest.param({"lazy": True, "switch": 1000}, id="lazy,switch=1000"),  # all scalar
 ]
 
 SEQUENTIAL_VARIANTS = [
@@ -84,9 +86,11 @@ SEQUENTIAL_VARIANTS = [
 @pytest.mark.parametrize(
     "variant", PARALLEL_VARIANTS, ids=lambda v: ",".join(sorted(v)) or "classic"
 )
-def test_batched_parallel_bit_identical(g, variant):
+def test_batched_parallel_bit_identical(g, variant, monkeypatch):
     kwargs = dict(variant)
     origin = kwargs.pop("origin", 0)
+    if "switch" in kwargs:
+        monkeypatch.setattr(parallel, "_SCALAR_THRESHOLD", kwargs.pop("switch"))
     serial = [
         parallel_idla(g, origin, seed=s, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, REPS)
@@ -185,26 +189,31 @@ def test_batched_argument_validation():
     assert batched_parallel_idla(g, reps=0) == []
 
 
-@pytest.mark.parametrize("bad", [2.5, True])
 @pytest.mark.parametrize("kernels", PROVIDERS)
-def test_scalar_threshold_rejected_at_every_rep_count(kernels, bad):
-    """One validation rule for ``scalar_threshold``: the serial driver
-    used to accept ``2.5`` and ``True`` while the batched one raised, so
-    the outcome hung on the repetition count auto dispatch saw."""
+def test_scalar_threshold_is_rejected_before_any_repetition(kernels, monkeypatch):
+    """``scalar_threshold`` is no option: no sample depends on where the
+    serial driver switches to its scalar loop, so an estimate naming it
+    raises the unknown-kwarg ``TypeError`` in every mode, before a
+    repetition runs."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(runner, "_round_outcomes", ran)
+    monkeypatch.setattr(runner, "_adaptive_outcomes", ran)
     g = cycle_graph(16)
-    for reps in (1, 2, 4, 32):
-        with pytest.raises(ValueError, match="scalar_threshold must be an integer"):
+    modes = [{"reps": r} for r in (1, 4, 32)] + [
+        {"reps": 4, "batched": False},
+        {"reps": 4, "batched": True},
+        {"reps": 4, "n_jobs": 2},
+        {"precision": 0.5},
+    ]
+    for mode in modes:
+        with pytest.raises(TypeError, match="'scalar_threshold'"):
             estimate_dispersion(
-                g, "parallel", reps=reps, seed=0, kernels=kernels,
-                scalar_threshold=bad,
+                g, "parallel", seed=0, kernels=kernels, scalar_threshold=2,
+                **mode,
             )
-    # an integral float still means its integer, in every mode
-    ref = estimate_dispersion(g, "parallel", reps=4, seed=0, scalar_threshold=2)
-    for mode in ({"batched": False}, {"kernels": kernels}):
-        est = estimate_dispersion(
-            g, "parallel", reps=4, seed=0, scalar_threshold=2.0, **mode
-        )
-        assert np.array_equal(est.samples, ref.samples)
 
 
 def test_batched_explicit_origin_array():

@@ -4,6 +4,8 @@ tie-breaking, stopping rules and determinism."""
 import numpy as np
 import pytest
 
+import repro.core.parallel as parallel_mod
+
 from repro.core import (
     DelayedRule,
     HairRule,
@@ -136,20 +138,18 @@ class TestParallel:
         res = parallel_idla(c8, 0, seed=12)
         assert res.dispersion_time == res.steps.max()
 
-    def test_scalar_and_vector_phases_agree_statistically(self):
-        # force everything through the scalar phase vs everything through
-        # the wide phase; means must agree
+    def test_scalar_and_vector_phases_agree_statistically(self, monkeypatch):
+        # force everything through the wide phase vs everything through
+        # the scalar phase; means must agree
         g = cycle_graph(12)
+        monkeypatch.setattr(parallel_mod, "_SCALAR_THRESHOLD", 0)
         big = [
-            parallel_idla(
-                g, seed=stable_seed("ph", r), scalar_threshold=0
-            ).dispersion_time
+            parallel_idla(g, seed=stable_seed("ph", r)).dispersion_time
             for r in range(60)
         ]
+        monkeypatch.setattr(parallel_mod, "_SCALAR_THRESHOLD", 10**9)
         small = [
-            parallel_idla(
-                g, seed=stable_seed("ph2", r), scalar_threshold=10**9
-            ).dispersion_time
+            parallel_idla(g, seed=stable_seed("ph2", r)).dispersion_time
             for r in range(60)
         ]
         assert abs(np.mean(big) - np.mean(small)) < 0.25 * np.mean(big)

@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import route
+from repro.core import parallel, route
 from repro.core.budget import StateBudget
 from repro.core.stopping_rules import DelayedRule
 from repro.experiments import estimate_dispersion
@@ -598,13 +598,14 @@ def test_tick_lockstep_body_keeps_its_cases(process, kernels, route_calls):
     assert route_calls["make_stepper"] == len(cases)
 
 
-#: Parallel-IDLA variants of the per-repetition route: lazy with
-#: ``scalar_threshold=0`` keeps the wide two-double draw to the end, and
-#: ``m > n`` leaves surplus particles walking when the last vertex fills.
+#: Parallel-IDLA variants of the per-repetition route: lazy with the
+#: serial oracle's scalar switch patched to 0 (``"switch"``) keeps the
+#: oracle in its vectorised rounds to the end, and ``m > n`` leaves
+#: surplus particles walking when the last vertex fills.
 PARALLEL_VARIANTS = {
     "plain": {},
     "lazy": {"lazy": True},
-    "lazy-wide": {"lazy": True, "scalar_threshold": 0},
+    "lazy-wide": {"lazy": True, "switch": 0},
     "m<n": {"num_particles": 10},
     "m>n": {"num_particles": 40},
     "uniform-origin": {"origin": "uniform"},
@@ -621,7 +622,7 @@ PARALLEL_GRAPHS = {"cycle": GRAPH, "btree": complete_binary_tree(4)}
 @pytest.mark.parametrize("graph", PARALLEL_GRAPHS)
 @pytest.mark.parametrize("variant", PARALLEL_VARIANTS)
 def test_parallel_per_rep_route_matches_serial_oracle(
-    variant, graph, reps, kernels, route_calls
+    variant, graph, reps, kernels, route_calls, monkeypatch
 ):
     """Parallel-IDLA takes the per-repetition route at any repetition
     count under auto dispatch with a compiled provider: one compiled
@@ -632,6 +633,8 @@ def test_parallel_per_rep_route_matches_serial_oracle(
     kwargs = dict(PARALLEL_VARIANTS[variant])
     origin = kwargs.pop("origin", 0)
     budget = kwargs.pop("state_budget", None)
+    if "switch" in kwargs:
+        monkeypatch.setattr(parallel, "_SCALAR_THRESHOLD", kwargs.pop("switch"))
     serial = estimate_dispersion(
         g, "parallel", origin=origin, reps=reps, seed=PARENT_SEED,
         batched=False, **kwargs,
@@ -835,6 +838,8 @@ def test_recorded_per_rep_route_matches_serial_oracle(
     kwargs = dict(RECORD_VARIANTS[process][variant])
     origin = kwargs.pop("origin", 0)
     budget = kwargs.pop("state_budget", None)
+    if "switch" in kwargs:
+        monkeypatch.setattr(parallel, "_SCALAR_THRESHOLD", kwargs.pop("switch"))
     oracle = [
         PROCESS_DRIVERS[process](GRAPH, origin, seed=s, record=True, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, REPS)

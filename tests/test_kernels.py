@@ -62,6 +62,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.batched as batched_mod
 import repro.core.continuous as continuous_mod
+import repro.core.parallel as parallel_mod
 import repro.core.sequential as sequential_mod
 import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
@@ -702,11 +703,13 @@ def test_parallel_loop_matches_serial_on_every_bit_generator(
     provider, family, record, lazy, g, monkeypatch
 ):
     """The loop draws from each bit generator's ``next_double`` in C,
-    and ``scalar_threshold=3`` switches each run from the wide to the
-    narrow draw mid-stream: the samples, settle orders and trajectories
-    must still be ``parallel_idla``'s, for every BitGenerator family.
-    Unrecorded, the whole shard is one compiled call."""
-    kwargs = {"lazy": lazy, "scalar_threshold": 3, "record": record}
+    and the serial oracle, patched to switch to its scalar loop at 3
+    walkers, changes loop mid-stream: the samples, settle orders and
+    trajectories must still be ``parallel_idla``'s, for every
+    BitGenerator family.  Unrecorded, the whole shard is one compiled
+    call."""
+    monkeypatch.setattr(parallel_mod, "_SCALAR_THRESHOLD", 3)
+    kwargs = {"lazy": lazy, "record": record}
     ref = [parallel_idla(g, 0, seed=gen, **kwargs) for gen in _generators(family)]
     returns = _returns("parallel", monkeypatch)
     got = run_reps(
@@ -1333,7 +1336,7 @@ def test_parallel_loop_rejects_rows_it_cannot_update_in_place(provider):
         return ks.finish_parallel(
             indptr, indices, rows["occ"], rows["act"], rows["pos"],
             rows["prio"], rows["steps"], rows["settled"], rows["rounds"], rngs,
-            k=rows["k"], free=4, lazy=False, scalar_threshold=16,
+            k=rows["k"], free=4, lazy=False,
             budget=float("inf"), max_rounds=None,
         )
 
@@ -1542,11 +1545,10 @@ def test_block_loops_reject_rows_they_cannot_update_in_place(provider, loop):
 # recording: event sinks of the per-repetition loops
 
 #: (process, serial driver, kwargs) per recorded loop shape: lazy holds
-#: in both draw phases, random ties, ``m > n`` surplus walkers.
+#: (the serial oracle switches loops at 3 walkers there), random ties,
+#: ``m > n`` surplus walkers.
 RECORDED_LOOPS = {
-    "parallel-lazy": (
-        "parallel", parallel_idla, {"lazy": True, "scalar_threshold": 3}
-    ),
+    "parallel-lazy": ("parallel", parallel_idla, {"lazy": True}),
     "parallel-random-ties": ("parallel", parallel_idla, {"tie_break": "random"}),
     "parallel-m>n": ("parallel", parallel_idla, {"num_particles": 14}),
     "sequential-lazy": ("sequential", sequential_idla, {"lazy": True}),
@@ -1574,6 +1576,7 @@ def test_recorded_loops_match_serial_at_tiny_sinks(
     their start (all of them, some reps, under ``origin="uniform"``)
     keep ``[start]``."""
     monkeypatch.setattr(kernels_mod, "_SINK_EVENTS", capacity)
+    monkeypatch.setattr(parallel_mod, "_SCALAR_THRESHOLD", 3)
     reopened = []
     seal = kernels_mod.EventSink.seal
 
@@ -1646,8 +1649,7 @@ def test_parallel_loop_rejects_a_sink_smaller_than_a_round(provider):
             np.zeros((2, 5), dtype=np.int64),
             np.full((2, 5), -1, dtype=np.int64),
             np.full((2, 5), -1, dtype=np.int64), rngs, k=[2, 4], free=4,
-            lazy=False, scalar_threshold=16, budget=float("inf"),
-            max_rounds=None,
+            lazy=False, budget=float("inf"), max_rounds=None,
             sinks=[sink(ks._impl.scatter_events, c, None) for c in (4, 3)],
         )
     assert _nothing_drawn(rngs)
@@ -1891,7 +1893,7 @@ def _shard_call(ks, loop, rows, rngs, seeds):
         return ks.finish_parallel(
             indptr, indices, rows["occ"], rows["act"], rows["pos"],
             rows["prio"], rows["steps"], rows["settled"], rows["rounds"], rngs,
-            k=rows["k"], free=4, lazy=False, scalar_threshold=16,
+            k=rows["k"], free=4, lazy=False,
             budget=float("inf"), max_rounds=None, seeds=seeds,
         )
     common = (

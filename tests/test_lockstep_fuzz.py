@@ -22,6 +22,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.parallel as parallel_mod
 from repro.core.budget import StateBudget
 from repro.experiments.runner import BATCHED_DRIVERS, PROCESS_DRIVERS
 from repro.graphs import (
@@ -80,8 +81,11 @@ def test_lockstep_driver_matches_serial_on_random_graphs(process, provider, data
     if process != "c-sequential":
         most = 2 * n if process == "parallel" else n
         kwargs["num_particles"] = data.draw(st.integers(1, most), label="m")
+    switch = parallel_mod._SCALAR_THRESHOLD
     if process == "parallel":
-        kwargs["scalar_threshold"] = data.draw(st.sampled_from([0, 3, 16]))
+        # where the serial driver switches to its scalar loop, which the
+        # lock-step tail handoff reads too
+        switch = data.draw(st.sampled_from([0, 3, 16]), label="switch")
     if process == "ctu":
         kwargs["rate"] = data.draw(st.floats(0.1, 10.0), label="rate")
     if process == "uniform":
@@ -104,11 +108,12 @@ def test_lockstep_driver_matches_serial_on_random_graphs(process, provider, data
     extras = EXTRAS.get(process, ())
     if kwargs.get("faithful_r"):
         extras = (*extras, "schedule")
-    oracle = [
-        PROCESS_DRIVERS[process](oracle_g, origin, seed=s, **kwargs)
-        for s in spawn_seed_sequences(seed, reps)
-    ]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel_mod, "_SCALAR_THRESHOLD", switch)
+        oracle = [
+            PROCESS_DRIVERS[process](oracle_g, origin, seed=s, **kwargs)
+            for s in spawn_seed_sequences(seed, reps)
+        ]
         if zero_width:
             mp.setattr(CompiledKernels, "min_width", 0)
         batch = BATCHED_DRIVERS[process](

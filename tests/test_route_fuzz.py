@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.continuous as continuous_mod
+import repro.core.parallel as parallel_mod
 import repro.core.uniform as uniform_mod
 import repro.kernels as kernels_mod
 from repro.core.continuous import continuous_sequential_idla, ctu_idla
@@ -223,22 +224,27 @@ def test_parallel_route_matches_serial_on_random_graphs(
     request, lazy, tie_break, threshold, record, sink, data
 ):
     """Without a cap the samples, settle orders and trajectories must be
-    ``parallel_idla``'s.  A round cap is drawn just below a repetition's
+    ``parallel_idla``'s, wherever the oracle switches to its scalar loop
+    (``threshold``).  A round cap is drawn just below a repetition's
     last round, at it, or not at all; a trip must raise the serial
     oracle's error."""
     g, origin, m, seeds = request
     kwargs = {
-        "lazy": lazy, "tie_break": tie_break, "scalar_threshold": threshold,
-        "num_particles": m, "record": record,
+        "lazy": lazy, "tie_break": tie_break, "num_particles": m,
+        "record": record,
     }
-    free = [parallel_idla(g, origin, seed=s, **kwargs) for s in seeds]
+
+    def oracle(**cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel_mod, "_SCALAR_THRESHOLD", threshold)
+            return [parallel_idla(g, origin, seed=s, **cap, **kwargs) for s in seeds]
+
+    free = oracle()
     r = data.draw(st.integers(0, len(free) - 1))
     last = int(free[r].dispersion_time)
     cap = data.draw(st.sampled_from([None, max(last - 1, 0), last]))
     try:
-        ref = [
-            parallel_idla(g, origin, seed=s, max_rounds=cap, **kwargs) for s in seeds
-        ]
+        ref = oracle(max_rounds=cap)
     except RuntimeError as exc:
         with pytest.raises(RuntimeError) as got:
             _route("parallel", g, origin, seeds, sink, max_rounds=cap, **kwargs)

@@ -41,9 +41,14 @@ CELLS = {
     ("cycle-24", "sequential", 3, (("record", True),)): "91ee85e41042fc2c",
     ("star-12", "sequential", 4, (("num_particles", 7), ("origin", 3))): "a50281b4f62673d7",
     ("cycle-24", "parallel", 1, ()): "4548efe6efd1ac74",
-    ("grid-5x5", "parallel", 2, (("lazy", True),)): "d64a1d3803203bd3",
+    ("grid-5x5", "parallel", 2, (("lazy", True),)): "fb044097365f1c0b",
     ("cycle-24", "parallel", 3, (("record", True),)): "2da93c318e80824d",
     ("star-12", "parallel", 4, (("num_particles", 17),)): "e83fb4ba5bb4ced8",
+    (
+        "grid-5x5", "parallel", 5,
+        (("lazy", True), ("num_particles", 30), ("record", True),
+         ("tie_break", "random")),
+    ): "34011a11e7265eac",
     ("cycle-24", "c-sequential", 1, ()): "795ca967ddb67cf8",
     ("grid-5x5", "c-sequential", 3, (("record", True), ("rate", 0.5))): "2f0efa36f36e05bc",
     ("cycle-24", "ctu", 1, ()): "c0417a1101c21b67",

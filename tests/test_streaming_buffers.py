@@ -5,7 +5,7 @@ Three contracts under test:
 * **finisher handoff bit-identity** — handing straggler repetitions to
   the serial scalar micro-loop mid-stream must not change a bit, for any
   handoff threshold (never / default / immediately), across all five
-  processes and the draw-pattern variants (lazy wide/narrow, random
+  processes and the draw-pattern variants (lazy holds, random
   tie-break, ``m ≠ n``, custom rules);
 * **chunk-invariance of the streaming draws** — the per-repetition refill
   chunk size must be invisible in the results (NumPy double streams have
@@ -26,6 +26,7 @@ import pytest
 
 import repro.core.batched as batched_mod
 import repro.core.batched_continuous as bc_mod
+import repro.core.parallel as parallel_mod
 from repro.core import (
     DelayedRule,
     batched_continuous_sequential_idla,
@@ -84,7 +85,9 @@ TAIL_THRESHOLDS = [0, None, 10**9]
 PARALLEL_VARIANTS = [
     {},
     {"lazy": True},
-    {"lazy": True, "scalar_threshold": 2},
+    # "switch" patches the serial driver's vector-to-scalar switch (the
+    # handoff reads it too): the lock-step rounds run down to 2 walkers
+    {"lazy": True, "switch": 2},
     {"tie_break": "random"},
     {"num_particles": 9},
     {"num_particles": 40},  # m > n: surplus particles
@@ -101,8 +104,11 @@ SEQUENTIAL_VARIANTS = [
 @pytest.mark.parametrize(
     "variant", PARALLEL_VARIANTS, ids=lambda v: ",".join(sorted(v)) or "classic"
 )
-def test_parallel_finisher_bit_identical(variant, threshold):
+def test_parallel_finisher_bit_identical(variant, threshold, monkeypatch):
     g = cycle_graph(32)
+    variant = dict(variant)
+    if "switch" in variant:
+        monkeypatch.setattr(parallel_mod, "_SCALAR_THRESHOLD", variant.pop("switch"))
     serial = [
         parallel_idla(g, seed=s, **variant)
         for s in spawn_seed_sequences(PARENT_SEED, 5)
@@ -332,7 +338,7 @@ def test_uniform_stream_initial_prefix_continues_stream():
     prefix = gen.random(10)  # simulate a buffer drawn ahead of consumption
     s = UniformStream(gen, block=8, initial=prefix)
     assert s.drawn == 0
-    got = [s.uniform() for _ in range(15)] + s.take(25)
+    got = [s.uniform() for _ in range(40)]
     assert np.array_equal(np.asarray(got), ref)
     assert s.drawn == 32  # four 8-blocks fetched past the prefix
 
@@ -349,7 +355,7 @@ def test_uniform_streams_tail_and_refill_roundtrip():
         consumed[r].extend(streams.buf[r, :6])  # the moved-down remainder
     tails = [streams.tail(r, 6) for r in range(2)]
     for r in range(2):
-        consumed[r].extend(tails[r].take(30))
+        consumed[r].extend(tails[r].uniform() for _ in range(30))
         ref = spawn_generators(7, 2)[r].random(46)
         assert np.array_equal(np.asarray(consumed[r]), ref)
 

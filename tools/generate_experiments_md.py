@@ -151,10 +151,13 @@ SECTIONS = [
     ),
     (
         "batched_continuous",
-        "implementation — batched continuous/uniform drivers",
-        "lock-step batching of the tick-scheduled processes (uniform, CTU, "
-        "Poissonised sequential) is ≥3× faster than the serial runner at "
-        "reps=100 on the 1024-cycle, with bit-identical samples",
+        "implementation — batched estimates of the continuous/uniform "
+        "processes",
+        "batched=True estimates of the tick-scheduled processes (uniform, "
+        "CTU, Poissonised sequential), which run the compiled per-repetition "
+        "route when a compiled provider is present, are ≥3× faster than the "
+        "serial runner at reps=100 on the 1024-cycle, with bit-identical "
+        "samples",
     ),
     (
         "fanout",
