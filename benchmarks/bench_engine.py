@@ -43,32 +43,31 @@ def bench_engine_scalar_kernel(benchmark):
 
 
 def bench_engine_scalar_threshold_ablation(benchmark, capsys):
-    """Dispersion-time law must be invariant to where ``parallel_idla``
+    """Dispersion times must not depend on where ``parallel_idla``
     switches from vectorised rounds to its scalar loop (the private
-    ``_SCALAR_THRESHOLD``, patched here), while the runtime benefits from
-    the scalar tail phase on long-tailed runs."""
+    ``_SCALAR_THRESHOLD``, patched here): repetition ``r`` takes the same
+    seed at every switch value and must give the default's sample bit
+    for bit."""
 
     def experiment():
         g = cycle_graph(48)
         rows = []
-        means = {}
+        samples = {}
         default = parallel_mod._SCALAR_THRESHOLD
         try:
             for thr in (0, 16, 10**9):
                 parallel_mod._SCALAR_THRESHOLD = thr
                 d = [
-                    parallel_idla(
-                        g, 0, seed=stable_seed("abl", thr, r)
-                    ).dispersion_time
+                    parallel_idla(g, 0, seed=stable_seed("abl", r)).dispersion_time
                     for r in range(40)
                 ]
-                means[thr] = float(np.mean(d))
+                samples[thr] = d
                 rows.append(
                     [thr, round(float(np.mean(d)), 1), round(float(np.std(d)), 1)]
                 )
         finally:
             parallel_mod._SCALAR_THRESHOLD = default
-        return {"rows": rows, "means": means}
+        return {"rows": rows, "samples": samples, "default": default}
 
     out = run_once(benchmark, experiment)
     emit(
@@ -78,5 +77,8 @@ def bench_engine_scalar_threshold_ablation(benchmark, capsys):
         ["_SCALAR_THRESHOLD", "E[τ_par]", "std"],
         out["rows"],
     )
-    vals = list(out["means"].values())
-    assert max(vals) / min(vals) < 1.35  # same distribution, MC slack
+    samples = out["samples"]
+    for thr, d in samples.items():
+        assert d == samples[out["default"]], thr
+    means = [float(np.mean(d)) for d in samples.values()]
+    assert max(means) / min(means) < 1.35  # same distribution, MC slack

@@ -76,7 +76,7 @@ def _cap_lift():
     old_estimate = REPS * OLD_BLOCK_DOUBLES
     # the old cap would have declined this batch; auto dispatch now takes it
     declined_by_old_cap = old_estimate > OLD_CAP_DOUBLES
-    batches_now = _use_batched("parallel", g, REPS, 1, {}, "auto")
+    batches_now = _use_batched("parallel", REPS, {}, "auto")
 
     t0 = time.perf_counter()
     batched = estimate_dispersion(g, "parallel", reps=REPS, seed=SEED)

@@ -103,7 +103,7 @@ def _experiment():
     )
     # record=True must auto-dispatch to the batched drivers now
     assert _use_batched(
-        "parallel", cycle_graph(N), REPS, 1, {"record": True}, "auto"
+        "parallel", REPS, {"record": True}, "auto"
     ), "auto dispatch must batch record=True"
     if FULL_SIZE:
         # committed results show >=2x (2.05x / 2.25x); the assertions sit

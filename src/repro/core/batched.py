@@ -83,7 +83,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import parallel as serial_parallel
-from repro.core.budget import cohort_slices, plan_state
+from repro.core.budget import plan_state
 from repro.core.results import DispersionResult
 from repro.core.route import (
     _parallel_checks,
@@ -228,18 +228,6 @@ def _resolve_generators(seeds, seed, reps) -> list[np.random.Generator]:
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")
     return spawn_generators(seed, reps)
-
-
-def _in_cohorts(driver, g, origin, gens, cohort_reps, **kwargs):
-    """Budgeted cohorts: ``driver`` runs ``cohort_reps`` repetitions to
-    completion at a time.  Repetition r always consumes generator r's
-    stream, so the grouping is invisible in the results; each call
-    re-resolves the same plan and proceeds single-cohort."""
-    return [
-        res
-        for a, b in cohort_slices(len(gens), cohort_reps)
-        for res in driver(g, origin, seeds=gens[a:b], **kwargs)
-    ]
 
 
 def _finalize(store):
@@ -442,13 +430,14 @@ def batched_parallel_idla(
         results are bit-identical either way.
     state_budget:
         Optional :class:`repro.core.budget.StateBudget` (or spec string)
-        capping resident simulation state.  Resolved by
-        :func:`repro.core.budget.plan_state` into repetition cohorts run
-        back to back, mid-round particle chunking of the step/probe
-        transients, and a streaming-buffer shrink — all invisible in the
-        results (each repetition still consumes its own stream in serial
-        order).  ``record=True`` trajectory storage grows with total
-        steps and is deliberately outside the cap.
+        capping resident simulation state.  The runner cuts repetition
+        cohorts before it calls a driver; here
+        :func:`repro.core.budget.plan_state` supplies the in-cohort
+        levers: mid-round particle chunking of the step/probe transients
+        and a streaming-buffer shrink — both invisible in the results
+        (each repetition still consumes its own stream in serial order).
+        ``record=True`` trajectory storage grows with total steps and is
+        deliberately outside the cap.
     kernels:
         :class:`repro.kernels.KernelSet` (or provider name) for the
         compiled inner-loop layer.  Defaults to the ``REPRO_KERNELS``
@@ -480,14 +469,6 @@ def batched_parallel_idla(
     if R == 0:
         return []
     plan = plan_state(state_budget, "parallel", n, m)
-    if plan.cohort_reps < R:
-        return _in_cohorts(
-            batched_parallel_idla, g, origin, gens, plan.cohort_reps,
-            lazy=lazy, record=record, tie_break=tie_break, rule=rule,
-            num_particles=num_particles, max_rounds=max_rounds,
-            tail_threshold=tail_threshold,
-            state_budget=state_budget, kernels=kern,
-        )
     step_chunk = plan.step_chunk
     use_default_rule = rule is None or rule is standard_rule
     process = "parallel-lazy" if lazy else "parallel"
@@ -862,13 +843,6 @@ def batched_sequential_idla(
     if R == 0:
         return []
     plan = plan_state(state_budget, "sequential", n, m)
-    if plan.cohort_reps < R:
-        return _in_cohorts(
-            batched_sequential_idla, g, origin, gens, plan.cohort_reps,
-            lazy=lazy, record=record, rule=rule, num_particles=num_particles,
-            max_total_steps=max_total_steps, tail_threshold=tail_threshold,
-            state_budget=state_budget, kernels=kern,
-        )
     use_default_rule = rule is None or rule is standard_rule
     limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     # the compiled finisher needs host CSR arrays and the default rule; a

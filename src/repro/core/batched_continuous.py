@@ -59,7 +59,6 @@ from repro.core import continuous as _ctu_mod
 from repro.core import uniform as _uniform_mod
 from repro.core.batched import (
     _finalize,
-    _in_cohorts,
     _resolve_generators,
     batched_sequential_idla,
 )
@@ -224,13 +223,6 @@ def batched_ctu_idla(
         return []
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "ctu", n, m)
-    if plan.cohort_reps < R:
-        return _in_cohorts(
-            batched_ctu_idla, g, origin, gens, plan.cohort_reps, rate=rate,
-            record=record, num_particles=num_particles,
-            state_budget=state_budget, kernels=kern,
-        )
-
     starts2d, steps2d, settled2d, orders, ends, store, streams = _jump_chain(
         g, origin, m, gens, kern, plan, record, "ctu"
     )
@@ -467,12 +459,6 @@ def batched_uniform_idla(
         return []
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "uniform", n, m)
-    if plan.cohort_reps < R:
-        return _in_cohorts(
-            batched_uniform_idla, g, origin, gens, plan.cohort_reps,
-            record=record, faithful_r=faithful_r, num_particles=num_particles,
-            max_ticks=max_ticks, state_budget=state_budget, kernels=kern,
-        )
     limit_msg = f"uniform IDLA exceeded max_ticks={max_ticks}"
     if not faithful_r:
         starts2d, steps2d, settled2d, orders, ends, store, streams = _jump_chain(
@@ -526,7 +512,7 @@ def batched_uniform_idla(
     refill_countdown = block // 2
     while lanes.size:
         if lanes.size == 1 and not check_budget:
-            # single lane left (or a budget forced 1-rep cohorts):
+            # single lane left (or a one-repetition cohort):
             # switch to the bulk wasted-tick scanner — late-run
             # faithful_r time is dominated by wasted schedule picks,
             # which it consumes a whole buffer at a time

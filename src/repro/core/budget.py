@@ -1,4 +1,4 @@
-"""Budgeted resident state for the batched lock-step drivers.
+"""Budgeted resident state for the batched runs.
 
 The lock-step engine's original memory model was "allocate ``reps × m``
 flat state up front": profitable at bench scale, fatal in the asymptotic
@@ -8,16 +8,22 @@ multiplies into gigabytes of resident arrays before the first round.
 
 :class:`StateBudget` is the knob that replaces that model.  A budget is a
 cap on **resident simulation state** — either in bytes or in live
-particles — that threads from ``estimate_dispersion`` / the CLI down
-through dispatch into every batched driver.  :func:`plan_state` resolves
-a budget against one run's shape ``(process, n, m, reps)`` into the three
-mechanical levers the drivers implement:
+particles — that threads from ``estimate_dispersion`` / the CLI into the
+runner.  :func:`plan_state` resolves a budget against one run's shape
+``(process, n, m)`` into three mechanical levers:
 
-* **repetition cohorts** (``cohort_reps``) — the driver runs cohorts of
-  at most this many repetitions to completion, one after another, instead
-  of all ``reps`` in one flat batch.  Cohort boundaries are invisible in
-  the results: repetition ``r`` consumes child ``r``'s stream regardless
-  of grouping (the same property that makes batching itself invisible).
+* **repetition cohorts** (``cohort_reps``) — the runner's shard function
+  (``repro.experiments.runner._shard_outcomes``, the body of every
+  in-process run, fan-out thread and worker process) runs cohorts of at
+  most this many repetitions to completion, one after another, instead
+  of all ``reps`` in one flat batch; each cohort is dispatched on its own
+  (the per-repetition C route, a lock-step driver or the serial oracle),
+  so the route honours the budget too.  Cohort boundaries are invisible
+  in the results: repetition ``r`` consumes child ``r``'s stream
+  regardless of grouping (the same property that makes batching itself
+  invisible).  The two levers below act inside one cohort, in the
+  lock-step drivers only; the route keeps no stream buffers or round
+  transients.
 * **mid-round particle chunks** (``step_chunk``, parallel process only) —
   within a round, the step/probe transients are computed over slices of
   the flat particle state, bounding the per-round scratch allocations
@@ -31,8 +37,8 @@ mechanical levers the drivers implement:
   worst-case consumption imposes.
 
 Two deliberate boundary behaviours, pinned by ``tests/test_state_budget``:
-a budget **larger than the whole run resolves to a no-op plan** — the
-drivers take exactly the allocation path they take with no budget at all,
+a budget **larger than the whole run resolves to a no-op plan** — every
+path takes exactly the allocation it takes with no budget at all,
 byte for byte; a budget **smaller than one repetition's floor still
 runs** (``cohort_reps`` never drops below 1 — one repetition's state plus
 the settlement-contest transients, which scale with the round's vacant
@@ -208,7 +214,8 @@ _PER_REP_COEFFS = {
     "uniform": (48, 1),
     # uniform's arrays + settle_clock 8m
     "ctu": (56, 1),
-    "c-sequential": (24, 1),
+    # sequential's arrays + durations 8m + settle orders 8m
+    "c-sequential": (40, 1),
 }
 
 
@@ -244,10 +251,9 @@ def plan_state(
 ) -> BudgetPlan:
     """Resolve a budget against one run's shape into driver levers.
 
-    ``cohort_reps`` is independent of the run's total repetition count —
-    which is what makes the drivers' cohort recursion terminate: a cohort
-    of ``cohort_reps`` repetitions re-plans to the same value and
-    proceeds single-cohort.
+    ``cohort_reps`` is independent of the run's total repetition count,
+    so a lock-step driver handed one cohort re-plans to the same value
+    and takes its in-cohort levers from the same plan.
     """
     budget = as_state_budget(budget)
     if budget is None:

@@ -47,8 +47,11 @@ lock-step engine.
 ``record`` hands each repetition an event sink
 (:meth:`~repro.kernels.CompiledKernels.event_sink`), whose events become
 the repetition's :class:`~repro.core.results.TrajectoryArrays` as is.
-A ``state_budget`` is ignored: the route keeps no stream buffers or
-round transients, only the result rows and the occupancy.
+A ``state_budget`` is popped here: the runner's shard function
+(``repro.experiments.runner._shard_outcomes``) has already cut the
+repetitions into budget cohorts, one :func:`run_reps` call each, and the
+route has no in-cohort lever, since it keeps no stream buffers or round
+transients, only the cohort's rows and occupancy.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ the shards is decided once per call, in the parent:
   ``False``).  cffi drops the GIL inside each loop, so a
   ``ThreadPoolExecutor`` shares the immutable graph's arrays in place:
   no export, no fork, no pickling.  The parent resolves the kernel
-  provider once and hands the instance to every thread, which calls
-  :func:`~repro.core.route.run_reps` on its shard; ``record=True``
-  trajectories come back as the threads built them.  The pool lives
-  only inside the call, so a later fork never forks a multi-threaded
-  process.
+  provider once and hands the instance to every thread, which runs the
+  runner's shard function (``runner._shard_outcomes``, as a worker
+  process does) on its shard; ``record=True`` trajectories come back as
+  the threads built them.  The pool lives only inside the call, so a
+  later fork never forks a multi-threaded process.
 * **Processes** for everything else, which is GIL-bound (the numpy
   provider, implicit graphs, rules, ``faithful_r``, an explicit
   ``tail_threshold``, ``batched=False``).  This is the standard
@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.route import route_kernels, run_reps
+from repro.core.route import route_kernels
 from repro.graphs.csr import Graph
 from repro.graphs.implicit import ImplicitGraph, ImplicitGraphSpec, from_descriptor
 from repro.utils.validation import check_integer
@@ -230,20 +230,20 @@ def budget_aligned_shard(
 ) -> int:
     """Shard-size cap aligned to whole ``state_budget`` cohorts.
 
-    When a :class:`repro.core.budget.StateBudget` forces the batched
-    drivers into repetition cohorts of ``cohort_reps``, the natural
-    fan-out shard is a whole number of cohorts: each worker then holds at
-    most one cohort of driver state resident (the budget applies *per
-    worker* — ``n_jobs`` workers hold ``n_jobs`` cohorts in aggregate,
-    which is what the caller asked for by combining the two knobs), and
-    no shard ends on a fractional cohort that re-pays the cohort setup
-    for a sliver of repetitions.
+    When a :class:`repro.core.budget.StateBudget` cuts each shard into
+    repetition cohorts of ``cohort_reps`` (the runner's shard function
+    does, on every path), the natural fan-out shard is a whole number of
+    cohorts: each worker then holds at most one cohort of state resident
+    (the budget applies *per worker* — ``n_jobs`` workers hold ``n_jobs``
+    cohorts in aggregate, which is what the caller asked for by combining
+    the two knobs), and no shard ends on a fractional cohort that re-pays
+    the cohort setup for a sliver of repetitions.
 
     Starts from the even split ``ceil(reps / n_jobs)`` (tightened by
     ``max_shard``, the adaptive runner's cost-weighted cap, when given),
     rounds *down* to a cohort multiple, and never drops below one full
     cohort — a shard smaller than a cohort frees no memory, because the
-    worker's driver allocates one cohort of state regardless.
+    worker allocates one cohort of state regardless.
 
     Examples
     --------
@@ -320,28 +320,32 @@ def _mp_context():
 
 
 def _thread_outcomes(
-    g: Graph, process: str, origin, children, shards, n_jobs: int, kwargs
+    g: Graph, process: str, origin, children, shards, n_jobs: int, kwargs, batched
 ) -> list[tuple[float, int, object, object]]:
     """Run the shards on a thread pool that shares ``g`` in place.
 
     Only for requests that pass :func:`~repro.core.route.route_kernels`
-    (the loops release the GIL).  ``kwargs`` carry the resolved
-    provider, so no thread resolves one.  On the first failure the
-    queued shards are cancelled and the pool joins before the error
-    propagates.
+    (the loops release the GIL).  Each thread runs the runner's shard
+    function, as a worker process does, so it cuts its own
+    ``state_budget`` cohorts.  ``kwargs`` carry the resolved provider, so
+    no thread resolves one.  On the first failure the queued shards are
+    cancelled and the pool joins before the error propagates.
     """
-    from repro.experiments.runner import shard_outcomes
+    from repro.experiments.runner import _shard_outcomes
 
     outcomes: list[tuple[float, int, object, object]] = []
     with ThreadPoolExecutor(max_workers=min(n_jobs, len(shards))) as pool:
         pending = deque(
-            pool.submit(run_reps, process, g, children[start:stop], origin, **kwargs)
+            pool.submit(
+                _shard_outcomes, g, process, origin, children[start:stop],
+                kwargs, batched,
+            )
             for start, stop in shards
         )
         try:
             while pending:
-                # popleft: a collected shard's results die with its future
-                outcomes.extend(shard_outcomes(pending.popleft().result()))
+                # popleft: a collected shard's outcomes leave with its future
+                outcomes.extend(pending.popleft().result())
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -377,7 +381,8 @@ def fanout_estimate(
     kern = None if batched is False else route_kernels(process, g, kwargs)
     if kern is not None:
         return _thread_outcomes(
-            g, process, origin, children, shards, n_jobs, {**kwargs, "kernels": kern}
+            g, process, origin, children, shards, n_jobs,
+            {**kwargs, "kernels": kern}, batched,
         )
     from concurrent.futures import ProcessPoolExecutor
 

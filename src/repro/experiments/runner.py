@@ -29,7 +29,7 @@ across the execution modes:
 Because the batched drivers replay the serial uniform streams double for
 double and repetition ``r`` always consumes child ``r`` of one parent
 ``SeedSequence``, the estimates are *bit-identical* whichever mode runs —
-dispatch is purely a performance decision (see ``_use_batched``).
+dispatch is purely a performance decision (see ``_shard_outcomes``).
 """
 
 from __future__ import annotations
@@ -272,39 +272,27 @@ def _validate_forced_batched(process: str, kwargs) -> None:
         )
 
 
-def _use_batched(process: str, g: Graph, reps: int, n_jobs: int, kwargs, batched):
-    """Decide whether an in-process estimate runs batched: through the
-    per-repetition route or the lock-step drivers.
+def _use_batched(process: str, reps: int, kwargs, batched) -> bool:
+    """Whether a block of ``reps`` repetitions that the per-repetition
+    route turned away runs the lock-step driver (else the serial oracle).
 
-    Shard workers call this too (with their shard's repetition count and
-    ``n_jobs=1``).  There is no memory criterion any more: the streaming
-    uniform buffers of :mod:`repro.core.batched` bound their allocation
-    by construction, so graph size and repetition count never disqualify
-    batching.
+    There is no memory criterion: the streaming uniform buffers of
+    :mod:`repro.core.batched` bound their allocation by construction, and
+    a ``state_budget`` has already cut the block into cohorts.
     """
-    if batched not in (True, False, "auto"):
-        raise ValueError(f"batched must be True, False or 'auto', got {batched!r}")
-    if batched is False or process not in _BATCHED_KWARGS:
-        if batched is True:
-            raise ValueError(f"no batched driver for process {process!r}")
+    if batched is False:
         return False
     if batched is True:
         _validate_forced_batched(process, kwargs)
         return True
     # batched="auto": purely a performance heuristic — results are
-    # bit-identical either way.  n_jobs > 1 is decided by the fan-out
-    # path before this is consulted; here it only means "not in-process".
-    if n_jobs != 1 or not set(kwargs) <= _BATCHED_KWARGS[process]:
+    # bit-identical either way
+    if not set(kwargs) <= _BATCHED_KWARGS[process]:
         return False
     rule = kwargs.get("rule")
     if rule is not None and type(rule) not in _PURE_RULE_TYPES:
         return False
-    if reps >= _BATCHED_MIN_REPS[process]:
-        return True
-    # Below the lock-step crossover, batch only on the per-repetition
-    # route: measured faster than the serial oracle from 1 repetition up
-    # (see docs/kernels.md).
-    return route_kernels(process, g, kwargs) is not None
+    return reps >= _BATCHED_MIN_REPS[process]
 
 
 def run_process(
@@ -395,24 +383,59 @@ def _one_run(args) -> tuple[float, int, object, object]:
     return outcome_of(res)
 
 
+def _budget_cohort(g: Graph, process: str, kwargs: dict) -> int | None:
+    """Repetitions per ``state_budget`` cohort (``None`` without a
+    budget), as :func:`repro.core.budget.plan_state` sizes them."""
+    budget = kwargs.get("state_budget")
+    if budget is None:
+        return None
+    from repro.core.budget import plan_state
+
+    m = kwargs.get("num_particles")
+    return plan_state(budget, process, g.n, g.n if m is None else int(m)).cohort_reps
+
+
 def _shard_outcomes(
     g: Graph, process: str, origin: int, children, kwargs: dict, batched
 ) -> list[tuple[float, int, object, object]]:
     """Run one contiguous block of repetitions in this thread.
 
-    The body of ``n_jobs=1`` and of each fan-out worker process: the
-    per-repetition route when :func:`~repro.core.route.route_kernels`
-    passes (and ``batched`` is not ``False``), else the lock-step driver
-    where :func:`_use_batched` picks it for this block's repetition
-    count, else the serial oracle, one child of ``children`` per
-    repetition.
+    The body of ``n_jobs=1``, of each fan-out thread and of each worker
+    process.  A ``state_budget`` (with ``batched`` not ``False``) cuts
+    the block into cohorts of :func:`_budget_cohort` repetitions, run one
+    after another: each cohort is dispatched on its own and turned into
+    outcomes before the next starts, so no cohort's rows or results
+    outlive it.  Cohort boundaries never touch a sample, since repetition
+    ``r`` consumes child ``r`` however the block is cut.
     """
+    cohort = None if batched is False else _budget_cohort(g, process, kwargs)
+    if cohort is None or cohort >= len(children):
+        return _cohort_outcomes(g, process, origin, children, kwargs, batched)
+    from repro.core.budget import cohort_slices
+
+    return [
+        outcome
+        for start, stop in cohort_slices(len(children), cohort)
+        for outcome in _cohort_outcomes(
+            g, process, origin, children[start:stop], kwargs, batched
+        )
+    ]
+
+
+def _cohort_outcomes(
+    g: Graph, process: str, origin: int, children, kwargs: dict, batched
+) -> list[tuple[float, int, object, object]]:
+    """One cohort's outcomes: the per-repetition route when
+    :func:`~repro.core.route.route_kernels` passes (and ``batched`` is
+    not ``False``), else the lock-step driver where :func:`_use_batched`
+    picks it for this cohort's repetition count, else the serial oracle,
+    one child of ``children`` per repetition."""
     kern = None if batched is False else route_kernels(process, g, kwargs)
     if kern is not None:
         return shard_outcomes(
             run_reps(process, g, children, origin, **{**kwargs, "kernels": kern})
         )
-    if _use_batched(process, g, len(children), 1, kwargs, batched):
+    if _use_batched(process, len(children), kwargs, batched):
         batch = _batched_drivers()[process](
             g, origin, seeds=list(children), **kwargs
         )
@@ -435,38 +458,29 @@ def _round_outcomes(
 
     The single dispatch point both the fixed-``reps`` path and every
     adaptive round go through: fan-out when more than one worker is
-    useful, else lock-step batching where profitable, else the serial
-    oracle.  ``children`` are consecutive children of one parent
-    ``SeedSequence``; since repetition ``r``'s stream depends only on
-    child ``r`` (never on how the block is grouped), the outcomes are
-    bit-identical whichever branch runs.  ``max_shard`` is the adaptive
-    loop's cost-weighted shard ceiling (see ``estimate_dispersion``).
+    useful, else :func:`_shard_outcomes` in this thread.  ``children``
+    are consecutive children of one parent ``SeedSequence``; since
+    repetition ``r``'s stream depends only on child ``r`` (never on how
+    the block is grouped), the outcomes are bit-identical whichever
+    branch runs.  ``max_shard`` is the adaptive loop's cost-weighted
+    shard ceiling (see ``estimate_dispersion``).
 
-    With a ``state_budget`` that forces repetition cohorts, fan-out
-    shards are additionally capped at a whole number of cohorts
-    (:func:`repro.experiments.fanout.budget_aligned_shard`): each worker
-    keeps at most one cohort of state resident, and no shard ends on a
-    fractional cohort that would re-pay the cohort setup for a sliver of
-    repetitions.  Purely a scheduling decision — shard boundaries never
-    touch a sample.
+    Every shard cuts its own ``state_budget`` cohorts
+    (:func:`_shard_outcomes`).  Fan-out shards are additionally capped at
+    a whole number of cohorts
+    (:func:`repro.experiments.fanout.budget_aligned_shard`), so no shard
+    ends on a fractional cohort that would re-pay the cohort setup for a
+    sliver of repetitions.  Purely a scheduling decision — shard
+    boundaries never touch a sample.
     """
     reps = len(children)
     jobs = min(n_jobs, reps)
     if jobs > 1:
         from repro.experiments.fanout import budget_aligned_shard, fanout_estimate
 
-        budget = kwargs.get("state_budget")
-        if budget is not None:
-            from repro.core.budget import plan_state
-
-            mm = kwargs.get("num_particles")
-            plan = plan_state(
-                budget, process, g.n, g.n if mm is None else int(mm)
-            )
-            if plan.cohort_reps < reps:
-                max_shard = budget_aligned_shard(
-                    reps, jobs, plan.cohort_reps, max_shard=max_shard
-                )
+        cohort = _budget_cohort(g, process, kwargs)
+        if cohort is not None and cohort < reps:
+            max_shard = budget_aligned_shard(reps, jobs, cohort, max_shard=max_shard)
         return fanout_estimate(
             g,
             process,
@@ -666,15 +680,17 @@ def estimate_dispersion(
         other mode — dispatch stays purely a performance decision.
         ``state_budget=`` (a :class:`repro.core.budget.StateBudget`, a
         spec string like ``"256M"`` / ``"500000p"``, or ``None``) caps
-        the batched drivers' resident simulation state: repetitions run
-        in cohorts — with mid-round particle chunking and stream-buffer
-        shrink under byte budgets — instead of one flat ``reps × m``
-        allocation.  Serial paths strip it (they are one-repetition-
-        resident by construction); with ``n_jobs > 1`` the budget
-        applies per worker (per thread on the thread pool) and shards
-        align to whole cohorts.  Budgets
-        never change a sample — every cohort shape replays the serial
-        streams bit for bit.
+        the resident simulation state of a batched run: the runner cuts
+        every shard into cohorts of repetitions, run one after another
+        on whichever path each cohort takes (the per-repetition C route
+        included), instead of one flat ``reps × m`` allocation; inside a
+        cohort the lock-step drivers add mid-round particle chunking and
+        a stream-buffer shrink under byte budgets.  Serial paths strip
+        it (they are one-repetition-resident by construction); with
+        ``n_jobs > 1`` the budget applies per worker (per thread on the
+        thread pool) and shards align to whole cohorts.  Budgets never
+        change a sample — every cohort shape replays the serial streams
+        bit for bit.
         ``kernels=`` (a provider name or
         :class:`repro.kernels.KernelSet`) selects the compiled
         inner-loop layer; unset, ``REPRO_KERNELS`` and then

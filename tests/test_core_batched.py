@@ -296,8 +296,8 @@ def test_runner_auto_dispatch_serialises_stateful_rules():
     # the known pure library rules do batch (dispatch decision only)
     from repro.experiments.runner import _use_batched
 
-    assert _use_batched("parallel", g, 8, 1, {"rule": DelayedRule(2)}, "auto")
-    assert not _use_batched("parallel", g, 8, 1, {"rule": CountingRule(2)}, "auto")
+    assert _use_batched("parallel", 8, {"rule": DelayedRule(2)}, "auto")
+    assert not _use_batched("parallel", 8, {"rule": CountingRule(2)}, "auto")
 
 
 def test_runner_auto_dispatch_has_no_memory_decline():
@@ -310,9 +310,9 @@ def test_runner_auto_dispatch_has_no_memory_decline():
     from repro.utils.rng import _STREAM_BUDGET_DOUBLES
 
     g = cycle_graph(64)
-    assert _use_batched("parallel", g, 100, 1, {}, "auto")
-    assert _use_batched("parallel", g, 50000, 1, {}, "auto")
-    assert _use_batched("sequential", g, 50000, 1, {}, "auto")
+    assert _use_batched("parallel", 100, {}, "auto")
+    assert _use_batched("parallel", 50000, {}, "auto")
+    assert _use_batched("sequential", 50000, {}, "auto")
     budget_slack = 50000 * (2 * g.n + 2)  # per-round floor dominates budget
     assert buffer_doubles("parallel", 50000, g.n) <= max(
         _STREAM_BUDGET_DOUBLES, budget_slack

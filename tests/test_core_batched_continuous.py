@@ -497,6 +497,7 @@ def test_runner_auto_dispatch_thresholds():
 
 
 def _check_auto_dispatch_thresholds(kernels):
+    from repro.core.route import route_kernels
     from repro.core.stopping_rules import DelayedRule
     from repro.experiments.runner import _use_batched
 
@@ -505,8 +506,7 @@ def _check_auto_dispatch_thresholds(kernels):
     for process in ("uniform", "ctu"):
         # huge repetition counts batch too: the streaming buffers bound
         # their allocation, so there is no memory decline any more
-        assert _use_batched(process, g, 50000, 1, kw, "auto")
-    assert not _use_batched("uniform", g, 16, 2, kw, "auto")  # process pool
+        assert _use_batched(process, 50000, kw, "auto")
 
     compiled = get_kernels(kernels).compiled
     crossovers = {
@@ -517,38 +517,44 @@ def _check_auto_dispatch_thresholds(kernels):
         "parallel": 4,
     }
     for process, crossover in crossovers.items():
-        assert _use_batched(process, g, crossover, 1, kw, "auto")
+        assert _use_batched(process, crossover, kw, "auto")
         # a compiled provider runs each repetition in one compiled loop,
-        # which wins at any repetition count, recording or not; numpy
+        # which wins at any repetition count, recording or not: the
+        # route's gate passes ahead of the lock-step crossover; numpy
         # keeps the crossover
         for extra in (kw, dict(kw, record=True)):
+            assert (route_kernels(process, g, extra) is not None) == compiled
             for reps in sorted({1, 2, crossover - 1}):
-                assert _use_batched(process, g, reps, 1, extra, "auto") == compiled
+                assert not _use_batched(process, reps, extra, "auto")
         # no compiled loop for these: numpy lock-step crossover
         for graph, extra in (
             (g, {"kernels": "numpy"}),
             (g, {"kernels": "numpy", "record": True}),
             (cycle_graph(64, implicit=True), kw),
         ):
-            assert _use_batched(process, graph, crossover, 1, extra, "auto")
-            assert not _use_batched(process, graph, crossover - 1, 1, extra, "auto")
+            assert route_kernels(process, graph, extra) is None
+            assert _use_batched(process, crossover, extra, "auto")
+            assert not _use_batched(process, crossover - 1, extra, "auto")
     # the literal-schedule scheduler has no compiled loop either
     faithful = dict(kw, faithful_r=True)
-    assert _use_batched("uniform", g, 16, 1, faithful, "auto")
-    assert not _use_batched("uniform", g, 15, 1, faithful, "auto")
+    assert route_kernels("uniform", g, faithful) is None
+    assert _use_batched("uniform", 16, faithful, "auto")
+    assert not _use_batched("uniform", 15, faithful, "auto")
     for process in ("sequential", "parallel"):
         crossover = crossovers[process]
         for extra in (
             dict(kw, rule=DelayedRule(2)),  # pure, but not the default rule
             dict(kw, tail_threshold=16),  # an explicit threshold pins lock-step
         ):
-            assert _use_batched(process, g, crossover, 1, extra, "auto")
+            assert route_kernels(process, g, extra) is None
+            assert _use_batched(process, crossover, extra, "auto")
             for reps in sorted({1, crossover - 1}):
-                assert not _use_batched(process, g, reps, 1, extra, "auto")
+                assert not _use_batched(process, reps, extra, "auto")
         # a rule auto dispatch cannot vouch for stays on the serial oracle
         impure = dict(kw, rule=lambda t, v, vacant: vacant)
+        assert route_kernels(process, g, impure) is None
         for reps in (1, crossover - 1, crossover):
-            assert not _use_batched(process, g, reps, 1, impure, "auto")
+            assert not _use_batched(process, reps, impure, "auto")
 
 
 @pytest.mark.parametrize(

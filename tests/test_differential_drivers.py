@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 from repro.core import parallel, route
-from repro.core.budget import StateBudget
+from repro.core.budget import StateBudget, plan_state
 from repro.core.stopping_rules import DelayedRule
 from repro.experiments import estimate_dispersion
 from repro.experiments.runner import BATCHED_DRIVERS, PROCESS_DRIVERS
@@ -188,17 +188,19 @@ BUDGETS = {
     "bytes2k": StateBudget(bytes=2000),
 }
 
+#: The budgets that move a lever inside a lock-step driver (the runner
+#: cuts the cohorts): Parallel-IDLA's particle chunks and the byte
+#: budget's stream shrink.
+DRIVER_BUDGETS = {name: BUDGETS[name] for name in ("subrep", "bytes2k")}
 
-@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGETS)
+
+@pytest.mark.parametrize("budget", DRIVER_BUDGETS, ids=DRIVER_BUDGETS)
 @pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
 @pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_budgeted_batched_matches_serial_oracle(case, record, budget):
-    """Every budget geometry replays the serial oracle bit for bit.
-
-    Cohort boundaries, mid-round particle chunks and shrunken stream
-    buffers are all invisible in the results — the same guarantees that
-    make batching itself invisible (per-repetition streams, ufunc
-    slice-invariance, double-stream chunk-invariance)."""
+def test_budget_levers_in_drivers_match_serial_oracle(case, record, budget):
+    """A lock-step driver's in-cohort levers replay the serial oracle bit
+    for bit: mid-round particle chunks (ufunc slice-invariance) and
+    shrunken stream buffers (double-stream chunk-invariance)."""
     process, kwargs = case
     extras = EXTRAS.get(process, ())
     if kwargs.get("faithful_r"):
@@ -214,7 +216,7 @@ def test_budgeted_batched_matches_serial_oracle(case, record, budget):
                 0,
                 seeds=spawn_seed_sequences(PARENT_SEED, REPS),
                 record=record,
-                state_budget=BUDGETS[budget],
+                state_budget=DRIVER_BUDGETS[budget],
                 kernels=kernels,
                 **kwargs,
                 **mode,
@@ -224,29 +226,53 @@ def test_budgeted_batched_matches_serial_oracle(case, record, budget):
                 assert_result_identical(s, b, extras)
 
 
+@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGETS)
 @pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_budgeted_estimates_match_serial_oracle(case):
-    """``state_budget`` through the runner: forced batch and fan-out.
-
-    ``n_jobs=2`` with a 3-repetition cohort exercises the cohort-aligned
-    shard planning (each worker gets whole cohorts)."""
+def test_budgeted_estimates_match_serial_oracle(case, budget):
+    """Every budget geometry through the runner, which cuts the cohorts,
+    on every path: the per-repetition route (a compiled provider; the
+    options it turns away run lock-step), lock-step (numpy), and each
+    fanned out over ``n_jobs=2`` (threads on the route, a fork pool
+    otherwise; a 3-repetition cohort exercises the cohort-aligned shard
+    planning).  Samples, totals and trajectories equal the serial
+    oracle's, which the unbudgeted estimates equal too."""
     process, kwargs = case
     serial = serial_oracle(process, kwargs, True)
     tau = np.asarray([float(r.dispersion_time) for r in serial])
+    totals = np.asarray([r.total_steps for r in serial], dtype=np.int64)
     trajectories = [r.trajectories for r in serial]
-    for mode in ({"batched": True}, {"batched": True, "n_jobs": 2}):
-        est = estimate_dispersion(
-            GRAPH,
-            process,
-            reps=REPS,
-            seed=PARENT_SEED,
-            record=True,
-            state_budget=StateBudget(particles=72),
-            **kwargs,
-            **mode,
-        )
-        assert np.array_equal(est.samples, tau), mode
-        assert est.trajectories == trajectories, mode
+    for kernels in PROVIDERS:
+        for n_jobs in (1, 2):
+            est = estimate_dispersion(
+                GRAPH,
+                process,
+                reps=REPS,
+                seed=PARENT_SEED,
+                batched=True,
+                record=True,
+                state_budget=BUDGETS[budget],
+                kernels=kernels,
+                n_jobs=n_jobs,
+                **kwargs,
+            )
+            mode = (kernels, n_jobs)
+            assert np.array_equal(est.samples, tau), mode
+            assert np.array_equal(est.total_samples, totals), mode
+            assert est.trajectories == trajectories, mode
+
+
+def loop_calls(process, g, oracle, budget=None):
+    """Compiled-loop calls of one route estimate over ``oracle``'s
+    repetitions: one per ``budget`` cohort (one in all without a budget),
+    except that the tick and round loops skip a cohort in which no
+    repetition walks."""
+    cohort = len(oracle)
+    if budget is not None:
+        cohort = plan_state(budget, process, g.n, g.n).cohort_reps
+    return sum(
+        process in SEQ_ROUTE or any(r.total_steps for r in oracle[a : a + cohort])
+        for a in range(0, len(oracle), cohort)
+    )
 
 
 #: Kernel providers forced through the drivers: ``numpy`` is the always-
@@ -340,33 +366,38 @@ def test_kernels_through_runner(case, kernels):
 @pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)
 def test_kernels_deep_tail_and_budget(kernels):
     """Compiled finishers against a genuine mid-run handoff (reps above
-    the tail threshold) and compiled lock-step under budget cohorts."""
+    the tail threshold) and compiled lock-step under the runner's budget
+    cohorts (an explicit ``tail_threshold`` keeps the route away)."""
     g = cycle_graph(32)
     reps = 24
     for process in ("sequential", "parallel"):
         serial = [
-            PROCESS_DRIVERS[process](g, 0, seed=s)
+            PROCESS_DRIVERS[process](g, 0, seed=s, record=True)
             for s in spawn_seed_sequences(11, reps)
         ]
         batch = BATCHED_DRIVERS[process](
             g,
             0,
             seeds=spawn_seed_sequences(11, reps),
+            record=True,
             kernels=kernels,
             tail_threshold=16,
         )
         for s, b in zip(serial, batch):
             assert_result_identical(s, b)
-        budgeted = BATCHED_DRIVERS[process](
+        budgeted = estimate_dispersion(
             g,
-            0,
-            seeds=spawn_seed_sequences(11, reps),
+            process,
+            reps=reps,
+            seed=11,
+            batched=True,
+            record=True,
             kernels=kernels,
             tail_threshold=16,
             state_budget=StateBudget(particles=32 * 9),
         )
-        for s, b in zip(serial, budgeted):
-            assert_result_identical(s, b)
+        assert budgeted.samples.tolist() == [float(s.dispersion_time) for s in serial]
+        assert budgeted.trajectories == [s.trajectories for s in serial]
 
 
 #: Compiled providers only: the per-repetition route needs one.
@@ -374,7 +405,8 @@ COMPILED_PROVIDERS = [p for p in KERNEL_PROVIDERS if p.values[0] != "numpy"]
 
 #: Driver variants of the per-repetition route; c-sequential has no lazy
 #: walk and no ``num_particles`` knob.  The budget variant runs the tick
-#: processes in cohorts of two repetitions.
+#: processes in cohorts of two repetitions: through the runner, one
+#: compiled call each; through ``run_reps``, which pops the budget, one.
 PER_REP_VARIANTS = {
     "sequential": {
         "plain": {},
@@ -514,9 +546,9 @@ def test_tick_per_rep_route_matches_serial_oracle(
 ):
     """Uniform-IDLA and CTU-IDLA take the per-repetition route at any
     repetition count under auto dispatch with a compiled provider: one
-    compiled call per shard (none when no repetition has unsettled
-    particles) and no lock-step tick, bit-identical to the serial oracle
-    including the tick clock and CTU's ``settle_clock``."""
+    compiled call per shard or budget cohort (none when no repetition
+    has unsettled particles) and no lock-step tick, bit-identical to the
+    serial oracle including the tick clock and CTU's ``settle_clock``."""
     kwargs = dict(PER_REP_VARIANTS[process][variant])
     origin = kwargs.pop("origin", 0)
     budget = kwargs.pop("state_budget", None)
@@ -535,9 +567,8 @@ def test_tick_per_rep_route_matches_serial_oracle(
         PROCESS_DRIVERS[process](GRAPH, origin, seed=s, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, reps)
     ]
-    walking = any(r.total_steps > 0 for r in oracle)
     assert route_calls == dict.fromkeys(route_calls, 0) | {
-        f"finish_{process}": int(walking)
+        f"finish_{process}": loop_calls(process, GRAPH, oracle, budget)
     }
     batch = route.run_reps(
         process, GRAPH, spawn_seed_sequences(PARENT_SEED, reps), origin,
@@ -626,9 +657,9 @@ def test_parallel_per_rep_route_matches_serial_oracle(
 ):
     """Parallel-IDLA takes the per-repetition route at any repetition
     count under auto dispatch with a compiled provider: one compiled
-    call per shard (none when no repetition has particles left to walk),
-    no lock-step round and no finisher, bit-identical to the serial
-    oracle."""
+    call per shard or budget cohort (none when no repetition has
+    particles left to walk), no lock-step round and no finisher,
+    bit-identical to the serial oracle."""
     g = PARALLEL_GRAPHS[graph]
     kwargs = dict(PARALLEL_VARIANTS[variant])
     origin = kwargs.pop("origin", 0)
@@ -643,7 +674,6 @@ def test_parallel_per_rep_route_matches_serial_oracle(
         PROCESS_DRIVERS["parallel"](g, origin, seed=s, **kwargs)
         for s in spawn_seed_sequences(PARENT_SEED, reps)
     ]
-    walking = any(r.total_steps > 0 for r in oracle)
     # the serial oracle steps through the compiled csr_step: count from here
     route_calls.update(dict.fromkeys(route_calls, 0))
     est = estimate_dispersion(
@@ -653,7 +683,7 @@ def test_parallel_per_rep_route_matches_serial_oracle(
     assert np.array_equal(est.samples, serial.samples)
     assert np.array_equal(est.total_samples, serial.total_samples)
     assert route_calls == dict.fromkeys(route_calls, 0) | {
-        "finish_parallel": int(walking)
+        "finish_parallel": loop_calls("parallel", g, oracle, budget)
     }
     batch = route.run_reps(
         "parallel", g, spawn_seed_sequences(PARENT_SEED, reps), origin,
@@ -773,28 +803,35 @@ def test_runner_and_thread_pool_agree_on_the_route(
     import repro.experiments.fanout as fanout_mod
     import repro.experiments.runner as runner_mod
 
-    taken = {"runner": 0, "threads": 0}
-    for module, key in ((runner_mod, "runner"), (fanout_mod, "threads")):
+    taken = {1: 0, 2: 0, "thread pool": 0}
+    jobs = None
 
-        def counted(*args, _inner=module.run_reps, _key=key, **kwargs):
-            taken[_key] += 1
-            return _inner(*args, **kwargs)
+    def counted(*args, _inner=runner_mod.run_reps, **kwargs):
+        taken[jobs] += 1
+        return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(module, "run_reps", counted)
+    def pool(*args, _inner=fanout_mod._thread_outcomes, **kwargs):
+        taken["thread pool"] += 1
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_reps", counted)
+    monkeypatch.setattr(fanout_mod, "_thread_outcomes", pool)
     # the fork path imports its pool from concurrent.futures when it runs
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineProcessPool)
-    runs = [
-        estimate_dispersion(
-            GRAPH_BUILDS[build], process, reps=4, seed=PARENT_SEED,
-            n_jobs=n_jobs, batched=batched, kernels=kernels, **options,
+    runs = []
+    for jobs in (1, 2):
+        runs.append(
+            estimate_dispersion(
+                GRAPH_BUILDS[build], process, reps=4, seed=PARENT_SEED,
+                n_jobs=jobs, batched=batched, kernels=kernels, **options,
+            )
         )
-        for n_jobs in (1, 2)
-    ]
     assert np.array_equal(runs[0].samples, runs[1].samples)
     expected = (
         kernels != "numpy" and build == "csr" and not options and batched is not False
     )
-    assert taken == {"runner": expected, "threads": 2 * expected}
+    # every thread runs the runner's shard function, hence run_reps
+    assert taken == {1: expected, 2: 2 * expected, "thread pool": expected}
 
 
 #: Recorded variants of the per-repetition route: every route variant.
@@ -825,8 +862,8 @@ def test_recorded_per_rep_route_matches_serial_oracle(
 ):
     """``record=True`` takes the per-repetition route with a compiled
     provider, through ``run_reps`` and auto dispatch alike: one compiled
-    call per shard (for the tick and round loops, none when no
-    repetition walks), no lock-step round, and trajectories
+    call per shard or budget cohort (for the tick and round loops, none
+    when no repetition walks), no lock-step round, and trajectories
     equal to the serial oracle's, in its shape and through either reader
     (``to_lists()`` or the buffers and row views).  A one-event sink
     (one round for Parallel) makes every loop re-enter after "sink
@@ -865,7 +902,9 @@ def test_recorded_per_rep_route_matches_serial_oracle(
         GRAPH, process, origin=origin, reps=REPS, seed=PARENT_SEED,
         record=True, kernels=kernels, state_budget=budget, **kwargs,
     )
-    assert route_calls[ROUTE_LOOP[process]] == 2 * calls
+    assert route_calls[ROUTE_LOOP[process]] == calls + loop_calls(
+        process, GRAPH, oracle, budget
+    )
     assert est.trajectories == [r.trajectories for r in oracle]
     for traj, s in zip(est.trajectories, oracle):
         same_rows(traj, s.trajectories, view)

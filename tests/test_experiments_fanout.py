@@ -186,14 +186,16 @@ class TestFanoutEstimate:
     def test_shards_batch_at_any_repetition_count(self):
         """The old buffer cap could decline a large in-process batch that
         its half-shards would have accepted; with the streaming buffers
-        there is no memory criterion left — full batch and shards both
-        route through the lock-step drivers."""
+        there is no memory criterion left — without a compiled loop, full
+        batch and shards both route through the lock-step drivers."""
+        from repro.core.route import route_kernels
         from repro.experiments.runner import _use_batched
 
-        g = cycle_graph(8)
+        kw = {"kernels": "numpy"}
+        assert route_kernels("parallel", cycle_graph(8), kw) is None
         full, half = 3000, 1500  # plan_shards(3000, 2) -> two 1500-rep shards
-        assert _use_batched("parallel", g, full, 1, {}, "auto")
-        assert _use_batched("parallel", g, half, 1, {}, "auto")
+        assert _use_batched("parallel", full, kw, "auto")
+        assert _use_batched("parallel", half, kw, "auto")
 
     def test_n_jobs_clamped_to_reps(self, monkeypatch):
         """n_jobs > reps must not plan empty shards or idle workers: the
@@ -443,10 +445,10 @@ class TestThreadRoute:
         queued never start, and every pool thread has exited."""
         release = threading.Event()
         started = []
-        real_shard = fanout_mod.run_reps
+        real_shard = runner_mod._shard_outcomes
 
         def shard(*args, **kwargs):
-            started.append(args[2])
+            started.append(args[3])
             if len(started) > 1:
                 # hold later shards until the pool is shutting down, so
                 # the failure cannot race the workers through the queue
@@ -459,7 +461,8 @@ class TestThreadRoute:
                 release.set()
                 super().shutdown(wait=wait)
 
-        monkeypatch.setattr(fanout_mod, "run_reps", shard)
+        # each thread runs the runner's shard function
+        monkeypatch.setattr(runner_mod, "_shard_outcomes", shard)
         monkeypatch.setattr(fanout_mod, "ThreadPoolExecutor", Pool)
         baseline = threading.active_count()
         reps, n_jobs = 16, 2

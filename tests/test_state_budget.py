@@ -9,7 +9,10 @@ covers the layer's own contracts:
   whole run is a *no-op plan* (the drivers take their unbudgeted
   allocation path unchanged), a budget smaller than one repetition's
   floor still runs (``cohort_reps`` never drops below 1);
-* cohort boundaries straddling the scalar tail finisher;
+* the runner's cohorts on every path (route, lock-step, threads, fork),
+  straddling the scalar tail finisher, and the route's tracemalloc peak
+  under a byte budget;
+* the lock-step drivers' in-cohort levers (particle chunks, streams);
 * cohort-aligned fan-out shard planning;
 * the zero-copy trajectory array view (:class:`TrajectoryArrays`,
   ``DispersionResult.trajectory_arrays()``, ``Block`` accepting both
@@ -37,7 +40,7 @@ from repro.core.settlement import chunked_vacancies
 from repro.core.trajectory import TrajectoryArrays
 from repro.experiments.fanout import budget_aligned_shard, plan_shards
 from repro.experiments.runner import estimate_dispersion
-from repro.graphs import cycle_graph
+from repro.graphs import cycle_graph, hypercube_graph
 from repro.kernels import available_kernels
 from repro.utils.rng import spawn_seed_sequences
 
@@ -154,11 +157,132 @@ def test_unknown_process_raises():
 
 
 # ---------------------------------------------------------------------------
-# driver edge cases
+# runner cohorts on every path
 
 
-def test_budget_smaller_than_one_rep_still_runs():
+#: The paths a budget's cohorts must be invisible on: the per-repetition
+#: route (a compiled provider), lock-step (numpy), and both fanned out
+#: over ``n_jobs=2`` (threads on the route, a fork pool on lock-step).
+#: Without a compiled provider the route's two paths are skipped.
+_COMPILED = [name for name in PROVIDERS if name != "numpy"]
+_NO_ROUTE = pytest.mark.skip(reason="no compiled kernel provider here")
+PATHS = {
+    "route": {"kernels": _COMPILED[0] if _COMPILED else None},
+    "lockstep": {"kernels": "numpy"},
+    "threads": {"kernels": _COMPILED[0] if _COMPILED else None, "n_jobs": 2},
+    "fork": {"kernels": "numpy", "n_jobs": 2},
+}
+PATH_PARAMS = [
+    pytest.param(name, marks=() if _COMPILED or name in ("lockstep", "fork") else _NO_ROUTE)
+    for name in PATHS
+]
+
+
+def _assert_budget_invisible(g, process, reps, seed, budget, path):
+    """The budgeted estimate equals the unbudgeted one on ``path``:
+    samples, totals and trajectories."""
+    runs = [
+        estimate_dispersion(
+            g, process, reps=reps, seed=seed, batched=True, record=True,
+            state_budget=b, **PATHS[path],
+        )
+        for b in (None, budget)
+    ]
+    plain, budgeted = runs
+    assert np.array_equal(plain.samples, budgeted.samples)
+    assert np.array_equal(plain.total_samples, budgeted.total_samples)
+    assert plain.trajectories == budgeted.trajectories
+    return plain
+
+
+@pytest.mark.parametrize("path", PATH_PARAMS)
+def test_budget_smaller_than_one_rep_still_runs(path):
+    """A particle budget below one repetition's ``m`` still runs, in
+    one-repetition cohorts (and, on lock-step, one-particle chunks)."""
+    _assert_budget_invisible(
+        cycle_graph(24), "parallel", 4, 3, StateBudget(particles=1), path
+    )
+
+
+@pytest.mark.parametrize("path", PATH_PARAMS)
+def test_cohorts_straddle_scalar_tail_finisher(path, monkeypatch):
+    """Cohorts of 9 over 24 repetitions with the default tail threshold:
+    on lock-step every cohort crosses into the scalar finisher on its
+    own, and the mid-walk handoff still replays the serial oracle bit for
+    bit.  In this process the runner dispatches exactly three cohorts
+    (with ``n_jobs=2``: three cohort-aligned shards of 8)."""
+    import repro.experiments.runner as runner_mod
+
+    calls = []
+    inner = runner_mod._cohort_outcomes
+
+    def counted(g, process, origin, children, kwargs, batched):
+        if kwargs.get("state_budget") is not None:
+            calls.append(len(children))
+        return inner(g, process, origin, children, kwargs, batched)
+
+    monkeypatch.setattr(runner_mod, "_cohort_outcomes", counted)
+    g = cycle_graph(32)
+    reps = 24
+    plain = _assert_budget_invisible(
+        g, "parallel", reps, 11, StateBudget(particles=32 * 9), path
+    )
+    serial = [
+        parallel_idla(g, 0, seed=s, record=True)
+        for s in spawn_seed_sequences(11, reps)
+    ]
+    assert plain.samples.tolist() == [float(s.dispersion_time) for s in serial]
+    assert plain.trajectories == [s.trajectories for s in serial]
+    if path == "fork":
+        assert calls == []  # the workers dispatch theirs
+    elif path == "threads":
+        assert sorted(calls) == [8, 8, 8]
+    else:
+        assert calls == [9, 9, 6]
+
+
+def test_route_estimate_peaks_below_its_budget():
+    """The per-repetition route honours a byte budget: at a shape whose
+    unbudgeted tracemalloc peak is over twice the budget, the budgeted
+    estimate of every process peaks below it, with the same samples."""
+    import tracemalloc
+
+    if not _COMPILED:
+        pytest.skip("no compiled kernel provider here")
+    kernels = _COMPILED[0]
+    g = hypercube_graph(10)
+    budget = parse_state_budget("1M")
+    estimate_dispersion(g, "parallel", reps=2, seed=1, kernels=kernels)  # load
+
+    def peak(process, state_budget):
+        tracemalloc.start()
+        try:
+            est = estimate_dispersion(
+                g, process, reps=64, seed=1, kernels=kernels,
+                state_budget=state_budget,
+            )
+            return tracemalloc.get_traced_memory()[1], est.samples
+        finally:
+            tracemalloc.stop()
+
+    unbudgeted, plain = peak("parallel", None)
+    assert unbudgeted >= 2 * budget.bytes
+    for process in ("parallel", "sequential", "c-sequential", "uniform", "ctu"):
+        budgeted, samples = peak(process, budget)
+        assert budgeted < budget.bytes, process
+        if process == "parallel":
+            assert np.array_equal(samples, plain)
+
+
+# ---------------------------------------------------------------------------
+# driver-level levers: chunks and stream shrink
+
+
+def test_particle_chunks_match_unchunked_driver():
+    """A one-particle cap chunks every Parallel-IDLA round of the
+    lock-step driver down to single particles, invisibly."""
     g = cycle_graph(24)
+    assert plan_state(StateBudget(particles=1), "parallel", 24, 24).step_chunk == 1
     plain = batched_parallel_idla(g, 0, seeds=spawn_seed_sequences(3, 4))
     for kernels in PROVIDERS:
         tight = batched_parallel_idla(
@@ -182,29 +306,6 @@ def test_huge_budget_matches_unbudgeted_results():
     for s, b in zip(plain, roomy):
         assert s.dispersion_time == b.dispersion_time
         assert np.array_equal(s.settled_at, b.settled_at)
-
-
-def test_cohorts_straddle_scalar_tail_finisher():
-    """Cohorts of 9 over 24 repetitions with the default tail threshold:
-    every cohort crosses into the scalar finisher independently, and the
-    mid-walk handoff still replays the serial oracle bit for bit."""
-    g = cycle_graph(32)
-    reps = 24
-    serial = [
-        parallel_idla(g, 0, seed=s, record=True)
-        for s in spawn_seed_sequences(11, reps)
-    ]
-    batch = batched_parallel_idla(
-        g,
-        0,
-        seeds=spawn_seed_sequences(11, reps),
-        record=True,
-        state_budget=StateBudget(particles=32 * 9),
-    )
-    for s, b in zip(serial, batch):
-        assert s.dispersion_time == b.dispersion_time
-        assert np.array_equal(s.steps, b.steps)
-        assert s.trajectories == b.trajectories
 
 
 def test_string_budget_accepted_by_drivers_and_runner():
